@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -327,8 +328,6 @@ def cmd_eval(args) -> int:
             for _, s0, s1 in gen
         ]
         ppls = per_dialogue_perplexities(model, dialogues, prompt_chunks=prompt_chunks)
-        import statistics
-
         metrics_payload = {
             "median_ppl": float(statistics.median(ppls)),
             "n_dialogues": len(ppls),

@@ -12,10 +12,21 @@ The interaction loop runs both sides chunk-by-chunk. To emit its chunk at
 step t, an agent holds the other side's actual chunks only up to
 t - latency and fills the missing window with freshly sampled estimates;
 arrived actual chunks replace estimates in every later context.
+
+Each side is one incremental agent with three operations: *receive* an
+arrived chunk, which appends to its base context; *estimate* the missing
+window, which appends past a mark at the base's end; and *emit* its own
+part of the chunk, after which the context is cut back to the mark. The
+base is append-only and the window holds at most ``latency`` chunks, so a
+step costs the same however long the session has run.
+``continue_dialogue`` and ``estimate_user_chunk`` are one agent each;
+``simulate_interaction`` is two agents (or one and a script) plus the
+delay line between them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,16 +59,34 @@ class InteractionConfig:
 @dataclass
 class StepRecord:
     """One generated chunk: what the model emitted, what the user actually
-    said, and the context the model saw when emitting."""
+    said, and the context the model saw when emitting.
+
+    ``context_snapshot`` is that context: the agent's base context up to
+    ``mark`` (the chunks that had fully arrived, shared with every other
+    record of the run and never rewritten) followed by this step's
+    ``window`` of estimated chunks. It is built on access, so a run's
+    records take memory linear in its length. ``to_dict`` leaves it out;
+    it can be rebuilt from a serialised transcript (see
+    ``InteractionTranscript``).
+    """
 
     index: int
     llm_chunk: list[int]
     user_actual: list[int]
     user_estimated: list[int] | None
     estimate_history: list[list[int]]
-    context_snapshot: list[int]
-    context_snapshot_len: int
     truncations: int
+    base: list[int] = field(repr=False)
+    mark: int
+    window: list[int]
+
+    @property
+    def context_snapshot(self) -> list[int]:
+        return self.base[: self.mark] + self.window
+
+    @property
+    def context_snapshot_len(self) -> int:
+        return self.mark + len(self.window)
 
     def to_dict(self) -> dict:
         return {
@@ -66,7 +95,6 @@ class StepRecord:
             "user_actual": self.user_actual,
             "user_estimated": self.user_estimated,
             "estimate_history": self.estimate_history,
-            "context_snapshot": self.context_snapshot,
             "context_snapshot_len": self.context_snapshot_len,
             "truncations": self.truncations,
         }
@@ -74,6 +102,17 @@ class StepRecord:
 
 @dataclass
 class InteractionTranscript:
+    """A run of ``simulate_interaction``.
+
+    ``to_json_dict`` serialises each step without its context snapshot,
+    which would make a transcript quadratic in length. The snapshot of
+    step t is rebuilt from the serialised ``dialogue``, ``steps`` and
+    ``latency_chunks`` (L): it is the wire form of chunks 0..t-1 in which
+    chunks below ``max(prompt_chunks, t - L)`` are actual and, for every
+    later chunk j, channel 0 is actual and channel 1 is
+    ``estimate_history[t - j - 1]`` of step j.
+    """
+
     config: InteractionConfig
     seed: int
     prompt_chunks: int
@@ -114,19 +153,6 @@ def dialogue_to_json_dict(d: DedupDialogue) -> dict:
     }
 
 
-def dialogue_from_json_dict(data: dict) -> DedupDialogue:
-    vocab = Vocab(
-        size=int(data["vocab_size"]),
-        frame_ms=int(data["frame_ms"]),
-        silence_tokens=frozenset(int(t) for t in data["silence"]),
-    )
-    chunks = tuple(
-        DedupChunk(s0_novel=tuple(c["s0"]), s1_novel=tuple(c["s1"]))
-        for c in data["chunks"]
-    )
-    return DedupDialogue(vocab=vocab, chunk_ms=int(data["chunk_ms"]), chunks=chunks)
-
-
 class _Decoder:
     """Grammar-constrained sampler for one agent; owns that agent's RNG."""
 
@@ -151,9 +177,17 @@ class _Decoder:
         self.rng = rng
         self.policy = policy
         self.truncations = 0
+        # sorted allowed sets: units, and units followed by both tags
+        self._units = np.arange(vocab.size, dtype=np.int64)
+        self._units_tags = np.arange(vocab.extended_size, dtype=np.int64)
+        self._tags = self._units_tags[vocab.size :]
 
-    def _allowed_units(self, last_tok: int | None) -> list[int]:
-        return [u for u in range(self.vocab.size) if u != last_tok]
+    def _allowed(self, last_tok: int | None, tags: bool) -> np.ndarray:
+        """Every unit except ``last_tok``, plus both tags if ``tags``."""
+        ids = self._units_tags if tags else self._units
+        if last_tok is None:
+            return ids
+        return np.concatenate((ids[:last_tok], ids[last_tok + 1 :]))
 
     def channel_novels(
         self, ctx: list[int], last_tok: int | None, require_first: bool = False
@@ -164,15 +198,13 @@ class _Decoder:
         units are appended to it. Sampling either tag stops the list (the
         tag itself is not appended; chunk structure is the caller's job).
         """
-        tags = [self.vocab.tag_s0, self.vocab.tag_s1]
         novels: list[int] = []
         while True:
             at_capacity = len(novels) >= self.fpc
             if at_capacity:
                 if self.policy == "error":
                     tok = sample_constrained(
-                        self.model, ctx, self._allowed_units(last_tok) + tags,
-                        self.cfg, self.rng,
+                        self.model, ctx, self._allowed(last_tok, True), self.cfg, self.rng
                     )
                     if tok < self.vocab.size:
                         raise ChunkOverflow(
@@ -181,9 +213,7 @@ class _Decoder:
                 else:
                     self.truncations += 1
                 break
-            allowed = self._allowed_units(last_tok)
-            if not (require_first and not novels):
-                allowed = allowed + tags
+            allowed = self._allowed(last_tok, not (require_first and not novels))
             tok = sample_constrained(self.model, ctx, allowed, self.cfg, self.rng)
             if tok >= self.vocab.size:
                 break
@@ -194,9 +224,7 @@ class _Decoder:
 
     def s1_speaks(self, ctx: list[int]) -> bool:
         """Two-way draw: does channel 1 contribute novel tokens this chunk?"""
-        tok = sample_constrained(
-            self.model, ctx, [self.vocab.tag_s0, self.vocab.tag_s1], self.cfg, self.rng
-        )
+        tok = sample_constrained(self.model, ctx, self._tags, self.cfg, self.rng)
         return tok == self.vocab.tag_s1
 
     def estimate_channel1(self, ctx: list[int], last_tok: int | None) -> list[int]:
@@ -206,6 +234,99 @@ class _Decoder:
             return []
         ctx.append(self.vocab.tag_s1)
         return self.channel_novels(ctx, last_tok, require_first=True)
+
+
+class _Agent:
+    """One side of a dialogue, decoding incrementally; it speaks channel
+    ``side``.
+
+    The agent owns one context list, whose prefix is an append-only base
+    of the chunks that have fully arrived; the last novel unit of each
+    channel in that base; and its decoder, which owns its RNG. Its three
+    operations:
+
+    * ``receive`` an arrived chunk of the other side. Every chunk whose
+      two parts are now both known is appended to the base.
+    * estimate the missing window (the first half of ``emit``): past a
+      mark at the base's end, append chunk by chunk its own known parts
+      and freshly sampled estimates of the other side's parts that are
+      still in flight.
+    * ``emit`` its own part of the next chunk, sampled after the window;
+      the context is then cut back to the mark with ``del ctx[mark:]``.
+
+    The draws come from the one RNG in context order, so a step's window
+    estimates are drawn before its emission. ``sample`` and ``append``
+    extend the base by one channel part, drawn or given; continuation and
+    single-chunk estimation need nothing else.
+    """
+
+    def __init__(self, decoder: _Decoder, context: Sequence[int], side: int = 0):
+        self.dec = decoder
+        self.side = side
+        self.ctx = list(context)
+        self.last = list(_scan_last_novels(self.ctx, decoder.vocab))
+        self.mine: deque[list[int]] = deque()  # own parts not yet in the base
+        self.theirs: deque[list[int]] = deque()  # arrived parts not yet in the base
+
+    def append(self, channel: int, novels: Sequence[int]) -> None:
+        vocab = self.dec.vocab
+        if channel == 0:
+            self.ctx.append(vocab.tag_s0)
+        elif novels:
+            self.ctx.append(vocab.tag_s1)
+        self.ctx.extend(novels)
+        if novels:
+            self.last[channel] = novels[-1]
+
+    def sample(self, channel: int) -> list[int]:
+        if channel == 0:
+            self.ctx.append(self.dec.vocab.tag_s0)
+            novels = self.dec.channel_novels(self.ctx, self.last[0])
+        else:
+            novels = self.dec.estimate_channel1(self.ctx, self.last[1])
+        if novels:
+            self.last[channel] = novels[-1]
+        return novels
+
+    def receive(self, novels: list[int]) -> None:
+        self.theirs.append(novels)
+        self._settle()
+
+    def _settle(self) -> None:
+        while self.mine and self.theirs:
+            own, other = self.mine.popleft(), self.theirs.popleft()
+            self.append(0, own if self.side == 0 else other)
+            self.append(1, other if self.side == 0 else own)
+
+    def _estimate_window(self) -> list[list[int]]:
+        """Append the chunks between the base and the own part to emit;
+        returns the other side's estimated parts in chunk order."""
+        estimates = []
+        for k in range(len(self.mine) + 1):
+            for channel in (0, 1):
+                if channel == self.side:
+                    if k == len(self.mine):
+                        break
+                    self.append(channel, self.mine[k])
+                elif k < len(self.theirs):
+                    self.append(channel, self.theirs[k])
+                else:
+                    estimates.append(self.sample(channel))
+        return estimates
+
+    def emit(self) -> tuple[list[int], list[list[int]], int, list[int]]:
+        """Own part of the next chunk, with this step's window estimates,
+        mark and window tokens (the context it was sampled from is
+        ``ctx[:mark] + window``)."""
+        mark, last = len(self.ctx), list(self.last)
+        estimates = self._estimate_window()
+        window = self.ctx[mark:]
+        novels = self.sample(self.side)
+        del self.ctx[mark:]
+        self.last = last
+        self.mine.append(novels)
+        self._settle()
+        return novels, estimates, mark, window
 
 
 def _scan_last_novels(wire: Sequence[int], vocab: Vocab) -> tuple[int | None, int | None]:
@@ -222,23 +343,11 @@ def _scan_last_novels(wire: Sequence[int], vocab: Vocab) -> tuple[int | None, in
     return last[0], last[1]
 
 
-def _append_chunk_wire(
-    ctx: list[int], vocab: Vocab, s0: Sequence[int], s1: Sequence[int],
-    last: list[int | None],
-) -> None:
-    ctx.append(vocab.tag_s0)
-    ctx.extend(s0)
-    if s0:
-        last[0] = s0[-1]
-    if s1:
-        ctx.append(vocab.tag_s1)
-        ctx.extend(s1)
-        last[1] = s1[-1]
-
-
-def _validate_prompt(prompt: DedupDialogue) -> None:
-    # cheap well-formedness check: the wire form must parse back
-    parse(flatten(prompt), prompt.vocab, prompt.chunk_ms)
+def _prompt_wire(prompt: DedupDialogue) -> list[int]:
+    """The prompt's wire form, checked to parse back (cheap well-formedness)."""
+    wire = flatten(prompt)
+    parse(wire, prompt.vocab, prompt.chunk_ms)
+    return wire
 
 
 def continue_dialogue(
@@ -258,32 +367,21 @@ def continue_dialogue(
         raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
     if forced_user is not None and len(forced_user) != n_chunks:
         raise ValueError("forced_user must provide one chunk per generated chunk")
-    _validate_prompt(prompt)
+    wire = _prompt_wire(prompt)
     cfg = cfg if cfg is not None else SamplerConfig()
-    vocab = prompt.vocab
-    rng = np.random.default_rng(cfg.seed)
-    dec = _Decoder(model, vocab, prompt.chunk_ms, cfg, rng, overflow_policy)
-
-    ctx = flatten(prompt)
-    last = list(_scan_last_novels(ctx, vocab))
+    dec = _Decoder(model, prompt.vocab, prompt.chunk_ms, cfg,
+                   np.random.default_rng(cfg.seed), overflow_policy)
+    agent = _Agent(dec, wire)
     chunks = list(prompt.chunks)
     for i in range(n_chunks):
-        ctx.append(vocab.tag_s0)
-        s0 = dec.channel_novels(ctx, last[0])
-        if s0:
-            last[0] = s0[-1]
-        if forced_user is not None:
-            s1 = list(forced_user[i])
-            if s1:
-                ctx.append(vocab.tag_s1)
-                ctx.extend(s1)
-                last[1] = s1[-1]
+        s0 = agent.sample(0)
+        if forced_user is None:
+            s1 = agent.sample(1)
         else:
-            s1 = dec.estimate_channel1(ctx, last[1])
-            if s1:
-                last[1] = s1[-1]
+            s1 = list(forced_user[i])
+            agent.append(1, s1)
         chunks.append(DedupChunk(s0_novel=tuple(s0), s1_novel=tuple(s1)))
-    return DedupDialogue(vocab=vocab, chunk_ms=prompt.chunk_ms, chunks=tuple(chunks))
+    return DedupDialogue(vocab=prompt.vocab, chunk_ms=prompt.chunk_ms, chunks=tuple(chunks))
 
 
 def estimate_user_chunk(
@@ -301,9 +399,7 @@ def estimate_user_chunk(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     dec = _Decoder(model, vocab, chunk_ms, cfg, rng, overflow_policy)
-    ctx = list(context)
-    _, last1 = _scan_last_novels(ctx, vocab)
-    return dec.estimate_channel1(ctx, last1)
+    return _Agent(dec, context).sample(1)
 
 
 def simulate_interaction(
@@ -315,9 +411,12 @@ def simulate_interaction(
 ) -> InteractionTranscript:
     """Run the lockstep protocol between the model and a user source.
 
-    The user source is either a second model (which runs the same
-    estimate-ahead protocol from its side) or a scripted dialogue whose
-    channel-1 chunks are revealed with the configured latency.
+    The user source is either a second model (an agent on channel 1 that
+    runs the same estimate-ahead protocol from its side) or a scripted
+    dialogue whose channel-1 chunks are revealed with the configured
+    latency. At step t the model's agent has the user's chunks below
+    t - latency; a model user has the model's chunks below t - latency + 1,
+    since the model speaks first within a chunk.
     """
     scripted = isinstance(user_source, DedupDialogue)
     if vocab is None:
@@ -331,8 +430,7 @@ def simulate_interaction(
         raise ValueError(
             f"prompt chunk_ms {prompt.chunk_ms} != config chunk_ms {cfg.chunk_ms}"
         )
-    if prompt is not None:
-        _validate_prompt(prompt)
+    prompt_wire = _prompt_wire(prompt) if prompt is not None else []
     L = cfg.latency_chunks
     p_chunks = len(prompt.chunks) if prompt is not None else 0
     if cfg.max_chunks <= p_chunks:
@@ -359,68 +457,35 @@ def simulate_interaction(
         model_llm, vocab, cfg.chunk_ms, cfg.sampler,
         np.random.default_rng(cfg.sampler.seed), cfg.overflow_policy,
     )
-    dec_b = None
+    agent_a = _Agent(dec_a, prompt_wire, side=0)
+    dec_b = agent_b = None
     if not scripted:
         dec_b = _Decoder(
             user_source, vocab, cfg.chunk_ms, cfg.sampler,
             np.random.default_rng([cfg.sampler.seed, 1]), cfg.overflow_policy,
         )
+        agent_b = _Agent(dec_b, prompt_wire, side=1)
 
     est_hist: dict[int, list[list[int]]] = {}
     records: list[StepRecord] = []
     trunc_before = 0
 
     for t in range(p_chunks, cfg.max_chunks):
-        # --- agent A emits chunk t of channel 0
-        avail = max(p_chunks, t - L)  # user chunks < avail have arrived
-        ctx: list[int] = []
-        last: list[int | None] = [None, None]
-        for j in range(avail):
-            _append_chunk_wire(ctx, vocab, llm_novel[j], usr_novel[j], last)
-        for j in range(avail, t):
-            ctx.append(vocab.tag_s0)
-            ctx.extend(llm_novel[j])
-            if llm_novel[j]:
-                last[0] = llm_novel[j][-1]
-            est = dec_a.estimate_channel1(ctx, last[1])
-            if est:
-                last[1] = est[-1]
-            est_hist.setdefault(j, []).append(est)
-        snapshot = list(ctx)
-        ctx.append(vocab.tag_s0)
-        s0 = dec_a.channel_novels(ctx, last[0])
+        # the delay line: the user's chunk t-L-1 reaches the model now
+        if t - L - 1 >= p_chunks:
+            agent_a.receive(usr_novel[t - L - 1])
+        s0, estimates, mark, window = agent_a.emit()
         llm_novel.append(s0)
+        for j, est in enumerate(estimates, start=t - len(estimates)):
+            est_hist.setdefault(j, []).append(est)
 
-        # --- the user side produces its chunk t
         if scripted:
             usr_t = list(user_source.chunks[t].s1_novel)
         else:
-            avail_b = max(p_chunks, t - L + 1)  # LLM chunks < avail_b have arrived at B
-            ctx_b: list[int] = []
-            last_b: list[int | None] = [None, None]
-            cut = min(avail_b, t)
-            for j in range(cut):
-                _append_chunk_wire(ctx_b, vocab, llm_novel[j], usr_novel[j], last_b)
-            for j in range(cut, t):
-                # estimated channel-0 part, actual own channel-1 part
-                ctx_b.append(vocab.tag_s0)
-                est0 = dec_b.channel_novels(ctx_b, last_b[0])
-                if est0:
-                    last_b[0] = est0[-1]
-                if usr_novel[j]:
-                    ctx_b.append(vocab.tag_s1)
-                    ctx_b.extend(usr_novel[j])
-                    last_b[1] = usr_novel[j][-1]
-            ctx_b.append(vocab.tag_s0)
-            if t < avail_b:
-                ctx_b.extend(llm_novel[t])
-                if llm_novel[t]:
-                    last_b[0] = llm_novel[t][-1]
-            else:
-                est0 = dec_b.channel_novels(ctx_b, last_b[0])
-                if est0:
-                    last_b[0] = est0[-1]
-            usr_t = dec_b.estimate_channel1(ctx_b, last_b[1])
+            # ... and the model's chunk t-L reaches the user
+            if t - L >= p_chunks:
+                agent_b.receive(llm_novel[t - L])
+            usr_t = agent_b.emit()[0]
         usr_novel.append(usr_t)
 
         records.append(
@@ -430,9 +495,10 @@ def simulate_interaction(
                 user_actual=list(usr_t),
                 user_estimated=None,
                 estimate_history=[],
-                context_snapshot=snapshot,
-                context_snapshot_len=len(snapshot),
                 truncations=dec_a.truncations - trunc_before,
+                base=agent_a.ctx,
+                mark=mark,
+                window=window,
             )
         )
         trunc_before = dec_a.truncations

@@ -315,13 +315,9 @@ def median_perplexity(
     """Median over per-dialogue perplexities of the flattened continuation
     (the first ``prompt_chunks`` chunks condition the model but are not
     scored)."""
-    if not dialogues:
-        raise EmptySet("no dialogues to score")
-    ppls = []
-    for d in dialogues:
-        skip = sum(len(chunk_wire(d.vocab, c)) for c in d.chunks[:prompt_chunks])
-        ppls.append(perplexity(reference_model, flatten(d), skip=skip))
-    return float(statistics.median(ppls))
+    return statistics.median(
+        per_dialogue_perplexities(reference_model, dialogues, prompt_chunks)
+    )
 
 
 def per_dialogue_perplexities(

@@ -63,10 +63,10 @@ class NgramModel:
         return self.vocab_ext
 
     def _key(self, context: Sequence[int]) -> tuple[int, ...]:
-        ctx = list(context)[-self.order :]
-        if len(ctx) < self.order:
-            ctx = [self.bos] * (self.order - len(ctx)) + ctx
-        return tuple(ctx)
+        key = tuple(context[-self.order :])
+        if len(key) < self.order:
+            key = (self.bos,) * (self.order - len(key)) + key
+        return key
 
     def observe(self, sequence: Sequence[int]) -> None:
         seq = [int(t) for t in sequence]
@@ -99,13 +99,21 @@ class NgramModel:
     def sequence_nll(self, sequence: Sequence[int], skip: int = 0) -> tuple[float, int]:
         """Total negative log-likelihood and token count, scoring positions
         ``skip`` onward (earlier tokens still condition the context)."""
-        seq = list(sequence)
+        if skip < 0:
+            raise ValueError(f"skip must be >= 0, got {skip}")
+        # position i of the sequence is predicted from padded[i : i + order]
+        order = self.order
+        padded = [self.bos] * order + list(sequence)
+        n = len(padded) - order
+        counts, totals = self.counts, self.totals
+        alpha, norm = self.alpha, self.alpha * self.vocab_ext
         nll = 0.0
-        scored = 0
-        for i in range(skip, len(seq)):
-            nll -= self.log_prob(seq[:i], seq[i])
-            scored += 1
-        return nll, scored
+        for i in range(skip, n):
+            key = tuple(padded[i : i + order])
+            slot = counts.get(key)
+            c = slot.get(padded[i + order], 0) if slot else 0
+            nll -= math.log((c + alpha) / (totals.get(key, 0) + norm))
+        return nll, max(0, n - skip)
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -124,23 +132,76 @@ class NgramModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "NgramModel":
+        """Read a model file, validating it in the pass that converts it.
+
+        Raises ``ModelFormatError`` unless ``order``, ``vocab_ext``,
+        ``alpha`` and ``counts`` have their types, every context key is
+        ``order`` ids in ``[0, vocab_ext]`` (the begin marker included),
+        and every context predicts at least one id in ``[0, vocab_ext)``
+        with an integer count >= 1. Ids are read in canonical decimal, as
+        ``save`` writes them.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ModelFormatError("model file does not hold a JSON object")
         version = payload.get("version")
         if version != MODEL_FILE_VERSION:
             raise ModelFormatError(
                 f"model file version {version!r} not supported (expected {MODEL_FILE_VERSION})"
             )
-        model = cls(
-            order=int(payload["order"]),
-            vocab_ext=int(payload["vocab_ext"]),
-            alpha=float(payload["alpha"]),
+        order, vocab_ext, alpha, counts = (
+            payload.get(k) for k in ("order", "vocab_ext", "alpha", "counts")
         )
-        for key_str, slot in payload["counts"].items():
-            key = tuple(int(t) for t in key_str.split(","))
-            model.counts[key] = {int(tok): int(c) for tok, c in slot.items()}
-            model.totals[key] = sum(model.counts[key].values())
+        if not (_is_int(order) and _is_int(vocab_ext)
+                and (_is_int(alpha) or isinstance(alpha, float))
+                and isinstance(counts, dict)):
+            raise ModelFormatError(
+                "model file needs integer 'order' and 'vocab_ext', numeric 'alpha' "
+                "and a 'counts' object"
+            )
+        try:
+            model = cls(order=order, vocab_ext=vocab_ext, alpha=float(alpha))
+        except ValueError as exc:
+            raise ModelFormatError(str(exc)) from None
+        ctx_ids, tok_ids = _IdTable(vocab_ext + 1), _IdTable(vocab_ext)
+        for key_str, slot in counts.items():
+            try:
+                key = tuple(map(ctx_ids.__getitem__, key_str.split(",")))
+                row = dict(zip(map(tok_ids.__getitem__, slot), slot.values()))
+                total = sum(row.values())
+                valid = (len(key) == order and type(total) is int
+                         and len(row) > 0 and min(row.values()) >= 1)
+            except (AttributeError, KeyError, TypeError, ValueError):
+                valid = False
+            if not valid:
+                raise ModelFormatError(
+                    f"bad counts entry {key_str!r}: needs {order} context ids in "
+                    f"[0, {vocab_ext}] and integer counts >= 1 for ids in [0, {vocab_ext})"
+                )
+            model.counts[key] = row
+            model.totals[key] = total
         return model
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+class _IdTable(dict):
+    """Canonical decimal string -> id for ids in ``[0, limit)``, filled on
+    first use: one dict lookup both converts and range-checks an id."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def __missing__(self, text: str) -> int:
+        i = int(text)
+        if str(i) != text or not 0 <= i < self.limit:
+            raise KeyError(text)
+        self[text] = i
+        return i
 
 
 def train(
@@ -170,8 +231,7 @@ def _apply_sampler(
     # Rank with stable index tie-breaking so top_k (and the greedy k=1
     # case) is deterministic.
     if cfg.top_k is not None and cfg.top_k < len(indices):
-        rank = sorted(range(len(indices)), key=lambda i: (-probs[i], indices[i]))
-        keep = sorted(rank[: cfg.top_k])
+        keep = np.sort(np.lexsort((indices, -probs))[: cfg.top_k])
         probs = probs[keep]
         indices = indices[keep]
     if cfg.temperature != 1.0:
@@ -190,12 +250,16 @@ def sample_constrained(
 ) -> int:
     """Sample the next token restricted to ``allowed`` ids.
 
-    A single legal token is returned without touching the RNG; greedy
-    (top_k=1) likewise consumes no randomness.
+    ``allowed`` is any sequence of ids (list, tuple, range, array) in any
+    order; the draw depends only on its sorted contents, so an already
+    sorted ``np.int64`` array is the cheapest form. A single legal token
+    is returned without touching the RNG; greedy (top_k=1) likewise
+    consumes no randomness.
     """
-    if not allowed:
+    indices = np.array(allowed, dtype=np.int64)
+    indices.sort(kind="stable")  # in place on the copy; linear on sorted input
+    if len(indices) == 0:
         raise ValueError("allowed token set is empty")
-    indices = np.asarray(sorted(allowed), dtype=np.int64)
     if len(indices) == 1:
         return int(indices[0])
     dist = model.next_dist(context)[indices]
@@ -204,7 +268,13 @@ def sample_constrained(
         return int(indices[0])
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    return int(indices[rng.choice(len(indices), p=probs)])
+    # Inverse-CDF draw, the same arithmetic and RNG use as
+    # ``rng.choice(len(indices), p=probs)`` without its per-call checks.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    if not cdf[-1] > 0:  # NaN from a temperature so small the logits overflow
+        raise ValueError("sampling distribution is not finite")
+    return int(indices[cdf.searchsorted(rng.random(), "right")])
 
 
 def sample_next(

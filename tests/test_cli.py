@@ -233,6 +233,86 @@ class TestInteract:
         capsys.readouterr()
 
 
+def _drop(key):
+    def mutate(m):
+        del m[key]
+    return mutate
+
+
+def _set(key, value):
+    def mutate(m):
+        m[key] = value
+    return mutate
+
+
+def _first_count(fn):
+    def mutate(m):
+        fn(m["counts"], next(iter(m["counts"])))
+    return mutate
+
+
+# Ways to break a valid model file; each edits the parsed JSON in place.
+MODEL_MUTATIONS = {
+    "no_counts": _drop("counts"),
+    "no_order": _drop("order"),
+    "order_str": _set("order", "3"),
+    "alpha_str": _set("alpha", "0.1"),
+    "vocab_ext_float": _set("vocab_ext", 12.0),
+    "counts_list": _set("counts", []),
+    "predicts_99": _first_count(lambda c, k: c[k].__setitem__("99", 1)),
+    "predicts_past_tags": _first_count(lambda c, k: c[k].__setitem__("12", 1)),
+    "key_too_short": _first_count(lambda c, k: c.__setitem__("0,1", {"1": 1})),
+    "key_id_past_bos": _first_count(lambda c, k: c.__setitem__("13,0,1", {"1": 1})),
+    "key_not_ids": _first_count(lambda c, k: c.__setitem__("a,b,c", {"1": 1})),
+    "count_zero": _first_count(lambda c, k: c[k].__setitem__("1", 0)),
+    "count_float": _first_count(lambda c, k: c[k].__setitem__("1", 1.5)),
+    "count_str": _first_count(lambda c, k: c[k].__setitem__("1", "2")),
+    "slot_list": _first_count(lambda c, k: c.__setitem__(k, [1])),
+    "slot_empty": _first_count(lambda c, k: c.__setitem__(k, {})),
+}
+
+
+def _bad_model(payload, name, path):
+    payload = json.loads(json.dumps(payload))
+    MODEL_MUTATIONS[name](payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+class TestModelFileValidation:
+    @pytest.fixture(scope="class")
+    def good(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("good")
+        corpus = synth(tmp)
+        return corpus, json.loads(trained(tmp, corpus).read_text())
+
+    @pytest.mark.parametrize("name", sorted(MODEL_MUTATIONS))
+    def test_eval_ppl_rejects_with_exit_2(self, good, name, tmp_path, capsys):
+        corpus, payload = good
+        model = _bad_model(payload, name, tmp_path / "bad.json")
+        base = tmp_path / "ppl"
+        rc = main(["eval", "--mode", "ppl", "--generated", str(corpus),
+                   "--model", str(model), "--out", str(base)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ModelFormatError"
+        assert not base.with_suffix(".json").exists()
+        assert not base.with_suffix(".csv").exists()
+
+    def test_interact_rejects_bad_model_b(self, good, tmp_path, capsys):
+        corpus, payload = good
+        model_a = tmp_path / "a.json"
+        model_a.write_text(json.dumps(payload))
+        model_b = _bad_model(payload, "predicts_99", tmp_path / "b.json")
+        out = tmp_path / "t.json"
+        rc = main(["interact", *VOCAB_ARGS, "--model-a", str(model_a),
+                   "--model-b", str(model_b), "--max-chunks", "4", "--out", str(out)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ModelFormatError"
+        assert not out.exists()
+
+
 class TestEvalAndReport:
     def test_turns_self_correlation(self, tmp_path):
         corpus = synth(tmp_path, count=8, duration=16000)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,44 @@ class TestSimulateTwoModels:
         tr = simulate_interaction(model, model, cfg, vocab=vocab, prompt=prompt)
         cont = continue_dialogue(model, prompt, 12, SamplerConfig(seed=8))
         assert tr.dialogue.chunks != cont.chunks
+
+
+class TestTranscriptSerialisation:
+    def test_transcript_size_linear_in_length(self, setup):
+        vocab, _, model, script = setup
+
+        def size(n):
+            cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=n,
+                                    sampler=SamplerConfig(seed=5))
+            tr = simulate_interaction(model, model, cfg, vocab=vocab)
+            return len(json.dumps(tr.to_json_dict()))
+
+        assert size(80) < 2.3 * size(40)
+
+    @pytest.mark.parametrize("latency", [0, 1, 3])
+    @pytest.mark.parametrize("user", ["scripted", "model"])
+    def test_snapshot_rebuilds_from_serialised_transcript(self, setup, user, latency):
+        vocab, _, model, script = setup
+        cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=latency, max_chunks=16,
+                                sampler=SamplerConfig(seed=6))
+        source = script if user == "scripted" else model
+        tr = simulate_interaction(model, source, cfg, vocab=vocab,
+                                  prompt=prompt_of(script, 2))
+        doc = json.loads(json.dumps(tr.to_json_dict()))
+        chunks = doc["dialogue"]["chunks"]
+        steps = {s["index"]: s for s in doc["steps"]}
+        for rec in tr.steps:
+            t = rec.index
+            assert "context_snapshot" not in steps[t]
+            wire = []
+            for j in range(t):
+                s1 = chunks[j]["s1"]
+                if j >= max(doc["prompt_chunks"], t - latency):
+                    s1 = steps[j]["estimate_history"][t - j - 1]
+                wire += [vocab.tag_s0, *chunks[j]["s0"]]
+                wire += [vocab.tag_s1, *s1] if s1 else []
+            assert wire == rec.context_snapshot
+            assert steps[t]["context_snapshot_len"] == len(wire)
 
 
 class TestOverflowPolicy:

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duplexsim import NgramModel, SamplerConfig, corpus_perplexity, perplexity, sample_next, train
+from duplexsim import (
+    NgramModel,
+    SamplerConfig,
+    corpus_perplexity,
+    perplexity,
+    sample_constrained,
+    sample_next,
+    train,
+)
 from duplexsim.errors import EmptyCorpus, EmptySequence, ModelFormatError
 
 import oracles
@@ -84,6 +92,13 @@ class TestSampling:
         tok = sample_next(model, [1], cfg, rng)
         assert tok == int(np.argmax(model.next_dist([1])))
 
+    def test_overflowing_temperature_raises(self):
+        # log(p) / 1e-310 is -inf for every p < 1, so the distribution is NaN
+        model = train(parse_corpus(["1 2 1 2 1 2"]), order=1, alpha=0.1, vocab_ext=4)
+        cfg = SamplerConfig(temperature=1e-310, seed=5)
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError):
+            sample_next(model, [1], cfg, np.random.default_rng(cfg.seed))
+
     def test_greedy_top_k_one(self):
         model = train(parse_corpus(["1 2 1 2 1 2"]), order=1, alpha=0.1, vocab_ext=4)
         cfg = SamplerConfig(top_k=1, seed=0)
@@ -109,6 +124,32 @@ class TestSampling:
             freq = float(np.mean(draws == tok))
             assert abs(freq - dist[tok]) < 0.01
 
+    @pytest.mark.parametrize("sampler", [dict(), dict(top_k=3), dict(temperature=0.7)])
+    def test_allowed_form_does_not_change_draws(self, sampler):
+        model = train(parse_corpus(["0 1 2 3 4 5 6 0 2 4 6 1 3 5"]), order=1, alpha=0.3,
+                      vocab_ext=8)
+        cfg = SamplerConfig(seed=17, **sampler)
+        forms = [
+            [5, 1, 6, 3, 0, 4, 2],
+            (0, 1, 2, 3, 4, 5, 6),
+            range(7),
+            np.array([6, 0, 5, 2, 4, 1, 3]),
+            np.arange(7, dtype=np.int64),
+            np.array([3, 5, 0, 6, 4, 2, 1], dtype=np.int32),
+        ]
+        runs = []
+        for allowed in forms:
+            rng = np.random.default_rng(cfg.seed)
+            runs.append([sample_constrained(model, [t % 7], allowed, cfg, rng)
+                         for t in range(60)])
+        assert all(run == runs[0] for run in runs)
+
+    @pytest.mark.parametrize("empty", [[], (), range(0), np.array([], dtype=np.int64)])
+    def test_empty_allowed_set_raises(self, empty):
+        model = train(parse_corpus(["0 1 2"]), order=1, alpha=0.1, vocab_ext=3)
+        with pytest.raises(ValueError, match="empty"):
+            sample_constrained(model, [0], empty, SamplerConfig())
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             SamplerConfig(temperature=0.0)
@@ -131,6 +172,11 @@ class TestPerplexity:
         seq = [0, 1, 2, 3, 0, 1, 1, 2, 2, 0, 3, 3, 2, 1, 0, 0, 1, 2, 3, 0]
         expected = oracles.sequence_perplexity(corpus, 2, 0.2, 4, seq)
         assert perplexity(model, seq) == pytest.approx(expected, abs=1e-9)
+
+    def test_negative_skip_raises(self):
+        model = train(parse_corpus(["0 1 2"]), order=2, alpha=0.1, vocab_ext=3)
+        with pytest.raises(ValueError):
+            model.sequence_nll([0, 1, 2], skip=-1)
 
     def test_empty_sequence_raises(self):
         model = NgramModel(order=1, vocab_ext=4)
@@ -181,6 +227,12 @@ class TestSerialization:
         train(corpus, order=2, alpha=0.1, vocab_ext=3).save(a)
         train(corpus, order=2, alpha=0.1, vocab_ext=3).save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_non_object_file_fails_loudly(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ModelFormatError):
+            NgramModel.load(path)
 
     def test_version_mismatch_fails_loudly(self, tmp_path):
         path = tmp_path / "model.json"
