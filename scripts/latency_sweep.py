@@ -27,10 +27,10 @@ from duplexsim import (
     deduplicate,
     flatten,
     generate_corpus,
-    median_perplexity,
     simulate_interaction,
     train,
 )
+from duplexsim.metrics import per_dialogue_perplexities
 
 CHUNK_SIZES = (160, 200, 240)
 
@@ -49,11 +49,10 @@ def sweep_style(vocab: Vocab) -> DialogueStyle:
     )
 
 
-def flatten_corpus(corpus, chunk_ms, vocab):
-    return [
-        flatten(deduplicate(chunk_streams(r.s0, r.s1, chunk_ms, vocab)))
-        for r in corpus.dialogues
-    ]
+def encode_corpus(corpus, chunk_ms, vocab) -> list[DedupDialogue]:
+    """Every dialogue of a corpus in wire format at one chunk size."""
+    return [deduplicate(chunk_streams(r.s0, r.s1, chunk_ms, vocab))
+            for r in corpus.dialogues]
 
 
 def run_sweep(
@@ -77,23 +76,20 @@ def run_sweep(
     heldout = generate_corpus(style, heldout_dialogues, dialogue_ms, seed=seed + 2)
 
     models = {
-        c: train(flatten_corpus(train_corpus, c, vocab), order=order, alpha=gen_alpha,
-                 vocab_ext=vocab.extended_size)
+        c: train([flatten(d) for d in encode_corpus(train_corpus, c, vocab)],
+                 order=order, alpha=gen_alpha, vocab_ext=vocab.extended_size)
         for c in chunk_sizes
     }
-    reference_seqs = []
-    for c in chunk_sizes:
-        reference_seqs.extend(flatten_corpus(heldout, c, vocab))
-    reference = train(reference_seqs, order=order, alpha=ref_alpha,
-                      vocab_ext=vocab.extended_size)
+    heldout_encoded = {c: encode_corpus(heldout, c, vocab) for c in chunk_sizes}
+    reference = train([flatten(d) for c in chunk_sizes for d in heldout_encoded[c]],
+                      order=order, alpha=ref_alpha, vocab_ext=vocab.extended_size)
 
     rows = []
     for rep in range(replications):
         for c in chunk_sizes:
             prompt_chunks = prompt_ms // c
-            ppls = []
-            for k, rec in enumerate(heldout.dialogues):
-                full = deduplicate(chunk_streams(rec.s0, rec.s1, c, vocab))
+            generated = []
+            for k, full in enumerate(heldout_encoded[c]):
                 prompt = DedupDialogue(vocab, c, full.chunks[:prompt_chunks])
                 cfg = InteractionConfig(
                     chunk_ms=c,
@@ -103,10 +99,9 @@ def run_sweep(
                 )
                 transcript = simulate_interaction(models[c], models[c], cfg,
                                                   vocab=vocab, prompt=prompt)
-                ppls.append(
-                    median_perplexity(reference, [transcript.dialogue],
-                                      prompt_chunks=prompt_chunks)
-                )
+                generated.append(transcript.dialogue)
+            ppls = per_dialogue_perplexities(reference, generated,
+                                             prompt_chunks=prompt_chunks)
             rows.append({
                 "replication": rep,
                 "chunk_ms": c,

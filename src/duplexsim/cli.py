@@ -1,9 +1,14 @@
 """Command-line pipeline: synth | train | continue | interact | eval | report.
 
 Every subcommand validates its inputs before creating any output file and
-is byte-reproducible under fixed seeds. Failures print a JSON object to
-stderr; exit codes are 0 (ok), 2 (invalid configuration or inputs),
-3 (runtime error).
+is byte-reproducible under fixed seeds. Each input file is read once.
+Every record of a corpus must declare the same vocabulary, and each of
+its dialogues is encoded to the wire format once; a prompt is the first
+``--prompt-ms // --chunk-ms`` chunks of that encoding. A model file named
+twice is parsed once and checked against the vocabulary once.
+
+Failures print a JSON object to stderr; exit codes are 0 (ok), 2 (invalid
+configuration or inputs), 3 (runtime error).
 """
 
 from __future__ import annotations
@@ -13,12 +18,13 @@ import csv
 import json
 import statistics
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus_io
-from .errors import ConfigError, DuplexError, EmptyCorpus
+from .errors import ConfigError, DuplexError, EmptyCarryOverWarning, EmptyCorpus
 from .interaction import (
     InteractionConfig,
     continue_dialogue,
@@ -34,7 +40,15 @@ from .synth import (
     generate_dialogue,
     generate_stage2_dialogue,
 )
-from .tokens import TokenStream, Vocab, chunk_streams, deduplicate, flatten, interpolate
+from .tokens import (
+    DedupDialogue,
+    TokenStream,
+    Vocab,
+    chunk_streams,
+    deduplicate,
+    flatten,
+    interpolate,
+)
 
 
 def _derive_seed(seed: int, index: int) -> int:
@@ -74,34 +88,76 @@ def _require_files(*paths) -> None:
 
 
 def _load_corpus(path) -> tuple[list[tuple[str, TokenStream, TokenStream]], Vocab]:
+    """A corpus's dialogues and the one vocabulary every record declares."""
     entries = corpus_io.read_corpus(path)
     if not entries:
         raise EmptyCorpus(f"corpus {path} has no dialogues")
     vocab = entries[0][3]
+    for did, _, _, other in entries:
+        if other != vocab:
+            raise ConfigError(
+                f"corpus {path}: dialogue {did} has {other}, the first dialogue {vocab}"
+            )
     return [(did, s0, s1) for did, s0, s1, _ in entries], vocab
+
+
+def _load_models(vocab: Vocab, *paths) -> list[NgramModel | None]:
+    """One model per path (None for None). Each distinct file is parsed and
+    checked against ``vocab`` once; a file named twice gives one shared
+    model, which decoding never mutates."""
+    loaded: dict[Path, NgramModel] = {}
+    models = []
+    for path in paths:
+        if path is None:
+            models.append(None)
+            continue
+        key = Path(path).resolve()
+        if key not in loaded:
+            model = NgramModel.load(path)
+            if model.vocab_ext != vocab.extended_size:
+                raise ConfigError(
+                    f"model {path}: vocab_ext {model.vocab_ext} does not match vocab "
+                    f"{vocab.extended_size}"
+                )
+            loaded[key] = model
+        models.append(loaded[key])
+    return models
+
+
+def _encode(
+    s0: TokenStream, s1: TokenStream, vocab: Vocab, chunk_ms: int
+) -> DedupDialogue:
+    """The wire form of one dialogue: every command encodes through here."""
+    return deduplicate(chunk_streams(s0, s1, chunk_ms, vocab))
 
 
 def _flat_sequences(
     dialogues: list[tuple[str, TokenStream, TokenStream]], vocab: Vocab, chunk_ms: int
 ) -> list[list[int]]:
-    out = []
-    for _, s0, s1 in dialogues:
-        if len(s0) == 0:
-            continue
-        out.append(flatten(deduplicate(chunk_streams(s0, s1, chunk_ms, vocab))))
-    return out
+    return [flatten(_encode(s0, s1, vocab, chunk_ms))
+            for _, s0, s1 in dialogues if len(s0)]
 
 
-def _prompt_dedup(s0: TokenStream, s1: TokenStream, vocab: Vocab, chunk_ms: int,
-                  prompt_ms: int):
-    frames = prompt_ms // vocab.frame_ms
-    p0 = TokenStream(0, s0.tokens[:frames], vocab.frame_ms)
-    p1 = TokenStream(1, s1.tokens[:frames], vocab.frame_ms)
-    return deduplicate(chunk_streams(p0, p1, chunk_ms, vocab))
+def _prompt_chunks(args) -> int:
+    """How many leading chunks of each encoded dialogue form the prompt."""
+    if args.chunk_ms <= 0 or args.prompt_ms < 0 or args.prompt_ms % args.chunk_ms:
+        raise ConfigError(
+            f"--prompt-ms must be a non-negative multiple of a positive --chunk-ms, "
+            f"got {args.prompt_ms} and {args.chunk_ms}"
+        )
+    return args.prompt_ms // args.chunk_ms
+
+
+def _head(d: DedupDialogue, n_chunks: int) -> DedupDialogue:
+    return DedupDialogue(d.vocab, d.chunk_ms, d.chunks[:n_chunks])
 
 
 def _dialogue_record(did: str, dlg, vocab: Vocab) -> dict:
-    full = interpolate(dlg)
+    # A channel that opens with an empty chunk is rebuilt as silence; that
+    # is the intended reading of a generated dialogue, not a fault to report.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyCarryOverWarning)
+        full = interpolate(dlg)
     s0 = TokenStream(0, full.channel(0), vocab.frame_ms)
     s1 = TokenStream(1, full.channel(1), vocab.frame_ms)
     return corpus_io.dialogue_to_record(did, s0, s1, vocab)
@@ -171,21 +227,17 @@ def _sampler_from_args(args, seed: int) -> SamplerConfig:
 def cmd_continue(args) -> int:
     _require_files(args.model, args.prompts)
     _check_outputs(args.out, args.transcript)
-    model = NgramModel.load(args.model)
-    dialogues, vocab = _load_corpus(args.prompts)
-    if model.vocab_ext != vocab.extended_size:
-        raise ConfigError(
-            f"model vocab_ext {model.vocab_ext} does not match corpus vocab "
-            f"{vocab.extended_size}"
-        )
+    prompt_chunks = _prompt_chunks(args)
     n_chunks = args.continue_ms // args.chunk_ms
     if n_chunks < 1:
         raise ConfigError("--continue-ms must cover at least one chunk")
+    dialogues, vocab = _load_corpus(args.prompts)
+    (model,) = _load_models(vocab, args.model)
 
     out_records = []
     transcript_entries = []
     for i, (did, s0, s1) in enumerate(dialogues):
-        prompt = _prompt_dedup(s0, s1, vocab, args.chunk_ms, args.prompt_ms)
+        prompt = _head(_encode(s0, s1, vocab, args.chunk_ms), prompt_chunks)
         cfg = _sampler_from_args(args, _derive_seed(args.seed, i))
         result = continue_dialogue(model, prompt, n_chunks, cfg)
         out_records.append(_dialogue_record(did, result, vocab))
@@ -219,42 +271,25 @@ def cmd_interact(args) -> int:
         raise ConfigError("provide exactly one of --model-b or --scripted")
     _require_files(args.model_a, args.model_b, args.scripted, args.prompts)
     _check_outputs(args.out, args.corpus_out)
-    model_a = NgramModel.load(args.model_a)
-    model_b = NgramModel.load(args.model_b) if args.model_b else None
-
+    prompt_chunks = _prompt_chunks(args)
     max_chunks = args.max_chunks
     if max_chunks is None:
         max_chunks = args.duration_ms // args.chunk_ms
     if max_chunks < 1:
         raise ConfigError("run needs at least one chunk (--max-chunks/--duration-ms)")
 
-    prompt_chunks = args.prompt_ms // args.chunk_ms if args.prompt_ms else 0
-
     runs = []  # (id, prompt or None, scripted DedupDialogue or None)
-    if args.scripted is not None:
-        dialogues, vocab = _load_corpus(args.scripted)
+    corpus = args.scripted or args.prompts
+    if corpus is not None:
+        dialogues, vocab = _load_corpus(corpus)
         for did, s0, s1 in dialogues:
-            script = deduplicate(chunk_streams(s0, s1, args.chunk_ms, vocab))
-            prompt = None
-            if prompt_chunks:
-                prompt = _prompt_dedup(s0, s1, vocab, args.chunk_ms, args.prompt_ms)
-            runs.append((did, prompt, script))
-    elif args.prompts is not None:
-        dialogues, vocab = _load_corpus(args.prompts)
-        for did, s0, s1 in dialogues:
-            prompt = _prompt_dedup(s0, s1, vocab, args.chunk_ms, args.prompt_ms) \
-                if prompt_chunks else None
-            runs.append((did, prompt, None))
+            full = _encode(s0, s1, vocab, args.chunk_ms)
+            prompt = _head(full, prompt_chunks) if prompt_chunks else None
+            runs.append((did, prompt, full if args.scripted else None))
     else:
         vocab = _vocab_from_args(args)
         runs.append(("run00000", None, None))
-
-    for model, name in ((model_a, "model-a"), (model_b, "model-b")):
-        if model is not None and model.vocab_ext != vocab.extended_size:
-            raise ConfigError(
-                f"{name} vocab_ext {model.vocab_ext} does not match vocab "
-                f"{vocab.extended_size}"
-            )
+    model_a, model_b = _load_models(vocab, args.model_a, args.model_b)
 
     transcripts = []
     corpus_records = []
@@ -294,9 +329,11 @@ def cmd_eval(args) -> int:
         ref, _ = _load_corpus(args.reference)
         skip = args.skip_ms // vocab.frame_ms
 
-        def trim(entries):
+        def trim(entries, path):
             out = {}
             for did, s0, s1 in entries:
+                if did in out:
+                    raise ConfigError(f"corpus {path}: dialogue id {did!r} is repeated")
                 out[did] = (
                     TokenStream(0, s0.tokens[skip:], vocab.frame_ms),
                     TokenStream(1, s1.tokens[skip:], vocab.frame_ms),
@@ -308,7 +345,8 @@ def cmd_eval(args) -> int:
             bridge_ms=args.bridge_ms,
             ipu_gap_ms=args.ipu_gap_ms,
         )
-        report = correlation_report(trim(gen), trim(ref), vocab.silence_tokens, params)
+        report = correlation_report(trim(gen, args.generated), trim(ref, args.reference),
+                                    vocab.silence_tokens, params)
         kinds = report.to_dict()["kinds"]
         metrics_payload = {
             "ipu_r": kinds["ipu"]["r"],
@@ -318,15 +356,10 @@ def cmd_eval(args) -> int:
             "detail": report.to_dict(),
         }
     else:
-        model = NgramModel.load(args.model)
+        prompt_chunks = _prompt_chunks(args)
         gen, vocab = _load_corpus(args.generated)
-        if model.vocab_ext != vocab.extended_size:
-            raise ConfigError("model vocabulary does not match corpus")
-        prompt_chunks = args.prompt_ms // args.chunk_ms
-        dialogues = [
-            deduplicate(chunk_streams(s0, s1, args.chunk_ms, vocab))
-            for _, s0, s1 in gen
-        ]
+        (model,) = _load_models(vocab, args.model)
+        dialogues = [_encode(s0, s1, vocab, args.chunk_ms) for _, s0, s1 in gen]
         ppls = per_dialogue_perplexities(model, dialogues, prompt_chunks=prompt_chunks)
         metrics_payload = {
             "median_ppl": float(statistics.median(ppls)),
@@ -445,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prompted continuation of both channels")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--prompts", type=Path, required=True)
-    p.add_argument("--prompt-ms", type=int, default=10000)
+    p.add_argument("--prompt-ms", type=int, default=9600,
+                   help="a multiple of --chunk-ms")
     p.add_argument("--continue-ms", type=int, default=30000)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--transcript", type=Path, default=None)

@@ -153,8 +153,29 @@ def dialogue_to_json_dict(d: DedupDialogue) -> dict:
     }
 
 
-class _Decoder:
-    """Grammar-constrained sampler for one agent; owns that agent's RNG."""
+class _Agent:
+    """One side of a dialogue, decoding incrementally; it speaks channel
+    ``side``.
+
+    The agent owns its model, sampler config, RNG and allowed sets; one
+    context list, whose prefix is an append-only base of the chunks that
+    have fully arrived; and the last novel unit of each channel in that
+    base. Its three operations:
+
+    * ``receive`` an arrived chunk of the other side. Every chunk whose
+      two parts are now both known is appended to the base.
+    * estimate the missing window (the first half of ``emit``): past a
+      mark at the base's end, append chunk by chunk its own known parts
+      and freshly sampled estimates of the other side's parts that are
+      still in flight.
+    * ``emit`` its own part of the next chunk, sampled after the window;
+      the context is then cut back to the mark with ``del ctx[mark:]``.
+
+    The draws come from the one RNG in context order, so a step's window
+    estimates are drawn before its emission. ``sample`` and ``append``
+    extend the base by one channel part, drawn or given; continuation and
+    single-chunk estimation need nothing else.
+    """
 
     def __init__(
         self,
@@ -163,6 +184,8 @@ class _Decoder:
         chunk_ms: int,
         cfg: SamplerConfig,
         rng: np.random.Generator,
+        context: Sequence[int],
+        side: int = 0,
         policy: str = "truncate",
     ):
         if model.vocab_ext != vocab.extended_size:
@@ -181,6 +204,11 @@ class _Decoder:
         self._units = np.arange(vocab.size, dtype=np.int64)
         self._units_tags = np.arange(vocab.extended_size, dtype=np.int64)
         self._tags = self._units_tags[vocab.size :]
+        self.side = side
+        self.ctx = list(context)
+        self.last = list(_scan_last_novels(self.ctx, vocab))
+        self.mine: deque[list[int]] = deque()  # own parts not yet in the base
+        self.theirs: deque[list[int]] = deque()  # arrived parts not yet in the base
 
     def _allowed(self, last_tok: int | None, tags: bool) -> np.ndarray:
         """Every unit except ``last_tok``, plus both tags if ``tags``."""
@@ -189,87 +217,11 @@ class _Decoder:
             return ids
         return np.concatenate((ids[:last_tok], ids[last_tok + 1 :]))
 
-    def channel_novels(
-        self, ctx: list[int], last_tok: int | None, require_first: bool = False
-    ) -> list[int]:
-        """Sample one channel's novel tokens for the current chunk.
-
-        ``ctx`` must end where the channel's first unit would go; sampled
-        units are appended to it. Sampling either tag stops the list (the
-        tag itself is not appended; chunk structure is the caller's job).
-        """
-        novels: list[int] = []
-        while True:
-            at_capacity = len(novels) >= self.fpc
-            if at_capacity:
-                if self.policy == "error":
-                    tok = sample_constrained(
-                        self.model, ctx, self._allowed(last_tok, True), self.cfg, self.rng
-                    )
-                    if tok < self.vocab.size:
-                        raise ChunkOverflow(
-                            f"model emitted {self.fpc + 1} novel tokens in one chunk"
-                        )
-                else:
-                    self.truncations += 1
-                break
-            allowed = self._allowed(last_tok, not (require_first and not novels))
-            tok = sample_constrained(self.model, ctx, allowed, self.cfg, self.rng)
-            if tok >= self.vocab.size:
-                break
-            novels.append(tok)
-            ctx.append(tok)
-            last_tok = tok
-        return novels
-
-    def s1_speaks(self, ctx: list[int]) -> bool:
-        """Two-way draw: does channel 1 contribute novel tokens this chunk?"""
-        tok = sample_constrained(self.model, ctx, self._tags, self.cfg, self.rng)
-        return tok == self.vocab.tag_s1
-
-    def estimate_channel1(self, ctx: list[int], last_tok: int | None) -> list[int]:
-        """Channel-1 side of the current chunk; extends ctx with its wire
-        form when non-empty."""
-        if not self.s1_speaks(ctx):
-            return []
-        ctx.append(self.vocab.tag_s1)
-        return self.channel_novels(ctx, last_tok, require_first=True)
-
-
-class _Agent:
-    """One side of a dialogue, decoding incrementally; it speaks channel
-    ``side``.
-
-    The agent owns one context list, whose prefix is an append-only base
-    of the chunks that have fully arrived; the last novel unit of each
-    channel in that base; and its decoder, which owns its RNG. Its three
-    operations:
-
-    * ``receive`` an arrived chunk of the other side. Every chunk whose
-      two parts are now both known is appended to the base.
-    * estimate the missing window (the first half of ``emit``): past a
-      mark at the base's end, append chunk by chunk its own known parts
-      and freshly sampled estimates of the other side's parts that are
-      still in flight.
-    * ``emit`` its own part of the next chunk, sampled after the window;
-      the context is then cut back to the mark with ``del ctx[mark:]``.
-
-    The draws come from the one RNG in context order, so a step's window
-    estimates are drawn before its emission. ``sample`` and ``append``
-    extend the base by one channel part, drawn or given; continuation and
-    single-chunk estimation need nothing else.
-    """
-
-    def __init__(self, decoder: _Decoder, context: Sequence[int], side: int = 0):
-        self.dec = decoder
-        self.side = side
-        self.ctx = list(context)
-        self.last = list(_scan_last_novels(self.ctx, decoder.vocab))
-        self.mine: deque[list[int]] = deque()  # own parts not yet in the base
-        self.theirs: deque[list[int]] = deque()  # arrived parts not yet in the base
+    def _draw(self, allowed: np.ndarray) -> int:
+        return sample_constrained(self.model, self.ctx, allowed, self.cfg, self.rng)
 
     def append(self, channel: int, novels: Sequence[int]) -> None:
-        vocab = self.dec.vocab
+        vocab = self.vocab
         if channel == 0:
             self.ctx.append(vocab.tag_s0)
         elif novels:
@@ -279,13 +231,41 @@ class _Agent:
             self.last[channel] = novels[-1]
 
     def sample(self, channel: int) -> list[int]:
+        """Draw one channel's novel tokens for the current chunk and append
+        their wire form.
+
+        Channel 1 first takes a two-way draw between the tags: does it
+        speak this chunk at all? If so, at least one unit follows.
+        Sampling either tag stops the list (the tag itself is not
+        appended; chunk structure is the caller's job).
+        """
+        vocab = self.vocab
         if channel == 0:
-            self.ctx.append(self.dec.vocab.tag_s0)
-            novels = self.dec.channel_novels(self.ctx, self.last[0])
+            self.ctx.append(vocab.tag_s0)
+        elif self._draw(self._tags) == vocab.tag_s1:
+            self.ctx.append(vocab.tag_s1)
         else:
-            novels = self.dec.estimate_channel1(self.ctx, self.last[1])
+            return []
+        last_tok = self.last[channel]
+        novels: list[int] = []
+        while True:
+            if len(novels) >= self.fpc:
+                if self.policy == "error":
+                    if self._draw(self._allowed(last_tok, True)) < vocab.size:
+                        raise ChunkOverflow(
+                            f"model emitted {self.fpc + 1} novel tokens in one chunk"
+                        )
+                else:
+                    self.truncations += 1
+                break
+            tok = self._draw(self._allowed(last_tok, channel == 0 or bool(novels)))
+            if tok >= vocab.size:
+                break
+            novels.append(tok)
+            self.ctx.append(tok)
+            last_tok = tok
         if novels:
-            self.last[channel] = novels[-1]
+            self.last[channel] = last_tok
         return novels
 
     def receive(self, novels: list[int]) -> None:
@@ -369,9 +349,8 @@ def continue_dialogue(
         raise ValueError("forced_user must provide one chunk per generated chunk")
     wire = _prompt_wire(prompt)
     cfg = cfg if cfg is not None else SamplerConfig()
-    dec = _Decoder(model, prompt.vocab, prompt.chunk_ms, cfg,
-                   np.random.default_rng(cfg.seed), overflow_policy)
-    agent = _Agent(dec, wire)
+    agent = _Agent(model, prompt.vocab, prompt.chunk_ms, cfg,
+                   np.random.default_rng(cfg.seed), wire, policy=overflow_policy)
     chunks = list(prompt.chunks)
     for i in range(n_chunks):
         s0 = agent.sample(0)
@@ -398,8 +377,8 @@ def estimate_user_chunk(
     cfg = cfg if cfg is not None else SamplerConfig()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    dec = _Decoder(model, vocab, chunk_ms, cfg, rng, overflow_policy)
-    return _Agent(dec, context).sample(1)
+    agent = _Agent(model, vocab, chunk_ms, cfg, rng, context, policy=overflow_policy)
+    return agent.sample(1)
 
 
 def simulate_interaction(
@@ -453,18 +432,14 @@ def simulate_interaction(
             llm_novel.append(list(c.s0_novel))
             usr_novel.append(list(c.s1_novel))
 
-    dec_a = _Decoder(
-        model_llm, vocab, cfg.chunk_ms, cfg.sampler,
-        np.random.default_rng(cfg.sampler.seed), cfg.overflow_policy,
-    )
-    agent_a = _Agent(dec_a, prompt_wire, side=0)
-    dec_b = agent_b = None
+    agent_a = _Agent(model_llm, vocab, cfg.chunk_ms, cfg.sampler,
+                     np.random.default_rng(cfg.sampler.seed), prompt_wire,
+                     side=0, policy=cfg.overflow_policy)
+    agent_b = None
     if not scripted:
-        dec_b = _Decoder(
-            user_source, vocab, cfg.chunk_ms, cfg.sampler,
-            np.random.default_rng([cfg.sampler.seed, 1]), cfg.overflow_policy,
-        )
-        agent_b = _Agent(dec_b, prompt_wire, side=1)
+        agent_b = _Agent(user_source, vocab, cfg.chunk_ms, cfg.sampler,
+                         np.random.default_rng([cfg.sampler.seed, 1]), prompt_wire,
+                         side=1, policy=cfg.overflow_policy)
 
     est_hist: dict[int, list[list[int]]] = {}
     records: list[StepRecord] = []
@@ -495,13 +470,13 @@ def simulate_interaction(
                 user_actual=list(usr_t),
                 user_estimated=None,
                 estimate_history=[],
-                truncations=dec_a.truncations - trunc_before,
+                truncations=agent_a.truncations - trunc_before,
                 base=agent_a.ctx,
                 mark=mark,
                 window=window,
             )
         )
-        trunc_before = dec_a.truncations
+        trunc_before = agent_a.truncations
 
     for rec in records:
         hist = est_hist.get(rec.index, [])
@@ -519,5 +494,5 @@ def simulate_interaction(
         prompt_chunks=p_chunks,
         steps=records,
         dialogue=dialogue,
-        user_truncations=dec_b.truncations if dec_b is not None else 0,
+        user_truncations=agent_b.truncations if agent_b is not None else 0,
     )

@@ -90,12 +90,6 @@ class NgramModel:
         dist /= self.totals.get(key, 0) + self.alpha * self.vocab_ext
         return dist
 
-    def log_prob(self, context: Sequence[int], token: int) -> float:
-        key = self._key(context)
-        c = self.counts.get(key, {}).get(token, 0)
-        total = self.totals.get(key, 0)
-        return math.log((c + self.alpha) / (total + self.alpha * self.vocab_ext))
-
     def sequence_nll(self, sequence: Sequence[int], skip: int = 0) -> tuple[float, int]:
         """Total negative log-likelihood and token count, scoring positions
         ``skip`` onward (earlier tokens still condition the context)."""

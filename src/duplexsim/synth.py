@@ -390,10 +390,7 @@ def corpus_stats(corpus: Corpus, chunk_ms: int = 160, event_params=None) -> Corp
     rates = []
     for rec in corpus.dialogues:
         silence = vocab.silence_tokens
-        seg0 = metrics.vad(rec.s0, silence, params.min_voiced_ms, params.bridge_ms)
-        seg1 = metrics.vad(rec.s1, silence, params.min_voiced_ms, params.bridge_ms)
-        for ev in metrics.turn_events(seg0, seg1, params.ipu_gap_ms,
-                                      params.backchannel_containment):
+        for ev in metrics.dialogue_events(rec.s0, rec.s1, silence, params):
             durations[ev.kind].append(float(ev.duration_ms))
         overlap += sum(
             1

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from duplexsim import DialogueStyle, Vocab
+from duplexsim import DialogueStyle, NgramModel, Vocab
 from duplexsim.cli import main
 
 VOCAB_ARGS = ["--vocab", "10", "--silence-token", "0"]
@@ -168,7 +168,9 @@ class TestContinue:
 
 
 class TestInteract:
-    def test_scripted_and_model_modes(self, tmp_path):
+    # a generated channel that opens silent is not reported as a warning
+    @pytest.mark.filterwarnings("error")
+    def test_scripted_and_model_modes(self, tmp_path, capsys):
         corpus = synth(tmp_path, duration=8000)
         model = trained(tmp_path, corpus)
         out = tmp_path / "tr.json"
@@ -189,6 +191,7 @@ class TestInteract:
         data2 = json.loads(out2.read_text())
         assert len(data2["transcripts"]) == 1
         assert (tmp_path / "gen.jsonl").exists()
+        assert capsys.readouterr().err == ""
 
     def test_cross_style_models_complete(self, tmp_path):
         # two models trained on different content alphabets can interact
@@ -311,6 +314,114 @@ class TestModelFileValidation:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ModelFormatError"
         assert not out.exists()
+
+
+def assert_rejected(rc, capsys, outputs):
+    """Exit 2, one JSON line on stderr naming a ConfigError, no output file."""
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ConfigError"
+    for path in outputs:
+        assert not path.exists()
+
+
+def _edit_record(src, dst, index, **fields):
+    lines = src.read_text().splitlines()
+    rec = json.loads(lines[index])
+    rec.update(fields)
+    lines[index] = json.dumps(rec)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+class TestInputBoundaries:
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("world")
+        corpus = synth(tmp)
+        return corpus, trained(tmp, corpus)
+
+    # (subcommand argv, outputs) over the corpus under test
+    @staticmethod
+    def _commands(corpus, clean, model, out):
+        return {
+            "train": (["train", "--corpus", str(corpus), "--out", str(out)], [out]),
+            "continue": (["continue", "--model", str(model), "--prompts", str(corpus),
+                          "--prompt-ms", "1600", "--continue-ms", "1600",
+                          "--out", str(out)], [out]),
+            "interact": (["interact", "--model-a", str(model), "--scripted", str(corpus),
+                          "--max-chunks", "4", "--out", str(out)], [out]),
+            "eval-ppl": (["eval", "--mode", "ppl", "--generated", str(corpus),
+                          "--model", str(model), "--out", str(out)],
+                         [out.with_suffix(".json"), out.with_suffix(".csv")]),
+            "eval-turns": (["eval", "--mode", "turns", "--generated", str(clean),
+                            "--reference", str(corpus), "--out", str(out)],
+                           [out.with_suffix(".json"), out.with_suffix(".csv")]),
+        }
+
+    @pytest.mark.parametrize("command", ["train", "continue", "interact", "eval-ppl",
+                                         "eval-turns"])
+    @pytest.mark.parametrize("field,value", [("vocab", 11), ("frame_ms", 80),
+                                             ("silence", [0, 1])])
+    def test_mixed_vocabulary_corpus(self, world, command, field, value, tmp_path,
+                                     capsys):
+        clean, model = world
+        mixed = _edit_record(clean, tmp_path / "mixed.jsonl", -1, **{field: value})
+        argv, outputs = self._commands(mixed, clean, model, tmp_path / "out")[command]
+        assert_rejected(main(argv), capsys, outputs)
+
+    @pytest.mark.parametrize("corpus_flag", ["--generated", "--reference"])
+    def test_eval_turns_repeated_id(self, world, corpus_flag, tmp_path, capsys):
+        clean, _ = world
+        repeated = _edit_record(clean, tmp_path / "rep.jsonl", 2, id="d00000")
+        base = tmp_path / "turns"
+        other = "--reference" if corpus_flag == "--generated" else "--generated"
+        rc = main(["eval", "--mode", "turns", corpus_flag, str(repeated),
+                   other, str(clean), "--out", str(base)])
+        assert_rejected(rc, capsys, [base.with_suffix(".json"), base.with_suffix(".csv")])
+
+    @pytest.mark.parametrize("command", ["continue", "interact", "eval-ppl"])
+    @pytest.mark.parametrize("flags", [["--prompt-ms", "200"], ["--prompt-ms", "-160"],
+                                       ["--prompt-ms", "0", "--chunk-ms", "0"]])
+    def test_prompt_ms_not_a_chunk_multiple(self, world, command, flags, tmp_path,
+                                            capsys):
+        corpus, model = world
+        out = tmp_path / "out"
+        argv = {
+            "continue": ["continue", "--model", str(model), "--prompts", str(corpus),
+                         "--continue-ms", "1600", "--out", str(out)],
+            "interact": ["interact", "--model-a", str(model), "--model-b", str(model),
+                         "--prompts", str(corpus), "--max-chunks", "4",
+                         "--out", str(out)],
+            "eval-ppl": ["eval", "--mode", "ppl", "--generated", str(corpus),
+                         "--model", str(model), "--out", str(out)],
+        }[command]
+        outputs = [out, out.with_suffix(".json"), out.with_suffix(".csv")]
+        assert_rejected(main(argv + flags), capsys, outputs)
+
+    def test_interact_parses_each_model_file_once(self, world, tmp_path, monkeypatch):
+        corpus, model = world
+        copy = tmp_path / "copy.json"
+        copy.write_bytes(model.read_bytes())
+        loads = []
+        load = NgramModel.load
+        monkeypatch.setattr(NgramModel, "load",
+                            staticmethod(lambda path: loads.append(path) or load(path)))
+        monkeypatch.chdir(model.parent)
+        outs = {}
+        for name, model_b, n_loads in (("same", model, 1), ("relative", model.name, 1),
+                                       ("copy", copy, 2)):
+            loads.clear()
+            outs[name] = tmp_path / f"{name}.json"
+            rc = main(["interact", "--model-a", str(model), "--model-b", str(model_b),
+                       "--prompts", str(corpus), "--prompt-ms", "320",
+                       "--max-chunks", "6", "--latency", "2", "--seed", "3",
+                       "--out", str(outs[name])])
+            assert rc == 0
+            assert len(loads) == n_loads, name
+        # one shared model decodes exactly as two loaded copies do
+        assert outs["same"].read_bytes() == outs["copy"].read_bytes()
 
 
 class TestEvalAndReport:

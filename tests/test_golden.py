@@ -34,6 +34,7 @@ from duplexsim import (
     simulate_interaction,
     train,
 )
+from duplexsim.cli import main
 
 CHUNK_MS = 160
 PROMPT = 3
@@ -209,3 +210,59 @@ def test_simulate_interaction(world, user, latency):
             tr = simulate_interaction(model, source, cfg, vocab=vocab, prompt=prompt)
             out[f"{name}-p{p}"] = _transcript(tr)
     _check(f"interact-v{size}-{user}-L{latency}", out)
+
+
+# sha256 of every file a tiny CLI pipeline writes: synth (with flat and
+# stats dumps), train, continue, interact with a scripted user and with a
+# second model (both after a prompt), and eval in both modes. The
+# dialogues are 4840 ms, not a whole number of 160 or 240 ms chunks. The
+# values were recorded when each command still encoded prompts, loaded
+# models and checked vocabularies along its own path.
+CLI_DIGESTS = {
+    "corpus.jsonl": "89ba56c52881c5cc86a6fe8b0ff5435f9f1203a340a5f76514095d11382441e2",
+    "flat.txt": "d02209be40e9cc7c78a352973b254f9db6612b9ea9c9bfd10b6a4c30da1b25c6",
+    "stats.json": "49a87fba62ada72c96a9833c0f2db3d57ee7db502ecdb0880b4a2dfdcc931ab3",
+    "model.json": "7acc3603a4b7da00fc930217668430429a6175f6d5c288a4fbacaf2acd249d9f",
+    "dump.txt": "d02209be40e9cc7c78a352973b254f9db6612b9ea9c9bfd10b6a4c30da1b25c6",
+    "cont.jsonl": "be70d51dbf91029c900a25b04aaf895c794096bd26676d00b9be91b504ac5eb0",
+    "cont.json": "b9991c3e38017187b73f44d790f978bc80974c2079909f2066c1fa2e10eaeb3e",
+    "scripted.json": "34643de9640fe7a9b1c6ab951e3d725a7ec2d8e15f57694161cf6196bcdeb4a3",
+    "scripted.jsonl": "5e5280db01e0c05d80c5209f4f227126d28b7c65338c80283964dcf7c517f81d",
+    "model_b.json": "e69e793ab1c6758e6a75a3bd9d29999578ebaeede9f9e3352ec6ba1332035386",
+    "model_b.jsonl": "0f3f29edabe09792529c1ad92407e91f39fae77b4843eb35d8e59ff576f0da30",
+    "turns.json": "081ca2110c7da32338aabbbc34cd6328656ed77436ce9a1d810d499bf3692d90",
+    "turns.csv": "1814ee3076267472fcac112c1c983658627fc803a2bed3daaf3a7f5db2818920",
+    "ppl.json": "08959fe36df08169d09db9fd9cc64f64f78f454d75ceccc441d81dcc8e976f9e",
+    "ppl.csv": "b198110b8bc91b78d8e32e0d97ddaf0cf39eb4e157632eef18679de3c77a41d6",
+}
+
+CLI_STAGES = [
+    ["synth", "--count", "5", "--duration-ms", "4840", "--seed", "3",
+     "--out", "corpus.jsonl", "--flat-out", "flat.txt", "--stats-out", "stats.json"],
+    ["train", "--corpus", "corpus.jsonl", "--order", "3", "--out", "model.json",
+     "--flat-dump", "dump.txt"],
+    ["continue", "--model", "model.json", "--prompts", "corpus.jsonl",
+     "--prompt-ms", "1600", "--continue-ms", "1600", "--seed", "5",
+     "--out", "cont.jsonl", "--transcript", "cont.json"],
+    ["interact", "--model-a", "model.json", "--scripted", "corpus.jsonl",
+     "--prompt-ms", "960", "--latency", "1", "--duration-ms", "1920", "--seed", "6",
+     "--out", "scripted.json", "--corpus-out", "scripted.jsonl"],
+    ["interact", "--model-a", "model.json", "--model-b", "model.json",
+     "--prompts", "corpus.jsonl", "--prompt-ms", "960", "--latency", "2",
+     "--duration-ms", "1920", "--seed", "7", "--top-k", "4",
+     "--out", "model_b.json", "--corpus-out", "model_b.jsonl"],
+    ["eval", "--mode", "turns", "--generated", "cont.jsonl",
+     "--reference", "corpus.jsonl", "--out", "turns"],
+    ["eval", "--mode", "ppl", "--generated", "model_b.jsonl", "--model", "model.json",
+     "--prompt-ms", "960", "--chunk-ms", "240", "--out", "ppl"],
+]
+
+
+def test_cli_pipeline(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in CLI_STAGES:
+        assert main([argv[0], "--vocab", "10", *argv[1:]]) == 0, argv
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in CLI_DIGESTS}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(CLI_DIGESTS)
+    assert got == CLI_DIGESTS
