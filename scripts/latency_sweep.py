@@ -12,7 +12,6 @@ row per (chunk size, replication) and prints a summary.
 from __future__ import annotations
 
 import argparse
-import csv
 import statistics
 import sys
 from pathlib import Path
@@ -24,6 +23,7 @@ from duplexsim import (
     SamplerConfig,
     Vocab,
     chunk_streams,
+    corpus_io,
     deduplicate,
     flatten,
     generate_corpus,
@@ -126,13 +126,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     rows = run_sweep(replications=args.replications, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["replication", "chunk_ms", "latency_chunks", "median_ppl"],
-            lineterminator="\n",
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    corpus_io.write_csv(args.out, ["replication", "chunk_ms", "latency_chunks", "median_ppl"],
+                        rows)
 
     by_chunk = {}
     for row in rows:

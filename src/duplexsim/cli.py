@@ -1,11 +1,12 @@
 """Command-line pipeline: synth | train | continue | interact | eval | report.
 
-Every subcommand validates its inputs before creating any output file and
-is byte-reproducible under fixed seeds. Each input file is read once.
-Every record of a corpus must declare the same vocabulary, and each of
-its dialogues is encoded to the wire format once; a prompt is the first
-``--prompt-ms // --chunk-ms`` chunks of that encoding. A model file named
-twice is parsed once and checked against the vocabulary once.
+Every subcommand is byte-reproducible under fixed seeds. It reads and
+writes files only through ``corpus_io`` (each format checked once, every
+output atomic) and writes its first output only when all its work is done.
+Each input file is read once, and each dialogue of a corpus is encoded to
+the wire format once; a prompt is the first ``--prompt-ms // --chunk-ms``
+chunks of that encoding. A model file named twice is parsed once and
+checked against the vocabulary once.
 
 Failures print a JSON object to stderr; exit codes are 0 (ok), 2 (invalid
 configuration or inputs), 3 (runtime error).
@@ -14,7 +15,6 @@ configuration or inputs), 3 (runtime error).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import statistics
 import sys
@@ -71,20 +71,15 @@ def _style_from_args(args) -> DialogueStyle:
 
 
 def _check_outputs(*paths: Path | None) -> None:
+    """Fail before the first write of a command that writes several files."""
     for p in paths:
         if p is None:
             continue
         parent = Path(p).parent
-        if not parent.exists():
+        if not parent.is_dir():
             raise ConfigError(f"output directory does not exist: {parent}")
-
-
-def _require_files(*paths) -> None:
-    for p in paths:
-        if p is None:
-            continue
-        if not Path(p).is_file():
-            raise ConfigError(f"input file not found: {p}")
+        if Path(p).is_dir():
+            raise ConfigError(f"output path is a directory: {p}")
 
 
 def _load_corpus(path) -> tuple[list[tuple[str, TokenStream, TokenStream]], Vocab]:
@@ -92,13 +87,7 @@ def _load_corpus(path) -> tuple[list[tuple[str, TokenStream, TokenStream]], Voca
     entries = corpus_io.read_corpus(path)
     if not entries:
         raise EmptyCorpus(f"corpus {path} has no dialogues")
-    vocab = entries[0][3]
-    for did, _, _, other in entries:
-        if other != vocab:
-            raise ConfigError(
-                f"corpus {path}: dialogue {did} has {other}, the first dialogue {vocab}"
-            )
-    return [(did, s0, s1) for did, s0, s1, _ in entries], vocab
+    return [(did, s0, s1) for did, s0, s1, _ in entries], entries[0][3]
 
 
 def _load_models(vocab: Vocab, *paths) -> list[NgramModel | None]:
@@ -180,11 +169,9 @@ def cmd_synth(args) -> int:
             s0, s1 = generate_dialogue(style, args.duration_ms, seed_i)
         records.append(corpus_io.dialogue_to_record(did, s0, s1, style.vocab))
         dialogues.append(DialogueRecord(id=did, s0=s0, s1=s1))
-    corpus_io.write_corpus(args.out, records)
     if args.flat_out is not None:
         seqs = _flat_sequences([(d.id, d.s0, d.s1) for d in dialogues],
                                style.vocab, args.chunk_ms)
-        corpus_io.write_flat(args.flat_out, seqs)
     if args.stats_out is not None:
         stats = corpus_stats(Corpus(tuple(dialogues), style=style, seed=args.seed),
                              chunk_ms=args.chunk_ms)
@@ -197,12 +184,15 @@ def cmd_synth(args) -> int:
             "dedup_tokens_per_s": stats.dedup_tokens_per_s,
             "compression_ratio": stats.compression_ratio,
         }
-        _write_json(args.stats_out, payload)
+    corpus_io.write_corpus(args.out, records)
+    if args.flat_out is not None:
+        corpus_io.write_flat(args.flat_out, seqs)
+    if args.stats_out is not None:
+        corpus_io.write_json(args.stats_out, payload)
     return 0
 
 
 def cmd_train(args) -> int:
-    _require_files(args.corpus)
     _check_outputs(args.out, args.flat_dump)
     path = Path(args.corpus)
     if path.suffix == ".jsonl":
@@ -225,7 +215,6 @@ def _sampler_from_args(args, seed: int) -> SamplerConfig:
 
 
 def cmd_continue(args) -> int:
-    _require_files(args.model, args.prompts)
     _check_outputs(args.out, args.transcript)
     prompt_chunks = _prompt_chunks(args)
     n_chunks = args.continue_ms // args.chunk_ms
@@ -252,7 +241,7 @@ def cmd_continue(args) -> int:
         )
     corpus_io.write_corpus(args.out, out_records)
     if args.transcript is not None:
-        _write_json(
+        corpus_io.write_json(
             args.transcript,
             {
                 "mode": "continuation",
@@ -269,7 +258,6 @@ def cmd_continue(args) -> int:
 def cmd_interact(args) -> int:
     if (args.model_b is None) == (args.scripted is None):
         raise ConfigError("provide exactly one of --model-b or --scripted")
-    _require_files(args.model_a, args.model_b, args.scripted, args.prompts)
     _check_outputs(args.out, args.corpus_out)
     prompt_chunks = _prompt_chunks(args)
     max_chunks = args.max_chunks
@@ -307,18 +295,14 @@ def cmd_interact(args) -> int:
         entry["id"] = did
         transcripts.append(entry)
         corpus_records.append(_dialogue_record(did, transcript.dialogue, vocab))
-    _write_json(args.out, {"mode": "interaction", "seed": args.seed,
-                           "transcripts": transcripts})
+    corpus_io.write_json(args.out, {"mode": "interaction", "seed": args.seed,
+                                    "transcripts": transcripts})
     if args.corpus_out is not None:
         corpus_io.write_corpus(args.corpus_out, corpus_records)
     return 0
 
 
 def cmd_eval(args) -> int:
-    if args.mode == "turns":
-        _require_files(args.generated, args.reference)
-    else:
-        _require_files(args.generated, args.model)
     base = Path(args.out)
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
@@ -326,27 +310,23 @@ def cmd_eval(args) -> int:
 
     if args.mode == "turns":
         gen, vocab = _load_corpus(args.generated)
-        ref, _ = _load_corpus(args.reference)
+        ref, ref_vocab = _load_corpus(args.reference)
+        if ref_vocab != vocab:
+            raise ConfigError(f"reference {args.reference} has {ref_vocab}, "
+                              f"the generated corpus {vocab}")
         skip = args.skip_ms // vocab.frame_ms
 
-        def trim(entries, path):
-            out = {}
-            for did, s0, s1 in entries:
-                if did in out:
-                    raise ConfigError(f"corpus {path}: dialogue id {did!r} is repeated")
-                out[did] = (
-                    TokenStream(0, s0.tokens[skip:], vocab.frame_ms),
-                    TokenStream(1, s1.tokens[skip:], vocab.frame_ms),
-                )
-            return out
+        def trim(entries):
+            return {did: (TokenStream(0, s0.tokens[skip:], vocab.frame_ms),
+                          TokenStream(1, s1.tokens[skip:], vocab.frame_ms))
+                    for did, s0, s1 in entries}
 
         params = EventParams(
             min_voiced_ms=args.min_voiced_ms,
             bridge_ms=args.bridge_ms,
             ipu_gap_ms=args.ipu_gap_ms,
         )
-        report = correlation_report(trim(gen, args.generated), trim(ref, args.reference),
-                                    vocab.silence_tokens, params)
+        report = correlation_report(trim(gen), trim(ref), vocab.silence_tokens, params)
         kinds = report.to_dict()["kinds"]
         metrics_payload = {
             "ipu_r": kinds["ipu"]["r"],
@@ -379,8 +359,8 @@ def cmd_eval(args) -> int:
         },
         "metrics": metrics_payload,
     }
-    _write_json(json_path, payload)
-    _write_report_csv(csv_path, [payload])
+    corpus_io.write_json(json_path, payload)
+    corpus_io.write_csv(csv_path, REPORT_COLUMNS, [_report_row(payload)])
     return 0
 
 
@@ -406,33 +386,30 @@ def _report_row(payload: dict) -> dict:
     return row
 
 
-def _write_report_csv(path, payloads: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for payload in payloads:
-            writer.writerow(_report_row(payload))
-
-
 def cmd_report(args) -> int:
-    _require_files(*args.inputs)
     _check_outputs(args.out)
-    payloads = []
+    rows = []
     for p in args.inputs:
-        with open(p, "r", encoding="utf-8") as fh:
-            payloads.append(json.load(fh))
-    _write_report_csv(args.out, payloads)
+        payload = corpus_io.read_json(p)
+        if not (isinstance(payload, dict) and all(
+                isinstance(payload.get(k, {}), dict) for k in ("metrics", "params"))):
+            raise ConfigError(f"{p}: an eval result is an object whose metrics and "
+                              f"params are objects")
+        rows.append(_report_row(payload))
+    corpus_io.write_csv(args.out, REPORT_COLUMNS, rows)
     return 0
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ``ConfigError``, so it ends as every other input
+    error does: exit 2 and one JSON line on stderr."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="duplexsim",
         description="Synchronous two-channel dialogue pipeline: synthesis, "
         "training, generation, interaction, evaluation.",
@@ -529,16 +506,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "eval":
             if args.mode == "turns" and args.reference is None:
                 raise ConfigError("eval --mode turns requires --reference")
             if args.mode == "ppl" and args.model is None:
                 raise ConfigError("eval --mode ppl requires --model")
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         _fail(exc)
         return 2
     except DuplexError as exc:

@@ -9,7 +9,6 @@ predicted).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import corpus_io
 from .errors import EmptyCorpus, EmptySequence, ModelFormatError
 
 MODEL_FILE_VERSION = 1
@@ -115,14 +115,9 @@ class NgramModel:
             "order": self.order,
             "alpha": self.alpha,
             "vocab_ext": self.vocab_ext,
-            "counts": {
-                ",".join(map(str, key)): dict(sorted(slot.items()))
-                for key, slot in sorted(self.counts.items())
-            },
+            "counts": {",".join(map(str, key)): slot for key, slot in self.counts.items()},
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        corpus_io.write_json(path, payload)
 
     @classmethod
     def load(cls, path: str | Path) -> "NgramModel":
@@ -133,10 +128,9 @@ class NgramModel:
         ``order`` ids in ``[0, vocab_ext]`` (the begin marker included),
         and every context predicts at least one id in ``[0, vocab_ext)``
         with an integer count >= 1. Ids are read in canonical decimal, as
-        ``save`` writes them.
+        ``save`` writes them. An unreadable file raises ``ConfigError``.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = corpus_io.read_json(path)
         if not isinstance(payload, dict):
             raise ModelFormatError("model file does not hold a JSON object")
         version = payload.get("version")
@@ -147,9 +141,8 @@ class NgramModel:
         order, vocab_ext, alpha, counts = (
             payload.get(k) for k in ("order", "vocab_ext", "alpha", "counts")
         )
-        if not (_is_int(order) and _is_int(vocab_ext)
-                and (_is_int(alpha) or isinstance(alpha, float))
-                and isinstance(counts, dict)):
+        if not (corpus_io.is_int(order) and corpus_io.is_int(vocab_ext)
+                and corpus_io.is_number(alpha) and isinstance(counts, dict)):
             raise ModelFormatError(
                 "model file needs integer 'order' and 'vocab_ext', numeric 'alpha' "
                 "and a 'counts' object"
@@ -176,10 +169,6 @@ class NgramModel:
             model.counts[key] = row
             model.totals[key] = total
         return model
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class _IdTable(dict):
@@ -229,9 +218,12 @@ def _apply_sampler(
         probs = probs[keep]
         indices = indices[keep]
     if cfg.temperature != 1.0:
-        logits = np.log(probs) / cfg.temperature
-        logits -= logits.max()
-        probs = np.exp(logits)
+        # a temperature so small that the logits overflow gives NaN, which
+        # the caller rejects; numpy need not warn about it on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = np.log(probs) / cfg.temperature
+            logits -= logits.max()
+            probs = np.exp(logits)
     return probs / probs.sum(), indices
 
 

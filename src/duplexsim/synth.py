@@ -15,14 +15,14 @@ parallel and serial generation agree bit-exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadDuration, EmptyCorpus
+from . import corpus_io
+from .errors import BadDuration, ConfigError, EmptyCorpus
 from .tokens import TokenStream, Vocab, chunk_streams, deduplicate, flatten
 
 
@@ -90,48 +90,56 @@ class DialogueStyle:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DialogueStyle":
-        known = {
-            "vocab_size", "frame_ms", "silence_token", "ipu_ms", "pause_ms",
-            "fto_ms", "turn_continue_prob", "backchannel_prob",
-            "backchannel_ms", "p_self", "unit_range", "successor_count",
-        }
-        unknown = set(data) - known
+        """Read ``to_dict``'s form; a key left out keeps its default. Raises
+        ``ValueError`` for an unknown key or a value of the wrong type:
+        sizes and ids are JSON integers, probabilities finite numbers, and
+        each duration pair a list of two finite numbers."""
+        if not isinstance(data, dict):
+            raise ValueError("a style is a JSON object")
+        merged = cls().to_dict()
+        unknown = set(data) - merged.keys()
         if unknown:
             raise ValueError(f"unknown style keys: {sorted(unknown)}")
-        base = cls()
-        vocab = Vocab(
-            size=int(data.get("vocab_size", base.vocab.size)),
-            frame_ms=int(data.get("frame_ms", base.vocab.frame_ms)),
-            silence_tokens=frozenset({int(data.get("silence_token", 0))}),
-        )
-        def pair(key: str, default: tuple[float, float]) -> tuple[float, float]:
-            raw = data.get(key, default)
-            return (float(raw[0]), float(raw[1]))
-        unit_range = data.get("unit_range")
+        merged.update(data)
+        for key, value in merged.items():
+            if not _STYLE_TYPES[key](value):
+                raise ValueError(f"style {key} has the wrong type: {value!r}")
+        unit_range = merged["unit_range"]
         return cls(
-            vocab=vocab,
-            ipu_ms=pair("ipu_ms", base.ipu_ms),
-            pause_ms=pair("pause_ms", base.pause_ms),
-            fto_ms=pair("fto_ms", base.fto_ms),
-            turn_continue_prob=float(data.get("turn_continue_prob", base.turn_continue_prob)),
-            backchannel_prob=float(data.get("backchannel_prob", base.backchannel_prob)),
-            backchannel_ms=pair("backchannel_ms", base.backchannel_ms),
-            p_self=float(data.get("p_self", base.p_self)),
-            silence_token=int(data.get("silence_token", 0)),
-            unit_range=(int(unit_range[0]), int(unit_range[1])) if unit_range else None,
-            successor_count=(int(data["successor_count"])
-                             if data.get("successor_count") is not None else None),
+            vocab=Vocab(
+                size=merged["vocab_size"],
+                frame_ms=merged["frame_ms"],
+                silence_tokens=frozenset({merged["silence_token"]}),
+            ),
+            silence_token=merged["silence_token"],
+            unit_range=tuple(unit_range) if unit_range else None,
+            successor_count=merged["successor_count"],
+            **{k: (float(merged[k][0]), float(merged[k][1])) for k in _PAIR_KEYS},
+            **{k: float(merged[k]) for k in _PROB_KEYS},
         )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DialogueStyle":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            return cls.from_dict(corpus_io.read_json(path))
+        except ValueError as exc:
+            raise ConfigError(f"style {path}: {exc}") from None
 
     def to_file(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        corpus_io.write_json(path, self.to_dict(), indent=2)
+
+
+_PAIR_KEYS = ("ipu_ms", "pause_ms", "fto_ms", "backchannel_ms")
+_PROB_KEYS = ("turn_continue_prob", "backchannel_prob", "p_self")
+_STYLE_TYPES = {
+    **dict.fromkeys(("vocab_size", "frame_ms", "silence_token"), corpus_io.is_int),
+    **dict.fromkeys(_PAIR_KEYS, lambda x: type(x) is list and len(x) == 2
+                    and all(map(corpus_io.is_number, x))),
+    **dict.fromkeys(_PROB_KEYS, corpus_io.is_number),
+    "unit_range": lambda x: x is None or (type(x) is list and len(x) == 2
+                                          and all(map(corpus_io.is_int, x))),
+    "successor_count": lambda x: x is None or corpus_io.is_int(x),
+}
 
 
 @dataclass(frozen=True)

@@ -335,6 +335,35 @@ def _edit_record(src, dst, index, **fields):
     return dst
 
 
+def _rewrite(src, dst, fn):
+    """``dst`` holds ``fn(record)`` for every record of the corpus ``src``."""
+    lines = [json.dumps(fn(json.loads(line))) for line in src.read_text().splitlines()]
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+# Corpus records that used to be misread silently or end in a traceback,
+# applied to every record of a 10-unit corpus.
+MALFORMED_RECORDS = {
+    "record_not_object": lambda rec: [1],
+    "frame_ms_float": lambda rec: {**rec, "frame_ms": 40.9},
+    "channels_float": lambda rec: {**rec, "channels": [[t + 0.7 for t in ch]
+                                                       for ch in rec["channels"]]},
+    "vocab_bool": lambda rec: {**rec, "vocab": True},
+    "token_past_vocab": lambda rec: {**rec, "channels": [[10, *ch[1:]]
+                                                         for ch in rec["channels"]]},
+}
+
+# (which input, file text) for style files and eval results
+MALFORMED_FILES = {
+    "style_ipu_ms_int": ("style", '{"ipu_ms": 5}'),
+    "style_not_object": ("style", "[]"),
+    "report_not_object": ("report", "[]"),
+    "report_metrics_list": ("report", '{"metrics": [], "params": {}}'),
+    "report_params_str": ("report", '{"metrics": {}, "params": "x"}'),
+}
+
+
 class TestInputBoundaries:
     @pytest.fixture(scope="class")
     def world(self, tmp_path_factory):
@@ -371,15 +400,56 @@ class TestInputBoundaries:
         argv, outputs = self._commands(mixed, clean, model, tmp_path / "out")[command]
         assert_rejected(main(argv), capsys, outputs)
 
-    @pytest.mark.parametrize("corpus_flag", ["--generated", "--reference"])
-    def test_eval_turns_repeated_id(self, world, corpus_flag, tmp_path, capsys):
-        clean, _ = world
+    @pytest.mark.parametrize("where", ["--generated", "--reference", "train", "continue",
+                                       "interact", "eval-ppl"])
+    def test_eval_turns_repeated_id(self, world, where, tmp_path, capsys):
+        clean, model = world
         repeated = _edit_record(clean, tmp_path / "rep.jsonl", 2, id="d00000")
         base = tmp_path / "turns"
-        other = "--reference" if corpus_flag == "--generated" else "--generated"
-        rc = main(["eval", "--mode", "turns", corpus_flag, str(repeated),
-                   other, str(clean), "--out", str(base)])
-        assert_rejected(rc, capsys, [base.with_suffix(".json"), base.with_suffix(".csv")])
+        if where.startswith("--"):
+            other = "--reference" if where == "--generated" else "--generated"
+            argv = ["eval", "--mode", "turns", where, str(repeated),
+                    other, str(clean), "--out", str(base)]
+            outputs = [base.with_suffix(".json"), base.with_suffix(".csv")]
+        else:
+            argv, outputs = self._commands(repeated, clean, model, base)[where]
+        assert_rejected(main(argv), capsys, outputs)
+
+    @pytest.mark.parametrize("field,value", [("vocab", 11), ("frame_ms", 80),
+                                             ("silence", [0, 1])])
+    def test_eval_turns_reference_vocabulary(self, world, field, value, tmp_path,
+                                             capsys):
+        clean, model = world
+        other = _rewrite(clean, tmp_path / "other.jsonl", lambda rec: {**rec, field: value})
+        argv, outputs = self._commands(other, clean, model, tmp_path / "out")["eval-turns"]
+        assert_rejected(main(argv), capsys, outputs)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_RECORDS))
+    def test_malformed_corpus_record(self, world, name, tmp_path, capsys):
+        clean, model = world
+        bad = _rewrite(clean, tmp_path / "bad.jsonl", MALFORMED_RECORDS[name])
+        argv, outputs = self._commands(bad, clean, model, tmp_path / "out")["eval-turns"]
+        assert_rejected(main(argv), capsys, outputs)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+    def test_malformed_style_or_eval_result(self, name, tmp_path, capsys):
+        kind, text = MALFORMED_FILES[name]
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        argv = {
+            "style": ["synth", "--style", str(bad), "--count", "1", "--out", str(out)],
+            "report": ["report", "--inputs", str(bad), "--out", str(out)],
+        }[kind]
+        assert_rejected(main(argv), capsys, [out])
+
+    @pytest.mark.parametrize("argv", [[], ["synth"], ["train", "--corpus"],
+                                      ["eval", "--mode", "x", "--generated", "g"],
+                                      ["continue", "--temperature", "-1e-3"]],
+                             ids=["no_command", "no_flags", "no_value", "bad_choice",
+                                  "exponent_value"])
+    def test_usage_error(self, argv, capsys):
+        assert_rejected(main(argv), capsys, [])
 
     @pytest.mark.parametrize("command", ["continue", "interact", "eval-ppl"])
     @pytest.mark.parametrize("flags", [["--prompt-ms", "200"], ["--prompt-ms", "-160"],
