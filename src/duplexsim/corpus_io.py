@@ -1,9 +1,9 @@
 """The file boundary: the only module of the package that opens a file.
 
 One reader maps a missing, unreadable or undecodable file to a
-``ConfigError`` naming it; one writer makes every output atomic (a temp
-file beside the target, moved over it by ``os.replace`` with ``open()``'s
-mode), so a failed write leaves the target as it was and no temp file.
+``ConfigError`` naming it; one writer replaces every file output
+atomically, so a failed process leaves the target as it was and no temp
+file (outputs are not fsynced, so a crash of the machine may not).
 
 Corpus files hold one dialogue per line, all with one vocabulary and
 distinct ids:
@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -42,15 +43,25 @@ def _reading(path: str | Path) -> Iterator[TextIO]:
 
 @contextmanager
 def _writing(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    """A new or regular file (or the one a symlink names) is written to a
+    temp file beside it, with its old mode or ``open()``'s, then moved over
+    it by ``os.replace``; a device or FIFO is written through as by ``open()``."""
     try:
+        st = os.stat(path) if os.path.exists(path) else None
+        if st is not None and not stat.S_ISREG(st.st_mode):
+            with open(path, "w", encoding="utf-8", newline=newline) as fh:
+                yield fh
+            return
+        target = Path(os.path.realpath(path))
+        tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
         # os.open applies the umask to 0o666 exactly as open() does
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+                if st is not None:
+                    os.fchmod(fd, stat.S_IMODE(st.st_mode))
                 yield fh
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise

@@ -26,6 +26,13 @@ from .errors import BadDuration, ConfigError, EmptyCorpus
 from .tokens import TokenStream, Vocab, chunk_streams, deduplicate, flatten
 
 
+# Field groups of DialogueStyle: (mean_ms, std_ms) pairs, of which all but
+# the signed fto_ms are durations with mean > 0, and probabilities.
+_DURATION_KEYS = ("ipu_ms", "pause_ms", "backchannel_ms")
+_PAIR_KEYS = _DURATION_KEYS + ("fto_ms",)
+_PROB_KEYS = ("turn_continue_prob", "backchannel_prob", "p_self")
+
+
 @dataclass(frozen=True)
 class DialogueStyle:
     """Generation knobs; all duration pairs are (mean_ms, std_ms)."""
@@ -43,16 +50,17 @@ class DialogueStyle:
     successor_count: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("ipu_ms", "pause_ms", "backchannel_ms"):
+        for name in _PAIR_KEYS:
             mean, std = getattr(self, name)
-            if mean <= 0 or std < 0:
-                raise ValueError(f"{name} needs mean > 0 and std >= 0, got {(mean, std)}")
-        for name in ("turn_continue_prob", "backchannel_prob"):
+            duration = name in _DURATION_KEYS
+            if std < 0 or (duration and mean <= 0):
+                need = "mean > 0 and std >= 0" if duration else "std >= 0"
+                raise ValueError(f"{name} needs {need}, got {(mean, std)}")
+        for name in _PROB_KEYS:
             p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if not 0.0 <= self.p_self < 1.0:
-            raise ValueError(f"p_self must be in [0, 1), got {self.p_self}")
+            if not 0.0 <= p <= 1.0 or (name == "p_self" and p == 1.0):
+                top = "1)" if name == "p_self" else "1]"
+                raise ValueError(f"{name} must be in [0, {top}, got {p}")
         if self.silence_token not in self.vocab.silence_tokens:
             raise ValueError(
                 f"silence_token {self.silence_token} not in vocab silence set"
@@ -77,13 +85,8 @@ class DialogueStyle:
             "vocab_size": self.vocab.size,
             "frame_ms": self.vocab.frame_ms,
             "silence_token": self.silence_token,
-            "ipu_ms": list(self.ipu_ms),
-            "pause_ms": list(self.pause_ms),
-            "fto_ms": list(self.fto_ms),
-            "turn_continue_prob": self.turn_continue_prob,
-            "backchannel_prob": self.backchannel_prob,
-            "backchannel_ms": list(self.backchannel_ms),
-            "p_self": self.p_self,
+            **{k: list(getattr(self, k)) for k in _PAIR_KEYS},
+            **{k: getattr(self, k) for k in _PROB_KEYS},
             "unit_range": list(self.unit_range) if self.unit_range else None,
             "successor_count": self.successor_count,
         }
@@ -92,8 +95,9 @@ class DialogueStyle:
     def from_dict(cls, data: dict) -> "DialogueStyle":
         """Read ``to_dict``'s form; a key left out keeps its default. Raises
         ``ValueError`` for an unknown key or a value of the wrong type:
-        sizes and ids are JSON integers, probabilities finite numbers, and
-        each duration pair a list of two finite numbers."""
+        sizes and ids are integers, probabilities finite numbers, each
+        duration pair a list or tuple of two finite numbers, and
+        ``unit_range`` one of two integers or None."""
         if not isinstance(data, dict):
             raise ValueError("a style is a JSON object")
         merged = cls().to_dict()
@@ -129,14 +133,12 @@ class DialogueStyle:
         corpus_io.write_json(path, self.to_dict(), indent=2)
 
 
-_PAIR_KEYS = ("ipu_ms", "pause_ms", "fto_ms", "backchannel_ms")
-_PROB_KEYS = ("turn_continue_prob", "backchannel_prob", "p_self")
 _STYLE_TYPES = {
     **dict.fromkeys(("vocab_size", "frame_ms", "silence_token"), corpus_io.is_int),
-    **dict.fromkeys(_PAIR_KEYS, lambda x: type(x) is list and len(x) == 2
+    **dict.fromkeys(_PAIR_KEYS, lambda x: type(x) in (list, tuple) and len(x) == 2
                     and all(map(corpus_io.is_number, x))),
     **dict.fromkeys(_PROB_KEYS, corpus_io.is_number),
-    "unit_range": lambda x: x is None or (type(x) is list and len(x) == 2
+    "unit_range": lambda x: x is None or (type(x) in (list, tuple) and len(x) == 2
                                           and all(map(corpus_io.is_int, x))),
     "successor_count": lambda x: x is None or corpus_io.is_int(x),
 }

@@ -1,6 +1,8 @@
 import ast
 import json
 import os
+import stat
+import threading
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,44 @@ def test_replacing_a_directory_leaves_no_temp_file(tmp_path):
     with pytest.raises(ConfigError, match="out"):
         corpus_io.write_json(tmp_path / "out", {})
     assert os.listdir(tmp_path) == ["out"]
+
+
+def test_replacing_keeps_the_old_mode(tmp_path):
+    target = tmp_path / "out"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    corpus_io.write_json(target, {})
+    assert os.stat(target).st_mode & 0o777 == 0o600
+
+
+def test_symlink_to_a_file_stays_a_symlink(tmp_path):
+    (tmp_path / "real").write_text("old\n")
+    (tmp_path / "link").symlink_to("real")
+    corpus_io.write_json(tmp_path / "link", {"a": 1})
+    assert os.readlink(tmp_path / "link") == "real"
+    assert (tmp_path / "real").read_text() == '{"a":1}\n'
+    assert sorted(os.listdir(tmp_path)) == ["link", "real"]
+
+
+def test_symlink_to_a_device_is_written_through(tmp_path):
+    (tmp_path / "null").symlink_to(os.devnull)
+    corpus_io.write_json(tmp_path / "null", {"a": 1})
+    assert os.readlink(tmp_path / "null") == os.devnull
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert os.listdir(tmp_path) == ["null"]
+
+
+def test_fifo_is_written_through(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    corpus_io.write_json(fifo, {"a": 1})
+    reader.join(timeout=10)
+    assert got == ['{"a":1}\n']
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
 
 
 READERS = {

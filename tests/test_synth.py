@@ -211,6 +211,14 @@ class TestStyleConfig:
         loaded = DialogueStyle.from_file(path)
         assert loaded == tiny_style
 
+    def test_from_dict_accepts_tuples(self, tiny_style):
+        data = tiny_style.to_dict()
+        data.update(ipu_ms=(1500.0, 300.0), fto_ms=(-100, 50), unit_range=(1, 6))
+        style = DialogueStyle.from_dict(data)
+        assert (style.ipu_ms, style.fto_ms, style.unit_range) == (
+            (1500.0, 300.0), (-100.0, 50.0), (1, 6))
+        assert DialogueStyle.from_dict(style.to_dict()) == style
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             DialogueStyle.from_dict({"bogus": 1})
