@@ -468,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-b", type=Path, default=None)
     p.add_argument("--scripted", type=Path, default=None,
                    help="corpus whose channel 1 scripts the user")
-    p.add_argument("--latency", type=int, default=1)
+    p.add_argument("--latency", type=int, default=1,
+                   help="chunks in flight; at most the run's length in chunks, "
+                        "prompt included")
     p.add_argument("--max-chunks", type=int, default=None)
     p.add_argument("--duration-ms", type=int, default=30000)
     p.add_argument("--prompts", type=Path, default=None)

@@ -75,10 +75,14 @@ def read_json(path: str | Path):
 
 
 def write_json(path: str | Path, payload, indent: int | None = None) -> None:
-    """Canonical JSON: sorted keys, compact unless ``indent`` is given."""
+    """Canonical JSON: sorted keys, compact unless ``indent`` is given, and
+    a final newline. The text is built by one ``json.dumps`` call, which
+    uses the C encoder when compact (``json.dump`` to a file never does),
+    before the file is opened."""
+    text = json.dumps(payload, sort_keys=True, indent=indent,
+                      separators=None if indent else (",", ":"))
     with _writing(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=indent,
-                  separators=None if indent else (",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -92,6 +96,11 @@ def write_csv(path: str | Path, columns: list[str], rows: Iterable[dict]) -> Non
 def is_int(x) -> bool:
     """A JSON integer: ``true`` and ``1.0`` are not."""
     return type(x) is int
+
+
+def is_int_list(x) -> bool:
+    """A JSON list of JSON integers."""
+    return type(x) is list and set(map(type, x)) <= {int}
 
 
 def is_number(x) -> bool:
@@ -114,10 +123,6 @@ def dialogue_to_record(
     }
 
 
-def _int_list(x) -> bool:
-    return type(x) is list and set(map(type, x)) <= {int}
-
-
 def record_to_dialogue(rec: dict) -> tuple[str, TokenStream, TokenStream, Vocab]:
     """One corpus record, checked: integer fields are JSON integers, both
     channels hold the same number of ids in ``[0, vocab)``."""
@@ -125,8 +130,8 @@ def record_to_dialogue(rec: dict) -> tuple[str, TokenStream, TokenStream, Vocab]
         raise ConfigError(f"a corpus record is an object with keys {sorted(_REQUIRED_KEYS)}")
     did, size, frame_ms, ch = rec["id"], rec["vocab"], rec["frame_ms"], rec["channels"]
     if not (type(did) is str and is_int(size) and is_int(frame_ms)
-            and _int_list(rec["silence"]) and type(ch) is list and len(ch) == 2
-            and _int_list(ch[0]) and _int_list(ch[1]) and len(ch[0]) == len(ch[1])):
+            and is_int_list(rec["silence"]) and type(ch) is list and len(ch) == 2
+            and is_int_list(ch[0]) and is_int_list(ch[1]) and len(ch[0]) == len(ch[1])):
         raise ConfigError(
             f"dialogue {did!r}: needs a string id, integer vocab and frame_ms, an "
             f"integer list for silence and two equal-length ones for channels"

@@ -52,6 +52,9 @@ class InteractionConfig:
             raise ValueError(f"latency_chunks must be >= 0, got {self.latency_chunks}")
         if self.max_chunks < 1:
             raise ValueError(f"max_chunks must be >= 1, got {self.max_chunks}")
+        if self.latency_chunks > self.max_chunks:
+            raise ValueError(f"latency_chunks ({self.latency_chunks}) must not exceed "
+                             f"max_chunks ({self.max_chunks})")
         if self.overflow_policy not in OVERFLOW_POLICIES:
             raise ValueError(f"overflow_policy must be one of {OVERFLOW_POLICIES}")
 

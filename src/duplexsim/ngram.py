@@ -5,12 +5,27 @@ every probability can be cross-checked by brute-force counting. ``order``
 is the context length in tokens; contexts shorter than ``order`` are
 left-padded with an internal begin marker (id ``vocab_ext``, never
 predicted).
+
+Model file v2 is one JSON object: ``version`` (2), ``order``, ``alpha``,
+``vocab_ext`` and four flat integer columns,
+
+    contexts  order ids per context, the contexts one after another
+    sizes     the number of distinct tokens each context predicts
+    tokens    each context's predicted tokens, row after row
+    counts    the count of each entry of ``tokens``
+
+Contexts keep the order in which training first saw them, and a row's
+tokens the order in which that context first predicted them. ``load``
+keeps file order, so saving a loaded model writes the same bytes. Its
+checks are listed in ``NgramModel.load``. A version-1 file (a ``counts``
+object keyed by comma-joined ids) is rejected: retrain its model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -19,7 +34,7 @@ import numpy as np
 from . import corpus_io
 from .errors import EmptyCorpus, EmptySequence, ModelFormatError
 
-MODEL_FILE_VERSION = 1
+MODEL_FILE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -110,81 +125,86 @@ class NgramModel:
         return nll, max(0, n - skip)
 
     def save(self, path: str | Path) -> None:
-        payload = {
+        """Write model file v2 (see the module docstring): each column is
+        built by one C-level pass over the count dicts, in their order."""
+        rows = self.counts.values()
+        corpus_io.write_json(path, {
             "version": MODEL_FILE_VERSION,
             "order": self.order,
             "alpha": self.alpha,
             "vocab_ext": self.vocab_ext,
-            "counts": {",".join(map(str, key)): slot for key, slot in self.counts.items()},
-        }
-        corpus_io.write_json(path, payload)
+            "contexts": list(chain.from_iterable(self.counts)),
+            "sizes": list(map(len, rows)),
+            "tokens": list(chain.from_iterable(rows)),
+            "counts": list(chain.from_iterable(map(dict.values, rows))),
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> "NgramModel":
-        """Read a model file, validating it in the pass that converts it.
+        """Read a v2 model file (see the module docstring), keeping its
+        order of contexts and of tokens within a row.
 
-        Raises ``ModelFormatError`` unless ``order``, ``vocab_ext``,
-        ``alpha`` and ``counts`` have their types, every context key is
-        ``order`` ids in ``[0, vocab_ext]`` (the begin marker included),
-        and every context predicts at least one id in ``[0, vocab_ext)``
-        with an integer count >= 1. Ids are read in canonical decimal, as
-        ``save`` writes them. An unreadable file raises ``ConfigError``.
+        Raises ``ModelFormatError`` unless ``version`` is 2, ``order`` and
+        ``vocab_ext`` are JSON integers and ``alpha`` a finite number, the
+        four columns are lists of JSON integers, ``contexts`` holds
+        ``order`` ids per entry of ``sizes``, every size is >= 1 and the
+        sizes sum to the length of ``tokens`` and of ``counts``, context
+        ids lie in ``[0, vocab_ext]`` (the begin marker included), tokens
+        in ``[0, vocab_ext)`` and counts are >= 1, and no context, nor any
+        token within a row, is repeated. An unreadable file raises
+        ``ConfigError``.
         """
         payload = corpus_io.read_json(path)
         if not isinstance(payload, dict):
             raise ModelFormatError("model file does not hold a JSON object")
         version = payload.get("version")
-        if version != MODEL_FILE_VERSION:
+        if not (corpus_io.is_int(version) and version == MODEL_FILE_VERSION):
             raise ModelFormatError(
-                f"model file version {version!r} not supported (expected {MODEL_FILE_VERSION})"
+                f"model file version {version!r} not supported (expected "
+                f"{MODEL_FILE_VERSION}); retrain the model with 'duplexsim train'"
             )
-        order, vocab_ext, alpha, counts = (
-            payload.get(k) for k in ("order", "vocab_ext", "alpha", "counts")
-        )
+        order, vocab_ext, alpha = (payload.get(k) for k in ("order", "vocab_ext", "alpha"))
         if not (corpus_io.is_int(order) and corpus_io.is_int(vocab_ext)
-                and corpus_io.is_number(alpha) and isinstance(counts, dict)):
+                and corpus_io.is_number(alpha)):
             raise ModelFormatError(
-                "model file needs integer 'order' and 'vocab_ext', numeric 'alpha' "
-                "and a 'counts' object"
-            )
+                "model file needs integer 'order' and 'vocab_ext' and a finite 'alpha'")
         try:
             model = cls(order=order, vocab_ext=vocab_ext, alpha=float(alpha))
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from None
-        ctx_ids, tok_ids = _IdTable(vocab_ext + 1), _IdTable(vocab_ext)
-        for key_str, slot in counts.items():
-            try:
-                key = tuple(map(ctx_ids.__getitem__, key_str.split(",")))
-                row = dict(zip(map(tok_ids.__getitem__, slot), slot.values()))
-                total = sum(row.values())
-                valid = (len(key) == order and type(total) is int
-                         and len(row) > 0 and min(row.values()) >= 1)
-            except (AttributeError, KeyError, TypeError, ValueError):
-                valid = False
-            if not valid:
-                raise ModelFormatError(
-                    f"bad counts entry {key_str!r}: needs {order} context ids in "
-                    f"[0, {vocab_ext}] and integer counts >= 1 for ids in [0, {vocab_ext})"
-                )
-            model.counts[key] = row
-            model.totals[key] = total
+        columns = [payload.get(k) for k in ("contexts", "sizes", "tokens", "counts")]
+        if not all(map(corpus_io.is_int_list, columns)):
+            raise ModelFormatError("model file needs 'contexts', 'sizes', 'tokens' and "
+                                   "'counts' as lists of integers")
+        contexts, sizes, tokens, counts = columns
+        n = len(tokens)
+        if len(contexts) != order * len(sizes):
+            raise ModelFormatError(f"'contexts' needs {order} ids per entry of 'sizes'")
+        if sizes and min(sizes) < 1:
+            raise ModelFormatError("a row size is below 1")
+        if not sum(sizes) == n == len(counts):
+            raise ModelFormatError("the sizes do not sum to the lengths of 'tokens' "
+                                   "and 'counts'")
+        if contexts and not (min(contexts) >= 0 and max(contexts) <= vocab_ext):
+            raise ModelFormatError(f"a context id lies outside [0, {vocab_ext}]")
+        if tokens and not (min(tokens) >= 0 and max(tokens) < vocab_ext):
+            raise ModelFormatError(f"a token lies outside [0, {vocab_ext})")
+        if counts and min(counts) < 1:
+            raise ModelFormatError("a count is below 1")
+        # context i is the next ``order`` ids and its row the next sizes[i]
+        # (token, count) pairs; each islice is drained before the next
+        # starts. The ``order``-long argument list of ``zip`` is only built
+        # when ``contexts`` holds at least that many ids.
+        keys = zip(*[iter(contexts)] * order) if sizes else ()
+        rows = map(dict, map(islice, repeat(zip(tokens, counts)), sizes))
+        model.counts = dict(zip(keys, rows))
+        if len(model.counts) != len(sizes):
+            raise ModelFormatError("a context is repeated")
+        if sum(map(len, model.counts.values())) != n:
+            raise ModelFormatError("a token is repeated within a row")
+        model.totals = dict(zip(model.counts,
+                                map(sum, map(dict.values, model.counts.values()))))
         return model
-
-
-class _IdTable(dict):
-    """Canonical decimal string -> id for ids in ``[0, limit)``, filled on
-    first use: one dict lookup both converts and range-checks an id."""
-
-    def __init__(self, limit: int):
-        super().__init__()
-        self.limit = limit
-
-    def __missing__(self, text: str) -> int:
-        i = int(text)
-        if str(i) != text or not 0 <= i < self.limit:
-            raise KeyError(text)
-        self[text] = i
-        return i
 
 
 def train(

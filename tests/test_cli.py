@@ -248,36 +248,80 @@ def _set(key, value):
     return mutate
 
 
-def _first_count(fn):
+def _edit(column, index, value):
     def mutate(m):
-        fn(m["counts"], next(iter(m["counts"])))
+        m[column][index] = value
     return mutate
 
 
-# Ways to break a valid model file; each edits the parsed JSON in place.
+def _shift_size(value):
+    """The first row's size becomes ``value``; the second row takes up the
+    difference, so every column keeps its length."""
+    def mutate(m):
+        sizes = m["sizes"]
+        sizes[1] += sizes[0] - value
+        sizes[0] = value
+    return mutate
+
+
+def _repeat_context(m):
+    order = m["order"]
+    m["contexts"][order:2 * order] = m["contexts"][:order]
+
+
+def _repeat_token(m):
+    m["sizes"][0] += 1
+    m["tokens"].insert(0, m["tokens"][0])
+    m["counts"].insert(0, 1)
+
+
+def _v1_file(m):
+    order, vocab_ext = m["order"], m["vocab_ext"]
+    m.clear()
+    m.update(version=1, order=order, alpha=0.1, vocab_ext=vocab_ext,
+             counts={",".join([str(vocab_ext)] * order): {"1": 1}})
+
+
+# Ways to break a valid model file, each with a part of the message it must
+# give; each edits the parsed JSON in place. The model is over 12 symbols,
+# so the begin marker is id 12.
+TYPES = "lists of integers"
 MODEL_MUTATIONS = {
-    "no_counts": _drop("counts"),
-    "no_order": _drop("order"),
-    "order_str": _set("order", "3"),
-    "alpha_str": _set("alpha", "0.1"),
-    "vocab_ext_float": _set("vocab_ext", 12.0),
-    "counts_list": _set("counts", []),
-    "predicts_99": _first_count(lambda c, k: c[k].__setitem__("99", 1)),
-    "predicts_past_tags": _first_count(lambda c, k: c[k].__setitem__("12", 1)),
-    "key_too_short": _first_count(lambda c, k: c.__setitem__("0,1", {"1": 1})),
-    "key_id_past_bos": _first_count(lambda c, k: c.__setitem__("13,0,1", {"1": 1})),
-    "key_not_ids": _first_count(lambda c, k: c.__setitem__("a,b,c", {"1": 1})),
-    "count_zero": _first_count(lambda c, k: c[k].__setitem__("1", 0)),
-    "count_float": _first_count(lambda c, k: c[k].__setitem__("1", 1.5)),
-    "count_str": _first_count(lambda c, k: c[k].__setitem__("1", "2")),
-    "slot_list": _first_count(lambda c, k: c.__setitem__(k, [1])),
-    "slot_empty": _first_count(lambda c, k: c.__setitem__(k, {})),
+    "no_counts": (_drop("counts"), TYPES),
+    "no_contexts": (_drop("contexts"), TYPES),
+    "no_order": (_drop("order"), "integer 'order'"),
+    "order_str": (_set("order", "3"), "integer 'order'"),
+    "alpha_str": (_set("alpha", "0.1"), "finite 'alpha'"),
+    "alpha_inf": (_set("alpha", float("inf")), "finite 'alpha'"),
+    "vocab_ext_float": (_set("vocab_ext", 12.0), "integer 'order' and 'vocab_ext'"),
+    "version_1": (_v1_file, "retrain"),
+    "version_str": (_set("version", "2"), "version '2' not supported"),
+    "counts_object": (_set("counts", {}), TYPES),
+    "counts_list": (_set("counts", []), "do not sum"),
+    "predicts_99": (_edit("tokens", 0, 99), "token lies outside [0, 12)"),
+    "predicts_past_tags": (_edit("tokens", 0, 12), "token lies outside [0, 12)"),
+    "token_negative": (_edit("tokens", 0, -1), "token lies outside [0, 12)"),
+    "key_too_short": (lambda m: m["contexts"].pop(), "3 ids per entry"),
+    "key_id_past_bos": (_edit("contexts", 0, 13), "context id lies outside [0, 12]"),
+    "key_not_ids": (_edit("contexts", 0, "a"), TYPES),
+    "count_zero": (_edit("counts", 0, 0), "count is below 1"),
+    "count_float": (_edit("counts", 0, 1.5), TYPES),
+    "count_str": (_edit("counts", 0, "2"), TYPES),
+    "count_bool": (_edit("counts", 0, True), TYPES),
+    "token_bool": (_edit("tokens", 0, True), TYPES),
+    "slot_list": (_edit("tokens", 0, [1]), TYPES),
+    "slot_empty": (_shift_size(0), "size is below 1"),
+    "size_negative": (_shift_size(-1), "size is below 1"),
+    "tokens_longer": (lambda m: m["tokens"].append(1), "do not sum"),
+    "counts_shorter": (lambda m: m["counts"].pop(), "do not sum"),
+    "context_repeated": (_repeat_context, "context is repeated"),
+    "token_repeated_in_row": (_repeat_token, "token is repeated within a row"),
 }
 
 
 def _bad_model(payload, name, path):
     payload = json.loads(json.dumps(payload))
-    MODEL_MUTATIONS[name](payload)
+    MODEL_MUTATIONS[name][0](payload)
     path.write_text(json.dumps(payload))
     return path
 
@@ -300,6 +344,7 @@ class TestModelFileValidation:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "ModelFormatError"
+        assert MODEL_MUTATIONS[name][1] in json.loads(err)["message"]
         assert not base.with_suffix(".json").exists()
         assert not base.with_suffix(".csv").exists()
 
@@ -399,6 +444,26 @@ class TestInputBoundaries:
         mixed = _edit_record(clean, tmp_path / "mixed.jsonl", -1, **{field: value})
         argv, outputs = self._commands(mixed, clean, model, tmp_path / "out")[command]
         assert_rejected(main(argv), capsys, outputs)
+
+    # (--prompt-ms, --max-chunks, --latency, exit code); a 960 ms prompt is
+    # 6 chunks, so its session is 6 + --max-chunks chunks long
+    @pytest.mark.parametrize("prompt_ms,max_chunks,latency,code", [
+        (0, 200, 99999999, 2), (0, 4, 5, 2), (960, 2, 9, 2), (960, 2, 8, 0)])
+    def test_latency_at_most_the_session(self, world, prompt_ms, max_chunks, latency,
+                                         code, tmp_path, capsys):
+        corpus, model = world
+        out = tmp_path / "t.json"
+        rc = main(["interact", "--model-a", str(model), "--model-b", str(model),
+                   "--prompts", str(corpus), "--prompt-ms", str(prompt_ms),
+                   "--max-chunks", str(max_chunks), "--latency", str(latency),
+                   "--out", str(out)])
+        assert rc == code
+        if code == 0:
+            return
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ValueError"
+        assert not out.exists()
 
     @pytest.mark.parametrize("where", ["--generated", "--reference", "train", "continue",
                                        "interact", "eval-ppl"])

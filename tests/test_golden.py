@@ -6,8 +6,10 @@ scripted and model users, perplexity as ``float.hex()``, and the bytes
 ``NgramModel.save`` writes. The interaction digests cover every step's
 in-memory ``context_snapshot``, i.e. the exact context each chunk was
 sampled from. The values were recorded from the reference engine, which
-rebuilt every context from chunk 0 at each step. A change that moves one
-of them changes behaviour and must say why.
+rebuilt every context from chunk 0 at each step, except the model-file
+digests (``save-*`` and the CLI's ``model.json``), which were recorded
+again when the model file moved to the columnar version 2. A change that
+moves one of them changes behaviour and must say why.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ from duplexsim import (
     DedupDialogue,
     DialogueStyle,
     InteractionConfig,
+    NgramModel,
     SamplerConfig,
     Vocab,
     chunk_streams,
@@ -66,8 +69,8 @@ DIGESTS = {
     "interact-v501-scripted-L3": "fa27a9f53f51a3e7938a21af17e43f968607c355b1aaabfe1aca366b16bc8e91",
     "ppl-v12": "8be9b35f5471021311b1901e5775c99693b818dcf51907756294d87e6ab9e8e4",
     "ppl-v501": "64583f908da96ecd7a1413562b650d7f23314082466847cc4a672d97af26d8c1",
-    "save-v12": "b16ca4f6eb065c5c2a983793c0d8ebb5460f6cbc0aa85baa57bc3ef12fa594a4",
-    "save-v501": "45d40a4b2a4e62356183bfece6df7634852d56dd2036749547291cf934209d99",
+    "save-v12": "31952f955fa70459d5ce49676b99294386ac04d3bb557bb5d5176bbd8f725968",
+    "save-v501": "8ccb37dddf3e43d324caa5b268ef3e72d497e18184380df7b6d2d18be0b7e9c0",
 }
 
 
@@ -124,6 +127,19 @@ def test_save_bytes(world, tmp_path):
     path = tmp_path / "model.json"
     model.save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[f"save-v{size}"]
+
+
+def test_load_keeps_file_order(world, tmp_path):
+    _, _, model, _ = world
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    model.save(first)
+    loaded = NgramModel.load(first)
+    assert list(loaded.counts.items()) == list(model.counts.items())
+    assert list(loaded.totals.items()) == list(model.totals.items())
+    assert [list(row) for row in loaded.counts.values()] == \
+        [list(row) for row in model.counts.values()]
+    loaded.save(second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_perplexity(world):
@@ -222,7 +238,7 @@ CLI_DIGESTS = {
     "corpus.jsonl": "89ba56c52881c5cc86a6fe8b0ff5435f9f1203a340a5f76514095d11382441e2",
     "flat.txt": "d02209be40e9cc7c78a352973b254f9db6612b9ea9c9bfd10b6a4c30da1b25c6",
     "stats.json": "49a87fba62ada72c96a9833c0f2db3d57ee7db502ecdb0880b4a2dfdcc931ab3",
-    "model.json": "7acc3603a4b7da00fc930217668430429a6175f6d5c288a4fbacaf2acd249d9f",
+    "model.json": "626ba5fc234d9ab066bc46bc0e11dca0e6b53c11c9df648b680b9876a8d33006",
     "dump.txt": "d02209be40e9cc7c78a352973b254f9db6612b9ea9c9bfd10b6a4c30da1b25c6",
     "cont.jsonl": "be70d51dbf91029c900a25b04aaf895c794096bd26676d00b9be91b504ac5eb0",
     "cont.json": "b9991c3e38017187b73f44d790f978bc80974c2079909f2066c1fa2e10eaeb3e",

@@ -396,3 +396,5 @@ class TestOverflowPolicy:
             InteractionConfig(latency_chunks=-1)
         with pytest.raises(ValueError):
             InteractionConfig(overflow_policy="repair")
+        with pytest.raises(ValueError, match="must not exceed"):
+            InteractionConfig(latency_chunks=5, max_chunks=4)

@@ -228,6 +228,13 @@ class TestSerialization:
         train(corpus, order=2, alpha=0.1, vocab_ext=3).save(b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_untrained_model_round_trip(self, tmp_path):
+        path = tmp_path / "model.json"
+        NgramModel(order=3, vocab_ext=5, alpha=0.5).save(path)
+        loaded = NgramModel.load(path)
+        assert (loaded.order, loaded.vocab_ext, loaded.alpha) == (3, 5, 0.5)
+        assert loaded.counts == {} and loaded.totals == {}
+
     def test_non_object_file_fails_loudly(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("[1, 2]")
