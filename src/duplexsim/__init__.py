@@ -19,7 +19,6 @@ from .metrics import (
     EventRecord,
     VadSegment,
     correlation_report,
-    median_perplexity,
     pearson,
     turn_events,
     vad,
@@ -28,7 +27,6 @@ from .ngram import (
     NgramModel,
     SamplerConfig,
     corpus_perplexity,
-    next_dist,
     perplexity,
     sample_constrained,
     sample_next,

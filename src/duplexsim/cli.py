@@ -5,8 +5,9 @@ writes files only through ``corpus_io`` (each format checked once, every
 output atomic) and writes its first output only when all its work is done.
 Each input file is read once, and each dialogue of a corpus is encoded to
 the wire format once; a prompt is the first ``--prompt-ms // --chunk-ms``
-chunks of that encoding. A model file named twice is parsed once and
-checked against the vocabulary once.
+chunks of that encoding. The one exception is ``synth --flat-out
+--stats-out``: ``corpus_stats`` encodes every dialogue again. A model file
+named twice is parsed once and checked against the vocabulary once.
 
 Failures print a JSON object to stderr; exit codes are 0 (ok), 2 (invalid
 configuration or inputs), 3 (runtime error).
@@ -26,6 +27,7 @@ import numpy as np
 from . import corpus_io
 from .errors import ConfigError, DuplexError, EmptyCarryOverWarning, EmptyCorpus
 from .interaction import (
+    OVERFLOW_POLICIES,
     InteractionConfig,
     continue_dialogue,
     simulate_interaction,
@@ -307,6 +309,8 @@ def cmd_eval(args) -> int:
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
     _check_outputs(csv_path, json_path)
+    if args.latency is not None and args.latency < 0:
+        raise ConfigError(f"--latency must be >= 0, got {args.latency}")
 
     if args.mode == "turns":
         gen, vocab = _load_corpus(args.generated)
@@ -475,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration-ms", type=int, default=30000)
     p.add_argument("--prompts", type=Path, default=None)
     p.add_argument("--prompt-ms", type=int, default=0)
-    p.add_argument("--overflow-policy", choices=["truncate", "error"],
-                   default="truncate")
+    p.add_argument("--overflow-policy", choices=OVERFLOW_POLICIES, default="truncate")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--corpus-out", type=Path, default=None)
     p.set_defaults(func=cmd_interact)

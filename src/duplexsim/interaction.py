@@ -13,21 +13,23 @@ step t, an agent holds the other side's actual chunks only up to
 t - latency and fills the missing window with freshly sampled estimates;
 arrived actual chunks replace estimates in every later context.
 
-Each side is one incremental agent with three operations: *receive* an
-arrived chunk, which appends to its base context; *estimate* the missing
-window, which appends past a mark at the base's end; and *emit* its own
-part of the chunk, after which the context is cut back to the mark. The
-base is append-only and the window holds at most ``latency`` chunks, so a
-step costs the same however long the session has run.
-``continue_dialogue`` and ``estimate_user_chunk`` are one agent each;
-``simulate_interaction`` is two agents (or one and a script) plus the
-delay line between them.
+Each side is one incremental agent. It starts from a parsed prompt, a
+``DedupDialogue``, whose chunks it appends one by one; the wire format is
+never read back. Its three operations: *receive* an arrived chunk, which
+appends to its base context; *estimate* the missing window, which appends
+past a mark at the base's end; and *emit* its own part of the chunk, after
+which the context is cut back to the mark. The base is append-only and
+the window holds at most ``latency`` chunks, so a step costs the same
+however long the session has run. ``continue_dialogue`` and
+``estimate_user_chunk`` are one agent each; ``simulate_interaction`` is
+two agents (or one and a script) plus the delay line between them. Each
+estimate is recorded once, on the step of the chunk it estimates.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -71,17 +73,23 @@ class StepRecord:
     records take memory linear in its length. ``to_dict`` leaves it out;
     it can be rebuilt from a serialised transcript (see
     ``InteractionTranscript``).
+
+    ``estimate_history`` holds the model's estimates of this chunk's user
+    part, oldest first; ``user_estimated`` is the last of them, or None.
     """
 
     index: int
     llm_chunk: list[int]
     user_actual: list[int]
-    user_estimated: list[int] | None
     estimate_history: list[list[int]]
     truncations: int
     base: list[int] = field(repr=False)
     mark: int
     window: list[int]
+
+    @property
+    def user_estimated(self) -> list[int] | None:
+        return self.estimate_history[-1] if self.estimate_history else None
 
     @property
     def context_snapshot(self) -> list[int]:
@@ -125,17 +133,7 @@ class InteractionTranscript:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": {
-                "chunk_ms": self.config.chunk_ms,
-                "latency_chunks": self.config.latency_chunks,
-                "max_chunks": self.config.max_chunks,
-                "sampler": {
-                    "temperature": self.config.sampler.temperature,
-                    "top_k": self.config.sampler.top_k,
-                    "seed": self.config.sampler.seed,
-                },
-                "overflow_policy": self.config.overflow_policy,
-            },
+            "config": asdict(self.config),
             "seed": self.seed,
             "prompt_chunks": self.prompt_chunks,
             "steps": [s.to_dict() for s in self.steps],
@@ -163,7 +161,9 @@ class _Agent:
     The agent owns its model, sampler config, RNG and allowed sets; one
     context list, whose prefix is an append-only base of the chunks that
     have fully arrived; and the last novel unit of each channel in that
-    base. Its three operations:
+    base. The base starts as the ``prompt`` dialogue, appended chunk by
+    chunk, so the last novels are tracked from the first token on. Its
+    three operations:
 
     * ``receive`` an arrived chunk of the other side. Every chunk whose
       two parts are now both known is appended to the base.
@@ -187,7 +187,7 @@ class _Agent:
         chunk_ms: int,
         cfg: SamplerConfig,
         rng: np.random.Generator,
-        context: Sequence[int],
+        prompt: DedupDialogue,
         side: int = 0,
         policy: str = "truncate",
     ):
@@ -208,8 +208,11 @@ class _Agent:
         self._units_tags = np.arange(vocab.extended_size, dtype=np.int64)
         self._tags = self._units_tags[vocab.size :]
         self.side = side
-        self.ctx = list(context)
-        self.last = list(_scan_last_novels(self.ctx, vocab))
+        self.ctx: list[int] = []
+        self.last: list[int | None] = [None, None]
+        for chunk in prompt.chunks:
+            self.append(0, chunk.s0_novel)
+            self.append(1, chunk.s1_novel)
         self.mine: deque[list[int]] = deque()  # own parts not yet in the base
         self.theirs: deque[list[int]] = deque()  # arrived parts not yet in the base
 
@@ -312,27 +315,6 @@ class _Agent:
         return novels, estimates, mark, window
 
 
-def _scan_last_novels(wire: Sequence[int], vocab: Vocab) -> tuple[int | None, int | None]:
-    """Last novel unit of each channel in a wire-format prefix."""
-    last: list[int | None] = [None, None]
-    channel = 0
-    for tok in wire:
-        if tok == vocab.tag_s0:
-            channel = 0
-        elif tok == vocab.tag_s1:
-            channel = 1
-        else:
-            last[channel] = tok
-    return last[0], last[1]
-
-
-def _prompt_wire(prompt: DedupDialogue) -> list[int]:
-    """The prompt's wire form, checked to parse back (cheap well-formedness)."""
-    wire = flatten(prompt)
-    parse(wire, prompt.vocab, prompt.chunk_ms)
-    return wire
-
-
 def continue_dialogue(
     model: NgramModel,
     prompt: DedupDialogue,
@@ -350,10 +332,10 @@ def continue_dialogue(
         raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
     if forced_user is not None and len(forced_user) != n_chunks:
         raise ValueError("forced_user must provide one chunk per generated chunk")
-    wire = _prompt_wire(prompt)
+    checked = parse(flatten(prompt), prompt.vocab, prompt.chunk_ms)
     cfg = cfg if cfg is not None else SamplerConfig()
     agent = _Agent(model, prompt.vocab, prompt.chunk_ms, cfg,
-                   np.random.default_rng(cfg.seed), wire, policy=overflow_policy)
+                   np.random.default_rng(cfg.seed), checked, policy=overflow_policy)
     chunks = list(prompt.chunks)
     for i in range(n_chunks):
         s0 = agent.sample(0)
@@ -375,12 +357,14 @@ def estimate_user_chunk(
     rng: np.random.Generator | None = None,
     overflow_policy: str = "truncate",
 ) -> list[int]:
-    """One chunk of the channel-1 side given a context that ends at a
-    channel-1 boundary (right after the chunk's channel-0 content)."""
+    """One chunk of the channel-1 side given a wire-format context that
+    ends at a channel-1 boundary (right after the chunk's channel-0
+    content). A context that does not parse raises ``MalformedSequence``."""
     cfg = cfg if cfg is not None else SamplerConfig()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    agent = _Agent(model, vocab, chunk_ms, cfg, rng, context, policy=overflow_policy)
+    agent = _Agent(model, vocab, chunk_ms, cfg, rng, parse(list(context), vocab, chunk_ms),
+                   policy=overflow_policy)
     return agent.sample(1)
 
 
@@ -398,23 +382,22 @@ def simulate_interaction(
     dialogue whose channel-1 chunks are revealed with the configured
     latency. At step t the model's agent has the user's chunks below
     t - latency; a model user has the model's chunks below t - latency + 1,
-    since the model speaks first within a chunk.
+    since the model speaks first within a chunk. A missing prompt is an
+    empty one.
     """
     scripted = isinstance(user_source, DedupDialogue)
     if vocab is None:
-        if prompt is not None:
-            vocab = prompt.vocab
-        elif scripted:
-            vocab = user_source.vocab
-        else:
-            vocab = Vocab()
-    if prompt is not None and prompt.chunk_ms != cfg.chunk_ms:
+        vocab = (prompt.vocab if prompt is not None
+                 else user_source.vocab if scripted else Vocab())
+    if prompt is None:
+        prompt = DedupDialogue(vocab, cfg.chunk_ms, ())
+    if prompt.chunk_ms != cfg.chunk_ms:
         raise ValueError(
             f"prompt chunk_ms {prompt.chunk_ms} != config chunk_ms {cfg.chunk_ms}"
         )
-    prompt_wire = _prompt_wire(prompt) if prompt is not None else []
+    checked = parse(flatten(prompt), prompt.vocab, prompt.chunk_ms)
     L = cfg.latency_chunks
-    p_chunks = len(prompt.chunks) if prompt is not None else 0
+    p_chunks = len(prompt.chunks)
     if cfg.max_chunks <= p_chunks:
         raise ValueError(
             f"max_chunks ({cfg.max_chunks}) must exceed prompt length ({p_chunks})"
@@ -428,23 +411,18 @@ def simulate_interaction(
                 f"run needs {cfg.max_chunks}"
             )
 
-    llm_novel: list[list[int]] = []
-    usr_novel: list[list[int]] = []
-    if prompt is not None:
-        for c in prompt.chunks:
-            llm_novel.append(list(c.s0_novel))
-            usr_novel.append(list(c.s1_novel))
+    llm_novel = [list(c.s0_novel) for c in prompt.chunks]
+    usr_novel = [list(c.s1_novel) for c in prompt.chunks]
 
     agent_a = _Agent(model_llm, vocab, cfg.chunk_ms, cfg.sampler,
-                     np.random.default_rng(cfg.sampler.seed), prompt_wire,
+                     np.random.default_rng(cfg.sampler.seed), checked,
                      side=0, policy=cfg.overflow_policy)
     agent_b = None
     if not scripted:
         agent_b = _Agent(user_source, vocab, cfg.chunk_ms, cfg.sampler,
-                         np.random.default_rng([cfg.sampler.seed, 1]), prompt_wire,
+                         np.random.default_rng([cfg.sampler.seed, 1]), checked,
                          side=1, policy=cfg.overflow_policy)
 
-    est_hist: dict[int, list[list[int]]] = {}
     records: list[StepRecord] = []
     trunc_before = 0
 
@@ -454,8 +432,9 @@ def simulate_interaction(
             agent_a.receive(usr_novel[t - L - 1])
         s0, estimates, mark, window = agent_a.emit()
         llm_novel.append(s0)
-        for j, est in enumerate(estimates, start=t - len(estimates)):
-            est_hist.setdefault(j, []).append(est)
+        # the window's estimates are of chunks t - len(estimates) .. t - 1
+        for rec, est in zip(records[len(records) - len(estimates):], estimates):
+            rec.estimate_history.append(est)
 
         if scripted:
             usr_t = list(user_source.chunks[t].s1_novel)
@@ -471,7 +450,6 @@ def simulate_interaction(
                 index=t,
                 llm_chunk=list(s0),
                 user_actual=list(usr_t),
-                user_estimated=None,
                 estimate_history=[],
                 truncations=agent_a.truncations - trunc_before,
                 base=agent_a.ctx,
@@ -480,11 +458,6 @@ def simulate_interaction(
             )
         )
         trunc_before = agent_a.truncations
-
-    for rec in records:
-        hist = est_hist.get(rec.index, [])
-        rec.estimate_history = [list(e) for e in hist]
-        rec.user_estimated = list(hist[-1]) if hist else None
 
     chunks = tuple(
         DedupChunk(s0_novel=tuple(a), s1_novel=tuple(b))

@@ -18,7 +18,6 @@ as a floor transfer.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -307,24 +306,13 @@ def correlation_report(
     return CorrelationReport(kinds=kinds, average_r=average)
 
 
-def median_perplexity(
-    reference_model: NgramModel,
-    dialogues: Sequence[DedupDialogue],
-    prompt_chunks: int = 0,
-) -> float:
-    """Median over per-dialogue perplexities of the flattened continuation
-    (the first ``prompt_chunks`` chunks condition the model but are not
-    scored)."""
-    return statistics.median(
-        per_dialogue_perplexities(reference_model, dialogues, prompt_chunks)
-    )
-
-
 def per_dialogue_perplexities(
     reference_model: NgramModel,
     dialogues: Sequence[DedupDialogue],
     prompt_chunks: int = 0,
 ) -> list[float]:
+    """Perplexity of each flattened dialogue; its first ``prompt_chunks``
+    chunks condition the model but are not scored."""
     if not dialogues:
         raise EmptySet("no dialogues to score")
     out = []

@@ -65,6 +65,10 @@ class NgramModel:
             raise ValueError(f"order must be >= 1, got {order}")
         if vocab_ext < 1:
             raise ValueError(f"vocab_ext must be >= 1, got {vocab_ext}")
+        # a context must fit one int64 code; testing order first keeps a huge one cheap
+        if not (order <= 63 and (vocab_ext + 1) ** order <= 2**63):
+            raise ValueError(f"order {order} is too large for vocab_ext {vocab_ext}: "
+                             f"(vocab_ext + 1) ** order must not exceed 2**63")
         if alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {alpha}")
         self.order = order
@@ -224,10 +228,6 @@ def train(
     return model
 
 
-def next_dist(model: NgramModel, context: Sequence[int]) -> np.ndarray:
-    return model.next_dist(context)
-
-
 def _apply_sampler(
     probs: np.ndarray, indices: np.ndarray, cfg: SamplerConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -295,10 +295,7 @@ def sample_next(
 
 def perplexity(model: NgramModel, sequence: Sequence[int], skip: int = 0) -> float:
     """exp(mean negative log-likelihood per scored token)."""
-    nll, scored = model.sequence_nll(sequence, skip=skip)
-    if scored == 0:
-        raise EmptySequence("no tokens to score")
-    return math.exp(nll / scored)
+    return corpus_perplexity(model, [sequence], skip)
 
 
 def corpus_perplexity(

@@ -160,10 +160,6 @@ class PlannedEvent:
     end_frame: int
     realized: bool
 
-    @property
-    def duration_frames(self) -> int:
-        return self.end_frame - self.start_frame
-
 
 @dataclass(frozen=True)
 class DialogueRecord:
@@ -367,7 +363,6 @@ class CorpusStats:
     event_stds_ms: dict[str, float]
     event_counts: dict[str, int]
     overlap_frames: int
-    total_frames_per_channel: int
     raw_tokens_per_s: float
     dedup_tokens_per_s: float
     dedup_rates_per_dialogue: tuple[float, ...]
@@ -377,7 +372,7 @@ class CorpusStats:
         return self.dedup_tokens_per_s / self.raw_tokens_per_s
 
 
-def corpus_stats(corpus: Corpus, chunk_ms: int = 160, event_params=None) -> CorpusStats:
+def corpus_stats(corpus: Corpus, chunk_ms: int = 160) -> CorpusStats:
     """Empirical per-event duration statistics plus codec token rates.
 
     Raw rate counts the fully interleaved chunk form (both tags plus every
@@ -388,26 +383,23 @@ def corpus_stats(corpus: Corpus, chunk_ms: int = 160, event_params=None) -> Corp
 
     if len(corpus) == 0:
         raise EmptyCorpus("corpus has no dialogues")
-    params = event_params if event_params is not None else metrics.EventParams()
     vocab = _corpus_vocab(corpus)
 
     durations: dict[str, list[float]] = {"ipu": [], "pause": [], "fto": []}
     overlap = 0
-    total_frames = 0
     raw_tokens = 0
     dedup_tokens = 0
     total_seconds = 0.0
     rates = []
     for rec in corpus.dialogues:
         silence = vocab.silence_tokens
-        for ev in metrics.dialogue_events(rec.s0, rec.s1, silence, params):
+        for ev in metrics.dialogue_events(rec.s0, rec.s1, silence):
             durations[ev.kind].append(float(ev.duration_ms))
         overlap += sum(
             1
             for a, b in zip(rec.s0.tokens, rec.s1.tokens)
             if a not in silence and b not in silence
         )
-        total_frames += len(rec.s0)
         if len(rec.s0) > 0:
             chunked = chunk_streams(rec.s0, rec.s1, chunk_ms, vocab)
             flat = flatten(deduplicate(chunked))
@@ -426,7 +418,6 @@ def corpus_stats(corpus: Corpus, chunk_ms: int = 160, event_params=None) -> Corp
         event_stds_ms=stds,
         event_counts=counts,
         overlap_frames=overlap,
-        total_frames_per_channel=total_frames,
         raw_tokens_per_s=raw_tokens / total_seconds if total_seconds else float("nan"),
         dedup_tokens_per_s=dedup_tokens / total_seconds if total_seconds else float("nan"),
         dedup_rates_per_dialogue=tuple(rates),

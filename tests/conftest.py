@@ -1,6 +1,12 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from duplexsim import DialogueStyle, Vocab
+
+# the experiment scripts are importable, so a test can run them as written
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 Each test prints one PASS/FAIL line; run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import statistics
+import hashlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,7 +25,6 @@ from duplexsim import (
     flatten,
     generate_corpus,
     interpolate,
-    median_perplexity,
     parse,
     simulate_interaction,
     train,
@@ -34,6 +33,7 @@ from duplexsim.metrics import dialogue_events, vad, turn_events
 from duplexsim.cli import main as cli_main
 
 import oracles
+from latency_sweep import run_sweep
 
 
 @contextmanager
@@ -168,58 +168,24 @@ def test_criterion_06_estimate_replace_protocol():
         assert nontrivial > 0
 
 
-@pytest.fixture(scope="module")
-def latency_setup():
-    vocab = Vocab(size=24, frame_ms=40, silence_tokens=frozenset({0}))
-    style = DialogueStyle(
-        vocab=vocab, ipu_ms=(1600, 400), pause_ms=(520, 120), fto_ms=(240, 120),
-        turn_continue_prob=0.35, backchannel_prob=0.15, backchannel_ms=(280, 80),
-        p_self=0.45, successor_count=3,
-    )
-
-    def flat_corpus(corpus, chunk_ms):
-        return [flatten(deduplicate(chunk_streams(r.s0, r.s1, chunk_ms, vocab)))
-                for r in corpus.dialogues]
-
-    train_corpus = generate_corpus(style, 120, 24000, seed=1)
-    heldout = generate_corpus(style, 32, 24000, seed=2)
-    models = {
-        c: train(flat_corpus(train_corpus, c), order=4, alpha=0.001,
-                 vocab_ext=vocab.extended_size)
-        for c in (160, 240)
-    }
-    reference = train(flat_corpus(heldout, 160) + flat_corpus(heldout, 240),
-                      order=4, alpha=0.1, vocab_ext=vocab.extended_size)
-    return vocab, heldout, models, reference
+# sha256 of criterion 7's 40 medians as comma-joined ``float.hex()``, in
+# (replication, chunk size) order. A faster engine must keep them bit for bit.
+LATENCY_TREND_DIGEST = "7fdf02ba03e0234a2f57537db3c3488c74f054bd0680de68a24babcdf1a4dfeb"
 
 
-def test_criterion_07_latency_degradation_trend(latency_setup):
+def test_criterion_07_latency_degradation_trend():
     with criterion(7, "median ppl non-decreasing 160 -> 240 ms in >= 70% of 20 replications"):
-        vocab, heldout, models, reference = latency_setup
-        prompt_ms, total_ms = 4800, 19200
-        wins = 0
         reps = 20
-        for rep in range(reps):
-            med = {}
-            for c in (160, 240):
-                pc = prompt_ms // c
-                ppls = []
-                for k, rec in enumerate(heldout.dialogues):
-                    full = deduplicate(chunk_streams(rec.s0, rec.s1, c, vocab))
-                    prompt = DedupDialogue(vocab, c, full.chunks[:pc])
-                    cfg = InteractionConfig(
-                        chunk_ms=c, latency_chunks=1, max_chunks=total_ms // c,
-                        sampler=SamplerConfig(seed=1000 * rep + k),
-                    )
-                    tr = simulate_interaction(models[c], models[c], cfg,
-                                              vocab=vocab, prompt=prompt)
-                    ppls.append(median_perplexity(reference, [tr.dialogue],
-                                                  prompt_chunks=pc))
-                med[c] = statistics.median(ppls)
-            if med[240] >= med[160]:
-                wins += 1
+        rows = run_sweep(n_units=24, train_dialogues=120, heldout_dialogues=32,
+                         dialogue_ms=24000, prompt_ms=4800, total_ms=19200, order=4,
+                         gen_alpha=0.001, ref_alpha=0.1, replications=reps, seed=0,
+                         chunk_sizes=(160, 240), latency_chunks=1)
+        medians = [r["median_ppl"] for r in rows]
+        wins = sum(m240 >= m160 for m160, m240 in zip(medians[::2], medians[1::2]))
         print(f"  (latency trend: non-decreasing in {wins}/{reps} replications)")
         assert wins >= 0.7 * reps
+        blob = ",".join(m.hex() for m in medians).encode()
+        assert hashlib.sha256(blob).hexdigest() == LATENCY_TREND_DIGEST
 
 
 def test_criterion_08_event_oracle_equivalence():

@@ -290,6 +290,7 @@ MODEL_MUTATIONS = {
     "no_counts": (_drop("counts"), TYPES),
     "no_contexts": (_drop("contexts"), TYPES),
     "no_order": (_drop("order"), "integer 'order'"),
+    "order_huge": (_set("order", 20000), "too large for vocab_ext 12"),
     "order_str": (_set("order", "3"), "integer 'order'"),
     "alpha_str": (_set("alpha", "0.1"), "finite 'alpha'"),
     "alpha_inf": (_set("alpha", float("inf")), "finite 'alpha'"),
@@ -460,6 +461,24 @@ class TestInputBoundaries:
         assert rc == code
         if code == 0:
             return
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ValueError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval-ppl", "eval-turns"])
+    def test_eval_negative_latency(self, world, command, tmp_path, capsys):
+        clean, model = world
+        argv, outputs = self._commands(clean, clean, model, tmp_path / "out")[command]
+        assert_rejected(main(argv + ["--latency", "-7"]), capsys, outputs)
+
+    # at 10 units, vocab_ext 12: 13 ** 18 > 2 ** 63, and 64 > 63
+    @pytest.mark.parametrize("order", [18, 64])
+    def test_train_order_fits_an_int64_code(self, world, order, tmp_path, capsys):
+        corpus, _ = world
+        out = tmp_path / "model.json"
+        assert main(["train", "--corpus", str(corpus), "--order", str(order),
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "ValueError"

@@ -20,7 +20,7 @@ from duplexsim import (
     simulate_interaction,
     train,
 )
-from duplexsim.errors import ChunkOverflow, SourceExhausted
+from duplexsim.errors import ChunkOverflow, MalformedSequence, SourceExhausted
 from duplexsim.synth import DialogueStyle
 
 
@@ -137,6 +137,12 @@ class TestEstimateUserChunk:
             est = estimate_user_chunk(model, ctx, vocab, CHUNK_MS,
                                       SamplerConfig(seed=seed))
             assert len(est) <= 4
+
+    def test_rejects_context_not_in_wire_format(self, setup):
+        vocab, _, model, script = setup
+        ctx = [1, 2] + flatten(prompt_of(script, 3)) + [vocab.tag_s0, 1]
+        with pytest.raises(MalformedSequence, match="tag_s0"):
+            estimate_user_chunk(model, ctx, vocab, CHUNK_MS, SamplerConfig(seed=0))
 
     def test_deterministic_given_seed(self, setup):
         vocab, _, model, script = setup
@@ -289,6 +295,17 @@ class TestSimulateScripted:
             t = step.index
             if t + 1 - 3 >= transcript.prompt_chunks:
                 assert (t + 1) - max(transcript.prompt_chunks, t + 1 - 3) == 3
+
+
+def test_missing_prompt_is_an_empty_prompt(setup):
+    vocab, _, model, script = setup
+    cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=2, max_chunks=8,
+                            sampler=SamplerConfig(seed=3))
+    for source in (script, model):
+        missing = simulate_interaction(model, source, cfg, vocab=vocab)
+        empty = simulate_interaction(model, source, cfg, vocab=vocab,
+                                     prompt=DedupDialogue(vocab, CHUNK_MS, ()))
+        assert missing.to_json_dict() == empty.to_json_dict()
 
 
 class TestSimulateTwoModels:

@@ -8,13 +8,13 @@ from duplexsim import (
     TokenStream,
     VadSegment,
     correlation_report,
-    median_perplexity,
     pearson,
     train,
     turn_events,
     vad,
 )
 from duplexsim.errors import DegenerateInput, EmptySet, NoPairs
+from duplexsim.metrics import per_dialogue_perplexities
 
 import oracles
 
@@ -257,9 +257,7 @@ class TestMedianPerplexity:
         d = self._dialogue(tiny_vocab, [((1,), (2,)), ((3,), ())])
         from duplexsim import flatten, perplexity
 
-        assert median_perplexity(model, [d]) == pytest.approx(
-            perplexity(model, flatten(d))
-        )
+        assert per_dialogue_perplexities(model, [d]) == [perplexity(model, flatten(d))]
 
     def test_median_is_outlier_robust(self):
         # medians of per-dialogue values [10, 20, 400] -> 20
@@ -271,14 +269,14 @@ class TestMedianPerplexity:
         corpus = [[1, 2, 3, 1, 2, 3] * 4]
         model = train(corpus, order=1, alpha=0.1, vocab_ext=tiny_vocab.extended_size)
         d = self._dialogue(tiny_vocab, [((1, 2), (3,)), ((1, 2), ())])
-        full = median_perplexity(model, [d], prompt_chunks=0)
-        tail = median_perplexity(model, [d], prompt_chunks=1)
+        (full,) = per_dialogue_perplexities(model, [d], prompt_chunks=0)
+        (tail,) = per_dialogue_perplexities(model, [d], prompt_chunks=1)
         assert full != tail
 
     def test_empty_set(self, tiny_vocab):
         model = NgramModel(order=1, vocab_ext=tiny_vocab.extended_size)
         with pytest.raises(EmptySet):
-            median_perplexity(model, [])
+            per_dialogue_perplexities(model, [])
 
     def test_shuffled_continuations_score_worse(self, tiny_vocab):
         import random

@@ -52,6 +52,18 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([[0, 5]], order=1, alpha=0.1, vocab_ext=4)
 
+    # a context must fit one int64 code: order <= 63 and
+    # (vocab_ext + 1) ** order <= 2**63; an order of 10**9 is rejected at once
+    @pytest.mark.parametrize("order,vocab_ext,ok", [
+        (17, 12, True), (18, 12, False), (63, 1, True), (64, 1, False),
+        (7, 503, True), (8, 503, False), (10**9, 503, False)])
+    def test_order_fits_an_int64_code(self, order, vocab_ext, ok):
+        if ok:
+            assert NgramModel(order=order, vocab_ext=vocab_ext).order == order
+        else:
+            with pytest.raises(ValueError, match="too large"):
+                NgramModel(order=order, vocab_ext=vocab_ext)
+
 
 class TestNextDist:
     def test_untrained_uniform(self):
