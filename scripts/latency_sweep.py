@@ -97,8 +97,7 @@ def run_sweep(
                     max_chunks=total_ms // c,
                     sampler=SamplerConfig(seed=seed + 1000 * rep + k),
                 )
-                transcript = simulate_interaction(models[c], models[c], cfg,
-                                                  vocab=vocab, prompt=prompt)
+                transcript = simulate_interaction(models[c], models[c], cfg, prompt)
                 generated.append(transcript.dialogue)
             ppls = per_dialogue_perplexities(reference, generated,
                                              prompt_chunks=prompt_chunks)

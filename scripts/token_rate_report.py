@@ -11,7 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from duplexsim import DialogueStyle, Vocab, corpus_stats, generate_corpus
+from duplexsim import (
+    DialogueStyle,
+    Vocab,
+    chunk_streams,
+    corpus_stats,
+    deduplicate,
+    generate_corpus,
+)
 
 BAR = "#"
 
@@ -46,7 +53,9 @@ def main(argv=None) -> int:
     corpus = generate_corpus(style, args.count, args.duration_ms, seed=args.seed)
 
     for chunk_ms in (160, 200, 240):
-        stats = corpus_stats(corpus, chunk_ms=chunk_ms)
+        encoded = [(r.s0, r.s1, deduplicate(chunk_streams(r.s0, r.s1, chunk_ms, vocab)))
+                   for r in corpus.dialogues]
+        stats = corpus_stats(encoded)
         print(f"chunk {chunk_ms} ms:")
         print(f"  raw interleaved rate : {stats.raw_tokens_per_s:7.1f} tok/s")
         print(f"  deduplicated rate    : {stats.dedup_tokens_per_s:7.1f} tok/s")

@@ -3,11 +3,12 @@
 Every subcommand is byte-reproducible under fixed seeds. It reads and
 writes files only through ``corpus_io`` (each format checked once, every
 output atomic) and writes its first output only when all its work is done.
-Each input file is read once, and each dialogue of a corpus is encoded to
-the wire format once; a prompt is the first ``--prompt-ms // --chunk-ms``
-chunks of that encoding. The one exception is ``synth --flat-out
---stats-out``: ``corpus_stats`` encodes every dialogue again. A model file
-named twice is parsed once and checked against the vocabulary once.
+Each input file is read once, and each dialogue is encoded to the wire
+format once; a prompt is the first ``--prompt-ms // --chunk-ms`` chunks of
+that encoding. A model file named twice is parsed once and checked against
+the vocabulary once. A command accepts only the flags it reads. A run's
+vocabulary comes from its style file or corpus, or, when it reads none,
+from ``--vocab --frame-ms --silence-token``, never from both.
 
 Failures print a JSON object to stderr; exit codes are 0 (ok), 2 (invalid
 configuration or inputs), 3 (runtime error).
@@ -35,8 +36,6 @@ from .interaction import (
 from .metrics import EventParams, correlation_report, per_dialogue_perplexities
 from .ngram import NgramModel, SamplerConfig, train
 from .synth import (
-    Corpus,
-    DialogueRecord,
     DialogueStyle,
     corpus_stats,
     generate_dialogue,
@@ -58,18 +57,27 @@ def _derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
+def _no_vocab_flags(args, source) -> None:
+    """The file ``source`` supplies the vocabulary, so no flag may."""
+    if any(getattr(args, f, None) is not None for f in ("vocab", "frame_ms", "silence_token")):
+        raise ConfigError(f"--vocab, --frame-ms and --silence-token do not apply with "
+                          f"{source}, which supplies the vocabulary")
+
+
 def _vocab_from_args(args) -> Vocab:
-    return Vocab(
-        size=args.vocab,
-        frame_ms=args.frame_ms,
-        silence_tokens=frozenset({args.silence_token}),
-    )
+    """The flags' vocabulary; a flag left out keeps ``Vocab``'s default."""
+    fields = {"size": args.vocab, "frame_ms": args.frame_ms,
+              "silence_tokens": None if args.silence_token is None
+              else frozenset({args.silence_token})}
+    return Vocab(**{k: v for k, v in fields.items() if v is not None})
 
 
 def _style_from_args(args) -> DialogueStyle:
     if args.style is not None:
+        _no_vocab_flags(args, args.style)
         return DialogueStyle.from_file(args.style)
-    return DialogueStyle(vocab=_vocab_from_args(args), silence_token=args.silence_token)
+    vocab = _vocab_from_args(args)
+    return DialogueStyle(vocab=vocab, silence_token=vocab.first_silence)
 
 
 def _check_outputs(*paths: Path | None) -> None:
@@ -122,11 +130,9 @@ def _encode(
     return deduplicate(chunk_streams(s0, s1, chunk_ms, vocab))
 
 
-def _flat_sequences(
-    dialogues: list[tuple[str, TokenStream, TokenStream]], vocab: Vocab, chunk_ms: int
-) -> list[list[int]]:
-    return [flatten(_encode(s0, s1, vocab, chunk_ms))
-            for _, s0, s1 in dialogues if len(s0)]
+def _flat_sequences(encodings: list[DedupDialogue]) -> list[list[int]]:
+    """The training sequences of encoded dialogues; an empty one has none."""
+    return [flatten(d) for d in encodings if d.chunks]
 
 
 def _prompt_chunks(args) -> int:
@@ -161,7 +167,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("--duration-ms must be a non-negative multiple of frame_ms")
 
     records = []
-    dialogues = []
+    encoded = []  # (s0, s1, wire form), when an output needs the wire form
     for i in range(args.count):
         did = f"d{i:05d}"
         seed_i = [args.seed, i]
@@ -170,13 +176,12 @@ def cmd_synth(args) -> int:
         else:
             s0, s1 = generate_dialogue(style, args.duration_ms, seed_i)
         records.append(corpus_io.dialogue_to_record(did, s0, s1, style.vocab))
-        dialogues.append(DialogueRecord(id=did, s0=s0, s1=s1))
+        if args.flat_out is not None or args.stats_out is not None:
+            encoded.append((s0, s1, _encode(s0, s1, style.vocab, args.chunk_ms)))
     if args.flat_out is not None:
-        seqs = _flat_sequences([(d.id, d.s0, d.s1) for d in dialogues],
-                               style.vocab, args.chunk_ms)
+        seqs = _flat_sequences([d for _, _, d in encoded])
     if args.stats_out is not None:
-        stats = corpus_stats(Corpus(tuple(dialogues), style=style, seed=args.seed),
-                             chunk_ms=args.chunk_ms)
+        stats = corpus_stats(encoded)
         payload = {
             "event_means_ms": stats.event_means_ms,
             "event_stds_ms": stats.event_stds_ms,
@@ -198,13 +203,17 @@ def cmd_train(args) -> int:
     _check_outputs(args.out, args.flat_dump)
     path = Path(args.corpus)
     if path.suffix == ".jsonl":
+        _no_vocab_flags(args, path)
         dialogues, vocab = _load_corpus(path)
-        sequences = _flat_sequences(dialogues, vocab, args.chunk_ms)
-        vocab_ext = vocab.extended_size
+        sequences = _flat_sequences([_encode(s0, s1, vocab, args.chunk_ms)
+                                     for _, s0, s1 in dialogues])
     else:
+        if args.vocab is None:
+            raise ConfigError(f"{path} is a flat corpus, which has no vocabulary: give --vocab")
+        vocab = Vocab(size=args.vocab)
         sequences = corpus_io.read_flat(path)
-        vocab_ext = args.vocab + 2
-    model = train(sequences, order=args.order, alpha=args.alpha, vocab_ext=vocab_ext)
+    model = train(sequences, order=args.order, alpha=args.alpha,
+                  vocab_ext=vocab.extended_size)
     model.save(args.out)
     if args.flat_dump is not None:
         corpus_io.write_flat(args.flat_dump, sequences)
@@ -268,17 +277,17 @@ def cmd_interact(args) -> int:
     if max_chunks < 1:
         raise ConfigError("run needs at least one chunk (--max-chunks/--duration-ms)")
 
-    runs = []  # (id, prompt or None, scripted DedupDialogue or None)
+    runs = []  # (id, prompt, scripted DedupDialogue or None)
     corpus = args.scripted or args.prompts
     if corpus is not None:
+        _no_vocab_flags(args, corpus)
         dialogues, vocab = _load_corpus(corpus)
         for did, s0, s1 in dialogues:
             full = _encode(s0, s1, vocab, args.chunk_ms)
-            prompt = _head(full, prompt_chunks) if prompt_chunks else None
-            runs.append((did, prompt, full if args.scripted else None))
+            runs.append((did, _head(full, prompt_chunks), full if args.scripted else None))
     else:
         vocab = _vocab_from_args(args)
-        runs.append(("run00000", None, None))
+        runs.append(("run00000", DedupDialogue(vocab, args.chunk_ms, ()), None))
     model_a, model_b = _load_models(vocab, args.model_a, args.model_b)
 
     transcripts = []
@@ -287,12 +296,12 @@ def cmd_interact(args) -> int:
         cfg = InteractionConfig(
             chunk_ms=args.chunk_ms,
             latency_chunks=args.latency,
-            max_chunks=(len(prompt.chunks) if prompt else 0) + max_chunks,
+            max_chunks=len(prompt.chunks) + max_chunks,
             sampler=_sampler_from_args(args, _derive_seed(args.seed, i)),
             overflow_policy=args.overflow_policy,
         )
         source = script if script is not None else model_b
-        transcript = simulate_interaction(model_a, source, cfg, vocab=vocab, prompt=prompt)
+        transcript = simulate_interaction(model_a, source, cfg, prompt)
         entry = transcript.to_json_dict()
         entry["id"] = did
         transcripts.append(entry)
@@ -418,13 +427,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synchronous two-channel dialogue pipeline: synthesis, "
         "training, generation, interaction, evaluation.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--frame-ms", type=int, default=40)
-    common.add_argument("--chunk-ms", type=int, default=160)
-    common.add_argument("--vocab", type=int, default=501,
-                        help="number of speech units")
-    common.add_argument("--silence-token", type=int, default=0)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    chunk = argparse.ArgumentParser(add_help=False)
+    chunk.add_argument("--chunk-ms", type=int, default=160)
+
+    def vocab_flags(p, source):
+        where = f"; not with {source}, which supplies the vocabulary"
+        p.add_argument("--vocab", type=int, help="number of speech units" + where)
+        p.add_argument("--frame-ms", type=int, help="frame duration in ms" + where)
+        p.add_argument("--silence-token", type=int, help="the silence unit" + where)
 
     sampler = argparse.ArgumentParser(add_help=False)
     sampler.add_argument("--temperature", type=float, default=1.0)
@@ -434,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
+    p = sub.add_parser("synth", parents=[seed, chunk], help="generate a synthetic corpus")
+    vocab_flags(p, "--style")
     p.add_argument("--style", type=Path, default=None, help="style config JSON")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--duration-ms", type=int, default=60000)
@@ -446,16 +459,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats-out", type=Path, default=None)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", parents=[common], help="train the n-gram model")
+    p = sub.add_parser("train", parents=[chunk], help="train the n-gram model")
     p.add_argument("--corpus", type=Path, required=True,
                    help=".jsonl corpus or flat .txt dump")
+    p.add_argument("--vocab", type=int, default=None,
+                   help="number of speech units; required with a flat .txt corpus, "
+                        "which carries no vocabulary, and not accepted with a .jsonl one")
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--flat-dump", type=Path, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("continue", parents=[common, sampler],
+    p = sub.add_parser("continue", parents=[seed, chunk, sampler],
                        help="prompted continuation of both channels")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--prompts", type=Path, required=True)
@@ -466,8 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcript", type=Path, default=None)
     p.set_defaults(func=cmd_continue)
 
-    p = sub.add_parser("interact", parents=[common, sampler],
+    p = sub.add_parser("interact", parents=[seed, chunk, sampler],
                        help="latency-tolerant two-agent interaction")
+    vocab_flags(p, "--prompts or --scripted")
     p.add_argument("--model-a", type=Path, required=True)
     p.add_argument("--model-b", type=Path, default=None)
     p.add_argument("--scripted", type=Path, default=None,
@@ -484,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-out", type=Path, default=None)
     p.set_defaults(func=cmd_interact)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[chunk],
                        help="turn-taking correlations or median perplexity")
     p.add_argument("--mode", choices=["turns", "ppl"], required=True)
     p.add_argument("--generated", type=Path, required=True)

@@ -15,15 +15,17 @@ arrived actual chunks replace estimates in every later context.
 
 Each side is one incremental agent. It starts from a parsed prompt, a
 ``DedupDialogue``, whose chunks it appends one by one; the wire format is
-never read back. Its three operations: *receive* an arrived chunk, which
-appends to its base context; *estimate* the missing window, which appends
-past a mark at the base's end; and *emit* its own part of the chunk, after
-which the context is cut back to the mark. The base is append-only and
-the window holds at most ``latency`` chunks, so a step costs the same
-however long the session has run. ``continue_dialogue`` and
-``estimate_user_chunk`` are one agent each; ``simulate_interaction`` is
-two agents (or one and a script) plus the delay line between them. Each
-estimate is recorded once, on the step of the chunk it estimates.
+never read back. Every run needs a prompt, which may have no chunks; it
+carries the run's vocabulary and chunk size. Its three operations:
+*receive* an arrived chunk, which appends to its base context; *estimate*
+the missing window, which appends past a mark at the base's end; and
+*emit* its own part of the chunk, after which the context is cut back to
+the mark. The base is append-only and the window holds at most
+``latency`` chunks, so a step costs the same however long the session has
+run. ``continue_dialogue`` and ``estimate_user_chunk`` are one agent each;
+``simulate_interaction`` is two agents (or one and a script) plus the
+delay line between them. Each estimate is recorded once, on the step of
+the chunk it estimates.
 """
 
 from __future__ import annotations
@@ -162,8 +164,9 @@ class _Agent:
     context list, whose prefix is an append-only base of the chunks that
     have fully arrived; and the last novel unit of each channel in that
     base. The base starts as the ``prompt`` dialogue, appended chunk by
-    chunk, so the last novels are tracked from the first token on. Its
-    three operations:
+    chunk, so the last novels are tracked from the first token on; the
+    prompt also gives the vocabulary and the chunk size. Its three
+    operations:
 
     * ``receive`` an arrived chunk of the other side. Every chunk whose
       two parts are now both known is appended to the base.
@@ -183,14 +186,13 @@ class _Agent:
     def __init__(
         self,
         model: NgramModel,
-        vocab: Vocab,
-        chunk_ms: int,
         cfg: SamplerConfig,
         rng: np.random.Generator,
         prompt: DedupDialogue,
         side: int = 0,
         policy: str = "truncate",
     ):
+        vocab = prompt.vocab
         if model.vocab_ext != vocab.extended_size:
             raise ValueError(
                 f"model vocab_ext={model.vocab_ext} does not match vocab extended size "
@@ -198,7 +200,7 @@ class _Agent:
             )
         self.model = model
         self.vocab = vocab
-        self.fpc = vocab.frames_per_chunk(chunk_ms)
+        self.fpc = prompt.frames_per_chunk
         self.cfg = cfg
         self.rng = rng
         self.policy = policy
@@ -334,8 +336,8 @@ def continue_dialogue(
         raise ValueError("forced_user must provide one chunk per generated chunk")
     checked = parse(flatten(prompt), prompt.vocab, prompt.chunk_ms)
     cfg = cfg if cfg is not None else SamplerConfig()
-    agent = _Agent(model, prompt.vocab, prompt.chunk_ms, cfg,
-                   np.random.default_rng(cfg.seed), checked, policy=overflow_policy)
+    agent = _Agent(model, cfg, np.random.default_rng(cfg.seed), checked,
+                   policy=overflow_policy)
     chunks = list(prompt.chunks)
     for i in range(n_chunks):
         s0 = agent.sample(0)
@@ -363,7 +365,7 @@ def estimate_user_chunk(
     cfg = cfg if cfg is not None else SamplerConfig()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    agent = _Agent(model, vocab, chunk_ms, cfg, rng, parse(list(context), vocab, chunk_ms),
+    agent = _Agent(model, cfg, rng, parse(list(context), vocab, chunk_ms),
                    policy=overflow_policy)
     return agent.sample(1)
 
@@ -372,8 +374,7 @@ def simulate_interaction(
     model_llm: NgramModel,
     user_source: NgramModel | DedupDialogue,
     cfg: InteractionConfig,
-    vocab: Vocab | None = None,
-    prompt: DedupDialogue | None = None,
+    prompt: DedupDialogue,
 ) -> InteractionTranscript:
     """Run the lockstep protocol between the model and a user source.
 
@@ -382,15 +383,12 @@ def simulate_interaction(
     dialogue whose channel-1 chunks are revealed with the configured
     latency. At step t the model's agent has the user's chunks below
     t - latency; a model user has the model's chunks below t - latency + 1,
-    since the model speaks first within a chunk. A missing prompt is an
-    empty one.
+    since the model speaks first within a chunk. The prompt, required but
+    possibly empty, carries the run's vocabulary and chunk size, which a
+    scripted user and ``cfg.chunk_ms`` must match.
     """
     scripted = isinstance(user_source, DedupDialogue)
-    if vocab is None:
-        vocab = (prompt.vocab if prompt is not None
-                 else user_source.vocab if scripted else Vocab())
-    if prompt is None:
-        prompt = DedupDialogue(vocab, cfg.chunk_ms, ())
+    vocab = prompt.vocab
     if prompt.chunk_ms != cfg.chunk_ms:
         raise ValueError(
             f"prompt chunk_ms {prompt.chunk_ms} != config chunk_ms {cfg.chunk_ms}"
@@ -405,6 +403,8 @@ def simulate_interaction(
     if scripted:
         if user_source.chunk_ms != cfg.chunk_ms:
             raise ValueError("scripted user chunk_ms does not match config")
+        if user_source.vocab != vocab:
+            raise ValueError(f"scripted user has {user_source.vocab}, the prompt {vocab}")
         if len(user_source.chunks) < cfg.max_chunks:
             raise SourceExhausted(
                 f"scripted user has {len(user_source.chunks)} chunks, "
@@ -414,12 +414,11 @@ def simulate_interaction(
     llm_novel = [list(c.s0_novel) for c in prompt.chunks]
     usr_novel = [list(c.s1_novel) for c in prompt.chunks]
 
-    agent_a = _Agent(model_llm, vocab, cfg.chunk_ms, cfg.sampler,
-                     np.random.default_rng(cfg.sampler.seed), checked,
-                     side=0, policy=cfg.overflow_policy)
+    agent_a = _Agent(model_llm, cfg.sampler, np.random.default_rng(cfg.sampler.seed),
+                     checked, side=0, policy=cfg.overflow_policy)
     agent_b = None
     if not scripted:
-        agent_b = _Agent(user_source, vocab, cfg.chunk_ms, cfg.sampler,
+        agent_b = _Agent(user_source, cfg.sampler,
                          np.random.default_rng([cfg.sampler.seed, 1]), checked,
                          side=1, policy=cfg.overflow_policy)
 

@@ -79,21 +79,10 @@ def vad(
             runs[-1][1] = i + 1
         else:
             runs.append([i, i + 1])
-
-    bridged: list[list[int]] = []
-    gap_frames = bridge_ms // frame
-    for run in runs:
-        if bridged and run[0] - bridged[-1][1] < gap_frames:
-            bridged[-1][1] = run[1]
-        else:
-            bridged.append(run)
-
-    min_frames = min_voiced_ms // frame
-    return [
-        VadSegment(channel=stream.speaker, start_ms=a * frame, end_ms=b * frame)
-        for a, b in bridged
-        if b - a >= min_frames
-    ]
+    voiced = [VadSegment(channel=stream.speaker, start_ms=a * frame, end_ms=b * frame)
+              for a, b in runs]
+    return [s for s in _merge_segments(voiced, bridge_ms)
+            if s.end_ms - s.start_ms >= min_voiced_ms]
 
 
 def _merge_segments(segments: Sequence[VadSegment], gap_ms: int) -> list[VadSegment]:

@@ -24,6 +24,7 @@ object keyed by comma-joined ids) is rejected: retrain its model.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -86,19 +87,6 @@ class NgramModel:
         if len(key) < self.order:
             key = (self.bos,) * (self.order - len(key)) + key
         return key
-
-    def observe(self, sequence: Sequence[int]) -> None:
-        seq = [int(t) for t in sequence]
-        for tok in seq:
-            if not 0 <= tok < self.vocab_ext:
-                raise ValueError(f"token {tok} outside vocab_ext={self.vocab_ext}")
-        padded = [self.bos] * self.order + seq
-        for i in range(self.order, len(padded)):
-            key = tuple(padded[i - self.order : i])
-            tok = padded[i]
-            slot = self.counts.setdefault(key, {})
-            slot[tok] = slot.get(tok, 0) + 1
-            self.totals[key] = self.totals.get(key, 0) + 1
 
     def next_dist(self, context: Sequence[int]) -> np.ndarray:
         """Smoothed next-token distribution; sums to 1, all entries > 0."""
@@ -217,14 +205,25 @@ def train(
     alpha: float = 0.1,
     vocab_ext: int = 503,
 ) -> NgramModel:
-    """Count all order-length context windows over the corpus sequences."""
+    """Count all order-length context windows over the corpus sequences,
+    one pass over each sequence's ``order + 1``-token windows."""
     model = NgramModel(order=order, vocab_ext=vocab_ext, alpha=alpha)
+    windows: Counter[tuple[int, ...]] = Counter()
     n = 0
     for seq in corpus:
-        model.observe(seq)
+        seq = list(map(int, seq))
+        lo, hi = (min(seq), max(seq)) if seq else (0, 0)
+        if lo < 0 or hi >= vocab_ext:
+            raise ValueError(f"token {lo if lo < 0 else hi} outside vocab_ext={vocab_ext}")
+        padded = [model.bos] * order + seq
+        windows.update(zip(*[padded[i:] for i in range(order + 1)]))
         n += 1
     if n == 0:
         raise EmptyCorpus("training corpus is empty")
+    counts = model.counts
+    for window, c in windows.items():
+        counts.setdefault(window[:-1], {})[window[-1]] = c
+    model.totals = dict(zip(counts, map(sum, map(dict.values, counts.values()))))
     return model
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import corpus_io
 from .errors import BadDuration, ConfigError, EmptyCorpus
-from .tokens import TokenStream, Vocab, chunk_streams, deduplicate, flatten
+from .tokens import DedupDialogue, TokenStream, Vocab
 
 
 # Field groups of DialogueStyle: (mean_ms, std_ms) pairs, of which all but
@@ -171,8 +171,6 @@ class DialogueRecord:
 @dataclass(frozen=True)
 class Corpus:
     dialogues: tuple[DialogueRecord, ...]
-    style: DialogueStyle | None = None
-    seed: int | None = None
 
     def as_dict(self) -> dict[str, tuple[TokenStream, TokenStream]]:
         return {d.id: (d.s0, d.s1) for d in self.dialogues}
@@ -310,7 +308,7 @@ def generate_corpus(
     for i in range(count):
         s0, s1 = generate_dialogue(style, duration_ms, [seed, i])
         dialogues.append(DialogueRecord(id=f"d{i:05d}", s0=s0, s1=s1))
-    return Corpus(dialogues=tuple(dialogues), style=style, seed=seed)
+    return Corpus(dialogues=tuple(dialogues))
 
 
 def build_stage2_corpus(
@@ -372,18 +370,20 @@ class CorpusStats:
         return self.dedup_tokens_per_s / self.raw_tokens_per_s
 
 
-def corpus_stats(corpus: Corpus, chunk_ms: int = 160) -> CorpusStats:
-    """Empirical per-event duration statistics plus codec token rates.
+def corpus_stats(
+    dialogues: Sequence[tuple[TokenStream, TokenStream, DedupDialogue]],
+) -> CorpusStats:
+    """Empirical per-event duration statistics plus codec token rates of
+    ``(s0, s1, encoding)`` dialogues, where ``encoding`` is the dialogue's
+    wire form. The silence set and the chunk size are the encodings'.
 
     Raw rate counts the fully interleaved chunk form (both tags plus every
-    frame of both channels); dedup rate counts the flattened deduplicated
-    wire form.
+    frame of both channels); dedup rate counts the wire form.
     """
     from . import metrics  # local import; metrics stays synth-agnostic
 
-    if len(corpus) == 0:
+    if len(dialogues) == 0:
         raise EmptyCorpus("corpus has no dialogues")
-    vocab = _corpus_vocab(corpus)
 
     durations: dict[str, list[float]] = {"ipu": [], "pause": [], "fto": []}
     overlap = 0
@@ -391,24 +391,26 @@ def corpus_stats(corpus: Corpus, chunk_ms: int = 160) -> CorpusStats:
     dedup_tokens = 0
     total_seconds = 0.0
     rates = []
-    for rec in corpus.dialogues:
-        silence = vocab.silence_tokens
-        for ev in metrics.dialogue_events(rec.s0, rec.s1, silence):
+    for s0, s1, encoding in dialogues:
+        silence = encoding.vocab.silence_tokens
+        for ev in metrics.dialogue_events(s0, s1, silence):
             durations[ev.kind].append(float(ev.duration_ms))
         overlap += sum(
             1
-            for a, b in zip(rec.s0.tokens, rec.s1.tokens)
+            for a, b in zip(s0.tokens, s1.tokens)
             if a not in silence and b not in silence
         )
-        if len(rec.s0) > 0:
-            chunked = chunk_streams(rec.s0, rec.s1, chunk_ms, vocab)
-            flat = flatten(deduplicate(chunked))
-            raw = len(chunked.chunks) * (2 + 2 * chunked.frames_per_chunk)
-            seconds = len(chunked.chunks) * chunk_ms / 1000.0
-            raw_tokens += raw
-            dedup_tokens += len(flat)
+        n_chunks = len(encoding.chunks)
+        if n_chunks:
+            # a chunk's wire form: tag_s0, its novels, and tag_s1 with the
+            # channel-1 novels when there are any
+            wire = sum(1 + len(c.s0_novel) + c.s1_tag_present + len(c.s1_novel)
+                       for c in encoding.chunks)
+            seconds = n_chunks * encoding.chunk_ms / 1000.0
+            raw_tokens += n_chunks * (2 + 2 * encoding.frames_per_chunk)
+            dedup_tokens += wire
             total_seconds += seconds
-            rates.append(len(flat) / seconds)
+            rates.append(wire / seconds)
 
     means = {k: float(np.mean(v)) if v else float("nan") for k, v in durations.items()}
     stds = {k: float(np.std(v)) if v else float("nan") for k, v in durations.items()}
@@ -422,10 +424,3 @@ def corpus_stats(corpus: Corpus, chunk_ms: int = 160) -> CorpusStats:
         dedup_tokens_per_s=dedup_tokens / total_seconds if total_seconds else float("nan"),
         dedup_rates_per_dialogue=tuple(rates),
     )
-
-
-def _corpus_vocab(corpus: Corpus) -> Vocab:
-    if corpus.style is not None:
-        return corpus.style.vocab
-    frame_ms = corpus.dialogues[0].s0.frame_ms
-    return Vocab(frame_ms=frame_ms)

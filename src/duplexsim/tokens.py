@@ -166,7 +166,7 @@ def chunk_streams(
     s0: TokenStream,
     s1: TokenStream,
     chunk_ms: int,
-    vocab: Vocab | None = None,
+    vocab: Vocab,
     pad: bool = True,
 ) -> ChunkedDialogue:
     """Partition two equal-length streams into synchronous chunks.
@@ -175,7 +175,6 @@ def chunk_streams(
     right-padded with the vocabulary's first silence token when ``pad`` is
     true, and rejected otherwise.
     """
-    vocab = vocab if vocab is not None else Vocab(frame_ms=s0.frame_ms)
     if len(s0.tokens) != len(s1.tokens):
         raise LengthMismatch(
             f"channel lengths differ: {len(s0.tokens)} vs {len(s1.tokens)}"

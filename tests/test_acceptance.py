@@ -100,7 +100,8 @@ def test_criterion_04_compression_band():
         style = DialogueStyle(vocab=VOCAB)  # default silence/self-loop rates
         corpus = generate_corpus(style, 20, 30000, seed=5)
         for chunk_ms in (160, 240):
-            stats = corpus_stats(corpus, chunk_ms=chunk_ms)
+            stats = corpus_stats([(r.s0, r.s1, deduplicate(chunk_streams(
+                r.s0, r.s1, chunk_ms, VOCAB))) for r in corpus.dialogues])
             assert 0.3 <= stats.compression_ratio <= 0.7, (chunk_ms, stats.compression_ratio)
 
 
@@ -147,7 +148,7 @@ def test_criterion_06_estimate_replace_protocol():
             cfg = InteractionConfig(chunk_ms=160, latency_chunks=1, max_chunks=16,
                                     sampler=SamplerConfig(seed=seed))
             for source in (script, model):
-                tr = simulate_interaction(model, source, cfg, vocab=vocab, prompt=prompt)
+                tr = simulate_interaction(model, source, cfg, prompt)
                 steps = {s.index: s for s in tr.steps}
                 for t, step in steps.items():
                     ctx_chunks = parse(step.context_snapshot, vocab, 160).chunks

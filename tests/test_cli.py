@@ -410,6 +410,10 @@ MALFORMED_FILES = {
 }
 
 
+# values that would each change the run, were the flag read
+FLAG_VALUES = {"--seed": "9", "--vocab": "24", "--frame-ms": "80", "--silence-token": "5"}
+
+
 class TestInputBoundaries:
     @pytest.fixture(scope="class")
     def world(self, tmp_path_factory):
@@ -445,6 +449,42 @@ class TestInputBoundaries:
         mixed = _edit_record(clean, tmp_path / "mixed.jsonl", -1, **{field: value})
         argv, outputs = self._commands(mixed, clean, model, tmp_path / "out")[command]
         assert_rejected(main(argv), capsys, outputs)
+
+    # (command, flag) pairs that the command does not read, so it does not accept them
+    @pytest.mark.parametrize("command,flag", [
+        ("train", "--seed"), ("train", "--frame-ms"), ("train", "--silence-token"),
+        ("continue", "--vocab"), ("continue", "--frame-ms"), ("continue", "--silence-token"),
+        ("eval-ppl", "--seed"), ("eval-turns", "--vocab"), ("eval-ppl", "--frame-ms"),
+        ("eval-turns", "--silence-token")])
+    def test_flag_the_command_does_not_read(self, world, command, flag, tmp_path, capsys):
+        clean, model = world
+        argv, outputs = self._commands(clean, clean, model, tmp_path / "out")[command]
+        assert_rejected(main(argv + [flag, FLAG_VALUES[flag]]), capsys, outputs)
+
+    # a vocabulary flag where a style file or corpus supplies the vocabulary
+    @pytest.mark.parametrize("command,flag", [
+        ("synth", "--vocab"), ("synth", "--frame-ms"), ("synth", "--silence-token"),
+        ("interact", "--vocab"), ("interact-prompts", "--frame-ms"),
+        ("interact", "--silence-token"), ("train", "--vocab")])
+    def test_vocabulary_flag_beside_its_file(self, world, command, flag, tmp_path, capsys):
+        clean, model = world
+        out = tmp_path / "out"
+        argv, outputs = {
+            **self._commands(clean, clean, model, out),
+            "synth": (["synth", "--style", str(clean.parent / "style.json"),
+                       "--count", "1", "--duration-ms", "800", "--out", str(out)], [out]),
+            "interact-prompts": (["interact", "--model-a", str(model), "--model-b",
+                                  str(model), "--prompts", str(clean), "--max-chunks", "4",
+                                  "--out", str(out)], [out]),
+        }[command]
+        assert_rejected(main(argv + [flag, FLAG_VALUES[flag]]), capsys, outputs)
+
+    def test_flat_corpus_needs_vocab(self, tmp_path, capsys):
+        flat = tmp_path / "flat.txt"
+        flat.write_text("10 1 2 11 3\n")
+        out = tmp_path / "model.json"
+        assert_rejected(main(["train", "--corpus", str(flat), "--out", str(out)]),
+                        capsys, [out])
 
     # (--prompt-ms, --max-chunks, --latency, exit code); a 960 ms prompt is
     # 6 chunks, so its session is 6 + --max-chunks chunks long

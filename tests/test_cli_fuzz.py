@@ -60,8 +60,7 @@ def _command(name, f, o, flags):
                      "--out", o / "i.json", "--corpus-out", o / "i.jsonl"],
         "interact-models": ["interact", "--model-a", f["model"], "--model-b", f["model"],
                             "--prompts", f["corpus"], *p, *c, "--latency", str(latency),
-                            "--max-chunks", "4", *sampler, "--vocab", "10",
-                            "--out", o / "i.json"],
+                            "--max-chunks", "4", *sampler, "--out", o / "i.json"],
         "eval-turns": ["eval", "--mode", "turns", "--generated", f["corpus"],
                        "--reference", f["corpus"], "--out", o / "e"],
         "eval-ppl": ["eval", "--mode", "ppl", "--generated", f["corpus"],

@@ -215,15 +215,14 @@ def _transcript(tr) -> dict:
 @pytest.mark.parametrize("latency", [0, 1, 3])
 @pytest.mark.parametrize("user", ["scripted", "model"])
 def test_simulate_interaction(world, user, latency):
-    size, vocab, model, script = world
+    size, _, model, script = world
     source = script if user == "scripted" else model
     out = {}
     for name in SAMPLERS:
-        for prompt in (None, _prompt(script, PROMPT)):
-            p = 0 if prompt is None else PROMPT
+        for p in (0, PROMPT):
             cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=latency,
                                     max_chunks=p + RUN, sampler=_sampler(name, 3))
-            tr = simulate_interaction(model, source, cfg, vocab=vocab, prompt=prompt)
+            tr = simulate_interaction(model, source, cfg, _prompt(script, p))
             out[f"{name}-p{p}"] = _transcript(tr)
     _check(f"interact-v{size}-{user}-L{latency}", out)
 
@@ -253,7 +252,7 @@ CLI_DIGESTS = {
 }
 
 CLI_STAGES = [
-    ["synth", "--count", "5", "--duration-ms", "4840", "--seed", "3",
+    ["synth", "--vocab", "10", "--count", "5", "--duration-ms", "4840", "--seed", "3",
      "--out", "corpus.jsonl", "--flat-out", "flat.txt", "--stats-out", "stats.json"],
     ["train", "--corpus", "corpus.jsonl", "--order", "3", "--out", "model.json",
      "--flat-dump", "dump.txt"],
@@ -277,7 +276,7 @@ CLI_STAGES = [
 def test_cli_pipeline(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in CLI_STAGES:
-        assert main([argv[0], "--vocab", "10", *argv[1:]]) == 0, argv
+        assert main(argv) == 0, argv
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in CLI_DIGESTS}
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(CLI_DIGESTS)

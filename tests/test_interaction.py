@@ -230,7 +230,7 @@ class TestSimulateScripted:
         vocab, _, model, script = setup
         cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=10,
                                 sampler=SamplerConfig(seed=4))
-        transcript = simulate_interaction(model, script, cfg)
+        transcript = simulate_interaction(model, script, cfg, prompt_of(script, 0))
         for step in transcript.steps:
             assert step.user_actual == list(script.chunks[step.index].s1_novel)
 
@@ -239,7 +239,18 @@ class TestSimulateScripted:
         short = DedupDialogue(vocab, CHUNK_MS, script.chunks[:5])
         cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=10)
         with pytest.raises(SourceExhausted):
-            simulate_interaction(model, short, cfg)
+            simulate_interaction(model, short, cfg, prompt_of(script, 0))
+
+    @pytest.mark.parametrize("field,value", [("frame_ms", 80),
+                                             ("silence_tokens", frozenset({0, 1}))])
+    def test_script_vocabulary_must_match_the_prompt(self, setup, field, value):
+        vocab, _, model, script = setup
+        fields = dict(size=vocab.size, frame_ms=vocab.frame_ms,
+                      silence_tokens=vocab.silence_tokens)
+        prompt = DedupDialogue(Vocab(**{**fields, field: value}), CHUNK_MS, ())
+        cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=10)
+        with pytest.raises(ValueError, match="scripted user"):
+            simulate_interaction(model, script, cfg, prompt=prompt)
 
     def test_latency_one_estimate_structure(self, setup):
         vocab, _, model, script = setup
@@ -267,7 +278,7 @@ class TestSimulateScripted:
         vocab, _, model, script = setup
         cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=14,
                                 sampler=SamplerConfig(seed=9))
-        transcript = simulate_interaction(model, script, cfg)
+        transcript = simulate_interaction(model, script, cfg, prompt_of(script, 0))
         estimated = [s for s in transcript.steps[:-1] if s.user_estimated is not None]
         assert len(estimated) == len(transcript.steps) - 1
         differs = sum(
@@ -280,7 +291,7 @@ class TestSimulateScripted:
         for latency in (0, 1):
             cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=latency,
                                     max_chunks=12, sampler=SamplerConfig(seed=2))
-            transcript = simulate_interaction(model, script, cfg)
+            transcript = simulate_interaction(model, script, cfg, prompt_of(script, 0))
             p = transcript.prompt_chunks
             for step in transcript.steps:
                 t = step.index
@@ -290,22 +301,11 @@ class TestSimulateScripted:
         # larger latencies reach the exact deficit after a warmup
         cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=3, max_chunks=12,
                                 sampler=SamplerConfig(seed=2))
-        transcript = simulate_interaction(model, script, cfg)
+        transcript = simulate_interaction(model, script, cfg, prompt_of(script, 0))
         for step in transcript.steps:
             t = step.index
             if t + 1 - 3 >= transcript.prompt_chunks:
                 assert (t + 1) - max(transcript.prompt_chunks, t + 1 - 3) == 3
-
-
-def test_missing_prompt_is_an_empty_prompt(setup):
-    vocab, _, model, script = setup
-    cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=2, max_chunks=8,
-                            sampler=SamplerConfig(seed=3))
-    for source in (script, model):
-        missing = simulate_interaction(model, source, cfg, vocab=vocab)
-        empty = simulate_interaction(model, source, cfg, vocab=vocab,
-                                     prompt=DedupDialogue(vocab, CHUNK_MS, ()))
-        assert missing.to_json_dict() == empty.to_json_dict()
 
 
 class TestSimulateTwoModels:
@@ -313,8 +313,8 @@ class TestSimulateTwoModels:
         vocab, _, model, script = setup
         cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=12,
                                 sampler=SamplerConfig(seed=21))
-        a = simulate_interaction(model, model, cfg, vocab=vocab)
-        b = simulate_interaction(model, model, cfg, vocab=vocab)
+        a = simulate_interaction(model, model, cfg, prompt_of(script, 0))
+        b = simulate_interaction(model, model, cfg, prompt_of(script, 0))
         assert a.dialogue == b.dialogue
         assert [s.to_dict() for s in a.steps] == [s.to_dict() for s in b.steps]
         assert len(a.dialogue.chunks) == 12
@@ -324,8 +324,7 @@ class TestSimulateTwoModels:
         for latency in (0, 1, 2):
             cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=latency,
                                     max_chunks=10, sampler=SamplerConfig(seed=31))
-            tr = simulate_interaction(model, model, cfg, vocab=vocab,
-                                      prompt=prompt_of(script, 3))
+            tr = simulate_interaction(model, model, cfg, prompt_of(script, 3))
             assert parse(flatten(tr.dialogue), vocab, CHUNK_MS) == tr.dialogue
             interpolate(tr.dialogue)
 
@@ -336,7 +335,7 @@ class TestSimulateTwoModels:
         prompt = prompt_of(script, 3)
         cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=15,
                                 sampler=SamplerConfig(seed=8))
-        tr = simulate_interaction(model, model, cfg, vocab=vocab, prompt=prompt)
+        tr = simulate_interaction(model, model, cfg, prompt)
         cont = continue_dialogue(model, prompt, 12, SamplerConfig(seed=8))
         assert tr.dialogue.chunks != cont.chunks
 
@@ -348,7 +347,7 @@ class TestTranscriptSerialisation:
         def size(n):
             cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=n,
                                     sampler=SamplerConfig(seed=5))
-            tr = simulate_interaction(model, model, cfg, vocab=vocab)
+            tr = simulate_interaction(model, model, cfg, prompt_of(script, 0))
             return len(json.dumps(tr.to_json_dict()))
 
         assert size(80) < 2.3 * size(40)
@@ -360,7 +359,7 @@ class TestTranscriptSerialisation:
         cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=latency, max_chunks=16,
                                 sampler=SamplerConfig(seed=6))
         source = script if user == "scripted" else model
-        tr = simulate_interaction(model, source, cfg, vocab=vocab,
+        tr = simulate_interaction(model, source, cfg,
                                   prompt=prompt_of(script, 2))
         doc = json.loads(json.dumps(tr.to_json_dict()))
         chunks = doc["dialogue"]["chunks"]
@@ -403,7 +402,7 @@ class TestOverflowPolicy:
             vocab, CHUNK_MS,
             tuple(DedupChunk(s0_novel=(), s1_novel=(3,)) for _ in range(4)),
         )
-        tr = simulate_interaction(model, script, cfg)
+        tr = simulate_interaction(model, script, cfg, prompt_of(script, 0))
         assert sum(s.truncations for s in tr.steps) > 0
         for c in tr.dialogue.chunks:
             assert len(c.s0_novel) <= 4

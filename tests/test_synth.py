@@ -16,11 +16,17 @@ from duplexsim import (
 )
 from duplexsim.errors import BadDuration, EmptyCorpus
 from duplexsim.metrics import dialogue_events
-from duplexsim.synth import Corpus, generate_dialogue_with_log
+from duplexsim.synth import generate_dialogue_with_log
 
 
 def voiced_mask(stream, silence):
     return [t not in silence for t in stream.tokens]
+
+
+def encoded(dialogues, vocab, chunk_ms=160):
+    """``corpus_stats`` input: each dialogue with its wire form."""
+    return [(r.s0, r.s1, deduplicate(chunk_streams(r.s0, r.s1, chunk_ms, vocab)))
+            for r in dialogues]
 
 
 class TestGenerateDialogue:
@@ -173,12 +179,12 @@ class TestCorpus:
         for i in range(4):
             s0, s1 = generate_stage2_dialogue(tiny_style, 6, seed=i)
             recs.append(DialogueRecord(id=f"s{i}", s0=s0, s1=s1))
-        stats = corpus_stats(Corpus(tuple(recs), style=tiny_style), chunk_ms=160)
+        stats = corpus_stats(encoded(recs, tiny_style.vocab))
         assert stats.overlap_frames == 0
 
     def test_empty_corpus_raises(self, tiny_style):
         with pytest.raises(EmptyCorpus):
-            corpus_stats(Corpus((), style=tiny_style))
+            corpus_stats([])
 
     def test_stats_recover_style_means(self, tiny_vocab):
         style = DialogueStyle(
@@ -191,7 +197,7 @@ class TestCorpus:
             p_self=0.4,
         )
         corpus = generate_corpus(style, 40, 30000, seed=11)
-        stats = corpus_stats(corpus, chunk_ms=160)
+        stats = corpus_stats(encoded(corpus.dialogues, tiny_vocab))
         for kind, target in (("ipu", 1600.0), ("pause", 700.0), ("fto", 300.0)):
             n = stats.event_counts[kind]
             se = stats.event_stds_ms[kind] / np.sqrt(n)
@@ -200,7 +206,7 @@ class TestCorpus:
     def test_compression_ratio_band(self, tiny_vocab):
         style = DialogueStyle(vocab=tiny_vocab)
         corpus = generate_corpus(style, 10, 30000, seed=2)
-        stats = corpus_stats(corpus, chunk_ms=160)
+        stats = corpus_stats(encoded(corpus.dialogues, tiny_vocab))
         assert 0.3 <= stats.compression_ratio <= 0.7
 
 
