@@ -51,8 +51,8 @@ def sweep_style(vocab: Vocab) -> DialogueStyle:
 
 def encode_corpus(corpus, chunk_ms, vocab) -> list[DedupDialogue]:
     """Every dialogue of a corpus in wire format at one chunk size."""
-    return [deduplicate(chunk_streams(r.s0, r.s1, chunk_ms, vocab))
-            for r in corpus.dialogues]
+    return [deduplicate(chunk_streams(s0, s1, chunk_ms, vocab))
+            for s0, s1 in corpus.values()]
 
 
 def run_sweep(

@@ -53,8 +53,8 @@ def main(argv=None) -> int:
     corpus = generate_corpus(style, args.count, args.duration_ms, seed=args.seed)
 
     for chunk_ms in (160, 200, 240):
-        encoded = [(r.s0, r.s1, deduplicate(chunk_streams(r.s0, r.s1, chunk_ms, vocab)))
-                   for r in corpus.dialogues]
+        encoded = [(s0, s1, deduplicate(chunk_streams(s0, s1, chunk_ms, vocab)))
+                   for s0, s1 in corpus.values()]
         stats = corpus_stats(encoded)
         print(f"chunk {chunk_ms} ms:")
         print(f"  raw interleaved rate : {stats.raw_tokens_per_s:7.1f} tok/s")

@@ -33,9 +33,7 @@ from .ngram import (
     train,
 )
 from .synth import (
-    Corpus,
     CorpusStats,
-    DialogueRecord,
     DialogueStyle,
     build_stage2_corpus,
     corpus_stats,
@@ -47,7 +45,6 @@ from .tokens import (
     ChunkedDialogue,
     DedupChunk,
     DedupDialogue,
-    TokenStream,
     Vocab,
     chunk_streams,
     chunk_wire,

@@ -3,12 +3,14 @@
 Every subcommand is byte-reproducible under fixed seeds. It reads and
 writes files only through ``corpus_io`` (each format checked once, every
 output atomic) and writes its first output only when all its work is done.
-Each input file is read once, and each dialogue is encoded to the wire
+Each input file is read once, into ``{id: (s0, s1)}`` and the one
+``Vocab`` its dialogues share, and each dialogue is encoded to the wire
 format once; a prompt is the first ``--prompt-ms // --chunk-ms`` chunks of
 that encoding. A model file named twice is parsed once and checked against
-the vocabulary once. A command accepts only the flags it reads. A run's
-vocabulary comes from its style file or corpus, or, when it reads none,
-from ``--vocab --frame-ms --silence-token``, never from both.
+the vocabulary once. A command accepts only the flags it reads, and one
+flag per setting: a run's vocabulary comes from its style file or corpus,
+or, when it reads none, from ``--vocab --frame-ms --silence-token``, never
+from both, and a flag that a given combination would not read is an error.
 
 Failures print a JSON object to stderr; exit codes are 0 (ok), 2 (invalid
 configuration or inputs), 3 (runtime error).
@@ -43,7 +45,6 @@ from .synth import (
 )
 from .tokens import (
     DedupDialogue,
-    TokenStream,
     Vocab,
     chunk_streams,
     deduplicate,
@@ -76,8 +77,7 @@ def _style_from_args(args) -> DialogueStyle:
     if args.style is not None:
         _no_vocab_flags(args, args.style)
         return DialogueStyle.from_file(args.style)
-    vocab = _vocab_from_args(args)
-    return DialogueStyle(vocab=vocab, silence_token=vocab.first_silence)
+    return DialogueStyle(vocab=_vocab_from_args(args))
 
 
 def _check_outputs(*paths: Path | None) -> None:
@@ -92,12 +92,13 @@ def _check_outputs(*paths: Path | None) -> None:
             raise ConfigError(f"output path is a directory: {p}")
 
 
-def _load_corpus(path) -> tuple[list[tuple[str, TokenStream, TokenStream]], Vocab]:
-    """A corpus's dialogues and the one vocabulary every record declares."""
+def _load_corpus(path) -> tuple[dict[str, tuple[tuple[int, ...], tuple[int, ...]]], Vocab]:
+    """A corpus as ``{id: (s0, s1)}`` in file order, and the one vocabulary
+    every record declares."""
     entries = corpus_io.read_corpus(path)
     if not entries:
         raise EmptyCorpus(f"corpus {path} has no dialogues")
-    return [(did, s0, s1) for did, s0, s1, _ in entries], entries[0][3]
+    return {did: (s0, s1) for did, s0, s1, _ in entries}, entries[0][3]
 
 
 def _load_models(vocab: Vocab, *paths) -> list[NgramModel | None]:
@@ -124,7 +125,7 @@ def _load_models(vocab: Vocab, *paths) -> list[NgramModel | None]:
 
 
 def _encode(
-    s0: TokenStream, s1: TokenStream, vocab: Vocab, chunk_ms: int
+    s0: tuple[int, ...], s1: tuple[int, ...], vocab: Vocab, chunk_ms: int
 ) -> DedupDialogue:
     """The wire form of one dialogue: every command encodes through here."""
     return deduplicate(chunk_streams(s0, s1, chunk_ms, vocab))
@@ -155,9 +156,7 @@ def _dialogue_record(did: str, dlg, vocab: Vocab) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyCarryOverWarning)
         full = interpolate(dlg)
-    s0 = TokenStream(0, full.channel(0), vocab.frame_ms)
-    s1 = TokenStream(1, full.channel(1), vocab.frame_ms)
-    return corpus_io.dialogue_to_record(did, s0, s1, vocab)
+    return corpus_io.dialogue_to_record(did, full.channel(0), full.channel(1), vocab)
 
 
 def cmd_synth(args) -> int:
@@ -206,7 +205,7 @@ def cmd_train(args) -> int:
         _no_vocab_flags(args, path)
         dialogues, vocab = _load_corpus(path)
         sequences = _flat_sequences([_encode(s0, s1, vocab, args.chunk_ms)
-                                     for _, s0, s1 in dialogues])
+                                     for s0, s1 in dialogues.values()])
     else:
         if args.vocab is None:
             raise ConfigError(f"{path} is a flat corpus, which has no vocabulary: give --vocab")
@@ -221,8 +220,7 @@ def cmd_train(args) -> int:
 
 
 def _sampler_from_args(args, seed: int) -> SamplerConfig:
-    top_k = 1 if args.greedy else args.top_k
-    return SamplerConfig(temperature=args.temperature, top_k=top_k, seed=seed)
+    return SamplerConfig(temperature=args.temperature, top_k=args.top_k, seed=seed)
 
 
 def cmd_continue(args) -> int:
@@ -236,7 +234,7 @@ def cmd_continue(args) -> int:
 
     out_records = []
     transcript_entries = []
-    for i, (did, s0, s1) in enumerate(dialogues):
+    for i, (did, (s0, s1)) in enumerate(dialogues.items()):
         prompt = _head(_encode(s0, s1, vocab, args.chunk_ms), prompt_chunks)
         cfg = _sampler_from_args(args, _derive_seed(args.seed, i))
         result = continue_dialogue(model, prompt, n_chunks, cfg)
@@ -269,20 +267,21 @@ def cmd_continue(args) -> int:
 def cmd_interact(args) -> int:
     if (args.model_b is None) == (args.scripted is None):
         raise ConfigError("provide exactly one of --model-b or --scripted")
+    if args.prompts is not None and args.scripted is not None:
+        raise ConfigError("--scripted supplies the prompts: give --prompts only with --model-b")
+    corpus = args.scripted or args.prompts
+    if corpus is None and args.prompt_ms:
+        raise ConfigError("--prompt-ms cuts prompts from --prompts or --scripted; give one")
     _check_outputs(args.out, args.corpus_out)
     prompt_chunks = _prompt_chunks(args)
-    max_chunks = args.max_chunks
-    if max_chunks is None:
-        max_chunks = args.duration_ms // args.chunk_ms
-    if max_chunks < 1:
-        raise ConfigError("run needs at least one chunk (--max-chunks/--duration-ms)")
+    if args.max_chunks < 1:
+        raise ConfigError("run needs at least one chunk (--max-chunks)")
 
     runs = []  # (id, prompt, scripted DedupDialogue or None)
-    corpus = args.scripted or args.prompts
     if corpus is not None:
         _no_vocab_flags(args, corpus)
         dialogues, vocab = _load_corpus(corpus)
-        for did, s0, s1 in dialogues:
+        for did, (s0, s1) in dialogues.items():
             full = _encode(s0, s1, vocab, args.chunk_ms)
             runs.append((did, _head(full, prompt_chunks), full if args.scripted else None))
     else:
@@ -296,7 +295,7 @@ def cmd_interact(args) -> int:
         cfg = InteractionConfig(
             chunk_ms=args.chunk_ms,
             latency_chunks=args.latency,
-            max_chunks=len(prompt.chunks) + max_chunks,
+            max_chunks=len(prompt.chunks) + args.max_chunks,
             sampler=_sampler_from_args(args, _derive_seed(args.seed, i)),
             overflow_policy=args.overflow_policy,
         )
@@ -329,17 +328,15 @@ def cmd_eval(args) -> int:
                               f"the generated corpus {vocab}")
         skip = args.skip_ms // vocab.frame_ms
 
-        def trim(entries):
-            return {did: (TokenStream(0, s0.tokens[skip:], vocab.frame_ms),
-                          TokenStream(1, s1.tokens[skip:], vocab.frame_ms))
-                    for did, s0, s1 in entries}
+        def trim(corpus):
+            return {did: (s0[skip:], s1[skip:]) for did, (s0, s1) in corpus.items()}
 
         params = EventParams(
             min_voiced_ms=args.min_voiced_ms,
             bridge_ms=args.bridge_ms,
             ipu_gap_ms=args.ipu_gap_ms,
         )
-        report = correlation_report(trim(gen), trim(ref), vocab.silence_tokens, params)
+        report = correlation_report(trim(gen), trim(ref), vocab, params)
         kinds = report.to_dict()["kinds"]
         metrics_payload = {
             "ipu_r": kinds["ipu"]["r"],
@@ -352,12 +349,12 @@ def cmd_eval(args) -> int:
         prompt_chunks = _prompt_chunks(args)
         gen, vocab = _load_corpus(args.generated)
         (model,) = _load_models(vocab, args.model)
-        dialogues = [_encode(s0, s1, vocab, args.chunk_ms) for _, s0, s1 in gen]
+        dialogues = [_encode(s0, s1, vocab, args.chunk_ms) for s0, s1 in gen.values()]
         ppls = per_dialogue_perplexities(model, dialogues, prompt_chunks=prompt_chunks)
         metrics_payload = {
             "median_ppl": float(statistics.median(ppls)),
             "n_dialogues": len(ppls),
-            "per_dialogue": {did: p for (did, _, _), p in zip(gen, ppls)},
+            "per_dialogue": dict(zip(gen, ppls)),
         }
 
     payload = {
@@ -440,9 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sampler = argparse.ArgumentParser(add_help=False)
     sampler.add_argument("--temperature", type=float, default=1.0)
-    sampler.add_argument("--top-k", type=int, default=None)
-    sampler.add_argument("--greedy", action="store_true",
-                         help="shortcut for --top-k 1")
+    sampler.add_argument("--top-k", type=int, default=None, help="1 samples greedily")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -492,10 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latency", type=int, default=1,
                    help="chunks in flight; at most the run's length in chunks, "
                         "prompt included")
-    p.add_argument("--max-chunks", type=int, default=None)
-    p.add_argument("--duration-ms", type=int, default=30000)
-    p.add_argument("--prompts", type=Path, default=None)
-    p.add_argument("--prompt-ms", type=int, default=0)
+    p.add_argument("--max-chunks", type=int, required=True,
+                   help="chunks to generate after the prompt; the run lasts "
+                        "--max-chunks x --chunk-ms ms beyond it")
+    p.add_argument("--prompts", type=Path, default=None,
+                   help="corpus of prompts for a --model-b run")
+    p.add_argument("--prompt-ms", type=int, default=0,
+                   help="a multiple of --chunk-ms; only with --prompts or --scripted")
     p.add_argument("--overflow-policy", choices=OVERFLOW_POLICIES, default="truncate")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--corpus-out", type=Path, default=None)

@@ -11,6 +11,9 @@ distinct ids:
     {"id": str, "frame_ms": int, "vocab": int, "silence": [int],
      "channels": [[int, ...], [int, ...]]}
 
+In memory a record is ``(id, s0, s1, vocab)``: each channel a tuple of
+unit ids, and the ``Vocab`` the record's frame size and silence set.
+
 Flattened dumps hold one wire sequence per line, as space-separated ints.
 """
 
@@ -23,10 +26,10 @@ import stat
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import ConfigError, DuplexError, LengthMismatch
-from .tokens import TokenStream, Vocab
+from .tokens import Vocab
 
 _REQUIRED_KEYS = {"id", "frame_ms", "vocab", "silence", "channels"}
 
@@ -110,7 +113,7 @@ def is_number(x) -> bool:
 
 
 def dialogue_to_record(
-    did: str, s0: TokenStream, s1: TokenStream, vocab: Vocab
+    did: str, s0: Sequence[int], s1: Sequence[int], vocab: Vocab
 ) -> dict:
     if len(s0) != len(s1):
         raise LengthMismatch(f"dialogue {did}: channel lengths differ")
@@ -119,11 +122,11 @@ def dialogue_to_record(
         "frame_ms": vocab.frame_ms,
         "vocab": vocab.size,
         "silence": sorted(vocab.silence_tokens),
-        "channels": [list(s0.tokens), list(s1.tokens)],
+        "channels": [list(s0), list(s1)],
     }
 
 
-def record_to_dialogue(rec: dict) -> tuple[str, TokenStream, TokenStream, Vocab]:
+def record_to_dialogue(rec: dict) -> tuple[str, tuple[int, ...], tuple[int, ...], Vocab]:
     """One corpus record, checked: integer fields are JSON integers, both
     channels hold the same number of ids in ``[0, vocab)``."""
     if type(rec) is not dict or not _REQUIRED_KEYS <= rec.keys():
@@ -140,9 +143,7 @@ def record_to_dialogue(rec: dict) -> tuple[str, TokenStream, TokenStream, Vocab]
     for tokens in ch:
         if tokens and not (min(tokens) >= 0 and max(tokens) < size):
             raise ConfigError(f"dialogue {did}: a token lies outside [0, {size})")
-    s0 = TokenStream(speaker=0, tokens=tuple(ch[0]), frame_ms=frame_ms)
-    s1 = TokenStream(speaker=1, tokens=tuple(ch[1]), frame_ms=frame_ms)
-    return did, s0, s1, vocab
+    return did, tuple(ch[0]), tuple(ch[1]), vocab
 
 
 def write_corpus(path: str | Path, records: Iterable[dict]) -> None:
@@ -152,7 +153,7 @@ def write_corpus(path: str | Path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-def read_corpus(path: str | Path) -> list[tuple[str, TokenStream, TokenStream, Vocab]]:
+def read_corpus(path: str | Path) -> list[tuple[str, tuple[int, ...], tuple[int, ...], Vocab]]:
     """Every dialogue of a corpus as ``(id, s0, s1, vocab)``; raises
     ``ConfigError`` naming the file and line unless every record passes
     ``record_to_dialogue``, declares the first record's vocabulary and has

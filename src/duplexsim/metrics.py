@@ -14,18 +14,21 @@ Event conventions:
 A backchannel is an IPU strictly contained in some IPU of the other
 channel; with containment filtering enabled (the default) it never counts
 as a floor transfer.
+
+A channel is a tuple of unit ids, one per frame, and a corpus a mapping
+``{id: (s0, s1)}``; the ``Vocab`` gives the frame size and the silence set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInput, EmptySet, NoPairs
 from .ngram import NgramModel, perplexity
-from .tokens import DedupDialogue, TokenStream, chunk_wire, flatten
+from .tokens import DedupDialogue, Vocab, chunk_wire, flatten
 
 EVENT_KINDS = ("ipu", "pause", "fto")
 
@@ -60,26 +63,27 @@ class EventParams:
 
 
 def vad(
-    stream: TokenStream,
-    silence_set: Iterable[int],
+    tokens: Sequence[int],
+    channel: int,
+    vocab: Vocab,
     min_voiced_ms: int = 0,
     bridge_ms: int = 0,
 ) -> list[VadSegment]:
-    """Maximal non-silence runs, with short internal silences bridged and
-    short voiced runs dropped."""
-    frame = stream.frame_ms
+    """Maximal non-silence runs of channel ``channel``, with short internal
+    silences bridged and short voiced runs dropped."""
+    frame = vocab.frame_ms
     if min_voiced_ms % frame or bridge_ms % frame:
         raise ValueError("vad thresholds must be multiples of frame_ms")
-    silence = frozenset(silence_set)
+    silence = vocab.silence_tokens
     runs: list[list[int]] = []
-    for i, tok in enumerate(stream.tokens):
+    for i, tok in enumerate(tokens):
         if tok in silence:
             continue
         if runs and runs[-1][1] == i:
             runs[-1][1] = i + 1
         else:
             runs.append([i, i + 1])
-    voiced = [VadSegment(channel=stream.speaker, start_ms=a * frame, end_ms=b * frame)
+    voiced = [VadSegment(channel=channel, start_ms=a * frame, end_ms=b * frame)
               for a, b in runs]
     return [s for s in _merge_segments(voiced, bridge_ms)
             if s.end_ms - s.start_ms >= min_voiced_ms]
@@ -223,25 +227,25 @@ class CorrelationReport:
 
 
 def dialogue_events(
-    s0: TokenStream,
-    s1: TokenStream,
-    silence_set: Iterable[int],
+    s0: Sequence[int],
+    s1: Sequence[int],
+    vocab: Vocab,
     params: EventParams = EventParams(),
 ) -> list[EventRecord]:
-    seg0 = vad(s0, silence_set, params.min_voiced_ms, params.bridge_ms)
-    seg1 = vad(s1, silence_set, params.min_voiced_ms, params.bridge_ms)
+    seg0 = vad(s0, 0, vocab, params.min_voiced_ms, params.bridge_ms)
+    seg1 = vad(s1, 1, vocab, params.min_voiced_ms, params.bridge_ms)
     return turn_events(seg0, seg1, params.ipu_gap_ms, params.backchannel_containment)
 
 
 def _mean_durations(
-    corpus: Mapping[str, tuple[TokenStream, TokenStream]],
-    silence_set: Iterable[int],
+    corpus: Mapping[str, tuple[Sequence[int], Sequence[int]]],
+    vocab: Vocab,
     params: EventParams,
 ) -> dict[str, dict[str, float]]:
     out: dict[str, dict[str, float]] = {k: {} for k in EVENT_KINDS}
     for did, (s0, s1) in corpus.items():
         per_kind: dict[str, list[float]] = {k: [] for k in EVENT_KINDS}
-        for ev in dialogue_events(s0, s1, silence_set, params):
+        for ev in dialogue_events(s0, s1, vocab, params):
             per_kind[ev.kind].append(float(ev.duration_ms))
         for kind, vals in per_kind.items():
             if vals:
@@ -250,9 +254,9 @@ def _mean_durations(
 
 
 def correlation_report(
-    generated: Mapping[str, tuple[TokenStream, TokenStream]],
-    reference: Mapping[str, tuple[TokenStream, TokenStream]],
-    silence_set: Iterable[int],
+    generated: Mapping[str, tuple[Sequence[int], Sequence[int]]],
+    reference: Mapping[str, tuple[Sequence[int], Sequence[int]]],
+    vocab: Vocab,
     params: EventParams = EventParams(),
 ) -> CorrelationReport:
     """Pearson r per event kind between per-dialogue average durations of
@@ -261,8 +265,8 @@ def correlation_report(
     shared = sorted(set(generated) & set(reference))
     if not shared:
         raise NoPairs("no shared dialogue ids between corpora")
-    gen_means = _mean_durations(generated, silence_set, params)
-    ref_means = _mean_durations(reference, silence_set, params)
+    gen_means = _mean_durations(generated, vocab, params)
+    ref_means = _mean_durations(reference, vocab, params)
 
     kinds: dict[str, KindCorrelation] = {}
     rs = []

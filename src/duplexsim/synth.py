@@ -6,7 +6,9 @@ transfers with a signed offset (negative = overlap) from the end of the
 turn's final IPU to the start of the other speaker's first IPU. Short
 backchannel bursts can be injected on the listening channel, fully inside
 the floor-holder's non-final IPUs. Voiced frames follow a self-looping
-Markov chain over non-silence units; silent frames are the silence token.
+Markov chain over the non-silence units; silent frames are the vocabulary's
+first silence unit, so the style's ``Vocab`` is the one source of silence.
+A dialogue is two tuples of unit ids, and a corpus ``{id: (s0, s1)}``.
 
 Durations are Gaussian, rounded to whole frames and truncated at one
 frame. Every dialogue derives its RNG stream from (seed, index), so
@@ -15,15 +17,16 @@ parallel and serial generation agree bit-exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import corpus_io
 from .errors import BadDuration, ConfigError, EmptyCorpus
-from .tokens import DedupDialogue, TokenStream, Vocab
+from .tokens import DedupDialogue, Vocab
 
 
 # Field groups of DialogueStyle: (mean_ms, std_ms) pairs, of which all but
@@ -45,7 +48,6 @@ class DialogueStyle:
     backchannel_prob: float = 0.15
     backchannel_ms: tuple[float, float] = (320.0, 80.0)
     p_self: float = 0.35
-    silence_token: int = 0
     unit_range: tuple[int, int] | None = None
     successor_count: int | None = None
 
@@ -61,30 +63,31 @@ class DialogueStyle:
             if not 0.0 <= p <= 1.0 or (name == "p_self" and p == 1.0):
                 top = "1)" if name == "p_self" else "1]"
                 raise ValueError(f"{name} must be in [0, {top}, got {p}")
-        if self.silence_token not in self.vocab.silence_tokens:
-            raise ValueError(
-                f"silence_token {self.silence_token} not in vocab silence set"
-            )
         if self.unit_range is not None:
             lo, hi = self.unit_range
             if not (0 <= lo < hi <= self.vocab.size):
                 raise ValueError(f"unit_range {self.unit_range} outside [0, {self.vocab.size})")
         if self.successor_count is not None and self.successor_count < 1:
             raise ValueError(f"successor_count must be >= 1, got {self.successor_count}")
-        if len(self.units) == 0:
+        if self.content()[0] == 0:
             raise ValueError("no non-silence units available for content")
 
-    @property
-    def units(self) -> tuple[int, ...]:
-        """Non-silence content alphabet."""
+    def content(self) -> tuple[int, Callable[[int], int]]:
+        """The content alphabet, the non-silence ids of ``unit_range`` in id
+        order, as its size and the map from an index to its unit. The map
+        bisects the silence ids inside the range, so no table of ids is built
+        and the cost does not grow with the vocabulary."""
         lo, hi = self.unit_range if self.unit_range else (0, self.vocab.size)
-        return tuple(u for u in range(lo, hi) if u not in self.vocab.silence_tokens)
+        silent = sorted(t for t in self.vocab.silence_tokens if lo <= t < hi)
+        # gaps[k] counts the content ids below the k-th silence id
+        gaps = [t - lo - k for k, t in enumerate(silent)]
+        return hi - lo - len(silent), lambda i: lo + i + bisect_right(gaps, i)
 
     def to_dict(self) -> dict:
         return {
             "vocab_size": self.vocab.size,
             "frame_ms": self.vocab.frame_ms,
-            "silence_token": self.silence_token,
+            "silence_token": self.vocab.first_silence,
             **{k: list(getattr(self, k)) for k in _PAIR_KEYS},
             **{k: getattr(self, k) for k in _PROB_KEYS},
             "unit_range": list(self.unit_range) if self.unit_range else None,
@@ -115,7 +118,6 @@ class DialogueStyle:
                 frame_ms=merged["frame_ms"],
                 silence_tokens=frozenset({merged["silence_token"]}),
             ),
-            silence_token=merged["silence_token"],
             unit_range=tuple(unit_range) if unit_range else None,
             successor_count=merged["successor_count"],
             **{k: (float(merged[k][0]), float(merged[k][1])) for k in _PAIR_KEYS},
@@ -161,24 +163,6 @@ class PlannedEvent:
     realized: bool
 
 
-@dataclass(frozen=True)
-class DialogueRecord:
-    id: str
-    s0: TokenStream
-    s1: TokenStream
-
-
-@dataclass(frozen=True)
-class Corpus:
-    dialogues: tuple[DialogueRecord, ...]
-
-    def as_dict(self) -> dict[str, tuple[TokenStream, TokenStream]]:
-        return {d.id: (d.s0, d.s1) for d in self.dialogues}
-
-    def __len__(self) -> int:
-        return len(self.dialogues)
-
-
 def _gauss_frames(rng: np.random.Generator, pair: tuple[float, float], frame_ms: int) -> int:
     """Gaussian duration in frames, minimum one frame."""
     ms = rng.normal(pair[0], pair[1])
@@ -189,14 +173,8 @@ def _gauss_frames_signed(rng: np.random.Generator, pair: tuple[float, float], fr
     return int(round(rng.normal(pair[0], pair[1]) / frame_ms))
 
 
-def _markov_content(
-    rng: np.random.Generator,
-    units: Sequence[int],
-    p_self: float,
-    length: int,
-    successor_count: int | None = None,
-) -> list[int]:
-    """Self-looping Markov chain over the content units.
+def _markov_content(rng: np.random.Generator, style: DialogueStyle, length: int) -> list[int]:
+    """Self-looping Markov chain over the style's content units.
 
     With ``successor_count`` set, each unit jumps only within a fixed
     per-unit successor set (sparse transition matrix, learnable by a
@@ -204,11 +182,13 @@ def _markov_content(
     """
     if length <= 0:
         return []
-    m = len(units)
+    m, unit_at = style.content()
+    p_self, successor_count = style.p_self, style.successor_count
     idx = int(rng.integers(m))
+    unit = unit_at(idx)
     out = []
     for _ in range(length):
-        out.append(units[idx])
+        out.append(unit)
         if m > 1 and rng.random() >= p_self:
             if successor_count is None:
                 j = int(rng.integers(m - 1))
@@ -216,12 +196,13 @@ def _markov_content(
             else:
                 j = int(rng.integers(successor_count))
                 idx = (idx + 1 + ((idx * 7 + j * 11) % (m - 1))) % m
+            unit = unit_at(idx)
     return out
 
 
 def generate_dialogue_with_log(
     style: DialogueStyle, duration_ms: int, seed
-) -> tuple[TokenStream, TokenStream, list[PlannedEvent]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], list[PlannedEvent]]:
     """Like :func:`generate_dialogue` but also returns the construction log."""
     frame_ms = style.vocab.frame_ms
     if duration_ms < 0 or duration_ms % frame_ms != 0:
@@ -230,14 +211,12 @@ def generate_dialogue_with_log(
         )
     n = duration_ms // frame_ms
     rng = np.random.default_rng(seed)
-    sil = style.silence_token
+    sil = style.vocab.first_silence
     ch: list[list[int]] = [[sil] * n, [sil] * n]
-    units = style.units
     events: list[PlannedEvent] = []
 
     def paint(c: int, a: int, b: int) -> None:
-        content = _markov_content(rng, units, style.p_self, b - a,
-                                  style.successor_count)
+        content = _markov_content(rng, style, b - a)
         for off, tok in enumerate(content):
             f = a + off
             if 0 <= f < n:
@@ -288,14 +267,12 @@ def generate_dialogue_with_log(
         t = nxt
         speaker = other
 
-    s0 = TokenStream(speaker=0, tokens=tuple(ch[0]), frame_ms=frame_ms)
-    s1 = TokenStream(speaker=1, tokens=tuple(ch[1]), frame_ms=frame_ms)
-    return s0, s1, events
+    return tuple(ch[0]), tuple(ch[1]), events
 
 
 def generate_dialogue(
     style: DialogueStyle, duration_ms: int, seed
-) -> tuple[TokenStream, TokenStream]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Generate one dialogue; both channels are exactly duration_ms long."""
     s0, s1, _ = generate_dialogue_with_log(style, duration_ms, seed)
     return s0, s1
@@ -303,17 +280,16 @@ def generate_dialogue(
 
 def generate_corpus(
     style: DialogueStyle, count: int, duration_ms: int, seed: int
-) -> Corpus:
-    dialogues = []
-    for i in range(count):
-        s0, s1 = generate_dialogue(style, duration_ms, [seed, i])
-        dialogues.append(DialogueRecord(id=f"d{i:05d}", s0=s0, s1=s1))
-    return Corpus(dialogues=tuple(dialogues))
+) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``{id: (s0, s1)}`` in index order; dialogue ``i`` has the id
+    ``d{i:05d}`` and the seed ``[seed, i]``."""
+    return {f"d{i:05d}": generate_dialogue(style, duration_ms, [seed, i])
+            for i in range(count)}
 
 
 def build_stage2_corpus(
     turns: Sequence[tuple[int, Sequence[int]]], style: DialogueStyle
-) -> tuple[TokenStream, TokenStream]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Turn-based dialogue as strictly exclusive channels.
 
     During each turn, the speaking channel carries the utterance and the
@@ -321,7 +297,7 @@ def build_stage2_corpus(
     channels never voice simultaneously.
     """
     ch: list[list[int]] = [[], []]
-    sil = style.silence_token
+    sil = style.vocab.first_silence
     for speaker, utterance in turns:
         if speaker not in (0, 1):
             raise ValueError(f"speaker must be 0 or 1, got {speaker}")
@@ -330,26 +306,21 @@ def build_stage2_corpus(
             raise ValueError("stage-2 utterances must be non-empty")
         ch[speaker].extend(utt)
         ch[1 - speaker].extend([sil] * len(utt))
-    frame_ms = style.vocab.frame_ms
-    return (
-        TokenStream(speaker=0, tokens=tuple(ch[0]), frame_ms=frame_ms),
-        TokenStream(speaker=1, tokens=tuple(ch[1]), frame_ms=frame_ms),
-    )
+    return tuple(ch[0]), tuple(ch[1])
 
 
 def generate_stage2_dialogue(
     style: DialogueStyle, n_turns: int, seed
-) -> tuple[TokenStream, TokenStream]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Alternating-turn dialogue in the exclusive stage-2 shape."""
     rng = np.random.default_rng(seed)
     turns = []
     for i in range(n_turns):
         dur = _gauss_frames(rng, style.ipu_ms, style.vocab.frame_ms)
-        content = _markov_content(rng, style.units, style.p_self, dur,
-                                  style.successor_count)
+        content = _markov_content(rng, style, dur)
         # trailing silence marks the turn's end on the speaking channel
         gap = _gauss_frames(rng, style.pause_ms, style.vocab.frame_ms)
-        turns.append((i % 2, content + [style.silence_token] * gap))
+        turns.append((i % 2, content + [style.vocab.first_silence] * gap))
     return build_stage2_corpus(turns, style)
 
 
@@ -371,11 +342,11 @@ class CorpusStats:
 
 
 def corpus_stats(
-    dialogues: Sequence[tuple[TokenStream, TokenStream, DedupDialogue]],
+    dialogues: Sequence[tuple[Sequence[int], Sequence[int], DedupDialogue]],
 ) -> CorpusStats:
     """Empirical per-event duration statistics plus codec token rates of
     ``(s0, s1, encoding)`` dialogues, where ``encoding`` is the dialogue's
-    wire form. The silence set and the chunk size are the encodings'.
+    wire form. The vocabulary and the chunk size are the encodings'.
 
     Raw rate counts the fully interleaved chunk form (both tags plus every
     frame of both channels); dedup rate counts the wire form.
@@ -393,11 +364,11 @@ def corpus_stats(
     rates = []
     for s0, s1, encoding in dialogues:
         silence = encoding.vocab.silence_tokens
-        for ev in metrics.dialogue_events(s0, s1, silence):
+        for ev in metrics.dialogue_events(s0, s1, encoding.vocab):
             durations[ev.kind].append(float(ev.duration_ms))
         overlap += sum(
             1
-            for a, b in zip(s0.tokens, s1.tokens)
+            for a, b in zip(s0, s1)
             if a not in silence and b not in silence
         )
         n_chunks = len(encoding.chunks)

@@ -1,13 +1,15 @@
 """Chunk-synchronous two-channel token format and its codec.
 
-A dialogue is two equal-length token streams (one per speaker) sampled at a
-fixed frame rate. The wire format partitions wall-clock time into chunks of
-a fixed duration and, per chunk, keeps only the *novel* tokens of each
-channel (those that differ from the immediately preceding frame of the same
-channel), delimited by speaker tags. The channel-0 tag opens every chunk;
-the channel-1 tag appears only when channel 1 contributed novel tokens.
-The inverse direction (``interpolate``) redistributes each chunk's novel
-tokens over the chunk's frame slots by equal repetition.
+A dialogue is two equal-length tuples of unit ids, one id per frame, under
+one ``Vocab``: a channel's position (0 or 1) is its speaker, and the
+``Vocab`` alone holds the frame size and the silence set. The wire format
+partitions wall-clock time into chunks of a fixed duration and, per chunk,
+keeps only the *novel* tokens of each channel (those that differ from the
+immediately preceding frame of the same channel), delimited by speaker tags.
+The channel-0 tag opens every chunk; the channel-1 tag appears only when
+channel 1 contributed novel tokens. The inverse direction
+(``interpolate``) redistributes each chunk's novel tokens over the chunk's
+frame slots by equal repetition.
 
 All values are immutable; every operation is a pure function.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import (
     BadChunkSize,
@@ -76,27 +79,6 @@ class Vocab:
                 f"chunk_ms={chunk_ms} is not a positive multiple of frame_ms={self.frame_ms}"
             )
         return chunk_ms // self.frame_ms
-
-
-@dataclass(frozen=True)
-class TokenStream:
-    """One speaker's full-rate token sequence (one token per frame)."""
-
-    speaker: int
-    tokens: tuple[int, ...]
-    frame_ms: int = DEFAULT_FRAME_MS
-
-    def __post_init__(self) -> None:
-        if self.speaker not in (0, 1):
-            raise ValueError(f"speaker must be 0 or 1, got {self.speaker}")
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-
-    @property
-    def duration_ms(self) -> int:
-        return len(self.tokens) * self.frame_ms
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -163,39 +145,22 @@ class DedupDialogue:
 
 
 def chunk_streams(
-    s0: TokenStream,
-    s1: TokenStream,
-    chunk_ms: int,
-    vocab: Vocab,
-    pad: bool = True,
+    s0: Sequence[int], s1: Sequence[int], chunk_ms: int, vocab: Vocab
 ) -> ChunkedDialogue:
-    """Partition two equal-length streams into synchronous chunks.
-
-    Streams whose length is not a multiple of the chunk length are
-    right-padded with the vocabulary's first silence token when ``pad`` is
-    true, and rejected otherwise.
-    """
-    if len(s0.tokens) != len(s1.tokens):
-        raise LengthMismatch(
-            f"channel lengths differ: {len(s0.tokens)} vs {len(s1.tokens)}"
-        )
-    if s0.frame_ms != vocab.frame_ms or s1.frame_ms != vocab.frame_ms:
-        raise BadChunkSize(
-            f"stream frame_ms ({s0.frame_ms}/{s1.frame_ms}) does not match vocab ({vocab.frame_ms})"
-        )
+    """Partition two equal-length channels into synchronous chunks,
+    right-padding both with the vocabulary's first silence unit to a whole
+    number of chunks."""
+    if len(s0) != len(s1):
+        raise LengthMismatch(f"channel lengths differ: {len(s0)} vs {len(s1)}")
     fpc = vocab.frames_per_chunk(chunk_ms)
-    for stream in (s0, s1):
-        for t in stream.tokens:
+    for channel in (s0, s1):
+        for t in channel:
             if not 0 <= t < vocab.size:
                 raise ValueError(f"token {t} outside unit range [0, {vocab.size})")
 
-    f0, f1 = list(s0.tokens), list(s1.tokens)
+    f0, f1 = list(s0), list(s1)
     remainder = len(f0) % fpc
     if remainder:
-        if not pad:
-            raise LengthMismatch(
-                f"{len(f0)} frames is not a multiple of {fpc} frames per chunk"
-            )
         fill = [vocab.first_silence] * (fpc - remainder)
         f0 += fill
         f1 += fill

@@ -14,7 +14,6 @@ from duplexsim import (
     DialogueStyle,
     InteractionConfig,
     SamplerConfig,
-    TokenStream,
     Vocab,
     chunk_streams,
     chunk_wire,
@@ -57,8 +56,8 @@ def test_criterion_01_chunk_arithmetic():
 
 def test_criterion_02_worked_example_reproduction():
     with criterion(2, "worked example: dedup wire forms and interpolation"):
-        s0 = TokenStream(0, (75, 75, 75, 75, 17, 17, 338, 338, 338, 338, 338, 338), 40)
-        s1 = TokenStream(1, (89,) * 12, 40)
+        s0 = (75, 75, 75, 75, 17, 17, 338, 338, 338, 338, 338, 338)
+        s1 = (89,) * 12
         chunked = chunk_streams(s0, s1, 160, VOCAB)
         dd = deduplicate(chunked)
         assert chunk_wire(VOCAB, dd.chunks[0]) == [VOCAB.tag_s0, 75, VOCAB.tag_s1, 89]
@@ -79,8 +78,8 @@ def test_criterion_03_codec_round_trip_10k():
             chunk_ms = int(rng.choice([160, 200, 240]))
             v = Vocab(size=size, frame_ms=40, silence_tokens=frozenset({0}))
             n = int(rng.integers(0, 5)) * (chunk_ms // 40)
-            t0 = TokenStream(0, tuple(int(x) for x in rng.integers(0, size, n)), 40)
-            t1 = TokenStream(1, tuple(int(x) for x in rng.integers(0, size, n)), 40)
+            t0 = tuple(int(x) for x in rng.integers(0, size, n))
+            t1 = tuple(int(x) for x in rng.integers(0, size, n))
             d = chunk_streams(t0, t1, chunk_ms, v)
             dd = deduplicate(d)
             assert parse(flatten(dd), v, chunk_ms) == dd
@@ -100,8 +99,8 @@ def test_criterion_04_compression_band():
         style = DialogueStyle(vocab=VOCAB)  # default silence/self-loop rates
         corpus = generate_corpus(style, 20, 30000, seed=5)
         for chunk_ms in (160, 240):
-            stats = corpus_stats([(r.s0, r.s1, deduplicate(chunk_streams(
-                r.s0, r.s1, chunk_ms, VOCAB))) for r in corpus.dialogues])
+            stats = corpus_stats([(s0, s1, deduplicate(chunk_streams(
+                s0, s1, chunk_ms, VOCAB))) for s0, s1 in corpus.values()])
             assert 0.3 <= stats.compression_ratio <= 0.7, (chunk_ms, stats.compression_ratio)
 
 
@@ -113,8 +112,8 @@ def _small_setup(seed=100, n_units=10):
         p_self=0.45,
     )
     corpus = generate_corpus(style, 16, 16000, seed=seed)
-    seqs = [flatten(deduplicate(chunk_streams(r.s0, r.s1, 160, vocab)))
-            for r in corpus.dialogues]
+    seqs = [flatten(deduplicate(chunk_streams(s0, s1, 160, vocab)))
+            for s0, s1 in corpus.values()]
     model = train(seqs, order=3, alpha=0.1, vocab_ext=vocab.extended_size)
     return vocab, style, model
 
@@ -198,8 +197,7 @@ def test_criterion_08_event_oracle_equivalence():
             segs = []
             for c in (0, 1):
                 arr = rng.random(n) < 0.45
-                s = TokenStream(c, tuple(3 if x else 0 for x in arr), 40)
-                segs.append(vad(s, {0}))
+                segs.append(vad(tuple(3 if x else 0 for x in arr), c, VOCAB))
             if sum(len(s) for s in segs) > 50:
                 continue
             checked += 1
@@ -216,7 +214,7 @@ def test_criterion_09_correlation_pipeline():
         # self-correlation
         style = DialogueStyle(vocab=tiny, backchannel_prob=0.0)
         corpus = generate_corpus(style, 30, 30000, seed=50)
-        rep = correlation_report(corpus.as_dict(), corpus.as_dict(), tiny.silence_tokens)
+        rep = correlation_report(corpus, corpus, tiny)
         for kind, kc in rep.kinds.items():
             assert kc.r == pytest.approx(1.0), kind
 
@@ -225,12 +223,12 @@ def test_criterion_09_correlation_pipeline():
                              fto_ms=(400, 80), backchannel_prob=0.0)
         base = generate_corpus(safe, 25, 24000, seed=51)
         doubled = {}
-        for r in base.dialogues:
-            doubled[r.id] = (
-                TokenStream(0, tuple(t for t in r.s0.tokens for _ in range(2)), 40),
-                TokenStream(1, tuple(t for t in r.s1.tokens for _ in range(2)), 40),
+        for did, (s0, s1) in base.items():
+            doubled[did] = (
+                tuple(t for t in s0 for _ in range(2)),
+                tuple(t for t in s1 for _ in range(2)),
             )
-        rep = correlation_report(doubled, base.as_dict(), tiny.silence_tokens)
+        rep = correlation_report(doubled, base, tiny)
         for kind, kc in rep.kinds.items():
             assert kc.r == pytest.approx(1.0), kind
         assert rep.average_r == pytest.approx(1.0)
@@ -239,7 +237,7 @@ def test_criterion_09_correlation_pipeline():
         null_style = DialogueStyle(vocab=tiny, backchannel_prob=0.0)
         ca = generate_corpus(null_style, 200, 30000, seed=111)
         cb = generate_corpus(null_style, 200, 30000, seed=222)
-        rep = correlation_report(ca.as_dict(), cb.as_dict(), tiny.silence_tokens)
+        rep = correlation_report(ca, cb, tiny)
         for kind, kc in rep.kinds.items():
             assert kc.r is not None and abs(kc.r) < 0.2, (kind, kc.r)
 
@@ -251,9 +249,9 @@ def test_criterion_10_style_recovery():
                               backchannel_prob=0.0, p_self=0.35)
         corpus = generate_corpus(style, 200, 60000, seed=2026)
         durs = {"ipu": [], "pause": [], "fto": []}
-        for rec in corpus.dialogues:
-            total = rec.s0.duration_ms
-            for ev in dialogue_events(rec.s0, rec.s1, VOCAB.silence_tokens):
+        for s0, s1 in corpus.values():
+            total = len(s0) * VOCAB.frame_ms
+            for ev in dialogue_events(s0, s1, VOCAB):
                 if ev.kind == "ipu" and ev.end_ms >= total:
                     continue  # truncated by the dialogue boundary
                 durs[ev.kind].append(float(ev.duration_ms))
@@ -296,7 +294,7 @@ def test_criterion_11_cli_determinism(tmp_path):
                              "--seed", "4", "--out", str(gen),
                              "--transcript", str(gen_tr)]) == 0
             assert cli_main(["interact", "--model-a", str(model), "--scripted",
-                             str(corpus), "--latency", "1", "--duration-ms", "3200",
+                             str(corpus), "--latency", "1", "--max-chunks", "20",
                              "--seed", "5", "--out", str(inter)]) == 0
             assert cli_main(["eval", "--mode", "turns", "--generated", str(gen),
                              "--reference", str(corpus), "--skip-ms", "1600",

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -92,6 +93,21 @@ class TestSynth:
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and "message" in err
 
+    def test_cost_does_not_grow_with_the_vocabulary(self, tmp_path):
+        # content units are counted and indexed, not listed, so a 2,000,000-unit
+        # vocabulary peaks where a 501-unit one does
+        def peak(vocab):
+            tracemalloc.start()
+            try:
+                assert main(["synth", "--vocab", str(vocab), "--count", "1",
+                             "--duration-ms", "400", "--out", str(tmp_path / "c.jsonl")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(501)  # the first run's one-off allocations are not the run's cost
+        assert peak(2_000_000) - peak(501) < 2**20
+
     def test_flat_dump(self, tmp_path):
         flat = tmp_path / "flat.txt"
         synth(tmp_path, extra=["--flat-out", str(flat)])
@@ -137,7 +153,7 @@ class TestTrain:
         model = trained(tmp_path, s2, out="s2model.json", order=4)
         gen = tmp_path / "gen.jsonl"
         rc = main(["continue", "--model", str(model), "--prompts", str(s2),
-                   "--prompt-ms", "3200", "--continue-ms", "4800", "--greedy",
+                   "--prompt-ms", "3200", "--continue-ms", "4800", "--top-k", "1",
                    "--seed", "5", "--out", str(gen)])
         assert rc == 0
         for line in gen.read_text().strip().split("\n")[:20]:
@@ -175,7 +191,7 @@ class TestInteract:
         model = trained(tmp_path, corpus)
         out = tmp_path / "tr.json"
         rc = main(["interact", "--model-a", str(model), "--scripted", str(corpus),
-                   "--latency", "1", "--duration-ms", "4800", "--seed", "4",
+                   "--latency", "1", "--max-chunks", "30", "--seed", "4",
                    "--out", str(out)])
         assert rc == 0
         data = json.loads(out.read_text())
@@ -184,7 +200,7 @@ class TestInteract:
 
         out2 = tmp_path / "tr2.json"
         rc = main(["interact", "--model-a", str(model), "--model-b", str(model),
-                   "--latency", "1", "--duration-ms", "3200", "--seed", "4",
+                   "--latency", "1", "--max-chunks", "20", "--seed", "4",
                    *VOCAB_ARGS, "--out", str(out2),
                    "--corpus-out", str(tmp_path / "gen.jsonl")])
         assert rc == 0
@@ -210,7 +226,7 @@ class TestInteract:
 
         out = tmp_path / "cross.json"
         rc = main(["interact", "--model-a", str(model_a), "--model-b", str(model_b),
-                   "--latency", "1", "--duration-ms", "3200", "--seed", "0",
+                   "--latency", "1", "--max-chunks", "20", "--seed", "0",
                    *VOCAB_ARGS, "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["transcripts"]
@@ -222,7 +238,7 @@ class TestInteract:
         for name in ("x.json", "y.json"):
             out = tmp_path / name
             main(["interact", "--model-a", str(model), "--scripted", str(corpus),
-                  "--latency", "1", "--duration-ms", "3200", "--seed", "11",
+                  "--latency", "1", "--max-chunks", "20", "--seed", "11",
                   "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
@@ -485,6 +501,30 @@ class TestInputBoundaries:
         out = tmp_path / "model.json"
         assert_rejected(main(["train", "--corpus", str(flat), "--out", str(out)]),
                         capsys, [out])
+
+    # a flag that the rest of the command line would leave unread (a prompt
+    # length with no corpus to cut it from, prompts beside a script that
+    # supplies them), or one that only repeated another flag (--greedy was
+    # --top-k 1, interact's --duration-ms was --max-chunks x --chunk-ms)
+    @pytest.mark.parametrize("command,extra", [
+        ("interact-no-corpus", ["--prompt-ms", "960"]),
+        ("interact", ["--prompts", "CORPUS"]),
+        ("continue", ["--greedy"]),
+        ("interact", ["--greedy"]),
+        ("interact", ["--duration-ms", "99999"])],
+        ids=["prompt_ms_no_corpus", "prompts_with_scripted", "continue_greedy",
+             "interact_greedy", "interact_duration_ms"])
+    def test_flag_that_would_go_unread(self, world, command, extra, tmp_path, capsys):
+        clean, model = world
+        out = tmp_path / "out"
+        argv, outputs = {
+            **self._commands(clean, clean, model, out),
+            "interact-no-corpus": (["interact", "--model-a", str(model), "--model-b",
+                                    str(model), *VOCAB_ARGS, "--max-chunks", "4",
+                                    "--out", str(out)], [out]),
+        }[command]
+        extra = [str(clean) if a == "CORPUS" else a for a in extra]
+        assert_rejected(main(argv + extra), capsys, outputs)
 
     # (--prompt-ms, --max-chunks, --latency, exit code); a 960 ms prompt is
     # 6 chunks, so its session is 6 + --max-chunks chunks long

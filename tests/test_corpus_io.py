@@ -161,8 +161,7 @@ def test_only_corpus_io_touches_files():
 
 def test_read_corpus_round_trip(tmp_path):
     vocab = duplexsim.Vocab(size=5, frame_ms=40, silence_tokens=frozenset({0, 1}))
-    s0 = duplexsim.TokenStream(0, (0, 2, 4), 40)
-    s1 = duplexsim.TokenStream(1, (1, 1, 3), 40)
+    s0, s1 = (0, 2, 4), (1, 1, 3)
     path = tmp_path / "c.jsonl"
     corpus_io.write_corpus(path, [corpus_io.dialogue_to_record("a", s0, s1, vocab)])
     assert json.loads(path.read_text())["silence"] == [0, 1]

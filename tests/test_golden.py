@@ -93,7 +93,7 @@ def _world(size: int):
     )
     corpus = generate_corpus(style, 9, 12000, seed=size)
     dialogues = [
-        deduplicate(chunk_streams(r.s0, r.s1, CHUNK_MS, vocab)) for r in corpus.dialogues
+        deduplicate(chunk_streams(s0, s1, CHUNK_MS, vocab)) for s0, s1 in corpus.values()
     ]
     order = 3 if size < 100 else 4
     model = train([flatten(d) for d in dialogues[:-1]], order=order, alpha=0.1,
@@ -260,11 +260,11 @@ CLI_STAGES = [
      "--prompt-ms", "1600", "--continue-ms", "1600", "--seed", "5",
      "--out", "cont.jsonl", "--transcript", "cont.json"],
     ["interact", "--model-a", "model.json", "--scripted", "corpus.jsonl",
-     "--prompt-ms", "960", "--latency", "1", "--duration-ms", "1920", "--seed", "6",
+     "--prompt-ms", "960", "--latency", "1", "--max-chunks", "12", "--seed", "6",
      "--out", "scripted.json", "--corpus-out", "scripted.jsonl"],
     ["interact", "--model-a", "model.json", "--model-b", "model.json",
      "--prompts", "corpus.jsonl", "--prompt-ms", "960", "--latency", "2",
-     "--duration-ms", "1920", "--seed", "7", "--top-k", "4",
+     "--max-chunks", "12", "--seed", "7", "--top-k", "4",
      "--out", "model_b.json", "--corpus-out", "model_b.jsonl"],
     ["eval", "--mode", "turns", "--generated", "cont.jsonl",
      "--reference", "corpus.jsonl", "--out", "turns"],

@@ -42,12 +42,12 @@ def setup():
     )
     corpus = generate_corpus(style, 16, 16000, seed=100)
     seqs = [
-        flatten(deduplicate(chunk_streams(r.s0, r.s1, CHUNK_MS, vocab)))
-        for r in corpus.dialogues
+        flatten(deduplicate(chunk_streams(s0, s1, CHUNK_MS, vocab)))
+        for s0, s1 in corpus.values()
     ]
     model = train(seqs, order=3, alpha=0.1, vocab_ext=vocab.extended_size)
-    script_rec = corpus.dialogues[-1]
-    script = deduplicate(chunk_streams(script_rec.s0, script_rec.s1, CHUNK_MS, vocab))
+    s0, s1 = list(corpus.values())[-1]
+    script = deduplicate(chunk_streams(s0, s1, CHUNK_MS, vocab))
     return vocab, style, model, script
 
 
@@ -86,10 +86,7 @@ class TestContinueDialogue:
         silent = [
             flatten(
                 deduplicate(
-                    chunk_streams(
-                        _stream(vocab, [0] * 20, 0), _stream(vocab, [0] * 20, 1),
-                        CHUNK_MS, vocab,
-                    )
+                    chunk_streams((0,) * 20, (0,) * 20, CHUNK_MS, vocab)
                 )
             )
             for _ in range(4)
@@ -109,20 +106,14 @@ class TestContinueDialogue:
         assert len(out.chunks) == 3
 
 
-def _stream(vocab, toks, speaker):
-    from duplexsim import TokenStream
-
-    return TokenStream(speaker=speaker, tokens=tuple(toks), frame_ms=vocab.frame_ms)
-
-
 class TestEstimateUserChunk:
     def test_silence_echo_user_estimated_empty(self):
         vocab = Vocab(size=6, frame_ms=40, silence_tokens=frozenset({0}))
         # user channel voices once then stays silent forever
         seqs = []
         for _ in range(4):
-            s0 = _stream(vocab, [1, 1, 2, 2] * 5, 0)
-            s1 = _stream(vocab, [0] * 20, 1)
+            s0 = (1, 1, 2, 2) * 5
+            s1 = (0,) * 20
             seqs.append(flatten(deduplicate(chunk_streams(s0, s1, CHUNK_MS, vocab))))
         model = train(seqs, order=2, alpha=0.01, vocab_ext=vocab.extended_size)
         # context ends right after a chunk's channel-0 content
@@ -164,10 +155,7 @@ class TestEstimateUserChunk:
             seqs.append(
                 flatten(
                     deduplicate(
-                        chunk_streams(
-                            _stream(vocab, toks0, 0), _stream(vocab, toks1, 1),
-                            chunk_ms, vocab,
-                        )
+                        chunk_streams(toks0, toks1, chunk_ms, vocab)
                     )
                 )
             )

@@ -5,8 +5,8 @@ from duplexsim import (
     DedupChunk,
     DedupDialogue,
     NgramModel,
-    TokenStream,
     VadSegment,
+    Vocab,
     correlation_report,
     pearson,
     train,
@@ -19,8 +19,7 @@ from duplexsim.metrics import per_dialogue_perplexities
 import oracles
 
 
-def stream(tokens, speaker=0):
-    return TokenStream(speaker=speaker, tokens=tuple(tokens), frame_ms=40)
+VOCAB = Vocab(size=12, frame_ms=40, silence_tokens=frozenset({0}))
 
 
 def seg(channel, start_ms, end_ms):
@@ -29,37 +28,37 @@ def seg(channel, start_ms, end_ms):
 
 class TestVad:
     def test_all_silence(self):
-        assert vad(stream([0] * 20), {0}) == []
+        assert vad([0] * 20, 0, VOCAB) == []
 
     def test_single_run(self):
-        out = vad(stream([3] * 10), {0})
+        out = vad([3] * 10, 0, VOCAB)
         assert out == [seg(0, 0, 400)]
 
     def test_runs_split_by_silence(self):
-        out = vad(stream([3, 3, 0, 0, 4, 4]), {0})
+        out = vad([3, 3, 0, 0, 4, 4], 0, VOCAB)
         assert out == [seg(0, 0, 80), seg(0, 160, 240)]
 
     def test_bridging(self):
         # voiced(5) silence(2) voiced(5), bridge 120 ms (3 frames) -> one
         # segment of 12 frames
-        out = vad(stream([2] * 5 + [0] * 2 + [2] * 5), {0}, bridge_ms=120)
+        out = vad([2] * 5 + [0] * 2 + [2] * 5, 0, VOCAB, bridge_ms=120)
         assert out == [seg(0, 0, 480)]
 
     def test_bridge_is_strict(self):
-        out = vad(stream([2] * 5 + [0] * 3 + [2] * 5), {0}, bridge_ms=120)
+        out = vad([2] * 5 + [0] * 3 + [2] * 5, 0, VOCAB, bridge_ms=120)
         assert len(out) == 2
 
     def test_min_voiced_drops_short_runs(self):
-        out = vad(stream([2, 0, 0, 0, 3, 3, 3, 3]), {0}, min_voiced_ms=120)
+        out = vad([2, 0, 0, 0, 3, 3, 3, 3], 0, VOCAB, min_voiced_ms=120)
         assert out == [seg(0, 160, 320)]
 
     def test_leading_trailing_silence_not_bridged(self):
-        out = vad(stream([0, 2, 2, 0]), {0}, bridge_ms=200)
+        out = vad([0, 2, 2, 0], 0, VOCAB, bridge_ms=200)
         assert out == [seg(0, 40, 120)]
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            vad(stream([1] * 4), {0}, min_voiced_ms=50)
+            vad([1] * 4, 0, VOCAB, min_voiced_ms=50)
 
 
 class TestTurnEvents:
@@ -123,8 +122,7 @@ class TestTurnEvents:
         rng = np.random.default_rng(1)
         for _ in range(50):
             toks = [int(t) for t in rng.integers(0, 2, size=80)]
-            s = stream([t * 3 for t in toks])
-            segs = vad(s, {0})
+            segs = vad([t * 3 for t in toks], 0, VOCAB)
             raw_voiced = sum(e.end_ms - e.start_ms for e in segs)
             events = turn_events(segs, [], ipu_gap_ms=200)
             ipu_total = sum(e.duration_ms for e in events if e.kind == "ipu")
@@ -136,8 +134,7 @@ def _random_instance(rng):
     segs = []
     for c in (0, 1):
         arr = rng.random(n) < 0.45
-        s = stream([3 if v else 0 for v in arr], speaker=c)
-        segs.append(vad(s, {0}))
+        segs.append(vad([3 if v else 0 for v in arr], c, VOCAB))
     return segs
 
 
@@ -222,7 +219,7 @@ class TestCorrelationReport:
     def test_self_correlation_is_one(self, tiny_vocab):
         rng = np.random.default_rng(5)
         corpus = _corpus_of(rng, 12, tiny_vocab)
-        report = correlation_report(corpus, corpus, tiny_vocab.silence_tokens)
+        report = correlation_report(corpus, corpus, tiny_vocab)
         for kind, kc in report.kinds.items():
             assert kc.r == pytest.approx(1.0), kind
         assert report.average_r == pytest.approx(1.0)
@@ -232,16 +229,16 @@ class TestCorrelationReport:
         corpus = _corpus_of(rng, 3, tiny_vocab)
         other = {f"x{k}": v for k, v in corpus.items()}
         with pytest.raises(NoPairs):
-            correlation_report(corpus, other, tiny_vocab.silence_tokens)
+            correlation_report(corpus, other, tiny_vocab)
 
     def test_missing_kind_excluded_pairwise(self, tiny_vocab):
         # single short IPU per dialogue: no pauses, no ftos
         silent = {
-            "a": (stream([3] * 10), stream([0] * 10, 1)),
-            "b": (stream([4] * 20), stream([0] * 20, 1)),
-            "c": (stream([5] * 30), stream([0] * 30, 1)),
+            "a": ((3,) * 10, (0,) * 10),
+            "b": ((4,) * 20, (0,) * 20),
+            "c": ((5,) * 30, (0,) * 30),
         }
-        report = correlation_report(silent, silent, {0})
+        report = correlation_report(silent, silent, tiny_vocab)
         assert report.kinds["ipu"].r == pytest.approx(1.0)
         assert report.kinds["pause"].r is None
         assert report.kinds["pause"].n_pairs == 0
@@ -286,8 +283,8 @@ class TestMedianPerplexity:
         style = DialogueStyle(vocab=tiny_vocab, backchannel_prob=0.0, p_self=0.5)
         corpus = generate_corpus(style, 24, 16000, seed=77)
         seqs = [
-            flatten(deduplicate(chunk_streams(r.s0, r.s1, 160, tiny_vocab)))
-            for r in corpus.dialogues
+            flatten(deduplicate(chunk_streams(s0, s1, 160, tiny_vocab)))
+            for s0, s1 in corpus.values()
         ]
         model = train(seqs[:16], order=3, alpha=0.1, vocab_ext=tiny_vocab.extended_size)
         heldout = seqs[16:]

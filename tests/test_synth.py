@@ -3,6 +3,7 @@ import pytest
 
 from duplexsim import (
     DialogueStyle,
+    Vocab,
     build_stage2_corpus,
     chunk_streams,
     corpus_stats,
@@ -19,21 +20,21 @@ from duplexsim.metrics import dialogue_events
 from duplexsim.synth import generate_dialogue_with_log
 
 
-def voiced_mask(stream, silence):
-    return [t not in silence for t in stream.tokens]
+def voiced_mask(channel, silence):
+    return [t not in silence for t in channel]
 
 
 def encoded(dialogues, vocab, chunk_ms=160):
     """``corpus_stats`` input: each dialogue with its wire form."""
-    return [(r.s0, r.s1, deduplicate(chunk_streams(r.s0, r.s1, chunk_ms, vocab)))
-            for r in dialogues]
+    return [(s0, s1, deduplicate(chunk_streams(s0, s1, chunk_ms, vocab)))
+            for s0, s1 in dialogues]
 
 
 class TestGenerateDialogue:
     def test_duration_exact(self, tiny_style):
         s0, s1 = generate_dialogue(tiny_style, 8000, seed=1)
-        assert s0.duration_ms == 8000
-        assert s1.duration_ms == 8000
+        assert len(s0) * tiny_style.vocab.frame_ms == 8000
+        assert len(s1) * tiny_style.vocab.frame_ms == 8000
 
     def test_zero_duration(self, tiny_style):
         s0, s1 = generate_dialogue(tiny_style, 0, seed=1)
@@ -66,9 +67,10 @@ class TestGenerateDialogue:
 
     def test_voiced_content_avoids_silence_token(self, tiny_style):
         s0, s1 = generate_dialogue(tiny_style, 20000, seed=9)
-        units = set(tiny_style.units)
+        n, unit_at = tiny_style.content()
+        units = {unit_at(i) for i in range(n)}
         for s in (s0, s1):
-            for t in s.tokens:
+            for t in s:
                 assert t == 0 or t in units
 
     def test_survives_codec_round_trip(self, tiny_style):
@@ -121,7 +123,7 @@ class TestGenerateDialogue:
         ftos = []
         for i in range(60):
             s0, s1 = generate_dialogue(style, 30000, seed=[5, i])
-            for ev in dialogue_events(s0, s1, {0}):
+            for ev in dialogue_events(s0, s1, tiny_vocab):
                 if ev.kind == "fto":
                     ftos.append(ev.duration_ms)
         assert len(ftos) > 200
@@ -131,8 +133,8 @@ class TestGenerateDialogue:
 class TestStage2:
     def test_single_utterance_mirrors_silence(self, tiny_style):
         s0, s1 = build_stage2_corpus([(0, [3] * 10)], tiny_style)
-        assert s0.tokens == (3,) * 10
-        assert s1.tokens == (0,) * 10
+        assert s0 == (3,) * 10
+        assert s1 == (0,) * 10
 
     def test_empty_turn_list(self, tiny_style):
         s0, s1 = build_stage2_corpus([], tiny_style)
@@ -143,7 +145,7 @@ class TestStage2:
         s0, s1 = build_stage2_corpus(turns, tiny_style)
         assert len(s0) == 15 and len(s1) == 15
         overlap = sum(
-            1 for a, b in zip(s0.tokens, s1.tokens) if a != 0 and b != 0
+            1 for a, b in zip(s0, s1) if a != 0 and b != 0
         )
         assert overlap == 0
 
@@ -155,7 +157,7 @@ class TestStage2:
         for seed in range(5):
             s0, s1 = generate_stage2_dialogue(tiny_style, 8, seed=seed)
             overlap = sum(
-                1 for a, b in zip(s0.tokens, s1.tokens) if a != 0 and b != 0
+                1 for a, b in zip(s0, s1) if a != 0 and b != 0
             )
             assert overlap == 0
 
@@ -164,22 +166,17 @@ class TestCorpus:
     def test_corpus_determinism(self, tiny_style):
         a = generate_corpus(tiny_style, 4, 8000, seed=3)
         b = generate_corpus(tiny_style, 4, 8000, seed=3)
-        assert a.dialogues == b.dialogues
+        assert list(a.items()) == list(b.items())
 
     def test_per_dialogue_streams_independent_of_count(self, tiny_style):
         # dialogue i depends only on (seed, i), not on corpus size
         a = generate_corpus(tiny_style, 2, 8000, seed=3)
         b = generate_corpus(tiny_style, 5, 8000, seed=3)
-        assert a.dialogues == b.dialogues[:2]
+        assert list(a.items()) == list(b.items())[:2]
 
     def test_stats_on_stage2_corpus_have_zero_overlap(self, tiny_style):
-        recs = []
-        from duplexsim import DialogueRecord
-
-        for i in range(4):
-            s0, s1 = generate_stage2_dialogue(tiny_style, 6, seed=i)
-            recs.append(DialogueRecord(id=f"s{i}", s0=s0, s1=s1))
-        stats = corpus_stats(encoded(recs, tiny_style.vocab))
+        dialogues = [generate_stage2_dialogue(tiny_style, 6, seed=i) for i in range(4)]
+        stats = corpus_stats(encoded(dialogues, tiny_style.vocab))
         assert stats.overlap_frames == 0
 
     def test_empty_corpus_raises(self, tiny_style):
@@ -197,7 +194,7 @@ class TestCorpus:
             p_self=0.4,
         )
         corpus = generate_corpus(style, 40, 30000, seed=11)
-        stats = corpus_stats(encoded(corpus.dialogues, tiny_vocab))
+        stats = corpus_stats(encoded(corpus.values(), tiny_vocab))
         for kind, target in (("ipu", 1600.0), ("pause", 700.0), ("fto", 300.0)):
             n = stats.event_counts[kind]
             se = stats.event_stds_ms[kind] / np.sqrt(n)
@@ -206,7 +203,7 @@ class TestCorpus:
     def test_compression_ratio_band(self, tiny_vocab):
         style = DialogueStyle(vocab=tiny_vocab)
         corpus = generate_corpus(style, 10, 30000, seed=2)
-        stats = corpus_stats(encoded(corpus.dialogues, tiny_vocab))
+        stats = corpus_stats(encoded(corpus.values(), tiny_vocab))
         assert 0.3 <= stats.compression_ratio <= 0.7
 
 
@@ -233,9 +230,18 @@ class TestStyleConfig:
         with pytest.raises(ValueError):
             DialogueStyle(vocab=tiny_vocab, backchannel_prob=1.5)
 
+    def test_content_skips_the_silence_ids_in_range(self):
+        # silence below the range, twice in a row inside it, and at its top
+        vocab = Vocab(size=20, frame_ms=40, silence_tokens=frozenset({0, 3, 4, 9, 15}))
+        style = DialogueStyle(vocab=vocab, unit_range=(2, 16))
+        n, unit_at = style.content()
+        assert [unit_at(i) for i in range(n)] == [
+            u for u in range(2, 16) if u not in vocab.silence_tokens]
+
     def test_unit_range(self, tiny_vocab):
         style = DialogueStyle(vocab=tiny_vocab, unit_range=(1, 6))
-        assert style.units == (1, 2, 3, 4, 5)
+        n, unit_at = style.content()
+        assert [unit_at(i) for i in range(n)] == [1, 2, 3, 4, 5]
         s0, s1 = generate_dialogue(style, 12000, seed=0)
-        for t in s0.tokens + s1.tokens:
+        for t in s0 + s1:
             assert t == 0 or 1 <= t < 6

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from duplexsim import (
     DedupChunk,
     DedupDialogue,
-    TokenStream,
     Vocab,
     chunk_streams,
     chunk_wire,
@@ -23,14 +22,10 @@ from duplexsim.errors import (
 )
 
 
-def stream(tokens, speaker=0, frame_ms=40):
-    return TokenStream(speaker=speaker, tokens=tuple(tokens), frame_ms=frame_ms)
-
-
 def figure_dialogue(vocab):
     # three 160 ms chunks; channel 1 holds one token throughout
-    s0 = stream([75, 75, 75, 75, 17, 17, 338, 338, 338, 338, 338, 338])
-    s1 = stream([89] * 12, speaker=1)
+    s0 = (75, 75, 75, 75, 17, 17, 338, 338, 338, 338, 338, 338)
+    s1 = (89,) * 12
     return chunk_streams(s0, s1, 160, vocab)
 
 
@@ -41,7 +36,7 @@ class TestChunkStreams:
         assert vocab.frames_per_chunk(200) == 5
 
     def test_single_chunk(self, vocab):
-        d = chunk_streams(stream([1, 2, 3, 4]), stream([5, 6, 7, 8], 1), 160, vocab)
+        d = chunk_streams((1, 2, 3, 4), (5, 6, 7, 8), 160, vocab)
         assert len(d.chunks) == 1
         assert d.chunks[0] == ((1, 2, 3, 4), (5, 6, 7, 8))
 
@@ -52,29 +47,25 @@ class TestChunkStreams:
 
     def test_length_mismatch(self, vocab):
         with pytest.raises(LengthMismatch):
-            chunk_streams(stream([1, 2]), stream([1], 1), 160, vocab)
+            chunk_streams((1, 2), (1,), 160, vocab)
 
     def test_bad_chunk_size(self, vocab):
         with pytest.raises(BadChunkSize):
-            chunk_streams(stream([1] * 4), stream([2] * 4, 1), 170, vocab)
+            chunk_streams((1,) * 4, (2,) * 4, 170, vocab)
 
     def test_padding_with_silence(self, vocab):
-        d = chunk_streams(stream([7, 7, 7]), stream([8, 8, 8], 1), 160, vocab)
+        d = chunk_streams((7, 7, 7), (8, 8, 8), 160, vocab)
         assert len(d.chunks) == 1
         assert d.chunks[0][0] == (7, 7, 7, 0)
         assert d.chunks[0][1] == (8, 8, 8, 0)
 
-    def test_reject_mode(self, vocab):
-        with pytest.raises(LengthMismatch):
-            chunk_streams(stream([7] * 3), stream([8] * 3, 1), 160, vocab, pad=False)
-
     def test_empty_streams(self, vocab):
-        d = chunk_streams(stream([]), stream([], 1), 160, vocab)
+        d = chunk_streams((), (), 160, vocab)
         assert len(d.chunks) == 0
 
     def test_rejects_out_of_range_tokens(self, vocab):
         with pytest.raises(ValueError):
-            chunk_streams(stream([501] * 4), stream([0] * 4, 1), 160, vocab)
+            chunk_streams((501,) * 4, (0,) * 4, 160, vocab)
 
 
 class TestDeduplicate:
@@ -92,8 +83,8 @@ class TestDeduplicate:
 
     def test_carry_across_chunks(self, vocab):
         # channel repeats its last token into the next chunk: nothing novel
-        s0 = stream([5, 5, 5, 5, 5, 5, 5, 5])
-        s1 = stream([9, 9, 9, 9, 9, 3, 3, 3], 1)
+        s0 = (5, 5, 5, 5, 5, 5, 5, 5)
+        s1 = (9, 9, 9, 9, 9, 3, 3, 3)
         d = deduplicate(chunk_streams(s0, s1, 160, vocab))
         assert d.chunks[0].s0_novel == (5,)
         assert d.chunks[1].s0_novel == ()
@@ -150,8 +141,8 @@ class TestFlattenParse:
     def test_all_silent_two_chunks(self, vocab):
         # derived by hand-applying dedup + flatten: silence is novel once
         s = 0
-        s0 = stream([s] * 8)
-        s1 = stream([s] * 8, 1)
+        s0 = (s,) * 8
+        s1 = (s,) * 8
         d = deduplicate(chunk_streams(s0, s1, 160, vocab))
         assert flatten(d) == [vocab.tag_s0, s, vocab.tag_s1, s, vocab.tag_s0]
 
@@ -203,7 +194,7 @@ def dialogues(draw):
     toks = st.integers(min_value=0, max_value=vocab_size - 1)
     t0 = draw(st.lists(toks, min_size=n, max_size=n))
     t1 = draw(st.lists(toks, min_size=n, max_size=n))
-    return chunk_streams(stream(t0), stream(t1, 1), chunk_ms, vocab)
+    return chunk_streams(tuple(t0), tuple(t1), chunk_ms, vocab)
 
 
 @given(dialogues())
@@ -265,8 +256,8 @@ def test_compression_monotonicity(d):
 
 def test_constant_stream_compresses_to_one_token(vocab):
     n_chunks = 7
-    s0 = stream([42] * (4 * n_chunks))
-    s1 = stream([0] * (4 * n_chunks), 1)
+    s0 = (42,) * (4 * n_chunks)
+    s1 = (0,) * (4 * n_chunks)
     dd = deduplicate(chunk_streams(s0, s1, 160, vocab))
     novel0 = [t for c in dd.chunks for t in c.s0_novel]
     assert novel0 == [42]
