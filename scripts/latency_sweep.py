@@ -92,7 +92,6 @@ def run_sweep(
             for k, full in enumerate(heldout_encoded[c]):
                 prompt = DedupDialogue(vocab, c, full.chunks[:prompt_chunks])
                 cfg = InteractionConfig(
-                    chunk_ms=c,
                     latency_chunks=latency_chunks,
                     max_chunks=total_ms // c,
                     sampler=SamplerConfig(seed=seed + 1000 * rep + k),

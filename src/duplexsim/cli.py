@@ -12,6 +12,11 @@ flag per setting: a run's vocabulary comes from its style file or corpus,
 or, when it reads none, from ``--vocab --frame-ms --silence-token``, never
 from both, and a flag that a given combination would not read is an error.
 
+``eval --mode turns`` needs ``--reference`` and reads ``--skip-ms`` and
+the event flags, whose defaults are ``EventParams``'s; ``--mode ppl`` needs
+``--model`` and reads ``--prompt-ms``. Both record ``--chunk-ms``, which
+must be a chunk size of the corpus, and ``--latency``.
+
 Failures print a JSON object to stderr; exit codes are 0 (ok), 2 (invalid
 configuration or inputs), 3 (runtime error).
 """
@@ -29,12 +34,7 @@ import numpy as np
 
 from . import corpus_io
 from .errors import ConfigError, DuplexError, EmptyCarryOverWarning, EmptyCorpus
-from .interaction import (
-    OVERFLOW_POLICIES,
-    InteractionConfig,
-    continue_dialogue,
-    simulate_interaction,
-)
+from .interaction import InteractionConfig, continue_dialogue, simulate_interaction
 from .metrics import EventParams, correlation_report, per_dialogue_perplexities
 from .ngram import NgramModel, SamplerConfig, train
 from .synth import (
@@ -136,14 +136,14 @@ def _flat_sequences(encodings: list[DedupDialogue]) -> list[list[int]]:
     return [flatten(d) for d in encodings if d.chunks]
 
 
-def _prompt_chunks(args) -> int:
+def _prompt_chunks(prompt_ms: int, chunk_ms: int) -> int:
     """How many leading chunks of each encoded dialogue form the prompt."""
-    if args.chunk_ms <= 0 or args.prompt_ms < 0 or args.prompt_ms % args.chunk_ms:
+    if chunk_ms <= 0 or prompt_ms < 0 or prompt_ms % chunk_ms:
         raise ConfigError(
             f"--prompt-ms must be a non-negative multiple of a positive --chunk-ms, "
-            f"got {args.prompt_ms} and {args.chunk_ms}"
+            f"got {prompt_ms} and {chunk_ms}"
         )
-    return args.prompt_ms // args.chunk_ms
+    return prompt_ms // chunk_ms
 
 
 def _head(d: DedupDialogue, n_chunks: int) -> DedupDialogue:
@@ -225,7 +225,7 @@ def _sampler_from_args(args, seed: int) -> SamplerConfig:
 
 def cmd_continue(args) -> int:
     _check_outputs(args.out, args.transcript)
-    prompt_chunks = _prompt_chunks(args)
+    prompt_chunks = _prompt_chunks(args.prompt_ms, args.chunk_ms)
     n_chunks = args.continue_ms // args.chunk_ms
     if n_chunks < 1:
         raise ConfigError("--continue-ms must cover at least one chunk")
@@ -273,7 +273,7 @@ def cmd_interact(args) -> int:
     if corpus is None and args.prompt_ms:
         raise ConfigError("--prompt-ms cuts prompts from --prompts or --scripted; give one")
     _check_outputs(args.out, args.corpus_out)
-    prompt_chunks = _prompt_chunks(args)
+    prompt_chunks = _prompt_chunks(args.prompt_ms, args.chunk_ms)
     if args.max_chunks < 1:
         raise ConfigError("run needs at least one chunk (--max-chunks)")
 
@@ -293,11 +293,9 @@ def cmd_interact(args) -> int:
     corpus_records = []
     for i, (did, prompt, script) in enumerate(runs):
         cfg = InteractionConfig(
-            chunk_ms=args.chunk_ms,
             latency_chunks=args.latency,
             max_chunks=len(prompt.chunks) + args.max_chunks,
             sampler=_sampler_from_args(args, _derive_seed(args.seed, i)),
-            overflow_policy=args.overflow_policy,
         )
         source = script if script is not None else model_b
         transcript = simulate_interaction(model_a, source, cfg, prompt)
@@ -312,11 +310,23 @@ def cmd_interact(args) -> int:
     return 0
 
 
+# the flags that only one eval mode reads; it requires the first
+EVAL_MODE_FLAGS = {"turns": ("reference", "skip_ms", "ipu_gap_ms", "min_voiced_ms", "bridge_ms"),
+                   "ppl": ("model", "prompt_ms")}
+
+
 def cmd_eval(args) -> int:
     base = Path(args.out)
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
     _check_outputs(csv_path, json_path)
+    required = EVAL_MODE_FLAGS[args.mode][0]
+    if getattr(args, required) is None:
+        raise ConfigError(f"eval --mode {args.mode} requires --{required}")
+    other = EVAL_MODE_FLAGS["ppl" if args.mode == "turns" else "turns"]
+    unread = ["--" + f.replace("_", "-") for f in other if getattr(args, f) is not None]
+    if unread:
+        raise ConfigError(f"eval --mode {args.mode} does not read {', '.join(unread)}")
     if args.latency is not None and args.latency < 0:
         raise ConfigError(f"--latency must be >= 0, got {args.latency}")
 
@@ -326,16 +336,20 @@ def cmd_eval(args) -> int:
         if ref_vocab != vocab:
             raise ConfigError(f"reference {args.reference} has {ref_vocab}, "
                               f"the generated corpus {vocab}")
-        skip = args.skip_ms // vocab.frame_ms
+        vocab.frames_per_chunk(args.chunk_ms)  # recorded, so it must fit the corpus
+        skip_ms = args.skip_ms or 0
+        if skip_ms < 0 or skip_ms % vocab.frame_ms:
+            raise ConfigError(f"--skip-ms must be a non-negative multiple of "
+                              f"frame_ms {vocab.frame_ms}, got {skip_ms}")
+        skip = skip_ms // vocab.frame_ms
+        mode_params = {"prompt_ms": None, "skip_ms": skip_ms}
 
         def trim(corpus):
             return {did: (s0[skip:], s1[skip:]) for did, (s0, s1) in corpus.items()}
 
-        params = EventParams(
-            min_voiced_ms=args.min_voiced_ms,
-            bridge_ms=args.bridge_ms,
-            ipu_gap_ms=args.ipu_gap_ms,
-        )
+        events = {"min_voiced_ms": args.min_voiced_ms, "bridge_ms": args.bridge_ms,
+                  "ipu_gap_ms": args.ipu_gap_ms}
+        params = EventParams(**{k: v for k, v in events.items() if v is not None})
         report = correlation_report(trim(gen), trim(ref), vocab, params)
         kinds = report.to_dict()["kinds"]
         metrics_payload = {
@@ -346,7 +360,9 @@ def cmd_eval(args) -> int:
             "detail": report.to_dict(),
         }
     else:
-        prompt_chunks = _prompt_chunks(args)
+        prompt_ms = args.prompt_ms or 0
+        prompt_chunks = _prompt_chunks(prompt_ms, args.chunk_ms)
+        mode_params = {"prompt_ms": prompt_ms, "skip_ms": None}
         gen, vocab = _load_corpus(args.generated)
         (model,) = _load_models(vocab, args.model)
         dialogues = [_encode(s0, s1, vocab, args.chunk_ms) for s0, s1 in gen.values()]
@@ -364,8 +380,7 @@ def cmd_eval(args) -> int:
         "params": {
             "chunk_ms": args.chunk_ms,
             "latency_chunks": args.latency,
-            "prompt_ms": args.prompt_ms if args.mode == "ppl" else None,
-            "skip_ms": args.skip_ms if args.mode == "turns" else None,
+            **mode_params,
         },
         "metrics": metrics_payload,
     }
@@ -494,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corpus of prompts for a --model-b run")
     p.add_argument("--prompt-ms", type=int, default=0,
                    help="a multiple of --chunk-ms; only with --prompts or --scripted")
-    p.add_argument("--overflow-policy", choices=OVERFLOW_POLICIES, default="truncate")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--corpus-out", type=Path, default=None)
     p.set_defaults(func=cmd_interact)
@@ -503,13 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="turn-taking correlations or median perplexity")
     p.add_argument("--mode", choices=["turns", "ppl"], required=True)
     p.add_argument("--generated", type=Path, required=True)
-    p.add_argument("--reference", type=Path, default=None)
-    p.add_argument("--model", type=Path, default=None)
-    p.add_argument("--prompt-ms", type=int, default=0)
-    p.add_argument("--skip-ms", type=int, default=0)
-    p.add_argument("--ipu-gap-ms", type=int, default=200)
-    p.add_argument("--min-voiced-ms", type=int, default=0)
-    p.add_argument("--bridge-ms", type=int, default=0)
+    p.add_argument("--reference", type=Path, help="turns mode only, required")
+    p.add_argument("--skip-ms", type=int, help="turns mode only; a multiple of frame_ms, default 0")
+    for flag in ("--ipu-gap-ms", "--min-voiced-ms", "--bridge-ms"):
+        p.add_argument(flag, type=int, help="turns mode only; default from EventParams")
+    p.add_argument("--model", type=Path, help="ppl mode only, required")
+    p.add_argument("--prompt-ms", type=int, help="ppl mode only; a multiple of --chunk-ms, default 0")
     p.add_argument("--latency", type=int, default=None)
     p.add_argument("--model-name", default="model")
     p.add_argument("--dataset-name", default="dataset")
@@ -528,11 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "eval":
-            if args.mode == "turns" and args.reference is None:
-                raise ConfigError("eval --mode turns requires --reference")
-            if args.mode == "ppl" and args.model is None:
-                raise ConfigError("eval --mode ppl requires --model")
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         _fail(exc)

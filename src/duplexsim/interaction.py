@@ -6,7 +6,9 @@ novel token, the channel-1 tag implies at least one novel token, and
 per-chunk novel counts are capped at the chunk's frame slots. Stopping a
 channel's novel list is the act of sampling either tag; whether channel 1
 speaks in a chunk is always decided by a dedicated two-way draw so that
-estimation and free-running generation share one sampling discipline.
+estimation and free-running generation share one sampling discipline. A
+list that fills every slot is cut there, with no further draw, and counted
+as a truncation.
 
 The interaction loop runs both sides chunk-by-chunk. To emit its chunk at
 step t, an agent holds the other side's actual chunks only up to
@@ -16,7 +18,9 @@ arrived actual chunks replace estimates in every later context.
 Each side is one incremental agent. It starts from a parsed prompt, a
 ``DedupDialogue``, whose chunks it appends one by one; the wire format is
 never read back. Every run needs a prompt, which may have no chunks; it
-carries the run's vocabulary and chunk size. Its three operations:
+carries the run's vocabulary and chunk size, so an ``InteractionConfig``
+holds only the latency, the run's length and the sampler. Its three
+operations:
 *receive* an arrived chunk, which appends to its base context; *estimate*
 the missing window, which appends past a mark at the base's end; and
 *emit* its own part of the chunk, after which the context is cut back to
@@ -36,20 +40,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ChunkOverflow, SourceExhausted
+from .errors import SourceExhausted
 from .ngram import NgramModel, SamplerConfig, sample_constrained
 from .tokens import DedupChunk, DedupDialogue, Vocab, flatten, parse
-
-OVERFLOW_POLICIES = ("truncate", "error")
 
 
 @dataclass(frozen=True)
 class InteractionConfig:
-    chunk_ms: int = 160
+    """The settings of a run that its prompt does not carry; the prompt
+    gives the vocabulary and the chunk size."""
+
     latency_chunks: int = 1
     max_chunks: int = 50
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    overflow_policy: str = "truncate"
 
     def __post_init__(self) -> None:
         if self.latency_chunks < 0:
@@ -59,8 +62,6 @@ class InteractionConfig:
         if self.latency_chunks > self.max_chunks:
             raise ValueError(f"latency_chunks ({self.latency_chunks}) must not exceed "
                              f"max_chunks ({self.max_chunks})")
-        if self.overflow_policy not in OVERFLOW_POLICIES:
-            raise ValueError(f"overflow_policy must be one of {OVERFLOW_POLICIES}")
 
 
 @dataclass
@@ -106,7 +107,6 @@ class StepRecord:
             "index": self.index,
             "llm_chunk": self.llm_chunk,
             "user_actual": self.user_actual,
-            "user_estimated": self.user_estimated,
             "estimate_history": self.estimate_history,
             "context_snapshot_len": self.context_snapshot_len,
             "truncations": self.truncations,
@@ -117,17 +117,25 @@ class StepRecord:
 class InteractionTranscript:
     """A run of ``simulate_interaction``.
 
-    ``to_json_dict`` serialises each step without its context snapshot,
-    which would make a transcript quadratic in length. The snapshot of
-    step t is rebuilt from the serialised ``dialogue``, ``steps`` and
-    ``latency_chunks`` (L): it is the wire form of chunks 0..t-1 in which
-    chunks below ``max(prompt_chunks, t - L)`` are actual and, for every
-    later chunk j, channel 0 is actual and channel 1 is
-    ``estimate_history[t - j - 1]`` of step j.
+    ``to_json_dict`` records each value once: ``config`` (latency,
+    ``max_chunks`` and sampler), ``prompt_chunks``, ``dialogue`` (with the
+    vocabulary and chunk size), ``user_truncations`` and, per step,
+    ``index``, ``llm_chunk``, ``user_actual``, ``estimate_history``,
+    ``context_snapshot_len`` and ``truncations``. What it leaves out is
+    derived from the rest: the run's seed is ``config.sampler.seed``, its
+    chunk size ``dialogue.chunk_ms``, and a step's ``user_estimated`` the
+    last entry of its ``estimate_history`` (None if empty); overflow
+    always truncates.
+
+    The context snapshot is left out too, since it would make a transcript
+    quadratic in length. The snapshot of step t is rebuilt from
+    ``dialogue``, ``steps`` and ``latency_chunks`` (L): it is the wire
+    form of chunks 0..t-1 in which chunks below ``max(prompt_chunks,
+    t - L)`` are actual and, for every later chunk j, channel 0 is actual
+    and channel 1 is ``estimate_history[t - j - 1]`` of step j.
     """
 
     config: InteractionConfig
-    seed: int
     prompt_chunks: int
     steps: list[StepRecord]
     dialogue: DedupDialogue
@@ -136,7 +144,6 @@ class InteractionTranscript:
     def to_json_dict(self) -> dict:
         return {
             "config": asdict(self.config),
-            "seed": self.seed,
             "prompt_chunks": self.prompt_chunks,
             "steps": [s.to_dict() for s in self.steps],
             "dialogue": dialogue_to_json_dict(self.dialogue),
@@ -190,7 +197,6 @@ class _Agent:
         rng: np.random.Generator,
         prompt: DedupDialogue,
         side: int = 0,
-        policy: str = "truncate",
     ):
         vocab = prompt.vocab
         if model.vocab_ext != vocab.extended_size:
@@ -203,7 +209,6 @@ class _Agent:
         self.fpc = prompt.frames_per_chunk
         self.cfg = cfg
         self.rng = rng
-        self.policy = policy
         self.truncations = 0
         # sorted allowed sets: units, and units followed by both tags
         self._units = np.arange(vocab.size, dtype=np.int64)
@@ -258,13 +263,7 @@ class _Agent:
         novels: list[int] = []
         while True:
             if len(novels) >= self.fpc:
-                if self.policy == "error":
-                    if self._draw(self._allowed(last_tok, True)) < vocab.size:
-                        raise ChunkOverflow(
-                            f"model emitted {self.fpc + 1} novel tokens in one chunk"
-                        )
-                else:
-                    self.truncations += 1
+                self.truncations += 1
                 break
             tok = self._draw(self._allowed(last_tok, channel == 0 or bool(novels)))
             if tok >= vocab.size:
@@ -323,7 +322,6 @@ def continue_dialogue(
     n_chunks: int,
     cfg: SamplerConfig | None = None,
     forced_user: Sequence[Sequence[int]] | None = None,
-    overflow_policy: str = "truncate",
 ) -> DedupDialogue:
     """Autoregressively extend a dialogue by ``n_chunks`` chunks.
 
@@ -336,8 +334,7 @@ def continue_dialogue(
         raise ValueError("forced_user must provide one chunk per generated chunk")
     checked = parse(flatten(prompt), prompt.vocab, prompt.chunk_ms)
     cfg = cfg if cfg is not None else SamplerConfig()
-    agent = _Agent(model, cfg, np.random.default_rng(cfg.seed), checked,
-                   policy=overflow_policy)
+    agent = _Agent(model, cfg, np.random.default_rng(cfg.seed), checked)
     chunks = list(prompt.chunks)
     for i in range(n_chunks):
         s0 = agent.sample(0)
@@ -357,7 +354,6 @@ def estimate_user_chunk(
     chunk_ms: int,
     cfg: SamplerConfig | None = None,
     rng: np.random.Generator | None = None,
-    overflow_policy: str = "truncate",
 ) -> list[int]:
     """One chunk of the channel-1 side given a wire-format context that
     ends at a channel-1 boundary (right after the chunk's channel-0
@@ -365,8 +361,7 @@ def estimate_user_chunk(
     cfg = cfg if cfg is not None else SamplerConfig()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    agent = _Agent(model, cfg, rng, parse(list(context), vocab, chunk_ms),
-                   policy=overflow_policy)
+    agent = _Agent(model, cfg, rng, parse(list(context), vocab, chunk_ms))
     return agent.sample(1)
 
 
@@ -385,14 +380,10 @@ def simulate_interaction(
     t - latency; a model user has the model's chunks below t - latency + 1,
     since the model speaks first within a chunk. The prompt, required but
     possibly empty, carries the run's vocabulary and chunk size, which a
-    scripted user and ``cfg.chunk_ms`` must match.
+    scripted user must match.
     """
     scripted = isinstance(user_source, DedupDialogue)
     vocab = prompt.vocab
-    if prompt.chunk_ms != cfg.chunk_ms:
-        raise ValueError(
-            f"prompt chunk_ms {prompt.chunk_ms} != config chunk_ms {cfg.chunk_ms}"
-        )
     checked = parse(flatten(prompt), prompt.vocab, prompt.chunk_ms)
     L = cfg.latency_chunks
     p_chunks = len(prompt.chunks)
@@ -401,8 +392,9 @@ def simulate_interaction(
             f"max_chunks ({cfg.max_chunks}) must exceed prompt length ({p_chunks})"
         )
     if scripted:
-        if user_source.chunk_ms != cfg.chunk_ms:
-            raise ValueError("scripted user chunk_ms does not match config")
+        if user_source.chunk_ms != prompt.chunk_ms:
+            raise ValueError(f"scripted user has chunk_ms {user_source.chunk_ms}, "
+                             f"the prompt {prompt.chunk_ms}")
         if user_source.vocab != vocab:
             raise ValueError(f"scripted user has {user_source.vocab}, the prompt {vocab}")
         if len(user_source.chunks) < cfg.max_chunks:
@@ -415,12 +407,11 @@ def simulate_interaction(
     usr_novel = [list(c.s1_novel) for c in prompt.chunks]
 
     agent_a = _Agent(model_llm, cfg.sampler, np.random.default_rng(cfg.sampler.seed),
-                     checked, side=0, policy=cfg.overflow_policy)
+                     checked, side=0)
     agent_b = None
     if not scripted:
         agent_b = _Agent(user_source, cfg.sampler,
-                         np.random.default_rng([cfg.sampler.seed, 1]), checked,
-                         side=1, policy=cfg.overflow_policy)
+                         np.random.default_rng([cfg.sampler.seed, 1]), checked, side=1)
 
     records: list[StepRecord] = []
     trunc_before = 0
@@ -462,10 +453,9 @@ def simulate_interaction(
         DedupChunk(s0_novel=tuple(a), s1_novel=tuple(b))
         for a, b in zip(llm_novel, usr_novel)
     )
-    dialogue = DedupDialogue(vocab=vocab, chunk_ms=cfg.chunk_ms, chunks=chunks)
+    dialogue = DedupDialogue(vocab=vocab, chunk_ms=prompt.chunk_ms, chunks=chunks)
     return InteractionTranscript(
         config=cfg,
-        seed=cfg.sampler.seed,
         prompt_chunks=p_chunks,
         steps=records,
         dialogue=dialogue,

@@ -127,7 +127,7 @@ def test_criterion_05_zero_latency_equivalence():
             script = deduplicate(chunk_streams(s0, s1, 160, vocab))
             prompt = DedupDialogue(vocab, 160, script.chunks[:p])
             sampler = SamplerConfig(top_k=1, seed=case)
-            cfg = InteractionConfig(chunk_ms=160, latency_chunks=0,
+            cfg = InteractionConfig(latency_chunks=0,
                                     max_chunks=p + n, sampler=sampler)
             transcript = simulate_interaction(model, script, cfg, prompt=prompt)
             forced = [list(c.s1_novel) for c in script.chunks[p : p + n]]
@@ -144,7 +144,7 @@ def test_criterion_06_estimate_replace_protocol():
             s0, s1 = __import__("duplexsim").generate_dialogue(style, 16000, [21, seed])
             script = deduplicate(chunk_streams(s0, s1, 160, vocab))
             prompt = DedupDialogue(vocab, 160, script.chunks[:2])
-            cfg = InteractionConfig(chunk_ms=160, latency_chunks=1, max_chunks=16,
+            cfg = InteractionConfig(latency_chunks=1, max_chunks=16,
                                     sampler=SamplerConfig(seed=seed))
             for source in (script, model):
                 tr = simulate_interaction(model, source, cfg, prompt)

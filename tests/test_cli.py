@@ -427,7 +427,8 @@ MALFORMED_FILES = {
 
 
 # values that would each change the run, were the flag read
-FLAG_VALUES = {"--seed": "9", "--vocab": "24", "--frame-ms": "80", "--silence-token": "5"}
+FLAG_VALUES = {"--seed": "9", "--vocab": "24", "--frame-ms": "80", "--silence-token": "5",
+               "--overflow-policy": "error"}
 
 
 class TestInputBoundaries:
@@ -471,7 +472,7 @@ class TestInputBoundaries:
         ("train", "--seed"), ("train", "--frame-ms"), ("train", "--silence-token"),
         ("continue", "--vocab"), ("continue", "--frame-ms"), ("continue", "--silence-token"),
         ("eval-ppl", "--seed"), ("eval-turns", "--vocab"), ("eval-ppl", "--frame-ms"),
-        ("eval-turns", "--silence-token")])
+        ("eval-turns", "--silence-token"), ("interact", "--overflow-policy")])
     def test_flag_the_command_does_not_read(self, world, command, flag, tmp_path, capsys):
         clean, model = world
         argv, outputs = self._commands(clean, clean, model, tmp_path / "out")[command]
@@ -504,16 +505,28 @@ class TestInputBoundaries:
 
     # a flag that the rest of the command line would leave unread (a prompt
     # length with no corpus to cut it from, prompts beside a script that
-    # supplies them), or one that only repeated another flag (--greedy was
-    # --top-k 1, interact's --duration-ms was --max-chunks x --chunk-ms)
+    # supplies them, a flag of the other eval mode), one that only repeated
+    # another flag (--greedy was --top-k 1, interact's --duration-ms was
+    # --max-chunks x --chunk-ms), or a skip that would score the wrong frames
     @pytest.mark.parametrize("command,extra", [
         ("interact-no-corpus", ["--prompt-ms", "960"]),
         ("interact", ["--prompts", "CORPUS"]),
         ("continue", ["--greedy"]),
         ("interact", ["--greedy"]),
-        ("interact", ["--duration-ms", "99999"])],
+        ("interact", ["--duration-ms", "99999"]),
+        ("eval-turns", ["--model", "MODEL"]),
+        ("eval-turns", ["--prompt-ms", "960"]),
+        ("eval-ppl", ["--reference", "CORPUS"]),
+        ("eval-ppl", ["--skip-ms", "400"]),
+        ("eval-ppl", ["--ipu-gap-ms", "5"]),
+        ("eval-ppl", ["--min-voiced-ms", "80"]),
+        ("eval-ppl", ["--bridge-ms", "80"]),
+        ("eval-turns", ["--skip-ms", "-400"]),
+        ("eval-turns", ["--skip-ms", "30"])],
         ids=["prompt_ms_no_corpus", "prompts_with_scripted", "continue_greedy",
-             "interact_greedy", "interact_duration_ms"])
+             "interact_greedy", "interact_duration_ms", "turns_model", "turns_prompt_ms",
+             "ppl_reference", "ppl_skip_ms", "ppl_ipu_gap_ms", "ppl_min_voiced_ms",
+             "ppl_bridge_ms", "turns_negative_skip_ms", "turns_skip_ms_not_a_frame"])
     def test_flag_that_would_go_unread(self, world, command, extra, tmp_path, capsys):
         clean, model = world
         out = tmp_path / "out"
@@ -523,8 +536,20 @@ class TestInputBoundaries:
                                     str(model), *VOCAB_ARGS, "--max-chunks", "4",
                                     "--out", str(out)], [out]),
         }[command]
-        extra = [str(clean) if a == "CORPUS" else a for a in extra]
+        extra = [{"CORPUS": str(clean), "MODEL": str(model)}.get(a, a) for a in extra]
         assert_rejected(main(argv + extra), capsys, outputs)
+
+    # turns mode only records --chunk-ms, but it must still fit the corpus
+    @pytest.mark.parametrize("command", ["eval-ppl", "eval-turns"])
+    def test_eval_chunk_ms_not_a_frame_multiple(self, world, command, tmp_path, capsys):
+        clean, model = world
+        argv, outputs = self._commands(clean, clean, model, tmp_path / "out")[command]
+        assert main(argv + ["--chunk-ms", "7"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "BadChunkSize"
+        for path in outputs:
+            assert not path.exists()
 
     # (--prompt-ms, --max-chunks, --latency, exit code); a 960 ms prompt is
     # 6 chunks, so its session is 6 + --max-chunks chunks long

@@ -6,10 +6,16 @@ scripted and model users, perplexity as ``float.hex()``, and the bytes
 ``NgramModel.save`` writes. The interaction digests cover every step's
 in-memory ``context_snapshot``, i.e. the exact context each chunk was
 sampled from. The values were recorded from the reference engine, which
-rebuilt every context from chunk 0 at each step, except the model-file
-digests (``save-*`` and the CLI's ``model.json``), which were recorded
-again when the model file moved to the columnar version 2. A change that
-moves one of them changes behaviour and must say why.
+rebuilt every context from chunk 0 at each step, except two sets. The
+model-file digests (``save-*`` and the CLI's ``model.json``) were recorded
+again when the model file moved to the columnar version 2. The
+``interact-*`` digests and the CLI's ``scripted.json`` and ``model_b.json``
+were recorded again when a serialised transcript stopped writing four
+derivable values: ``config.chunk_ms`` (the dialogue's), the constant
+``config.overflow_policy``, the top-level ``seed`` (``config.sampler.seed``)
+and each step's ``user_estimated`` (the last of its ``estimate_history``);
+put back, they give the old digests. A change that moves one of them
+changes behaviour and must say why.
 """
 
 import hashlib
@@ -55,18 +61,18 @@ DIGESTS = {
     "continue-v501": "e8cf751ad0357a523fabbd845276c40caaad5327f4ba9063fbffd80b799c5822",
     "estimate-v12": "192100187ad78e72c877c7a2cb800af5c77cdba2ac04a5e88fe4491c1adf1ca0",
     "estimate-v501": "67820d34a716a814e097ff0faad2a2e6414825d33441b1114f792d4ebc508788",
-    "interact-v12-model-L0": "00ec13255ce4d6fa9eeaed7fe54ae72fcd5b9d85d858f3b39d54647fb3462985",
-    "interact-v12-model-L1": "505c453ec059c0e2be3415eae08d6aabd452ff6d7b074767f737aed5713fdf14",
-    "interact-v12-model-L3": "77eaa89e9a65462a1ab9bf0dbcfee80c30924d9875514e384266be76cb95c7aa",
-    "interact-v12-scripted-L0": "319865fc1f7f4fdc0e3e780ca9a62ac1a58f5d6f5aa6564877ee822040afd5d9",
-    "interact-v12-scripted-L1": "c6a6112a10c4807870604a0368ab9796c46c8a19c5a1cced60828efe1b04a1a7",
-    "interact-v12-scripted-L3": "5947593a2bf2209002c5663404be1ad8df116f61ae77d07348be7557ef1d0d25",
-    "interact-v501-model-L0": "76c10911bdfcaaad6d344d679c799a2c38a3a63fcb07e8ccf06897362a2c3ea6",
-    "interact-v501-model-L1": "0fcb6f1adb522216f05eeced4c3fc83450f6694d5c9dd50a1caf78bedac6318c",
-    "interact-v501-model-L3": "749b9d5dcbf7819e36a027c2e3b97748a1832a3be2867a24a943657352e53eeb",
-    "interact-v501-scripted-L0": "3b335f7016bf8bee380fbcd470df480101dba41e2fd3bbf5995fa28ee6b85e4a",
-    "interact-v501-scripted-L1": "42e83b873346b8ef0cd12ca3ca15fbee3e7045c4a7d3ad06df0d1f98b3a18960",
-    "interact-v501-scripted-L3": "fa27a9f53f51a3e7938a21af17e43f968607c355b1aaabfe1aca366b16bc8e91",
+    "interact-v12-model-L0": "7e926961611a190453a4db205b3e5e42a0fd7301e311e6e1b2f8e09c9fbc6cb3",
+    "interact-v12-model-L1": "14fd7bcfe3b36f40352e2dcc472a6fdb15f01f9a42a1613a382f18ad25b73f78",
+    "interact-v12-model-L3": "1837aeb902cdec0f513c285d70d4afbd82ee35eddb6bd5a1556a999d4017e60a",
+    "interact-v12-scripted-L0": "5e1a92770d70461ec175333f54a5cb1a4306377308e4f1254daf548844bb0593",
+    "interact-v12-scripted-L1": "c9e4bcbaf99f0fe36a19386c15fdacf1f4074e0d8402963ec9b67822ec83512b",
+    "interact-v12-scripted-L3": "00be0b8b74db60635dff48abacff5e095895b8893d87fc3fc0e4c918c6b109b5",
+    "interact-v501-model-L0": "2b6a703457d21395024b865b4a849b44c3bce778ed0c2379ba6ae47cb966dc24",
+    "interact-v501-model-L1": "4dab3fc703959b783bc718564855b213f501f88195a784f912786cf00b45955e",
+    "interact-v501-model-L3": "8f16be23a260c834f89f1c2f6ce7b69c3c88056bb2db5faf28a27362240a6e2b",
+    "interact-v501-scripted-L0": "d4b2802c1948817b1bf47d8b5b3fef6bd1fb368d3a9665679289a7fcf9231fa4",
+    "interact-v501-scripted-L1": "ccaa064e7ca54f6d8997a458be956b987d5341f4e06c1a54d2e5b9cec4fbcd68",
+    "interact-v501-scripted-L3": "fcbabfa6c978d8a8ce51e3207400c5447b8ced88211c154ae96cee6184ac8e24",
     "ppl-v12": "8be9b35f5471021311b1901e5775c99693b818dcf51907756294d87e6ab9e8e4",
     "ppl-v501": "64583f908da96ecd7a1413562b650d7f23314082466847cc4a672d97af26d8c1",
     "save-v12": "31952f955fa70459d5ce49676b99294386ac04d3bb557bb5d5176bbd8f725968",
@@ -220,7 +226,7 @@ def test_simulate_interaction(world, user, latency):
     out = {}
     for name in SAMPLERS:
         for p in (0, PROMPT):
-            cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=latency,
+            cfg = InteractionConfig(latency_chunks=latency,
                                     max_chunks=p + RUN, sampler=_sampler(name, 3))
             tr = simulate_interaction(model, source, cfg, _prompt(script, p))
             out[f"{name}-p{p}"] = _transcript(tr)
@@ -241,9 +247,9 @@ CLI_DIGESTS = {
     "dump.txt": "d02209be40e9cc7c78a352973b254f9db6612b9ea9c9bfd10b6a4c30da1b25c6",
     "cont.jsonl": "be70d51dbf91029c900a25b04aaf895c794096bd26676d00b9be91b504ac5eb0",
     "cont.json": "b9991c3e38017187b73f44d790f978bc80974c2079909f2066c1fa2e10eaeb3e",
-    "scripted.json": "34643de9640fe7a9b1c6ab951e3d725a7ec2d8e15f57694161cf6196bcdeb4a3",
+    "scripted.json": "2bc0026683afd2b22935cd362d6dfd3c93fdf6cf6a76bb2bfa86ad23e615c81d",
     "scripted.jsonl": "5e5280db01e0c05d80c5209f4f227126d28b7c65338c80283964dcf7c517f81d",
-    "model_b.json": "e69e793ab1c6758e6a75a3bd9d29999578ebaeede9f9e3352ec6ba1332035386",
+    "model_b.json": "32bc1b93439b2c1729bbce827667e11392d04133de8621849e9d4dfd2f9f4d17",
     "model_b.jsonl": "0f3f29edabe09792529c1ad92407e91f39fae77b4843eb35d8e59ff576f0da30",
     "turns.json": "081ca2110c7da32338aabbbc34cd6328656ed77436ce9a1d810d499bf3692d90",
     "turns.csv": "1814ee3076267472fcac112c1c983658627fc803a2bed3daaf3a7f5db2818920",

@@ -20,7 +20,7 @@ from duplexsim import (
     simulate_interaction,
     train,
 )
-from duplexsim.errors import ChunkOverflow, MalformedSequence, SourceExhausted
+from duplexsim.errors import MalformedSequence, SourceExhausted
 from duplexsim.synth import DialogueStyle
 
 
@@ -205,7 +205,7 @@ class TestSimulateScripted:
         n = 12
         prompt = prompt_of(script, p)
         cfg = InteractionConfig(
-            chunk_ms=CHUNK_MS, latency_chunks=0, max_chunks=p + n, sampler=sampler
+            latency_chunks=0, max_chunks=p + n, sampler=sampler
         )
         transcript = simulate_interaction(model, script, cfg, prompt=prompt)
         forced = [list(c.s1_novel) for c in script.chunks[p : p + n]]
@@ -216,7 +216,7 @@ class TestSimulateScripted:
 
     def test_scripted_user_actual_matches_script(self, setup):
         vocab, _, model, script = setup
-        cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=10,
+        cfg = InteractionConfig(latency_chunks=1, max_chunks=10,
                                 sampler=SamplerConfig(seed=4))
         transcript = simulate_interaction(model, script, cfg, prompt_of(script, 0))
         for step in transcript.steps:
@@ -225,25 +225,28 @@ class TestSimulateScripted:
     def test_source_exhausted(self, setup):
         vocab, _, model, script = setup
         short = DedupDialogue(vocab, CHUNK_MS, script.chunks[:5])
-        cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=10)
+        cfg = InteractionConfig(latency_chunks=1, max_chunks=10)
         with pytest.raises(SourceExhausted):
             simulate_interaction(model, short, cfg, prompt_of(script, 0))
 
     @pytest.mark.parametrize("field,value", [("frame_ms", 80),
-                                             ("silence_tokens", frozenset({0, 1}))])
+                                             ("silence_tokens", frozenset({0, 1})),
+                                             ("chunk_ms", 2 * CHUNK_MS)])
     def test_script_vocabulary_must_match_the_prompt(self, setup, field, value):
         vocab, _, model, script = setup
         fields = dict(size=vocab.size, frame_ms=vocab.frame_ms,
-                      silence_tokens=vocab.silence_tokens)
-        prompt = DedupDialogue(Vocab(**{**fields, field: value}), CHUNK_MS, ())
-        cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=10)
+                      silence_tokens=vocab.silence_tokens, chunk_ms=CHUNK_MS)
+        fields[field] = value
+        chunk_ms = fields.pop("chunk_ms")
+        prompt = DedupDialogue(Vocab(**fields), chunk_ms, ())
+        cfg = InteractionConfig(latency_chunks=1, max_chunks=10)
         with pytest.raises(ValueError, match="scripted user"):
             simulate_interaction(model, script, cfg, prompt=prompt)
 
     def test_latency_one_estimate_structure(self, setup):
         vocab, _, model, script = setup
         p = 2
-        cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=14,
+        cfg = InteractionConfig(latency_chunks=1, max_chunks=14,
                                 sampler=SamplerConfig(seed=9))
         transcript = simulate_interaction(model, script, cfg,
                                           prompt=prompt_of(script, p))
@@ -264,7 +267,7 @@ class TestSimulateScripted:
 
     def test_latency_one_estimates_exist_and_get_replaced(self, setup):
         vocab, _, model, script = setup
-        cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=14,
+        cfg = InteractionConfig(latency_chunks=1, max_chunks=14,
                                 sampler=SamplerConfig(seed=9))
         transcript = simulate_interaction(model, script, cfg, prompt_of(script, 0))
         estimated = [s for s in transcript.steps[:-1] if s.user_estimated is not None]
@@ -277,7 +280,7 @@ class TestSimulateScripted:
     def test_synchrony_deficit(self, setup):
         vocab, _, model, script = setup
         for latency in (0, 1):
-            cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=latency,
+            cfg = InteractionConfig(latency_chunks=latency,
                                     max_chunks=12, sampler=SamplerConfig(seed=2))
             transcript = simulate_interaction(model, script, cfg, prompt_of(script, 0))
             p = transcript.prompt_chunks
@@ -287,7 +290,7 @@ class TestSimulateScripted:
                 arrived = max(p, t + 1 - latency)
                 assert llm_count - arrived == latency
         # larger latencies reach the exact deficit after a warmup
-        cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=3, max_chunks=12,
+        cfg = InteractionConfig(latency_chunks=3, max_chunks=12,
                                 sampler=SamplerConfig(seed=2))
         transcript = simulate_interaction(model, script, cfg, prompt_of(script, 0))
         for step in transcript.steps:
@@ -299,7 +302,7 @@ class TestSimulateScripted:
 class TestSimulateTwoModels:
     def test_deterministic_and_structured(self, setup):
         vocab, _, model, script = setup
-        cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=12,
+        cfg = InteractionConfig(latency_chunks=1, max_chunks=12,
                                 sampler=SamplerConfig(seed=21))
         a = simulate_interaction(model, model, cfg, prompt_of(script, 0))
         b = simulate_interaction(model, model, cfg, prompt_of(script, 0))
@@ -310,7 +313,7 @@ class TestSimulateTwoModels:
     def test_final_dialogue_parses_and_interpolates(self, setup):
         vocab, _, model, script = setup
         for latency in (0, 1, 2):
-            cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=latency,
+            cfg = InteractionConfig(latency_chunks=latency,
                                     max_chunks=10, sampler=SamplerConfig(seed=31))
             tr = simulate_interaction(model, model, cfg, prompt_of(script, 3))
             assert parse(flatten(tr.dialogue), vocab, CHUNK_MS) == tr.dialogue
@@ -321,7 +324,7 @@ class TestSimulateTwoModels:
         # continuation with the same seed
         vocab, _, model, script = setup
         prompt = prompt_of(script, 3)
-        cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=15,
+        cfg = InteractionConfig(latency_chunks=1, max_chunks=15,
                                 sampler=SamplerConfig(seed=8))
         tr = simulate_interaction(model, model, cfg, prompt)
         cont = continue_dialogue(model, prompt, 12, SamplerConfig(seed=8))
@@ -333,7 +336,7 @@ class TestTranscriptSerialisation:
         vocab, _, model, script = setup
 
         def size(n):
-            cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=1, max_chunks=n,
+            cfg = InteractionConfig(latency_chunks=1, max_chunks=n,
                                     sampler=SamplerConfig(seed=5))
             tr = simulate_interaction(model, model, cfg, prompt_of(script, 0))
             return len(json.dumps(tr.to_json_dict()))
@@ -344,17 +347,22 @@ class TestTranscriptSerialisation:
     @pytest.mark.parametrize("user", ["scripted", "model"])
     def test_snapshot_rebuilds_from_serialised_transcript(self, setup, user, latency):
         vocab, _, model, script = setup
-        cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=latency, max_chunks=16,
+        cfg = InteractionConfig(latency_chunks=latency, max_chunks=16,
                                 sampler=SamplerConfig(seed=6))
         source = script if user == "scripted" else model
         tr = simulate_interaction(model, source, cfg,
                                   prompt=prompt_of(script, 2))
         doc = json.loads(json.dumps(tr.to_json_dict()))
+        # each value once: the seed is config.sampler.seed, the chunk size
+        # dialogue.chunk_ms, a step's user_estimated its last estimate
+        assert "seed" not in doc
+        assert set(doc["config"]) == {"latency_chunks", "max_chunks", "sampler"}
         chunks = doc["dialogue"]["chunks"]
         steps = {s["index"]: s for s in doc["steps"]}
         for rec in tr.steps:
             t = rec.index
             assert "context_snapshot" not in steps[t]
+            assert "user_estimated" not in steps[t]
             wire = []
             for j in range(t):
                 s1 = chunks[j]["s1"]
@@ -364,6 +372,8 @@ class TestTranscriptSerialisation:
                 wire += [vocab.tag_s1, *s1] if s1 else []
             assert wire == rec.context_snapshot
             assert steps[t]["context_snapshot_len"] == len(wire)
+            history = steps[t]["estimate_history"]
+            assert (history[-1] if history else None) == rec.user_estimated
 
 
 class TestOverflowPolicy:
@@ -373,18 +383,10 @@ class TestOverflowPolicy:
         seq = [1, 2] * 200
         return train([seq], order=1, alpha=1e-6, vocab_ext=vocab.extended_size)
 
-    def test_error_policy_raises(self):
-        vocab = Vocab(size=6, frame_ms=40, silence_tokens=frozenset({0}))
-        model = self._chatty_model(vocab)
-        empty = DedupDialogue(vocab, CHUNK_MS, ())
-        with pytest.raises(ChunkOverflow):
-            continue_dialogue(model, empty, 2, SamplerConfig(top_k=1, seed=0),
-                              overflow_policy="error")
-
     def test_truncate_policy_counts(self):
         vocab = Vocab(size=6, frame_ms=40, silence_tokens=frozenset({0}))
         model = self._chatty_model(vocab)
-        cfg = InteractionConfig(chunk_ms=CHUNK_MS, latency_chunks=0, max_chunks=4,
+        cfg = InteractionConfig(latency_chunks=0, max_chunks=4,
                                 sampler=SamplerConfig(top_k=1, seed=0))
         script = DedupDialogue(
             vocab, CHUNK_MS,
@@ -398,7 +400,5 @@ class TestOverflowPolicy:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             InteractionConfig(latency_chunks=-1)
-        with pytest.raises(ValueError):
-            InteractionConfig(overflow_policy="repair")
         with pytest.raises(ValueError, match="must not exceed"):
             InteractionConfig(latency_chunks=5, max_chunks=4)
