@@ -8,8 +8,34 @@ formula.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
+
+
+def ngram_counts(corpus, order, vocab_ext) -> dict[tuple[int, ...], dict[int, int]]:
+    """``{context: {token: count}}`` by counting every ``order + 1``-token
+    window as a tuple, left-padded with the begin marker ``vocab_ext``."""
+    windows: Counter[tuple[int, ...]] = Counter()
+    for seq in corpus:
+        padded = [vocab_ext] * order + list(seq)
+        windows.update(zip(*[padded[i:] for i in range(order + 1)]))
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    for window, c in windows.items():
+        counts.setdefault(window[:-1], {})[window[-1]] = c
+    return counts
+
+
+def ngram_nll(counts, order, alpha, vocab_ext, sequence, skip=0) -> float:
+    """Summed -log P of ``sequence[skip:]`` under ``ngram_counts`` output,
+    one window at a time in sequence order."""
+    padded = [vocab_ext] * order + list(sequence)
+    nll = 0.0
+    for i in range(skip, len(sequence)):
+        row = counts.get(tuple(padded[i : i + order]), {})
+        c, total = row.get(padded[i + order], 0), sum(row.values())
+        nll -= math.log((c + alpha) / (total + alpha * vocab_ext))
+    return nll
 
 
 def ngram_prob(corpus, order, alpha, vocab_ext, context, token) -> float:

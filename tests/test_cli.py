@@ -291,6 +291,11 @@ def _repeat_token(m):
     m["counts"].insert(0, 1)
 
 
+def _counts_past_2_53(m):
+    """Two counts, each exact as a float64, whose sum is not."""
+    m["counts"][:2] = [2**52 + 1, 2**52 + 1]
+
+
 def _v1_file(m):
     order, vocab_ext = m["order"], m["vocab_ext"]
     m.clear()
@@ -331,6 +336,10 @@ MODEL_MUTATIONS = {
     "size_negative": (_shift_size(-1), "size is below 1"),
     "tokens_longer": (lambda m: m["tokens"].append(1), "do not sum"),
     "counts_shorter": (lambda m: m["counts"].pop(), "do not sum"),
+    "count_past_int64": (_edit("counts", 0, 2**64), "counts sum past 2**53"),
+    "counts_sum_past_2_53": (_counts_past_2_53, "counts sum past 2**53"),
+    "key_id_past_int64": (_edit("contexts", 0, 2**64), "context id lies outside [0, 12]"),
+    "token_past_int64": (_edit("tokens", 0, 2**64), "token lies outside [0, 12)"),
     "context_repeated": (_repeat_context, "context is repeated"),
     "token_repeated_in_row": (_repeat_token, "token is repeated within a row"),
 }

@@ -65,6 +65,72 @@ class TestTrain:
                 NgramModel(order=order, vocab_ext=vocab_ext)
 
 
+def _rows(model):
+    """The model's arrays as ``{context: {token: count}}``, after checking
+    that codes and each row's tokens increase and that totals are row sums."""
+    base, codes, offsets = model.vocab_ext + 1, model.codes.tolist(), model.offsets.tolist()
+    assert codes == sorted(set(codes)) and offsets[0] == 0 and offsets[-1] == len(model.tokens)
+    rows = {}
+    for r, code in enumerate(codes):
+        context = []
+        for _ in range(model.order):
+            code, digit = divmod(code, base)
+            context.insert(0, digit)
+        tokens = model.tokens[offsets[r] : offsets[r + 1]].tolist()
+        freqs = model.freqs[offsets[r] : offsets[r + 1]].tolist()
+        assert tokens == sorted(set(tokens)) and model.row_totals[r] == sum(freqs)
+        rows[tuple(context)] = dict(zip(tokens, freqs))
+    return rows
+
+
+class TestCompiledTrain:
+    @given(
+        st.integers(1, 8).flatmap(lambda v: st.tuples(
+            st.just(v),
+            st.lists(st.lists(st.integers(0, v - 1), max_size=30), min_size=1, max_size=6))),
+        st.integers(1, 6),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_counter_oracle(self, vocab_corpus, order, data):
+        vocab_ext, corpus = vocab_corpus
+        model = train(corpus, order=order, alpha=0.1, vocab_ext=vocab_ext)
+        counts = oracles.ngram_counts(corpus, order, vocab_ext)
+        assert _rows(model) == counts
+        # scoring finds the same counts, and sums the same floats in the same order
+        seq = data.draw(st.one_of(st.sampled_from(corpus),
+                                  st.lists(st.integers(0, vocab_ext), max_size=30)))
+        skip = data.draw(st.integers(0, len(seq) + 1))
+        assert model.sequence_nll(seq, skip) == (
+            oracles.ngram_nll(counts, order, 0.1, vocab_ext, seq, skip), max(0, len(seq) - skip))
+
+    def test_batches_merge_to_the_oracle(self):
+        # more than two batches of 2**15 tokens, with empty sequences among them
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(1, 5000, 40)
+        sizes[::9] = 0
+        corpus = [rng.integers(0, 6, size=n).tolist() for n in sizes]
+        assert sum(map(len, corpus)) > 2 * 2**15
+        model = train(corpus, order=3, alpha=0.1, vocab_ext=6)
+        assert _rows(model) == oracles.ngram_counts(corpus, 3, 6)
+
+    # the largest orders the constructor accepts: here a whole window's code,
+    # context code * (vocab_ext + 1) + token, would pass 2**63
+    @pytest.mark.parametrize("vocab_ext,order", [(1, 63), (3, 31)])
+    def test_largest_order_matches_oracle(self, vocab_ext, order):
+        rng = np.random.default_rng(order)
+        corpus = [rng.integers(0, vocab_ext, size=n).tolist() for n in (0, 5, 70, 140)]
+        model = train(corpus, order=order, alpha=0.1, vocab_ext=vocab_ext)
+        assert _rows(model) == oracles.ngram_counts(corpus, order, vocab_ext)
+        assert int(model.codes.max()) == (vocab_ext + 1) ** order - 1  # all begin markers
+        for context in ([], corpus[3][:order], corpus[3][:90]):
+            for tok in range(vocab_ext):
+                assert model.next_dist(context)[tok] == pytest.approx(
+                    oracles.ngram_prob(corpus, order, 0.1, vocab_ext, context, tok), abs=1e-12)
+        assert perplexity(model, corpus[2]) == pytest.approx(
+            oracles.sequence_perplexity(corpus, order, 0.1, vocab_ext, corpus[2]), rel=1e-12)
+
+
 class TestNextDist:
     def test_untrained_uniform(self):
         model = NgramModel(order=2, vocab_ext=7, alpha=0.3)
@@ -190,6 +256,13 @@ class TestPerplexity:
         with pytest.raises(ValueError):
             model.sequence_nll([0, 1, 2], skip=-1)
 
+    # in base vocab_ext + 1 the window (0, 5) would pack to the code of (1, 0)
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_id_outside_range_raises(self, bad):
+        model = train([[1, 0, 1, 0]], order=2, alpha=0.1, vocab_ext=4)
+        with pytest.raises(ValueError, match="outside"):
+            model.sequence_nll([0, bad, 2])
+
     def test_empty_sequence_raises(self):
         model = NgramModel(order=1, vocab_ext=4)
         with pytest.raises(EmptySequence):
@@ -245,7 +318,10 @@ class TestSerialization:
         NgramModel(order=3, vocab_ext=5, alpha=0.5).save(path)
         loaded = NgramModel.load(path)
         assert (loaded.order, loaded.vocab_ext, loaded.alpha) == (3, 5, 0.5)
-        assert loaded.counts == {} and loaded.totals == {}
+        for name in ("codes", "tokens", "freqs", "row_totals"):
+            assert getattr(loaded, name).shape == (0,), name
+        assert loaded.offsets.tolist() == [0]
+        assert loaded.totals == {}
 
     def test_non_object_file_fails_loudly(self, tmp_path):
         path = tmp_path / "model.json"
