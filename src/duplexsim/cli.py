@@ -2,7 +2,8 @@
 
 Every subcommand is byte-reproducible under fixed seeds. It reads and
 writes files only through ``corpus_io`` (each format checked once, every
-output atomic) and writes its first output only when all its work is done.
+output atomic, none the file of an input or another output) and writes its
+first output only when all its work is done.
 Each input file is read once, into ``{id: (s0, s1)}`` and the one
 ``Vocab`` its dialogues share, and each dialogue is encoded to the wire
 format once; a prompt is the first ``--prompt-ms // --chunk-ms`` chunks of
@@ -80,9 +81,11 @@ def _style_from_args(args) -> DialogueStyle:
     return DialogueStyle(vocab=_vocab_from_args(args))
 
 
-def _check_outputs(*paths: Path | None) -> None:
-    """Fail before the first write of a command that writes several files."""
-    for p in paths:
+def _check_outputs(inputs, *outputs: Path | None) -> None:
+    """Fail before a command reads or writes anything unless each output
+    can be written and names no file that an input or another output does."""
+    taken = {corpus_io.file_identity(p): p for p in inputs if p is not None}
+    for p in outputs:
         if p is None:
             continue
         parent = Path(p).parent
@@ -90,6 +93,11 @@ def _check_outputs(*paths: Path | None) -> None:
             raise ConfigError(f"output directory does not exist: {parent}")
         if Path(p).is_dir():
             raise ConfigError(f"output path is a directory: {p}")
+        key = corpus_io.file_identity(p)
+        if key is not None and key in taken:
+            raise ConfigError(f"output {p} would overwrite {taken[key]}, which the command "
+                              f"also names")
+        taken[key] = p
 
 
 def _load_corpus(path) -> tuple[dict[str, tuple[tuple[int, ...], tuple[int, ...]]], Vocab]:
@@ -160,8 +168,8 @@ def _dialogue_record(did: str, dlg, vocab: Vocab) -> dict:
 
 
 def cmd_synth(args) -> int:
+    _check_outputs([args.style], args.out, args.flat_out, args.stats_out)
     style = _style_from_args(args)
-    _check_outputs(args.out, args.flat_out, args.stats_out)
     if args.mode == "duplex" and (args.duration_ms < 0 or args.duration_ms % style.vocab.frame_ms):
         raise ConfigError("--duration-ms must be a non-negative multiple of frame_ms")
 
@@ -199,7 +207,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_outputs(args.out, args.flat_dump)
+    _check_outputs([args.corpus], args.out, args.flat_dump)
     path = Path(args.corpus)
     if path.suffix == ".jsonl":
         _no_vocab_flags(args, path)
@@ -224,7 +232,7 @@ def _sampler_from_args(args, seed: int) -> SamplerConfig:
 
 
 def cmd_continue(args) -> int:
-    _check_outputs(args.out, args.transcript)
+    _check_outputs([args.model, args.prompts], args.out, args.transcript)
     prompt_chunks = _prompt_chunks(args.prompt_ms, args.chunk_ms)
     n_chunks = args.continue_ms // args.chunk_ms
     if n_chunks < 1:
@@ -272,7 +280,7 @@ def cmd_interact(args) -> int:
     corpus = args.scripted or args.prompts
     if corpus is None and args.prompt_ms:
         raise ConfigError("--prompt-ms cuts prompts from --prompts or --scripted; give one")
-    _check_outputs(args.out, args.corpus_out)
+    _check_outputs([args.model_a, args.model_b, corpus], args.out, args.corpus_out)
     prompt_chunks = _prompt_chunks(args.prompt_ms, args.chunk_ms)
     if args.max_chunks < 1:
         raise ConfigError("run needs at least one chunk (--max-chunks)")
@@ -319,7 +327,7 @@ def cmd_eval(args) -> int:
     base = Path(args.out)
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
-    _check_outputs(csv_path, json_path)
+    _check_outputs([args.generated, args.reference, args.model], csv_path, json_path)
     required = EVAL_MODE_FLAGS[args.mode][0]
     if getattr(args, required) is None:
         raise ConfigError(f"eval --mode {args.mode} requires --{required}")
@@ -412,7 +420,7 @@ def _report_row(payload: dict) -> dict:
 
 
 def cmd_report(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args.inputs, args.out)
     rows = []
     for p in args.inputs:
         payload = corpus_io.read_json(p)
@@ -477,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "which carries no vocabulary, and not accepted with a .jsonl one")
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=Path, required=True,
+                   help="the model file, a binary stream of .npy records whatever its name")
     p.add_argument("--flat-dump", type=Path, default=None)
     p.set_defaults(func=cmd_train)
 

@@ -15,6 +15,10 @@ In memory a record is ``(id, s0, s1, vocab)``: each channel a tuple of
 unit ids, and the ``Vocab`` the record's frame size and silence set.
 
 Flattened dumps hold one wire sequence per line, as space-separated ints.
+
+Model files are a stream of ``.npy`` records (see ``ngram``), written and
+read without pickle. The reader checks each record's header, and that its
+data fits the bytes left in the file, before it reads the data.
 """
 
 from __future__ import annotations
@@ -24,20 +28,24 @@ import json
 import os
 import stat
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import IO, Iterable, Iterator, Sequence
 
-from .errors import ConfigError, DuplexError, LengthMismatch
+import numpy as np
+import numpy.lib.format as npy
+
+from .errors import ConfigError, DuplexError, LengthMismatch, ModelFormatError
 from .tokens import Vocab
 
 _REQUIRED_KEYS = {"id", "frame_ms", "vocab", "silence", "channels"}
 
 
 @contextmanager
-def _reading(path: str | Path) -> Iterator[TextIO]:
+def _reading(path: str | Path, binary: bool = False) -> Iterator[IO]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") if binary else open(path, "r", encoding="utf-8") as fh:
             yield fh
     # ValueError: bad UTF-8 or JSON; RecursionError: JSON nested too deep
     except (OSError, ValueError, RecursionError) as exc:
@@ -45,14 +53,16 @@ def _reading(path: str | Path) -> Iterator[TextIO]:
 
 
 @contextmanager
-def _writing(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+def _writing(path: str | Path, newline: str | None = None,
+             binary: bool = False) -> Iterator[IO]:
     """A new or regular file (or the one a symlink names) is written to a
     temp file beside it, with its old mode or ``open()``'s, then moved over
     it by ``os.replace``; a device or FIFO is written through as by ``open()``."""
+    mode, text = ("wb", {}) if binary else ("w", {"encoding": "utf-8", "newline": newline})
     try:
         st = os.stat(path) if os.path.exists(path) else None
         if st is not None and not stat.S_ISREG(st.st_mode):
-            with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            with open(path, mode, **text) as fh:
                 yield fh
             return
         target = Path(os.path.realpath(path))
@@ -60,7 +70,7 @@ def _writing(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
         # os.open applies the umask to 0o666 exactly as open() does
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+            with open(fd, mode, **text) as fh:
                 if st is not None:
                     os.fchmod(fd, stat.S_IMODE(st.st_mode))
                 yield fh
@@ -70,6 +80,17 @@ def _writing(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
             raise
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
+def file_identity(path: str | Path) -> object:
+    """Equal for two paths of one regular file, as ``os.path.samefile``
+    finds them (symlinks and hard links count), or of one path not yet
+    made; None for a device, FIFO or directory."""
+    try:
+        st = os.stat(path)
+    except OSError:  # not there (yet)
+        return os.path.realpath(path)
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
 
 
 def read_json(path: str | Path):
@@ -94,6 +115,52 @@ def write_csv(path: str | Path, columns: list[str], rows: Iterable[dict]) -> Non
         writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
+
+
+def write_arrays(path: str | Path, arrays: Iterable[np.ndarray]) -> None:
+    """A model file: each array as one ``.npy`` record, one after another."""
+    with _writing(path, binary=True) as fh:
+        for array in arrays:
+            np.save(fh, array, allow_pickle=False)
+
+
+def read_arrays(path: str | Path, kinds: Sequence[str]) -> list[np.ndarray]:
+    """The records of a file that ``write_arrays`` wrote: one 1-D array per
+    entry of ``kinds``, of a dtype kind (``"i"``, ``"u"``, ``"f"``) that the
+    entry lists, and nothing after them; else ``ModelFormatError``."""
+    arrays: list[np.ndarray] = []
+    with _reading(path, binary=True) as fh:
+        if fh.peek(6)[:6] != npy.MAGIC_PREFIX:
+            raise ModelFormatError(f"model file {path} is not a stream of .npy records (an "
+                                   f"older format?); retrain the model with 'duplexsim train'")
+        size = os.fstat(fh.fileno()).st_size
+        for i, allowed in enumerate(kinds):
+            where = f"model file {path}, record {i}"
+            if fh.tell() == size:
+                raise ModelFormatError(f"{where} is missing")
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # numpy warns of a header only Python 2 wrote
+                    if npy.read_magic(fh) != (1, 0):
+                        raise ValueError("not a .npy record of version 1.0")
+                    shape, _, dtype = npy.read_array_header_1_0(fh)
+            # numpy parses the header with ast.literal_eval and np.dtype, which
+            # raise ValueError, SyntaxError, TypeError and more on a malformed one
+            except Exception as exc:
+                raise ModelFormatError(f"{where}: {exc}") from None
+            if len(shape) != 1 or shape[0] < 0 or dtype.kind not in allowed:
+                raise ModelFormatError(f"{where} has dtype {dtype} and shape {shape}, "
+                                       f"not a 1-D array of kind {allowed}")
+            if shape[0] * dtype.itemsize > size - fh.tell():
+                raise ModelFormatError(f"{where} declares {shape[0]} values, more than "
+                                       f"the file holds")
+            try:
+                arrays.append(np.frombuffer(fh.read(shape[0] * dtype.itemsize), dtype, shape[0]))
+            except (ValueError, MemoryError) as exc:  # the file shrank, or memory ran out
+                raise ModelFormatError(f"{where}: {exc}") from None
+        if fh.read(1):
+            raise ModelFormatError(f"model file {path} has bytes after its last record")
+    return arrays
 
 
 def is_int(x) -> bool:

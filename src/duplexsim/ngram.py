@@ -13,20 +13,27 @@ seen contexts in increasing order; row ``r`` predicts the increasing
 ``row_totals[r]`` times in all. ``totals``, a ``{code: total}`` dict built
 on each read, remains for readers outside the library.
 
-Model file v2 is one JSON object: ``version`` (2), ``order``, ``alpha``,
-``vocab_ext`` and four flat integer columns,
+Model file v3 is a stream of six ``.npy`` records, written and read by
+``corpus_io`` without pickle:
 
-    contexts  order ids per context, the contexts one after another
-    sizes     the number of distinct tokens each context predicts
-    tokens    each context's predicted tokens, row after row
-    counts    the count of each entry of ``tokens``
+    header  int64 (3, order, vocab_ext)
+    alpha   float64, one value
+    codes   int64, the rows' context codes in increasing order
+    sizes   the number of tokens each row predicts
+    tokens  each row's tokens in increasing order, row after row
+    counts  the count of each entry of ``tokens``
 
-``save`` writes rows in code order; ``load`` takes them, and a row's
-tokens, in any order, so a loaded model saves the same bytes whatever its
-file's order. The counts sum to at most 2**53, which keeps every total and
-probability exact in float64; ``NgramModel.load`` lists the other checks.
-A version-1 file (a ``counts`` object keyed by comma-joined ids) is
-rejected: retrain its model.
+The last three are each in the smallest unsigned type that holds them.
+``load`` checks each column with array operations: each record is 1-D, of
+an integer dtype (``alpha`` a float one); the header is version 3 with an
+``order`` and ``vocab_ext`` that the constructor takes, ``alpha`` finite;
+codes lie in ``[0, (vocab_ext + 1) ** order)``, one per row size; sizes
+are >= 1 and sum to the length of ``tokens`` and of ``counts``; tokens lie
+in ``[0, vocab_ext)``; counts are >= 1 and sum to at most 2**53, which
+keeps every total and probability exact in float64. Only ``save`` writes
+the format, so the codes, and a row's tokens, must increase strictly: rows
+out of order are rejected, not sorted. A file of an older version (JSON)
+is rejected: retrain its model.
 """
 
 from __future__ import annotations
@@ -43,7 +50,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import corpus_io
 from .errors import EmptyCorpus, EmptySequence, ModelFormatError
 
-MODEL_FILE_VERSION = 2
+MODEL_FILE_VERSION = 3
+# the dtype kinds each record may have: header, alpha, codes, sizes, tokens, counts
+_RECORD_KINDS = ("iu", "f", "iu", "iu", "iu", "iu")
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,8 @@ class NgramModel:
         # the weight of each of a context's ids in its code; below 2**63
         self._place = np.array([(vocab_ext + 1) ** k for k in reversed(range(order))],
                                dtype=np.int64)
-        self._set_rows(*[np.zeros(0, dtype=np.int64)] * 3)
+        empty = np.zeros(0, dtype=np.int64)
+        self._set_rows(empty, np.zeros(1, dtype=np.int64), empty, empty)
 
     @property
     def bos(self) -> int:
@@ -100,24 +110,30 @@ class NgramModel:
         return (dict(zip(self.codes.tolist(), range(len(self.codes)))), self.offsets.tolist(),
                 self.row_totals.tolist(), self.tokens.tolist(), self.freqs.tolist())
 
-    def _set_rows(self, codes: np.ndarray, tokens: np.ndarray, freqs: np.ndarray) -> None:
-        """Hold (context code, token, count) entries, sorted by code and
-        token with no pair repeated, as rows."""
-        starts = np.flatnonzero(np.diff(codes, prepend=-1))
-        self.codes, self.offsets = codes[starts], np.append(starts, len(codes))
-        self.tokens, self.freqs = tokens, freqs
-        self.row_totals = np.diff(np.append(0, np.cumsum(freqs))[self.offsets])
+    def _set_rows(self, codes: np.ndarray, offsets: np.ndarray, tokens: np.ndarray,
+                  freqs: np.ndarray) -> None:
+        """Hold the rows of the module docstring, and their totals."""
+        self.codes, self.offsets, self.tokens, self.freqs = codes, offsets, tokens, freqs
+        self.row_totals = np.diff(np.append(0, np.cumsum(freqs))[offsets])
 
-    def _windows(self, tokens: list[int], starts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The context code and the token of every window of sequences that
-        lie one after another in ``tokens``, each from its ``starts``."""
-        tokens = _int64s(tokens, 0, self.vocab_ext - 1,
-                         f"a token lies outside [0, {self.vocab_ext})", ValueError)
+    def _windows(self, tokens: list[int],
+                 starts: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The context code, the token and the count (1) of every window of
+        sequences that lie one after another in ``tokens``, each from its
+        ``starts``."""
+        message = f"a token lies outside [0, {self.vocab_ext})"
+        try:
+            tokens = np.fromiter(tokens, np.int64, len(tokens))
+        except OverflowError:  # past int64, so past the range too
+            raise ValueError(message) from None
+        if tokens.size and not (tokens.min() >= 0 and tokens.max() < self.vocab_ext):
+            raise ValueError(message)
         # each sequence after ``order`` begin markers; window i is ids[i : i + order + 1]
         at = np.repeat(starts, self.order)
         ids = np.insert(tokens, at, self.bos)
         predicted = np.insert(np.ones(len(tokens), dtype=bool), at, False)[self.order :]
-        return (sliding_window_view(ids, self.order)[:-1] @ self._place)[predicted], tokens
+        codes = (sliding_window_view(ids, self.order)[:-1] @ self._place)[predicted]
+        return codes, tokens, np.ones(len(tokens), dtype=np.int64)
 
     def next_dist(self, context: Sequence[int]) -> np.ndarray:
         """Smoothed next-token distribution; sums to 1, all entries > 0.
@@ -172,107 +188,76 @@ class NgramModel:
         return nll, n - skip
 
     def save(self, path: str | Path) -> None:
-        """Write model file v2 (see the module docstring), rows in code order."""
-        contexts = self.codes[:, None] // self._place  # column 0 holds the first id
-        contexts[:, 1:] = self.codes[:, None] % self._place[:-1] // self._place[1:]
-        corpus_io.write_json(path, {
-            "version": MODEL_FILE_VERSION,
-            "order": self.order,
-            "alpha": self.alpha,
-            "vocab_ext": self.vocab_ext,
-            "contexts": contexts.ravel().tolist(),
-            "sizes": np.diff(self.offsets).tolist(),
-            "tokens": self.tokens.tolist(),
-            "counts": self.freqs.tolist(),
-        })
+        """Write model file v3 (see the module docstring)."""
+        corpus_io.write_arrays(path, [
+            np.array([MODEL_FILE_VERSION, self.order, self.vocab_ext], dtype=np.int64),
+            np.array([self.alpha], dtype=np.float64),
+            self.codes,
+            *(c.astype(np.min_scalar_type(int(c.max(initial=0))))
+              for c in (np.diff(self.offsets), self.tokens, self.freqs)),
+        ])
 
     @classmethod
     def load(cls, path: str | Path) -> "NgramModel":
-        """Read a v2 model file (see the module docstring), its rows and
-        their tokens in any order.
-
-        Raises ``ModelFormatError`` unless ``version`` is 2, ``order`` and
-        ``vocab_ext`` are JSON integers and ``alpha`` a finite number, the
-        four columns are lists of JSON integers, ``contexts`` holds
-        ``order`` ids per entry of ``sizes``, every size is >= 1 and the
-        sizes sum to the length of ``tokens`` and of ``counts``, context
-        ids lie in ``[0, vocab_ext]`` (the begin marker included), tokens
-        in ``[0, vocab_ext)``, counts are >= 1 and sum to at most 2**53,
-        and no context, nor any token within a row, is repeated. An
-        unreadable file raises ``ConfigError``.
-        """
-        payload = corpus_io.read_json(path)
-        if not isinstance(payload, dict):
-            raise ModelFormatError("model file does not hold a JSON object")
-        version = payload.get("version")
-        if not (corpus_io.is_int(version) and version == MODEL_FILE_VERSION):
-            raise ModelFormatError(
-                f"model file version {version!r} not supported (expected "
-                f"{MODEL_FILE_VERSION}); retrain the model with 'duplexsim train'"
-            )
-        order, vocab_ext, alpha = (payload.get(k) for k in ("order", "vocab_ext", "alpha"))
-        if not (corpus_io.is_int(order) and corpus_io.is_int(vocab_ext)
-                and corpus_io.is_number(alpha)):
-            raise ModelFormatError(
-                "model file needs integer 'order' and 'vocab_ext' and a finite 'alpha'")
+        """Read model file v3; ``ModelFormatError`` unless it passes every
+        check of the module docstring, ``ConfigError`` if it is unreadable."""
+        header, alpha, codes, sizes, tokens, counts = corpus_io.read_arrays(path, _RECORD_KINDS)
+        _require(len(header) == 3, "the model file header needs 3 values: version, "
+                                   "order and vocab_ext")
+        _require(header[0] == MODEL_FILE_VERSION,
+                 f"model file version {header[0]} not supported (expected "
+                 f"{MODEL_FILE_VERSION}); retrain the model with 'duplexsim train'")
+        _require(len(alpha) == 1 and math.isfinite(alpha[0]),
+                 "the model file needs one finite 'alpha'")
         try:
-            model = cls(order=order, vocab_ext=vocab_ext, alpha=float(alpha))
+            model = cls(order=int(header[1]), vocab_ext=int(header[2]), alpha=float(alpha[0]))
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from None
-        columns = [payload.get(k) for k in ("contexts", "sizes", "tokens", "counts")]
-        if not all(map(corpus_io.is_int_list, columns)):
-            raise ModelFormatError("model file needs 'contexts', 'sizes', 'tokens' and "
-                                   "'counts' as lists of integers")
-        contexts, sizes, tokens, counts = columns
-        n = len(tokens)
-        if len(contexts) != order * len(sizes):
-            raise ModelFormatError(f"'contexts' needs {order} ids per entry of 'sizes'")
-        # exact Python sums, so that no size or count can wrap an int64 below
-        if sizes and min(sizes) < 1:
-            raise ModelFormatError("a row size is below 1")
-        if not sum(sizes) == n == len(counts):
-            raise ModelFormatError("the sizes do not sum to the lengths of 'tokens' "
-                                   "and 'counts'")
-        contexts = _int64s(contexts, 0, vocab_ext,
-                           f"a context id lies outside [0, {vocab_ext}]").reshape(-1, order)
-        tokens = _int64s(tokens, 0, vocab_ext - 1, f"a token lies outside [0, {vocab_ext})")
-        if counts and min(counts) < 1:
-            raise ModelFormatError("a count is below 1")
-        if sum(counts) > 2**53:
-            raise ModelFormatError("the counts sum past 2**53")
-        codes = contexts @ model._place
-        if np.any(np.diff(np.sort(codes)) == 0):
-            raise ModelFormatError("a context is repeated")
-        codes = np.repeat(codes, np.fromiter(sizes, np.int64, len(sizes)))
-        counts = np.fromiter(counts, np.int64, len(counts))
-        step, tie = np.diff(codes), np.diff(tokens)
-        if not np.all((step > 0) | ((step == 0) & (tie > 0))):  # not in (code, token) order
-            codes, tokens, counts = _count(codes, tokens, counts)
-            if len(tokens) != n:
-                raise ModelFormatError("a token is repeated within a row")
-        model._set_rows(codes, tokens, counts)
-        model._table  # a loaded model is ready to draw
+        # every range check comes before a cast to int64, which would wrap a
+        # uint64 past the int64 range
+        n, vocab_ext, top = len(tokens), model.vocab_ext, (model.vocab_ext + 1) ** model.order
+        _require(len(codes) == len(sizes), "the model file needs one context code per row size")
+        _require(sizes.min(initial=1) >= 1, "a row size is below 1")
+        offsets = _running_sums(sizes, n)
+        _require(offsets is not None and offsets[-1] == n == len(counts),
+                 "the sizes do not sum to the lengths of 'tokens' and 'counts'")
+        _require(codes.min(initial=0) >= 0 and codes.max(initial=0) < top,
+                 f"a context code lies outside [0, {vocab_ext + 1}**{model.order})")
+        codes = codes.astype(np.int64)
+        _require(np.all(np.diff(codes) > 0), "the context codes are not strictly increasing "
+                                             "(a context repeated, or rows out of order)")
+        _require(tokens.min(initial=0) >= 0 and tokens.max(initial=0) < vocab_ext,
+                 f"a token lies outside [0, {vocab_ext})")
+        tokens = tokens.astype(np.int64)
+        step = np.diff(tokens)
+        step[offsets[1:-1] - 1] = 1  # a row's first token follows the previous row's last
+        _require(np.all(step > 0), "the tokens of a row are not strictly increasing")
+        _require(counts.min(initial=1) >= 1, "a count is below 1")
+        _require(_running_sums(counts, 2**53) is not None, "the counts sum past 2**53")
+        model._set_rows(codes, offsets, tokens, counts.astype(np.int64))
         return model
 
 
-def _int64s(values: list[int], lo: int, hi: int, message: str,
-            error: type[Exception] = ModelFormatError) -> np.ndarray:
-    """Integers as int64, each in [lo, hi], or ``error(message)``."""
-    try:
-        ints = np.fromiter(values, np.int64, len(values))
-    except OverflowError:  # past int64, so past [lo, hi] too
-        raise error(message) from None
-    if ints.size and not (ints.min() >= lo and ints.max() <= hi):
-        raise error(message)
-    return ints
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise ModelFormatError(message)
 
 
-def _count(codes: np.ndarray, tokens: np.ndarray, freqs: np.ndarray | None = None,
+def _running_sums(values: np.ndarray, top: int) -> np.ndarray | None:
+    """0 and the running sums of ``values``, each >= 1, as int64; None if
+    a sum passes ``top`` (below 2**62)."""
+    if values.max(initial=0) > top:
+        return None
+    # each value is at most top, so the first sum past top is exact in int64
+    sums = np.cumsum(values, dtype=np.int64)
+    return None if sums.max(initial=0) > top else np.append(0, sums)
+
+
+def _count(codes: np.ndarray, tokens: np.ndarray, freqs: np.ndarray,
            kind: str = "quicksort") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct (context code, token) pairs in increasing order, each
-    with the sum of its ``freqs`` (or with how often it occurs). ``kind``
-    sorts the codes; "stable" is the fast one when they lie in a few
-    sorted runs."""
+    with the sum of its ``freqs``. ``kind`` sorts the codes; "stable" is
+    the fast one when they lie in a few sorted runs."""
     distinct, ranks = np.unique(tokens, return_inverse=True)
     ranked = np.argsort(codes, kind=kind)
     codes, ranks = codes[ranked], ranks[ranked]
@@ -283,8 +268,7 @@ def _count(codes: np.ndarray, tokens: np.ndarray, freqs: np.ndarray | None = Non
     codes, ranks = codes[order], ranks[order]
     bounds = np.append(np.flatnonzero((np.diff(codes, prepend=-1) != 0)
                                       | (np.diff(ranks, prepend=-1) != 0)), len(codes))
-    # each pair's count: its entries, or the sum of their freqs
-    before = bounds if freqs is None else np.append(0, np.cumsum(freqs[ranked[order]]))[bounds]
+    before = np.append(0, np.cumsum(freqs[ranked[order]]))[bounds]
     return codes[bounds[:-1]], distinct[ranks[bounds[:-1]]], np.diff(before)
 
 
@@ -317,7 +301,9 @@ def train(
     if not parts:
         raise EmptyCorpus("training corpus is empty")
     entries = [np.concatenate(column) for column in zip(*parts)]
-    model._set_rows(*(_count(*entries, kind="stable") if len(parts) > 1 else entries))
+    codes, tokens, freqs = _count(*entries, kind="stable") if len(parts) > 1 else entries
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))  # each row's first entry
+    model._set_rows(codes[starts], np.append(starts, len(codes)), tokens, freqs)
     return model
 
 

@@ -265,7 +265,9 @@ def parse(tokens: list[int], vocab: Vocab, chunk_ms: int) -> DedupDialogue:
 
     Raises MalformedSequence on a leading non-tag token, a repeated or
     empty tag_s1 block, per-chunk novel counts above the chunk capacity,
-    or ids outside the extended vocabulary.
+    ids outside the extended vocabulary, or a novel equal to its channel's
+    previous novel (in this chunk or an earlier one), which no encoding
+    emits.
     """
     fpc = vocab.frames_per_chunk(chunk_ms)
     if not tokens:
@@ -277,6 +279,7 @@ def parse(tokens: list[int], vocab: Vocab, chunk_ms: int) -> DedupDialogue:
     s0: list[int] = []
     s1: list[int] = []
     in_s1 = False
+    last: list[int | None] = [None, None]  # each channel's latest novel
 
     def close_chunk() -> None:
         if in_s1 and not s1:
@@ -293,6 +296,10 @@ def parse(tokens: list[int], vocab: Vocab, chunk_ms: int) -> DedupDialogue:
                 raise MalformedSequence(f"double tag_s1 in one chunk at position {pos}")
             in_s1 = True
         elif 0 <= tok < vocab.size:
+            if tok == last[in_s1]:
+                raise MalformedSequence(f"channel {int(in_s1)} repeats its previous "
+                                        f"novel {tok} at position {pos}")
+            last[in_s1] = tok
             target = s1 if in_s1 else s0
             target.append(tok)
             if len(target) > fpc:

@@ -1,8 +1,12 @@
+import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
+import numpy.lib.format as npy
 import pytest
 
 from duplexsim import DialogueStyle, NgramModel, Vocab
@@ -144,7 +148,7 @@ class TestTrain:
         rc = main(["train", "--corpus", str(flat), "--order", "2", "--vocab", "10",
                    "--out", str(out)])
         assert rc == 0
-        assert json.loads(out.read_text())["vocab_ext"] == 12
+        assert NgramModel.load(out).vocab_ext == 12
 
     def test_stage2_model_greedy_continuation_never_overlaps(self, tmp_path):
         s2 = tmp_path / "s2.jsonl"
@@ -252,6 +256,31 @@ class TestInteract:
         capsys.readouterr()
 
 
+RECORDS = ("header", "alpha", "codes", "sizes", "tokens", "counts")
+
+
+def read_records(path):
+    """A model file's records by name, as arrays that a mutation may edit."""
+    with open(path, "rb") as fh:
+        return {name: np.load(fh) for name in RECORDS}
+
+
+def write_records(path, records):
+    """Each record as a .npy record (an object array pickled), or as raw bytes."""
+    with open(path, "wb") as fh:
+        for value in records.values():
+            if isinstance(value, bytes):
+                fh.write(value)
+            else:
+                np.save(fh, value, allow_pickle=True)
+
+
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
 def _drop(key):
     def mutate(m):
         del m[key]
@@ -260,12 +289,20 @@ def _drop(key):
 
 def _set(key, value):
     def mutate(m):
-        m[key] = value
+        m[key] = np.asarray(value)
     return mutate
 
 
-def _edit(column, index, value):
+def _as(key, dtype, shape=None):
+    """The record holds its values as ``dtype``, reshaped to ``shape``."""
     def mutate(m):
+        m[key] = m[key].astype(dtype).reshape(shape or m[key].shape)
+    return mutate
+
+
+def _edit(column, index, value, dtype=np.int64):
+    def mutate(m):
+        m[column] = m[column].astype(dtype)
         m[column][index] = value
     return mutate
 
@@ -274,81 +311,139 @@ def _shift_size(value):
     """The first row's size becomes ``value``; the second row takes up the
     difference, so every column keeps its length."""
     def mutate(m):
-        sizes = m["sizes"]
+        sizes = m["sizes"] = m["sizes"].astype(np.int64)
         sizes[1] += sizes[0] - value
         sizes[0] = value
     return mutate
 
 
 def _repeat_context(m):
-    order = m["order"]
-    m["contexts"][order:2 * order] = m["contexts"][:order]
+    m["codes"][1] = m["codes"][0]
 
 
 def _repeat_token(m):
+    m["sizes"] = m["sizes"].astype(np.int64)
     m["sizes"][0] += 1
-    m["tokens"].insert(0, m["tokens"][0])
-    m["counts"].insert(0, 1)
+    m["tokens"] = np.insert(m["tokens"], 0, m["tokens"][0])
+    m["counts"] = np.insert(m["counts"], 0, 1)
 
 
 def _counts_past_2_53(m):
     """Two counts, each exact as a float64, whose sum is not."""
+    m["counts"] = m["counts"].astype(np.uint64)
     m["counts"][:2] = [2**52 + 1, 2**52 + 1]
 
 
-def _v1_file(m):
-    order, vocab_ext = m["order"], m["vocab_ext"]
-    m.clear()
-    m.update(version=1, order=order, alpha=0.1, vocab_ext=vocab_ext,
-             counts={",".join([str(vocab_ext)] * order): {"1": 1}})
+def _json_file(version):
+    """An older, JSON, model file of the same model."""
+    def mutate(m):
+        order, vocab_ext = int(m["header"][1]), int(m["header"][2])
+        payload = {"version": version, "order": order, "alpha": 0.1, "vocab_ext": vocab_ext}
+        if version == 1:
+            payload["counts"] = {",".join([str(vocab_ext)] * order): {"1": 1}}
+        else:
+            base = vocab_ext + 1
+            payload.update(contexts=[int(c) // base**k % base for c in m["codes"]
+                                     for k in reversed(range(order))],
+                           **{k: m[k].tolist() for k in ("sizes", "tokens", "counts")})
+        m.clear()
+        m["json"] = json.dumps(payload).encode()
+    return mutate
+
+
+def _huge_record(m):
+    """The counts record declares 10**10 values and holds none."""
+    head = io.BytesIO()
+    npy.write_array_header_1_0(head, {"descr": "<u8", "fortran_order": False,
+                                      "shape": (10**10,)})
+    m["counts"] = head.getvalue()
+
+
+def _with_header(key, text):
+    """The record's .npy header replaced by ``text``, its data kept."""
+    def mutate(m):
+        record = io.BytesIO(npy_bytes(m[key]))
+        npy.read_magic(record)
+        npy.read_array_header_1_0(record)
+        head = text.encode() + b"\n"
+        m[key] = b"\x93NUMPY\x01\x00" + len(head).to_bytes(2, "little") + head + record.read()
+    return mutate
+
+
+def _reverse_rows(m):
+    ends = np.cumsum(m["sizes"])
+    rows = [slice(end - size, end) for size, end in zip(m["sizes"], ends)][::-1]
+    m["codes"], m["sizes"] = m["codes"][::-1], m["sizes"][::-1]
+    for key in ("tokens", "counts"):
+        m[key] = np.concatenate([m[key][r] for r in rows])
 
 
 # Ways to break a valid model file, each with a part of the message it must
-# give; each edits the parsed JSON in place. The model is over 12 symbols,
-# so the begin marker is id 12.
-TYPES = "lists of integers"
+# give; each edits the records in place. The model is over 12 symbols, so
+# the begin marker is id 12 and codes lie below 13**3. The cases before the
+# "model file v3" line are the faults a JSON (v2) model file could hold, each
+# carried to the nearest fault a stream of .npy records can hold.
+KIND_IU = "not a 1-D array of kind iu"
 MODEL_MUTATIONS = {
-    "no_counts": (_drop("counts"), TYPES),
-    "no_contexts": (_drop("contexts"), TYPES),
-    "no_order": (_drop("order"), "integer 'order'"),
-    "order_huge": (_set("order", 20000), "too large for vocab_ext 12"),
-    "order_str": (_set("order", "3"), "integer 'order'"),
-    "alpha_str": (_set("alpha", "0.1"), "finite 'alpha'"),
-    "alpha_inf": (_set("alpha", float("inf")), "finite 'alpha'"),
-    "vocab_ext_float": (_set("vocab_ext", 12.0), "integer 'order' and 'vocab_ext'"),
-    "version_1": (_v1_file, "retrain"),
-    "version_str": (_set("version", "2"), "version '2' not supported"),
-    "counts_object": (_set("counts", {}), TYPES),
-    "counts_list": (_set("counts", []), "do not sum"),
+    "no_counts": (_drop("counts"), "record 5 is missing"),
+    "no_contexts": (_drop("codes"), "record 5 is missing"),
+    "no_order": (_set("header", [3, 12]), "header needs 3 values"),
+    "order_huge": (_edit("header", 1, 20000), "too large for vocab_ext 12"),
+    "order_str": (_as("header", "U5"), KIND_IU),
+    "alpha_str": (_as("alpha", "U5"), "not a 1-D array of kind f"),
+    "alpha_inf": (_set("alpha", [np.inf]), "one finite 'alpha'"),
+    "vocab_ext_float": (_as("header", np.float64), KIND_IU),
+    "version_1": (_json_file(1), "retrain"),
+    "version_str": (_as("header", object), "has dtype object"),
+    "counts_object": (_as("counts", np.uint8, (-1, 1)), "not a 1-D array"),
+    "counts_list": (_set("counts", np.zeros(0, np.uint8)), "do not sum"),
     "predicts_99": (_edit("tokens", 0, 99), "token lies outside [0, 12)"),
     "predicts_past_tags": (_edit("tokens", 0, 12), "token lies outside [0, 12)"),
     "token_negative": (_edit("tokens", 0, -1), "token lies outside [0, 12)"),
-    "key_too_short": (lambda m: m["contexts"].pop(), "3 ids per entry"),
-    "key_id_past_bos": (_edit("contexts", 0, 13), "context id lies outside [0, 12]"),
-    "key_not_ids": (_edit("contexts", 0, "a"), TYPES),
+    "key_too_short": (lambda m: m.update(codes=m["codes"][:-1]), "one context code per row"),
+    "key_id_past_bos": (_edit("codes", -1, 13**3), "context code lies outside [0, 13**3)"),
+    "key_not_ids": (_as("codes", "S4"), KIND_IU),
     "count_zero": (_edit("counts", 0, 0), "count is below 1"),
-    "count_float": (_edit("counts", 0, 1.5), TYPES),
-    "count_str": (_edit("counts", 0, "2"), TYPES),
-    "count_bool": (_edit("counts", 0, True), TYPES),
-    "token_bool": (_edit("tokens", 0, True), TYPES),
-    "slot_list": (_edit("tokens", 0, [1]), TYPES),
+    "count_float": (_as("counts", np.float64), KIND_IU),
+    "count_str": (_as("counts", "U3"), KIND_IU),
+    "count_bool": (_as("counts", bool), KIND_IU),
+    "token_bool": (_as("tokens", bool), KIND_IU),
+    "slot_list": (_as("tokens", object), "has dtype object"),
     "slot_empty": (_shift_size(0), "size is below 1"),
     "size_negative": (_shift_size(-1), "size is below 1"),
-    "tokens_longer": (lambda m: m["tokens"].append(1), "do not sum"),
-    "counts_shorter": (lambda m: m["counts"].pop(), "do not sum"),
-    "count_past_int64": (_edit("counts", 0, 2**64), "counts sum past 2**53"),
+    "tokens_longer": (lambda m: m.update(tokens=np.append(m["tokens"], 1)), "do not sum"),
+    "counts_shorter": (lambda m: m.update(counts=m["counts"][:-1]), "do not sum"),
+    "count_past_int64": (_edit("counts", 0, 2**64 - 1, np.uint64), "counts sum past 2**53"),
     "counts_sum_past_2_53": (_counts_past_2_53, "counts sum past 2**53"),
-    "key_id_past_int64": (_edit("contexts", 0, 2**64), "context id lies outside [0, 12]"),
-    "token_past_int64": (_edit("tokens", 0, 2**64), "token lies outside [0, 12)"),
-    "context_repeated": (_repeat_context, "context is repeated"),
-    "token_repeated_in_row": (_repeat_token, "token is repeated within a row"),
+    "key_id_past_int64": (_edit("codes", -1, 2**64 - 1, np.uint64),
+                          "context code lies outside [0, 13**3)"),
+    "token_past_int64": (_edit("tokens", 0, 2**64 - 1, np.uint64),
+                         "token lies outside [0, 12)"),
+    "context_repeated": (_repeat_context, "codes are not strictly increasing"),
+    "token_repeated_in_row": (_repeat_token, "tokens of a row are not strictly increasing"),
+    # model file v3 only
+    "version_2": (_json_file(2), "retrain"),
+    "version_4": (_edit("header", 0, 4), "version 4 not supported"),
+    "rows_out_of_order": (_reverse_rows, "codes are not strictly increasing"),
+    "declares_10e10_values": (_huge_record, "declares 10000000000 values"),
+    "last_record_truncated": (lambda m: m.update(counts=npy_bytes(m["counts"])[:-1]),
+                              "more than the file holds"),
+    "trailing_bytes": (lambda m: m.update(extra=b"\0"), "bytes after its last record"),
+    # numpy's header parser raises SyntaxError in np.dtype for this descr, and
+    # tokenize.TokenError for a header that it retries as Python 2's
+    "descr_comma_string": (_with_header("alpha", "{'descr': ',f8', 'fortran_order': False, "
+                                                 "'shape': (1,), }"), "record 1: "),
+    "header_unclosed": (_with_header("header", "{'descr': '<i8', 'fortran_order': False, "
+                                               "'shape': (3,"), "record 0: "),
+    "not_npy_version_1": (lambda m: m.update(codes=b"\x93NUMPY\x02" + npy_bytes(m["codes"])[7:]),
+                          "not a .npy record of version 1.0"),
 }
 
 
-def _bad_model(payload, name, path):
-    payload = json.loads(json.dumps(payload))
-    MODEL_MUTATIONS[name][0](payload)
-    path.write_text(json.dumps(payload))
+def _bad_model(records, name, path):
+    records = {k: v.copy() for k, v in records.items()}
+    MODEL_MUTATIONS[name][0](records)
+    write_records(path, records)
     return path
 
 
@@ -357,12 +452,12 @@ class TestModelFileValidation:
     def good(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("good")
         corpus = synth(tmp)
-        return corpus, json.loads(trained(tmp, corpus).read_text())
+        return corpus, read_records(trained(tmp, corpus))
 
     @pytest.mark.parametrize("name", sorted(MODEL_MUTATIONS))
     def test_eval_ppl_rejects_with_exit_2(self, good, name, tmp_path, capsys):
-        corpus, payload = good
-        model = _bad_model(payload, name, tmp_path / "bad.json")
+        corpus, records = good
+        model = _bad_model(records, name, tmp_path / "bad.json")
         base = tmp_path / "ppl"
         rc = main(["eval", "--mode", "ppl", "--generated", str(corpus),
                    "--model", str(model), "--out", str(base)])
@@ -374,17 +469,51 @@ class TestModelFileValidation:
         assert not base.with_suffix(".json").exists()
         assert not base.with_suffix(".csv").exists()
 
+    def test_declared_length_is_checked_before_reading(self, good, tmp_path, capsys):
+        corpus, records = good
+        model = _bad_model(records, "declares_10e10_values", tmp_path / "bad.json")
+        tracemalloc.start()
+        try:
+            rc = main(["eval", "--mode", "ppl", "--generated", str(corpus),
+                       "--model", str(model), "--out", str(tmp_path / "ppl")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ModelFormatError"
+        assert peak < 2**20
+
+    def test_the_records_are_the_format(self, good, tmp_path):
+        _, records = good
+        assert [r.dtype.kind for r in records.values()] == list("ifiuuu")
+        assert records["header"].tolist() == [3, 3, 12]
+        assert records["codes"].dtype == np.int64
+        # each unsigned column in the smallest type that holds it
+        for key in ("sizes", "tokens", "counts"):
+            assert records[key].dtype == np.min_scalar_type(int(records[key].max())), key
+
     def test_interact_rejects_bad_model_b(self, good, tmp_path, capsys):
-        corpus, payload = good
+        corpus, records = good
         model_a = tmp_path / "a.json"
-        model_a.write_text(json.dumps(payload))
-        model_b = _bad_model(payload, "predicts_99", tmp_path / "b.json")
+        write_records(model_a, records)
+        model_b = _bad_model(records, "predicts_99", tmp_path / "b.json")
         out = tmp_path / "t.json"
         rc = main(["interact", *VOCAB_ARGS, "--model-a", str(model_a),
                    "--model-b", str(model_b), "--max-chunks", "4", "--out", str(out)])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ModelFormatError"
         assert not out.exists()
+
+    def test_eval_ppl_builds_no_draw_table(self, good, tmp_path, monkeypatch):
+        corpus, _ = good
+        model = trained(tmp_path, corpus)
+        loaded = []
+        load = NgramModel.load
+        monkeypatch.setattr(NgramModel, "load",
+                            staticmethod(lambda path: loaded.append(load(path)) or loaded[-1]))
+        assert main(["eval", "--mode", "ppl", "--generated", str(corpus),
+                     "--model", str(model), "--out", str(tmp_path / "ppl")]) == 0
+        assert len(loaded) == 1 and "_table" not in vars(loaded[0])
 
 
 def assert_rejected(rc, capsys, outputs):
@@ -670,7 +799,7 @@ class TestInputBoundaries:
 
     def test_interact_parses_each_model_file_once(self, world, tmp_path, monkeypatch):
         corpus, model = world
-        copy = tmp_path / "copy.json"
+        copy = tmp_path / "model_copy.json"
         copy.write_bytes(model.read_bytes())
         loads = []
         load = NgramModel.load
@@ -690,6 +819,50 @@ class TestInputBoundaries:
             assert len(loads) == n_loads, name
         # one shared model decodes exactly as two loaded copies do
         assert outs["same"].read_bytes() == outs["copy"].read_bytes()
+
+
+class TestNoOutputOverwritesAnInput:
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("world")
+        corpus = synth(tmp)
+        return corpus, trained(tmp, corpus)
+
+    # each command line names one file twice, at least once as an output; in
+    # a directory that holds only the corpus c.jsonl, a symlink and a hard
+    # link to it, the model model.json and the eval result e.json
+    @pytest.mark.parametrize("argv", [
+        ["train", "--corpus", "c.jsonl", "--out", "c.jsonl"],
+        ["train", "--corpus", "c.jsonl", "--out", "symlink.jsonl"],
+        ["train", "--corpus", "hardlink.jsonl", "--out", "c.jsonl"],
+        ["synth", "--count", "1", "--out", "s", "--stats-out", "s"],
+        ["continue", "--model", "model.json", "--prompts", "c.jsonl", "--prompt-ms", "1600",
+         "--continue-ms", "1600", "--out", "x", "--transcript", "model.json"],
+        ["interact", "--model-a", "model.json", "--scripted", "c.jsonl", "--max-chunks", "4",
+         "--out", "x", "--corpus-out", "x"],
+        ["eval", "--mode", "ppl", "--generated", "c.jsonl", "--model", "model.json",
+         "--out", "model"],
+        ["report", "--inputs", "e.json", "--out", "e.json"]],
+        ids=["train_same", "train_symlink", "train_hardlink", "synth_outputs", "continue",
+             "interact_outputs", "eval_derived_json", "report"])
+    def test_rejected_before_anything_is_read(self, world, argv, tmp_path, monkeypatch,
+                                              capsys):
+        corpus, model = world
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.jsonl").write_bytes(corpus.read_bytes())
+        (tmp_path / "model.json").write_bytes(model.read_bytes())
+        (tmp_path / "symlink.jsonl").symlink_to("c.jsonl")
+        os.link(tmp_path / "c.jsonl", tmp_path / "hardlink.jsonl")
+        (tmp_path / "e.json").write_text('{"metrics": {}, "params": {}}')
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert_rejected(main(argv), capsys, [])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_devices_stay_exempt(self, world):
+        corpus, model = world
+        assert main(["interact", "--model-a", str(model), "--scripted", str(corpus),
+                     "--max-chunks", "4", "--out", os.devnull,
+                     "--corpus-out", os.devnull]) == 0
 
 
 class TestEvalAndReport:

@@ -2,7 +2,8 @@
 
 Every run ends in exit 0, or in exit 2 or 3 with exactly one JSON line on
 stderr and the output directory exactly as it was: no new, changed or
-temp file. Inputs are tiny and every size flag is drawn from a small
+temp file. The model file, a stream of .npy records, is broken by binary
+edits of one record's header or data; the other inputs by JSON edits. Inputs are tiny and every size flag is drawn from a small
 range, so no run allocates more than a few MB.
 """
 
@@ -13,6 +14,8 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import numpy.lib.format as npy
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -102,6 +105,8 @@ def _mutate(path: Path, data) -> None:
         i = data.draw(st.integers(0, len(raw) - 1))
         path.write_bytes(raw[:i] + data.draw(st.sampled_from([b"\xff", b"\n", b"{", b"0"]))
                          + raw[i:])
+    elif path.name == INPUTS["model"]:
+        _mutate_model(path, how, data)
     else:
         lines = path.read_text().splitlines() if path.suffix == ".jsonl" else [raw]
         i = data.draw(st.integers(0, len(lines) - 1))
@@ -119,6 +124,40 @@ def _mutate(path: Path, data) -> None:
                 parent[where[-1]] = data.draw(json_values)
         lines[i] = json.dumps(doc)
         path.write_text("\n".join(lines) + "\n")
+
+
+npy_descrs = st.sampled_from(["<i8", "<u8", "|u1", "<u2", ">i4", "<f8", "<f2", "|b1", "|O",
+                              "<U2", "|S3", "<c16", "|V8", "<M8[s]", ",f8", "(2,)i8"])
+npy_shapes = st.one_of(st.integers(-3, 300).map(lambda n: (n,)),
+                       st.integers(10**9, 10**15).map(lambda n: (n,)),
+                       st.sampled_from([(), (2, 3), (0, 1)]))
+
+
+def _mutate_model(path: Path, how: str, data) -> None:
+    """Delete one record of a model file, or rewrite its header with a drawn
+    dtype and shape (the data unchanged), or one byte of its data."""
+    raw = path.read_bytes()
+    records, fh = [], io.BytesIO(raw)  # each record as [header, data]
+    while fh.tell() < len(raw):
+        start = fh.tell()
+        npy.read_magic(fh)
+        shape, _, dtype = npy.read_array_header_1_0(fh)
+        head = fh.tell()
+        fh.seek(head + int(np.prod(shape)) * dtype.itemsize)
+        records.append([raw[start:head], raw[head:fh.tell()]])
+    i = data.draw(st.integers(0, len(records) - 1))
+    if how == "delete":
+        del records[i]
+    elif data.draw(st.booleans()) or not records[i][1]:
+        header = io.BytesIO()
+        npy.write_array_header_1_0(header, {"descr": data.draw(npy_descrs),
+                                            "fortran_order": False, "shape": data.draw(npy_shapes)})
+        records[i][0] = header.getvalue()
+    else:
+        body = bytearray(records[i][1])
+        body[data.draw(st.integers(0, len(body) - 1))] = data.draw(st.integers(0, 255))
+        records[i][1] = bytes(body)
+    path.write_bytes(b"".join(b"".join(r) for r in records))
 
 
 def _snapshot(d: Path) -> dict:

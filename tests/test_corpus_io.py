@@ -114,6 +114,7 @@ READERS = {
     "json": corpus_io.read_json,
     "corpus": corpus_io.read_corpus,
     "flat": corpus_io.read_flat,
+    "model": NgramModel.load,
 }
 UNREADABLE = {
     "missing": lambda p: None,
@@ -140,7 +141,7 @@ def test_undecodable_json_is_config_error_naming_it(reader, text, tmp_path):
         READERS[reader](path)
 
 
-FILE_CALLS = {"open", "json.load", "json.dump"}
+FILE_CALLS = {"open", "json.load", "json.dump", "np.load", "np.save", "np.fromfile"}
 FILE_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
 
 

@@ -11,7 +11,10 @@ model-file digests (``save-*`` and the CLI's ``model.json``) were recorded
 again when the model file moved to the columnar version 2, and again when
 the model moved to sorted arrays and ``save`` began to write rows in
 context-code order and each row's tokens in increasing order: each earlier
-file, loaded and saved by the array model, hashes to its new digest. The
+file, loaded and saved by the array model, hashes to its new digest. They
+were recorded a third time when the model file became version 3, a stream
+of ``.npy`` records: each version-2 file, its columns written as those
+records, hashes to its new digest. The
 ``interact-*`` digests and the CLI's ``scripted.json`` and ``model_b.json``
 were recorded again when a serialised transcript stopped writing four
 derivable values: ``config.chunk_ms`` (the dialogue's), the constant
@@ -47,6 +50,7 @@ from duplexsim import (
     train,
 )
 from duplexsim.cli import main
+from duplexsim.errors import ModelFormatError
 
 CHUNK_MS = 160
 PROMPT = 3
@@ -78,8 +82,8 @@ DIGESTS = {
     "interact-v501-scripted-L3": "fcbabfa6c978d8a8ce51e3207400c5447b8ced88211c154ae96cee6184ac8e24",
     "ppl-v12": "8be9b35f5471021311b1901e5775c99693b818dcf51907756294d87e6ab9e8e4",
     "ppl-v501": "64583f908da96ecd7a1413562b650d7f23314082466847cc4a672d97af26d8c1",
-    "save-v12": "e98a616aa82192c44e89be828935b7d7338e29a61db3d4ffb9c6b29fc5db2e6e",
-    "save-v501": "7ec0e9b727bb96a712d8c2a0c757ecbe99c90cdbfeb632d6ad71106e78f104f4",
+    "save-v12": "36d19ab6d6da5dc36a167e513fac593a7e7aff5752a9fea4ee5df4cdd1e1d7c7",
+    "save-v501": "f08f70145368a8d54b8db0658db4dec6d628ef784eec86433876ea0e99f7fb7a",
 }
 
 
@@ -141,30 +145,28 @@ def test_save_bytes(world, tmp_path):
 ARRAYS = ("codes", "offsets", "tokens", "freqs", "row_totals")
 
 
-def test_load_canonicalises_row_order(world, tmp_path):
+def test_load_inverts_save(world, tmp_path):
     _, _, model, _ = world
-    first, shuffled, second, third = (tmp_path / f"{n}.json" for n in "abcd")
+    first, second, third, reversed_rows = (tmp_path / f"{n}.json" for n in "abcd")
     model.save(first)
-    payload = json.loads(first.read_text())
-    order, sizes = payload["order"], payload["sizes"]
-    starts = np.cumsum([0] + sizes)
-    rows = [(payload["contexts"][order * r : order * (r + 1)],
-             payload["tokens"][starts[r] : starts[r + 1]][::-1],
-             payload["counts"][starts[r] : starts[r + 1]][::-1]) for r in range(len(sizes))]
-    np.random.default_rng(0).shuffle(rows)
-    for i, key in enumerate(("contexts", "tokens", "counts")):
-        payload[key] = [x for row in rows for x in row[i]]
-    payload["sizes"] = [len(row[1]) for row in rows]
-    shuffled.write_text(json.dumps(payload))
-    assert shuffled.read_bytes() != first.read_bytes()
-    loaded = NgramModel.load(shuffled)
+    model.save(second)
+    assert second.read_bytes() == first.read_bytes()
+    loaded = NgramModel.load(first)
     for name in ARRAYS:
         assert np.array_equal(getattr(loaded, name), getattr(model, name)), name
     assert loaded.totals == model.totals
-    loaded.save(second)
-    assert second.read_bytes() == first.read_bytes()
-    NgramModel.load(first).save(third)
+    loaded.save(third)
     assert third.read_bytes() == first.read_bytes()
+    # only save writes the format, so load takes rows in code order only
+    with open(first, "rb") as fh:
+        header, alpha, codes, sizes, tokens, counts = (np.load(fh) for _ in range(6))
+    rows = np.split(np.arange(len(tokens)), np.cumsum(sizes)[:-1])[::-1]
+    with open(reversed_rows, "wb") as fh:
+        for record in (header, alpha, codes[::-1], sizes[::-1],
+                       *(column[np.concatenate(rows)] for column in (tokens, counts))):
+            np.save(fh, record)
+    with pytest.raises(ModelFormatError, match="not strictly increasing"):
+        NgramModel.load(reversed_rows)
 
 
 def test_perplexity(world):
@@ -262,7 +264,7 @@ CLI_DIGESTS = {
     "corpus.jsonl": "89ba56c52881c5cc86a6fe8b0ff5435f9f1203a340a5f76514095d11382441e2",
     "flat.txt": "d02209be40e9cc7c78a352973b254f9db6612b9ea9c9bfd10b6a4c30da1b25c6",
     "stats.json": "49a87fba62ada72c96a9833c0f2db3d57ee7db502ecdb0880b4a2dfdcc931ab3",
-    "model.json": "a25c7f4d298250ce7b712c2e55254942ae2da06b0ff65139d0937ba5c467aee8",
+    "model.json": "5674f8ee383de19756077945e5a93e2c3f7ac78c48e33f16722be953a136c9bf",
     "dump.txt": "d02209be40e9cc7c78a352973b254f9db6612b9ea9c9bfd10b6a4c30da1b25c6",
     "cont.jsonl": "be70d51dbf91029c900a25b04aaf895c794096bd26676d00b9be91b504ac5eb0",
     "cont.json": "b9991c3e38017187b73f44d790f978bc80974c2079909f2066c1fa2e10eaeb3e",

@@ -179,6 +179,15 @@ class TestFlattenParse:
         with pytest.raises(MalformedSequence):
             parse([vocab.tag_s0, 503], vocab, 160)
 
+    # a novel equal to its channel's previous novel, in the same chunk or an
+    # earlier one: no encoding emits it
+    @pytest.mark.parametrize("wire", [["S0", 1, 1], ["S0", 1, "S1", 2, "S0", 1],
+                                      ["S0", 1, "S1", 2, "S0", 3, "S1", 2]])
+    def test_parse_rejects_repeated_novel(self, vocab, wire):
+        tags = {"S0": vocab.tag_s0, "S1": vocab.tag_s1}
+        with pytest.raises(MalformedSequence, match="repeats its previous novel"):
+            parse([tags.get(t, t) for t in wire], vocab, 160)
+
 
 # ---------------------------------------------------------------------------
 # randomized properties
@@ -202,6 +211,23 @@ def dialogues(draw):
 def test_wire_round_trip(d):
     dd = deduplicate(d)
     assert parse(flatten(dd), d.vocab, d.chunk_ms) == dd
+
+
+@given(size=st.integers(3, 6), chunk_ms=st.sampled_from([160, 200]),
+       head=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       tail=st.lists(st.integers(0, 7), max_size=30))
+@settings(max_examples=300)
+def test_parse_accepts_only_encodings(size, chunk_ms, head, tail):
+    # every sequence parse accepts, both channels opening with a novel, is
+    # the encoding of the dialogue it parses to
+    vocab = Vocab(size=size, frame_ms=40, silence_tokens=frozenset({0}))
+    wire = [vocab.tag_s0, head[0], vocab.tag_s1, head[1],
+            *(t if t < vocab.extended_size else vocab.tag_s0 for t in tail)]
+    try:
+        d = parse(wire, vocab, chunk_ms)
+    except MalformedSequence:
+        return
+    assert flatten(deduplicate(interpolate(d))) == wire
 
 
 @given(dialogues())
