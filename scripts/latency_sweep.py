@@ -22,11 +22,10 @@ from duplexsim import (
     InteractionConfig,
     SamplerConfig,
     Vocab,
-    chunk_streams,
     corpus_io,
-    deduplicate,
-    flatten,
+    encode,
     generate_corpus,
+    parse,
     simulate_interaction,
     train,
 )
@@ -49,10 +48,10 @@ def sweep_style(vocab: Vocab) -> DialogueStyle:
     )
 
 
-def encode_corpus(corpus, chunk_ms, vocab) -> list[DedupDialogue]:
-    """Every dialogue of a corpus in wire format at one chunk size."""
-    return [deduplicate(chunk_streams(s0, s1, chunk_ms, vocab))
-            for s0, s1 in corpus.values()]
+def encode_corpus(corpus, chunk_ms, vocab) -> list:
+    """Every dialogue of a corpus in wire format at one chunk size, as the
+    int64 arrays of ``encode``."""
+    return [encode(s0, s1, chunk_ms, vocab)[0] for s0, s1 in corpus.values()]
 
 
 def run_sweep(
@@ -76,21 +75,22 @@ def run_sweep(
     heldout = generate_corpus(style, heldout_dialogues, dialogue_ms, seed=seed + 2)
 
     models = {
-        c: train([flatten(d) for d in encode_corpus(train_corpus, c, vocab)],
+        c: train(encode_corpus(train_corpus, c, vocab),
                  order=order, alpha=gen_alpha, vocab_ext=vocab.extended_size)
         for c in chunk_sizes
     }
     heldout_encoded = {c: encode_corpus(heldout, c, vocab) for c in chunk_sizes}
-    reference = train([flatten(d) for c in chunk_sizes for d in heldout_encoded[c]],
+    reference = train([w for c in chunk_sizes for w in heldout_encoded[c]],
                       order=order, alpha=ref_alpha, vocab_ext=vocab.extended_size)
+    prompts = {c: [DedupDialogue(vocab, c, parse(w.tolist(), vocab, c).chunks[: prompt_ms // c])
+                   for w in heldout_encoded[c]] for c in chunk_sizes}
 
     rows = []
     for rep in range(replications):
         for c in chunk_sizes:
             prompt_chunks = prompt_ms // c
             generated = []
-            for k, full in enumerate(heldout_encoded[c]):
-                prompt = DedupDialogue(vocab, c, full.chunks[:prompt_chunks])
+            for k, prompt in enumerate(prompts[c]):
                 cfg = InteractionConfig(
                     latency_chunks=latency_chunks,
                     max_chunks=total_ms // c,

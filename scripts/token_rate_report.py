@@ -14,10 +14,10 @@ import sys
 from duplexsim import (
     DialogueStyle,
     Vocab,
-    chunk_streams,
     corpus_stats,
-    deduplicate,
+    encode,
     generate_corpus,
+    parse,
 )
 
 BAR = "#"
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
     corpus = generate_corpus(style, args.count, args.duration_ms, seed=args.seed)
 
     for chunk_ms in (160, 200, 240):
-        encoded = [(s0, s1, deduplicate(chunk_streams(s0, s1, chunk_ms, vocab)))
+        encoded = [(s0, s1, parse(encode(s0, s1, chunk_ms, vocab)[0].tolist(), vocab, chunk_ms))
                    for s0, s1 in corpus.values()]
         stats = corpus_stats(encoded)
         print(f"chunk {chunk_ms} ms:")

@@ -49,6 +49,7 @@ from .tokens import (
     chunk_streams,
     chunk_wire,
     deduplicate,
+    encode,
     flatten,
     interpolate,
     parse,

@@ -6,12 +6,13 @@ output atomic, none the file of an input or another output) and writes its
 first output only when all its work is done.
 Each input file is read once, into ``{id: (s0, s1)}`` and the one
 ``Vocab`` its dialogues share, and each dialogue is encoded to the wire
-format once; a prompt is the first ``--prompt-ms // --chunk-ms`` chunks of
-that encoding. A model file named twice is parsed once and checked against
-the vocabulary once. A command accepts only the flags it reads, and one
-flag per setting: a run's vocabulary comes from its style file or corpus,
-or, when it reads none, from ``--vocab --frame-ms --silence-token``, never
-from both, and a flag that a given combination would not read is an error.
+format once, through ``tokens.encode``; a prompt is the first
+``--prompt-ms // --chunk-ms`` chunks of that encoding. A model file named
+twice is parsed once and checked against the vocabulary once. A command
+accepts only the flags it reads, and one flag per setting: a run's
+vocabulary comes from its style file or corpus, or, when it reads none,
+from ``--vocab --frame-ms --silence-token``, never from both, and a flag
+that a given combination would not read is an error.
 
 ``eval --mode turns`` needs ``--reference`` and reads ``--skip-ms`` and
 the event flags, whose defaults are ``EventParams``'s; ``--mode ppl`` needs
@@ -34,6 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus_io
+# perfbench/layers.py times the layers by rebinding, through
+# inspect.getattr_static, generate_dialogue, chunk_streams, deduplicate,
+# flatten, interpolate, train, simulate_interaction, continue_dialogue,
+# correlation_report and per_dialogue_perplexities here, so each stays bound,
+# even chunk_streams and deduplicate, which no command calls.
 from .errors import ConfigError, DuplexError, EmptyCarryOverWarning, EmptyCorpus
 from .interaction import InteractionConfig, continue_dialogue, simulate_interaction
 from .metrics import EventParams, correlation_report, per_dialogue_perplexities
@@ -44,14 +50,18 @@ from .synth import (
     generate_dialogue,
     generate_stage2_dialogue,
 )
-from .tokens import (
+from .tokens import (  # noqa: F401 (chunk_streams, deduplicate: see above)
     DedupDialogue,
     Vocab,
     chunk_streams,
     deduplicate,
+    encode,
     flatten,
     interpolate,
+    parse,
 )
+
+DEFAULT_CHUNK_MS = 160
 
 
 def _derive_seed(seed: int, index: int) -> int:
@@ -135,13 +145,9 @@ def _load_models(vocab: Vocab, *paths) -> list[NgramModel | None]:
 def _encode(
     s0: tuple[int, ...], s1: tuple[int, ...], vocab: Vocab, chunk_ms: int
 ) -> DedupDialogue:
-    """The wire form of one dialogue: every command encodes through here."""
-    return deduplicate(chunk_streams(s0, s1, chunk_ms, vocab))
-
-
-def _flat_sequences(encodings: list[DedupDialogue]) -> list[list[int]]:
-    """The training sequences of encoded dialogues; an empty one has none."""
-    return [flatten(d) for d in encodings if d.chunks]
+    """One dialogue's wire form from ``encode``, read back by ``parse`` for
+    the commands that take a ``DedupDialogue``; ``train`` takes the array."""
+    return parse(encode(s0, s1, chunk_ms, vocab)[0].tolist(), vocab, chunk_ms)
 
 
 def _prompt_chunks(prompt_ms: int, chunk_ms: int) -> int:
@@ -168,13 +174,16 @@ def _dialogue_record(did: str, dlg, vocab: Vocab) -> dict:
 
 
 def cmd_synth(args) -> int:
-    _check_outputs([args.style], args.out, args.flat_out, args.stats_out)
+    _check_outputs([args.style], args.out, args.stats_out)
+    if args.stats_out is None and args.chunk_ms is not None:
+        raise ConfigError("--chunk-ms is read only with --stats-out, whose token rates it sets")
+    chunk_ms = DEFAULT_CHUNK_MS if args.chunk_ms is None else args.chunk_ms
     style = _style_from_args(args)
     if args.mode == "duplex" and (args.duration_ms < 0 or args.duration_ms % style.vocab.frame_ms):
         raise ConfigError("--duration-ms must be a non-negative multiple of frame_ms")
 
     records = []
-    encoded = []  # (s0, s1, wire form), when an output needs the wire form
+    encoded = []  # (s0, s1, wire form), for --stats-out
     for i in range(args.count):
         did = f"d{i:05d}"
         seed_i = [args.seed, i]
@@ -183,10 +192,8 @@ def cmd_synth(args) -> int:
         else:
             s0, s1 = generate_dialogue(style, args.duration_ms, seed_i)
         records.append(corpus_io.dialogue_to_record(did, s0, s1, style.vocab))
-        if args.flat_out is not None or args.stats_out is not None:
-            encoded.append((s0, s1, _encode(s0, s1, style.vocab, args.chunk_ms)))
-    if args.flat_out is not None:
-        seqs = _flat_sequences([d for _, _, d in encoded])
+        if args.stats_out is not None:
+            encoded.append((s0, s1, _encode(s0, s1, style.vocab, chunk_ms)))
     if args.stats_out is not None:
         stats = corpus_stats(encoded)
         payload = {
@@ -199,31 +206,18 @@ def cmd_synth(args) -> int:
             "compression_ratio": stats.compression_ratio,
         }
     corpus_io.write_corpus(args.out, records)
-    if args.flat_out is not None:
-        corpus_io.write_flat(args.flat_out, seqs)
     if args.stats_out is not None:
         corpus_io.write_json(args.stats_out, payload)
     return 0
 
 
 def cmd_train(args) -> int:
-    _check_outputs([args.corpus], args.out, args.flat_dump)
-    path = Path(args.corpus)
-    if path.suffix == ".jsonl":
-        _no_vocab_flags(args, path)
-        dialogues, vocab = _load_corpus(path)
-        sequences = _flat_sequences([_encode(s0, s1, vocab, args.chunk_ms)
-                                     for s0, s1 in dialogues.values()])
-    else:
-        if args.vocab is None:
-            raise ConfigError(f"{path} is a flat corpus, which has no vocabulary: give --vocab")
-        vocab = Vocab(size=args.vocab)
-        sequences = corpus_io.read_flat(path)
-    model = train(sequences, order=args.order, alpha=args.alpha,
-                  vocab_ext=vocab.extended_size)
+    _check_outputs([args.corpus], args.out)
+    dialogues, vocab = _load_corpus(args.corpus)
+    wires = (encode(s0, s1, args.chunk_ms, vocab)[0] for s0, s1 in dialogues.values())
+    model = train([w for w in wires if len(w)],  # an empty dialogue has no sequence
+                  order=args.order, alpha=args.alpha, vocab_ext=vocab.extended_size)
     model.save(args.out)
-    if args.flat_dump is not None:
-        corpus_io.write_flat(args.flat_dump, sequences)
     return 0
 
 
@@ -450,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
     chunk = argparse.ArgumentParser(add_help=False)
-    chunk.add_argument("--chunk-ms", type=int, default=160)
+    chunk.add_argument("--chunk-ms", type=int, default=DEFAULT_CHUNK_MS)
 
     def vocab_flags(p, source):
         where = f"; not with {source}, which supplies the vocabulary"
@@ -464,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[seed, chunk], help="generate a synthetic corpus")
+    p = sub.add_parser("synth", parents=[seed], help="generate a synthetic corpus")
     vocab_flags(p, "--style")
     p.add_argument("--style", type=Path, default=None, help="style config JSON")
     p.add_argument("--count", type=int, required=True)
@@ -472,22 +466,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["duplex", "stage2"], default="duplex")
     p.add_argument("--turns", type=int, default=10, help="turns per stage2 dialogue")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--flat-out", type=Path, default=None,
-                   help="also dump flattened wire sequences")
     p.add_argument("--stats-out", type=Path, default=None)
+    p.add_argument("--chunk-ms", type=int, default=None,
+                   help="chunk size of the --stats-out token rates, only with it; "
+                        f"default {DEFAULT_CHUNK_MS}")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", parents=[chunk], help="train the n-gram model")
-    p.add_argument("--corpus", type=Path, required=True,
-                   help=".jsonl corpus or flat .txt dump")
-    p.add_argument("--vocab", type=int, default=None,
-                   help="number of speech units; required with a flat .txt corpus, "
-                        "which carries no vocabulary, and not accepted with a .jsonl one")
+    p.add_argument("--corpus", type=Path, required=True, help="a .jsonl corpus")
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--out", type=Path, required=True,
                    help="the model file, a binary stream of .npy records whatever its name")
-    p.add_argument("--flat-dump", type=Path, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("continue", parents=[seed, chunk, sampler],

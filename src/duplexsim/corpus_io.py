@@ -14,8 +14,6 @@ distinct ids:
 In memory a record is ``(id, s0, s1, vocab)``: each channel a tuple of
 unit ids, and the ``Vocab`` the record's frame size and silence set.
 
-Flattened dumps hold one wire sequence per line, as space-separated ints.
-
 Model files are a stream of ``.npy`` records (see ``ngram``), written and
 read without pickle. The reader checks each record's header, and that its
 data fits the bytes left in the file, before it reads the data.
@@ -243,21 +241,4 @@ def read_corpus(path: str | Path) -> list[tuple[str, tuple[int, ...], tuple[int,
                 raise ConfigError(f"corpus {path}: dialogue id {did!r} is repeated")
             ids.add(did)
             out.append(entry)
-    return out
-
-
-def write_flat(path: str | Path, sequences: Iterable[Iterable[int]]) -> None:
-    with _writing(path) as fh:
-        for seq in sequences:
-            fh.write(" ".join(str(t) for t in seq))
-            fh.write("\n")
-
-
-def read_flat(path: str | Path) -> list[list[int]]:
-    out = []
-    with _reading(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append([int(t) for t in line.split()])
     return out

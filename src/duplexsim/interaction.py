@@ -41,6 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SourceExhausted
+# perfbench/layers.py rebinds sample_constrained, flatten and parse here: keep them bound
 from .ngram import NgramModel, SamplerConfig, sample_constrained
 from .tokens import DedupChunk, DedupDialogue, Vocab, flatten, parse
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DegenerateInput, EmptySet, NoPairs
 from .ngram import NgramModel, perplexity
+# perfbench/layers.py rebinds flatten and turn_events here: keep them bound
 from .tokens import DedupDialogue, Vocab, chunk_wire, flatten
 
 EVENT_KINDS = ("ipu", "pause", "fto")

@@ -116,16 +116,17 @@ class NgramModel:
         self.codes, self.offsets, self.tokens, self.freqs = codes, offsets, tokens, freqs
         self.row_totals = np.diff(np.append(0, np.cumsum(freqs))[offsets])
 
-    def _windows(self, tokens: list[int],
-                 starts: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _windows(self, sequences: list[Sequence[int]]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The context code, the token and the count (1) of every window of
-        sequences that lie one after another in ``tokens``, each from its
-        ``starts``."""
+        ``sequences``."""
         message = f"a token lies outside [0, {self.vocab_ext})"
         try:
-            tokens = np.fromiter(tokens, np.int64, len(tokens))
+            parts = [np.asarray(seq, dtype=np.int64) for seq in sequences]
         except OverflowError:  # past int64, so past the range too
             raise ValueError(message) from None
+        tokens = np.concatenate(parts)
+        starts = np.cumsum([0] + [len(p) for p in parts[:-1]])  # where each one lies in tokens
         if tokens.size and not (tokens.min() >= 0 and tokens.max() < self.vocab_ext):
             raise ValueError(message)
         # each sequence after ``order`` begin markers; window i is ids[i : i + order + 1]
@@ -272,19 +273,18 @@ def _count(codes: np.ndarray, tokens: np.ndarray, freqs: np.ndarray,
     return codes[bounds[:-1]], distinct[ranks[bounds[:-1]]], np.diff(before)
 
 
-def _batches(corpus: Iterable[Sequence[int]], size: int) -> Iterator[tuple[list[int], list[int]]]:
-    """Runs of whole sequences of about ``size`` tokens: their tokens, one
-    after another, and where each sequence starts among them."""
-    tokens: list[int] = []
-    starts: list[int] = []
+def _batches(corpus: Iterable[Sequence[int]], size: int) -> Iterator[list[Sequence[int]]]:
+    """Runs of whole sequences of about ``size`` tokens."""
+    batch: list[Sequence[int]] = []
+    n = 0
     for seq in corpus:
-        starts.append(len(tokens))
-        tokens += seq
-        if len(tokens) >= size:
-            yield tokens, starts
-            tokens, starts = [], []
-    if starts:
-        yield tokens, starts
+        batch.append(seq)
+        n += len(seq)
+        if n >= size:
+            yield batch
+            batch, n = [], 0
+    if batch:
+        yield batch
 
 
 def train(
@@ -297,7 +297,7 @@ def train(
     of about 2**15 tokens at a time, then the batches' counts together: the
     working memory follows a batch and the distinct windows, not the corpus."""
     model = NgramModel(order=order, vocab_ext=vocab_ext, alpha=alpha)
-    parts = [_count(*model._windows(tokens, starts)) for tokens, starts in _batches(corpus, 2**15)]
+    parts = [_count(*model._windows(batch)) for batch in _batches(corpus, 2**15)]
     if not parts:
         raise EmptyCorpus("training corpus is empty")
     entries = [np.concatenate(column) for column in zip(*parts)]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import corpus_io
 from .errors import BadDuration, ConfigError, EmptyCorpus
-from .tokens import DedupDialogue, Vocab
+from .tokens import DedupDialogue, Vocab, flatten
 
 
 # Field groups of DialogueStyle: (mean_ms, std_ms) pairs, of which all but
@@ -373,10 +373,7 @@ def corpus_stats(
         )
         n_chunks = len(encoding.chunks)
         if n_chunks:
-            # a chunk's wire form: tag_s0, its novels, and tag_s1 with the
-            # channel-1 novels when there are any
-            wire = sum(1 + len(c.s0_novel) + c.s1_tag_present + len(c.s1_novel)
-                       for c in encoding.chunks)
+            wire = len(flatten(encoding))
             seconds = n_chunks * encoding.chunk_ms / 1000.0
             raw_tokens += n_chunks * (2 + 2 * encoding.frames_per_chunk)
             dedup_tokens += wire

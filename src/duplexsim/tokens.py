@@ -11,6 +11,11 @@ channel 1 contributed novel tokens. The inverse direction
 (``interpolate``) redistributes each chunk's novel tokens over the chunk's
 frame slots by equal repetition.
 
+``encode`` is the one encoder: it places every wire token with one
+``np.lexsort`` keyed by (chunk, slot, frame), where the slots of a chunk
+are 0 tag_s0, 1 the channel-0 novels, 2 tag_s1 and 3 the channel-1
+novels. ``deduplicate`` is ``encode`` read back by ``parse``.
+
 All values are immutable; every operation is a pure function.
 """
 
@@ -18,7 +23,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     BadChunkSize,
@@ -172,25 +180,46 @@ def chunk_streams(
     return ChunkedDialogue(vocab=vocab, chunk_ms=chunk_ms, chunks=chunks)
 
 
-def deduplicate(d: ChunkedDialogue) -> DedupDialogue:
-    """Global run-length reduction of both channels, chunk by chunk.
+def encode(
+    s0: Sequence[int], s1: Sequence[int], chunk_ms: int, vocab: Vocab
+) -> tuple[np.ndarray, np.ndarray]:
+    """The wire form of two equal-length channels as an int64 array, and
+    the offset in it of each chunk's tag_s0. Both channels are right-padded
+    with the first silence unit to whole chunks, as in ``chunk_streams``.
+    Frame 0 is novel, and a novel lands in the chunk of its frame, so
+    run-length state carries across chunk bounds."""
+    if len(s0) != len(s1):
+        raise LengthMismatch(f"channel lengths differ: {len(s0)} vs {len(s1)}")
+    fpc = vocab.frames_per_chunk(chunk_ms)
+    n_chunks = -(-len(s0) // fpc)
+    pad = (vocab.first_silence,) * (n_chunks * fpc - len(s0))
+    try:
+        frames = np.fromiter(chain(s0, pad, s1, pad), np.int64, 2 * n_chunks * fpc).reshape(2, -1)
+        in_range = frames.min(initial=0) >= 0 and frames.max(initial=0) < vocab.size
+    except OverflowError:  # an id past int64, so past the range too
+        in_range = False
+    if not in_range:
+        bad = next(t for t in (*s0, *s1) if not 0 <= t < vocab.size)
+        raise ValueError(f"token {bad} outside unit range [0, {vocab.size})")
+    novel = np.ones(frames.shape, dtype=bool)
+    np.not_equal(frames[:, 1:], frames[:, :-1], out=novel[:, 1:])
+    channel, frame = np.nonzero(novel)
+    chunk = frame // fpc
+    # (chunk, slot, frame) keys: tag_s0 in every chunk, tag_s1 where channel 1 has novels
+    tagged = np.flatnonzero(np.bincount(chunk[channel == 1], minlength=n_chunks))
+    chunks = np.concatenate((np.arange(n_chunks), tagged, chunk))
+    slots = np.concatenate((np.zeros(n_chunks, int), np.full(len(tagged), 2), 2 * channel + 1))
+    frames_key = np.concatenate((np.zeros(n_chunks + len(tagged), int), frame))
+    order = np.lexsort((frames_key, slots, chunks))
+    wire = np.concatenate((np.full(n_chunks, vocab.tag_s0), np.full(len(tagged), vocab.tag_s1),
+                           frames[channel, frame]))[order]
+    return wire, np.flatnonzero(slots[order] == 0)
 
-    A frame is novel iff it differs from the immediately preceding frame of
-    the same channel; frame 0 is always novel. Each novel token lands in
-    the chunk containing its onset frame, so run-length state carries
-    across chunk boundaries.
-    """
-    prev: list[int | None] = [None, None]
-    out: list[DedupChunk] = []
-    for f0, f1 in d.chunks:
-        novels: list[list[int]] = [[], []]
-        for c, frames in ((0, f0), (1, f1)):
-            for tok in frames:
-                if tok != prev[c]:
-                    novels[c].append(tok)
-                    prev[c] = tok
-        out.append(DedupChunk(s0_novel=tuple(novels[0]), s1_novel=tuple(novels[1])))
-    return DedupDialogue(vocab=d.vocab, chunk_ms=d.chunk_ms, chunks=tuple(out))
+
+def deduplicate(d: ChunkedDialogue) -> DedupDialogue:
+    """Run-length reduction of both channels: ``encode`` read back by ``parse``."""
+    wire, _ = encode(d.channel(0), d.channel(1), d.chunk_ms, d.vocab)
+    return parse(wire.tolist(), d.vocab, d.chunk_ms)
 
 
 def _spread(novel: tuple[int, ...], m: int) -> list[int]:
@@ -269,10 +298,10 @@ def parse(tokens: list[int], vocab: Vocab, chunk_ms: int) -> DedupDialogue:
     previous novel (in this chunk or an earlier one), which no encoding
     emits.
     """
-    fpc = vocab.frames_per_chunk(chunk_ms)
+    fpc, tag_s0, tag_s1 = vocab.frames_per_chunk(chunk_ms), vocab.tag_s0, vocab.tag_s1
     if not tokens:
         return DedupDialogue(vocab=vocab, chunk_ms=chunk_ms, chunks=())
-    if tokens[0] != vocab.tag_s0:
+    if tokens[0] != tag_s0:
         raise MalformedSequence(f"sequence must start with tag_s0, got {tokens[0]}")
 
     chunks: list[DedupChunk] = []
@@ -287,11 +316,11 @@ def parse(tokens: list[int], vocab: Vocab, chunk_ms: int) -> DedupDialogue:
         chunks.append(DedupChunk(s0_novel=tuple(s0), s1_novel=tuple(s1)))
 
     for pos, tok in enumerate(tokens):
-        if tok == vocab.tag_s0:
+        if tok == tag_s0:
             if pos > 0:
                 close_chunk()
             s0, s1, in_s1 = [], [], False
-        elif tok == vocab.tag_s1:
+        elif tok == tag_s1:
             if in_s1:
                 raise MalformedSequence(f"double tag_s1 in one chunk at position {pos}")
             in_s1 = True

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to pin expected values.
 
-These deliberately avoid the library's code paths: counting by scanning,
-event extraction by frame-state enumeration, correlation by the raw-sum
-formula.
+These deliberately avoid the library's code paths: deduplication frame by
+frame, counting by scanning, event extraction by frame-state enumeration,
+correlation by the raw-sum formula.
 """
 
 from __future__ import annotations
@@ -11,6 +11,28 @@ import math
 from collections import Counter
 
 import numpy as np
+
+from duplexsim.tokens import ChunkedDialogue, DedupChunk, DedupDialogue
+
+
+def deduplicate(d: ChunkedDialogue) -> DedupDialogue:
+    """Run-length reduction of both channels, one frame at a time.
+
+    A frame is novel iff it differs from the preceding frame of its channel;
+    frame 0 always is. Each novel lands in the chunk of its frame, so the
+    run-length state carries across chunk boundaries.
+    """
+    prev: list[int | None] = [None, None]
+    out: list[DedupChunk] = []
+    for f0, f1 in d.chunks:
+        novels: list[list[int]] = [[], []]
+        for c, frames in ((0, f0), (1, f1)):
+            for tok in frames:
+                if tok != prev[c]:
+                    novels[c].append(tok)
+                    prev[c] = tok
+        out.append(DedupChunk(s0_novel=tuple(novels[0]), s1_novel=tuple(novels[1])))
+    return DedupDialogue(vocab=d.vocab, chunk_ms=d.chunk_ms, chunks=tuple(out))
 
 
 def ngram_counts(corpus, order, vocab_ext) -> dict[tuple[int, ...], dict[int, int]]:

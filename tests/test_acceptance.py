@@ -21,6 +21,7 @@ from duplexsim import (
     correlation_report,
     corpus_stats,
     deduplicate,
+    encode,
     flatten,
     generate_corpus,
     interpolate,
@@ -59,7 +60,10 @@ def test_criterion_02_worked_example_reproduction():
         s0 = (75, 75, 75, 75, 17, 17, 338, 338, 338, 338, 338, 338)
         s1 = (89,) * 12
         chunked = chunk_streams(s0, s1, 160, VOCAB)
-        dd = deduplicate(chunked)
+        wire, starts = encode(s0, s1, 160, VOCAB)
+        dd = parse(wire.tolist(), VOCAB, 160)
+        assert dd == oracles.deduplicate(chunked)
+        assert starts.tolist() == [0, 4, 7]
         assert chunk_wire(VOCAB, dd.chunks[0]) == [VOCAB.tag_s0, 75, VOCAB.tag_s1, 89]
         assert chunk_wire(VOCAB, dd.chunks[1]) == [VOCAB.tag_s0, 17, 338]
         assert chunk_wire(VOCAB, dd.chunks[2]) == [VOCAB.tag_s0]
@@ -81,8 +85,10 @@ def test_criterion_03_codec_round_trip_10k():
             t0 = tuple(int(x) for x in rng.integers(0, size, n))
             t1 = tuple(int(x) for x in rng.integers(0, size, n))
             d = chunk_streams(t0, t1, chunk_ms, v)
-            dd = deduplicate(d)
-            assert parse(flatten(dd), v, chunk_ms) == dd
+            dd = oracles.deduplicate(d)
+            wire, _ = encode(t0, t1, chunk_ms, v)
+            assert wire.tolist() == flatten(dd)
+            assert parse(wire.tolist(), v, chunk_ms) == dd
             rec = interpolate(dd)
             for c in (0, 1):
                 orig, recon = d.channel(c), rec.channel(c)

@@ -112,14 +112,6 @@ class TestSynth:
         peak(501)  # the first run's one-off allocations are not the run's cost
         assert peak(2_000_000) - peak(501) < 2**20
 
-    def test_flat_dump(self, tmp_path):
-        flat = tmp_path / "flat.txt"
-        synth(tmp_path, extra=["--flat-out", str(flat)])
-        lines = flat.read_text().strip().split("\n")
-        assert len(lines) == 6
-        first = [int(t) for t in lines[0].split()]
-        assert first[0] == 10  # tag_s0 for a 10-unit vocabulary
-
 
 class TestTrain:
     def test_model_bytes_deterministic(self, tmp_path):
@@ -140,15 +132,6 @@ class TestTrain:
         assert rc == 2
         assert not out.exists()
         assert json.loads(capsys.readouterr().err)["error"] == "ModelFormatError"
-
-    def test_trains_from_flat_dump(self, tmp_path):
-        flat = tmp_path / "flat.txt"
-        synth(tmp_path, extra=["--flat-out", str(flat)])
-        out = tmp_path / "m.json"
-        rc = main(["train", "--corpus", str(flat), "--order", "2", "--vocab", "10",
-                   "--out", str(out)])
-        assert rc == 0
-        assert NgramModel.load(out).vocab_ext == 12
 
     def test_stage2_model_greedy_continuation_never_overlaps(self, tmp_path):
         s2 = tmp_path / "s2.jsonl"
@@ -635,17 +618,22 @@ class TestInputBoundaries:
         assert_rejected(main(argv + [flag, FLAG_VALUES[flag]]), capsys, outputs)
 
     def test_flat_corpus_needs_vocab(self, tmp_path, capsys):
-        flat = tmp_path / "flat.txt"
-        flat.write_text("10 1 2 11 3\n")
+        # a flat dump of ints per line is not a corpus, with or without the
+        # --vocab (and the unread --chunk-ms) that train once took for it
+        flat = tmp_path / "bad.txt"
+        flat.write_text("1 1 1 2 2\n5 5 5\n")
         out = tmp_path / "model.json"
-        assert_rejected(main(["train", "--corpus", str(flat), "--out", str(out)]),
-                        capsys, [out])
+        for extra in ([], ["--vocab", "4"], ["--vocab", "4", "--chunk-ms", "7"]):
+            assert_rejected(main(["train", "--corpus", str(flat), "--out", str(out), *extra]),
+                            capsys, [out])
 
     # a flag that the rest of the command line would leave unread (a prompt
     # length with no corpus to cut it from, prompts beside a script that
-    # supplies them, a flag of the other eval mode), one that only repeated
-    # another flag (--greedy was --top-k 1, interact's --duration-ms was
-    # --max-chunks x --chunk-ms), or a skip that would score the wrong frames
+    # supplies them, a flag of the other eval mode, a chunk size for stats
+    # that synth does not write), one that only repeated another flag
+    # (--greedy was --top-k 1, interact's --duration-ms was --max-chunks x
+    # --chunk-ms), one of the flat format that went (every command encodes
+    # a .jsonl corpus itself), or a skip that would score the wrong frames
     @pytest.mark.parametrize("command,extra", [
         ("interact-no-corpus", ["--prompt-ms", "960"]),
         ("interact", ["--prompts", "CORPUS"]),
@@ -660,11 +648,17 @@ class TestInputBoundaries:
         ("eval-ppl", ["--min-voiced-ms", "80"]),
         ("eval-ppl", ["--bridge-ms", "80"]),
         ("eval-turns", ["--skip-ms", "-400"]),
-        ("eval-turns", ["--skip-ms", "30"])],
+        ("eval-turns", ["--skip-ms", "30"]),
+        ("synth", ["--chunk-ms", "7"]),
+        ("synth", ["--chunk-ms", "200"]),
+        ("synth", ["--flat-out", "FLAT"]),
+        ("train", ["--flat-dump", "FLAT"])],
         ids=["prompt_ms_no_corpus", "prompts_with_scripted", "continue_greedy",
              "interact_greedy", "interact_duration_ms", "turns_model", "turns_prompt_ms",
              "ppl_reference", "ppl_skip_ms", "ppl_ipu_gap_ms", "ppl_min_voiced_ms",
-             "ppl_bridge_ms", "turns_negative_skip_ms", "turns_skip_ms_not_a_frame"])
+             "ppl_bridge_ms", "turns_negative_skip_ms", "turns_skip_ms_not_a_frame",
+             "synth_chunk_ms_no_stats", "synth_chunk_ms_200_no_stats", "synth_flat_out",
+             "train_flat_dump"])
     def test_flag_that_would_go_unread(self, world, command, extra, tmp_path, capsys):
         clean, model = world
         out = tmp_path / "out"
@@ -673,9 +667,13 @@ class TestInputBoundaries:
             "interact-no-corpus": (["interact", "--model-a", str(model), "--model-b",
                                     str(model), *VOCAB_ARGS, "--max-chunks", "4",
                                     "--out", str(out)], [out]),
+            "synth": (["synth", "--style", str(clean.parent / "style.json"), "--count", "1",
+                       "--duration-ms", "800", "--out", str(out)], [out]),
         }[command]
-        extra = [{"CORPUS": str(clean), "MODEL": str(model)}.get(a, a) for a in extra]
-        assert_rejected(main(argv + extra), capsys, outputs)
+        flat = tmp_path / "flat.txt"
+        extra = [{"CORPUS": str(clean), "MODEL": str(model), "FLAT": str(flat)}.get(a, a)
+                 for a in extra]
+        assert_rejected(main(argv + extra), capsys, outputs + [flat])
 
     # turns mode only records --chunk-ms, but it must still fit the corpus
     @pytest.mark.parametrize("command", ["eval-ppl", "eval-turns"])

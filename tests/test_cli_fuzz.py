@@ -51,10 +51,9 @@ def _command(name, f, o, flags):
     p = ["--prompt-ms", str(prompt)]
     return {
         "synth": ["synth", "--style", f["style"], "--count", "2", "--duration-ms", "1600",
-                  *c, "--out", o / "c.jsonl", "--flat-out", o / "flat.txt",
-                  "--stats-out", o / "stats.json"],
+                  *c, "--out", o / "c.jsonl", "--stats-out", o / "stats.json"],
         "train": ["train", "--corpus", f["corpus"], "--order", "2", *c,
-                  "--out", o / "m.json", "--flat-dump", o / "flat.txt"],
+                  "--out", o / "m.json"],
         "continue": ["continue", "--model", f["model"], "--prompts", f["corpus"], *p, *c,
                      "--continue-ms", "640", *sampler, "--out", o / "g.jsonl",
                      "--transcript", o / "t.json"],

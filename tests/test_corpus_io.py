@@ -16,7 +16,6 @@ WRITERS = {
     "json_indent": lambda p: corpus_io.write_json(p, {"b": 1}, indent=2),
     "csv": lambda p: corpus_io.write_csv(p, ["x", "y"], [{"x": 1, "y": "a,b"}]),
     "corpus": lambda p: corpus_io.write_corpus(p, [{"id": "d0"}, {"id": "d1"}]),
-    "flat": lambda p: corpus_io.write_flat(p, [[1, 2], [3]]),
     "model": lambda p: NgramModel(order=1, vocab_ext=3).save(p),
     "style": lambda p: DialogueStyle().to_file(p),
 }
@@ -113,7 +112,6 @@ def test_fifo_is_written_through(tmp_path):
 READERS = {
     "json": corpus_io.read_json,
     "corpus": corpus_io.read_corpus,
-    "flat": corpus_io.read_flat,
     "model": NgramModel.load,
 }
 UNREADABLE = {

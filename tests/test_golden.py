@@ -254,18 +254,16 @@ def test_simulate_interaction(world, user, latency):
     _check(f"interact-v{size}-{user}-L{latency}", out)
 
 
-# sha256 of every file a tiny CLI pipeline writes: synth (with flat and
-# stats dumps), train, continue, interact with a scripted user and with a
+# sha256 of every file a tiny CLI pipeline writes: synth (with its stats),
+# train, continue, interact with a scripted user and with a
 # second model (both after a prompt), and eval in both modes. The
 # dialogues are 4840 ms, not a whole number of 160 or 240 ms chunks. The
 # values were recorded when each command still encoded prompts, loaded
 # models and checked vocabularies along its own path.
 CLI_DIGESTS = {
     "corpus.jsonl": "89ba56c52881c5cc86a6fe8b0ff5435f9f1203a340a5f76514095d11382441e2",
-    "flat.txt": "d02209be40e9cc7c78a352973b254f9db6612b9ea9c9bfd10b6a4c30da1b25c6",
     "stats.json": "49a87fba62ada72c96a9833c0f2db3d57ee7db502ecdb0880b4a2dfdcc931ab3",
     "model.json": "5674f8ee383de19756077945e5a93e2c3f7ac78c48e33f16722be953a136c9bf",
-    "dump.txt": "d02209be40e9cc7c78a352973b254f9db6612b9ea9c9bfd10b6a4c30da1b25c6",
     "cont.jsonl": "be70d51dbf91029c900a25b04aaf895c794096bd26676d00b9be91b504ac5eb0",
     "cont.json": "b9991c3e38017187b73f44d790f978bc80974c2079909f2066c1fa2e10eaeb3e",
     "scripted.json": "2bc0026683afd2b22935cd362d6dfd3c93fdf6cf6a76bb2bfa86ad23e615c81d",
@@ -280,9 +278,8 @@ CLI_DIGESTS = {
 
 CLI_STAGES = [
     ["synth", "--vocab", "10", "--count", "5", "--duration-ms", "4840", "--seed", "3",
-     "--out", "corpus.jsonl", "--flat-out", "flat.txt", "--stats-out", "stats.json"],
-    ["train", "--corpus", "corpus.jsonl", "--order", "3", "--out", "model.json",
-     "--flat-dump", "dump.txt"],
+     "--out", "corpus.jsonl", "--stats-out", "stats.json"],
+    ["train", "--corpus", "corpus.jsonl", "--order", "3", "--out", "model.json"],
     ["continue", "--model", "model.json", "--prompts", "corpus.jsonl",
      "--prompt-ms", "1600", "--continue-ms", "1600", "--seed", "5",
      "--out", "cont.jsonl", "--transcript", "cont.json"],

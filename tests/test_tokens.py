@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from duplexsim import (
     DedupChunk,
     DedupDialogue,
@@ -9,6 +11,7 @@ from duplexsim import (
     chunk_streams,
     chunk_wire,
     deduplicate,
+    encode,
     flatten,
     interpolate,
     parse,
@@ -66,6 +69,47 @@ class TestChunkStreams:
     def test_rejects_out_of_range_tokens(self, vocab):
         with pytest.raises(ValueError):
             chunk_streams((501,) * 4, (0,) * 4, 160, vocab)
+
+
+class TestEncode:
+    def test_length_mismatch(self, vocab):
+        with pytest.raises(LengthMismatch):
+            encode((1, 2), (1,), 160, vocab)
+
+    @pytest.mark.parametrize("chunk_ms", [170, 0, -160])
+    def test_bad_chunk_size(self, vocab, chunk_ms):
+        with pytest.raises(BadChunkSize):
+            encode((1,) * 4, (2,) * 4, chunk_ms, vocab)
+
+    # an id past int64 makes numpy raise OverflowError, which the CLI would
+    # not map to an exit code
+    @pytest.mark.parametrize("bad", [-1, 501, 2**70, -(2**70)])
+    @pytest.mark.parametrize("channel", [0, 1])
+    def test_rejects_out_of_range_tokens(self, vocab, bad, channel):
+        s = [(1, 2, 3, 4), (5, 6, 7, 8)]
+        s[channel] = (1, bad, 3, 4)
+        with pytest.raises(ValueError, match=f"token {bad} outside unit range"):
+            encode(*s, 160, vocab)
+
+
+@given(size=st.integers(1, 30), chunk_ms=st.sampled_from([40, 160, 200, 240]),
+       data=st.data())
+@settings(max_examples=400)
+def test_encode_matches_the_frame_by_frame_oracle(size, chunk_ms, data):
+    # any length, not only whole chunks, so padding with the first silence
+    # unit is covered too
+    silence = data.draw(st.sets(st.integers(0, size - 1), min_size=1))
+    vocab = Vocab(size=size, frame_ms=40, silence_tokens=frozenset(silence))
+    n = data.draw(st.integers(0, 40))
+    toks = st.lists(st.integers(0, size - 1), min_size=n, max_size=n).map(tuple)
+    s0, s1 = data.draw(toks), data.draw(toks)
+    expected = oracles.deduplicate(chunk_streams(s0, s1, chunk_ms, vocab))
+    wire, starts = encode(s0, s1, chunk_ms, vocab)
+    assert wire.dtype == np.int64
+    assert wire.tolist() == flatten(expected)
+    assert starts.tolist() == [i for i, t in enumerate(wire.tolist()) if t == vocab.tag_s0]
+    assert parse(wire.tolist(), vocab, chunk_ms) == expected
+    assert deduplicate(chunk_streams(s0, s1, chunk_ms, vocab)) == expected
 
 
 class TestDeduplicate:
