@@ -11,14 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from duplexsim import (
-    DialogueStyle,
-    Vocab,
-    corpus_stats,
-    encode,
-    generate_corpus,
-    parse,
-)
+from duplexsim import DialogueStyle, Vocab, corpus_stats, generate_corpus
 
 BAR = "#"
 
@@ -53,9 +46,7 @@ def main(argv=None) -> int:
     corpus = generate_corpus(style, args.count, args.duration_ms, seed=args.seed)
 
     for chunk_ms in (160, 200, 240):
-        encoded = [(s0, s1, parse(encode(s0, s1, chunk_ms, vocab)[0].tolist(), vocab, chunk_ms))
-                   for s0, s1 in corpus.values()]
-        stats = corpus_stats(encoded)
+        stats = corpus_stats(list(corpus.values()), vocab, chunk_ms)
         print(f"chunk {chunk_ms} ms:")
         print(f"  raw interleaved rate : {stats.raw_tokens_per_s:7.1f} tok/s")
         print(f"  deduplicated rate    : {stats.dedup_tokens_per_s:7.1f} tok/s")

@@ -42,12 +42,10 @@ from .synth import (
     generate_stage2_dialogue,
 )
 from .tokens import (
-    ChunkedDialogue,
     DedupChunk,
     DedupDialogue,
     Vocab,
     chunk_streams,
-    chunk_wire,
     deduplicate,
     encode,
     flatten,

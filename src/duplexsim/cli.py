@@ -36,10 +36,10 @@ import numpy as np
 
 from . import corpus_io
 # perfbench/layers.py times the layers by rebinding, through
-# inspect.getattr_static, generate_dialogue, chunk_streams, deduplicate,
+# inspect.getattr_static, main, generate_dialogue, chunk_streams, deduplicate,
 # flatten, interpolate, train, simulate_interaction, continue_dialogue,
 # correlation_report and per_dialogue_perplexities here, so each stays bound,
-# even chunk_streams and deduplicate, which no command calls.
+# even chunk_streams, which no command calls.
 from .errors import ConfigError, DuplexError, EmptyCarryOverWarning, EmptyCorpus
 from .interaction import InteractionConfig, continue_dialogue, simulate_interaction
 from .metrics import EventParams, correlation_report, per_dialogue_perplexities
@@ -50,7 +50,7 @@ from .synth import (
     generate_dialogue,
     generate_stage2_dialogue,
 )
-from .tokens import (  # noqa: F401 (chunk_streams, deduplicate: see above)
+from .tokens import (  # noqa: F401 (chunk_streams: see above)
     DedupDialogue,
     Vocab,
     chunk_streams,
@@ -58,7 +58,6 @@ from .tokens import (  # noqa: F401 (chunk_streams, deduplicate: see above)
     encode,
     flatten,
     interpolate,
-    parse,
 )
 
 DEFAULT_CHUNK_MS = 160
@@ -142,14 +141,6 @@ def _load_models(vocab: Vocab, *paths) -> list[NgramModel | None]:
     return models
 
 
-def _encode(
-    s0: tuple[int, ...], s1: tuple[int, ...], vocab: Vocab, chunk_ms: int
-) -> DedupDialogue:
-    """One dialogue's wire form from ``encode``, read back by ``parse`` for
-    the commands that take a ``DedupDialogue``; ``train`` takes the array."""
-    return parse(encode(s0, s1, chunk_ms, vocab)[0].tolist(), vocab, chunk_ms)
-
-
 def _prompt_chunks(prompt_ms: int, chunk_ms: int) -> int:
     """How many leading chunks of each encoded dialogue form the prompt."""
     if chunk_ms <= 0 or prompt_ms < 0 or prompt_ms % chunk_ms:
@@ -169,8 +160,12 @@ def _dialogue_record(did: str, dlg, vocab: Vocab) -> dict:
     # is the intended reading of a generated dialogue, not a fault to report.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyCarryOverWarning)
-        full = interpolate(dlg)
-    return corpus_io.dialogue_to_record(did, full.channel(0), full.channel(1), vocab)
+        s0, s1 = interpolate(dlg)
+    return corpus_io.dialogue_to_record(did, s0, s1, vocab)
+
+
+# the length flag that each synth mode reads, and its default
+SYNTH_LENGTH = {"duplex": ("duration_ms", 60000), "stage2": ("turns", 10)}
 
 
 def cmd_synth(args) -> int:
@@ -178,24 +173,26 @@ def cmd_synth(args) -> int:
     if args.stats_out is None and args.chunk_ms is not None:
         raise ConfigError("--chunk-ms is read only with --stats-out, whose token rates it sets")
     chunk_ms = DEFAULT_CHUNK_MS if args.chunk_ms is None else args.chunk_ms
+    for mode, (flag, _) in SYNTH_LENGTH.items():
+        if mode != args.mode and getattr(args, flag) is not None:
+            raise ConfigError(f"synth --mode {args.mode} does not read "
+                              f"--{flag.replace('_', '-')}")
+    flag, default = SYNTH_LENGTH[args.mode]
+    length = default if getattr(args, flag) is None else getattr(args, flag)
     style = _style_from_args(args)
-    if args.mode == "duplex" and (args.duration_ms < 0 or args.duration_ms % style.vocab.frame_ms):
+    if args.mode == "duplex" and (length < 0 or length % style.vocab.frame_ms):
         raise ConfigError("--duration-ms must be a non-negative multiple of frame_ms")
+    generate = generate_dialogue if args.mode == "duplex" else generate_stage2_dialogue
 
     records = []
-    encoded = []  # (s0, s1, wire form), for --stats-out
+    dialogues = []  # (s0, s1), for --stats-out
     for i in range(args.count):
-        did = f"d{i:05d}"
-        seed_i = [args.seed, i]
-        if args.mode == "stage2":
-            s0, s1 = generate_stage2_dialogue(style, args.turns, seed_i)
-        else:
-            s0, s1 = generate_dialogue(style, args.duration_ms, seed_i)
-        records.append(corpus_io.dialogue_to_record(did, s0, s1, style.vocab))
+        s0, s1 = generate(style, length, [args.seed, i])
+        records.append(corpus_io.dialogue_to_record(f"d{i:05d}", s0, s1, style.vocab))
         if args.stats_out is not None:
-            encoded.append((s0, s1, _encode(s0, s1, style.vocab, chunk_ms)))
+            dialogues.append((s0, s1))
     if args.stats_out is not None:
-        stats = corpus_stats(encoded)
+        stats = corpus_stats(dialogues, style.vocab, chunk_ms)
         payload = {
             "event_means_ms": stats.event_means_ms,
             "event_stds_ms": stats.event_stds_ms,
@@ -237,7 +234,7 @@ def cmd_continue(args) -> int:
     out_records = []
     transcript_entries = []
     for i, (did, (s0, s1)) in enumerate(dialogues.items()):
-        prompt = _head(_encode(s0, s1, vocab, args.chunk_ms), prompt_chunks)
+        prompt = _head(deduplicate(s0, s1, args.chunk_ms, vocab), prompt_chunks)
         cfg = _sampler_from_args(args, _derive_seed(args.seed, i))
         result = continue_dialogue(model, prompt, n_chunks, cfg)
         out_records.append(_dialogue_record(did, result, vocab))
@@ -284,7 +281,7 @@ def cmd_interact(args) -> int:
         _no_vocab_flags(args, corpus)
         dialogues, vocab = _load_corpus(corpus)
         for did, (s0, s1) in dialogues.items():
-            full = _encode(s0, s1, vocab, args.chunk_ms)
+            full = deduplicate(s0, s1, args.chunk_ms, vocab)
             runs.append((did, _head(full, prompt_chunks), full if args.scripted else None))
     else:
         vocab = _vocab_from_args(args)
@@ -367,7 +364,7 @@ def cmd_eval(args) -> int:
         mode_params = {"prompt_ms": prompt_ms, "skip_ms": None}
         gen, vocab = _load_corpus(args.generated)
         (model,) = _load_models(vocab, args.model)
-        dialogues = [_encode(s0, s1, vocab, args.chunk_ms) for s0, s1 in gen.values()]
+        dialogues = [deduplicate(s0, s1, args.chunk_ms, vocab) for s0, s1 in gen.values()]
         ppls = per_dialogue_perplexities(model, dialogues, prompt_chunks=prompt_chunks)
         metrics_payload = {
             "median_ppl": float(statistics.median(ppls)),
@@ -462,9 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
     vocab_flags(p, "--style")
     p.add_argument("--style", type=Path, default=None, help="style config JSON")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--duration-ms", type=int, default=60000)
-    p.add_argument("--mode", choices=["duplex", "stage2"], default="duplex")
-    p.add_argument("--turns", type=int, default=10, help="turns per stage2 dialogue")
+    p.add_argument("--mode", choices=list(SYNTH_LENGTH), default="duplex")
+    p.add_argument("--duration-ms", type=int,
+                   help=f"duplex mode only; default {SYNTH_LENGTH['duplex'][1]}")
+    p.add_argument("--turns", type=int, help="turns per dialogue, stage2 mode only; "
+                                              f"default {SYNTH_LENGTH['stage2'][1]}")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--stats-out", type=Path, default=None)
     p.add_argument("--chunk-ms", type=int, default=None,

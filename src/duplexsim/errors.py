@@ -51,11 +51,8 @@ class ModelFormatError(ConfigError):
 
 
 class MalformedSequence(DuplexError):
-    """Token sequence does not follow the tagged chunk wire format."""
-
-
-class ChunkOverflow(DuplexError):
-    """More novel tokens than frame slots in a chunk."""
+    """A token sequence or a ``DedupDialogue`` breaks the grammar of the
+    tagged chunk wire format."""
 
 
 class SourceExhausted(ConfigError):

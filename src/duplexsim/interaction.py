@@ -41,9 +41,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SourceExhausted
-# perfbench/layers.py rebinds sample_constrained, flatten and parse here: keep them bound
+# perfbench/layers.py rebinds flatten, parse and sample_constrained here:
+# keep them bound, even flatten, which this module does not call
 from .ngram import NgramModel, SamplerConfig, sample_constrained
-from .tokens import DedupChunk, DedupDialogue, Vocab, flatten, parse
+from .tokens import DedupChunk, DedupDialogue, Vocab, flatten, parse  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -327,15 +328,16 @@ def continue_dialogue(
     """Autoregressively extend a dialogue by ``n_chunks`` chunks.
 
     With ``forced_user`` the channel-1 side of each new chunk is spliced
-    in verbatim (teacher forcing) instead of being sampled.
+    in verbatim (teacher forcing) instead of being sampled; building the
+    result checks it, so a forced part that breaks the grammar raises
+    ``MalformedSequence``.
     """
     if n_chunks < 1:
         raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
     if forced_user is not None and len(forced_user) != n_chunks:
         raise ValueError("forced_user must provide one chunk per generated chunk")
-    checked = parse(flatten(prompt), prompt.vocab, prompt.chunk_ms)
     cfg = cfg if cfg is not None else SamplerConfig()
-    agent = _Agent(model, cfg, np.random.default_rng(cfg.seed), checked)
+    agent = _Agent(model, cfg, np.random.default_rng(cfg.seed), prompt)
     chunks = list(prompt.chunks)
     for i in range(n_chunks):
         s0 = agent.sample(0)
@@ -385,7 +387,6 @@ def simulate_interaction(
     """
     scripted = isinstance(user_source, DedupDialogue)
     vocab = prompt.vocab
-    checked = parse(flatten(prompt), prompt.vocab, prompt.chunk_ms)
     L = cfg.latency_chunks
     p_chunks = len(prompt.chunks)
     if cfg.max_chunks <= p_chunks:
@@ -408,11 +409,11 @@ def simulate_interaction(
     usr_novel = [list(c.s1_novel) for c in prompt.chunks]
 
     agent_a = _Agent(model_llm, cfg.sampler, np.random.default_rng(cfg.sampler.seed),
-                     checked, side=0)
+                     prompt, side=0)
     agent_b = None
     if not scripted:
         agent_b = _Agent(user_source, cfg.sampler,
-                         np.random.default_rng([cfg.sampler.seed, 1]), checked, side=1)
+                         np.random.default_rng([cfg.sampler.seed, 1]), prompt, side=1)
 
     records: list[StepRecord] = []
     trunc_before = 0

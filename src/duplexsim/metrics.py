@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DegenerateInput, EmptySet, NoPairs
 from .ngram import NgramModel, perplexity
 # perfbench/layers.py rebinds flatten and turn_events here: keep them bound
-from .tokens import DedupDialogue, Vocab, chunk_wire, flatten
+from .tokens import DedupDialogue, Vocab, flatten
 
 EVENT_KINDS = ("ipu", "pause", "fto")
 
@@ -311,6 +311,7 @@ def per_dialogue_perplexities(
         raise EmptySet("no dialogues to score")
     out = []
     for d in dialogues:
-        skip = sum(len(chunk_wire(d.vocab, c)) for c in d.chunks[:prompt_chunks])
+        # the prompt's wire tokens: tag_s0 and novels, tag_s1 only before novels
+        skip = sum(1 + len(s0) + len(s1) + bool(s1) for s0, s1 in d.chunks[:prompt_chunks])
         out.append(perplexity(reference_model, flatten(d), skip=skip))
     return out

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import corpus_io
 from .errors import BadDuration, ConfigError, EmptyCorpus
-from .tokens import DedupDialogue, Vocab, flatten
+from .tokens import Vocab, encode
 
 
 # Field groups of DialogueStyle: (mean_ms, std_ms) pairs, of which all but
@@ -342,43 +342,43 @@ class CorpusStats:
 
 
 def corpus_stats(
-    dialogues: Sequence[tuple[Sequence[int], Sequence[int], DedupDialogue]],
+    dialogues: Sequence[tuple[Sequence[int], Sequence[int]]], vocab: Vocab, chunk_ms: int
 ) -> CorpusStats:
     """Empirical per-event duration statistics plus codec token rates of
-    ``(s0, s1, encoding)`` dialogues, where ``encoding`` is the dialogue's
-    wire form. The vocabulary and the chunk size are the encodings'.
+    ``(s0, s1)`` dialogues at ``chunk_ms``.
 
     Raw rate counts the fully interleaved chunk form (both tags plus every
-    frame of both channels); dedup rate counts the wire form.
+    frame of both channels); dedup rate counts the wire form of ``encode``.
     """
     from . import metrics  # local import; metrics stays synth-agnostic
 
     if len(dialogues) == 0:
         raise EmptyCorpus("corpus has no dialogues")
 
+    fpc = vocab.frames_per_chunk(chunk_ms)
+    silence = vocab.silence_tokens
     durations: dict[str, list[float]] = {"ipu": [], "pause": [], "fto": []}
     overlap = 0
     raw_tokens = 0
     dedup_tokens = 0
     total_seconds = 0.0
     rates = []
-    for s0, s1, encoding in dialogues:
-        silence = encoding.vocab.silence_tokens
-        for ev in metrics.dialogue_events(s0, s1, encoding.vocab):
+    for s0, s1 in dialogues:
+        for ev in metrics.dialogue_events(s0, s1, vocab):
             durations[ev.kind].append(float(ev.duration_ms))
         overlap += sum(
             1
             for a, b in zip(s0, s1)
             if a not in silence and b not in silence
         )
-        n_chunks = len(encoding.chunks)
+        wire, starts = encode(s0, s1, chunk_ms, vocab)
+        n_chunks = len(starts)
         if n_chunks:
-            wire = len(flatten(encoding))
-            seconds = n_chunks * encoding.chunk_ms / 1000.0
-            raw_tokens += n_chunks * (2 + 2 * encoding.frames_per_chunk)
-            dedup_tokens += wire
+            seconds = n_chunks * chunk_ms / 1000.0
+            raw_tokens += n_chunks * (2 + 2 * fpc)
+            dedup_tokens += len(wire)
             total_seconds += seconds
-            rates.append(wire / seconds)
+            rates.append(len(wire) / seconds)
 
     means = {k: float(np.mean(v)) if v else float("nan") for k, v in durations.items()}
     stds = {k: float(np.std(v)) if v else float("nan") for k, v in durations.items()}

@@ -12,27 +12,32 @@ from collections import Counter
 
 import numpy as np
 
-from duplexsim.tokens import ChunkedDialogue, DedupChunk, DedupDialogue
+from duplexsim.tokens import DedupChunk, DedupDialogue
 
 
-def deduplicate(d: ChunkedDialogue) -> DedupDialogue:
+def deduplicate(s0, s1, chunk_ms, vocab) -> DedupDialogue:
     """Run-length reduction of both channels, one frame at a time.
 
-    A frame is novel iff it differs from the preceding frame of its channel;
-    frame 0 always is. Each novel lands in the chunk of its frame, so the
-    run-length state carries across chunk boundaries.
+    Both channels are right-padded with the first silence unit to whole
+    chunks of ``chunk_ms``. A frame is novel iff it differs from the
+    preceding frame of its channel; frame 0 always is. Each novel lands in
+    the chunk of its frame, so the run-length state carries across chunk
+    boundaries.
     """
+    fpc = chunk_ms // vocab.frame_ms
+    padded = -(-len(s0) // fpc) * fpc
+    channels = [list(s) + [min(vocab.silence_tokens)] * (padded - len(s)) for s in (s0, s1)]
     prev: list[int | None] = [None, None]
     out: list[DedupChunk] = []
-    for f0, f1 in d.chunks:
+    for start in range(0, padded, fpc):
         novels: list[list[int]] = [[], []]
-        for c, frames in ((0, f0), (1, f1)):
-            for tok in frames:
+        for c in (0, 1):
+            for tok in channels[c][start : start + fpc]:
                 if tok != prev[c]:
                     novels[c].append(tok)
                     prev[c] = tok
         out.append(DedupChunk(s0_novel=tuple(novels[0]), s1_novel=tuple(novels[1])))
-    return DedupDialogue(vocab=d.vocab, chunk_ms=d.chunk_ms, chunks=tuple(out))
+    return DedupDialogue(vocab=vocab, chunk_ms=chunk_ms, chunks=tuple(out))
 
 
 def ngram_counts(corpus, order, vocab_ext) -> dict[tuple[int, ...], dict[int, int]]:

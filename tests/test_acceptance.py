@@ -15,8 +15,6 @@ from duplexsim import (
     InteractionConfig,
     SamplerConfig,
     Vocab,
-    chunk_streams,
-    chunk_wire,
     continue_dialogue,
     correlation_report,
     corpus_stats,
@@ -59,19 +57,17 @@ def test_criterion_02_worked_example_reproduction():
     with criterion(2, "worked example: dedup wire forms and interpolation"):
         s0 = (75, 75, 75, 75, 17, 17, 338, 338, 338, 338, 338, 338)
         s1 = (89,) * 12
-        chunked = chunk_streams(s0, s1, 160, VOCAB)
         wire, starts = encode(s0, s1, 160, VOCAB)
         dd = parse(wire.tolist(), VOCAB, 160)
-        assert dd == oracles.deduplicate(chunked)
+        assert dd == oracles.deduplicate(s0, s1, 160, VOCAB)
         assert starts.tolist() == [0, 4, 7]
-        assert chunk_wire(VOCAB, dd.chunks[0]) == [VOCAB.tag_s0, 75, VOCAB.tag_s1, 89]
-        assert chunk_wire(VOCAB, dd.chunks[1]) == [VOCAB.tag_s0, 17, 338]
-        assert chunk_wire(VOCAB, dd.chunks[2]) == [VOCAB.tag_s0]
-        rec = interpolate(dd)
-        assert rec.chunks[0][0] == (75, 75, 75, 75)  # one token repeated thrice
-        assert rec.chunks[1][0] == (17, 17, 338, 338)
-        assert rec.chunks[2][0] == (338, 338, 338, 338)
-        assert rec.channel(1) == (89,) * 12
+        assert [w.tolist() for w in np.split(wire, starts[1:])] == [
+            [VOCAB.tag_s0, 75, VOCAB.tag_s1, 89], [VOCAB.tag_s0, 17, 338], [VOCAB.tag_s0]]
+        rec0, rec1 = interpolate(dd)
+        assert rec0[0:4] == (75, 75, 75, 75)  # one token repeated thrice
+        assert rec0[4:8] == (17, 17, 338, 338)
+        assert rec0[8:12] == (338, 338, 338, 338)
+        assert rec1 == (89,) * 12
 
 
 def test_criterion_03_codec_round_trip_10k():
@@ -84,20 +80,18 @@ def test_criterion_03_codec_round_trip_10k():
             n = int(rng.integers(0, 5)) * (chunk_ms // 40)
             t0 = tuple(int(x) for x in rng.integers(0, size, n))
             t1 = tuple(int(x) for x in rng.integers(0, size, n))
-            d = chunk_streams(t0, t1, chunk_ms, v)
-            dd = oracles.deduplicate(d)
+            dd = oracles.deduplicate(t0, t1, chunk_ms, v)
             wire, _ = encode(t0, t1, chunk_ms, v)
             assert wire.tolist() == flatten(dd)
             assert parse(wire.tolist(), v, chunk_ms) == dd
             rec = interpolate(dd)
-            for c in (0, 1):
-                orig, recon = d.channel(c), rec.channel(c)
+            for orig, recon in zip((t0, t1), rec):
                 assert len(orig) == len(recon)
                 on_a = [i for i, t in enumerate(orig) if i == 0 or t != orig[i - 1]]
                 on_b = [i for i, t in enumerate(recon) if i == 0 or t != recon[i - 1]]
                 assert len(on_a) == len(on_b)
                 assert all(abs(a - b) * 40 < chunk_ms for a, b in zip(on_a, on_b))
-            assert deduplicate(rec).chunks == dd.chunks
+            assert deduplicate(*rec, chunk_ms, v).chunks == dd.chunks
 
 
 def test_criterion_04_compression_band():
@@ -105,8 +99,7 @@ def test_criterion_04_compression_band():
         style = DialogueStyle(vocab=VOCAB)  # default silence/self-loop rates
         corpus = generate_corpus(style, 20, 30000, seed=5)
         for chunk_ms in (160, 240):
-            stats = corpus_stats([(s0, s1, deduplicate(chunk_streams(
-                s0, s1, chunk_ms, VOCAB))) for s0, s1 in corpus.values()])
+            stats = corpus_stats(list(corpus.values()), VOCAB, chunk_ms)
             assert 0.3 <= stats.compression_ratio <= 0.7, (chunk_ms, stats.compression_ratio)
 
 
@@ -118,8 +111,7 @@ def _small_setup(seed=100, n_units=10):
         p_self=0.45,
     )
     corpus = generate_corpus(style, 16, 16000, seed=seed)
-    seqs = [flatten(deduplicate(chunk_streams(s0, s1, 160, vocab)))
-            for s0, s1 in corpus.values()]
+    seqs = [flatten(deduplicate(s0, s1, 160, vocab)) for s0, s1 in corpus.values()]
     model = train(seqs, order=3, alpha=0.1, vocab_ext=vocab.extended_size)
     return vocab, style, model
 
@@ -130,7 +122,7 @@ def test_criterion_05_zero_latency_equivalence():
         p, n = 2, 10
         for case in range(100):
             s0, s1 = __import__("duplexsim").generate_dialogue(style, 16000, [9, case])
-            script = deduplicate(chunk_streams(s0, s1, 160, vocab))
+            script = deduplicate(s0, s1, 160, vocab)
             prompt = DedupDialogue(vocab, 160, script.chunks[:p])
             sampler = SamplerConfig(top_k=1, seed=case)
             cfg = InteractionConfig(latency_chunks=0,
@@ -148,7 +140,7 @@ def test_criterion_06_estimate_replace_protocol():
         nontrivial = 0
         for seed in range(10):
             s0, s1 = __import__("duplexsim").generate_dialogue(style, 16000, [21, seed])
-            script = deduplicate(chunk_streams(s0, s1, 160, vocab))
+            script = deduplicate(s0, s1, 160, vocab)
             prompt = DedupDialogue(vocab, 160, script.chunks[:2])
             cfg = InteractionConfig(latency_chunks=1, max_chunks=16,
                                     sampler=SamplerConfig(seed=seed))

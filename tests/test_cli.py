@@ -629,8 +629,8 @@ class TestInputBoundaries:
 
     # a flag that the rest of the command line would leave unread (a prompt
     # length with no corpus to cut it from, prompts beside a script that
-    # supplies them, a flag of the other eval mode, a chunk size for stats
-    # that synth does not write), one that only repeated another flag
+    # supplies them, a flag of the other eval or synth mode, a chunk size for
+    # stats that synth does not write), one that only repeated another flag
     # (--greedy was --top-k 1, interact's --duration-ms was --max-chunks x
     # --chunk-ms), one of the flat format that went (every command encodes
     # a .jsonl corpus itself), or a skip that would score the wrong frames
@@ -652,13 +652,15 @@ class TestInputBoundaries:
         ("synth", ["--chunk-ms", "7"]),
         ("synth", ["--chunk-ms", "200"]),
         ("synth", ["--flat-out", "FLAT"]),
+        ("synth", ["--turns", "5"]),
+        ("synth", ["--mode", "stage2", "--duration-ms", "123"]),
         ("train", ["--flat-dump", "FLAT"])],
         ids=["prompt_ms_no_corpus", "prompts_with_scripted", "continue_greedy",
              "interact_greedy", "interact_duration_ms", "turns_model", "turns_prompt_ms",
              "ppl_reference", "ppl_skip_ms", "ppl_ipu_gap_ms", "ppl_min_voiced_ms",
              "ppl_bridge_ms", "turns_negative_skip_ms", "turns_skip_ms_not_a_frame",
              "synth_chunk_ms_no_stats", "synth_chunk_ms_200_no_stats", "synth_flat_out",
-             "train_flat_dump"])
+             "synth_duplex_turns", "synth_stage2_duration_ms", "train_flat_dump"])
     def test_flag_that_would_go_unread(self, world, command, extra, tmp_path, capsys):
         clean, model = world
         out = tmp_path / "out"

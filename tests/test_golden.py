@@ -37,8 +37,6 @@ from duplexsim import (
     NgramModel,
     SamplerConfig,
     Vocab,
-    chunk_streams,
-    chunk_wire,
     continue_dialogue,
     corpus_perplexity,
     deduplicate,
@@ -106,7 +104,7 @@ def _world(size: int):
     )
     corpus = generate_corpus(style, 9, 12000, seed=size)
     dialogues = [
-        deduplicate(chunk_streams(s0, s1, CHUNK_MS, vocab)) for s0, s1 in corpus.values()
+        deduplicate(s0, s1, CHUNK_MS, vocab) for s0, s1 in corpus.values()
     ]
     order = 3 if size < 100 else 4
     model = train([flatten(d) for d in dialogues[:-1]], order=order, alpha=0.1,
@@ -196,11 +194,8 @@ def test_estimate_user_chunk(world):
     size, vocab, model, script = world
     wire = flatten(script)
     # contexts ending right after a chunk's channel-0 content
-    cuts, pos = [], 0
-    for chunk in script.chunks:
-        cuts.append(pos + 1 + len(chunk.s0_novel))
-        pos += len(chunk_wire(vocab, chunk))
-    cuts = cuts[1::5]
+    starts = [i for i, t in enumerate(wire) if t == vocab.tag_s0]
+    cuts = [i + 1 + len(chunk.s0_novel) for i, chunk in zip(starts, script.chunks)][1::5]
     out = {}
     for name in SAMPLERS:
         own = [estimate_user_chunk(model, wire[:i], vocab, CHUNK_MS, _sampler(name, i))

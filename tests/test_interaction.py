@@ -9,7 +9,6 @@ from duplexsim import (
     InteractionConfig,
     SamplerConfig,
     Vocab,
-    chunk_streams,
     continue_dialogue,
     deduplicate,
     estimate_user_chunk,
@@ -42,12 +41,12 @@ def setup():
     )
     corpus = generate_corpus(style, 16, 16000, seed=100)
     seqs = [
-        flatten(deduplicate(chunk_streams(s0, s1, CHUNK_MS, vocab)))
+        flatten(deduplicate(s0, s1, CHUNK_MS, vocab))
         for s0, s1 in corpus.values()
     ]
     model = train(seqs, order=3, alpha=0.1, vocab_ext=vocab.extended_size)
     s0, s1 = list(corpus.values())[-1]
-    script = deduplicate(chunk_streams(s0, s1, CHUNK_MS, vocab))
+    script = deduplicate(s0, s1, CHUNK_MS, vocab)
     return vocab, style, model, script
 
 
@@ -79,18 +78,12 @@ class TestContinueDialogue:
             out = continue_dialogue(model, prompt, 10, SamplerConfig(seed=seed))
             assert parse(flatten(out), vocab, CHUNK_MS) == out
             rec = interpolate(out)
-            assert len(rec.channel(0)) == len(out.chunks) * 4
+            assert len(rec[0]) == len(out.chunks) * 4
 
     def test_greedy_on_silence_corpus_emits_silence_chunk(self):
         vocab = Vocab(size=6, frame_ms=40, silence_tokens=frozenset({0}))
-        silent = [
-            flatten(
-                deduplicate(
-                    chunk_streams((0,) * 20, (0,) * 20, CHUNK_MS, vocab)
-                )
-            )
-            for _ in range(4)
-        ]
+        silent = [flatten(deduplicate((0,) * 20, (0,) * 20, CHUNK_MS, vocab))
+                  for _ in range(4)]
         model = train(silent, order=2, alpha=0.01, vocab_ext=vocab.extended_size)
         prompt = parse(silent[0], vocab, CHUNK_MS)
         out = continue_dialogue(model, prompt, 1, SamplerConfig(top_k=1, seed=0))
@@ -105,6 +98,17 @@ class TestContinueDialogue:
         out = continue_dialogue(model, empty, 3, SamplerConfig(seed=2))
         assert len(out.chunks) == 3
 
+    # forced parts are checked as the result is built: a repeated novel, an
+    # id past the extended vocabulary (12 here), more novels than frames
+    @pytest.mark.parametrize("forced", [[(3, 3, 9), (1,)], [(3, 12), (1,)],
+                                        [(1,), (1, 2, 3, 4, 5)]],
+                             ids=["repeated_novel", "past_vocabulary", "overfull"])
+    def test_forced_user_breaking_the_grammar_raises(self, setup, forced):
+        _, _, model, script = setup
+        with pytest.raises(MalformedSequence, match="channel 1"):
+            continue_dialogue(model, prompt_of(script, 3), 2, SamplerConfig(seed=0),
+                              forced_user=forced)
+
 
 class TestEstimateUserChunk:
     def test_silence_echo_user_estimated_empty(self):
@@ -114,7 +118,7 @@ class TestEstimateUserChunk:
         for _ in range(4):
             s0 = (1, 1, 2, 2) * 5
             s1 = (0,) * 20
-            seqs.append(flatten(deduplicate(chunk_streams(s0, s1, CHUNK_MS, vocab))))
+            seqs.append(flatten(deduplicate(s0, s1, CHUNK_MS, vocab)))
         model = train(seqs, order=2, alpha=0.01, vocab_ext=vocab.extended_size)
         # context ends right after a chunk's channel-0 content
         est = estimate_user_chunk(model, seqs[0][:6], vocab, CHUNK_MS,
@@ -152,13 +156,7 @@ class TestEstimateUserChunk:
         for _ in range(20):
             toks0 = [int(t) for t in rng.integers(0, 3, size=10)]
             toks1 = [int(t) for t in rng.integers(0, 3, size=10)]
-            seqs.append(
-                flatten(
-                    deduplicate(
-                        chunk_streams(toks0, toks1, chunk_ms, vocab)
-                    )
-                )
-            )
+            seqs.append(flatten(deduplicate(toks0, toks1, chunk_ms, vocab)))
         model = train(seqs, order=2, alpha=0.3, vocab_ext=vocab.extended_size)
         prompt = parse(seqs[0], vocab, chunk_ms)
 
@@ -221,6 +219,23 @@ class TestSimulateScripted:
         transcript = simulate_interaction(model, script, cfg, prompt_of(script, 0))
         for step in transcript.steps:
             assert step.user_actual == list(script.chunks[step.index].s1_novel)
+
+    # a script is a DedupDialogue, so one that breaks the grammar (9 novels
+    # in 4 frames, or a repeated novel) raises before any step draws a token
+    @pytest.mark.parametrize("s1", [tuple(range(1, 10)), (3, 3)],
+                             ids=["overfull", "repeated_novel"])
+    def test_malformed_script_raises_before_any_step(self, setup, monkeypatch, s1):
+        vocab, _, model, script = setup
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a step drew a token")
+
+        monkeypatch.setattr("duplexsim.interaction.sample_constrained", no_draw)
+        cfg = InteractionConfig(latency_chunks=1, max_chunks=10)
+        chunks = (*script.chunks[:4], DedupChunk((), s1), *script.chunks[5:])
+        with pytest.raises(MalformedSequence, match="chunk 4 channel 1"):
+            simulate_interaction(model, DedupDialogue(vocab, CHUNK_MS, chunks), cfg,
+                                 prompt_of(script, 0))
 
     def test_source_exhausted(self, setup):
         vocab, _, model, script = setup
@@ -390,7 +405,7 @@ class TestOverflowPolicy:
                                 sampler=SamplerConfig(top_k=1, seed=0))
         script = DedupDialogue(
             vocab, CHUNK_MS,
-            tuple(DedupChunk(s0_novel=(), s1_novel=(3,)) for _ in range(4)),
+            tuple(DedupChunk(s0_novel=(), s1_novel=(3 + i % 2,)) for i in range(4)),
         )
         tr = simulate_interaction(model, script, cfg, prompt_of(script, 0))
         assert sum(s.truncations for s in tr.steps) > 0

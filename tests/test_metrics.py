@@ -278,12 +278,12 @@ class TestMedianPerplexity:
     def test_shuffled_continuations_score_worse(self, tiny_vocab):
         import random
 
-        from duplexsim import chunk_streams, deduplicate, flatten, generate_corpus, DialogueStyle
+        from duplexsim import deduplicate, flatten, generate_corpus, DialogueStyle
 
         style = DialogueStyle(vocab=tiny_vocab, backchannel_prob=0.0, p_self=0.5)
         corpus = generate_corpus(style, 24, 16000, seed=77)
         seqs = [
-            flatten(deduplicate(chunk_streams(s0, s1, 160, tiny_vocab)))
+            flatten(deduplicate(s0, s1, 160, tiny_vocab))
             for s0, s1 in corpus.values()
         ]
         model = train(seqs[:16], order=3, alpha=0.1, vocab_ext=tiny_vocab.extended_size)

@@ -5,7 +5,6 @@ from duplexsim import (
     DialogueStyle,
     Vocab,
     build_stage2_corpus,
-    chunk_streams,
     corpus_stats,
     deduplicate,
     flatten,
@@ -22,12 +21,6 @@ from duplexsim.synth import generate_dialogue_with_log
 
 def voiced_mask(channel, silence):
     return [t not in silence for t in channel]
-
-
-def encoded(dialogues, vocab, chunk_ms=160):
-    """``corpus_stats`` input: each dialogue with its wire form."""
-    return [(s0, s1, deduplicate(chunk_streams(s0, s1, chunk_ms, vocab)))
-            for s0, s1 in dialogues]
 
 
 class TestGenerateDialogue:
@@ -77,12 +70,12 @@ class TestGenerateDialogue:
         for seed in range(5):
             s0, s1 = generate_dialogue(tiny_style, 16000, seed=seed)
             for chunk_ms in (160, 200, 240):
-                d = chunk_streams(s0, s1, chunk_ms, tiny_style.vocab)
-                dd = deduplicate(d)
+                dd = deduplicate(s0, s1, chunk_ms, tiny_style.vocab)
                 assert parse(flatten(dd), tiny_style.vocab, chunk_ms) == dd
                 rec = interpolate(dd)
-                assert len(rec.channel(0)) == len(d.channel(0))
-                assert deduplicate(rec).chunks == dd.chunks
+                fpc = tiny_style.vocab.frames_per_chunk(chunk_ms)
+                assert len(rec[0]) == -(-len(s0) // fpc) * fpc  # padded to whole chunks
+                assert deduplicate(*rec, chunk_ms, tiny_style.vocab).chunks == dd.chunks
 
     def test_backchannels_contained_in_partner_ipus(self, tiny_vocab):
         style = DialogueStyle(
@@ -176,12 +169,12 @@ class TestCorpus:
 
     def test_stats_on_stage2_corpus_have_zero_overlap(self, tiny_style):
         dialogues = [generate_stage2_dialogue(tiny_style, 6, seed=i) for i in range(4)]
-        stats = corpus_stats(encoded(dialogues, tiny_style.vocab))
+        stats = corpus_stats(dialogues, tiny_style.vocab, 160)
         assert stats.overlap_frames == 0
 
     def test_empty_corpus_raises(self, tiny_style):
         with pytest.raises(EmptyCorpus):
-            corpus_stats([])
+            corpus_stats([], tiny_style.vocab, 160)
 
     def test_stats_recover_style_means(self, tiny_vocab):
         style = DialogueStyle(
@@ -194,7 +187,7 @@ class TestCorpus:
             p_self=0.4,
         )
         corpus = generate_corpus(style, 40, 30000, seed=11)
-        stats = corpus_stats(encoded(corpus.values(), tiny_vocab))
+        stats = corpus_stats(list(corpus.values()), tiny_vocab, 160)
         for kind, target in (("ipu", 1600.0), ("pause", 700.0), ("fto", 300.0)):
             n = stats.event_counts[kind]
             se = stats.event_stds_ms[kind] / np.sqrt(n)
@@ -203,7 +196,7 @@ class TestCorpus:
     def test_compression_ratio_band(self, tiny_vocab):
         style = DialogueStyle(vocab=tiny_vocab)
         corpus = generate_corpus(style, 10, 30000, seed=2)
-        stats = corpus_stats(encoded(corpus.values(), tiny_vocab))
+        stats = corpus_stats(list(corpus.values()), tiny_vocab, 160)
         assert 0.3 <= stats.compression_ratio <= 0.7
 
 

@@ -9,7 +9,6 @@ from duplexsim import (
     DedupDialogue,
     Vocab,
     chunk_streams,
-    chunk_wire,
     deduplicate,
     encode,
     flatten,
@@ -18,18 +17,24 @@ from duplexsim import (
 )
 from duplexsim.errors import (
     BadChunkSize,
-    ChunkOverflow,
     EmptyCarryOverWarning,
     LengthMismatch,
     MalformedSequence,
 )
 
 
+# three 160 ms chunks; channel 1 holds one token throughout
+FIGURE = ((75, 75, 75, 75, 17, 17, 338, 338, 338, 338, 338, 338), (89,) * 12)
+
+
 def figure_dialogue(vocab):
-    # three 160 ms chunks; channel 1 holds one token throughout
-    s0 = (75, 75, 75, 75, 17, 17, 338, 338, 338, 338, 338, 338)
-    s1 = (89,) * 12
-    return chunk_streams(s0, s1, 160, vocab)
+    return deduplicate(*FIGURE, 160, vocab)
+
+
+def chunk_wires(wire, vocab):
+    """A wire form cut before each tag_s0: the wire form of each chunk."""
+    starts = [i for i, t in enumerate(wire) if t == vocab.tag_s0]
+    return [wire[a:b] for a, b in zip(starts, starts[1:] + [len(wire)])]
 
 
 class TestChunkStreams:
@@ -39,14 +44,14 @@ class TestChunkStreams:
         assert vocab.frames_per_chunk(200) == 5
 
     def test_single_chunk(self, vocab):
-        d = chunk_streams((1, 2, 3, 4), (5, 6, 7, 8), 160, vocab)
-        assert len(d.chunks) == 1
-        assert d.chunks[0] == ((1, 2, 3, 4), (5, 6, 7, 8))
+        frames = chunk_streams((1, 2, 3, 4), (5, 6, 7, 8), 160, vocab)
+        assert frames.dtype == np.int64
+        assert frames.tolist() == [[[1, 2, 3, 4]], [[5, 6, 7, 8]]]
 
     def test_concatenation_reproduces_inputs(self, vocab):
-        d = figure_dialogue(vocab)
-        assert d.channel(0) == (75, 75, 75, 75, 17, 17, 338, 338, 338, 338, 338, 338)
-        assert d.channel(1) == (89,) * 12
+        frames = chunk_streams(*FIGURE, 160, vocab)
+        assert frames.shape == (2, 3, 4)
+        assert tuple(map(tuple, frames.reshape(2, -1).tolist())) == FIGURE
 
     def test_length_mismatch(self, vocab):
         with pytest.raises(LengthMismatch):
@@ -57,14 +62,11 @@ class TestChunkStreams:
             chunk_streams((1,) * 4, (2,) * 4, 170, vocab)
 
     def test_padding_with_silence(self, vocab):
-        d = chunk_streams((7, 7, 7), (8, 8, 8), 160, vocab)
-        assert len(d.chunks) == 1
-        assert d.chunks[0][0] == (7, 7, 7, 0)
-        assert d.chunks[0][1] == (8, 8, 8, 0)
+        frames = chunk_streams((7, 7, 7), (8, 8, 8), 160, vocab)
+        assert frames.tolist() == [[[7, 7, 7, 0]], [[8, 8, 8, 0]]]
 
     def test_empty_streams(self, vocab):
-        d = chunk_streams((), (), 160, vocab)
-        assert len(d.chunks) == 0
+        assert chunk_streams((), (), 160, vocab).shape == (2, 0, 4)
 
     def test_rejects_out_of_range_tokens(self, vocab):
         with pytest.raises(ValueError):
@@ -103,61 +105,71 @@ def test_encode_matches_the_frame_by_frame_oracle(size, chunk_ms, data):
     n = data.draw(st.integers(0, 40))
     toks = st.lists(st.integers(0, size - 1), min_size=n, max_size=n).map(tuple)
     s0, s1 = data.draw(toks), data.draw(toks)
-    expected = oracles.deduplicate(chunk_streams(s0, s1, chunk_ms, vocab))
+    expected = oracles.deduplicate(s0, s1, chunk_ms, vocab)
     wire, starts = encode(s0, s1, chunk_ms, vocab)
     assert wire.dtype == np.int64
     assert wire.tolist() == flatten(expected)
     assert starts.tolist() == [i for i, t in enumerate(wire.tolist()) if t == vocab.tag_s0]
     assert parse(wire.tolist(), vocab, chunk_ms) == expected
-    assert deduplicate(chunk_streams(s0, s1, chunk_ms, vocab)) == expected
+    assert deduplicate(s0, s1, chunk_ms, vocab) == expected
 
 
 class TestDeduplicate:
     def test_figure_wire_forms(self, vocab):
-        d = deduplicate(figure_dialogue(vocab))
-        assert chunk_wire(vocab, d.chunks[0]) == [vocab.tag_s0, 75, vocab.tag_s1, 89]
-        assert chunk_wire(vocab, d.chunks[1]) == [vocab.tag_s0, 17, 338]
-        assert chunk_wire(vocab, d.chunks[2]) == [vocab.tag_s0]
+        assert chunk_wires(flatten(figure_dialogue(vocab)), vocab) == [
+            [vocab.tag_s0, 75, vocab.tag_s1, 89], [vocab.tag_s0, 17, 338], [vocab.tag_s0]]
 
     def test_tag_presence_tracks_novelty(self, vocab):
-        d = deduplicate(figure_dialogue(vocab))
-        assert d.chunks[0].s1_tag_present
-        assert not d.chunks[1].s1_tag_present
-        assert not d.chunks[2].s1_tag_present
+        d = figure_dialogue(vocab)
+        assert [bool(c.s1_novel) for c in d.chunks] == [True, False, False]
+        assert [vocab.tag_s1 in w for w in chunk_wires(flatten(d), vocab)] == [True, False, False]
 
     def test_carry_across_chunks(self, vocab):
         # channel repeats its last token into the next chunk: nothing novel
         s0 = (5, 5, 5, 5, 5, 5, 5, 5)
         s1 = (9, 9, 9, 9, 9, 3, 3, 3)
-        d = deduplicate(chunk_streams(s0, s1, 160, vocab))
+        d = deduplicate(s0, s1, 160, vocab)
         assert d.chunks[0].s0_novel == (5,)
         assert d.chunks[1].s0_novel == ()
         assert d.chunks[1].s1_novel == (3,)
 
 
+class TestDedupDialogue:
+    # every grammar case: more novels than frames, an id that is not a
+    # unit, and a novel equal to its channel's previous novel (in the same
+    # chunk or an earlier one), which no encoding emits
+    @pytest.mark.parametrize("chunks,match", [
+        ([((1, 2, 3, 4, 5), (9,))], "chunk 0 channel 0: 5 novel tokens exceed 4"),
+        ([((1,), (9,)), ((2,), (1, 2, 3, 4, 5))], "chunk 1 channel 1: 5 novel tokens exceed 4"),
+        ([((1,), (501,))], "chunk 0 channel 1: an id outside"),
+        ([((1,), ()), ((503,), ())], "chunk 1 channel 0: an id outside"),
+        ([((-1,), ())], "chunk 0 channel 0: an id outside"),
+        ([((1, 1), ())], "chunk 0 channel 0 repeats its previous novel"),
+        ([((1,), (2,)), ((1,), ())], "chunk 1 channel 0 repeats its previous novel"),
+        ([((1,), (2,)), ((3,), (2,))], "chunk 1 channel 1 repeats its previous novel")],
+        ids=["s0_overflow", "s1_overflow", "tag_as_unit", "unknown_id", "negative_id",
+             "repeat_in_chunk", "repeat_across_chunks", "repeat_across_chunks_s1"])
+    def test_rejects_malformed(self, vocab, chunks, match):
+        with pytest.raises(MalformedSequence, match=match):
+            DedupDialogue(vocab, 160, tuple(DedupChunk(a, b) for a, b in chunks))
+
+
 class TestInterpolate:
     def test_single_token_repeated(self, vocab):
         d = DedupDialogue(vocab, 160, (DedupChunk(s0_novel=(75,), s1_novel=(89,)),))
-        rec = interpolate(d)
-        assert rec.chunks[0][0] == (75, 75, 75, 75)
-        assert rec.chunks[0][1] == (89, 89, 89, 89)
+        assert interpolate(d) == ((75, 75, 75, 75), (89, 89, 89, 89))
 
     def test_equal_repetition(self, vocab):
         d = DedupDialogue(vocab, 160, (DedupChunk(s0_novel=(17, 338), s1_novel=(89,)),))
-        assert interpolate(d).chunks[0][0] == (17, 17, 338, 338)
+        assert interpolate(d)[0] == (17, 17, 338, 338)
 
     def test_remainder_goes_to_earliest(self, vocab):
         d = DedupDialogue(vocab, 160, (DedupChunk(s0_novel=(1, 2, 3), s1_novel=(9,)),))
-        assert interpolate(d).chunks[0][0] == (1, 1, 2, 3)
+        assert interpolate(d)[0] == (1, 1, 2, 3)
 
     def test_full_chunk_unchanged(self, vocab):
         d = DedupDialogue(vocab, 160, (DedupChunk(s0_novel=(1, 2, 3, 4), s1_novel=(9,)),))
-        assert interpolate(d).chunks[0][0] == (1, 2, 3, 4)
-
-    def test_overflow(self, vocab):
-        d = DedupDialogue(vocab, 160, (DedupChunk(s0_novel=(1, 2, 3, 4, 5), s1_novel=(9,)),))
-        with pytest.raises(ChunkOverflow):
-            interpolate(d)
+        assert interpolate(d)[0] == (1, 2, 3, 4)
 
     def test_empty_first_chunk_warns_and_fills_silence(self, vocab):
         d = DedupDialogue(
@@ -165,17 +177,15 @@ class TestInterpolate:
         )
         with pytest.warns(EmptyCarryOverWarning):
             rec = interpolate(d)
-        assert rec.chunks[0][0] == (0, 0, 0, 0)
+        assert rec[0] == (0, 0, 0, 0)
 
     def test_figure_bottom_row(self, vocab):
-        d = deduplicate(figure_dialogue(vocab))
-        rec = interpolate(d)
-        assert rec.chunks == figure_dialogue(vocab).chunks
+        assert interpolate(figure_dialogue(vocab)) == FIGURE
 
 
 class TestFlattenParse:
     def test_flatten_figure(self, vocab):
-        d = deduplicate(figure_dialogue(vocab))
+        d = figure_dialogue(vocab)
         assert flatten(d) == [vocab.tag_s0, 75, vocab.tag_s1, 89,
                               vocab.tag_s0, 17, 338, vocab.tag_s0]
 
@@ -187,7 +197,7 @@ class TestFlattenParse:
         s = 0
         s0 = (s,) * 8
         s1 = (s,) * 8
-        d = deduplicate(chunk_streams(s0, s1, 160, vocab))
+        d = deduplicate(s0, s1, 160, vocab)
         assert flatten(d) == [vocab.tag_s0, s, vocab.tag_s1, s, vocab.tag_s0]
 
     def test_parse_figure_chunk(self, vocab):
@@ -239,6 +249,7 @@ class TestFlattenParse:
 
 @st.composite
 def dialogues(draw):
+    """``(s0, s1, chunk_ms, vocab)``: whole chunks of random units."""
     vocab_size = draw(st.integers(min_value=3, max_value=24))
     chunk_ms = draw(st.sampled_from([160, 200, 240]))
     vocab = Vocab(size=vocab_size, frame_ms=40, silence_tokens=frozenset({0}))
@@ -247,14 +258,15 @@ def dialogues(draw):
     toks = st.integers(min_value=0, max_value=vocab_size - 1)
     t0 = draw(st.lists(toks, min_size=n, max_size=n))
     t1 = draw(st.lists(toks, min_size=n, max_size=n))
-    return chunk_streams(tuple(t0), tuple(t1), chunk_ms, vocab)
+    return tuple(t0), tuple(t1), chunk_ms, vocab
 
 
 @given(dialogues())
 @settings(max_examples=200)
 def test_wire_round_trip(d):
-    dd = deduplicate(d)
-    assert parse(flatten(dd), d.vocab, d.chunk_ms) == dd
+    _, _, chunk_ms, vocab = d
+    dd = deduplicate(*d)
+    assert parse(flatten(dd), vocab, chunk_ms) == dd
 
 
 @given(size=st.integers(3, 6), chunk_ms=st.sampled_from([160, 200]),
@@ -271,53 +283,56 @@ def test_parse_accepts_only_encodings(size, chunk_ms, head, tail):
         d = parse(wire, vocab, chunk_ms)
     except MalformedSequence:
         return
-    assert flatten(deduplicate(interpolate(d))) == wire
+    assert flatten(deduplicate(*interpolate(d), chunk_ms, vocab)) == wire
 
 
 @given(dialogues())
 @settings(max_examples=200)
 def test_interpolate_preserves_frame_counts_and_novel_sequences(d):
-    dd = deduplicate(d)
+    s0, s1, chunk_ms, vocab = d
+    dd = deduplicate(*d)
     rec = interpolate(dd)
-    assert len(rec.channel(0)) == len(d.channel(0))
-    assert len(rec.channel(1)) == len(d.channel(1))
-    assert deduplicate(rec).chunks == dd.chunks  # round-trip identity
+    assert len(rec[0]) == len(s0)
+    assert len(rec[1]) == len(s1)
+    assert deduplicate(*rec, chunk_ms, vocab).chunks == dd.chunks  # round-trip identity
 
 
 @given(dialogues())
 @settings(max_examples=200)
 def test_onset_error_below_chunk_size(d):
-    rec = interpolate(deduplicate(d))
+    _, _, chunk_ms, vocab = d
+    rec = interpolate(deduplicate(*d))
     for c in (0, 1):
-        orig = d.channel(c)
-        recon = rec.channel(c)
+        orig = d[c]
+        recon = rec[c]
         onsets_orig = [i for i, t in enumerate(orig) if i == 0 or t != orig[i - 1]]
         onsets_rec = [i for i, t in enumerate(recon) if i == 0 or t != recon[i - 1]]
         assert len(onsets_orig) == len(onsets_rec)
         for a, b in zip(onsets_orig, onsets_rec):
-            assert abs(a - b) * d.vocab.frame_ms < d.chunk_ms
+            assert abs(a - b) * vocab.frame_ms < chunk_ms
 
 
 @given(dialogues())
 @settings(max_examples=200)
 def test_tag_rule(d):
-    dd = deduplicate(d)
+    vocab = d[3]
+    dd = deduplicate(*d)
     flat = flatten(dd)
-    assert flat.count(d.vocab.tag_s0) == len(dd.chunks)
-    s1_tags = flat.count(d.vocab.tag_s1)
+    assert flat.count(vocab.tag_s0) == len(dd.chunks)
+    s1_tags = flat.count(vocab.tag_s1)
     assert s1_tags == sum(1 for c in dd.chunks if c.s1_novel)
 
 
 @given(dialogues())
 @settings(max_examples=200)
 def test_compression_monotonicity(d):
-    if len(d.chunks) == 0:
+    s0, s1, chunk_ms, vocab = d
+    if not s0:
         return
-    raw_len = len(d.chunks) * 2 * (1 + d.frames_per_chunk)
-    flat_len = len(flatten(deduplicate(d)))
-    any_repeat = any(
-        ch[i] == ch[i - 1] for c in (0, 1) for ch in [d.channel(c)] for i in range(1, len(ch))
-    )
+    fpc = vocab.frames_per_chunk(chunk_ms)
+    raw_len = len(s0) // fpc * 2 * (1 + fpc)
+    flat_len = len(flatten(deduplicate(*d)))
+    any_repeat = any(ch[i] == ch[i - 1] for ch in (s0, s1) for i in range(1, len(ch)))
     if any_repeat:
         assert flat_len < raw_len
     else:
@@ -328,7 +343,7 @@ def test_constant_stream_compresses_to_one_token(vocab):
     n_chunks = 7
     s0 = (42,) * (4 * n_chunks)
     s1 = (0,) * (4 * n_chunks)
-    dd = deduplicate(chunk_streams(s0, s1, 160, vocab))
+    dd = deduplicate(s0, s1, 160, vocab)
     novel0 = [t for c in dd.chunks for t in c.s0_novel]
     assert novel0 == [42]
     assert flatten(dd).count(vocab.tag_s0) == n_chunks
