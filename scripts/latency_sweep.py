@@ -26,7 +26,7 @@ from duplexsim import (
     encode,
     generate_corpus,
     parse,
-    simulate_interaction,
+    simulate_interactions,
     train,
 )
 from duplexsim.metrics import per_dialogue_perplexities
@@ -89,15 +89,11 @@ def run_sweep(
     for rep in range(replications):
         for c in chunk_sizes:
             prompt_chunks = prompt_ms // c
-            generated = []
-            for k, prompt in enumerate(prompts[c]):
-                cfg = InteractionConfig(
-                    latency_chunks=latency_chunks,
-                    max_chunks=total_ms // c,
-                    sampler=SamplerConfig(seed=seed + 1000 * rep + k),
-                )
-                transcript = simulate_interaction(models[c], models[c], cfg, prompt)
-                generated.append(transcript.dialogue)
+            cfgs = [InteractionConfig(latency_chunks=latency_chunks, max_chunks=total_ms // c,
+                                      sampler=SamplerConfig(seed=seed + 1000 * rep + k))
+                    for k in range(len(prompts[c]))]
+            generated = [transcript.dialogue for transcript in
+                         simulate_interactions(models[c], models[c], cfgs, prompts[c])]
             ppls = per_dialogue_perplexities(reference, generated,
                                              prompt_chunks=prompt_chunks)
             rows.append({

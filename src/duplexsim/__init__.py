@@ -12,6 +12,7 @@ from .interaction import (
     continue_dialogue,
     estimate_user_chunk,
     simulate_interaction,
+    simulate_interactions,
 )
 from .metrics import (
     CorrelationReport,

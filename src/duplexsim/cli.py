@@ -39,11 +39,13 @@ from . import corpus_io
 # inspect.getattr_static, main, generate_dialogue, chunk_streams, deduplicate,
 # flatten, interpolate, train, simulate_interaction, continue_dialogue,
 # correlation_report and per_dialogue_perplexities here, so each stays bound,
-# even chunk_streams, which no command calls.
+# even chunk_streams, simulate_interaction and per_dialogue_perplexities, which no
+# command calls (interact runs simulate_interactions; eval scores encode's arrays).
 from .errors import ConfigError, DuplexError, EmptyCarryOverWarning, EmptyCorpus
-from .interaction import InteractionConfig, continue_dialogue, simulate_interaction
-from .metrics import EventParams, correlation_report, per_dialogue_perplexities
-from .ngram import NgramModel, SamplerConfig, train
+from .interaction import (InteractionConfig, continue_dialogue,  # noqa: F401 (see above)
+                          simulate_interaction, simulate_interactions)
+from .metrics import EventParams, correlation_report, per_dialogue_perplexities  # noqa: F401
+from .ngram import NgramModel, SamplerConfig, perplexity, train
 from .synth import (
     DialogueStyle,
     corpus_stats,
@@ -288,16 +290,15 @@ def cmd_interact(args) -> int:
         runs.append(("run00000", DedupDialogue(vocab, args.chunk_ms, ()), None))
     model_a, model_b = _load_models(vocab, args.model_a, args.model_b)
 
+    cfgs = [InteractionConfig(latency_chunks=args.latency,
+                              max_chunks=len(prompt.chunks) + args.max_chunks,
+                              sampler=_sampler_from_args(args, _derive_seed(args.seed, i)))
+            for i, (_, prompt, _) in enumerate(runs)]
+    source = [script for _, _, script in runs] if args.scripted else model_b
+    results = simulate_interactions(model_a, source, cfgs, [prompt for _, prompt, _ in runs])
     transcripts = []
     corpus_records = []
-    for i, (did, prompt, script) in enumerate(runs):
-        cfg = InteractionConfig(
-            latency_chunks=args.latency,
-            max_chunks=len(prompt.chunks) + args.max_chunks,
-            sampler=_sampler_from_args(args, _derive_seed(args.seed, i)),
-        )
-        source = script if script is not None else model_b
-        transcript = simulate_interaction(model_a, source, cfg, prompt)
+    for (did, _, _), transcript in zip(runs, results):
         entry = transcript.to_json_dict()
         entry["id"] = did
         transcripts.append(entry)
@@ -364,8 +365,11 @@ def cmd_eval(args) -> int:
         mode_params = {"prompt_ms": prompt_ms, "skip_ms": None}
         gen, vocab = _load_corpus(args.generated)
         (model,) = _load_models(vocab, args.model)
-        dialogues = [deduplicate(s0, s1, args.chunk_ms, vocab) for s0, s1 in gen.values()]
-        ppls = per_dialogue_perplexities(model, dialogues, prompt_chunks=prompt_chunks)
+        ppls = []
+        for wire, starts in (encode(s0, s1, args.chunk_ms, vocab) for s0, s1 in gen.values()):
+            # the prompt's tokens condition the model but are not scored
+            skip = starts[prompt_chunks] if prompt_chunks < len(starts) else len(wire)
+            ppls.append(perplexity(model, wire, skip=int(skip)))
         metrics_payload = {
             "median_ppl": float(statistics.median(ppls)),
             "n_dialogues": len(ppls),

@@ -27,23 +27,33 @@ the missing window, which appends past a mark at the base's end; and
 the mark. The base is append-only and the window holds at most
 ``latency`` chunks, so a step costs the same however long the session has
 run. ``continue_dialogue`` and ``estimate_user_chunk`` are one agent each;
-``simulate_interaction`` is two agents (or one and a script) plus the
-delay line between them. Each estimate is recorded once, on the step of
-the chunk it estimates.
+a run of ``simulate_interactions`` is two agents (or one and a script)
+plus the delay line between them. Each estimate is recorded once, on the
+step of the chunk it estimates.
+
+The agent's ``sample`` and ``emit``, the one implementation of the
+grammar, are generators that yield each draw request (the agent and its
+sorted allowed ids) and receive the token. ``simulate_interactions`` steps
+its runs together: a run yields the agents to run next, both at once at a
+latency of one chunk or more (their RNGs are separate, and neither needs
+the other's current chunk). The pending draws of one model at temperature
+1 without top_k go to ``ngram.sample_batch`` in one array step if there are
+at least ``_BATCH_MIN``; other agents draw one at a time through
+``sample_constrained``. Both give the same bits.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
 from .errors import SourceExhausted
 # perfbench/layers.py rebinds flatten, parse and sample_constrained here:
 # keep them bound, even flatten, which this module does not call
-from .ngram import NgramModel, SamplerConfig, sample_constrained
+from .ngram import NgramModel, SamplerConfig, sample_batch, sample_constrained
 from .tokens import DedupChunk, DedupDialogue, Vocab, flatten, parse  # noqa: F401
 
 
@@ -232,9 +242,6 @@ class _Agent:
             return ids
         return np.concatenate((ids[:last_tok], ids[last_tok + 1 :]))
 
-    def _draw(self, allowed: np.ndarray) -> int:
-        return sample_constrained(self.model, self.ctx, allowed, self.cfg, self.rng)
-
     def append(self, channel: int, novels: Sequence[int]) -> None:
         vocab = self.vocab
         if channel == 0:
@@ -245,9 +252,9 @@ class _Agent:
         if novels:
             self.last[channel] = novels[-1]
 
-    def sample(self, channel: int) -> list[int]:
+    def sample(self, channel: int) -> Generator:
         """Draw one channel's novel tokens for the current chunk and append
-        their wire form.
+        their wire form; a generator of draw requests ``(self, allowed)``.
 
         Channel 1 first takes a two-way draw between the tags: does it
         speak this chunk at all? If so, at least one unit follows.
@@ -257,7 +264,7 @@ class _Agent:
         vocab = self.vocab
         if channel == 0:
             self.ctx.append(vocab.tag_s0)
-        elif self._draw(self._tags) == vocab.tag_s1:
+        elif (yield self, self._tags) == vocab.tag_s1:
             self.ctx.append(vocab.tag_s1)
         else:
             return []
@@ -267,7 +274,7 @@ class _Agent:
             if len(novels) >= self.fpc:
                 self.truncations += 1
                 break
-            tok = self._draw(self._allowed(last_tok, channel == 0 or bool(novels)))
+            tok = yield self, self._allowed(last_tok, channel == 0 or bool(novels))
             if tok >= vocab.size:
                 break
             novels.append(tok)
@@ -287,9 +294,12 @@ class _Agent:
             self.append(0, own if self.side == 0 else other)
             self.append(1, other if self.side == 0 else own)
 
-    def _estimate_window(self) -> list[list[int]]:
-        """Append the chunks between the base and the own part to emit;
-        returns the other side's estimated parts in chunk order."""
+    def emit(self) -> Generator:
+        """Own part of the next chunk, with this step's window estimates,
+        mark and window tokens (the context it was sampled from is
+        ``ctx[:mark] + window``); a generator like ``sample``. The window holds
+        own parts not yet in the base and the other side's arrived or estimated parts."""
+        mark, last = len(self.ctx), list(self.last)
         estimates = []
         for k in range(len(self.mine) + 1):
             for channel in (0, 1):
@@ -300,22 +310,84 @@ class _Agent:
                 elif k < len(self.theirs):
                     self.append(channel, self.theirs[k])
                 else:
-                    estimates.append(self.sample(channel))
-        return estimates
-
-    def emit(self) -> tuple[list[int], list[list[int]], int, list[int]]:
-        """Own part of the next chunk, with this step's window estimates,
-        mark and window tokens (the context it was sampled from is
-        ``ctx[:mark] + window``)."""
-        mark, last = len(self.ctx), list(self.last)
-        estimates = self._estimate_window()
+                    estimates.append((yield from self.sample(channel)))
         window = self.ctx[mark:]
-        novels = self.sample(self.side)
+        novels = yield from self.sample(self.side)
         del self.ctx[mark:]
         self.last = last
         self.mine.append(novels)
         self._settle()
         return novels, estimates, mark, window
+
+
+# the measured crossover (see CHANGES.md): fewer draws cost more in the kernel
+_BATCH_MIN = 12
+
+
+def _run(agent: Generator, request: tuple | None = None):
+    """The result of an agent generator, driven from its pending ``request``
+    (or its start) with one ``sample_constrained`` call per draw."""
+    try:
+        request = next(agent) if request is None else request
+        owner = request[0]  # every request of one agent generator is its agent's
+        model, ctx, cfg, rng, send = owner.model, owner.ctx, owner.cfg, owner.rng, agent.send
+        while True:
+            request = send(sample_constrained(model, ctx, request[1], cfg, rng))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _drive(sessions: list[Generator]) -> list:
+    """The results of sessions, generators that yield the agents to run next
+    and receive their results (see the module docstring). Every session
+    starts, and so checks its inputs, before any draw."""
+    # a session's agent results, None while an agent runs; then its own result
+    outs: list = [[] for _ in sessions]
+    pending: dict = {}  # model, or None: [(agent, its draw request, session, slot)]
+
+    def resume(i: int, value: list | None = None) -> None:
+        try:
+            agents = sessions[i].send(value)
+        except StopIteration as stop:
+            outs[i] = stop.value
+            return
+        outs[i] = [None] * len(agents)
+        for k, agent in enumerate(agents):
+            advance(agent, None, i, k)
+
+    def advance(agent: Generator, token: int | None, i: int, k: int) -> None:
+        try:
+            request = agent.send(token)
+        except StopIteration as stop:
+            return finish(i, k, stop.value)
+        owner = request[0]
+        batched = owner.cfg.temperature == 1.0 and owner.cfg.top_k is None
+        pending.setdefault(owner.model if batched else None, []).append((agent, request, i, k))
+
+    def finish(i: int, k: int, value) -> None:
+        outs[i][k] = value
+        if None not in outs[i]:
+            resume(i, outs[i])
+
+    for i in range(len(sessions)):
+        resume(i)
+    while pending:
+        model, batch = pending.popitem()
+        if model is None or len(batch) < _BATCH_MIN:
+            for agent, request, i, k in batch:
+                finish(i, k, _run(agent, request))
+            continue
+        owners, allowed = zip(*[request for _, request, _, _ in batch])
+        drawn = sample_batch(model, [a.ctx for a in owners], allowed, [a.rng for a in owners])
+        for (agent, _, i, k), tok in zip(batch, drawn):
+            advance(agent, tok, i, k)
+    return outs
+
+
+def _check_user(prompt: DedupDialogue, parts: Sequence[Sequence[int]]) -> None:
+    """``MalformedSequence`` unless channel-1 ``parts`` can follow ``prompt``."""
+    DedupDialogue(prompt.vocab, prompt.chunk_ms,
+                  (*prompt.chunks, *(DedupChunk((), s1) for s1 in parts)))
 
 
 def continue_dialogue(
@@ -328,21 +400,22 @@ def continue_dialogue(
     """Autoregressively extend a dialogue by ``n_chunks`` chunks.
 
     With ``forced_user`` the channel-1 side of each new chunk is spliced
-    in verbatim (teacher forcing) instead of being sampled; building the
-    result checks it, so a forced part that breaks the grammar raises
-    ``MalformedSequence``.
+    in verbatim (teacher forcing) instead of being sampled; a forced part
+    that breaks the grammar raises ``MalformedSequence`` before any draw.
     """
     if n_chunks < 1:
         raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
-    if forced_user is not None and len(forced_user) != n_chunks:
-        raise ValueError("forced_user must provide one chunk per generated chunk")
+    if forced_user is not None:
+        if len(forced_user) != n_chunks:
+            raise ValueError("forced_user must provide one chunk per generated chunk")
+        _check_user(prompt, forced_user)
     cfg = cfg if cfg is not None else SamplerConfig()
     agent = _Agent(model, cfg, np.random.default_rng(cfg.seed), prompt)
     chunks = list(prompt.chunks)
     for i in range(n_chunks):
-        s0 = agent.sample(0)
+        s0 = _run(agent.sample(0))
         if forced_user is None:
-            s1 = agent.sample(1)
+            s1 = _run(agent.sample(1))
         else:
             s1 = list(forced_user[i])
             agent.append(1, s1)
@@ -365,55 +438,35 @@ def estimate_user_chunk(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     agent = _Agent(model, cfg, rng, parse(list(context), vocab, chunk_ms))
-    return agent.sample(1)
+    return _run(agent.sample(1))
 
 
-def simulate_interaction(
-    model_llm: NgramModel,
-    user_source: NgramModel | DedupDialogue,
-    cfg: InteractionConfig,
-    prompt: DedupDialogue,
-) -> InteractionTranscript:
-    """Run the lockstep protocol between the model and a user source.
-
-    The user source is either a second model (an agent on channel 1 that
-    runs the same estimate-ahead protocol from its side) or a scripted
-    dialogue whose channel-1 chunks are revealed with the configured
-    latency. At step t the model's agent has the user's chunks below
-    t - latency; a model user has the model's chunks below t - latency + 1,
-    since the model speaks first within a chunk. The prompt, required but
-    possibly empty, carries the run's vocabulary and chunk size, which a
-    scripted user must match.
-    """
+def _session(model_llm: NgramModel, user_source: NgramModel | DedupDialogue,
+             cfg: InteractionConfig, prompt: DedupDialogue) -> Generator:
+    """One run of ``simulate_interactions``, as a session for ``_drive``."""
     scripted = isinstance(user_source, DedupDialogue)
-    vocab = prompt.vocab
     L = cfg.latency_chunks
     p_chunks = len(prompt.chunks)
     if cfg.max_chunks <= p_chunks:
-        raise ValueError(
-            f"max_chunks ({cfg.max_chunks}) must exceed prompt length ({p_chunks})"
-        )
+        raise ValueError(f"max_chunks ({cfg.max_chunks}) must exceed prompt length ({p_chunks})")
     if scripted:
         if user_source.chunk_ms != prompt.chunk_ms:
             raise ValueError(f"scripted user has chunk_ms {user_source.chunk_ms}, "
                              f"the prompt {prompt.chunk_ms}")
-        if user_source.vocab != vocab:
-            raise ValueError(f"scripted user has {user_source.vocab}, the prompt {vocab}")
+        if user_source.vocab != prompt.vocab:
+            raise ValueError(f"scripted user has {user_source.vocab}, the prompt {prompt.vocab}")
         if len(user_source.chunks) < cfg.max_chunks:
-            raise SourceExhausted(
-                f"scripted user has {len(user_source.chunks)} chunks, "
-                f"run needs {cfg.max_chunks}"
-            )
+            raise SourceExhausted(f"scripted user has {len(user_source.chunks)} chunks, "
+                                  f"run needs {cfg.max_chunks}")
+        _check_user(prompt, [c.s1_novel for c in user_source.chunks[p_chunks:cfg.max_chunks]])
 
     llm_novel = [list(c.s0_novel) for c in prompt.chunks]
     usr_novel = [list(c.s1_novel) for c in prompt.chunks]
 
     agent_a = _Agent(model_llm, cfg.sampler, np.random.default_rng(cfg.sampler.seed),
                      prompt, side=0)
-    agent_b = None
-    if not scripted:
-        agent_b = _Agent(user_source, cfg.sampler,
-                         np.random.default_rng([cfg.sampler.seed, 1]), prompt, side=1)
+    agent_b = None if scripted else _Agent(
+        user_source, cfg.sampler, np.random.default_rng([cfg.sampler.seed, 1]), prompt, side=1)
 
     records: list[StepRecord] = []
     trunc_before = 0
@@ -422,44 +475,67 @@ def simulate_interaction(
         # the delay line: the user's chunk t-L-1 reaches the model now
         if t - L - 1 >= p_chunks:
             agent_a.receive(usr_novel[t - L - 1])
-        s0, estimates, mark, window = agent_a.emit()
+        if scripted:
+            (a_out,) = yield (agent_a.emit(),)
+            usr_t = list(user_source.chunks[t].s1_novel)
+        elif L == 0:
+            # ... and the model's chunk t reaches the user, who waits for it
+            (a_out,) = yield (agent_a.emit(),)
+            agent_b.receive(a_out[0])
+            usr_t = (yield (agent_b.emit(),))[0][0]
+        else:
+            # ... and the model's chunk t-L reaches the user; neither agent
+            # needs the other's chunk t, so the two draw side by side
+            if t - L >= p_chunks:
+                agent_b.receive(llm_novel[t - L])
+            a_out, (usr_t, *_) = yield (agent_a.emit(), agent_b.emit())
+        s0, estimates, mark, window = a_out
         llm_novel.append(s0)
         # the window's estimates are of chunks t - len(estimates) .. t - 1
         for rec, est in zip(records[len(records) - len(estimates):], estimates):
             rec.estimate_history.append(est)
-
-        if scripted:
-            usr_t = list(user_source.chunks[t].s1_novel)
-        else:
-            # ... and the model's chunk t-L reaches the user
-            if t - L >= p_chunks:
-                agent_b.receive(llm_novel[t - L])
-            usr_t = agent_b.emit()[0]
         usr_novel.append(usr_t)
 
-        records.append(
-            StepRecord(
-                index=t,
-                llm_chunk=list(s0),
-                user_actual=list(usr_t),
-                estimate_history=[],
-                truncations=agent_a.truncations - trunc_before,
-                base=agent_a.ctx,
-                mark=mark,
-                window=window,
-            )
-        )
+        records.append(StepRecord(
+            index=t, llm_chunk=list(s0), user_actual=list(usr_t), estimate_history=[],
+            truncations=agent_a.truncations - trunc_before, base=agent_a.ctx, mark=mark,
+            window=window))
         trunc_before = agent_a.truncations
 
-    chunks = tuple(
-        DedupChunk(s0_novel=tuple(a), s1_novel=tuple(b))
-        for a, b in zip(llm_novel, usr_novel)
-    )
-    dialogue = DedupDialogue(vocab=vocab, chunk_ms=prompt.chunk_ms, chunks=chunks)
+    chunks = tuple(DedupChunk(tuple(a), tuple(b)) for a, b in zip(llm_novel, usr_novel))
     return InteractionTranscript(
-        config=cfg,
-        prompt_chunks=p_chunks,
-        steps=records,
-        dialogue=dialogue,
-        user_truncations=agent_b.truncations if agent_b is not None else 0,
-    )
+        config=cfg, prompt_chunks=p_chunks, steps=records,
+        dialogue=DedupDialogue(vocab=prompt.vocab, chunk_ms=prompt.chunk_ms, chunks=chunks),
+        user_truncations=agent_b.truncations if agent_b is not None else 0)
+
+
+def simulate_interactions(
+    model_llm: NgramModel,
+    user_source: NgramModel | Sequence[DedupDialogue],
+    cfgs: Sequence[InteractionConfig],
+    prompts: Sequence[DedupDialogue],
+) -> list[InteractionTranscript]:
+    """Run the lockstep protocol between the model and a user source: run i
+    with ``cfgs[i]``, ``prompts[i]`` and, for scripted users, the script
+    ``user_source[i]``; a model user serves every run, as an agent on
+    channel 1 running the same estimate-ahead protocol from its side. At
+    step t the model's agent has the user's chunks below t - latency; the
+    user has the model's chunks below t - latency + 1, since the model
+    speaks first within a chunk. A prompt, possibly empty, carries its
+    run's vocabulary and chunk size, which a script must match. Every run
+    is checked before any draws (a script whose channel 1 cannot follow its
+    prompt raises ``MalformedSequence``); each transcript is the one its
+    run gives alone."""
+    users = [user_source] * len(prompts) if isinstance(user_source, NgramModel) else user_source
+    return _drive([_session(model_llm, *run) for run in zip(users, cfgs, prompts, strict=True)])
+
+
+def simulate_interaction(
+    model_llm: NgramModel,
+    user_source: NgramModel | DedupDialogue,
+    cfg: InteractionConfig,
+    prompt: DedupDialogue,
+) -> InteractionTranscript:
+    """``simulate_interactions`` of one run, with one model or one script."""
+    users = user_source if isinstance(user_source, NgramModel) else [user_source]
+    return simulate_interactions(model_llm, users, [cfg], [prompt])[0]

@@ -161,7 +161,7 @@ class NgramModel:
         if skip < 0:
             raise ValueError(f"skip must be >= 0, got {skip}")
         # position i of the sequence is predicted from padded[i : i + order]
-        padded = np.array([self.bos] * self.order + list(sequence), dtype=np.int64)
+        padded = np.concatenate((np.full(self.order, self.bos), np.asarray(sequence, np.int64)))
         n = len(padded) - self.order
         if skip >= n:
             return 0.0, 0
@@ -360,6 +360,45 @@ def sample_constrained(
     if not cdf[-1] > 0:  # NaN from a temperature so small the logits overflow
         raise ValueError("sampling distribution is not finite")
     return int(indices[cdf.searchsorted(rng.random(), "right")])
+
+
+def sample_batch(model: NgramModel, contexts: Sequence[list[int]], allowed: Sequence[np.ndarray],
+                 rngs: Sequence[np.random.Generator]) -> list[int]:
+    """``sample_constrained(model, contexts[i], allowed[i], SamplerConfig(), rngs[i])``
+    for each i in one array step, bit for bit and with the same RNG use; each
+    ``allowed[i]`` is sorted int64, and no two draws share an RNG. Draws are grouped
+    by allowed-set length, as only a compact row sums to the 1-D call's bits."""
+    order, n, alpha = model.order, len(contexts), model.alpha
+    if not all(map(len, allowed)):
+        raise ValueError("allowed token set is empty")
+    tails = [[model.bos] * (order - len(t)) + t for t in (ctx[-order:] for ctx in contexts)]
+    codes = np.array(tails, dtype=np.int64) @ model._place
+    lo = hi = totals = np.zeros(n, dtype=np.int64)
+    if len(model.codes):
+        row = model.codes.searchsorted(codes)
+        seen = model.codes.take(row, mode="clip") == codes
+        lo, hi = model.offsets[row], model.offsets[row + seen]  # an unseen row is empty
+        totals = np.where(seen, model.row_totals.take(row, mode="clip"), 0)
+    norm = totals + alpha * model.vocab_ext
+    dense = np.repeat((alpha / norm)[:, None], model.vocab_ext, axis=1)  # as next_dist does
+    owner = np.repeat(np.arange(n), hi - lo)
+    entry = np.arange(len(owner)) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)
+    dense[owner, model.tokens[entry]] = (model.freqs[entry] + alpha) / norm[owner]
+    drawn: dict[int, int] = {}
+    groups: dict[int, list[int]] = {}
+    for i, ids in enumerate(allowed):
+        groups.setdefault(len(ids), []).append(i)
+    for size, members in groups.items():
+        ids = np.array([allowed[i] for i in members])
+        probs = dense[np.array(members)[:, None], ids]
+        probs /= probs.sum(axis=1, keepdims=True)
+        cdf = probs.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        # one draw per RNG (none for a single id); counting cdf <= u is searchsorted(u, "right")
+        u = np.array([rngs[i].random() if size > 1 else 0.0 for i in members])
+        tokens = ids[np.arange(len(members)), (cdf <= u[:, None]).sum(axis=1)]
+        drawn.update(zip(members, tokens.tolist()))
+    return [drawn[i] for i in range(n)]
 
 
 def sample_next(

@@ -17,9 +17,12 @@ from duplexsim import (
     interpolate,
     parse,
     simulate_interaction,
+    simulate_interactions,
     train,
 )
+from duplexsim import interaction
 from duplexsim.errors import MalformedSequence, SourceExhausted
+from duplexsim.ngram import sample_batch
 from duplexsim.synth import DialogueStyle
 
 
@@ -52,6 +55,16 @@ def setup():
 
 def prompt_of(script, n):
     return DedupDialogue(script.vocab, script.chunk_ms, script.chunks[:n])
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Any draw, one at a time or batched, fails the test."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a token was drawn")
+
+    monkeypatch.setattr("duplexsim.interaction.sample_constrained", no_draw)
+    monkeypatch.setattr("duplexsim.interaction.sample_batch", no_draw)
 
 
 class TestContinueDialogue:
@@ -98,16 +111,32 @@ class TestContinueDialogue:
         out = continue_dialogue(model, empty, 3, SamplerConfig(seed=2))
         assert len(out.chunks) == 3
 
-    # forced parts are checked as the result is built: a repeated novel, an
-    # id past the extended vocabulary (12 here), more novels than frames
+    # forced parts are checked before any draw: a repeated novel, an id past
+    # the extended vocabulary (12 here), more novels than frames
     @pytest.mark.parametrize("forced", [[(3, 3, 9), (1,)], [(3, 12), (1,)],
                                         [(1,), (1, 2, 3, 4, 5)]],
                              ids=["repeated_novel", "past_vocabulary", "overfull"])
-    def test_forced_user_breaking_the_grammar_raises(self, setup, forced):
+    def test_forced_user_breaking_the_grammar_raises(self, setup, no_draws, forced):
         _, _, model, script = setup
         with pytest.raises(MalformedSequence, match="channel 1"):
             continue_dialogue(model, prompt_of(script, 3), 2, SamplerConfig(seed=0),
                               forced_user=forced)
+
+
+# the prompt's last channel-1 novel is 5 and the user's first part after it
+# opens with 5: a fault only at the junction, found before any draw
+@pytest.mark.parametrize("user", ["scripted", "forced"])
+def test_user_repeating_the_prompts_last_novel_raises_before_any_draw(setup, no_draws, user):
+    vocab, _, model, _ = setup
+    prompt = DedupDialogue(vocab, CHUNK_MS, (DedupChunk((1,), (5,)),))
+    with pytest.raises(MalformedSequence, match="chunk 1 channel 1 repeats"):
+        if user == "forced":
+            continue_dialogue(model, prompt, 2, forced_user=[(5, 6), ()])
+        else:
+            script = DedupDialogue(vocab, CHUNK_MS, (DedupChunk((1,), (2,)),
+                                                     DedupChunk((), (5, 6)),
+                                                     *[DedupChunk()] * 398))
+            simulate_interaction(model, script, InteractionConfig(max_chunks=400), prompt)
 
 
 class TestEstimateUserChunk:
@@ -344,6 +373,56 @@ class TestSimulateTwoModels:
         tr = simulate_interaction(model, model, cfg, prompt)
         cont = continue_dialogue(model, prompt, 12, SamplerConfig(seed=8))
         assert tr.dialogue.chunks != cont.chunks
+
+
+class TestSimulateInteractions:
+    """Many runs stepped together equal the runs one at a time."""
+
+    @pytest.mark.parametrize("user", ["scripted", "model"])
+    @pytest.mark.parametrize("latency", [0, 1, 3])
+    @pytest.mark.parametrize("runs", [2, interaction._BATCH_MIN + 2],
+                             ids=["below_crossover", "above_crossover"])
+    def test_equal_to_one_run_at_a_time(self, setup, monkeypatch, user, latency, runs):
+        vocab, _, model, script = setup
+        batches = []
+
+        def counted(*args):
+            batches.append(len(args[1]))
+            return sample_batch(*args)
+
+        monkeypatch.setattr("duplexsim.interaction.sample_batch", counted)
+        # runs of unequal length; one sampler the kernel does not take
+        prompts = [prompt_of(script, k % 5) for k in range(runs)]
+        cfgs = [InteractionConfig(latency_chunks=latency, max_chunks=6 + 3 * (k % 4) + k % 5,
+                                  sampler=SamplerConfig(seed=k, top_k=3 if k == 1 else None))
+                for k in range(runs)]
+        source = [script] * runs if user == "scripted" else model
+        together = simulate_interactions(model, source, cfgs, prompts)
+        kernel_used = bool(batches)
+        alone = [simulate_interaction(model, script if user == "scripted" else model, cfg, p)
+                 for cfg, p in zip(cfgs, prompts)]
+        assert [t.to_json_dict() for t in together] == [t.to_json_dict() for t in alone]
+        assert [[s.context_snapshot for s in t.steps] for t in together] == [
+            [s.context_snapshot for s in t.steps] for t in alone]
+        assert kernel_used == (runs > interaction._BATCH_MIN)
+
+    def test_every_run_is_checked_before_any_draw(self, setup, no_draws):
+        vocab, _, model, script = setup
+        # the last run's script cannot follow its prompt (see above)
+        prompt = DedupDialogue(vocab, CHUNK_MS, (DedupChunk((1,), (5,)),))
+        bad = DedupDialogue(vocab, CHUNK_MS, (DedupChunk((1,), (2,)), DedupChunk((), (5, 6)),
+                                              *[DedupChunk()] * 8))
+        runs = interaction._BATCH_MIN + 2
+        with pytest.raises(MalformedSequence, match="chunk 1 channel 1"):
+            simulate_interactions(model, [script] * (runs - 1) + [bad],
+                                  [InteractionConfig(max_chunks=10)] * runs,
+                                  [prompt_of(script, 0)] * (runs - 1) + [prompt])
+
+    def test_one_config_and_script_per_prompt(self, setup):
+        _, _, model, script = setup
+        with pytest.raises(ValueError, match="zip"):
+            simulate_interactions(model, [script], [InteractionConfig()] * 2,
+                                  [prompt_of(script, 0)] * 2)
 
 
 class TestTranscriptSerialisation:

@@ -15,6 +15,7 @@ from duplexsim import (
     sample_next,
     train,
 )
+from duplexsim.ngram import sample_batch
 from duplexsim.errors import EmptyCorpus, EmptySequence, ModelFormatError
 
 import oracles
@@ -233,6 +234,87 @@ class TestSampling:
             SamplerConfig(temperature=0.0)
         with pytest.raises(ValueError):
             SamplerConfig(top_k=0)
+
+
+def test_numpy_row_reductions_match_1d_calls():
+    """sample_batch relies on this numpy behaviour; a numpy upgrade that
+    breaks it fails here before any golden digest does. On contiguous
+    float64 rows, sum and cumsum along axis 1 give each row the bits of the
+    1-D call, and counting entries <= u is searchsorted(u, "right")."""
+    rng = np.random.default_rng(11)
+    for n in range(2, 1001):
+        rows = int(rng.integers(1, 65))
+        probs = rng.random((rows, n)) ** 3
+        sums, cdfs = probs.sum(axis=1), probs.cumsum(axis=1)
+        assert probs.flags.c_contiguous
+        for r in range(rows):
+            assert sums[r] == probs[r].sum() and np.array_equal(cdfs[r], probs[r].cumsum())
+        cdfs /= cdfs[:, -1:]
+        u = rng.random(rows)
+        u[0] = cdfs[0, rng.integers(n)]  # a tie counts the entry, as "right" does
+        counts = (cdfs <= u[:, None]).sum(axis=1)
+        assert counts.tolist() == [int(c.searchsorted(x, "right")) for c, x in zip(cdfs, u)]
+
+
+class TestSampleBatch:
+    """sample_batch against one sample_constrained call per draw."""
+
+    @staticmethod
+    def allowed_sets(units, data, n):
+        """The agent's allowed sets: the two tags, or the units with or
+        without the tags and with or without the channel's last novel."""
+        sets = []
+        for _ in range(n):
+            shape = data.draw(st.sampled_from(["tags", "units", "units_tags"]))
+            if shape == "tags":
+                sets.append(np.arange(units, units + 2))
+                continue
+            ids = np.arange(units + 2 * (shape == "units_tags"))
+            last = data.draw(st.one_of(st.none(), st.integers(0, units - 1)))
+            if last is not None:
+                ids = np.delete(ids, last)
+            sets.append(ids if len(ids) else np.arange(units, units + 2))
+        return sets
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.sampled_from([0.001, 0.1, 1.0]),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_draws_equal_sample_constrained(self, units, order, alpha, data):
+        vocab_ext = units + 2
+        corpus = data.draw(st.lists(st.lists(st.integers(0, vocab_ext - 1), max_size=40),
+                                    min_size=1, max_size=4))
+        model = train(corpus, order=order, alpha=alpha, vocab_ext=vocab_ext)
+        n = data.draw(st.integers(1, 20))
+        seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=n, max_size=n))
+        batch_rngs = [np.random.default_rng(seed) for seed in seeds]
+        one_rngs = [np.random.default_rng(seed) for seed in seeds]
+        for _ in range(3):  # each RNG draws again, in order
+            # seen contexts, unseen ones and ones shorter than the order
+            contexts = [data.draw(st.one_of(
+                st.lists(st.integers(0, vocab_ext - 1), max_size=order + 3),
+                st.sampled_from(corpus).map(lambda seq: seq[: len(seq) // 2])))
+                for _ in range(n)]
+            allowed = self.allowed_sets(units, data, n)
+            drawn = sample_batch(model, contexts, allowed, batch_rngs)
+            assert drawn == [sample_constrained(model, ctx, ids, SamplerConfig(), rng)
+                             for ctx, ids, rng in zip(contexts, allowed, one_rngs)]
+            assert all(type(tok) is int for tok in drawn)
+            assert [r.bit_generator.state for r in batch_rngs] == [
+                r.bit_generator.state for r in one_rngs]
+
+    def test_untrained_model_and_empty_set(self):
+        model = NgramModel(order=2, vocab_ext=4)
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        sets = [np.arange(4), np.arange(2, 4), np.array([1])]
+        assert sample_batch(model, [[], [3], [0, 1, 2]], sets, rngs) == [
+            sample_constrained(model, [], ids, SamplerConfig(), np.random.default_rng(k))
+            for k, ids in enumerate(sets)]
+        with pytest.raises(ValueError, match="empty"):
+            sample_batch(model, [[0], [1]], [np.arange(4), np.arange(0)], rngs[:2])
 
 
 class TestPerplexity:
