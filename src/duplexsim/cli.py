@@ -143,14 +143,14 @@ def _load_models(vocab: Vocab, *paths) -> list[NgramModel | None]:
     return models
 
 
-def _prompt_chunks(prompt_ms: int, chunk_ms: int) -> int:
-    """How many leading chunks of each encoded dialogue form the prompt."""
-    if chunk_ms <= 0 or prompt_ms < 0 or prompt_ms % chunk_ms:
+def _chunks(flag: str, ms: int, chunk_ms: int, positive: bool = False) -> int:
+    """``ms`` as a whole number of chunks of ``chunk_ms``, at least one if ``positive``."""
+    if chunk_ms <= 0 or ms < (chunk_ms if positive else 0) or ms % chunk_ms:
         raise ConfigError(
-            f"--prompt-ms must be a non-negative multiple of a positive --chunk-ms, "
-            f"got {prompt_ms} and {chunk_ms}"
+            f"{flag} must be a {'positive' if positive else 'non-negative'} multiple of "
+            f"a positive --chunk-ms, got {ms} and {chunk_ms}"
         )
-    return prompt_ms // chunk_ms
+    return ms // chunk_ms
 
 
 def _head(d: DedupDialogue, n_chunks: int) -> DedupDialogue:
@@ -181,8 +181,10 @@ def cmd_synth(args) -> int:
                               f"--{flag.replace('_', '-')}")
     flag, default = SYNTH_LENGTH[args.mode]
     length = default if getattr(args, flag) is None else getattr(args, flag)
+    if args.count < 0 or length < 0:
+        raise ConfigError(f"--count and --{flag.replace('_', '-')} must be non-negative")
     style = _style_from_args(args)
-    if args.mode == "duplex" and (length < 0 or length % style.vocab.frame_ms):
+    if args.mode == "duplex" and length % style.vocab.frame_ms:
         raise ConfigError("--duration-ms must be a non-negative multiple of frame_ms")
     generate = generate_dialogue if args.mode == "duplex" else generate_stage2_dialogue
 
@@ -226,10 +228,8 @@ def _sampler_from_args(args, seed: int) -> SamplerConfig:
 
 def cmd_continue(args) -> int:
     _check_outputs([args.model, args.prompts], args.out, args.transcript)
-    prompt_chunks = _prompt_chunks(args.prompt_ms, args.chunk_ms)
-    n_chunks = args.continue_ms // args.chunk_ms
-    if n_chunks < 1:
-        raise ConfigError("--continue-ms must cover at least one chunk")
+    prompt_chunks = _chunks("--prompt-ms", args.prompt_ms, args.chunk_ms)
+    n_chunks = _chunks("--continue-ms", args.continue_ms, args.chunk_ms, positive=True)
     dialogues, vocab = _load_corpus(args.prompts)
     (model,) = _load_models(vocab, args.model)
 
@@ -274,7 +274,7 @@ def cmd_interact(args) -> int:
     if corpus is None and args.prompt_ms:
         raise ConfigError("--prompt-ms cuts prompts from --prompts or --scripted; give one")
     _check_outputs([args.model_a, args.model_b, corpus], args.out, args.corpus_out)
-    prompt_chunks = _prompt_chunks(args.prompt_ms, args.chunk_ms)
+    prompt_chunks = _chunks("--prompt-ms", args.prompt_ms, args.chunk_ms)
     if args.max_chunks < 1:
         raise ConfigError("run needs at least one chunk (--max-chunks)")
 
@@ -361,7 +361,7 @@ def cmd_eval(args) -> int:
         }
     else:
         prompt_ms = args.prompt_ms or 0
-        prompt_chunks = _prompt_chunks(prompt_ms, args.chunk_ms)
+        prompt_chunks = _chunks("--prompt-ms", prompt_ms, args.chunk_ms)
         mode_params = {"prompt_ms": prompt_ms, "skip_ms": None}
         gen, vocab = _load_corpus(args.generated)
         (model,) = _load_models(vocab, args.model)

@@ -13,11 +13,20 @@ A dialogue is two tuples of unit ids, and a corpus ``{id: (s0, s1)}``.
 Durations are Gaussian, rounded to whole frames and truncated at one
 frame. Every dialogue derives its RNG stream from (seed, index), so
 parallel and serial generation agree bit-exactly.
+
+The content chain's draws, numpy's ``integers`` and ``random() >= p_self``,
+are read as Python ints from one ``random_raw`` block of PCG64 outputs per
+segment with numpy 2's arithmetic, so a seed makes the corpus that one numpy
+call per draw makes: ``random() >= p`` is ``raw >= ceil(p * 2**53) << 11``;
+``integers(k)`` draws nothing at k = 1 and uses Lemire's method with
+rejection, on whole outputs above k = 2**32 and on 32-bit halves up to it,
+low half first and the high one buffered. ``tests/test_synth.py`` pins this
+to numpy live, against the per-call painter in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -69,19 +78,21 @@ class DialogueStyle:
                 raise ValueError(f"unit_range {self.unit_range} outside [0, {self.vocab.size})")
         if self.successor_count is not None and self.successor_count < 1:
             raise ValueError(f"successor_count must be >= 1, got {self.successor_count}")
+        if max(self.vocab.size, self.successor_count or 1) > 2**63:  # numpy's int64 draws
+            raise ValueError("vocab size and successor_count must be at most 2**63")
         if self.content()[0] == 0:
             raise ValueError("no non-silence units available for content")
 
-    def content(self) -> tuple[int, Callable[[int], int]]:
+    def content(self) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
         """The content alphabet, the non-silence ids of ``unit_range`` in id
-        order, as its size and the map from an index to its unit. The map
-        bisects the silence ids inside the range, so no table of ids is built
+        order, as its size and the map from indices to their units. The map
+        searches the silence ids inside the range, so no table of ids is built
         and the cost does not grow with the vocabulary."""
         lo, hi = self.unit_range if self.unit_range else (0, self.vocab.size)
         silent = sorted(t for t in self.vocab.silence_tokens if lo <= t < hi)
         # gaps[k] counts the content ids below the k-th silence id
-        gaps = [t - lo - k for k, t in enumerate(silent)]
-        return hi - lo - len(silent), lambda i: lo + i + bisect_right(gaps, i)
+        gaps = np.array([t - lo - k for k, t in enumerate(silent)], dtype=np.int64)
+        return hi - lo - len(silent), lambda i: lo + i + np.searchsorted(gaps, i, "right")
 
     def to_dict(self) -> dict:
         return {
@@ -173,31 +184,62 @@ def _gauss_frames_signed(rng: np.random.Generator, pair: tuple[float, float], fr
     return int(round(rng.normal(pair[0], pair[1]) / frame_ms))
 
 
-def _markov_content(rng: np.random.Generator, style: DialogueStyle, length: int) -> list[int]:
-    """Self-looping Markov chain over the style's content units.
+def _integers(k: int, raws: list[int], pos: int, has: int, buf: int) -> tuple[int, int, int, int]:
+    """``Generator.integers(k)`` read from ``raws[pos:]`` and the half buffer
+    ``has, buf``: the draw and the new ``pos, has, buf``."""
+    bits = 64 if k > 1 << 32 else 32
+    while k > 1:
+        if bits == 32 and has:
+            x, has = buf, 0
+        else:
+            x = raws[pos]
+            pos += 1
+            if bits == 32:
+                x, buf, has = x & 0xFFFFFFFF, x >> 32, 1
+        x *= k
+        if x & ((1 << bits) - 1) >= (1 << bits) % k:
+            return x >> bits, pos, has, buf
+    return 0, pos, has, buf
+
+
+def _markov_content(rng: np.random.Generator, style: DialogueStyle, content: tuple,
+                    length: int) -> np.ndarray:
+    """Self-looping Markov chain over the style's ``content()`` units.
 
     With ``successor_count`` set, each unit jumps only within a fixed
     per-unit successor set (sparse transition matrix, learnable by a
     low-order model); otherwise jumps are uniform over the other units.
     """
-    if length <= 0:
-        return []
-    m, unit_at = style.content()
-    p_self, successor_count = style.p_self, style.successor_count
-    idx = int(rng.integers(m))
-    unit = unit_at(idx)
-    out = []
-    for _ in range(length):
-        out.append(unit)
-        if m > 1 and rng.random() >= p_self:
-            if successor_count is None:
-                j = int(rng.integers(m - 1))
-                idx = (m - 1) if j == idx else j
-            else:
-                j = int(rng.integers(successor_count))
-                idx = (idx + 1 + ((idx * 7 + j * 11) % (m - 1))) % m
-            unit = unit_at(idx)
-    return out
+    m, unit_at = content
+    bg = rng.bit_generator
+    if type(bg) is not np.random.PCG64:
+        raise TypeError(f"synthesis reads PCG64 outputs, got {type(bg).__name__}")
+    if length <= 0 or m == 1:  # integers(1) draws nothing
+        return unit_at(np.zeros(max(length, 0), np.int64))
+    jump = style.successor_count or m - 1
+    moves = math.ceil(style.p_self * 2**53) << 11  # raw >= moves: random() >= p_self
+    saved, raws = bg.state, []
+    while True:
+        raws += bg.random_raw(2 * length + 2).tolist()  # enough unless draws are rejected
+        try:
+            idx, pos, has, buf = _integers(m, raws, 0, saved["has_uint32"], saved["uinteger"])
+            out = []
+            for _ in range(length):
+                out.append(idx)
+                pos += 1
+                if raws[pos - 1] >= moves:
+                    j, pos, has, buf = _integers(jump, raws, pos, has, buf)
+                    if style.successor_count is None:
+                        idx = (m - 1) if j == idx else j
+                    else:
+                        idx = (idx + 1 + ((idx * 7 + j * 11) % (m - 1))) % m
+            break
+        except IndexError:  # draw more and read again
+            pass
+    bg.state = saved
+    bg.advance(pos)  # which empties the half buffer
+    bg.state = {**bg.state, "has_uint32": has, "uinteger": buf}
+    return unit_at(np.array(out))
 
 
 def generate_dialogue_with_log(
@@ -211,16 +253,12 @@ def generate_dialogue_with_log(
         )
     n = duration_ms // frame_ms
     rng = np.random.default_rng(seed)
-    sil = style.vocab.first_silence
-    ch: list[list[int]] = [[sil] * n, [sil] * n]
+    content = style.content()
+    ch = np.full((2, n), style.vocab.first_silence, dtype=np.int64)
     events: list[PlannedEvent] = []
 
     def paint(c: int, a: int, b: int) -> None:
-        content = _markov_content(rng, style, b - a)
-        for off, tok in enumerate(content):
-            f = a + off
-            if 0 <= f < n:
-                ch[c][f] = tok
+        ch[c, a:b] = _markov_content(rng, style, content, b - a)[: max(0, n - a)]
 
     speaker = 0
     t = 0
@@ -267,7 +305,7 @@ def generate_dialogue_with_log(
         t = nxt
         speaker = other
 
-    return tuple(ch[0]), tuple(ch[1]), events
+    return tuple(ch[0].tolist()), tuple(ch[1].tolist()), events
 
 
 def generate_dialogue(
@@ -314,13 +352,14 @@ def generate_stage2_dialogue(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Alternating-turn dialogue in the exclusive stage-2 shape."""
     rng = np.random.default_rng(seed)
+    content = style.content()
     turns = []
     for i in range(n_turns):
         dur = _gauss_frames(rng, style.ipu_ms, style.vocab.frame_ms)
-        content = _markov_content(rng, style, dur)
+        units = _markov_content(rng, style, content, dur).tolist()
         # trailing silence marks the turn's end on the speaking channel
         gap = _gauss_frames(rng, style.pause_ms, style.vocab.frame_ms)
-        turns.append((i % 2, content + [style.vocab.first_silence] * gap))
+        turns.append((i % 2, units + [style.vocab.first_silence] * gap))
     return build_stage2_corpus(turns, style)
 
 

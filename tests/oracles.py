@@ -8,6 +8,7 @@ correlation by the raw-sum formula.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -38,6 +39,31 @@ def deduplicate(s0, s1, chunk_ms, vocab) -> DedupDialogue:
                     prev[c] = tok
         out.append(DedupChunk(s0_novel=tuple(novels[0]), s1_novel=tuple(novels[1])))
     return DedupDialogue(vocab=vocab, chunk_ms=chunk_ms, chunks=tuple(out))
+
+
+def markov_content(rng, style, length) -> list[int]:
+    """One painted segment of ``synth``'s content chain, one numpy call per
+    draw: ``integers(m)`` for the first content index, then per frame
+    ``random() >= p_self`` for a jump and ``integers`` for its target. An
+    index maps to its unit by bisecting the silence ids of the unit range."""
+    if length <= 0:
+        return []
+    lo, hi = style.unit_range if style.unit_range else (0, style.vocab.size)
+    silent = sorted(t for t in style.vocab.silence_tokens if lo <= t < hi)
+    gaps = [t - lo - k for k, t in enumerate(silent)]
+    m = hi - lo - len(silent)
+    idx = int(rng.integers(m))
+    out = []
+    for _ in range(length):
+        out.append(lo + idx + bisect_right(gaps, idx))
+        if m > 1 and rng.random() >= style.p_self:
+            if style.successor_count is None:
+                j = int(rng.integers(m - 1))
+                idx = (m - 1) if j == idx else j
+            else:
+                j = int(rng.integers(style.successor_count))
+                idx = (idx + 1 + ((idx * 7 + j * 11) % (m - 1))) % m
+    return out
 
 
 def ngram_counts(corpus, order, vocab_ext) -> dict[tuple[int, ...], dict[int, int]]:

@@ -68,6 +68,12 @@ class TestSynth:
         path = synth(tmp_path, count=0)
         assert path.read_text() == ""
 
+    @pytest.mark.parametrize("flags", [["--count", "-3"],
+                                       ["--count", "2", "--mode", "stage2", "--turns", "-2"]])
+    def test_negative_count_or_turns(self, tmp_path, capsys, flags):
+        out = tmp_path / "corpus.jsonl"
+        assert_rejected(main(["synth", *VOCAB_ARGS, *flags, "--out", str(out)]), capsys, [out])
+
     def test_byte_determinism(self, tmp_path):
         a = synth(tmp_path, out="a.jsonl", seed=7)
         b = synth(tmp_path, out="b.jsonl", seed=7)
@@ -796,6 +802,16 @@ class TestInputBoundaries:
         }[command]
         outputs = [out, out.with_suffix(".json"), out.with_suffix(".csv")]
         assert_rejected(main(argv + flags), capsys, outputs)
+
+    @pytest.mark.parametrize("continue_ms", ["1000", "0", "-160"])
+    def test_continue_ms_not_a_chunk_multiple(self, world, continue_ms, tmp_path, capsys):
+        # 1000 ms would be cut to 6 chunks of 160 ms while the transcript said 1000
+        corpus, model = world
+        out, transcript = tmp_path / "out.jsonl", tmp_path / "transcript.json"
+        argv = ["continue", "--model", str(model), "--prompts", str(corpus),
+                "--prompt-ms", "1600", "--continue-ms", continue_ms, "--chunk-ms", "160",
+                "--out", str(out), "--transcript", str(transcript)]
+        assert_rejected(main(argv), capsys, [out, transcript])
 
     def test_interact_parses_each_model_file_once(self, world, tmp_path, monkeypatch):
         corpus, model = world

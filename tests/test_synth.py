@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from duplexsim import (
     DialogueStyle,
@@ -16,7 +20,9 @@ from duplexsim import (
 )
 from duplexsim.errors import BadDuration, EmptyCorpus
 from duplexsim.metrics import dialogue_events
-from duplexsim.synth import generate_dialogue_with_log
+from duplexsim.synth import _integers, _markov_content, generate_dialogue_with_log
+
+import oracles
 
 
 def voiced_mask(channel, silence):
@@ -123,6 +129,79 @@ class TestGenerateDialogue:
         assert abs(float(np.mean(ftos)) - 200.0) < 15.0
 
 
+def _vocab(size, *silence):
+    return Vocab(size=size, frame_ms=40, silence_tokens=frozenset(silence or {0}))
+
+
+# content styles of the raw-draw painter, each with the case it covers
+PAINTER_STYLES = [
+    DialogueStyle(vocab=_vocab(2)),  # one content unit: no draw at all
+    DialogueStyle(vocab=_vocab(3)),  # uniform jumps over m - 1 = 1: no jump draw
+    DialogueStyle(vocab=_vocab(30), successor_count=1),
+    DialogueStyle(vocab=_vocab(30), successor_count=3),
+    DialogueStyle(vocab=_vocab(20, 0, 3, 4, 9, 15), unit_range=(2, 16)),
+    DialogueStyle(vocab=_vocab(3_000_000_000)),  # 32-bit halves, about 30% rejected
+    DialogueStyle(vocab=_vocab(5_000_000_000)),  # whole 64-bit outputs
+    # a quarter of the 64-bit draws rejected: can outrun the first raw block
+    DialogueStyle(vocab=_vocab(30), successor_count=3 * 2**61),
+]
+
+
+class TestRawDraws:
+    """synth reads numpy's draws from raw PCG64 outputs; ``oracles`` makes
+    them with one live numpy call each, so a numpy whose arithmetic differs
+    fails here."""
+
+    @settings(max_examples=200, deadline=None)
+    # every frame jumps, with a quarter of the draws rejected: refills the block
+    @example(style=PAINTER_STYLES[-1], p_self=0.0, seed=0, full=False, calls=[(40, False)] * 3)
+    @given(style=st.sampled_from(PAINTER_STYLES), p_self=st.sampled_from([0.0, 0.35, 0.99]),
+           seed=st.integers(0, 2**32), full=st.booleans(),
+           calls=st.lists(st.tuples(st.integers(0, 40), st.booleans()), min_size=1,
+                          max_size=6))
+    def test_painter_matches_per_call_draws(self, style, p_self, seed, full, calls):
+        style = replace(style, p_self=p_self)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (ours, ref):
+            if full:  # leaves the upper half of an output in the buffer
+                rng.integers(7)
+        content = style.content()
+        for length, between in calls:
+            got = _markov_content(ours, style, content, length).tolist()
+            assert got == oracles.markov_content(ref, style, length)
+            assert ours.bit_generator.state == ref.bit_generator.state
+            if between:  # another draw on the buffered halves between segments
+                assert ours.integers(5) == ref.integers(5)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 2**31, 2**32 - 1, 2**32, 2**32 + 1,
+                                   3 * 10**9, 5 * 10**9, 2**62])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_integers_match_numpy(self, k, full):
+        rng = np.random.default_rng(k)
+        if full:
+            rng.integers(7)
+        bg = rng.bit_generator
+        start = bg.state
+        assert start["has_uint32"] == full
+        raws = bg.random_raw(400).tolist()
+        bg.state = start
+        pos, has, buf = 0, start["has_uint32"], start["uinteger"]
+        for _ in range(200):
+            x, pos, has, buf = _integers(k, raws, pos, has, buf)
+            assert x == rng.integers(k)
+        moved = np.random.PCG64()
+        moved.state = start
+        moved.advance(pos)
+        assert bg.state == {**moved.state, "has_uint32": has, "uinteger": buf}
+
+    def test_generator_seed_must_be_pcg64(self, tiny_style):
+        same = generate_dialogue(tiny_style, 4000, np.random.default_rng(3))
+        assert same == generate_dialogue(tiny_style, 4000, 3)
+        for draw in (generate_dialogue, generate_stage2_dialogue):
+            with pytest.raises(TypeError):
+                draw(tiny_style, 4000, np.random.Generator(np.random.MT19937(3)))
+
+
 class TestStage2:
     def test_single_utterance_mirrors_silence(self, tiny_style):
         s0, s1 = build_stage2_corpus([(0, [3] * 10)], tiny_style)
@@ -222,6 +301,13 @@ class TestStyleConfig:
     def test_invalid_probability(self, tiny_vocab):
         with pytest.raises(ValueError):
             DialogueStyle(vocab=tiny_vocab, backchannel_prob=1.5)
+
+    def test_draw_bounds_past_int64_rejected(self):
+        # numpy draws integers(k) for k up to 2**63, and unit ids are held as int64
+        DialogueStyle(vocab=_vocab(2**63), successor_count=2**63)
+        for size, successor_count in ((2**63 + 1, None), (12, 2**63 + 1)):
+            with pytest.raises(ValueError):
+                DialogueStyle(vocab=_vocab(size), successor_count=successor_count)
 
     def test_content_skips_the_silence_ids_in_range(self):
         # silence below the range, twice in a row inside it, and at its top
