@@ -229,6 +229,8 @@ def _sampler_from_args(args, seed: int) -> SamplerConfig:
 def cmd_continue(args) -> int:
     _check_outputs([args.model, args.prompts], args.out, args.transcript)
     prompt_chunks = _chunks("--prompt-ms", args.prompt_ms, args.chunk_ms)
+    if args.continue_ms is None:  # 30 s cut to whole chunks; --chunk-ms is positive here
+        args.continue_ms = 30000 - 30000 % args.chunk_ms
     n_chunks = _chunks("--continue-ms", args.continue_ms, args.chunk_ms, positive=True)
     dialogues, vocab = _load_corpus(args.prompts)
     (model,) = _load_models(vocab, args.model)
@@ -489,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompts", type=Path, required=True)
     p.add_argument("--prompt-ms", type=int, default=9600,
                    help="a multiple of --chunk-ms")
-    p.add_argument("--continue-ms", type=int, default=30000)
+    p.add_argument("--continue-ms", type=int, default=None,
+                   help="a positive multiple of --chunk-ms; default 30 s cut to whole chunks")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--transcript", type=Path, default=None)
     p.set_defaults(func=cmd_continue)

@@ -175,6 +175,21 @@ class TestContinue:
         tr_data = json.loads(t1.read_text())
         assert tr_data["dialogues"][0]["prompt_chunks"] == 20
 
+    def test_default_continue_ms_is_whole_chunks(self, tmp_path):
+        # the 30 s default is not a multiple of 160 ms; it runs the 187 chunks
+        # that fit, and the transcript records the 29920 ms they cover
+        corpus = synth(tmp_path, count=1)
+        model = trained(tmp_path, corpus)
+        out, tr = tmp_path / "g.jsonl", tmp_path / "t.json"
+        rc = main(["continue", "--model", str(model), "--prompts", str(corpus),
+                   "--prompt-ms", "1600", "--out", str(out), "--transcript", str(tr)])
+        assert rc == 0
+        rec = json.loads(out.read_text())
+        assert len(rec["channels"][0]) == (1600 + 29920) // 40
+        tr_data = json.loads(tr.read_text())
+        assert tr_data["continue_ms"] == 29920
+        assert tr_data["dialogues"][0]["n_chunks"] == 187
+
 
 class TestInteract:
     # a generated channel that opens silent is not reported as a warning
