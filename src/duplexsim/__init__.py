@@ -30,7 +30,6 @@ from .ngram import (
     corpus_perplexity,
     perplexity,
     sample_constrained,
-    sample_next,
     train,
 )
 from .synth import (

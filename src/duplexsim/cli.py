@@ -30,6 +30,7 @@ import json
 import statistics
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -197,15 +198,10 @@ def cmd_synth(args) -> int:
             dialogues.append((s0, s1))
     if args.stats_out is not None:
         stats = corpus_stats(dialogues, style.vocab, chunk_ms)
-        payload = {
-            "event_means_ms": stats.event_means_ms,
-            "event_stds_ms": stats.event_stds_ms,
-            "event_counts": stats.event_counts,
-            "overlap_frames": stats.overlap_frames,
-            "raw_tokens_per_s": stats.raw_tokens_per_s,
-            "dedup_tokens_per_s": stats.dedup_tokens_per_s,
-            "compression_ratio": stats.compression_ratio,
-        }
+        payload = {**asdict(stats), "compression_ratio": stats.compression_ratio}
+        del payload["dedup_rates_per_dialogue"]
+        # a mean over no events, or a rate over no chunks, is NaN: written as null
+        payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     corpus_io.write_corpus(args.out, records)
     if args.stats_out is not None:
         corpus_io.write_json(args.stats_out, payload)

@@ -98,10 +98,10 @@ def read_json(path: str | Path):
 
 def write_json(path: str | Path, payload, indent: int | None = None) -> None:
     """Canonical JSON: sorted keys, compact unless ``indent`` is given, and
-    a final newline. The text is built by one ``json.dumps`` call, which
-    uses the C encoder when compact (``json.dump`` to a file never does),
-    before the file is opened."""
-    text = json.dumps(payload, sort_keys=True, indent=indent,
+    a final newline; a NaN or infinity raises ``ValueError``. The text is
+    built by one ``json.dumps`` call, which uses the C encoder when compact
+    (``json.dump`` to a file never does), before the file is opened."""
+    text = json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False,
                       separators=None if indent else (",", ":"))
     with _writing(path) as fh:
         fh.write(text)

@@ -33,13 +33,14 @@ step of the chunk it estimates.
 
 The agent's ``sample`` and ``emit``, the one implementation of the
 grammar, are generators that yield each draw request (the agent and its
-sorted allowed ids) and receive the token. ``simulate_interactions`` steps
+allowed ids as a span ``(lo, hi, skip)``: ``[lo, hi)`` but the last novel
+``skip``, or None) and receive the token. ``simulate_interactions`` steps
 its runs together: a run yields the agents to run next, both at once at a
 latency of one chunk or more (their RNGs are separate, and neither needs
 the other's current chunk). The pending draws of one model at temperature
 1 without top_k go to ``ngram.sample_batch`` in one array step if there are
-at least ``_BATCH_MIN``; other agents draw one at a time through
-``sample_constrained``. Both give the same bits.
+at least ``_BATCH_MIN``, and else to ``sample_span`` one at a time; other
+samplers draw through ``sample_constrained``. All give the same bits.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import SourceExhausted
 # perfbench/layers.py rebinds flatten, parse and sample_constrained here:
 # keep them bound, even flatten, which this module does not call
-from .ngram import NgramModel, SamplerConfig, sample_batch, sample_constrained
+from .ngram import NgramModel, SamplerConfig, sample_batch, sample_constrained, sample_span
 from .tokens import DedupChunk, DedupDialogue, Vocab, flatten, parse  # noqa: F401
 
 
@@ -179,13 +180,12 @@ class _Agent:
     """One side of a dialogue, decoding incrementally; it speaks channel
     ``side``.
 
-    The agent owns its model, sampler config, RNG and allowed sets; one
-    context list, whose prefix is an append-only base of the chunks that
-    have fully arrived; and the last novel unit of each channel in that
-    base. The base starts as the ``prompt`` dialogue, appended chunk by
-    chunk, so the last novels are tracked from the first token on; the
-    prompt also gives the vocabulary and the chunk size. Its three
-    operations:
+    The agent owns its model, sampler config and RNG; one context list,
+    whose prefix is an append-only base of the chunks that have fully
+    arrived; and the last novel unit of each channel in that base. The
+    base starts as the ``prompt`` dialogue, appended chunk by chunk, so the
+    last novels are tracked from the first token on; the prompt also gives
+    the vocabulary and the chunk size. Its three operations:
 
     * ``receive`` an arrived chunk of the other side. Every chunk whose
       two parts are now both known is appended to the base.
@@ -222,10 +222,8 @@ class _Agent:
         self.cfg = cfg
         self.rng = rng
         self.truncations = 0
-        # sorted allowed sets: units, and units followed by both tags
-        self._units = np.arange(vocab.size, dtype=np.int64)
-        self._units_tags = np.arange(vocab.extended_size, dtype=np.int64)
-        self._tags = self._units_tags[vocab.size :]
+        # the sampler of sample_span and sample_batch
+        self.plain = cfg.temperature == 1.0 and cfg.top_k is None
         self.side = side
         self.ctx: list[int] = []
         self.last: list[int | None] = [None, None]
@@ -234,13 +232,6 @@ class _Agent:
             self.append(1, chunk.s1_novel)
         self.mine: deque[list[int]] = deque()  # own parts not yet in the base
         self.theirs: deque[list[int]] = deque()  # arrived parts not yet in the base
-
-    def _allowed(self, last_tok: int | None, tags: bool) -> np.ndarray:
-        """Every unit except ``last_tok``, plus both tags if ``tags``."""
-        ids = self._units_tags if tags else self._units
-        if last_tok is None:
-            return ids
-        return np.concatenate((ids[:last_tok], ids[last_tok + 1 :]))
 
     def append(self, channel: int, novels: Sequence[int]) -> None:
         vocab = self.vocab
@@ -254,7 +245,7 @@ class _Agent:
 
     def sample(self, channel: int) -> Generator:
         """Draw one channel's novel tokens for the current chunk and append
-        their wire form; a generator of draw requests ``(self, allowed)``.
+        their wire form; a generator of draw requests ``(self, span)``.
 
         Channel 1 first takes a two-way draw between the tags: does it
         speak this chunk at all? If so, at least one unit follows.
@@ -264,7 +255,7 @@ class _Agent:
         vocab = self.vocab
         if channel == 0:
             self.ctx.append(vocab.tag_s0)
-        elif (yield self, self._tags) == vocab.tag_s1:
+        elif (yield self, (vocab.size, vocab.extended_size, None)) == vocab.tag_s1:
             self.ctx.append(vocab.tag_s1)
         else:
             return []
@@ -274,7 +265,9 @@ class _Agent:
             if len(novels) >= self.fpc:
                 self.truncations += 1
                 break
-            tok = yield self, self._allowed(last_tok, channel == 0 or bool(novels))
+            # the tags end a list, but channel 1 speaks at least one unit
+            hi = vocab.extended_size if channel == 0 or novels else vocab.size
+            tok = yield self, (0, hi, last_tok)
             if tok >= vocab.size:
                 break
             novels.append(tok)
@@ -326,13 +319,18 @@ _BATCH_MIN = 12
 
 def _run(agent: Generator, request: tuple | None = None):
     """The result of an agent generator, driven from its pending ``request``
-    (or its start) with one ``sample_constrained`` call per draw."""
+    (or its start) with one ``sample_span`` call per draw, or for any other
+    sampler one ``sample_constrained`` call on the span's ids."""
     try:
         request = next(agent) if request is None else request
         owner = request[0]  # every request of one agent generator is its agent's
         model, ctx, cfg, rng, send = owner.model, owner.ctx, owner.cfg, owner.rng, agent.send
+        while owner.plain:
+            request = send(sample_span(model, ctx, *request[1], rng))
         while True:
-            request = send(sample_constrained(model, ctx, request[1], cfg, rng))
+            lo, hi, skip = request[1]
+            ids = np.delete(np.arange(lo, hi), [] if skip is None else skip - lo)
+            request = send(sample_constrained(model, ctx, ids, cfg, rng))
     except StopIteration as stop:
         return stop.value
 
@@ -361,8 +359,7 @@ def _drive(sessions: list[Generator]) -> list:
         except StopIteration as stop:
             return finish(i, k, stop.value)
         owner = request[0]
-        batched = owner.cfg.temperature == 1.0 and owner.cfg.top_k is None
-        pending.setdefault(owner.model if batched else None, []).append((agent, request, i, k))
+        pending.setdefault(owner.model if owner.plain else None, []).append((agent, request, i, k))
 
     def finish(i: int, k: int, value) -> None:
         outs[i][k] = value
@@ -377,8 +374,8 @@ def _drive(sessions: list[Generator]) -> list:
             for agent, request, i, k in batch:
                 finish(i, k, _run(agent, request))
             continue
-        owners, allowed = zip(*[request for _, request, _, _ in batch])
-        drawn = sample_batch(model, [a.ctx for a in owners], allowed, [a.rng for a in owners])
+        owners, spans = zip(*[request for _, request, _, _ in batch])
+        drawn = sample_batch(model, [a.ctx for a in owners], spans, [a.rng for a in owners])
         for (agent, _, i, k), tok in zip(batch, drawn):
             advance(agent, tok, i, k)
     return outs

@@ -26,7 +26,7 @@ Model file v3 is a stream of six ``.npy`` records, written and read by
 The last three are each in the smallest unsigned type that holds them.
 ``load`` checks each column with array operations: each record is 1-D, of
 an integer dtype (``alpha`` a float one); the header is version 3 with an
-``order`` and ``vocab_ext`` that the constructor takes, ``alpha`` finite;
+``order`` and ``vocab_ext`` that the constructor takes with ``alpha``;
 codes lie in ``[0, (vocab_ext + 1) ** order)``, one per row size; sizes
 are >= 1 and sum to the length of ``tokens`` and of ``counts``; tokens lie
 in ``[0, vocab_ext)``; counts are >= 1 and sum to at most 2**53, which
@@ -34,6 +34,11 @@ keeps every total and probability exact in float64. Only ``save`` writes
 the format, so the codes, and a row's tokens, must increase strictly: rows
 out of order are rejected, not sorted. A file of an older version (JSON)
 is rejected: retrain its model.
+
+``sample_constrained`` draws from any allowed ids with any sampler;
+``sample_span`` and ``sample_batch`` (many draws in one array step) draw
+from ``[lo, hi)`` but one id or none, at temperature 1 without top_k, with
+the same bits, building only the allowed part of each row.
 """
 
 from __future__ import annotations
@@ -58,15 +63,15 @@ _RECORD_KINDS = ("iu", "f", "iu", "iu", "iu", "iu")
 @dataclass(frozen=True)
 class SamplerConfig:
     """Decoding knobs. Greedy decoding is ``top_k=1``; temperature must
-    stay positive."""
+    be finite and positive."""
 
     temperature: float = 1.0
     top_k: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
 
@@ -84,8 +89,8 @@ class NgramModel:
         if not (order <= 63 and (vocab_ext + 1) ** order <= 2**63):
             raise ValueError(f"order {order} is too large for vocab_ext {vocab_ext}: "
                              f"(vocab_ext + 1) ** order must not exceed 2**63")
-        if alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
+        if not (alpha > 0 and math.isfinite(alpha * vocab_ext)):
+            raise ValueError(f"alpha must be > 0 with alpha * vocab_ext finite, got {alpha}")
         self.order = order
         self.vocab_ext = vocab_ext
         self.alpha = alpha
@@ -136,9 +141,12 @@ class NgramModel:
         codes = (sliding_window_view(ids, self.order)[:-1] @ self._place)[predicted]
         return codes, tokens, np.ones(len(tokens), dtype=np.int64)
 
-    def next_dist(self, context: Sequence[int]) -> np.ndarray:
-        """Smoothed next-token distribution; sums to 1, all entries > 0.
-        The context holds ids in [0, vocab_ext]."""
+    def next_dist(self, context: Sequence[int], lo: int = 0, hi: int | None = None,
+                  skip: int | None = None) -> np.ndarray:
+        """Smoothed next-token distribution, all entries > 0: at every id (it
+        sums to 1), or at the ids of ``[lo, hi)`` but ``skip`` (None, or one of
+        them), built alone. The context holds ids in [0, vocab_ext]."""
+        hi = self.vocab_ext if hi is None else hi
         base = self.vocab_ext + 1
         tail = context[-self.order :]
         code = base ** (self.order - len(tail)) - 1  # begin markers: every digit base - 1
@@ -148,10 +156,13 @@ class NgramModel:
         row, alpha = rows.get(code), self.alpha
         # (count + alpha) / (total + alpha * vocab_ext) for each token
         norm = (0 if row is None else totals[row]) + alpha * self.vocab_ext
-        dist = np.full(self.vocab_ext, alpha / norm)
+        dist = np.empty(hi - lo - (skip is not None))
+        dist.fill(alpha / norm)
         if row is not None:
             for j in range(offsets[row], offsets[row + 1]):
-                dist[tokens[j]] = (freqs[j] + alpha) / norm
+                tok = tokens[j]
+                if lo <= tok < hi and tok != skip:  # ids past skip sit one place left
+                    dist[tok - lo - (skip is not None and tok > skip)] = (freqs[j] + alpha) / norm
         return dist
 
     def sequence_nll(self, sequence: Sequence[int], skip: int = 0) -> tuple[float, int]:
@@ -307,23 +318,15 @@ def train(
     return model
 
 
-def _apply_sampler(
-    probs: np.ndarray, indices: np.ndarray, cfg: SamplerConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    # Rank with stable index tie-breaking so top_k (and the greedy k=1
-    # case) is deterministic.
-    if cfg.top_k is not None and cfg.top_k < len(indices):
-        keep = np.sort(np.lexsort((indices, -probs))[: cfg.top_k])
-        probs = probs[keep]
-        indices = indices[keep]
-    if cfg.temperature != 1.0:
-        # a temperature so small that the logits overflow gives NaN, which
-        # the caller rejects; numpy need not warn about it on the way
-        with np.errstate(over="ignore", invalid="ignore"):
-            logits = np.log(probs) / cfg.temperature
-            logits -= logits.max()
-            probs = np.exp(logits)
-    return probs / probs.sum(), indices
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn from ``probs``, normalised in place, with one ``rng.random()``:
+    ``rng.choice(len(probs), p=probs)``'s arithmetic without its per-call checks."""
+    probs /= probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    if not cdf[-1] > 0:  # NaN from a temperature so small the logits overflow
+        raise ValueError("sampling distribution is not finite")
+    return int(cdf.searchsorted(rng.random(), "right"))
 
 
 def sample_constrained(
@@ -347,29 +350,47 @@ def sample_constrained(
         raise ValueError("allowed token set is empty")
     if len(indices) == 1:
         return int(indices[0])
-    dist = model.next_dist(context)[indices]
-    probs, indices = _apply_sampler(dist, indices, cfg)
-    if len(indices) == 1:
-        return int(indices[0])
+    probs = model.next_dist(context)[indices]
+    if cfg.top_k is not None and cfg.top_k < len(indices):
+        # rank with stable index tie-breaking, so top_k (and greedy k=1) is deterministic
+        keep = np.sort(np.lexsort((indices, -probs))[: cfg.top_k])
+        probs, indices = probs[keep], indices[keep]
+        if len(indices) == 1:
+            return int(indices[0])
+    if cfg.temperature != 1.0:
+        # a temperature so small that the logits overflow gives NaN, which
+        # _draw rejects; numpy need not warn about it on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = np.log(probs) / cfg.temperature
+            logits -= logits.max()
+            probs = np.exp(logits)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    # Inverse-CDF draw, the same arithmetic and RNG use as
-    # ``rng.choice(len(indices), p=probs)`` without its per-call checks.
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    if not cdf[-1] > 0:  # NaN from a temperature so small the logits overflow
-        raise ValueError("sampling distribution is not finite")
-    return int(indices[cdf.searchsorted(rng.random(), "right")])
+    return int(indices[_draw(probs, rng)])
 
 
-def sample_batch(model: NgramModel, contexts: Sequence[list[int]], allowed: Sequence[np.ndarray],
+def sample_span(model: NgramModel, context: Sequence[int], lo: int, hi: int,
+                skip: int | None, rng: np.random.Generator) -> int:
+    """``sample_constrained(model, context, ids, SamplerConfig(), rng)`` for the
+    ids of ``[lo, hi)`` other than ``skip`` (None, or an id in the range), bit for
+    bit and with the same RNG use, from only the allowed part of the row."""
+    n = hi - lo - (skip is not None)
+    if n < 1:
+        raise ValueError("allowed token set is empty")
+    i = 0 if n == 1 else _draw(model.next_dist(context, lo, hi, skip), rng)
+    return lo + i + (skip is not None and lo + i >= skip)
+
+
+def sample_batch(model: NgramModel, contexts: Sequence[list[int]],
+                 spans: Sequence[tuple[int, int, int | None]],
                  rngs: Sequence[np.random.Generator]) -> list[int]:
-    """``sample_constrained(model, contexts[i], allowed[i], SamplerConfig(), rngs[i])``
-    for each i in one array step, bit for bit and with the same RNG use; each
-    ``allowed[i]`` is sorted int64, and no two draws share an RNG. Draws are grouped
-    by allowed-set length, as only a compact row sums to the 1-D call's bits."""
+    """``sample_span(model, contexts[i], *spans[i], rngs[i])`` for each i in one
+    array step, bit for bit and with the same RNG use; no two draws share an RNG.
+    Draws are grouped by allowed-set length, as only a compact row sums to the
+    1-D call's bits."""
     order, n, alpha = model.order, len(contexts), model.alpha
-    if not all(map(len, allowed)):
+    sizes = [hi - lo - (skip is not None) for lo, hi, skip in spans]
+    if min(sizes, default=1) < 1:
         raise ValueError("allowed token set is empty")
     tails = [[model.bos] * (order - len(t)) + t for t in (ctx[-order:] for ctx in contexts)]
     codes = np.array(tails, dtype=np.int64) @ model._place
@@ -386,10 +407,14 @@ def sample_batch(model: NgramModel, contexts: Sequence[list[int]], allowed: Sequ
     dense[owner, model.tokens[entry]] = (model.freqs[entry] + alpha) / norm[owner]
     drawn: dict[int, int] = {}
     groups: dict[int, list[int]] = {}
-    for i, ids in enumerate(allowed):
-        groups.setdefault(len(ids), []).append(i)
+    for i, size in enumerate(sizes):
+        groups.setdefault(size, []).append(i)
     for size, members in groups.items():
-        ids = np.array([allowed[i] for i in members])
+        # each span's ids: lo + k, plus 1 from its skip on (from hi, never, without one)
+        starts, cuts = np.array([(spans[i][0], spans[i][1] if spans[i][2] is None
+                                  else spans[i][2]) for i in members]).T
+        ids = starts[:, None] + np.arange(size)
+        ids += ids >= cuts[:, None]
         probs = dense[np.array(members)[:, None], ids]
         probs /= probs.sum(axis=1, keepdims=True)
         cdf = probs.cumsum(axis=1)
@@ -399,16 +424,6 @@ def sample_batch(model: NgramModel, contexts: Sequence[list[int]], allowed: Sequ
         tokens = ids[np.arange(len(members)), (cdf <= u[:, None]).sum(axis=1)]
         drawn.update(zip(members, tokens.tolist()))
     return [drawn[i] for i in range(n)]
-
-
-def sample_next(
-    model: NgramModel,
-    context: Sequence[int],
-    cfg: SamplerConfig,
-    rng: np.random.Generator | None = None,
-) -> int:
-    """Sample from the full extended vocabulary."""
-    return sample_constrained(model, context, range(model.vocab_ext), cfg, rng)
 
 
 def perplexity(model: NgramModel, sequence: Sequence[int], skip: int = 0) -> float:

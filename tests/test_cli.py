@@ -64,6 +64,20 @@ class TestSynth:
         assert set(rec) == {"id", "frame_ms", "vocab", "silence", "channels"}
         assert len(rec["channels"][0]) == len(rec["channels"][1]) == 200
 
+    def test_stats_of_no_events_are_null(self, tmp_path):
+        # an 800 ms dialogue is one IPU, with no pause and no floor transfer
+        stats = tmp_path / "stats.json"
+        assert main(["synth", "--count", "1", "--duration-ms", "800", "--out",
+                     str(tmp_path / "c.jsonl"), "--stats-out", str(stats)]) == 0
+
+        def non_json(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        payload = json.loads(stats.read_text(), parse_constant=non_json)
+        assert payload["event_counts"] == {"fto": 0, "ipu": 1, "pause": 0}
+        assert payload["event_means_ms"] == {"fto": None, "ipu": 800.0, "pause": None}
+        assert payload["event_stds_ms"] == {"fto": None, "ipu": 0.0, "pause": None}
+
     def test_count_zero_gives_empty_file(self, tmp_path):
         path = synth(tmp_path, count=0)
         assert path.read_text() == ""
@@ -396,6 +410,7 @@ MODEL_MUTATIONS = {
     "order_str": (_as("header", "U5"), KIND_IU),
     "alpha_str": (_as("alpha", "U5"), "not a 1-D array of kind f"),
     "alpha_inf": (_set("alpha", [np.inf]), "one finite 'alpha'"),
+    "alpha_past_norm": (_set("alpha", [1e308]), "alpha * vocab_ext finite"),
     "vocab_ext_float": (_as("header", np.float64), KIND_IU),
     "version_1": (_json_file(1), "retrain"),
     "version_str": (_as("header", object), "has dtype object"),
@@ -747,6 +762,32 @@ class TestInputBoundaries:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "ValueError"
         assert not out.exists()
+
+    # inf and 1e308 * vocab_ext overflow every norm, NaN fails every comparison;
+    # each used to write a model
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "1e308"])
+    def test_train_alpha_keeps_norms_finite(self, world, alpha, tmp_path, capsys):
+        corpus, _ = world
+        out = tmp_path / "model.json"
+        assert main(["train", "--corpus", str(corpus), "--alpha", alpha,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ValueError"
+        assert not out.exists()
+
+    # an infinite temperature used to be written as the non-JSON Infinity, and
+    # a NaN one to fail only at the first draw
+    @pytest.mark.parametrize("command", ["continue", "interact"])
+    @pytest.mark.parametrize("temperature", ["inf", "nan"])
+    def test_temperature_is_finite(self, world, command, temperature, tmp_path, capsys):
+        clean, model = world
+        argv, outputs = self._commands(clean, clean, model, tmp_path / "out")[command]
+        assert main(argv + ["--temperature", temperature]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ValueError"
+        assert not any(path.exists() for path in outputs)
 
     @pytest.mark.parametrize("where", ["--generated", "--reference", "train", "continue",
                                        "interact", "eval-ppl"])

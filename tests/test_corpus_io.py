@@ -44,6 +44,15 @@ def test_exact_bytes(tmp_path):
     assert path.read_bytes() == b'x,y\n1,"a,b"\n'
 
 
+# NaN and Infinity are not JSON: writing one raises before any file is opened
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("indent", [None, 2])
+def test_non_finite_float_is_not_written(value, indent, tmp_path):
+    with pytest.raises(ValueError):
+        corpus_io.write_json(tmp_path / "out", {"a": [1.0, value]}, indent=indent)
+    assert os.listdir(tmp_path) == []
+
+
 def test_failed_write_leaves_directory_unchanged(tmp_path):
     target = tmp_path / "corpus.jsonl"
     target.write_text("old\n")

@@ -64,6 +64,7 @@ def no_draws(monkeypatch):
         raise AssertionError("a token was drawn")
 
     monkeypatch.setattr("duplexsim.interaction.sample_constrained", no_draw)
+    monkeypatch.setattr("duplexsim.interaction.sample_span", no_draw)
     monkeypatch.setattr("duplexsim.interaction.sample_batch", no_draw)
 
 
@@ -260,6 +261,7 @@ class TestSimulateScripted:
             raise AssertionError("a step drew a token")
 
         monkeypatch.setattr("duplexsim.interaction.sample_constrained", no_draw)
+        monkeypatch.setattr("duplexsim.interaction.sample_span", no_draw)
         cfg = InteractionConfig(latency_chunks=1, max_chunks=10)
         chunks = (*script.chunks[:4], DedupChunk((), s1), *script.chunks[5:])
         with pytest.raises(MalformedSequence, match="chunk 4 channel 1"):

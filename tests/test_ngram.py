@@ -12,10 +12,9 @@ from duplexsim import (
     corpus_perplexity,
     perplexity,
     sample_constrained,
-    sample_next,
     train,
 )
-from duplexsim.ngram import sample_batch
+from duplexsim.ngram import sample_batch, sample_span
 from duplexsim.errors import EmptyCorpus, EmptySequence, ModelFormatError
 
 import oracles
@@ -64,6 +63,14 @@ class TestTrain:
         else:
             with pytest.raises(ValueError, match="too large"):
                 NgramModel(order=order, vocab_ext=vocab_ext)
+
+    # every norm, total + alpha * vocab_ext, must be finite: each of these was
+    # trained and saved, and 1e308 then failed eval with a math domain error
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 1e308])
+    def test_alpha_keeps_norms_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            train([[0, 1, 2]], order=1, alpha=alpha, vocab_ext=4)
+        assert NgramModel(order=1, vocab_ext=4, alpha=1e307).alpha == 1e307
 
 
 def _rows(model):
@@ -168,7 +175,7 @@ class TestSampling:
         model = train(parse_corpus(["1 2 1 2 1 2"]), order=1, alpha=0.1, vocab_ext=4)
         cfg = SamplerConfig(temperature=1e-9, seed=5)
         rng = np.random.default_rng(cfg.seed)
-        tok = sample_next(model, [1], cfg, rng)
+        tok = sample_constrained(model, [1], range(model.vocab_ext), cfg, rng)
         assert tok == int(np.argmax(model.next_dist([1])))
 
     def test_overflowing_temperature_raises(self):
@@ -176,19 +183,21 @@ class TestSampling:
         model = train(parse_corpus(["1 2 1 2 1 2"]), order=1, alpha=0.1, vocab_ext=4)
         cfg = SamplerConfig(temperature=1e-310, seed=5)
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError):
-            sample_next(model, [1], cfg, np.random.default_rng(cfg.seed))
+            sample_constrained(model, [1], range(model.vocab_ext), cfg,
+                               np.random.default_rng(cfg.seed))
 
     def test_greedy_top_k_one(self):
         model = train(parse_corpus(["1 2 1 2 1 2"]), order=1, alpha=0.1, vocab_ext=4)
         cfg = SamplerConfig(top_k=1, seed=0)
-        assert sample_next(model, [1], cfg) == 2
+        assert sample_constrained(model, [1], range(model.vocab_ext), cfg) == 2
 
     def test_same_seed_same_samples(self):
         model = train(parse_corpus(["0 1 2 3 0 1 2 3"]), order=2, alpha=0.5, vocab_ext=4)
         def run(seed):
             cfg = SamplerConfig(seed=seed)
             rng = np.random.default_rng(cfg.seed)
-            return [sample_next(model, [0, 1], cfg, rng) for _ in range(50)]
+            return [sample_constrained(model, [0, 1], range(model.vocab_ext), cfg, rng)
+                    for _ in range(50)]
         assert run(9) == run(9)
         assert run(9) != run(10)
 
@@ -198,7 +207,8 @@ class TestSampling:
         dist = model.next_dist(ctx)
         cfg = SamplerConfig(seed=123)
         rng = np.random.default_rng(cfg.seed)
-        draws = np.array([sample_next(model, ctx, cfg, rng) for _ in range(100_000)])
+        draws = np.array([sample_constrained(model, ctx, range(model.vocab_ext), cfg, rng)
+                          for _ in range(100_000)])
         for tok in range(4):
             freq = float(np.mean(draws == tok))
             assert abs(freq - dist[tok]) < 0.01
@@ -235,6 +245,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             SamplerConfig(top_k=0)
 
+    # an infinite temperature was written to transcripts as the non-JSON
+    # Infinity, and a NaN one failed only at the first draw
+    @pytest.mark.parametrize("temperature", [math.inf, math.nan, -math.inf])
+    def test_temperature_must_be_finite(self, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            SamplerConfig(temperature=temperature)
+
 
 def test_numpy_row_reductions_match_1d_calls():
     """sample_batch relies on this numpy behaviour; a numpy upgrade that
@@ -256,25 +273,96 @@ def test_numpy_row_reductions_match_1d_calls():
         assert counts.tolist() == [int(c.searchsorted(x, "right")) for c, x in zip(cdfs, u)]
 
 
-class TestSampleBatch:
-    """sample_batch against one sample_constrained call per draw."""
+def span_ids(lo, hi, skip):
+    """The ids of ``[lo, hi)`` other than ``skip``, built one by one."""
+    return np.array([t for t in range(lo, hi) if t != skip], dtype=np.int64)
+
+
+def agent_spans(units):
+    """The spans the agent draws from: the two tags, or the units with or
+    without the tags, with or without the channel's last novel unit."""
+    last = st.one_of(st.none(), st.just(0), st.just(units - 1), st.integers(0, units - 1))
+    return st.one_of(st.just((units, units + 2, None)),
+                     st.tuples(st.just(0), st.sampled_from([units, units + 2]), last))
+
+
+def any_spans(vocab_ext):
+    """Any span within the vocabulary, empty and one-id ones included."""
+    bounds = st.tuples(st.integers(0, vocab_ext), st.integers(0, vocab_ext)).map(sorted)
+    return bounds.flatmap(lambda b: st.tuples(
+        st.just(b[0]), st.just(b[1]),
+        st.one_of(st.none(), st.integers(b[0], b[1] - 1)) if b[1] > b[0] else st.none()))
+
+
+def span_models(data, units, order, alpha):
+    """A model trained on a drawn corpus over ``units`` units and two tags,
+    or an untrained one, and the corpus."""
+    vocab_ext = units + 2
+    corpus = data.draw(st.lists(st.lists(st.integers(0, vocab_ext - 1), max_size=40),
+                                min_size=1, max_size=4))
+    if data.draw(st.integers(0, 9)) == 0:
+        return NgramModel(order=order, vocab_ext=vocab_ext, alpha=alpha), corpus
+    return train(corpus, order=order, alpha=alpha, vocab_ext=vocab_ext), corpus
+
+
+def contexts(model, corpus):
+    """Seen contexts, unseen ones (one ending in the begin marker is never
+    seen past order 1) and ones shorter than the order."""
+    return st.one_of(st.lists(st.integers(0, model.vocab_ext - 1), max_size=model.order + 3),
+                     st.sampled_from(corpus).map(lambda seq: seq[: len(seq) // 2]),
+                     st.lists(st.integers(0, model.vocab_ext - 1), min_size=1)
+                     .map(lambda seq: seq + [model.bos]))
+
+
+class TestSampleSpan:
+    """sample_span against sample_constrained on the span's ids, on twin RNGs."""
 
     @staticmethod
-    def allowed_sets(units, data, n):
-        """The agent's allowed sets: the two tags, or the units with or
-        without the tags and with or without the channel's last novel."""
-        sets = []
-        for _ in range(n):
-            shape = data.draw(st.sampled_from(["tags", "units", "units_tags"]))
-            if shape == "tags":
-                sets.append(np.arange(units, units + 2))
-                continue
-            ids = np.arange(units + 2 * (shape == "units_tags"))
-            last = data.draw(st.one_of(st.none(), st.integers(0, units - 1)))
-            if last is not None:
-                ids = np.delete(ids, last)
-            sets.append(ids if len(ids) else np.arange(units, units + 2))
-        return sets
+    def assert_twins(model, context, span, seed):
+        fused, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+        ids = span_ids(*span)
+        if len(ids):
+            tok = sample_span(model, context, *span, fused)
+            assert type(tok) is int
+            assert tok == sample_constrained(model, context, ids, SamplerConfig(), plain)
+        else:
+            with pytest.raises(ValueError, match="empty"):
+                sample_span(model, context, *span, fused)
+            with pytest.raises(ValueError, match="empty"):
+                sample_constrained(model, context, ids, SamplerConfig(), plain)
+        assert fused.bit_generator.state == plain.bit_generator.state
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.sampled_from([0.001, 0.1, 1.0]),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_sample_constrained(self, units, order, alpha, data):
+        model, corpus = span_models(data, units, order, alpha)
+        for _ in range(8):
+            span = data.draw(st.one_of(agent_spans(units), any_spans(model.vocab_ext)))
+            self.assert_twins(model, data.draw(contexts(model, corpus)), span,
+                              data.draw(st.integers(0, 2**32)))
+
+    # 6 units and 2 tags: every named span, after a seen and an unseen context
+    @pytest.mark.parametrize("span", [
+        (0, 8, 0), (0, 8, 5), (0, 8, None), (0, 6, 0), (0, 6, 5), (0, 6, None), (6, 8, None),
+        (3, 4, None), (3, 5, 3), (3, 5, 4), (8, 8, None), (2, 3, 2)],
+        ids=["tags_skip_0", "tags_skip_last_unit", "tags_no_skip", "units_skip_0",
+             "units_skip_last_unit", "units_no_skip", "tags_only", "one_id", "one_id_skip_lo",
+             "one_id_skip_hi", "empty", "empty_by_skip"])
+    @pytest.mark.parametrize("context", [[0, 1], [7, 7]], ids=["seen", "unseen"])
+    def test_named_spans(self, span, context):
+        model = train([[0, 1, 2, 0, 1, 3, 6, 4, 0, 1, 5, 7]], order=2, alpha=0.1, vocab_ext=8)
+        assert (context[0] * 9 + context[1] in model.codes) == (context == [0, 1])
+        for seed in range(40):
+            self.assert_twins(model, context, span, seed)
+
+
+class TestSampleBatch:
+    """sample_batch against one sample_constrained call per draw."""
 
     @given(
         st.integers(1, 6),
@@ -284,24 +372,18 @@ class TestSampleBatch:
     )
     @settings(max_examples=80, deadline=None)
     def test_draws_equal_sample_constrained(self, units, order, alpha, data):
-        vocab_ext = units + 2
-        corpus = data.draw(st.lists(st.lists(st.integers(0, vocab_ext - 1), max_size=40),
-                                    min_size=1, max_size=4))
-        model = train(corpus, order=order, alpha=alpha, vocab_ext=vocab_ext)
+        model, corpus = span_models(data, units, order, alpha)
         n = data.draw(st.integers(1, 20))
         seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=n, max_size=n))
         batch_rngs = [np.random.default_rng(seed) for seed in seeds]
         one_rngs = [np.random.default_rng(seed) for seed in seeds]
         for _ in range(3):  # each RNG draws again, in order
-            # seen contexts, unseen ones and ones shorter than the order
-            contexts = [data.draw(st.one_of(
-                st.lists(st.integers(0, vocab_ext - 1), max_size=order + 3),
-                st.sampled_from(corpus).map(lambda seq: seq[: len(seq) // 2])))
-                for _ in range(n)]
-            allowed = self.allowed_sets(units, data, n)
-            drawn = sample_batch(model, contexts, allowed, batch_rngs)
-            assert drawn == [sample_constrained(model, ctx, ids, SamplerConfig(), rng)
-                             for ctx, ids, rng in zip(contexts, allowed, one_rngs)]
+            ctxs = [data.draw(contexts(model, corpus)) for _ in range(n)]
+            spans = [data.draw(st.one_of(agent_spans(units), any_spans(model.vocab_ext))
+                               .filter(lambda span: len(span_ids(*span)))) for _ in range(n)]
+            drawn = sample_batch(model, ctxs, spans, batch_rngs)
+            assert drawn == [sample_constrained(model, ctx, span_ids(*span), SamplerConfig(), rng)
+                             for ctx, span, rng in zip(ctxs, spans, one_rngs)]
             assert all(type(tok) is int for tok in drawn)
             assert [r.bit_generator.state for r in batch_rngs] == [
                 r.bit_generator.state for r in one_rngs]
@@ -309,12 +391,14 @@ class TestSampleBatch:
     def test_untrained_model_and_empty_set(self):
         model = NgramModel(order=2, vocab_ext=4)
         rngs = [np.random.default_rng(k) for k in range(3)]
-        sets = [np.arange(4), np.arange(2, 4), np.array([1])]
-        assert sample_batch(model, [[], [3], [0, 1, 2]], sets, rngs) == [
-            sample_constrained(model, [], ids, SamplerConfig(), np.random.default_rng(k))
-            for k, ids in enumerate(sets)]
-        with pytest.raises(ValueError, match="empty"):
-            sample_batch(model, [[0], [1]], [np.arange(4), np.arange(0)], rngs[:2])
+        spans = [(0, 4, None), (2, 4, None), (0, 2, 0)]
+        assert sample_batch(model, [[], [3], [0, 1, 2]], spans, rngs) == [
+            sample_constrained(model, [], span_ids(*span), SamplerConfig(),
+                               np.random.default_rng(k))
+            for k, span in enumerate(spans)]
+        for empty in [(2, 2, None), (1, 2, 1)]:
+            with pytest.raises(ValueError, match="empty"):
+                sample_batch(model, [[0], [1]], [(0, 4, None), empty], rngs[:2])
 
 
 class TestPerplexity:
