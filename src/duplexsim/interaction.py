@@ -39,8 +39,10 @@ its runs together: a run yields the agents to run next, both at once at a
 latency of one chunk or more (their RNGs are separate, and neither needs
 the other's current chunk). The pending draws of one model at temperature
 1 without top_k go to ``ngram.sample_batch`` in one array step if there are
-at least ``_BATCH_MIN``, and else to ``sample_span`` one at a time; other
-samplers draw through ``sample_constrained``. All give the same bits.
+at least ``_BATCH_MIN`` (12, between the kernel's measured crossovers of
+about 10 draws at 26 symbols and 16 at 503), and else to ``sample_span`` one
+at a time; other samplers draw through ``sample_constrained``. All give the
+same bits.
 """
 
 from __future__ import annotations
@@ -313,7 +315,8 @@ class _Agent:
         return novels, estimates, mark, window
 
 
-# the measured crossover (see CHANGES.md): fewer draws cost more in the kernel
+# below the kernel's measured crossover (see CHANGES.md), about 10 draws at 26
+# symbols and 16 at 503, one sample_span call per draw costs less
 _BATCH_MIN = 12
 
 

@@ -36,16 +36,22 @@ out of order are rejected, not sorted. A file of an older version (JSON)
 is rejected: retrain its model.
 
 ``sample_constrained`` draws from any allowed ids with any sampler;
-``sample_span`` and ``sample_batch`` (many draws in one array step) draw
-from ``[lo, hi)`` but one id or none, at temperature 1 without top_k, with
-the same bits, building only the allowed part of each row.
+``sample_span`` and ``sample_batch`` draw from ``[lo, hi)`` but one id or
+none, at temperature 1 without top_k, with the same bits, building only the
+allowed part of each row. ``sample_batch`` makes many draws in one padded
+pass: one matrix holds every draw's allowed row, zero-padded to the widest,
+and each step runs once for all rows but the row sum. That runs once per
+allowed-set length, as numpy's pairwise sum of a row depends on its length;
+a cumulative sum does not, so zero padding leaves its bits as they are.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -89,8 +95,14 @@ class NgramModel:
         if not (order <= 63 and (vocab_ext + 1) ** order <= 2**63):
             raise ValueError(f"order {order} is too large for vocab_ext {vocab_ext}: "
                              f"(vocab_ext + 1) ** order must not exceed 2**63")
-        if not (alpha > 0 and math.isfinite(alpha * vocab_ext)):
-            raise ValueError(f"alpha must be > 0 with alpha * vocab_ext finite, got {alpha}")
+        # every probability is at least alpha / (2**53 + alpha * vocab_ext), 2**53
+        # being load's cap on a row total; a normal one keeps each log, and so a
+        # mean negative log-likelihood (<= 708.4), and its exp finite
+        if not (alpha > 0 and math.isfinite(alpha * vocab_ext)
+                and alpha / (2**53 + alpha * vocab_ext) >= sys.float_info.min):
+            raise ValueError(f"alpha must be > 0 with alpha * vocab_ext finite and "
+                             f"alpha / (2**53 + alpha * vocab_ext) >= {sys.float_info.min}, "
+                             f"got {alpha}")
         self.order = order
         self.vocab_ext = vocab_ext
         self.alpha = alpha
@@ -386,44 +398,56 @@ def sample_batch(model: NgramModel, contexts: Sequence[list[int]],
                  rngs: Sequence[np.random.Generator]) -> list[int]:
     """``sample_span(model, contexts[i], *spans[i], rngs[i])`` for each i in one
     array step, bit for bit and with the same RNG use; no two draws share an RNG.
-    Draws are grouped by allowed-set length, as only a compact row sums to the
-    1-D call's bits."""
+
+    Row i of one matrix, zero-padded to the widest span, holds draw i's
+    allowed row as ``next_dist(contexts[i], *spans[i])`` builds it, its seen
+    entries scattered straight to their columns. Only the row sum runs once
+    per allowed-set length, over each row's first ``size`` columns: numpy's
+    pairwise sum splits a row by its length, so padding would change its
+    bits. The rest runs once for all rows. The cumulative sum adds left to
+    right, so the zeros leave each prefix's bits as they are; after the
+    divide by the last column, which is each row's last real entry, the
+    padding reads 1.0, which no ``u < 1`` counts."""
     order, n, alpha = model.order, len(contexts), model.alpha
     sizes = [hi - lo - (skip is not None) for lo, hi, skip in spans]
     if min(sizes, default=1) < 1:
         raise ValueError("allowed token set is empty")
-    tails = [[model.bos] * (order - len(t)) + t for t in (ctx[-order:] for ctx in contexts)]
-    codes = np.array(tails, dtype=np.int64) @ model._place
-    lo = hi = totals = np.zeros(n, dtype=np.int64)
+    tails = [ctx[-order:] for ctx in contexts]
+    if min(map(len, tails)) < order:  # a short context follows begin markers
+        tails = [[model.bos] * (order - len(t)) + t for t in tails]
+    ids = np.fromiter(chain.from_iterable(tails), np.int64, n * order)
+    codes = ids.reshape(n, order) @ model._place
+    start = end = totals = np.zeros(n, dtype=np.int64)
     if len(model.codes):
         row = model.codes.searchsorted(codes)
         seen = model.codes.take(row, mode="clip") == codes
-        lo, hi = model.offsets[row], model.offsets[row + seen]  # an unseen row is empty
+        start, end = model.offsets[row], model.offsets[row + seen]  # an unseen row is empty
         totals = np.where(seen, model.row_totals.take(row, mode="clip"), 0)
+    # each span's ids are lo + k, plus 1 from its skip on (from hi, never, without one)
+    lo = np.fromiter([span[0] for span in spans], np.int64, n)
+    cut = np.fromiter([hi if skip is None else skip for _, hi, skip in spans], np.int64, n)
+    width = np.array(sizes)
     norm = totals + alpha * model.vocab_ext
-    dense = np.repeat((alpha / norm)[:, None], model.vocab_ext, axis=1)  # as next_dist does
-    owner = np.repeat(np.arange(n), hi - lo)
-    entry = np.arange(len(owner)) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)
-    dense[owner, model.tokens[entry]] = (model.freqs[entry] + alpha) / norm[owner]
-    drawn: dict[int, int] = {}
-    groups: dict[int, list[int]] = {}
-    for i, size in enumerate(sizes):
-        groups.setdefault(size, []).append(i)
-    for size, members in groups.items():
-        # each span's ids: lo + k, plus 1 from its skip on (from hi, never, without one)
-        starts, cuts = np.array([(spans[i][0], spans[i][1] if spans[i][2] is None
-                                  else spans[i][2]) for i in members]).T
-        ids = starts[:, None] + np.arange(size)
-        ids += ids >= cuts[:, None]
-        probs = dense[np.array(members)[:, None], ids]
-        probs /= probs.sum(axis=1, keepdims=True)
-        cdf = probs.cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-        # one draw per RNG (none for a single id); counting cdf <= u is searchsorted(u, "right")
-        u = np.array([rngs[i].random() if size > 1 else 0.0 for i in members])
-        tokens = ids[np.arange(len(members)), (cdf <= u[:, None]).sum(axis=1)]
-        drawn.update(zip(members, tokens.tolist()))
-    return [drawn[i] for i in range(n)]
+    probs = np.where(np.arange(width.max()) < width[:, None], (alpha / norm)[:, None], 0.0)
+    count = end - start
+    owner = np.repeat(np.arange(n), count)
+    entry = np.arange(len(owner)) + np.repeat(end - np.cumsum(count), count)
+    # a seen token's column, if it is allowed: tok - lo, less 1 past the skip
+    tok, at_lo, at_cut = model.tokens[entry], lo[owner], cut[owner]
+    col = tok - at_lo - (tok > at_cut)
+    inside = (tok >= at_lo) & (col < width[owner]) & (tok != at_cut)
+    owner, entry = owner[inside], entry[inside]
+    probs[owner, col[inside]] = (model.freqs[entry] + alpha) / norm[owner]
+    total = np.empty(n)
+    for size in set(sizes):
+        np.copyto(total, probs[:, :size].sum(axis=1), where=width == size)
+    probs /= total[:, None]
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]  # each row's last real entry, as the padding adds 0.0
+    # one draw per RNG (none for a single id); counting cdf <= u is searchsorted(u, "right")
+    u = np.array([rng.random() if size > 1 else 0.0 for rng, size in zip(rngs, sizes)])
+    k = lo + (cdf <= u[:, None]).sum(axis=1)
+    return (k + (k >= cut)).tolist()
 
 
 def perplexity(model: NgramModel, sequence: Sequence[int], skip: int = 0) -> float:

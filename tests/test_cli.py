@@ -411,6 +411,7 @@ MODEL_MUTATIONS = {
     "alpha_str": (_as("alpha", "U5"), "not a 1-D array of kind f"),
     "alpha_inf": (_set("alpha", [np.inf]), "one finite 'alpha'"),
     "alpha_past_norm": (_set("alpha", [1e308]), "alpha * vocab_ext finite"),
+    "alpha_underflow": (_set("alpha", [1e-300]), "alpha / (2**53 + alpha * vocab_ext)"),
     "vocab_ext_float": (_as("header", np.float64), KIND_IU),
     "version_1": (_json_file(1), "retrain"),
     "version_str": (_as("header", object), "has dtype object"),
@@ -763,9 +764,11 @@ class TestInputBoundaries:
         assert json.loads(err)["error"] == "ValueError"
         assert not out.exists()
 
-    # inf and 1e308 * vocab_ext overflow every norm, NaN fails every comparison;
-    # each used to write a model
-    @pytest.mark.parametrize("alpha", ["inf", "nan", "1e308"])
+    # inf and 1e308 * vocab_ext overflow every norm, NaN fails every comparison,
+    # and 5e-324 and 1e-315 give probabilities that are not normal floats (eval
+    # failed with a math domain error, and with an OverflowError and a
+    # traceback); each used to write a model
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "1e308", "5e-324", "1e-315"])
     def test_train_alpha_keeps_norms_finite(self, world, alpha, tmp_path, capsys):
         corpus, _ = world
         out = tmp_path / "model.json"

@@ -64,13 +64,22 @@ class TestTrain:
             with pytest.raises(ValueError, match="too large"):
                 NgramModel(order=order, vocab_ext=vocab_ext)
 
-    # every norm, total + alpha * vocab_ext, must be finite: each of these was
-    # trained and saved, and 1e308 then failed eval with a math domain error
-    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 1e308])
+    # every norm, total + alpha * vocab_ext, must be finite, and every
+    # probability a normal float: each of these was trained and saved; eval
+    # then failed on 1e308 and 5e-324 with a math domain error, and on 1e-315
+    # with an OverflowError from math.exp. The last is the largest alpha rejected.
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 1e308, 5e-324, 1e-315,
+                                       2.0041683600089723e-292])
     def test_alpha_keeps_norms_finite(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             train([[0, 1, 2]], order=1, alpha=alpha, vocab_ext=4)
         assert NgramModel(order=1, vocab_ext=4, alpha=1e307).alpha == 1e307
+
+    def test_smallest_alpha_keeps_perplexity_finite(self):
+        model = NgramModel(order=1, vocab_ext=4, alpha=2.0041683600089726e-292)
+        # a row total of 2**53, the most load accepts, gives the smallest probability
+        model._set_rows(np.array([0]), np.array([0, 1]), np.array([1]), np.array([2**53]))
+        assert 1e300 < perplexity(model, [0] * 601) < math.inf
 
 
 def _rows(model):
@@ -257,7 +266,11 @@ def test_numpy_row_reductions_match_1d_calls():
     """sample_batch relies on this numpy behaviour; a numpy upgrade that
     breaks it fails here before any golden digest does. On contiguous
     float64 rows, sum and cumsum along axis 1 give each row the bits of the
-    1-D call, and counting entries <= u is searchsorted(u, "right")."""
+    1-D call, and counting entries <= u is searchsorted(u, "right"). On rows
+    of other lengths zero-padded to one width, the sum of each row's first
+    ``size`` columns, taken per length, is the compact row's 1-D sum; the
+    cumsum's first ``size`` columns are the compact row's cumsum; and after
+    the divide by the last column the padding reads 1.0, so no u < 1 counts it."""
     rng = np.random.default_rng(11)
     for n in range(2, 1001):
         rows = int(rng.integers(1, 65))
@@ -271,6 +284,27 @@ def test_numpy_row_reductions_match_1d_calls():
         u[0] = cdfs[0, rng.integers(n)]  # a tie counts the entry, as "right" does
         counts = (cdfs <= u[:, None]).sum(axis=1)
         assert counts.tolist() == [int(c.searchsorted(x, "right")) for c, x in zip(cdfs, u)]
+        # the padded pass: row r is probs[r, :sizes[r]] and zeros up to width n
+        sizes = rng.integers(1, n + 1, rows)
+        sizes[0] = n
+        padded = np.where(np.arange(n) < sizes[:, None], probs, 0.0)
+        compact = [probs[r, :size].copy() for r, size in enumerate(sizes)]
+        for size in set(sizes.tolist()):
+            members = np.flatnonzero(sizes == size)
+            one_d = [compact[r].sum() for r in members]
+            assert np.array_equal(padded[members, :size].sum(axis=1), one_d)
+            assert np.array_equal(padded[:, :size].sum(axis=1)[members], one_d)
+        cdfs = padded.cumsum(axis=1)
+        assert all(np.array_equal(cdfs[r, :size], compact[r].cumsum())
+                   for r, size in enumerate(sizes))
+        cdfs /= cdfs[:, -1:]
+        u = rng.random(rows)
+        counts = (cdfs <= u[:, None]).sum(axis=1)
+        for r, size in enumerate(sizes):
+            cdf = compact[r].cumsum()
+            cdf /= cdf[-1]
+            assert np.array_equal(cdfs[r, :size], cdf) and np.all(cdfs[r, size:] == 1.0)
+            assert counts[r] == cdf.searchsorted(u[r], "right") < size
 
 
 def span_ids(lo, hi, skip):
@@ -361,6 +395,16 @@ class TestSampleSpan:
             self.assert_twins(model, context, span, seed)
 
 
+class FixedDraws:
+    """Stands in for a Generator whose ``random()`` returns ``values`` in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
 class TestSampleBatch:
     """sample_batch against one sample_constrained call per draw."""
 
@@ -387,6 +431,36 @@ class TestSampleBatch:
             assert all(type(tok) is int for tok in drawn)
             assert [r.bit_generator.state for r in batch_rngs] == [
                 r.bit_generator.state for r in one_rngs]
+
+    def test_draws_on_cdf_entries(self):
+        """Each u is an entry of the draw's own cdf, as sample_constrained
+        builds it, or the float below one: an entry a bit off moves the draw.
+        The spans of 40 units and 2 tags make rows of many lengths, most past
+        the 8 entries below which numpy's pairwise sum runs in order."""
+        gen = np.random.default_rng(5)
+        units = 40
+        corpus = [gen.integers(0, units + 2, 400).tolist() for _ in range(4)]
+        model = train(corpus, order=2, alpha=0.01, vocab_ext=units + 2)
+        for _ in range(30):
+            ctxs, spans, us = [], [], []
+            for _ in range(64):
+                lo, hi = sorted(gen.integers(0, units + 2, 2).tolist())
+                lo, hi = [(0, units), (0, units + 2), (units, units + 2), (lo, hi + 1)][
+                    gen.integers(4)]
+                skip = int(gen.integers(lo, hi)) if hi - lo > 1 and gen.integers(2) else None
+                ctx = corpus[gen.integers(4)][: gen.integers(400)]
+                ids = span_ids(lo, hi, skip)
+                cdf = model.next_dist(ctx)[ids]
+                cdf = (cdf / cdf.sum()).cumsum()
+                cdf /= cdf[-1]
+                u = cdf[gen.integers(len(ids) - 1)] if len(ids) > 1 else 0.5
+                ctxs.append(ctx)
+                spans.append((lo, hi, skip))
+                us.append(float(np.nextafter(u, 0)) if gen.integers(2) else float(u))
+            drawn = sample_batch(model, ctxs, spans, [FixedDraws([u]) for u in us])
+            assert drawn == [
+                sample_constrained(model, ctx, span_ids(*span), SamplerConfig(), FixedDraws([u]))
+                for ctx, span, u in zip(ctxs, spans, us)]
 
     def test_untrained_model_and_empty_set(self):
         model = NgramModel(order=2, vocab_ext=4)
