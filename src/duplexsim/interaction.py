@@ -39,10 +39,11 @@ its runs together: a run yields the agents to run next, both at once at a
 latency of one chunk or more (their RNGs are separate, and neither needs
 the other's current chunk). The pending draws of one model at temperature
 1 without top_k go to ``ngram.sample_batch`` in one array step if there are
-at least ``_BATCH_MIN`` (12, between the kernel's measured crossovers of
-about 10 draws at 26 symbols and 16 at 503), and else to ``sample_span`` one
-at a time; other samplers draw through ``sample_constrained``. All give the
-same bits.
+at least ``_BATCH_MIN`` (12; on seen contexts the kernel's measured
+crossover is about 8 draws at 26 symbols and 10 at 503, while on unseen ones,
+which ``sample_span`` draws from a cached cdf, one call per draw costs less
+up to 48 draws), and else to ``sample_span`` one at a time; other samplers
+draw through ``sample_constrained``. All give the same bits.
 """
 
 from __future__ import annotations
@@ -315,8 +316,9 @@ class _Agent:
         return novels, estimates, mark, window
 
 
-# below the kernel's measured crossover (see CHANGES.md), about 10 draws at 26
-# symbols and 16 at 503, one sample_span call per draw costs less
+# below the kernel's measured crossover on seen contexts, about 8 draws at 26
+# symbols and 10 at 503, one sample_span call per draw costs less (on unseen
+# ones, up to 48 draws at least; see CHANGES.md)
 _BATCH_MIN = 12
 
 

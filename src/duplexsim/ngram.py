@@ -38,11 +38,15 @@ is rejected: retrain its model.
 ``sample_constrained`` draws from any allowed ids with any sampler;
 ``sample_span`` and ``sample_batch`` draw from ``[lo, hi)`` but one id or
 none, at temperature 1 without top_k, with the same bits, building only the
-allowed part of each row. ``sample_batch`` makes many draws in one padded
-pass: one matrix holds every draw's allowed row, zero-padded to the widest,
-and each step runs once for all rows but the row sum. That runs once per
-allowed-set length, as numpy's pairwise sum of a row depends on its length;
-a cumulative sum does not, so zero padding leaves its bits as they are.
+allowed part of each row. An unseen context's row is ``alpha / (alpha *
+vocab_ext)`` at every id, so its cdf depends on the span's width alone:
+``sample_span`` keeps the one it builds on a model's first unseen draw of a
+width, and later ones search it, with the bits a rebuild would give.
+``sample_batch`` makes many draws in one padded pass: one matrix holds every
+draw's allowed row, zero-padded to the widest, and each step runs once for
+all rows but the row sum. That runs once per allowed-set length, as numpy's
+pairwise sum of a row depends on its length; a cumulative sum does not, so
+zero padding leaves its bits as they are.
 """
 
 from __future__ import annotations
@@ -84,7 +88,9 @@ class SamplerConfig:
 
 class NgramModel:
     """Add-alpha smoothed n-gram over ``vocab_ext`` symbols, held as the
-    arrays of the module docstring; immutable in use, so safe to share."""
+    arrays of the module docstring; immutable in use, so safe to share. Its
+    caches, ``_table`` and the unseen contexts' cdfs, fill lazily with values
+    that the arrays, ``alpha`` and ``vocab_ext`` fix, so sharing stays safe."""
 
     def __init__(self, order: int, vocab_ext: int, alpha: float = 0.1):
         if order < 1:
@@ -111,6 +117,7 @@ class NgramModel:
                                dtype=np.int64)
         empty = np.zeros(0, dtype=np.int64)
         self._set_rows(empty, np.zeros(1, dtype=np.int64), empty, empty)
+        self._cdfs: dict[int, np.ndarray] = {}  # span width: an unseen context's cdf
 
     @property
     def bos(self) -> int:
@@ -122,10 +129,18 @@ class NgramModel:
         return dict(zip(self.codes.tolist(), self.row_totals.tolist()))
 
     @cached_property
-    def _table(self) -> tuple[dict[int, int], list[int], list[int], list[int], list[int]]:
-        """For single draws: a dict from code to row, and the columns as lists."""
-        return (dict(zip(self.codes.tolist(), range(len(self.codes)))), self.offsets.tolist(),
-                self.row_totals.tolist(), self.tokens.tolist(), self.freqs.tolist())
+    def _table(self) -> dict[int, int]:
+        """For single draws: a dict from context code to row."""
+        return dict(zip(self.codes.tolist(), range(len(self.codes))))
+
+    def _row(self, context: Sequence[int]) -> int | None:
+        """The row of ``context`` (ids in [0, vocab_ext]), or None if it is unseen."""
+        base = self.vocab_ext + 1
+        tail = context[-self.order :]
+        code = base ** (self.order - len(tail)) - 1  # begin markers: every digit base - 1
+        for tok in tail:
+            code = code * base + tok
+        return self._table.get(code)
 
     def _set_rows(self, codes: np.ndarray, offsets: np.ndarray, tokens: np.ndarray,
                   freqs: np.ndarray) -> None:
@@ -158,23 +173,20 @@ class NgramModel:
         """Smoothed next-token distribution, all entries > 0: at every id (it
         sums to 1), or at the ids of ``[lo, hi)`` but ``skip`` (None, or one of
         them), built alone. The context holds ids in [0, vocab_ext]."""
-        hi = self.vocab_ext if hi is None else hi
-        base = self.vocab_ext + 1
-        tail = context[-self.order :]
-        code = base ** (self.order - len(tail)) - 1  # begin markers: every digit base - 1
-        for tok in tail:
-            code = code * base + tok
-        rows, offsets, totals, tokens, freqs = self._table
-        row, alpha = rows.get(code), self.alpha
+        return self._dist(self._row(context), lo, self.vocab_ext if hi is None else hi, skip)
+
+    def _dist(self, row: int | None, lo: int, hi: int, skip: int | None) -> np.ndarray:
+        """``next_dist`` at the span's ids for the context of ``row``."""
+        alpha = self.alpha
         # (count + alpha) / (total + alpha * vocab_ext) for each token
-        norm = (0 if row is None else totals[row]) + alpha * self.vocab_ext
+        norm = (0 if row is None else int(self.row_totals[row])) + alpha * self.vocab_ext
         dist = np.empty(hi - lo - (skip is not None))
         dist.fill(alpha / norm)
         if row is not None:
-            for j in range(offsets[row], offsets[row + 1]):
-                tok = tokens[j]
+            start, end = self.offsets[row : row + 2].tolist()
+            for tok, freq in zip(self.tokens[start:end].tolist(), self.freqs[start:end].tolist()):
                 if lo <= tok < hi and tok != skip:  # ids past skip sit one place left
-                    dist[tok - lo - (skip is not None and tok > skip)] = (freqs[j] + alpha) / norm
+                    dist[tok - lo - (skip is not None and tok > skip)] = (freq + alpha) / norm
         return dist
 
     def sequence_nll(self, sequence: Sequence[int], skip: int = 0) -> tuple[float, int]:
@@ -330,15 +342,27 @@ def train(
     return model
 
 
-def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """An index drawn from ``probs``, normalised in place, with one ``rng.random()``:
-    ``rng.choice(len(probs), p=probs)``'s arithmetic without its per-call checks."""
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The cdf that ``rng.choice(len(probs), p=probs)`` searches, from ``probs``
+    normalised in place, without its per-call checks."""
     probs /= probs.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     if not cdf[-1] > 0:  # NaN from a temperature so small the logits overflow
         raise ValueError("sampling distribution is not finite")
-    return int(cdf.searchsorted(rng.random(), "right"))
+    return cdf
+
+
+def _span_size(model: NgramModel, lo: int, hi: int, skip: int | None) -> int:
+    """The number of the model's ids in ``[lo, hi)`` less ``skip`` (None, or
+    one of them); ``ValueError`` if there are none, or the span is not that."""
+    n = hi - lo - (skip is not None)
+    if n < 1:
+        raise ValueError("allowed token set is empty")
+    if not (0 <= lo and hi <= model.vocab_ext and (skip is None or lo <= skip < hi)):
+        raise ValueError(f"span {(lo, hi, skip)} is not [lo, hi) less one id or none, "
+                         f"within [0, {model.vocab_ext})")
+    return n
 
 
 def sample_constrained(
@@ -378,18 +402,24 @@ def sample_constrained(
             probs = np.exp(logits)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    return int(indices[_draw(probs, rng)])
+    return int(indices[_cdf(probs).searchsorted(rng.random(), "right")])
 
 
 def sample_span(model: NgramModel, context: Sequence[int], lo: int, hi: int,
                 skip: int | None, rng: np.random.Generator) -> int:
     """``sample_constrained(model, context, ids, SamplerConfig(), rng)`` for the
     ids of ``[lo, hi)`` other than ``skip`` (None, or an id in the range), bit for
-    bit and with the same RNG use, from only the allowed part of the row."""
-    n = hi - lo - (skip is not None)
-    if n < 1:
-        raise ValueError("allowed token set is empty")
-    i = 0 if n == 1 else _draw(model.next_dist(context, lo, hi, skip), rng)
+    bit and with the same RNG use, from only the allowed part of the row; an
+    unseen context searches the model's cached cdf of the span's width."""
+    n = _span_size(model, lo, hi, skip)
+    i = 0
+    if n > 1:
+        row = model._row(context)
+        if row is not None:
+            cdf = _cdf(model._dist(row, lo, hi, skip))
+        elif (cdf := model._cdfs.get(n)) is None:  # one per width (see the module docstring)
+            cdf = model._cdfs[n] = _cdf(model._dist(None, lo, hi, skip))
+        i = int(cdf.searchsorted(rng.random(), "right"))
     return lo + i + (skip is not None and lo + i >= skip)
 
 
@@ -409,9 +439,7 @@ def sample_batch(model: NgramModel, contexts: Sequence[list[int]],
     divide by the last column, which is each row's last real entry, the
     padding reads 1.0, which no ``u < 1`` counts."""
     order, n, alpha = model.order, len(contexts), model.alpha
-    sizes = [hi - lo - (skip is not None) for lo, hi, skip in spans]
-    if min(sizes, default=1) < 1:
-        raise ValueError("allowed token set is empty")
+    sizes = [_span_size(model, lo, hi, skip) for lo, hi, skip in spans]
     tails = [ctx[-order:] for ctx in contexts]
     if min(map(len, tails)) < order:  # a short context follows begin markers
         tails = [[model.bos] * (order - len(t)) + t for t in tails]

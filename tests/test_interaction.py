@@ -356,6 +356,24 @@ class TestSimulateTwoModels:
         assert [s.to_dict() for s in a.steps] == [s.to_dict() for s in b.steps]
         assert len(a.dialogue.chunks) == 12
 
+    def test_one_cached_cdf_per_span_width(self, vocab):
+        """An unseen draw caches its span width's cdf in its model. At 501
+        units the widths are 2 (the tags), 500 and 501 (the units less the
+        last novel or not) and 502 and 503 (with the tags); a run caches at
+        most four per model, as its first channel-0 draw comes after a seen
+        context, the start. An empty prompt leaves both last novels unset."""
+        style = DialogueStyle(vocab=vocab, ipu_ms=(800.0, 200.0), pause_ms=(400.0, 100.0),
+                              fto_ms=(240.0, 80.0), turn_continue_prob=0.3,
+                              backchannel_prob=0.1, backchannel_ms=(160.0, 40.0), p_self=0.45)
+        models = [train([flatten(deduplicate(s0, s1, CHUNK_MS, vocab))
+                         for s0, s1 in generate_corpus(style, 6, 16000, seed=seed).values()],
+                        order=3, alpha=0.1, vocab_ext=vocab.extended_size) for seed in (1, 2)]
+        cfg = InteractionConfig(latency_chunks=1, max_chunks=40, sampler=SamplerConfig(seed=5))
+        simulate_interaction(*models, cfg, DedupDialogue(vocab, CHUNK_MS, ()))
+        for model in models:
+            assert 1 <= len(model._cdfs) <= 4
+            assert set(model._cdfs) <= {2, 500, 501, 502, 503}
+
     def test_final_dialogue_parses_and_interpolates(self, setup):
         vocab, _, model, script = setup
         for latency in (0, 1, 2):

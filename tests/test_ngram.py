@@ -394,6 +394,80 @@ class TestSampleSpan:
         for seed in range(40):
             self.assert_twins(model, context, span, seed)
 
+    def test_draws_on_cdf_entries(self):
+        """Each u is an entry of the draw's own cdf, as sample_constrained
+        builds it, or the float below one, so an entry a bit off moves a draw:
+        at every width from 2 to vocab_ext, after an unseen and a seen
+        context, with the model's cached cdfs cold (cleared before each draw)
+        and warm (filled by a span of the same width elsewhere)."""
+        gen = np.random.default_rng(7)
+        units = 40
+        corpus = [gen.integers(0, units + 2, 400).tolist() for _ in range(4)]
+        model = train(corpus, order=2, alpha=0.01, vocab_ext=units + 2)
+        unseen, seen = [0, model.bos], corpus[0][:50]
+        assert model._row(unseen) is None and model._row(seen) is not None
+        def spans(width):
+            while True:
+                skip = width < model.vocab_ext and gen.integers(2) == 1
+                lo = int(gen.integers(0, model.vocab_ext - width - skip + 1))
+                yield (lo, lo + width + skip,
+                       int(gen.integers(lo, lo + width + 1)) if skip else None)
+
+        for width in range(2, model.vocab_ext + 1):
+            some = spans(width)
+            for ctx in (unseen, seen):
+                for cold in (True, False):
+                    model._cdfs.clear()
+                    if not cold:
+                        sample_span(model, unseen, *next(some), FixedDraws([0.5]))
+                    span = next(some)
+                    ids = span_ids(*span)
+                    cdf = model.next_dist(ctx)[ids]
+                    cdf = (cdf / cdf.sum()).cumsum()
+                    cdf /= cdf[-1]
+                    for u in np.concatenate((cdf[:-1], np.nextafter(cdf[:-1], 0))).tolist():
+                        if cold:
+                            model._cdfs.clear()
+                        assert sample_span(model, ctx, *span, FixedDraws([u])) == \
+                            sample_constrained(model, ctx, ids, SamplerConfig(), FixedDraws([u]))
+                    # only unseen draws fill the cache, one cdf per width
+                    assert list(model._cdfs) == ([] if cold and ctx is seen else [width])
+
+    # two untrained models whose unseen rows differ by a few ulps at this width
+    @pytest.mark.parametrize("first, second, width", [((503, 0.1), (503, 0.7), 6),
+                                                      ((42, 0.1), (43, 0.1), 10)],
+                             ids=["alpha", "vocab_ext"])
+    def test_models_share_no_cached_cdf(self, first, second, width):
+        models = [NgramModel(order=1, vocab_ext=v, alpha=a) for v, a in (first, second)]
+        cdfs = [(m.next_dist([])[:width] / m.next_dist([])[:width].sum()).cumsum()
+                for m in models]
+        for cdf in cdfs:
+            cdf /= cdf[-1]
+        for drawn, other in ((0, 1), (1, 0)):
+            for m in models:
+                m._cdfs.clear()
+            sample_span(models[drawn], [], 0, width, None, FixedDraws([0.5]))
+            us = np.concatenate((cdfs[other][:-1], np.nextafter(cdfs[other][:-1], 0)))
+            # a draw that the other model's cdf would move
+            assert (cdfs[0].searchsorted(us, "right") != cdfs[1].searchsorted(us, "right")).any()
+            for u in us.tolist():
+                assert sample_span(models[other], [], 0, width, None, FixedDraws([u])) == \
+                    sample_constrained(models[other], [], range(width), SamplerConfig(),
+                                       FixedDraws([u]))
+            assert models[0]._cdfs[width] is not models[1]._cdfs[width]
+
+    # 4 units and 2 tags; seen and unseen after order-1 training on [0, 5)
+    @pytest.mark.parametrize("span", [(0, 5, 7), (0, 9, None), (0, 7, 3), (-1, 3, None),
+                                      (2, 5, 1), (0, 5, 5)],
+                             ids=["skip_past_hi", "hi_past_vocab", "hi_past_vocab_skip",
+                                  "lo_below_0", "skip_below_lo", "skip_at_hi"])
+    @pytest.mark.parametrize("context", [[3], [5]], ids=["seen", "unseen"])
+    def test_rejects_span_outside_model(self, span, context):
+        model = train([[0, 1, 2, 3, 4] * 2], order=1, alpha=0.1, vocab_ext=6)
+        assert (context[0] in model.codes) == (context == [3])
+        with pytest.raises(ValueError, match="is not"):
+            sample_span(model, context, *span, np.random.default_rng(0))
+
 
 class FixedDraws:
     """Stands in for a Generator whose ``random()`` returns ``values`` in turn."""
@@ -473,6 +547,16 @@ class TestSampleBatch:
         for empty in [(2, 2, None), (1, 2, 1)]:
             with pytest.raises(ValueError, match="empty"):
                 sample_batch(model, [[0], [1]], [(0, 4, None), empty], rngs[:2])
+
+    @pytest.mark.parametrize("span", [(0, 5, 7), (0, 9, None), (0, 7, 3), (-1, 3, None),
+                                      (2, 5, 1), (0, 5, 5)],
+                             ids=["skip_past_hi", "hi_past_vocab", "hi_past_vocab_skip",
+                                  "lo_below_0", "skip_below_lo", "skip_at_hi"])
+    def test_rejects_span_outside_model(self, span):
+        model = train([[0, 1, 2, 3, 4] * 2], order=1, alpha=0.1, vocab_ext=6)
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        with pytest.raises(ValueError, match="is not"):
+            sample_batch(model, [[3], [5], [5]], [(0, 6, None), span, (0, 5, 4)], rngs)
 
 
 class TestPerplexity:
