@@ -168,15 +168,14 @@ class NgramModel:
         codes = (sliding_window_view(ids, self.order)[:-1] @ self._place)[predicted]
         return codes, tokens, np.ones(len(tokens), dtype=np.int64)
 
-    def next_dist(self, context: Sequence[int], lo: int = 0, hi: int | None = None,
-                  skip: int | None = None) -> np.ndarray:
-        """Smoothed next-token distribution, all entries > 0: at every id (it
-        sums to 1), or at the ids of ``[lo, hi)`` but ``skip`` (None, or one of
-        them), built alone. The context holds ids in [0, vocab_ext]."""
-        return self._dist(self._row(context), lo, self.vocab_ext if hi is None else hi, skip)
+    def next_dist(self, context: Sequence[int]) -> np.ndarray:
+        """Smoothed next-token distribution at every id, all entries > 0, summing
+        to 1. The context holds ids in [0, vocab_ext]."""
+        return self._dist(self._row(context), 0, self.vocab_ext, None)
 
     def _dist(self, row: int | None, lo: int, hi: int, skip: int | None) -> np.ndarray:
-        """``next_dist`` at the span's ids for the context of ``row``."""
+        """``next_dist`` after the context of ``row`` (None: unseen) at only the
+        ids of ``[lo, hi)`` but ``skip`` (None, or one of them), built alone."""
         alpha = self.alpha
         # (count + alpha) / (total + alpha * vocab_ext) for each token
         norm = (0 if row is None else int(self.row_totals[row])) + alpha * self.vocab_ext
@@ -430,14 +429,14 @@ def sample_batch(model: NgramModel, contexts: Sequence[list[int]],
     array step, bit for bit and with the same RNG use; no two draws share an RNG.
 
     Row i of one matrix, zero-padded to the widest span, holds draw i's
-    allowed row as ``next_dist(contexts[i], *spans[i])`` builds it, its seen
-    entries scattered straight to their columns. Only the row sum runs once
-    per allowed-set length, over each row's first ``size`` columns: numpy's
-    pairwise sum splits a row by its length, so padding would change its
-    bits. The rest runs once for all rows. The cumulative sum adds left to
-    right, so the zeros leave each prefix's bits as they are; after the
-    divide by the last column, which is each row's last real entry, the
-    padding reads 1.0, which no ``u < 1`` counts."""
+    allowed row as ``sample_span`` builds it, its seen entries scattered
+    straight to their columns. Only the row sum runs once per allowed-set
+    length, over each row's first ``size`` columns: numpy's pairwise sum
+    splits a row by its length, so padding would change its bits. The rest
+    runs once for all rows. The cumulative sum adds left to right, so the
+    zeros leave each prefix's bits as they are; after the divide by the last
+    column, which is each row's last real entry, the padding reads 1.0, which
+    no ``u < 1`` counts."""
     order, n, alpha = model.order, len(contexts), model.alpha
     sizes = [_span_size(model, lo, hi, skip) for lo, hi, skip in spans]
     tails = [ctx[-order:] for ctx in contexts]
