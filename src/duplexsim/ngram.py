@@ -146,7 +146,7 @@ class NgramModel:
                   freqs: np.ndarray) -> None:
         """Hold the rows of the module docstring, and their totals."""
         self.codes, self.offsets, self.tokens, self.freqs = codes, offsets, tokens, freqs
-        self.row_totals = np.diff(np.append(0, np.cumsum(freqs))[offsets])
+        self.row_totals = np.add.reduceat(freqs, offsets[:-1])
 
     def _windows(self, sequences: list[Sequence[int]]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -258,15 +258,15 @@ class NgramModel:
                  "the sizes do not sum to the lengths of 'tokens' and 'counts'")
         _require(codes.min(initial=0) >= 0 and codes.max(initial=0) < top,
                  f"a context code lies outside [0, {vocab_ext + 1}**{model.order})")
-        codes = codes.astype(np.int64)
+        codes = codes.astype(np.int64, copy=False)
         _require(np.all(np.diff(codes) > 0), "the context codes are not strictly increasing "
                                              "(a context repeated, or rows out of order)")
         _require(tokens.min(initial=0) >= 0 and tokens.max(initial=0) < vocab_ext,
                  f"a token lies outside [0, {vocab_ext})")
+        rising = tokens[1:] > tokens[:-1]
+        rising[offsets[1:-1] - 1] = True  # a row's first token follows the previous row's last
+        _require(np.all(rising), "the tokens of a row are not strictly increasing")
         tokens = tokens.astype(np.int64)
-        step = np.diff(tokens)
-        step[offsets[1:-1] - 1] = 1  # a row's first token follows the previous row's last
-        _require(np.all(step > 0), "the tokens of a row are not strictly increasing")
         _require(counts.min(initial=1) >= 1, "a count is below 1")
         _require(_running_sums(counts, 2**53) is not None, "the counts sum past 2**53")
         model._set_rows(codes, offsets, tokens, counts.astype(np.int64))
@@ -284,8 +284,9 @@ def _running_sums(values: np.ndarray, top: int) -> np.ndarray | None:
     if values.max(initial=0) > top:
         return None
     # each value is at most top, so the first sum past top is exact in int64
-    sums = np.cumsum(values, dtype=np.int64)
-    return None if sums.max(initial=0) > top else np.append(0, sums)
+    sums = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, dtype=np.int64, out=sums[1:])
+    return None if sums.max() > top else sums
 
 
 def _count(codes: np.ndarray, tokens: np.ndarray, freqs: np.ndarray,
