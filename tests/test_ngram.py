@@ -439,10 +439,11 @@ class TestSampleSpan:
                              ids=["alpha", "vocab_ext"])
     def test_models_share_no_cached_cdf(self, first, second, width):
         models = [NgramModel(order=1, vocab_ext=v, alpha=a) for v, a in (first, second)]
-        cdfs = [(m.next_dist([])[:width] / m.next_dist([])[:width].sum()).cumsum()
-                for m in models]
-        for cdf in cdfs:
-            cdf /= cdf[-1]
+        cdfs = []
+        for m in models:
+            row = m.next_dist([])[:width]
+            cdf = (row / row.sum()).cumsum()
+            cdfs.append(cdf / cdf[-1])
         for drawn, other in ((0, 1), (1, 0)):
             for m in models:
                 m._cdfs.clear()
