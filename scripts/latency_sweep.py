@@ -4,7 +4,7 @@
 Trains one model per chunk size on the same synthetic corpus, runs
 two-model interactions at one-chunk latency over a fixed prompt batch,
 and scores the generated dialogues with one reference model trained on
-held-out data flattened at every chunk size under test. Each replication
+held-out data encoded at every chunk size under test. Each replication
 reruns the whole batch with fresh sampler seeds. Writes a CSV with one
 row per (chunk size, replication) and prints a summary.
 """
@@ -17,19 +17,19 @@ import sys
 from pathlib import Path
 
 from duplexsim import (
-    DedupDialogue,
     DialogueStyle,
     InteractionConfig,
     SamplerConfig,
     Vocab,
     corpus_io,
     encode,
+    encode_dialogue,
     generate_corpus,
     parse,
+    per_dialogue_perplexities,
     simulate_interactions,
     train,
 )
-from duplexsim.metrics import per_dialogue_perplexities
 
 CHUNK_SIZES = (160, 200, 240)
 
@@ -50,8 +50,8 @@ def sweep_style(vocab: Vocab) -> DialogueStyle:
 
 def encode_corpus(corpus, chunk_ms, vocab) -> list:
     """Every dialogue of a corpus in wire format at one chunk size, as the
-    int64 arrays of ``encode``."""
-    return [encode(s0, s1, chunk_ms, vocab)[0] for s0, s1 in corpus.values()]
+    ``(wire, chunk offsets)`` pairs of ``encode``."""
+    return [encode(s0, s1, chunk_ms, vocab) for s0, s1 in corpus.values()]
 
 
 def run_sweep(
@@ -75,15 +75,19 @@ def run_sweep(
     heldout = generate_corpus(style, heldout_dialogues, dialogue_ms, seed=seed + 2)
 
     models = {
-        c: train(encode_corpus(train_corpus, c, vocab),
+        c: train([w for w, _ in encode_corpus(train_corpus, c, vocab)],
                  order=order, alpha=gen_alpha, vocab_ext=vocab.extended_size)
         for c in chunk_sizes
     }
     heldout_encoded = {c: encode_corpus(heldout, c, vocab) for c in chunk_sizes}
-    reference = train([w for c in chunk_sizes for w in heldout_encoded[c]],
+    reference = train([w for c in chunk_sizes for w, _ in heldout_encoded[c]],
                       order=order, alpha=ref_alpha, vocab_ext=vocab.extended_size)
-    prompts = {c: [DedupDialogue(vocab, c, parse(w.tolist(), vocab, c).chunks[: prompt_ms // c])
-                   for w in heldout_encoded[c]] for c in chunk_sizes}
+    prompts = {}
+    for c in chunk_sizes:
+        n = prompt_ms // c
+        # each prompt is parsed from its own tokens: the wire up to chunk n's tag_s0
+        prompts[c] = [parse(w[: starts[n] if n < len(starts) else len(w)].tolist(), vocab, c)
+                      for w, starts in heldout_encoded[c]]
 
     rows = []
     for rep in range(replications):
@@ -92,10 +96,9 @@ def run_sweep(
             cfgs = [InteractionConfig(latency_chunks=latency_chunks, max_chunks=total_ms // c,
                                       sampler=SamplerConfig(seed=seed + 1000 * rep + k))
                     for k in range(len(prompts[c]))]
-            generated = [transcript.dialogue for transcript in
-                         simulate_interactions(models[c], models[c], cfgs, prompts[c])]
-            ppls = per_dialogue_perplexities(reference, generated,
-                                             prompt_chunks=prompt_chunks)
+            transcripts = simulate_interactions(models[c], models[c], cfgs, prompts[c])
+            ppls = per_dialogue_perplexities(
+                reference, (encode_dialogue(t.dialogue) for t in transcripts), prompt_chunks)
             rows.append({
                 "replication": rep,
                 "chunk_ms": c,
@@ -118,6 +121,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=Path, default=Path("latency_sweep.csv"))
     args = ap.parse_args(argv)
+    if args.replications < 1:
+        ap.error(f"--replications must be >= 1, got {args.replications}")
+    if args.seed < 0:
+        ap.error(f"--seed must be >= 0, got {args.seed}")
+    if not args.out.parent.is_dir() or args.out.is_dir():
+        ap.error(f"--out {args.out} must name a file in an existing directory")
 
     rows = run_sweep(replications=args.replications, seed=args.seed)
     corpus_io.write_csv(args.out, ["replication", "chunk_ms", "latency_chunks", "median_ppl"],

@@ -21,13 +21,13 @@ from .metrics import (
     VadSegment,
     correlation_report,
     pearson,
+    per_dialogue_perplexities,
     turn_events,
     vad,
 )
 from .ngram import (
     NgramModel,
     SamplerConfig,
-    corpus_perplexity,
     perplexity,
     sample_constrained,
     train,
@@ -48,6 +48,7 @@ from .tokens import (
     chunk_streams,
     deduplicate,
     encode,
+    encode_dialogue,
     flatten,
     interpolate,
     parse,

@@ -39,14 +39,14 @@ from . import corpus_io
 # perfbench/layers.py times the layers by rebinding, through
 # inspect.getattr_static, main, generate_dialogue, chunk_streams, deduplicate,
 # flatten, interpolate, train, simulate_interaction, continue_dialogue,
-# correlation_report and per_dialogue_perplexities here, so each stays bound,
-# even chunk_streams, simulate_interaction and per_dialogue_perplexities, which no
-# command calls (interact runs simulate_interactions; eval scores encode's arrays).
+# correlation_report and per_dialogue_perplexities here, so each stays bound.
+# Only chunk_streams and simulate_interaction are bound for it alone: no
+# command calls them (interact runs simulate_interactions).
 from .errors import ConfigError, DuplexError, EmptyCarryOverWarning, EmptyCorpus
 from .interaction import (InteractionConfig, continue_dialogue,  # noqa: F401 (see above)
                           simulate_interaction, simulate_interactions)
-from .metrics import EventParams, correlation_report, per_dialogue_perplexities  # noqa: F401
-from .ngram import NgramModel, SamplerConfig, perplexity, train
+from .metrics import EventParams, correlation_report, per_dialogue_perplexities
+from .ngram import NgramModel, SamplerConfig, train
 from .synth import (
     DialogueStyle,
     corpus_stats,
@@ -363,11 +363,9 @@ def cmd_eval(args) -> int:
         mode_params = {"prompt_ms": prompt_ms, "skip_ms": None}
         gen, vocab = _load_corpus(args.generated)
         (model,) = _load_models(vocab, args.model)
-        ppls = []
-        for wire, starts in (encode(s0, s1, args.chunk_ms, vocab) for s0, s1 in gen.values()):
-            # the prompt's tokens condition the model but are not scored
-            skip = starts[prompt_chunks] if prompt_chunks < len(starts) else len(wire)
-            ppls.append(perplexity(model, wire, skip=int(skip)))
+        ppls = per_dialogue_perplexities(
+            model, (encode(s0, s1, args.chunk_ms, vocab) for s0, s1 in gen.values()),
+            prompt_chunks)
         metrics_payload = {
             "median_ppl": float(statistics.median(ppls)),
             "n_dialogues": len(ppls),
@@ -386,43 +384,40 @@ def cmd_eval(args) -> int:
         "metrics": metrics_payload,
     }
     corpus_io.write_json(json_path, payload)
-    corpus_io.write_csv(csv_path, REPORT_COLUMNS, [_report_row(payload)])
+    corpus_io.write_csv(csv_path, list(REPORT_COLUMNS), [_report_row(payload, json_path)])
     return 0
 
 
-REPORT_COLUMNS = [
-    "model", "dataset", "mode", "chunk_ms", "latency_chunks",
-    "ipu_r", "pause_r", "fto_r", "average_r", "median_ppl", "n_dialogues",
-]
+# each report column: the part of an eval result that holds it (None for the
+# top level) and the type eval writes there; a value may also be absent or null
+REPORT_COLUMNS = {
+    **dict.fromkeys(("model", "dataset", "mode"), (None, lambda x: type(x) is str)),
+    **dict.fromkeys(("chunk_ms", "latency_chunks"), ("params", corpus_io.is_int)),
+    **dict.fromkeys(("ipu_r", "pause_r", "fto_r", "average_r", "median_ppl"),
+                    ("metrics", corpus_io.is_number)),
+    "n_dialogues": ("metrics", corpus_io.is_int),
+}
 
 
-def _report_row(payload: dict) -> dict:
-    metrics_payload = payload.get("metrics", {})
-    params = payload.get("params", {})
-    row = {c: "" for c in REPORT_COLUMNS}
-    row["model"] = payload.get("model", "")
-    row["dataset"] = payload.get("dataset", "")
-    row["mode"] = payload.get("mode", "")
-    for key in ("chunk_ms", "latency_chunks"):
-        if params.get(key) is not None:
-            row[key] = params[key]
-    for key in ("ipu_r", "pause_r", "fto_r", "average_r", "median_ppl", "n_dialogues"):
-        if metrics_payload.get(key) is not None:
-            row[key] = metrics_payload[key]
+def _report_row(payload, source) -> dict:
+    """The report row of the eval result ``payload``, read from ``source``."""
+    if not (isinstance(payload, dict) and all(
+            isinstance(payload.get(k, {}), dict) for k in ("metrics", "params"))):
+        raise ConfigError(f"{source}: an eval result is an object whose metrics and "
+                          f"params are objects")
+    row = {}
+    for column, (part, valid) in REPORT_COLUMNS.items():
+        value = (payload.get(part, {}) if part else payload).get(column)
+        if value is not None and not valid(value):
+            raise ConfigError(f"{source}: {column} has the wrong type: {value!r}")
+        row[column] = "" if value is None else value
     return row
 
 
 def cmd_report(args) -> int:
     _check_outputs(args.inputs, args.out)
-    rows = []
-    for p in args.inputs:
-        payload = corpus_io.read_json(p)
-        if not (isinstance(payload, dict) and all(
-                isinstance(payload.get(k, {}), dict) for k in ("metrics", "params"))):
-            raise ConfigError(f"{p}: an eval result is an object whose metrics and "
-                              f"params are objects")
-        rows.append(_report_row(payload))
-    corpus_io.write_csv(args.out, REPORT_COLUMNS, rows)
+    rows = [_report_row(corpus_io.read_json(p), p) for p in args.inputs]
+    corpus_io.write_csv(args.out, list(REPORT_COLUMNS), rows)
     return 0
 
 

@@ -91,9 +91,14 @@ def file_identity(path: str | Path) -> object:
     return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
 
 
+def _not_a_number(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def read_json(path: str | Path):
+    """Standard JSON only: ``NaN``, ``Infinity`` and ``-Infinity`` are errors."""
     with _reading(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_not_a_number)
 
 
 def write_json(path: str | Path, payload, indent: int | None = None) -> None:

@@ -22,14 +22,15 @@ A channel is a tuple of unit ids, one per frame, and a corpus a mapping
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInput, EmptySet, NoPairs
 from .ngram import NgramModel, perplexity
-# perfbench/layers.py rebinds flatten and turn_events here: keep them bound
-from .tokens import DedupDialogue, Vocab, flatten
+# perfbench/layers.py rebinds flatten and turn_events here: keep them bound,
+# even flatten, which this module does not call
+from .tokens import Vocab, flatten  # noqa: F401
 
 EVENT_KINDS = ("ipu", "pause", "fto")
 
@@ -302,16 +303,20 @@ def correlation_report(
 
 def per_dialogue_perplexities(
     reference_model: NgramModel,
-    dialogues: Sequence[DedupDialogue],
+    encoded: Iterable[tuple[np.ndarray, np.ndarray]],
     prompt_chunks: int = 0,
 ) -> list[float]:
-    """Perplexity of each flattened dialogue; its first ``prompt_chunks``
-    chunks condition the model but are not scored."""
-    if not dialogues:
-        raise EmptySet("no dialogues to score")
+    """Perplexity of each wire of ``encoded``, ``(wire, chunk offsets)``
+    pairs as ``encode`` and ``encode_dialogue`` give them; a wire's first
+    ``prompt_chunks`` chunks condition the model but are not scored. A
+    prompt that covers a whole wire leaves nothing to score, which raises
+    ``EmptySequence``."""
+    if prompt_chunks < 0:
+        raise ValueError(f"prompt_chunks must be >= 0, got {prompt_chunks}")
     out = []
-    for d in dialogues:
-        # the prompt's wire tokens: tag_s0 and novels, tag_s1 only before novels
-        skip = sum(1 + len(s0) + len(s1) + bool(s1) for s0, s1 in d.chunks[:prompt_chunks])
-        out.append(perplexity(reference_model, flatten(d), skip=skip))
+    for wire, starts in encoded:
+        skip = starts[prompt_chunks] if prompt_chunks < len(starts) else len(wire)
+        out.append(perplexity(reference_model, wire, skip=int(skip)))
+    if not out:
+        raise EmptySet("no dialogues to score")
     return out

@@ -13,6 +13,10 @@ seen contexts in increasing order; row ``r`` predicts the increasing
 ``row_totals[r]`` times in all. ``totals``, a ``{code: total}`` dict built
 on each read, remains for readers outside the library.
 
+``perplexity`` scores one sequence from a given position on, such as a wire
+of ``tokens.encode`` or ``tokens.encode_dialogue``;
+``metrics.per_dialogue_perplexities`` scores each of many past its prompt.
+
 Model file v3 is a stream of six ``.npy`` records, written and read by
 ``corpus_io`` without pickle:
 
@@ -480,20 +484,7 @@ def sample_batch(model: NgramModel, contexts: Sequence[list[int]],
 
 def perplexity(model: NgramModel, sequence: Sequence[int], skip: int = 0) -> float:
     """exp(mean negative log-likelihood per scored token)."""
-    return corpus_perplexity(model, [sequence], skip)
-
-
-def corpus_perplexity(
-    model: NgramModel, sequences: Iterable[Sequence[int]], skip: int = 0
-) -> float:
-    """Token-weighted perplexity over whole sequences; invariant to how the
-    sequences are grouped into batches."""
-    nll = 0.0
-    scored = 0
-    for seq in sequences:
-        s_nll, s_scored = model.sequence_nll(seq, skip=skip)
-        nll += s_nll
-        scored += s_scored
+    nll, scored = model.sequence_nll(sequence, skip=skip)
     if scored == 0:
         raise EmptySequence("no tokens to score")
     return math.exp(nll / scored)

@@ -157,23 +157,6 @@ _STYLE_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class PlannedEvent:
-    """An event as constructed by the generator (frame units).
-
-    For ftos, start_frame is the outgoing turn's final IPU end and
-    end_frame the incoming turn's first IPU start; duration is signed.
-    ``realized`` marks events that lie fully inside the dialogue and are
-    therefore recoverable by measurement.
-    """
-
-    kind: str  # ipu | pause | fto | backchannel
-    channel: int | None
-    start_frame: int
-    end_frame: int
-    realized: bool
-
-
 def _gauss_frames(rng: np.random.Generator, pair: tuple[float, float], frame_ms: int) -> int:
     """Gaussian duration in frames, minimum one frame."""
     ms = rng.normal(pair[0], pair[1])
@@ -242,10 +225,10 @@ def _markov_content(rng: np.random.Generator, style: DialogueStyle, content: tup
     return unit_at(np.array(out))
 
 
-def generate_dialogue_with_log(
+def generate_dialogue(
     style: DialogueStyle, duration_ms: int, seed
-) -> tuple[tuple[int, ...], tuple[int, ...], list[PlannedEvent]]:
-    """Like :func:`generate_dialogue` but also returns the construction log."""
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Generate one dialogue; both channels are exactly duration_ms long."""
     frame_ms = style.vocab.frame_ms
     if duration_ms < 0 or duration_ms % frame_ms != 0:
         raise BadDuration(
@@ -255,7 +238,6 @@ def generate_dialogue_with_log(
     rng = np.random.default_rng(seed)
     content = style.content()
     ch = np.full((2, n), style.vocab.first_silence, dtype=np.int64)
-    events: list[PlannedEvent] = []
 
     def paint(c: int, a: int, b: int) -> None:
         ch[c, a:b] = _markov_content(rng, style, content, b - a)[: max(0, n - a)]
@@ -277,11 +259,6 @@ def generate_dialogue_with_log(
                 break
         for a, b in ipus:
             paint(speaker, a, b)
-            events.append(PlannedEvent("ipu", speaker, a, b, realized=b <= n))
-        for (a1, b1), (a2, b2) in zip(ipus, ipus[1:]):
-            events.append(
-                PlannedEvent("pause", speaker, b1, a2, realized=b1 <= n and a2 < n)
-            )
         # Backchannels live strictly inside the floor-holder's non-final
         # IPUs so they never blur floor transfers.
         other = 1 - speaker
@@ -292,28 +269,12 @@ def generate_dialogue_with_log(
                 if hi >= lo:
                     bc_a = lo + int(rng.integers(hi - lo + 1))
                     paint(other, bc_a, bc_a + bc_dur)
-                    events.append(
-                        PlannedEvent("backchannel", other, bc_a, bc_a + bc_dur,
-                                     realized=bc_a + bc_dur <= n)
-                    )
         last_a, last_b = ipus[-1]
         fto = _gauss_frames_signed(rng, style.fto_ms, frame_ms)
-        nxt = max(last_b + fto, last_a + 1)
-        events.append(
-            PlannedEvent("fto", None, last_b, nxt, realized=last_b <= n and nxt < n)
-        )
-        t = nxt
+        t = max(last_b + fto, last_a + 1)
         speaker = other
 
-    return tuple(ch[0].tolist()), tuple(ch[1].tolist()), events
-
-
-def generate_dialogue(
-    style: DialogueStyle, duration_ms: int, seed
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Generate one dialogue; both channels are exactly duration_ms long."""
-    s0, s1, _ = generate_dialogue_with_log(style, duration_ms, seed)
-    return s0, s1
+    return tuple(ch[0].tolist()), tuple(ch[1].tolist())
 
 
 def generate_corpus(

@@ -15,10 +15,13 @@ per chunk and channel at most ``frames_per_chunk`` novels, unit ids only,
 and no novel equal to its channel's previous one. ``parse`` checks only
 where the tags stand.
 
-``encode`` is the one encoder: it places every wire token with one
-``np.lexsort`` keyed by (chunk, slot, frame), where the slots of a chunk
-are 0 tag_s0, 1 the channel-0 novels, 2 tag_s1 and 3 the channel-1
-novels. ``deduplicate`` is ``encode`` read back by ``parse``; the inverse
+``encode`` is the one encoder of channels: it places every wire token with
+one ``np.lexsort`` keyed by (chunk, slot, frame), where the slots of a
+chunk are 0 tag_s0, 1 the channel-0 novels, 2 tag_s1 and 3 the channel-1
+novels. ``encode_dialogue`` is the one serialisation of a
+``DedupDialogue``, and gives what ``encode`` gives: the wire as an int64
+array and the offset of each chunk's tag_s0; ``flatten`` is its wire as a
+list. ``deduplicate`` is ``encode`` read back by ``parse``; the inverse
 direction, ``interpolate``, redistributes each chunk's novel tokens over
 the chunk's frame slots by equal repetition.
 
@@ -229,19 +232,26 @@ def interpolate(d: DedupDialogue) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(channels[0]), tuple(channels[1])
 
 
-def flatten(d: DedupDialogue) -> list[int]:
-    """Concatenated wire form of all chunks (extended-vocabulary ids): per
-    chunk tag_s0 and the channel-0 novels, then, if channel 1 has novels,
-    tag_s1 and those."""
+def encode_dialogue(d: DedupDialogue) -> tuple[np.ndarray, np.ndarray]:
+    """The wire form of ``d`` as an int64 array, and the offset in it of
+    each chunk's tag_s0, as ``encode`` returns them: per chunk tag_s0 and
+    the channel-0 novels, then, if channel 1 has novels, tag_s1 and those."""
     tag_s0, tag_s1 = d.vocab.tag_s0, d.vocab.tag_s1
-    out: list[int] = []
+    wire: list[int] = []
+    starts: list[int] = []
     for s0, s1 in d.chunks:
-        out.append(tag_s0)
-        out.extend(s0)
+        starts.append(len(wire))
+        wire.append(tag_s0)
+        wire.extend(s0)
         if s1:
-            out.append(tag_s1)
-            out.extend(s1)
-    return out
+            wire.append(tag_s1)
+            wire.extend(s1)
+    return np.array(wire, dtype=np.int64), np.array(starts, dtype=np.int64)
+
+
+def flatten(d: DedupDialogue) -> list[int]:
+    """The wire form of ``d`` as a list of extended-vocabulary ids."""
+    return encode_dialogue(d)[0].tolist()
 
 
 def parse(tokens: list[int], vocab: Vocab, chunk_ms: int) -> DedupDialogue:

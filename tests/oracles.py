@@ -66,6 +66,55 @@ def markov_content(rng, style, length) -> list[int]:
     return out
 
 
+def planned_dialogue(style, duration_ms, seed):
+    """``synth.generate_dialogue``'s planner, one numpy call per draw and
+    painted by :func:`markov_content`, with its construction log: the two
+    channels as tuples, and the planned events as ``(kind, channel,
+    start_frame, end_frame)`` for each IPU and backchannel."""
+    frame_ms = style.vocab.frame_ms
+    n = duration_ms // frame_ms
+    rng = np.random.default_rng(seed)
+    ch = [[style.vocab.first_silence] * n for _ in (0, 1)]
+    events = []
+
+    def frames(pair, signed=False):
+        f = int(round(rng.normal(pair[0], pair[1]) / frame_ms))
+        return f if signed else max(1, f)
+
+    def paint(c, a, b):
+        seg = markov_content(rng, style, b - a)[: max(0, n - a)]
+        ch[c][a : a + len(seg)] = seg
+
+    speaker, t = 0, 0
+    while t < n:
+        ipus = []
+        cursor = t
+        while True:
+            dur = frames(style.ipu_ms)
+            ipus.append((cursor, cursor + dur))
+            if rng.random() >= style.turn_continue_prob:
+                break
+            cursor += dur + frames(style.pause_ms)
+            if cursor >= n:
+                break
+        for a, b in ipus:
+            paint(speaker, a, b)
+            events.append(("ipu", speaker, a, b))
+        other = 1 - speaker
+        for a, b in ipus[:-1]:
+            if rng.random() < style.backchannel_prob:
+                dur = frames(style.backchannel_ms)
+                lo, hi = a + 1, b - 1 - dur
+                if hi >= lo:
+                    start = lo + int(rng.integers(hi - lo + 1))
+                    paint(other, start, start + dur)
+                    events.append(("backchannel", other, start, start + dur))
+        last_a, last_b = ipus[-1]
+        t = max(last_b + frames(style.fto_ms, signed=True), last_a + 1)
+        speaker = other
+    return tuple(ch[0]), tuple(ch[1]), events
+
+
 def ngram_counts(corpus, order, vocab_ext) -> dict[tuple[int, ...], dict[int, int]]:
     """``{context: {token: count}}`` by counting every ``order + 1``-token
     window as a tuple, left-padded with the begin marker ``vocab_ext``."""

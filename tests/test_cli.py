@@ -537,13 +537,15 @@ class TestModelFileValidation:
 
 
 def assert_rejected(rc, capsys, outputs):
-    """Exit 2, one JSON line on stderr naming a ConfigError, no output file."""
+    """Exit 2, one JSON line on stderr naming a ConfigError, no output file;
+    returns the error's message."""
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "ConfigError"
     for path in outputs:
         assert not path.exists()
+    return json.loads(err)["message"]
 
 
 def _edit_record(src, dst, index, **fields):
@@ -574,13 +576,32 @@ MALFORMED_RECORDS = {
                                                          for ch in rec["channels"]]},
 }
 
-# (which input, file text) for style files and eval results
+# (which input, file text, a word the error names) for style files and eval
+# results; an eval result's column is absent, null, or of the type eval writes
 MALFORMED_FILES = {
-    "style_ipu_ms_int": ("style", '{"ipu_ms": 5}'),
-    "style_not_object": ("style", "[]"),
-    "report_not_object": ("report", "[]"),
-    "report_metrics_list": ("report", '{"metrics": [], "params": {}}'),
-    "report_params_str": ("report", '{"metrics": {}, "params": "x"}'),
+    "style_ipu_ms_int": ("style", '{"ipu_ms": 5}', "ipu_ms"),
+    "style_not_object": ("style", "[]", "object"),
+    "style_nan": ("style", '{"p_self": NaN}', "NaN"),
+    "report_not_object": ("report", "[]", "object"),
+    "report_metrics_list": ("report", '{"metrics": [], "params": {}}', "metrics"),
+    "report_params_str": ("report", '{"metrics": {}, "params": "x"}', "params"),
+    "report_model_list": ("report", '{"model": ["x"]}', "model"),
+    "report_mode_int": ("report", '{"mode": 3}', "mode"),
+    "report_chunk_ms_object": ("report", '{"params": {"chunk_ms": {"a": 1}}}', "chunk_ms"),
+    "report_latency_bool": ("report", '{"params": {"latency_chunks": true}}',
+                            "latency_chunks"),
+    "report_n_dialogues_str": ("report", '{"metrics": {"n_dialogues": "many"}}',
+                               "n_dialogues"),
+    "report_n_dialogues_float": ("report", '{"metrics": {"n_dialogues": 6.0}}',
+                                 "n_dialogues"),
+    "report_average_r_bool": ("report", '{"metrics": {"average_r": true}}', "average_r"),
+    "report_ppl_str": ("report", '{"metrics": {"median_ppl": "3.5"}}', "median_ppl"),
+    "report_ppl_nan": ("report", '{"metrics": {"median_ppl": NaN}}', "NaN"),
+    "report_ppl_infinity": ("report", '{"metrics": {"median_ppl": -Infinity}}', "Infinity"),
+    "report_ppl_past_float": ("report", '{"metrics": {"median_ppl": 1e400}}', "median_ppl"),
+    "report_all_at_once": ("report", '{"model": ["x"], "metrics": {"median_ppl": NaN, '
+                           '"n_dialogues": "many", "average_r": true}, '
+                           '"params": {"chunk_ms": {"a": 1}}}', "NaN"),
 }
 
 
@@ -825,7 +846,7 @@ class TestInputBoundaries:
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
     def test_malformed_style_or_eval_result(self, name, tmp_path, capsys):
-        kind, text = MALFORMED_FILES[name]
+        kind, text, word = MALFORMED_FILES[name]
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         out = tmp_path / "out"
@@ -833,7 +854,8 @@ class TestInputBoundaries:
             "style": ["synth", "--style", str(bad), "--count", "1", "--out", str(out)],
             "report": ["report", "--inputs", str(bad), "--out", str(out)],
         }[kind]
-        assert_rejected(main(argv), capsys, [out])
+        message = assert_rejected(main(argv), capsys, [out])
+        assert str(bad) in message and word in message
 
     @pytest.mark.parametrize("argv", [[], ["synth"], ["train", "--corpus"],
                                       ["eval", "--mode", "x", "--generated", "g"],
@@ -972,6 +994,7 @@ class TestEvalAndReport:
         assert rc == 0
         lines = report.read_text().splitlines()
         assert len(lines) == 3  # header + one row per input
+        assert lines[1:] == base.with_suffix(".csv").read_text().splitlines()[1:] * 2
 
     def test_eval_requires_reference_for_turns(self, tmp_path, capsys):
         corpus = synth(tmp_path)
@@ -995,3 +1018,20 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "synth" in proc.stdout and "interact" in proc.stdout
+
+
+@pytest.mark.parametrize("flags", [["--replications", "0"], ["--replications", "-3"],
+                                   ["--seed", "-5"], ["--out", "{tmp}/missing/sweep.csv"],
+                                   ["--out", "{tmp}"]],
+                         ids=["no_replications", "negative_replications", "negative_seed",
+                              "missing_directory", "directory"])
+def test_latency_sweep_checks_flags_before_any_work(flags, tmp_path, monkeypatch, capsys):
+    import latency_sweep
+
+    monkeypatch.setattr(latency_sweep, "run_sweep", lambda **_: pytest.fail("the sweep ran"))
+    argv = ["--out", str(tmp_path / "sweep.csv")] + [f.format(tmp=tmp_path) for f in flags]
+    with pytest.raises(SystemExit) as exc:
+        latency_sweep.main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

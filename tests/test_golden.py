@@ -26,6 +26,7 @@ changes behaviour and must say why.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from duplexsim import (
     SamplerConfig,
     Vocab,
     continue_dialogue,
-    corpus_perplexity,
     deduplicate,
     estimate_user_chunk,
     flatten,
@@ -171,7 +171,9 @@ def test_perplexity(world):
     size, _, model, script = world
     seq = flatten(script)
     values = [perplexity(model, seq, skip=k).hex() for k in (0, 1, 7, len(seq) - 1)]
-    values.append(corpus_perplexity(model, [seq[:40], seq[40:]], skip=2).hex())
+    # token-weighted over two parts: their sequence_nll sums, as one perplexity
+    (nll_a, n_a), (nll_b, n_b) = (model.sequence_nll(part, skip=2) for part in (seq[:40], seq[40:]))
+    values.append(math.exp((nll_a + nll_b) / (n_a + n_b)).hex())
     _check(f"ppl-v{size}", values)
 
 

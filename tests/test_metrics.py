@@ -8,13 +8,15 @@ from duplexsim import (
     VadSegment,
     Vocab,
     correlation_report,
+    encode_dialogue,
     pearson,
+    per_dialogue_perplexities,
+    perplexity,
     train,
     turn_events,
     vad,
 )
-from duplexsim.errors import DegenerateInput, EmptySet, NoPairs
-from duplexsim.metrics import per_dialogue_perplexities
+from duplexsim.errors import DegenerateInput, EmptySequence, EmptySet, NoPairs
 
 import oracles
 
@@ -246,15 +248,15 @@ class TestCorrelationReport:
 
 
 class TestMedianPerplexity:
-    def _dialogue(self, vocab, chunks):
-        return DedupDialogue(vocab, 160, tuple(DedupChunk(tuple(a), tuple(b)) for a, b in chunks))
+    def _encoded(self, vocab, chunks):
+        """``encode_dialogue``'s (wire, chunk offsets) pair of the chunks."""
+        return encode_dialogue(DedupDialogue(
+            vocab, 160, tuple(DedupChunk(tuple(a), tuple(b)) for a, b in chunks)))
 
     def test_single_dialogue(self, tiny_vocab):
         model = NgramModel(order=1, vocab_ext=tiny_vocab.extended_size, alpha=1.0)
-        d = self._dialogue(tiny_vocab, [((1,), (2,)), ((3,), ())])
-        from duplexsim import flatten, perplexity
-
-        assert per_dialogue_perplexities(model, [d]) == [perplexity(model, flatten(d))]
+        encoded = self._encoded(tiny_vocab, [((1,), (2,)), ((3,), ())])
+        assert per_dialogue_perplexities(model, [encoded]) == [perplexity(model, encoded[0])]
 
     def test_median_is_outlier_robust(self):
         # medians of per-dialogue values [10, 20, 400] -> 20
@@ -265,34 +267,49 @@ class TestMedianPerplexity:
     def test_prompt_excluded_from_scoring(self, tiny_vocab):
         corpus = [[1, 2, 3, 1, 2, 3] * 4]
         model = train(corpus, order=1, alpha=0.1, vocab_ext=tiny_vocab.extended_size)
-        d = self._dialogue(tiny_vocab, [((1, 2), (3,)), ((1, 2), ())])
-        (full,) = per_dialogue_perplexities(model, [d], prompt_chunks=0)
-        (tail,) = per_dialogue_perplexities(model, [d], prompt_chunks=1)
+        encoded = self._encoded(tiny_vocab, [((1, 2), (3,)), ((1, 2), ())])
+        (full,) = per_dialogue_perplexities(model, [encoded], prompt_chunks=0)
+        (tail,) = per_dialogue_perplexities(model, [encoded], prompt_chunks=1)
         assert full != tail
+        # the first chunk's wire is tag_s0 1 2 tag_s1 3
+        assert tail == perplexity(model, encoded[0], skip=5)
+
+    @pytest.mark.parametrize("prompt_chunks", [2, 3])
+    def test_prompt_covering_the_dialogue_raises(self, tiny_vocab, prompt_chunks):
+        model = NgramModel(order=1, vocab_ext=tiny_vocab.extended_size)
+        encoded = self._encoded(tiny_vocab, [((1, 2), (3,)), ((1, 2), ())])
+        with pytest.raises(EmptySequence):
+            per_dialogue_perplexities(model, [encoded], prompt_chunks=prompt_chunks)
 
     def test_empty_set(self, tiny_vocab):
         model = NgramModel(order=1, vocab_ext=tiny_vocab.extended_size)
         with pytest.raises(EmptySet):
             per_dialogue_perplexities(model, [])
+        with pytest.raises(EmptySet):
+            per_dialogue_perplexities(model, iter([]))
+
+    def test_negative_prompt_raises(self, tiny_vocab):
+        # starts[-1] would skip all but the last chunk
+        model = NgramModel(order=1, vocab_ext=tiny_vocab.extended_size)
+        encoded = self._encoded(tiny_vocab, [((1, 2), (3,)), ((1, 2), ())])
+        with pytest.raises(ValueError, match="prompt_chunks"):
+            per_dialogue_perplexities(model, [encoded], prompt_chunks=-1)
 
     def test_shuffled_continuations_score_worse(self, tiny_vocab):
         import random
 
-        from duplexsim import deduplicate, flatten, generate_corpus, DialogueStyle
+        from duplexsim import encode, generate_corpus, DialogueStyle
 
         style = DialogueStyle(vocab=tiny_vocab, backchannel_prob=0.0, p_self=0.5)
         corpus = generate_corpus(style, 24, 16000, seed=77)
-        seqs = [
-            flatten(deduplicate(s0, s1, 160, tiny_vocab))
-            for s0, s1 in corpus.values()
-        ]
-        model = train(seqs[:16], order=3, alpha=0.1, vocab_ext=tiny_vocab.extended_size)
-        heldout = seqs[16:]
+        encoded = [encode(s0, s1, 160, tiny_vocab) for s0, s1 in corpus.values()]
+        model = train([w for w, _ in encoded[:16]], order=3, alpha=0.1,
+                      vocab_ext=tiny_vocab.extended_size)
+        heldout = encoded[16:]
         shuffled = []
-        for s in heldout:
-            s2 = list(s)
+        for wire, _ in heldout:
+            s2 = wire.tolist()
             random.Random(1).shuffle(s2)
-            shuffled.append(s2)
-        from duplexsim import corpus_perplexity
-
-        assert corpus_perplexity(model, heldout) < corpus_perplexity(model, shuffled)
+            shuffled.append(perplexity(model, s2))
+        ppls = per_dialogue_perplexities(model, heldout)
+        assert all(h < s for h, s in zip(ppls, shuffled))

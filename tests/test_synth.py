@@ -20,7 +20,7 @@ from duplexsim import (
 )
 from duplexsim.errors import BadDuration, EmptyCorpus
 from duplexsim.metrics import dialogue_events
-from duplexsim.synth import _integers, _markov_content, generate_dialogue_with_log
+from duplexsim.synth import _integers, _markov_content
 
 import oracles
 
@@ -93,23 +93,19 @@ class TestGenerateDialogue:
         )
         found = 0
         for seed in range(10):
-            _, _, events = generate_dialogue_with_log(style, 30000, seed=seed)
+            # the oracle planner's log describes the dialogue synth makes
+            s0, s1, events = oracles.planned_dialogue(style, 30000, seed)
+            assert (s0, s1) == generate_dialogue(style, 30000, seed=seed)
             ipus = {
-                c: [
-                    (e.start_frame, e.end_frame)
-                    for e in events
-                    if e.kind == "ipu" and e.channel == c
-                ]
+                c: [(a, b) for kind, channel, a, b in events
+                    if kind == "ipu" and channel == c]
                 for c in (0, 1)
             }
-            for e in events:
-                if e.kind != "backchannel":
+            for kind, channel, start, end in events:
+                if kind != "backchannel":
                     continue
                 found += 1
-                partner = ipus[1 - e.channel]
-                assert any(
-                    a < e.start_frame and e.end_frame < b for a, b in partner
-                )
+                assert any(a < start and end < b for a, b in ipus[1 - channel])
         assert found > 10
 
     def test_fto_mean_recovery(self, tiny_vocab):

@@ -11,6 +11,7 @@ from duplexsim import (
     chunk_streams,
     deduplicate,
     encode,
+    encode_dialogue,
     flatten,
     interpolate,
     parse,
@@ -109,6 +110,9 @@ def test_encode_matches_the_frame_by_frame_oracle(size, chunk_ms, data):
     wire, starts = encode(s0, s1, chunk_ms, vocab)
     assert wire.dtype == np.int64
     assert wire.tolist() == flatten(expected)
+    got_wire, got_starts = encode_dialogue(expected)
+    assert (got_wire.dtype, got_starts.dtype) == (wire.dtype, starts.dtype) == (np.int64,) * 2
+    assert (got_wire.tolist(), got_starts.tolist()) == (wire.tolist(), starts.tolist())
     assert starts.tolist() == [i for i, t in enumerate(wire.tolist()) if t == vocab.tag_s0]
     assert parse(wire.tolist(), vocab, chunk_ms) == expected
     assert deduplicate(s0, s1, chunk_ms, vocab) == expected
