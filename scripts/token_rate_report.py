@@ -14,6 +14,7 @@ import sys
 from duplexsim import DialogueStyle, Vocab, corpus_stats, generate_corpus
 
 BAR = "#"
+FRAME_MS = 40
 
 
 def histogram(values, bins=10, width=40):
@@ -40,9 +41,20 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--units", type=int, default=501)
     args = ap.parse_args(argv)
+    if args.count < 1:
+        ap.error(f"--count must be >= 1, got {args.count}")
+    if args.duration_ms <= 0 or args.duration_ms % FRAME_MS:
+        ap.error(f"--duration-ms must be a positive multiple of {FRAME_MS}, "
+                 f"got {args.duration_ms}")
+    if args.seed < 0:
+        ap.error(f"--seed must be >= 0, got {args.seed}")
+    try:  # a style needs a unit besides silence, and numpy's int64 draws
+        style = DialogueStyle(vocab=Vocab(size=args.units, frame_ms=FRAME_MS,
+                                          silence_tokens=frozenset({0})))
+    except ValueError as exc:
+        ap.error(f"--units {args.units}: {exc}")
 
-    vocab = Vocab(size=args.units, frame_ms=40, silence_tokens=frozenset({0}))
-    style = DialogueStyle(vocab=vocab)
+    vocab = style.vocab
     corpus = generate_corpus(style, args.count, args.duration_ms, seed=args.seed)
 
     for chunk_ms in (160, 200, 240):

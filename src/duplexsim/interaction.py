@@ -34,16 +34,19 @@ step of the chunk it estimates.
 The agent's ``sample`` and ``emit``, the one implementation of the
 grammar, are generators that yield each draw request (the agent and its
 allowed ids as a span ``(lo, hi, skip)``: ``[lo, hi)`` but the last novel
-``skip``, or None) and receive the token. ``simulate_interactions`` steps
-its runs together: a run yields the agents to run next, both at once at a
-latency of one chunk or more (their RNGs are separate, and neither needs
-the other's current chunk). The pending draws of one model at temperature
-1 without top_k go to ``ngram.sample_batch`` in one array step if there are
-at least ``_BATCH_MIN`` (12; on seen contexts the kernel's measured
-crossover is about 8 draws at 26 symbols and 10 at 503, while on unseen ones,
-which ``sample_span`` draws from a cached cdf, one call per draw costs less
-up to 48 draws), and else to ``sample_span`` one at a time; other samplers
-draw through ``sample_constrained``. All give the same bits.
+``skip``, or None) and receive the token. A request carries the agent's
+``code``, the model's code of its context (``NgramModel.code``): each token
+the agent appends updates it, and ``emit`` restores it when it cuts the
+context back to the mark, so no draw reads the context's tokens.
+``simulate_interactions`` steps its runs together: a run yields the agents
+to run next, both at once at a latency of one chunk or more (their RNGs are
+separate, and neither needs the other's current chunk). The pending draws of
+one model at temperature 1 without top_k go to ``ngram.sample_batch`` in one
+array step if there are at least ``_BATCH_MIN`` (12; on seen contexts the
+kernel's measured crossover is about 8 draws at 26 and at 503 symbols, while
+on unseen ones, which ``sample_span`` draws from a cached cdf, one call per
+draw costs less up to 48 draws), and else to ``sample_span`` one at a time;
+other samplers draw through ``sample_constrained``. All give the same bits.
 """
 
 from __future__ import annotations
@@ -185,10 +188,11 @@ class _Agent:
 
     The agent owns its model, sampler config and RNG; one context list,
     whose prefix is an append-only base of the chunks that have fully
-    arrived; and the last novel unit of each channel in that base. The
-    base starts as the ``prompt`` dialogue, appended chunk by chunk, so the
-    last novels are tracked from the first token on; the prompt also gives
-    the vocabulary and the chunk size. Its three operations:
+    arrived; ``code``, the model's code of that context; and the last novel
+    unit of each channel in that base. The base starts as the ``prompt``
+    dialogue, appended chunk by chunk, so the last novels are tracked from
+    the first token on; the prompt also gives the vocabulary and the chunk
+    size. Its three operations:
 
     * ``receive`` an arrived chunk of the other side. Every chunk whose
       two parts are now both known is appended to the base.
@@ -229,6 +233,12 @@ class _Agent:
         self.plain = cfg.temperature == 1.0 and cfg.top_k is None
         self.side = side
         self.ctx: list[int] = []
+        # the model's code of the context (see ngram.NgramModel.code), carried
+        # along token by token: each is the last one's times radix plus the
+        # token, modulo top, which drops the digit that left the window
+        self.radix = model.vocab_ext + 1
+        self.top = self.radix ** model.order
+        self.code = self.top - 1  # begin markers only
         self.last: list[int | None] = [None, None]
         for chunk in prompt.chunks:
             self.append(0, chunk.s0_novel)
@@ -237,14 +247,17 @@ class _Agent:
         self.theirs: deque[list[int]] = deque()  # arrived parts not yet in the base
 
     def append(self, channel: int, novels: Sequence[int]) -> None:
-        vocab = self.vocab
-        if channel == 0:
-            self.ctx.append(vocab.tag_s0)
-        elif novels:
-            self.ctx.append(vocab.tag_s1)
-        self.ctx.extend(novels)
+        if channel == 1 and not novels:  # a silent channel 1 has no tag
+            return
+        # a given part may hold numpy ints; the context and its code hold ints
+        tokens = (self.vocab.tag_s1 if channel else self.vocab.tag_s0, *map(int, novels))
         if novels:
-            self.last[channel] = novels[-1]
+            self.last[channel] = tokens[-1]
+        self.ctx.extend(tokens)
+        code, radix, top = self.code, self.radix, self.top
+        for tok in tokens:
+            code = (code * radix + tok) % top
+        self.code = code
 
     def sample(self, channel: int) -> Generator:
         """Draw one channel's novel tokens for the current chunk and append
@@ -256,15 +269,15 @@ class _Agent:
         appended; chunk structure is the caller's job).
         """
         vocab = self.vocab
-        if channel == 0:
-            self.ctx.append(vocab.tag_s0)
-        elif (yield self, (vocab.size, vocab.extended_size, None)) == vocab.tag_s1:
-            self.ctx.append(vocab.tag_s1)
-        else:
+        if channel == 1 and (yield self, (vocab.size, vocab.extended_size, None)) != vocab.tag_s1:
             return []
+        tok = vocab.tag_s1 if channel else vocab.tag_s0
+        ctx, code, radix, top = self.ctx, self.code, self.radix, self.top
         last_tok = self.last[channel]
         novels: list[int] = []
         while True:
+            ctx.append(tok)  # the tag, then each novel
+            code = self.code = (code * radix + tok) % top
             if len(novels) >= self.fpc:
                 self.truncations += 1
                 break
@@ -274,7 +287,6 @@ class _Agent:
             if tok >= vocab.size:
                 break
             novels.append(tok)
-            self.ctx.append(tok)
             last_tok = tok
         if novels:
             self.last[channel] = last_tok
@@ -295,7 +307,7 @@ class _Agent:
         mark and window tokens (the context it was sampled from is
         ``ctx[:mark] + window``); a generator like ``sample``. The window holds
         own parts not yet in the base and the other side's arrived or estimated parts."""
-        mark, last = len(self.ctx), list(self.last)
+        mark, last, code = len(self.ctx), list(self.last), self.code
         estimates = []
         for k in range(len(self.mine) + 1):
             for channel in (0, 1):
@@ -310,14 +322,14 @@ class _Agent:
         window = self.ctx[mark:]
         novels = yield from self.sample(self.side)
         del self.ctx[mark:]
-        self.last = last
+        self.last, self.code = last, code
         self.mine.append(novels)
         self._settle()
         return novels, estimates, mark, window
 
 
 # below the kernel's measured crossover on seen contexts, about 8 draws at 26
-# symbols and 10 at 503, one sample_span call per draw costs less (on unseen
+# and at 503 symbols, one sample_span call per draw costs less (on unseen
 # ones, up to 48 draws at least; see CHANGES.md)
 _BATCH_MIN = 12
 
@@ -329,9 +341,10 @@ def _run(agent: Generator, request: tuple | None = None):
     try:
         request = next(agent) if request is None else request
         owner = request[0]  # every request of one agent generator is its agent's
-        model, ctx, cfg, rng, send = owner.model, owner.ctx, owner.cfg, owner.rng, agent.send
+        model, cfg, rng, send = owner.model, owner.cfg, owner.rng, agent.send
         while owner.plain:
-            request = send(sample_span(model, ctx, *request[1], rng))
+            request = send(sample_span(model, owner.code, *request[1], rng))
+        ctx = owner.ctx
         while True:
             lo, hi, skip = request[1]
             ids = np.delete(np.arange(lo, hi), [] if skip is None else skip - lo)
@@ -380,7 +393,7 @@ def _drive(sessions: list[Generator]) -> list:
                 finish(i, k, _run(agent, request))
             continue
         owners, spans = zip(*[request for _, request, _, _ in batch])
-        drawn = sample_batch(model, [a.ctx for a in owners], spans, [a.rng for a in owners])
+        drawn = sample_batch(model, [a.code for a in owners], spans, [a.rng for a in owners])
         for (agent, _, i, k), tok in zip(batch, drawn):
             advance(agent, tok, i, k)
     return outs

@@ -42,10 +42,16 @@ is rejected: retrain its model.
 ``sample_constrained`` draws from any allowed ids with any sampler;
 ``sample_span`` and ``sample_batch`` draw from ``[lo, hi)`` but one id or
 none, at temperature 1 without top_k, with the same bits, building only the
-allowed part of each row. An unseen context's row is ``alpha / (alpha *
-vocab_ext)`` at every id, so its cdf depends on the span's width alone:
-``sample_span`` keeps the one it builds on a model's first unseen draw of a
-width, and later ones search it, with the bits a rebuild would give.
+allowed part of each row. They take a context as its code,
+``NgramModel.code``, which the interaction engine's agents carry along as
+they append. ``sample_span`` finds a code's row through a seen-context
+filter: a table of one byte per slot, set where a seen code hashes, so a
+zero byte means unseen and a set one is confirmed by a search of
+``codes``. An unseen context's row is ``alpha / (alpha * vocab_ext)`` at
+every id, so its cdf depends on the span's width alone: ``sample_span``
+keeps the one it builds on a model's first unseen draw of a width, as a
+list, and later ones bisect it, with the bits a rebuild and
+``searchsorted`` would give.
 ``sample_batch`` makes many draws in one padded pass: one matrix holds every
 draw's allowed row, zero-padded to the widest, and each step runs once for
 all rows but the row sum. That runs once per allowed-set length, as numpy's
@@ -57,9 +63,9 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -72,6 +78,10 @@ from .errors import EmptyCorpus, EmptySequence, ModelFormatError
 MODEL_FILE_VERSION = 3
 # the dtype kinds each record may have: header, alpha, codes, sizes, tokens, counts
 _RECORD_KINDS = ("iu", "f", "iu", "iu", "iu", "iu")
+# the seen-context filter's multiplicative hash: a code times this odd
+# constant, masked to 64 bits, picks a slot by its top bits
+_HASH = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -93,8 +103,9 @@ class SamplerConfig:
 class NgramModel:
     """Add-alpha smoothed n-gram over ``vocab_ext`` symbols, held as the
     arrays of the module docstring; immutable in use, so safe to share. Its
-    caches, ``_table`` and the unseen contexts' cdfs, fill lazily with values
-    that the arrays, ``alpha`` and ``vocab_ext`` fix, so sharing stays safe."""
+    caches for single draws, the seen-context filter ``_filter`` and the
+    unseen contexts' cdfs ``_cdfs``, fill lazily with values that the arrays,
+    ``alpha`` and ``vocab_ext`` fix, so sharing stays safe."""
 
     def __init__(self, order: int, vocab_ext: int, alpha: float = 0.1):
         if order < 1:
@@ -121,7 +132,7 @@ class NgramModel:
                                dtype=np.int64)
         empty = np.zeros(0, dtype=np.int64)
         self._set_rows(empty, np.zeros(1, dtype=np.int64), empty, empty)
-        self._cdfs: dict[int, np.ndarray] = {}  # span width: an unseen context's cdf
+        self._cdfs: dict[int, list[float]] = {}  # span width: an unseen context's cdf
 
     @property
     def bos(self) -> int:
@@ -132,19 +143,37 @@ class NgramModel:
         """``{context code: total}``, built from the arrays on each read."""
         return dict(zip(self.codes.tolist(), self.row_totals.tolist()))
 
-    @cached_property
-    def _table(self) -> dict[int, int]:
-        """For single draws: a dict from context code to row."""
-        return dict(zip(self.codes.tolist(), range(len(self.codes))))
-
-    def _row(self, context: Sequence[int]) -> int | None:
-        """The row of ``context`` (ids in [0, vocab_ext]), or None if it is unseen."""
+    def code(self, context: Sequence[int]) -> int:
+        """The code of ``context``'s last ``order`` ids (in [0, vocab_ext]), after
+        begin markers if it is shorter; a Python int for ids of any integer type."""
         base = self.vocab_ext + 1
         tail = context[-self.order :]
         code = base ** (self.order - len(tail)) - 1  # begin markers: every digit base - 1
         for tok in tail:
-            code = code * base + tok
-        return self._table.get(code)
+            code = code * base + int(tok)
+        return code
+
+    @cached_property
+    def _filter(self) -> tuple[bytes, int]:
+        """For single draws: a table of one byte per slot, set at each seen
+        code's slot, and the shift that picks a code's slot from the top bits
+        of the code times ``_HASH``, masked to 64 bits. The table has the power
+        of two at or above 8 slots per row, so at most an eighth of it is set,
+        and about as many unseen codes (12% or less) find a set byte."""
+        shift = 64 - (8 * max(len(self.codes), 1) - 1).bit_length()
+        table = np.zeros(1 << (64 - shift), dtype=np.uint8)
+        table[(self.codes.astype(np.uint64) * np.uint64(_HASH)) >> np.uint64(shift)] = 1
+        return table.tobytes(), shift
+
+    def _row(self, code: int) -> int | None:
+        """The row of context ``code``, or None if it is unseen: a zero byte in
+        the filter, or a set one whose code ``codes`` does not hold."""
+        table, shift = self._filter
+        if table[(code * _HASH & _MASK) >> shift]:
+            row = int(self.codes.searchsorted(code))
+            if row < len(self.codes) and self.codes[row] == code:
+                return row
+        return None
 
     def _set_rows(self, codes: np.ndarray, offsets: np.ndarray, tokens: np.ndarray,
                   freqs: np.ndarray) -> None:
@@ -175,7 +204,7 @@ class NgramModel:
     def next_dist(self, context: Sequence[int]) -> np.ndarray:
         """Smoothed next-token distribution at every id, all entries > 0, summing
         to 1. The context holds ids in [0, vocab_ext]."""
-        return self._dist(self._row(context), 0, self.vocab_ext, None)
+        return self._dist(self._row(self.code(context)), 0, self.vocab_ext, None)
 
     def _dist(self, row: int | None, lo: int, hi: int, skip: int | None) -> np.ndarray:
         """``next_dist`` after the context of ``row`` (None: unseen) at only the
@@ -409,28 +438,30 @@ def sample_constrained(
     return int(indices[_cdf(probs).searchsorted(rng.random(), "right")])
 
 
-def sample_span(model: NgramModel, context: Sequence[int], lo: int, hi: int,
-                skip: int | None, rng: np.random.Generator) -> int:
-    """``sample_constrained(model, context, ids, SamplerConfig(), rng)`` for the
-    ids of ``[lo, hi)`` other than ``skip`` (None, or an id in the range), bit for
-    bit and with the same RNG use, from only the allowed part of the row; an
-    unseen context searches the model's cached cdf of the span's width."""
+def sample_span(model: NgramModel, code: int, lo: int, hi: int, skip: int | None,
+                rng: np.random.Generator) -> int:
+    """``sample_constrained(model, context, ids, SamplerConfig(), rng)``, where
+    ``code`` is ``model.code(context)``, for the ids of ``[lo, hi)`` other than
+    ``skip`` (None, or an id in the range), bit for bit and with the same RNG
+    use, from only the allowed part of the row; an unseen context bisects the
+    model's cached cdf of the span's width."""
     n = _span_size(model, lo, hi, skip)
     i = 0
     if n > 1:
-        row = model._row(context)
+        row = model._row(code)
         if row is not None:
-            cdf = _cdf(model._dist(row, lo, hi, skip))
-        elif (cdf := model._cdfs.get(n)) is None:  # one per width (see the module docstring)
-            cdf = model._cdfs[n] = _cdf(model._dist(None, lo, hi, skip))
-        i = int(cdf.searchsorted(rng.random(), "right"))
+            i = int(_cdf(model._dist(row, lo, hi, skip)).searchsorted(rng.random(), "right"))
+        else:
+            if (cdf := model._cdfs.get(n)) is None:  # one per width (see the module docstring)
+                cdf = model._cdfs[n] = _cdf(model._dist(None, lo, hi, skip)).tolist()
+            i = bisect_right(cdf, rng.random())  # searchsorted(u, "right") on a sorted list
     return lo + i + (skip is not None and lo + i >= skip)
 
 
-def sample_batch(model: NgramModel, contexts: Sequence[list[int]],
+def sample_batch(model: NgramModel, codes: Sequence[int],
                  spans: Sequence[tuple[int, int, int | None]],
                  rngs: Sequence[np.random.Generator]) -> list[int]:
-    """``sample_span(model, contexts[i], *spans[i], rngs[i])`` for each i in one
+    """``sample_span(model, codes[i], *spans[i], rngs[i])`` for each i in one
     array step, bit for bit and with the same RNG use; no two draws share an RNG.
 
     Row i of one matrix, zero-padded to the widest span, holds draw i's
@@ -442,17 +473,13 @@ def sample_batch(model: NgramModel, contexts: Sequence[list[int]],
     zeros leave each prefix's bits as they are; after the divide by the last
     column, which is each row's last real entry, the padding reads 1.0, which
     no ``u < 1`` counts."""
-    order, n, alpha = model.order, len(contexts), model.alpha
+    n, alpha = len(codes), model.alpha
     sizes = [_span_size(model, lo, hi, skip) for lo, hi, skip in spans]
-    tails = [ctx[-order:] for ctx in contexts]
-    if min(map(len, tails)) < order:  # a short context follows begin markers
-        tails = [[model.bos] * (order - len(t)) + t for t in tails]
-    ids = np.fromiter(chain.from_iterable(tails), np.int64, n * order)
-    codes = ids.reshape(n, order) @ model._place
     start = end = totals = np.zeros(n, dtype=np.int64)
     if len(model.codes):
-        row = model.codes.searchsorted(codes)
-        seen = model.codes.take(row, mode="clip") == codes
+        code = np.array(codes, dtype=np.int64)
+        row = model.codes.searchsorted(code)
+        seen = model.codes.take(row, mode="clip") == code
         start, end = model.offsets[row], model.offsets[row + seen]  # an unseen row is empty
         totals = np.where(seen, model.row_totals.take(row, mode="clip"), 0)
     # each span's ids are lo + k, plus 1 from its skip on (from hi, never, without one)

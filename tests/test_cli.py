@@ -533,7 +533,8 @@ class TestModelFileValidation:
                             staticmethod(lambda path: loaded.append(load(path)) or loaded[-1]))
         assert main(["eval", "--mode", "ppl", "--generated", str(corpus),
                      "--model", str(model), "--out", str(tmp_path / "ppl")]) == 0
-        assert len(loaded) == 1 and "_table" not in vars(loaded[0])
+        # the seen-context filter and the unseen cdfs serve single draws only
+        assert len(loaded) == 1 and "_filter" not in vars(loaded[0]) and not loaded[0]._cdfs
 
 
 def assert_rejected(rc, capsys, outputs):
@@ -1035,3 +1036,19 @@ def test_latency_sweep_checks_flags_before_any_work(flags, tmp_path, monkeypatch
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [["--count", "0"], ["--duration-ms", "30"],
+                                   ["--duration-ms", "-40"], ["--seed", "-1"], ["--units", "1"]],
+                         ids=["no_dialogues", "not_whole_frames", "negative_duration",
+                              "negative_seed", "silence_only"])
+def test_token_rate_report_checks_flags_before_any_work(flags, monkeypatch, capsys):
+    import token_rate_report
+
+    for name in ("generate_corpus", "corpus_stats"):
+        monkeypatch.setattr(token_rate_report, name,
+                            lambda *args, **kwargs: pytest.fail("the report ran"))
+    with pytest.raises(SystemExit) as exc:
+        token_rate_report.main(flags)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

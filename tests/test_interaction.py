@@ -68,6 +68,29 @@ def no_draws(monkeypatch):
     monkeypatch.setattr("duplexsim.interaction.sample_batch", no_draw)
 
 
+@pytest.fixture
+def code_checks(monkeypatch):
+    """At every draw request, the agent's code is the model's code of its
+    context, as a Python int; returns the requests checked."""
+    checked = []
+    sample = interaction._Agent.sample
+
+    def checked_sample(agent, channel):
+        run, token = sample(agent, channel), None
+        while True:
+            try:
+                request = run.send(token)
+            except StopIteration as stop:
+                return stop.value
+            owner = request[0]
+            assert type(owner.code) is int and owner.code == owner.model.code(owner.ctx)
+            checked.append(request)
+            token = yield request
+
+    monkeypatch.setattr(interaction._Agent, "sample", checked_sample)
+    return checked
+
+
 class TestContinueDialogue:
     def test_chunk_count_contract(self, setup):
         vocab, _, model, script = setup
@@ -345,6 +368,30 @@ class TestSimulateScripted:
                 assert (t + 1) - max(transcript.prompt_chunks, t + 1 - 3) == 3
 
 
+class TestAgentCode:
+    """The code an agent carries is the model's code of its context at every
+    draw request (the engine's runs are checked in TestSimulateInteractions)."""
+
+    def test_continue_dialogue(self, setup, code_checks):
+        _, _, model, script = setup
+        prompt = prompt_of(script, 4)
+        forced = [c.s1_novel for c in script.chunks[4:10]]
+        free = continue_dialogue(model, prompt, 6, SamplerConfig(seed=3))
+        teacher = continue_dialogue(model, prompt, 6, SamplerConfig(seed=3), forced_user=forced)
+        assert len(code_checks) > 12 and teacher.chunks[4:] != free.chunks[4:]
+        # a prompt of numpy ints gives the same int codes, and so the same draws
+        as_numpy = DedupDialogue(prompt.vocab, CHUNK_MS, tuple(
+            DedupChunk(*(tuple(np.int64(t) for t in part) for part in c)) for c in prompt.chunks))
+        assert continue_dialogue(model, as_numpy, 6, SamplerConfig(seed=3)) == free
+
+    def test_estimate_user_chunk(self, setup, code_checks):
+        vocab, _, model, script = setup
+        ctx = flatten(prompt_of(script, 3)) + [vocab.tag_s0, 1]
+        for seed in range(10):
+            estimate_user_chunk(model, ctx, vocab, CHUNK_MS, SamplerConfig(seed=seed))
+        assert len(code_checks) >= 10
+
+
 class TestSimulateTwoModels:
     def test_deterministic_and_structured(self, setup):
         vocab, _, model, script = setup
@@ -402,7 +449,8 @@ class TestSimulateInteractions:
     @pytest.mark.parametrize("latency", [0, 1, 3])
     @pytest.mark.parametrize("runs", [2, interaction._BATCH_MIN + 2],
                              ids=["below_crossover", "above_crossover"])
-    def test_equal_to_one_run_at_a_time(self, setup, monkeypatch, user, latency, runs):
+    def test_equal_to_one_run_at_a_time(self, setup, monkeypatch, code_checks, user, latency,
+                                        runs):
         vocab, _, model, script = setup
         batches = []
 
@@ -425,6 +473,7 @@ class TestSimulateInteractions:
         assert [[s.context_snapshot for s in t.steps] for t in together] == [
             [s.context_snapshot for s in t.steps] for t in alone]
         assert kernel_used == (runs > interaction._BATCH_MIN)
+        assert code_checks  # every request of both passes drew at the context's code
 
     def test_every_run_is_checked_before_any_draw(self, setup, no_draws):
         vocab, _, model, script = setup

@@ -13,6 +13,7 @@ from duplexsim import (
     sample_constrained,
     train,
 )
+from duplexsim import ngram
 from duplexsim.ngram import sample_batch, sample_span
 from duplexsim.errors import EmptyCorpus, EmptySequence, ModelFormatError
 
@@ -347,6 +348,49 @@ def contexts(model, corpus):
                      .map(lambda seq: seq + [model.bos]))
 
 
+class TestSeenFilter:
+    """``NgramModel._row`` against a dict from each seen context's code to its row."""
+
+    # from 8 to 503 symbols, on corpora that leave contexts unseen; at order 7
+    # and 503 symbols codes reach 2**62.9, where one more digit would overflow
+    # an int64. (On a few hundred codes of a small dense range the hash sets
+    # no slot that an unseen code there finds, so the collisions need these.)
+    @pytest.mark.parametrize("units,order,length", [(6, 4, 60), (24, 4, 600), (501, 4, 600),
+                                                    (501, 7, 600)])
+    def test_row_equals_dict(self, units, order, length):
+        gen = np.random.default_rng(units * 10 + order)
+        vocab_ext = units + 2
+        corpus = [gen.integers(0, vocab_ext, length).tolist() for _ in range(6)]
+        model = train(corpus, order=order, alpha=0.1, vocab_ext=vocab_ext)
+        oracle = dict(zip(model.codes.tolist(), range(len(model.codes))))
+        table, shift = model._filter
+        assert len(table) == 1 << (8 * len(oracle) - 1).bit_length()  # 8 slots a row, or more
+        # a code's slot in Python's arithmetic, not numpy's
+        slot = lambda code: (code * ngram._HASH) % 2**64 >> shift
+        assert all(table[slot(code)] for code in oracle) and sum(table) <= len(oracle)
+        assert all(model._row(code) == row for code, row in oracle.items())
+        top = (vocab_ext + 1) ** order
+        probes = range(top) if top <= 10**5 else gen.integers(0, top, 20000).tolist()
+        unseen = [code for code in [*probes, 0, top - 1] if code not in oracle]
+        assert all(model._row(code) is None for code in unseen)
+        # unseen codes whose slot a seen code set, so the search must reject them
+        collide = [code for code in unseen if table[slot(code)]]
+        assert collide and all(model._row(code) is None for code in collide)
+        # contexts of numpy integers give the exact int codes of their lists
+        for seq in corpus[:2]:
+            ids = np.array([model.bos] * order + seq)
+            for i in range(len(seq) + 1):
+                ctx = ids[i : i + order]
+                code = model.code(ctx)
+                assert type(code) is int and code == model.code(ctx.tolist())
+                assert model._row(code) == oracle.get(code)
+
+    def test_untrained_model_sees_nothing(self):
+        model = NgramModel(order=4, vocab_ext=503)
+        assert model._filter == (bytes(8), 61)
+        assert model._row(model.code([])) is None and model._row(0) is None
+
+
 class TestSampleSpan:
     """sample_span against sample_constrained on the span's ids, on twin RNGs."""
 
@@ -355,12 +399,12 @@ class TestSampleSpan:
         fused, plain = np.random.default_rng(seed), np.random.default_rng(seed)
         ids = span_ids(*span)
         if len(ids):
-            tok = sample_span(model, context, *span, fused)
+            tok = sample_span(model, model.code(context), *span, fused)
             assert type(tok) is int
             assert tok == sample_constrained(model, context, ids, SamplerConfig(), plain)
         else:
             with pytest.raises(ValueError, match="empty"):
-                sample_span(model, context, *span, fused)
+                sample_span(model, model.code(context), *span, fused)
             with pytest.raises(ValueError, match="empty"):
                 sample_constrained(model, context, ids, SamplerConfig(), plain)
         assert fused.bit_generator.state == plain.bit_generator.state
@@ -404,7 +448,7 @@ class TestSampleSpan:
         corpus = [gen.integers(0, units + 2, 400).tolist() for _ in range(4)]
         model = train(corpus, order=2, alpha=0.01, vocab_ext=units + 2)
         unseen, seen = [0, model.bos], corpus[0][:50]
-        assert model._row(unseen) is None and model._row(seen) is not None
+        assert model._row(model.code(unseen)) is None and model._row(model.code(seen)) is not None
         def spans(width):
             while True:
                 skip = width < model.vocab_ext and gen.integers(2) == 1
@@ -418,7 +462,7 @@ class TestSampleSpan:
                 for cold in (True, False):
                     model._cdfs.clear()
                     if not cold:
-                        sample_span(model, unseen, *next(some), FixedDraws([0.5]))
+                        sample_span(model, model.code(unseen), *next(some), FixedDraws([0.5]))
                     span = next(some)
                     ids = span_ids(*span)
                     cdf = model.next_dist(ctx)[ids]
@@ -427,7 +471,7 @@ class TestSampleSpan:
                     for u in np.concatenate((cdf[:-1], np.nextafter(cdf[:-1], 0))).tolist():
                         if cold:
                             model._cdfs.clear()
-                        assert sample_span(model, ctx, *span, FixedDraws([u])) == \
+                        assert sample_span(model, model.code(ctx), *span, FixedDraws([u])) == \
                             sample_constrained(model, ctx, ids, SamplerConfig(), FixedDraws([u]))
                     # only unseen draws fill the cache, one cdf per width
                     assert list(model._cdfs) == ([] if cold and ctx is seen else [width])
@@ -446,12 +490,13 @@ class TestSampleSpan:
         for drawn, other in ((0, 1), (1, 0)):
             for m in models:
                 m._cdfs.clear()
-            sample_span(models[drawn], [], 0, width, None, FixedDraws([0.5]))
+            sample_span(models[drawn], models[drawn].code([]), 0, width, None, FixedDraws([0.5]))
             us = np.concatenate((cdfs[other][:-1], np.nextafter(cdfs[other][:-1], 0)))
             # a draw that the other model's cdf would move
             assert (cdfs[0].searchsorted(us, "right") != cdfs[1].searchsorted(us, "right")).any()
             for u in us.tolist():
-                assert sample_span(models[other], [], 0, width, None, FixedDraws([u])) == \
+                assert sample_span(models[other], models[other].code([]), 0, width, None,
+                                   FixedDraws([u])) == \
                     sample_constrained(models[other], [], range(width), SamplerConfig(),
                                        FixedDraws([u]))
             assert models[0]._cdfs[width] is not models[1]._cdfs[width]
@@ -466,7 +511,7 @@ class TestSampleSpan:
         model = train([[0, 1, 2, 3, 4] * 2], order=1, alpha=0.1, vocab_ext=6)
         assert (context[0] in model.codes) == (context == [3])
         with pytest.raises(ValueError, match="is not"):
-            sample_span(model, context, *span, np.random.default_rng(0))
+            sample_span(model, model.code(context), *span, np.random.default_rng(0))
 
 
 class FixedDraws:
@@ -499,7 +544,7 @@ class TestSampleBatch:
             ctxs = [data.draw(contexts(model, corpus)) for _ in range(n)]
             spans = [data.draw(st.one_of(agent_spans(units), any_spans(model.vocab_ext))
                                .filter(lambda span: len(span_ids(*span)))) for _ in range(n)]
-            drawn = sample_batch(model, ctxs, spans, batch_rngs)
+            drawn = sample_batch(model, [model.code(c) for c in ctxs], spans, batch_rngs)
             assert drawn == [sample_constrained(model, ctx, span_ids(*span), SamplerConfig(), rng)
                              for ctx, span, rng in zip(ctxs, spans, one_rngs)]
             assert all(type(tok) is int for tok in drawn)
@@ -531,7 +576,8 @@ class TestSampleBatch:
                 ctxs.append(ctx)
                 spans.append((lo, hi, skip))
                 us.append(float(np.nextafter(u, 0)) if gen.integers(2) else float(u))
-            drawn = sample_batch(model, ctxs, spans, [FixedDraws([u]) for u in us])
+            drawn = sample_batch(model, [model.code(c) for c in ctxs], spans,
+                                 [FixedDraws([u]) for u in us])
             assert drawn == [
                 sample_constrained(model, ctx, span_ids(*span), SamplerConfig(), FixedDraws([u]))
                 for ctx, span, u in zip(ctxs, spans, us)]
@@ -540,13 +586,14 @@ class TestSampleBatch:
         model = NgramModel(order=2, vocab_ext=4)
         rngs = [np.random.default_rng(k) for k in range(3)]
         spans = [(0, 4, None), (2, 4, None), (0, 2, 0)]
-        assert sample_batch(model, [[], [3], [0, 1, 2]], spans, rngs) == [
+        codes = [model.code(c) for c in ([], [3], [0, 1, 2])]
+        assert sample_batch(model, codes, spans, rngs) == [
             sample_constrained(model, [], span_ids(*span), SamplerConfig(),
                                np.random.default_rng(k))
             for k, span in enumerate(spans)]
         for empty in [(2, 2, None), (1, 2, 1)]:
             with pytest.raises(ValueError, match="empty"):
-                sample_batch(model, [[0], [1]], [(0, 4, None), empty], rngs[:2])
+                sample_batch(model, codes[:2], [(0, 4, None), empty], rngs[:2])
 
     @pytest.mark.parametrize("span", [(0, 5, 7), (0, 9, None), (0, 7, 3), (-1, 3, None),
                                       (2, 5, 1), (0, 5, 5)],
@@ -556,7 +603,8 @@ class TestSampleBatch:
         model = train([[0, 1, 2, 3, 4] * 2], order=1, alpha=0.1, vocab_ext=6)
         rngs = [np.random.default_rng(k) for k in range(3)]
         with pytest.raises(ValueError, match="is not"):
-            sample_batch(model, [[3], [5], [5]], [(0, 6, None), span, (0, 5, 4)], rngs)
+            sample_batch(model, [model.code(c) for c in ([3], [5], [5])],
+                         [(0, 6, None), span, (0, 5, 4)], rngs)
 
 
 class TestPerplexity:
