@@ -31,6 +31,7 @@ import statistics
 import sys
 import warnings
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -429,7 +430,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call of a process
+    and returned by every later one; parsing leaves it as it is."""
     parser = _Parser(
         prog="duplexsim",
         description="Synchronous two-channel dialogue pipeline: synthesis, "

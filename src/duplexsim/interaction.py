@@ -31,36 +31,32 @@ a run of ``simulate_interactions`` is two agents (or one and a script)
 plus the delay line between them. Each estimate is recorded once, on the
 step of the chunk it estimates.
 
-The agent's ``sample`` and ``emit``, the one implementation of the
-grammar, are generators that yield each draw request (the agent and its
-allowed ids as a span ``(lo, hi, skip)``: ``[lo, hi)`` but the last novel
-``skip``, or None) and receive the token. A request carries the agent's
-``code``, the model's code of its context (``NgramModel.code``): each token
-the agent appends updates it, and ``emit`` restores it when it cuts the
-context back to the mark, so no draw reads the context's tokens.
-``simulate_interactions`` steps its runs together: a run yields the agents
-to run next, both at once at a latency of one chunk or more (their RNGs are
-separate, and neither needs the other's current chunk). The pending draws of
-one model at temperature 1 without top_k go to ``ngram.sample_batch`` in one
-array step if there are at least ``_BATCH_MIN`` (12; on seen contexts the
-kernel's measured crossover is about 8 draws at 26 and at 503 symbols, while
-on unseen ones, which ``sample_span`` draws from a cached cdf, one call per
-draw costs less up to 48 draws), and else to ``sample_span`` one at a time;
-other samplers draw through ``sample_constrained``. All give the same bits.
+The agent's ``sample`` and ``emit`` are the one implementation of the
+grammar. Each draw is one call of ``_Agent._draw`` with the allowed ids as
+a span ``(lo, hi, skip)``: ``[lo, hi)`` but the last novel ``skip``, or
+None. It passes ``code``, the model's code of the agent's context
+(``NgramModel.code``): each token the agent appends updates it, and
+``emit`` restores it when it cuts the context back to the mark, so a plain
+draw (temperature 1, no top_k) reads no context token and goes to
+``ngram.sample_span``; other samplers draw through ``sample_constrained``
+on the span's ids. Both give the same bits. ``simulate_interactions``
+checks and builds every run before its first draw, then runs the runs one
+after another. Within a run the two agents take turns; their RNGs are
+separate, so the order of their draws does not change the bits.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Generator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import SourceExhausted
 # perfbench/layers.py rebinds flatten, parse and sample_constrained here:
 # keep them bound, even flatten, which this module does not call
-from .ngram import NgramModel, SamplerConfig, sample_batch, sample_constrained, sample_span
+from .ngram import NgramModel, SamplerConfig, sample_constrained, sample_span
 from .tokens import DedupChunk, DedupDialogue, Vocab, flatten, parse  # noqa: F401
 
 
@@ -229,7 +225,7 @@ class _Agent:
         self.cfg = cfg
         self.rng = rng
         self.truncations = 0
-        # the sampler of sample_span and sample_batch
+        # the sampler of sample_span
         self.plain = cfg.temperature == 1.0 and cfg.top_k is None
         self.side = side
         self.ctx: list[int] = []
@@ -259,17 +255,25 @@ class _Agent:
             code = (code * radix + tok) % top
         self.code = code
 
-    def sample(self, channel: int) -> Generator:
+    def _draw(self, code: int, lo: int, hi: int, skip: int | None) -> int:
+        """One token of ``[lo, hi)`` but ``skip`` (None, or one of them) after
+        the context, whose code is ``code``."""
+        if self.plain:
+            return sample_span(self.model, code, lo, hi, skip, self.rng)
+        ids = np.delete(np.arange(lo, hi), [] if skip is None else skip - lo)
+        return sample_constrained(self.model, self.ctx, ids, self.cfg, self.rng)
+
+    def sample(self, channel: int) -> list[int]:
         """Draw one channel's novel tokens for the current chunk and append
-        their wire form; a generator of draw requests ``(self, span)``.
+        their wire form.
 
         Channel 1 first takes a two-way draw between the tags: does it
         speak this chunk at all? If so, at least one unit follows.
         Sampling either tag stops the list (the tag itself is not
         appended; chunk structure is the caller's job).
         """
-        vocab = self.vocab
-        if channel == 1 and (yield self, (vocab.size, vocab.extended_size, None)) != vocab.tag_s1:
+        vocab, draw = self.vocab, self._draw
+        if channel == 1 and draw(self.code, vocab.size, vocab.extended_size, None) != vocab.tag_s1:
             return []
         tok = vocab.tag_s1 if channel else vocab.tag_s0
         ctx, code, radix, top = self.ctx, self.code, self.radix, self.top
@@ -283,7 +287,7 @@ class _Agent:
                 break
             # the tags end a list, but channel 1 speaks at least one unit
             hi = vocab.extended_size if channel == 0 or novels else vocab.size
-            tok = yield self, (0, hi, last_tok)
+            tok = draw(code, 0, hi, last_tok)
             if tok >= vocab.size:
                 break
             novels.append(tok)
@@ -302,11 +306,11 @@ class _Agent:
             self.append(0, own if self.side == 0 else other)
             self.append(1, other if self.side == 0 else own)
 
-    def emit(self) -> Generator:
+    def emit(self) -> tuple[list[int], list[list[int]], int, list[int]]:
         """Own part of the next chunk, with this step's window estimates,
         mark and window tokens (the context it was sampled from is
-        ``ctx[:mark] + window``); a generator like ``sample``. The window holds
-        own parts not yet in the base and the other side's arrived or estimated parts."""
+        ``ctx[:mark] + window``). The window holds own parts not yet in the
+        base and the other side's arrived or estimated parts."""
         mark, last, code = len(self.ctx), list(self.last), self.code
         estimates = []
         for k in range(len(self.mine) + 1):
@@ -318,85 +322,14 @@ class _Agent:
                 elif k < len(self.theirs):
                     self.append(channel, self.theirs[k])
                 else:
-                    estimates.append((yield from self.sample(channel)))
+                    estimates.append(self.sample(channel))
         window = self.ctx[mark:]
-        novels = yield from self.sample(self.side)
+        novels = self.sample(self.side)
         del self.ctx[mark:]
         self.last, self.code = last, code
         self.mine.append(novels)
         self._settle()
         return novels, estimates, mark, window
-
-
-# below the kernel's measured crossover on seen contexts, about 8 draws at 26
-# and at 503 symbols, one sample_span call per draw costs less (on unseen
-# ones, up to 48 draws at least; see CHANGES.md)
-_BATCH_MIN = 12
-
-
-def _run(agent: Generator, request: tuple | None = None):
-    """The result of an agent generator, driven from its pending ``request``
-    (or its start) with one ``sample_span`` call per draw, or for any other
-    sampler one ``sample_constrained`` call on the span's ids."""
-    try:
-        request = next(agent) if request is None else request
-        owner = request[0]  # every request of one agent generator is its agent's
-        model, cfg, rng, send = owner.model, owner.cfg, owner.rng, agent.send
-        while owner.plain:
-            request = send(sample_span(model, owner.code, *request[1], rng))
-        ctx = owner.ctx
-        while True:
-            lo, hi, skip = request[1]
-            ids = np.delete(np.arange(lo, hi), [] if skip is None else skip - lo)
-            request = send(sample_constrained(model, ctx, ids, cfg, rng))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _drive(sessions: list[Generator]) -> list:
-    """The results of sessions, generators that yield the agents to run next
-    and receive their results (see the module docstring). Every session
-    starts, and so checks its inputs, before any draw."""
-    # a session's agent results, None while an agent runs; then its own result
-    outs: list = [[] for _ in sessions]
-    pending: dict = {}  # model, or None: [(agent, its draw request, session, slot)]
-
-    def resume(i: int, value: list | None = None) -> None:
-        try:
-            agents = sessions[i].send(value)
-        except StopIteration as stop:
-            outs[i] = stop.value
-            return
-        outs[i] = [None] * len(agents)
-        for k, agent in enumerate(agents):
-            advance(agent, None, i, k)
-
-    def advance(agent: Generator, token: int | None, i: int, k: int) -> None:
-        try:
-            request = agent.send(token)
-        except StopIteration as stop:
-            return finish(i, k, stop.value)
-        owner = request[0]
-        pending.setdefault(owner.model if owner.plain else None, []).append((agent, request, i, k))
-
-    def finish(i: int, k: int, value) -> None:
-        outs[i][k] = value
-        if None not in outs[i]:
-            resume(i, outs[i])
-
-    for i in range(len(sessions)):
-        resume(i)
-    while pending:
-        model, batch = pending.popitem()
-        if model is None or len(batch) < _BATCH_MIN:
-            for agent, request, i, k in batch:
-                finish(i, k, _run(agent, request))
-            continue
-        owners, spans = zip(*[request for _, request, _, _ in batch])
-        drawn = sample_batch(model, [a.code for a in owners], spans, [a.rng for a in owners])
-        for (agent, _, i, k), tok in zip(batch, drawn):
-            advance(agent, tok, i, k)
-    return outs
 
 
 def _check_user(prompt: DedupDialogue, parts: Sequence[Sequence[int]]) -> None:
@@ -428,9 +361,9 @@ def continue_dialogue(
     agent = _Agent(model, cfg, np.random.default_rng(cfg.seed), prompt)
     chunks = list(prompt.chunks)
     for i in range(n_chunks):
-        s0 = _run(agent.sample(0))
+        s0 = agent.sample(0)
         if forced_user is None:
-            s1 = _run(agent.sample(1))
+            s1 = agent.sample(1)
         else:
             s1 = list(forced_user[i])
             agent.append(1, s1)
@@ -453,17 +386,17 @@ def estimate_user_chunk(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     agent = _Agent(model, cfg, rng, parse(list(context), vocab, chunk_ms))
-    return _run(agent.sample(1))
+    return agent.sample(1)
 
 
-def _session(model_llm: NgramModel, user_source: NgramModel | DedupDialogue,
-             cfg: InteractionConfig, prompt: DedupDialogue) -> Generator:
-    """One run of ``simulate_interactions``, as a session for ``_drive``."""
-    scripted = isinstance(user_source, DedupDialogue)
-    L = cfg.latency_chunks
+def _agents(model_llm: NgramModel, user_source: NgramModel | DedupDialogue,
+            cfg: InteractionConfig, prompt: DedupDialogue) -> tuple[_Agent, _Agent | None]:
+    """The model's agent of one run of ``simulate_interactions`` and the
+    user's (None for a script), once the run's inputs pass every check."""
     p_chunks = len(prompt.chunks)
     if cfg.max_chunks <= p_chunks:
         raise ValueError(f"max_chunks ({cfg.max_chunks}) must exceed prompt length ({p_chunks})")
+    scripted = isinstance(user_source, DedupDialogue)
     if scripted:
         if user_source.chunk_ms != prompt.chunk_ms:
             raise ValueError(f"scripted user has chunk_ms {user_source.chunk_ms}, "
@@ -474,15 +407,21 @@ def _session(model_llm: NgramModel, user_source: NgramModel | DedupDialogue,
             raise SourceExhausted(f"scripted user has {len(user_source.chunks)} chunks, "
                                   f"run needs {cfg.max_chunks}")
         _check_user(prompt, [c.s1_novel for c in user_source.chunks[p_chunks:cfg.max_chunks]])
-
-    llm_novel = [list(c.s0_novel) for c in prompt.chunks]
-    usr_novel = [list(c.s1_novel) for c in prompt.chunks]
-
     agent_a = _Agent(model_llm, cfg.sampler, np.random.default_rng(cfg.sampler.seed),
                      prompt, side=0)
     agent_b = None if scripted else _Agent(
         user_source, cfg.sampler, np.random.default_rng([cfg.sampler.seed, 1]), prompt, side=1)
+    return agent_a, agent_b
 
+
+def _session(user_source: NgramModel | DedupDialogue, cfg: InteractionConfig,
+             prompt: DedupDialogue, agent_a: _Agent, agent_b: _Agent | None
+             ) -> InteractionTranscript:
+    """One run of ``simulate_interactions`` with the agents of ``_agents``."""
+    L = cfg.latency_chunks
+    p_chunks = len(prompt.chunks)
+    llm_novel = [list(c.s0_novel) for c in prompt.chunks]
+    usr_novel = [list(c.s1_novel) for c in prompt.chunks]
     records: list[StepRecord] = []
     trunc_before = 0
 
@@ -490,22 +429,16 @@ def _session(model_llm: NgramModel, user_source: NgramModel | DedupDialogue,
         # the delay line: the user's chunk t-L-1 reaches the model now
         if t - L - 1 >= p_chunks:
             agent_a.receive(usr_novel[t - L - 1])
-        if scripted:
-            (a_out,) = yield (agent_a.emit(),)
+        s0, estimates, mark, window = agent_a.emit()
+        llm_novel.append(s0)
+        if agent_b is None:
             usr_t = list(user_source.chunks[t].s1_novel)
-        elif L == 0:
-            # ... and the model's chunk t reaches the user, who waits for it
-            (a_out,) = yield (agent_a.emit(),)
-            agent_b.receive(a_out[0])
-            usr_t = (yield (agent_b.emit(),))[0][0]
         else:
-            # ... and the model's chunk t-L reaches the user; neither agent
-            # needs the other's chunk t, so the two draw side by side
+            # ... and the model's chunk t-L reaches the user, who at latency 0
+            # waits for the chunk just emitted
             if t - L >= p_chunks:
                 agent_b.receive(llm_novel[t - L])
-            a_out, (usr_t, *_) = yield (agent_a.emit(), agent_b.emit())
-        s0, estimates, mark, window = a_out
-        llm_novel.append(s0)
+            usr_t = agent_b.emit()[0]
         # the window's estimates are of chunks t - len(estimates) .. t - 1
         for rec, est in zip(records[len(records) - len(estimates):], estimates):
             rec.estimate_history.append(est)
@@ -542,7 +475,9 @@ def simulate_interactions(
     prompt raises ``MalformedSequence``); each transcript is the one its
     run gives alone."""
     users = [user_source] * len(prompts) if isinstance(user_source, NgramModel) else user_source
-    return _drive([_session(model_llm, *run) for run in zip(users, cfgs, prompts, strict=True)])
+    runs = [(user, cfg, prompt, *_agents(model_llm, user, cfg, prompt))
+            for user, cfg, prompt in zip(users, cfgs, prompts, strict=True)]
+    return [_session(*run) for run in runs]
 
 
 def simulate_interaction(

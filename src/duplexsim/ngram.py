@@ -40,29 +40,26 @@ out of order are rejected, not sorted. A file of an older version (JSON)
 is rejected: retrain its model.
 
 ``sample_constrained`` draws from any allowed ids with any sampler;
-``sample_span`` and ``sample_batch`` draw from ``[lo, hi)`` but one id or
-none, at temperature 1 without top_k, with the same bits, building only the
-allowed part of each row. They take a context as its code,
-``NgramModel.code``, which the interaction engine's agents carry along as
-they append. ``sample_span`` finds a code's row through a seen-context
-filter: a table of one byte per slot, set where a seen code hashes, so a
-zero byte means unseen and a set one is confirmed by a search of
-``codes``. An unseen context's row is ``alpha / (alpha * vocab_ext)`` at
-every id, so its cdf depends on the span's width alone: ``sample_span``
-keeps the one it builds on a model's first unseen draw of a width, as a
-list, and later ones bisect it, with the bits a rebuild and
-``searchsorted`` would give.
-``sample_batch`` makes many draws in one padded pass: one matrix holds every
-draw's allowed row, zero-padded to the widest, and each step runs once for
-all rows but the row sum. That runs once per allowed-set length, as numpy's
-pairwise sum of a row depends on its length; a cumulative sum does not, so
-zero padding leaves its bits as they are.
+``sample_span`` draws from ``[lo, hi)`` but one id or none, at temperature
+1 without top_k, with the same bits, building only the allowed part of a
+row. It takes a context as its code, ``NgramModel.code``, which the
+interaction engine's agents carry along as they append, and finds the
+code's row through a seen-context filter: a table of one byte per slot, set
+where a seen code hashes, so a zero byte means unseen and a set one is
+confirmed by a search of ``codes``. Each cdf it builds it keeps in its
+model's ``_cdfs``, as an ``array('d')`` that later draws bisect with the
+bits of ``searchsorted``. An unseen context's row is ``alpha / (alpha *
+vocab_ext)`` at every id, so its cdf depends on the span's width alone,
+which is its key; a seen context's key is ``(row, lo, hi, skip)``. The
+cache holds at most ``_CDF_FLOATS // vocab_ext`` cdfs (8 MiB of floats per
+model): past that, a new cdf is used but not kept.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -78,6 +75,9 @@ from .errors import EmptyCorpus, EmptySequence, ModelFormatError
 MODEL_FILE_VERSION = 3
 # the dtype kinds each record may have: header, alpha, codes, sizes, tokens, counts
 _RECORD_KINDS = ("iu", "f", "iu", "iu", "iu", "iu")
+# the cdf cache's budget per model: at most this many floats, counting each
+# cdf as vocab_ext of them
+_CDF_FLOATS = 2**20
 # the seen-context filter's multiplicative hash: a code times this odd
 # constant, masked to 64 bits, picks a slot by its top bits
 _HASH = 0x9E3779B97F4A7C15
@@ -103,9 +103,9 @@ class SamplerConfig:
 class NgramModel:
     """Add-alpha smoothed n-gram over ``vocab_ext`` symbols, held as the
     arrays of the module docstring; immutable in use, so safe to share. Its
-    caches for single draws, the seen-context filter ``_filter`` and the
-    unseen contexts' cdfs ``_cdfs``, fill lazily with values that the arrays,
-    ``alpha`` and ``vocab_ext`` fix, so sharing stays safe."""
+    caches for ``sample_span``, the seen-context filter ``_filter`` and the
+    cdfs ``_cdfs``, fill lazily with values that the arrays, ``alpha`` and
+    ``vocab_ext`` fix, so sharing stays safe."""
 
     def __init__(self, order: int, vocab_ext: int, alpha: float = 0.1):
         if order < 1:
@@ -132,7 +132,8 @@ class NgramModel:
                                dtype=np.int64)
         empty = np.zeros(0, dtype=np.int64)
         self._set_rows(empty, np.zeros(1, dtype=np.int64), empty, empty)
-        self._cdfs: dict[int, list[float]] = {}  # span width: an unseen context's cdf
+        # span width, or (row, lo, hi, skip) for a seen context: its cdf
+        self._cdfs: dict[int | tuple, array] = {}
 
     @property
     def bos(self) -> int:
@@ -155,7 +156,7 @@ class NgramModel:
 
     @cached_property
     def _filter(self) -> tuple[bytes, int]:
-        """For single draws: a table of one byte per slot, set at each seen
+        """For ``sample_span``: a table of one byte per slot, set at each seen
         code's slot, and the shift that picks a code's slot from the top bits
         of the code times ``_HASH``, masked to 64 bits. The table has the power
         of two at or above 8 slots per row, so at most an eighth of it is set,
@@ -386,18 +387,6 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _span_size(model: NgramModel, lo: int, hi: int, skip: int | None) -> int:
-    """The number of the model's ids in ``[lo, hi)`` less ``skip`` (None, or
-    one of them); ``ValueError`` if there are none, or the span is not that."""
-    n = hi - lo - (skip is not None)
-    if n < 1:
-        raise ValueError("allowed token set is empty")
-    if not (0 <= lo and hi <= model.vocab_ext and (skip is None or lo <= skip < hi)):
-        raise ValueError(f"span {(lo, hi, skip)} is not [lo, hi) less one id or none, "
-                         f"within [0, {model.vocab_ext})")
-    return n
-
-
 def sample_constrained(
     model: NgramModel,
     context: Sequence[int],
@@ -443,70 +432,25 @@ def sample_span(model: NgramModel, code: int, lo: int, hi: int, skip: int | None
     """``sample_constrained(model, context, ids, SamplerConfig(), rng)``, where
     ``code`` is ``model.code(context)``, for the ids of ``[lo, hi)`` other than
     ``skip`` (None, or an id in the range), bit for bit and with the same RNG
-    use, from only the allowed part of the row; an unseen context bisects the
-    model's cached cdf of the span's width."""
-    n = _span_size(model, lo, hi, skip)
+    use, from only the allowed part of the row; a draw bisects the model's
+    cached cdf of its key (see the module docstring). ``ValueError`` if no id
+    is allowed, or the span is not that within the model's ids."""
+    n = hi - lo - (skip is not None)
+    if n < 1:
+        raise ValueError("allowed token set is empty")
+    if not (0 <= lo and hi <= model.vocab_ext and (skip is None or lo <= skip < hi)):
+        raise ValueError(f"span {(lo, hi, skip)} is not [lo, hi) less one id or none, "
+                         f"within [0, {model.vocab_ext})")
     i = 0
     if n > 1:
         row = model._row(code)
-        if row is not None:
-            i = int(_cdf(model._dist(row, lo, hi, skip)).searchsorted(rng.random(), "right"))
-        else:
-            if (cdf := model._cdfs.get(n)) is None:  # one per width (see the module docstring)
-                cdf = model._cdfs[n] = _cdf(model._dist(None, lo, hi, skip)).tolist()
-            i = bisect_right(cdf, rng.random())  # searchsorted(u, "right") on a sorted list
-    return lo + i + (skip is not None and lo + i >= skip)
-
-
-def sample_batch(model: NgramModel, codes: Sequence[int],
-                 spans: Sequence[tuple[int, int, int | None]],
-                 rngs: Sequence[np.random.Generator]) -> list[int]:
-    """``sample_span(model, codes[i], *spans[i], rngs[i])`` for each i in one
-    array step, bit for bit and with the same RNG use; no two draws share an RNG.
-
-    Row i of one matrix, zero-padded to the widest span, holds draw i's
-    allowed row as ``sample_span`` builds it, its seen entries scattered
-    straight to their columns. Only the row sum runs once per allowed-set
-    length, over each row's first ``size`` columns: numpy's pairwise sum
-    splits a row by its length, so padding would change its bits. The rest
-    runs once for all rows. The cumulative sum adds left to right, so the
-    zeros leave each prefix's bits as they are; after the divide by the last
-    column, which is each row's last real entry, the padding reads 1.0, which
-    no ``u < 1`` counts."""
-    n, alpha = len(codes), model.alpha
-    sizes = [_span_size(model, lo, hi, skip) for lo, hi, skip in spans]
-    start = end = totals = np.zeros(n, dtype=np.int64)
-    if len(model.codes):
-        code = np.array(codes, dtype=np.int64)
-        row = model.codes.searchsorted(code)
-        seen = model.codes.take(row, mode="clip") == code
-        start, end = model.offsets[row], model.offsets[row + seen]  # an unseen row is empty
-        totals = np.where(seen, model.row_totals.take(row, mode="clip"), 0)
-    # each span's ids are lo + k, plus 1 from its skip on (from hi, never, without one)
-    lo = np.fromiter([span[0] for span in spans], np.int64, n)
-    cut = np.fromiter([hi if skip is None else skip for _, hi, skip in spans], np.int64, n)
-    width = np.array(sizes)
-    norm = totals + alpha * model.vocab_ext
-    probs = np.where(np.arange(width.max()) < width[:, None], (alpha / norm)[:, None], 0.0)
-    count = end - start
-    owner = np.repeat(np.arange(n), count)
-    entry = np.arange(len(owner)) + np.repeat(end - np.cumsum(count), count)
-    # a seen token's column, if it is allowed: tok - lo, less 1 past the skip
-    tok, at_lo, at_cut = model.tokens[entry], lo[owner], cut[owner]
-    col = tok - at_lo - (tok > at_cut)
-    inside = (tok >= at_lo) & (col < width[owner]) & (tok != at_cut)
-    owner, entry = owner[inside], entry[inside]
-    probs[owner, col[inside]] = (model.freqs[entry] + alpha) / norm[owner]
-    total = np.empty(n)
-    for size in set(sizes):
-        np.copyto(total, probs[:, :size].sum(axis=1), where=width == size)
-    probs /= total[:, None]
-    cdf = probs.cumsum(axis=1)
-    cdf /= cdf[:, -1:]  # each row's last real entry, as the padding adds 0.0
-    # one draw per RNG (none for a single id); counting cdf <= u is searchsorted(u, "right")
-    u = np.array([rng.random() if size > 1 else 0.0 for rng, size in zip(rngs, sizes)])
-    k = lo + (cdf <= u[:, None]).sum(axis=1)
-    return (k + (k >= cut)).tolist()
+        key = n if row is None else (row, lo, hi, skip)
+        if (cdf := model._cdfs.get(key)) is None:
+            cdf = array("d", _cdf(model._dist(row, lo, hi, skip)).tobytes())
+            if (len(model._cdfs) + 1) * model.vocab_ext <= _CDF_FLOATS:
+                model._cdfs[key] = cdf
+        i = bisect_right(cdf, rng.random())  # searchsorted(u, "right") on a sorted array
+    return int(lo + i + (skip is not None and lo + i >= skip))
 
 
 def perplexity(model: NgramModel, sequence: Sequence[int], skip: int = 0) -> float:

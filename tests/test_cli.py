@@ -10,7 +10,7 @@ import numpy.lib.format as npy
 import pytest
 
 from duplexsim import DialogueStyle, NgramModel, Vocab
-from duplexsim.cli import main
+from duplexsim.cli import build_parser, main
 
 VOCAB_ARGS = ["--vocab", "10", "--silence-token", "0"]
 
@@ -533,7 +533,7 @@ class TestModelFileValidation:
                             staticmethod(lambda path: loaded.append(load(path)) or loaded[-1]))
         assert main(["eval", "--mode", "ppl", "--generated", str(corpus),
                      "--model", str(model), "--out", str(tmp_path / "ppl")]) == 0
-        # the seen-context filter and the unseen cdfs serve single draws only
+        # the seen-context filter and the cdf cache serve draws only
         assert len(loaded) == 1 and "_filter" not in vars(loaded[0]) and not loaded[0]._cdfs
 
 
@@ -1010,6 +1010,25 @@ class TestEvalAndReport:
         assert rc == 2
         assert not (tmp_path / "m.json").exists()
         capsys.readouterr()
+
+
+def test_calls_of_one_process_parse_alone(tmp_path, capsys):
+    """main builds its parser once per process, and each call still parses
+    only its own command line: a flag of one call never reaches a later
+    one, and a usage error between them still exits 2 with one JSON line."""
+    assert build_parser() is build_parser()
+    seeded = synth(tmp_path, out="seeded.jsonl", count=2, duration=1600, seed=3)
+    model = trained(tmp_path, seeded)
+    assert_rejected(main(["train", "--corpus"]), capsys, [])
+    default = tmp_path / "default.jsonl"
+    assert main(["synth", "--style", str(style_file(tmp_path)), "--count", "2",
+                 "--duration-ms", "1600", "--out", str(default)]) == 0
+    # --seed is 0 by default, not the first call's 3
+    assert default.read_bytes() == synth(tmp_path, out="zero.jsonl", count=2, duration=1600,
+                                         seed=0).read_bytes() != seeded.read_bytes()
+    assert_rejected(main(["eval", "--mode", "ppl", "--generated", str(seeded), "--model",
+                          str(model), "--out", str(tmp_path / "x"), "--seed", "1"]),
+                    capsys, [tmp_path / "x.json"])
 
 
 def test_console_entry_point(tmp_path):

@@ -22,7 +22,6 @@ from duplexsim import (
 )
 from duplexsim import interaction
 from duplexsim.errors import MalformedSequence, SourceExhausted
-from duplexsim.ngram import sample_batch
 from duplexsim.synth import DialogueStyle
 
 
@@ -59,35 +58,27 @@ def prompt_of(script, n):
 
 @pytest.fixture
 def no_draws(monkeypatch):
-    """Any draw, one at a time or batched, fails the test."""
+    """Any draw fails the test."""
     def no_draw(*args, **kwargs):
         raise AssertionError("a token was drawn")
 
     monkeypatch.setattr("duplexsim.interaction.sample_constrained", no_draw)
     monkeypatch.setattr("duplexsim.interaction.sample_span", no_draw)
-    monkeypatch.setattr("duplexsim.interaction.sample_batch", no_draw)
 
 
 @pytest.fixture
 def code_checks(monkeypatch):
-    """At every draw request, the agent's code is the model's code of its
-    context, as a Python int; returns the requests checked."""
+    """At every draw, the code the agent passes is the model's code of its
+    context, as a Python int; returns the codes checked."""
     checked = []
-    sample = interaction._Agent.sample
+    draw = interaction._Agent._draw
 
-    def checked_sample(agent, channel):
-        run, token = sample(agent, channel), None
-        while True:
-            try:
-                request = run.send(token)
-            except StopIteration as stop:
-                return stop.value
-            owner = request[0]
-            assert type(owner.code) is int and owner.code == owner.model.code(owner.ctx)
-            checked.append(request)
-            token = yield request
+    def checked_draw(agent, code, lo, hi, skip):
+        assert type(code) is int and code == agent.model.code(agent.ctx)
+        checked.append(code)
+        return draw(agent, code, lo, hi, skip)
 
-    monkeypatch.setattr(interaction._Agent, "sample", checked_sample)
+    monkeypatch.setattr(interaction._Agent, "_draw", checked_draw)
     return checked
 
 
@@ -370,7 +361,7 @@ class TestSimulateScripted:
 
 class TestAgentCode:
     """The code an agent carries is the model's code of its context at every
-    draw request (the engine's runs are checked in TestSimulateInteractions)."""
+    draw (the engine's runs are checked in TestSimulateInteractions)."""
 
     def test_continue_dialogue(self, setup, code_checks):
         _, _, model, script = setup
@@ -404,11 +395,12 @@ class TestSimulateTwoModels:
         assert len(a.dialogue.chunks) == 12
 
     def test_one_cached_cdf_per_span_width(self, vocab):
-        """An unseen draw caches its span width's cdf in its model. At 501
-        units the widths are 2 (the tags), 500 and 501 (the units less the
-        last novel or not) and 502 and 503 (with the tags); a run caches at
-        most four per model, as its first channel-0 draw comes after a seen
-        context, the start. An empty prompt leaves both last novels unset."""
+        """An unseen draw caches its span width's cdf in its model, a seen
+        one its (row, lo, hi, skip). At 501 units the widths are 2 (the
+        tags), 500 and 501 (the units less the last novel or not) and 502
+        and 503 (with the tags); a run caches at most four per model, as its
+        first channel-0 draw comes after a seen context, the start. An empty
+        prompt leaves both last novels unset."""
         style = DialogueStyle(vocab=vocab, ipu_ms=(800.0, 200.0), pause_ms=(400.0, 100.0),
                               fto_ms=(240.0, 80.0), turn_continue_prob=0.3,
                               backchannel_prob=0.1, backchannel_ms=(160.0, 40.0), p_self=0.45)
@@ -418,8 +410,14 @@ class TestSimulateTwoModels:
         cfg = InteractionConfig(latency_chunks=1, max_chunks=40, sampler=SamplerConfig(seed=5))
         simulate_interaction(*models, cfg, DedupDialogue(vocab, CHUNK_MS, ()))
         for model in models:
-            assert 1 <= len(model._cdfs) <= 4
-            assert set(model._cdfs) <= {2, 500, 501, 502, 503}
+            widths = [key for key in model._cdfs if type(key) is int]
+            assert 1 <= len(widths) <= 4 and set(widths) <= {2, 500, 501, 502, 503}
+            seen = [key for key in model._cdfs if type(key) is tuple]
+            assert seen
+            for row, lo, hi, skip in seen:
+                assert 0 <= row < len(model.codes)
+                assert (lo, hi) in {(501, 503), (0, 501), (0, 503)}
+                assert skip is None or lo <= skip < hi
 
     def test_final_dialogue_parses_and_interpolates(self, setup):
         vocab, _, model, script = setup
@@ -445,35 +443,26 @@ class TestSimulateTwoModels:
 class TestSimulateInteractions:
     """Many runs stepped together equal the runs one at a time."""
 
+    # 14 runs make more than 12 draws of one model at a time, where the
+    # engine once switched to a batch kernel
     @pytest.mark.parametrize("user", ["scripted", "model"])
     @pytest.mark.parametrize("latency", [0, 1, 3])
-    @pytest.mark.parametrize("runs", [2, interaction._BATCH_MIN + 2],
-                             ids=["below_crossover", "above_crossover"])
-    def test_equal_to_one_run_at_a_time(self, setup, monkeypatch, code_checks, user, latency,
-                                        runs):
+    @pytest.mark.parametrize("runs", [2, 14], ids=["below_crossover", "above_crossover"])
+    def test_equal_to_one_run_at_a_time(self, setup, code_checks, user, latency, runs):
         vocab, _, model, script = setup
-        batches = []
-
-        def counted(*args):
-            batches.append(len(args[1]))
-            return sample_batch(*args)
-
-        monkeypatch.setattr("duplexsim.interaction.sample_batch", counted)
-        # runs of unequal length; one sampler the kernel does not take
+        # runs of unequal length; one sampler that sample_span does not take
         prompts = [prompt_of(script, k % 5) for k in range(runs)]
         cfgs = [InteractionConfig(latency_chunks=latency, max_chunks=6 + 3 * (k % 4) + k % 5,
                                   sampler=SamplerConfig(seed=k, top_k=3 if k == 1 else None))
                 for k in range(runs)]
         source = [script] * runs if user == "scripted" else model
         together = simulate_interactions(model, source, cfgs, prompts)
-        kernel_used = bool(batches)
         alone = [simulate_interaction(model, script if user == "scripted" else model, cfg, p)
                  for cfg, p in zip(cfgs, prompts)]
         assert [t.to_json_dict() for t in together] == [t.to_json_dict() for t in alone]
         assert [[s.context_snapshot for s in t.steps] for t in together] == [
             [s.context_snapshot for s in t.steps] for t in alone]
-        assert kernel_used == (runs > interaction._BATCH_MIN)
-        assert code_checks  # every request of both passes drew at the context's code
+        assert code_checks  # every draw of both passes drew at the context's code
 
     def test_every_run_is_checked_before_any_draw(self, setup, no_draws):
         vocab, _, model, script = setup
@@ -481,7 +470,7 @@ class TestSimulateInteractions:
         prompt = DedupDialogue(vocab, CHUNK_MS, (DedupChunk((1,), (5,)),))
         bad = DedupDialogue(vocab, CHUNK_MS, (DedupChunk((1,), (2,)), DedupChunk((), (5, 6)),
                                               *[DedupChunk()] * 8))
-        runs = interaction._BATCH_MIN + 2
+        runs = 14
         with pytest.raises(MalformedSequence, match="chunk 1 channel 1"):
             simulate_interactions(model, [script] * (runs - 1) + [bad],
                                   [InteractionConfig(max_chunks=10)] * runs,

@@ -14,7 +14,7 @@ from duplexsim import (
     train,
 )
 from duplexsim import ngram
-from duplexsim.ngram import sample_batch, sample_span
+from duplexsim.ngram import sample_span
 from duplexsim.errors import EmptyCorpus, EmptySequence, ModelFormatError
 
 import oracles
@@ -262,51 +262,6 @@ class TestSampling:
             SamplerConfig(temperature=temperature)
 
 
-def test_numpy_row_reductions_match_1d_calls():
-    """sample_batch relies on this numpy behaviour; a numpy upgrade that
-    breaks it fails here before any golden digest does. On contiguous
-    float64 rows, sum and cumsum along axis 1 give each row the bits of the
-    1-D call, and counting entries <= u is searchsorted(u, "right"). On rows
-    of other lengths zero-padded to one width, the sum of each row's first
-    ``size`` columns, taken per length, is the compact row's 1-D sum; the
-    cumsum's first ``size`` columns are the compact row's cumsum; and after
-    the divide by the last column the padding reads 1.0, so no u < 1 counts it."""
-    rng = np.random.default_rng(11)
-    for n in range(2, 1001):
-        rows = int(rng.integers(1, 65))
-        probs = rng.random((rows, n)) ** 3
-        sums, cdfs = probs.sum(axis=1), probs.cumsum(axis=1)
-        assert probs.flags.c_contiguous
-        for r in range(rows):
-            assert sums[r] == probs[r].sum() and np.array_equal(cdfs[r], probs[r].cumsum())
-        cdfs /= cdfs[:, -1:]
-        u = rng.random(rows)
-        u[0] = cdfs[0, rng.integers(n)]  # a tie counts the entry, as "right" does
-        counts = (cdfs <= u[:, None]).sum(axis=1)
-        assert counts.tolist() == [int(c.searchsorted(x, "right")) for c, x in zip(cdfs, u)]
-        # the padded pass: row r is probs[r, :sizes[r]] and zeros up to width n
-        sizes = rng.integers(1, n + 1, rows)
-        sizes[0] = n
-        padded = np.where(np.arange(n) < sizes[:, None], probs, 0.0)
-        compact = [probs[r, :size].copy() for r, size in enumerate(sizes)]
-        for size in set(sizes.tolist()):
-            members = np.flatnonzero(sizes == size)
-            one_d = [compact[r].sum() for r in members]
-            assert np.array_equal(padded[members, :size].sum(axis=1), one_d)
-            assert np.array_equal(padded[:, :size].sum(axis=1)[members], one_d)
-        cdfs = padded.cumsum(axis=1)
-        assert all(np.array_equal(cdfs[r, :size], compact[r].cumsum())
-                   for r, size in enumerate(sizes))
-        cdfs /= cdfs[:, -1:]
-        u = rng.random(rows)
-        counts = (cdfs <= u[:, None]).sum(axis=1)
-        for r, size in enumerate(sizes):
-            cdf = compact[r].cumsum()
-            cdf /= cdf[-1]
-            assert np.array_equal(cdfs[r, :size], cdf) and np.all(cdfs[r, size:] == 1.0)
-            assert counts[r] == cdf.searchsorted(u[r], "right") < size
-
-
 def span_ids(lo, hi, skip):
     """The ids of ``[lo, hi)`` other than ``skip``, built one by one."""
     return np.array([t for t in range(lo, hi) if t != skip], dtype=np.int64)
@@ -442,7 +397,8 @@ class TestSampleSpan:
         builds it, or the float below one, so an entry a bit off moves a draw:
         at every width from 2 to vocab_ext, after an unseen and a seen
         context, with the model's cached cdfs cold (cleared before each draw)
-        and warm (filled by a span of the same width elsewhere)."""
+        and warm (filled by an unseen span of the same width, and for a seen
+        context by the span's own first draw)."""
         gen = np.random.default_rng(7)
         units = 40
         corpus = [gen.integers(0, units + 2, 400).tolist() for _ in range(4)]
@@ -473,8 +429,9 @@ class TestSampleSpan:
                             model._cdfs.clear()
                         assert sample_span(model, model.code(ctx), *span, FixedDraws([u])) == \
                             sample_constrained(model, ctx, ids, SamplerConfig(), FixedDraws([u]))
-                    # only unseen draws fill the cache, one cdf per width
-                    assert list(model._cdfs) == ([] if cold and ctx is seen else [width])
+                    # an unseen context's key is the width, a seen one's (row, lo, hi, skip)
+                    key = width if ctx is unseen else (model._row(model.code(ctx)), *span)
+                    assert list(model._cdfs) == ([key] if cold or key == width else [width, key])
 
     # two untrained models whose unseen rows differ by a few ulps at this width
     @pytest.mark.parametrize("first, second, width", [((503, 0.1), (503, 0.7), 6),
@@ -501,6 +458,32 @@ class TestSampleSpan:
                                        FixedDraws([u]))
             assert models[0]._cdfs[width] is not models[1]._cdfs[width]
 
+    # a span of numpy ints draws an int, as a prompt of numpy ints gives the agent one
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("context", [[0, 1], [7, 7]], ids=["seen", "unseen"])
+    def test_numpy_int_spans(self, dtype, context):
+        model = train([[0, 1, 2, 0, 1, 3, 6, 4, 0, 1, 5, 7]], order=2, alpha=0.1, vocab_ext=8)
+        for span in [(0, 8, 5), (0, 8, None), (0, 6, 0), (6, 8, None), (3, 5, 3)]:
+            for seed in range(10):
+                self.assert_twins(model, context, tuple(None if v is None else dtype(v)
+                                                        for v in span), seed)
+
+    def test_cache_stops_at_its_budget(self):
+        """At 2**18 symbols the budget of 2**20 floats holds four cdfs: later
+        draws, of new widths and new seen spans, keep none and still draw
+        what sample_constrained draws."""
+        model = train([[0, 1, 2, 3] * 3], order=1, alpha=0.1, vocab_ext=2**18)
+        assert model._row(model.code([1])) is not None and model._row(model.code([9])) is None
+        full = ngram._CDF_FLOATS // model.vocab_ext
+        assert full == 4
+        for width in range(2, 14):
+            for ctx in ([1], [9]):
+                self.assert_twins(model, ctx, (0, width, None), width)
+            # the seen draws (row, 0, width, None) and the unseen ones width
+            assert len(model._cdfs) == min(2 * (width - 1), full)
+        assert list(model._cdfs) == [(1, 0, 2, None), 2, (1, 0, 3, None), 3]
+        assert sum(map(len, model._cdfs.values())) == 10
+
     # 4 units and 2 tags; seen and unseen after order-1 training on [0, 5)
     @pytest.mark.parametrize("span", [(0, 5, 7), (0, 9, None), (0, 7, 3), (-1, 3, None),
                                       (2, 5, 1), (0, 5, 5)],
@@ -522,89 +505,6 @@ class FixedDraws:
 
     def random(self):
         return self.values.pop(0)
-
-
-class TestSampleBatch:
-    """sample_batch against one sample_constrained call per draw."""
-
-    @given(
-        st.integers(1, 6),
-        st.integers(1, 4),
-        st.sampled_from([0.001, 0.1, 1.0]),
-        st.data(),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_draws_equal_sample_constrained(self, units, order, alpha, data):
-        model, corpus = span_models(data, units, order, alpha)
-        n = data.draw(st.integers(1, 20))
-        seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=n, max_size=n))
-        batch_rngs = [np.random.default_rng(seed) for seed in seeds]
-        one_rngs = [np.random.default_rng(seed) for seed in seeds]
-        for _ in range(3):  # each RNG draws again, in order
-            ctxs = [data.draw(contexts(model, corpus)) for _ in range(n)]
-            spans = [data.draw(st.one_of(agent_spans(units), any_spans(model.vocab_ext))
-                               .filter(lambda span: len(span_ids(*span)))) for _ in range(n)]
-            drawn = sample_batch(model, [model.code(c) for c in ctxs], spans, batch_rngs)
-            assert drawn == [sample_constrained(model, ctx, span_ids(*span), SamplerConfig(), rng)
-                             for ctx, span, rng in zip(ctxs, spans, one_rngs)]
-            assert all(type(tok) is int for tok in drawn)
-            assert [r.bit_generator.state for r in batch_rngs] == [
-                r.bit_generator.state for r in one_rngs]
-
-    def test_draws_on_cdf_entries(self):
-        """Each u is an entry of the draw's own cdf, as sample_constrained
-        builds it, or the float below one: an entry a bit off moves the draw.
-        The spans of 40 units and 2 tags make rows of many lengths, most past
-        the 8 entries below which numpy's pairwise sum runs in order."""
-        gen = np.random.default_rng(5)
-        units = 40
-        corpus = [gen.integers(0, units + 2, 400).tolist() for _ in range(4)]
-        model = train(corpus, order=2, alpha=0.01, vocab_ext=units + 2)
-        for _ in range(30):
-            ctxs, spans, us = [], [], []
-            for _ in range(64):
-                lo, hi = sorted(gen.integers(0, units + 2, 2).tolist())
-                lo, hi = [(0, units), (0, units + 2), (units, units + 2), (lo, hi + 1)][
-                    gen.integers(4)]
-                skip = int(gen.integers(lo, hi)) if hi - lo > 1 and gen.integers(2) else None
-                ctx = corpus[gen.integers(4)][: gen.integers(400)]
-                ids = span_ids(lo, hi, skip)
-                cdf = model.next_dist(ctx)[ids]
-                cdf = (cdf / cdf.sum()).cumsum()
-                cdf /= cdf[-1]
-                u = cdf[gen.integers(len(ids) - 1)] if len(ids) > 1 else 0.5
-                ctxs.append(ctx)
-                spans.append((lo, hi, skip))
-                us.append(float(np.nextafter(u, 0)) if gen.integers(2) else float(u))
-            drawn = sample_batch(model, [model.code(c) for c in ctxs], spans,
-                                 [FixedDraws([u]) for u in us])
-            assert drawn == [
-                sample_constrained(model, ctx, span_ids(*span), SamplerConfig(), FixedDraws([u]))
-                for ctx, span, u in zip(ctxs, spans, us)]
-
-    def test_untrained_model_and_empty_set(self):
-        model = NgramModel(order=2, vocab_ext=4)
-        rngs = [np.random.default_rng(k) for k in range(3)]
-        spans = [(0, 4, None), (2, 4, None), (0, 2, 0)]
-        codes = [model.code(c) for c in ([], [3], [0, 1, 2])]
-        assert sample_batch(model, codes, spans, rngs) == [
-            sample_constrained(model, [], span_ids(*span), SamplerConfig(),
-                               np.random.default_rng(k))
-            for k, span in enumerate(spans)]
-        for empty in [(2, 2, None), (1, 2, 1)]:
-            with pytest.raises(ValueError, match="empty"):
-                sample_batch(model, codes[:2], [(0, 4, None), empty], rngs[:2])
-
-    @pytest.mark.parametrize("span", [(0, 5, 7), (0, 9, None), (0, 7, 3), (-1, 3, None),
-                                      (2, 5, 1), (0, 5, 5)],
-                             ids=["skip_past_hi", "hi_past_vocab", "hi_past_vocab_skip",
-                                  "lo_below_0", "skip_below_lo", "skip_at_hi"])
-    def test_rejects_span_outside_model(self, span):
-        model = train([[0, 1, 2, 3, 4] * 2], order=1, alpha=0.1, vocab_ext=6)
-        rngs = [np.random.default_rng(k) for k in range(3)]
-        with pytest.raises(ValueError, match="is not"):
-            sample_batch(model, [model.code(c) for c in ([3], [5], [5])],
-                         [(0, 6, None), span, (0, 5, 4)], rngs)
 
 
 class TestPerplexity:
