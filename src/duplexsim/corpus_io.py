@@ -210,8 +210,8 @@ def record_to_dialogue(rec: dict) -> tuple[str, tuple[int, ...], tuple[int, ...]
             f"integer list for silence and two equal-length ones for channels"
         )
     vocab = Vocab(size=size, frame_ms=frame_ms, silence_tokens=frozenset(rec["silence"]))
-    for tokens in ch:
-        if tokens and not (min(tokens) >= 0 and max(tokens) < size):
+    for ids in map(set, ch):  # the distinct ids; is_int_list has checked their types
+        if ids and not (min(ids) >= 0 and max(ids) < size):
             raise ConfigError(f"dialogue {did}: a token lies outside [0, {size})")
     return did, tuple(ch[0]), tuple(ch[1]), vocab
 

@@ -20,8 +20,10 @@ segment with numpy 2's arithmetic, so a seed makes the corpus that one numpy
 call per draw makes: ``random() >= p`` is ``raw >= ceil(p * 2**53) << 11``;
 ``integers(k)`` draws nothing at k = 1 and uses Lemire's method with
 rejection, on whole outputs above k = 2**32 and on 32-bit halves up to it,
-low half first and the high one buffered. ``tests/test_synth.py`` pins this
-to numpy live, against the per-call painter in ``tests/oracles.py``.
+low half first and the high one buffered. A jump's first 32-bit step is
+inline; ``_integers`` draws the rest: the first index, jumps above 2**32 and
+what follows a rejected half. ``tests/test_synth.py`` pins this to numpy
+live, against the per-call painter in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -199,7 +201,10 @@ def _markov_content(rng: np.random.Generator, style: DialogueStyle, content: tup
         raise TypeError(f"synthesis reads PCG64 outputs, got {type(bg).__name__}")
     if length <= 0 or m == 1:  # integers(1) draws nothing
         return unit_at(np.zeros(max(length, 0), np.int64))
-    jump = style.successor_count or m - 1
+    successors = style.successor_count
+    jump = successors or m - 1
+    inline = 1 < jump <= 1 << 32  # integers(jump) on 32-bit halves, inlined below
+    floor = (1 << 32) % jump  # Lemire's rejection bound
     moves = math.ceil(style.p_self * 2**53) << 11  # raw >= moves: random() >= p_self
     saved, raws = bg.state, []
     while True:
@@ -211,16 +216,23 @@ def _markov_content(rng: np.random.Generator, style: DialogueStyle, content: tup
                 out.append(idx)
                 pos += 1
                 if raws[pos - 1] >= moves:
-                    j, pos, has, buf = _integers(jump, raws, pos, has, buf)
-                    if style.successor_count is None:
+                    if inline and has:
+                        x, has = buf * jump, 0
+                    elif inline:
+                        x, buf, has = (raws[pos] & 0xFFFFFFFF) * jump, raws[pos] >> 32, 1
+                        pos += 1
+                    if inline and x & 0xFFFFFFFF >= floor:
+                        j = x >> 32
+                    else:  # a jump of 1 or past 2**32, or the halves after a rejected one
+                        j, pos, has, buf = _integers(jump, raws, pos, has, buf)
+                    if successors is None:
                         idx = (m - 1) if j == idx else j
                     else:
                         idx = (idx + 1 + ((idx * 7 + j * 11) % (m - 1))) % m
             break
         except IndexError:  # draw more and read again
             pass
-    bg.state = saved
-    bg.advance(pos)  # which empties the half buffer
+    bg.advance((pos - len(raws)) % 2**128)  # back to pos; this empties the half buffer
     bg.state = {**bg.state, "has_uint32": has, "uinteger": buf}
     return unit_at(np.array(out))
 

@@ -15,10 +15,11 @@ per chunk and channel at most ``frames_per_chunk`` novels, unit ids only,
 and no novel equal to its channel's previous one. ``parse`` checks only
 where the tags stand.
 
-``encode`` is the one encoder of channels: it places every wire token with
-one ``np.lexsort`` keyed by (chunk, slot, frame), where the slots of a
-chunk are 0 tag_s0, 1 the channel-0 novels, 2 tag_s1 and 3 the channel-1
-novels. ``encode_dialogue`` is the one serialisation of a
+``encode`` is the one encoder of channels. It lays every chunk out as one
+row of a table, ``tag_s0 | channel-0 frames | tag_s1 | channel-1 frames``,
+and a keep mask of the same shape marks tag_s0, each novel frame, and
+tag_s1 where channel 1 has a novel; the wire is the kept entries in row
+order, with no sort. ``encode_dialogue`` is the one serialisation of a
 ``DedupDialogue``, and gives what ``encode`` gives: the wire as an int64
 array and the offset of each chunk's tag_s0; ``flatten`` is its wire as a
 list. ``deduplicate`` is ``encode`` read back by ``parse``; the inverse
@@ -31,6 +32,7 @@ All values are immutable; every operation is a pure function.
 from __future__ import annotations
 
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import eq
@@ -120,6 +122,11 @@ class DedupDialogue:
     def __post_init__(self) -> None:
         object.__setattr__(self, "chunks", tuple(self.chunks))
         fpc, size = self.frames_per_chunk, self.vocab.size
+        # a screen of each channel's novels by C-level calls; only a dialogue
+        # that fails it is walked chunk by chunk, to name its first fault
+        with suppress(TypeError):  # an id that does not compare: the walk decides
+            if all(_grammatical(novels, fpc, size) for novels in zip(*self.chunks)):
+                return
         last: list[int | None] = [None, None]  # each channel's latest novel
         for i, chunk in enumerate(self.chunks):
             for c, novels in enumerate(chunk):
@@ -142,6 +149,15 @@ class DedupDialogue:
 
     def __len__(self) -> int:
         return len(self.chunks)
+
+
+def _grammatical(novels: tuple[tuple[int, ...], ...], fpc: int, size: int) -> bool:
+    """Whether one channel's novels, per chunk, pass every check of
+    ``DedupDialogue``: at most ``fpc`` per chunk, ids in ``[0, size)`` and
+    no novel equal to the one before it across the whole channel."""
+    flat = list(chain.from_iterable(novels))
+    return not flat or (max(map(len, novels)) <= fpc and min(flat) >= 0
+                        and max(flat) < size and not any(map(eq, flat, flat[1:])))
 
 
 def chunk_streams(
@@ -173,23 +189,24 @@ def encode(
     the offset in it of each chunk's tag_s0. The channels are padded to
     whole chunks by ``chunk_streams``. Frame 0 is novel, and a novel lands
     in the chunk of its frame, so run-length state carries across chunk
-    bounds."""
+    bounds. The wire is the entries of a (chunk, channel, tag and frames)
+    table that a keep mask of the same shape marks, in row order."""
+    if vocab.tag_s1 >= 2**63:
+        raise ValueError(f"vocab size {vocab.size} puts the speaker tags past int64")
     frames = chunk_streams(s0, s1, chunk_ms, vocab)
     _, n_chunks, fpc = frames.shape
-    frames = frames.reshape(2, -1)
     novel = np.ones(frames.shape, dtype=bool)
-    np.not_equal(frames[:, 1:], frames[:, :-1], out=novel[:, 1:])
-    channel, frame = np.nonzero(novel)
-    chunk = frame // fpc
-    # (chunk, slot, frame) keys: tag_s0 in every chunk, tag_s1 where channel 1 has novels
-    tagged = np.flatnonzero(np.bincount(chunk[channel == 1], minlength=n_chunks))
-    chunks = np.concatenate((np.arange(n_chunks), tagged, chunk))
-    slots = np.concatenate((np.zeros(n_chunks, int), np.full(len(tagged), 2), 2 * channel + 1))
-    frames_key = np.concatenate((np.zeros(n_chunks + len(tagged), int), frame))
-    order = np.lexsort((frames_key, slots, chunks))
-    wire = np.concatenate((np.full(n_chunks, vocab.tag_s0), np.full(len(tagged), vocab.tag_s1),
-                           frames[channel, frame]))[order]
-    return wire, np.flatnonzero(slots[order] == 0)
+    flat = frames.reshape(2, -1)
+    np.not_equal(flat[:, 1:], flat[:, :-1], out=novel.reshape(2, -1)[:, 1:])
+    table = np.empty((n_chunks, 2, fpc + 1), np.int64)
+    keep = np.empty(table.shape, bool)
+    table[:, :, 0] = vocab.tag_s0, vocab.tag_s1
+    table[:, :, 1:] = frames.transpose(1, 0, 2)
+    keep[:, :, 1:] = novel.transpose(1, 0, 2)
+    keep[:, 0, 0] = True
+    novel[1].any(axis=1, out=keep[:, 1, 0])
+    counts = keep.sum(axis=(1, 2))
+    return table[keep], np.cumsum(counts) - counts
 
 
 def deduplicate(

@@ -41,6 +41,25 @@ def deduplicate(s0, s1, chunk_ms, vocab) -> DedupDialogue:
     return DedupDialogue(vocab=vocab, chunk_ms=chunk_ms, chunks=tuple(out))
 
 
+def grammar_fault(chunks, fpc, size) -> str | None:
+    """The message of the first grammar fault of ``DedupDialogue`` chunks,
+    walking them chunk by chunk and channel by channel, or None."""
+    last = [None, None]
+    for i, chunk in enumerate(chunks):
+        for c, novels in enumerate(chunk):
+            if not novels:
+                continue
+            if len(novels) > fpc:
+                return (f"chunk {i} channel {c}: {len(novels)} novel tokens exceed {fpc} "
+                        f"frames per chunk")
+            if any(not 0 <= t < size for t in novels):
+                return f"chunk {i} channel {c}: an id outside the unit range [0, {size})"
+            if any(t == prev for t, prev in zip(novels, [last[c], *novels])):
+                return f"chunk {i} channel {c} repeats its previous novel"
+            last[c] = novels[-1]
+    return None
+
+
 def markov_content(rng, style, length) -> list[int]:
     """One painted segment of ``synth``'s content chain, one numpy call per
     draw: ``integers(m)`` for the first content index, then per frame

@@ -575,6 +575,21 @@ MALFORMED_RECORDS = {
     "vocab_bool": lambda rec: {**rec, "vocab": True},
     "token_past_vocab": lambda rec: {**rec, "channels": [[10, *ch[1:]]
                                                          for ch in rec["channels"]]},
+    # channel values a check over the distinct ids alone would let through
+    "channel_true_after_one": lambda rec: {**rec, "channels": [[1, True, *ch[2:]]
+                                                               for ch in rec["channels"]]},
+    "channel_null": lambda rec: {**rec, "channels": [[None, *ch[1:]]
+                                                     for ch in rec["channels"]]},
+    "channel_string": lambda rec: {**rec, "channels": [["1", *ch[1:]]
+                                                       for ch in rec["channels"]]},
+    "channel_nested_list": lambda rec: {**rec, "channels": [[[1], *ch[1:]]
+                                                            for ch in rec["channels"]]},
+    "channel_negative_id": lambda rec: {**rec, "channels": [[-1, *ch[1:]]
+                                                            for ch in rec["channels"]]},
+    "channel_past_int64": lambda rec: {**rec, "channels": [[2**70, *ch[1:]]
+                                                           for ch in rec["channels"]]},
+    "channels_unequal_length": lambda rec: {**rec, "channels": [rec["channels"][0],
+                                                                rec["channels"][1][:-1]]},
 }
 
 # (which input, file text, a word the error names) for style files and eval

@@ -138,6 +138,11 @@ PAINTER_STYLES = [
     DialogueStyle(vocab=_vocab(20, 0, 3, 4, 9, 15), unit_range=(2, 16)),
     DialogueStyle(vocab=_vocab(3_000_000_000)),  # 32-bit halves, about 30% rejected
     DialogueStyle(vocab=_vocab(5_000_000_000)),  # whole 64-bit outputs
+    # successor jumps on 32-bit halves with about half rejected, the largest
+    # 32-bit jump (never rejected) and the first jump on whole outputs
+    DialogueStyle(vocab=_vocab(30), successor_count=2**31 + 1),
+    DialogueStyle(vocab=_vocab(30), successor_count=2**32),
+    DialogueStyle(vocab=_vocab(30), successor_count=2**32 + 1),
     # a quarter of the 64-bit draws rejected: can outrun the first raw block
     DialogueStyle(vocab=_vocab(30), successor_count=3 * 2**61),
 ]

@@ -94,6 +94,17 @@ class TestEncode:
         with pytest.raises(ValueError, match=f"token {bad} outside unit range"):
             encode(*s, 160, vocab)
 
+    # tags are int64 up to 2**63 - 2 units; past that an int64 wire cannot
+    # hold them (a float64 one would round both to the same value)
+    def test_tags_past_int64(self):
+        big = Vocab(size=2**63 - 2)
+        wire, _ = encode((1, 2), (3, 3), 80, big)
+        assert wire.dtype == np.int64
+        assert wire.tolist() == [big.tag_s0, 1, 2, big.tag_s1, 3]
+        for size in (2**63 - 1, 2**63):
+            with pytest.raises(ValueError, match="speaker tags past int64"):
+                encode((1, 2), (3, 3), 80, Vocab(size=size))
+
 
 @given(size=st.integers(1, 30), chunk_ms=st.sampled_from([40, 160, 200, 240]),
        data=st.data())
@@ -156,6 +167,21 @@ class TestDedupDialogue:
     def test_rejects_malformed(self, vocab, chunks, match):
         with pytest.raises(MalformedSequence, match=match):
             DedupDialogue(vocab, 160, tuple(DedupChunk(a, b) for a, b in chunks))
+
+    # ids from -1 to the first tag and up to 5 novels per 4-frame chunk, so
+    # each kind of fault, several at once, and clean dialogues all occur
+    @settings(max_examples=400)
+    @given(st.lists(st.tuples(*[st.lists(st.integers(-1, 6), max_size=5).map(tuple)] * 2),
+                    max_size=6))
+    def test_names_the_first_fault_of_a_chunk_walk(self, chunks):
+        vocab = Vocab(size=6, frame_ms=40)
+        fault = oracles.grammar_fault(chunks, 4, vocab.size)
+        if fault is None:
+            assert DedupDialogue(vocab, 160, chunks).chunks == tuple(chunks)
+        else:
+            with pytest.raises(MalformedSequence) as err:
+                DedupDialogue(vocab, 160, chunks)
+            assert str(err.value) == fault
 
 
 class TestInterpolate:
