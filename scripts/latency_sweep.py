@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Latency sweep experiment: interaction quality vs chunk size.
 
-Trains one model per chunk size on the same synthetic corpus, runs
-two-model interactions at one-chunk latency over a fixed prompt batch,
-and scores the generated dialogues with one reference model trained on
+Trains one model per chunk size on the same synthetic corpus, runs one
+two-model interaction at one-chunk latency per held-out prompt, and
+scores the generated dialogues with one reference model trained on
 held-out data encoded at every chunk size under test. Each replication
-reruns the whole batch with fresh sampler seeds. Writes a CSV with one
-row per (chunk size, replication) and prints a summary.
+reruns every prompt with fresh sampler seeds. Writes a CSV with one row
+per (chunk size, replication) and prints a summary.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from duplexsim import (
     generate_corpus,
     parse,
     per_dialogue_perplexities,
-    simulate_interactions,
+    simulate_interaction,
     train,
 )
 
@@ -92,13 +92,13 @@ def run_sweep(
     rows = []
     for rep in range(replications):
         for c in chunk_sizes:
-            prompt_chunks = prompt_ms // c
-            cfgs = [InteractionConfig(latency_chunks=latency_chunks, max_chunks=total_ms // c,
-                                      sampler=SamplerConfig(seed=seed + 1000 * rep + k))
-                    for k in range(len(prompts[c]))]
-            transcripts = simulate_interactions(models[c], models[c], cfgs, prompts[c])
+            dialogues = [
+                simulate_interaction(models[c], models[c], InteractionConfig(
+                    latency_chunks=latency_chunks, max_chunks=total_ms // c,
+                    sampler=SamplerConfig(seed=seed + 1000 * rep + k)), prompt).dialogue
+                for k, prompt in enumerate(prompts[c])]
             ppls = per_dialogue_perplexities(
-                reference, (encode_dialogue(t.dialogue) for t in transcripts), prompt_chunks)
+                reference, map(encode_dialogue, dialogues), prompt_ms // c)
             rows.append({
                 "replication": rep,
                 "chunk_ms": c,

@@ -12,7 +12,6 @@ from .interaction import (
     continue_dialogue,
     estimate_user_chunk,
     simulate_interaction,
-    simulate_interactions,
 )
 from .metrics import (
     CorrelationReport,

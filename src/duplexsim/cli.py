@@ -41,11 +41,9 @@ from . import corpus_io
 # inspect.getattr_static, main, generate_dialogue, chunk_streams, deduplicate,
 # flatten, interpolate, train, simulate_interaction, continue_dialogue,
 # correlation_report and per_dialogue_perplexities here, so each stays bound.
-# Only chunk_streams and simulate_interaction are bound for it alone: no
-# command calls them (interact runs simulate_interactions).
+# Only chunk_streams is bound for it alone: no command calls it.
 from .errors import ConfigError, DuplexError, EmptyCarryOverWarning, EmptyCorpus
-from .interaction import (InteractionConfig, continue_dialogue,  # noqa: F401 (see above)
-                          simulate_interaction, simulate_interactions)
+from .interaction import InteractionConfig, continue_dialogue, simulate_interaction
 from .metrics import EventParams, correlation_report, per_dialogue_perplexities
 from .ngram import NgramModel, SamplerConfig, train
 from .synth import (
@@ -277,27 +275,25 @@ def cmd_interact(args) -> int:
     if args.max_chunks < 1:
         raise ConfigError("run needs at least one chunk (--max-chunks)")
 
-    runs = []  # (id, prompt, scripted DedupDialogue or None)
     if corpus is not None:
         _no_vocab_flags(args, corpus)
         dialogues, vocab = _load_corpus(corpus)
-        for did, (s0, s1) in dialogues.items():
-            full = deduplicate(s0, s1, args.chunk_ms, vocab)
-            runs.append((did, _head(full, prompt_chunks), full if args.scripted else None))
+        runs = {did: deduplicate(s0, s1, args.chunk_ms, vocab)
+                for did, (s0, s1) in dialogues.items()}
     else:
         vocab = _vocab_from_args(args)
-        runs.append(("run00000", DedupDialogue(vocab, args.chunk_ms, ()), None))
+        runs = {"run00000": DedupDialogue(vocab, args.chunk_ms, ())}
     model_a, model_b = _load_models(vocab, args.model_a, args.model_b)
 
-    cfgs = [InteractionConfig(latency_chunks=args.latency,
-                              max_chunks=len(prompt.chunks) + args.max_chunks,
-                              sampler=_sampler_from_args(args, _derive_seed(args.seed, i)))
-            for i, (_, prompt, _) in enumerate(runs)]
-    source = [script for _, _, script in runs] if args.scripted else model_b
-    results = simulate_interactions(model_a, source, cfgs, [prompt for _, prompt, _ in runs])
     transcripts = []
     corpus_records = []
-    for (did, _, _), transcript in zip(runs, results):
+    for i, (did, full) in enumerate(runs.items()):
+        prompt = _head(full, prompt_chunks)
+        cfg = InteractionConfig(latency_chunks=args.latency,
+                                max_chunks=len(prompt.chunks) + args.max_chunks,
+                                sampler=_sampler_from_args(args, _derive_seed(args.seed, i)))
+        user = full if args.scripted is not None else model_b  # an empty script is falsy
+        transcript = simulate_interaction(model_a, user, cfg, prompt)
         entry = transcript.to_json_dict()
         entry["id"] = did
         transcripts.append(entry)

@@ -27,9 +27,9 @@ the missing window, which appends past a mark at the base's end; and
 the mark. The base is append-only and the window holds at most
 ``latency`` chunks, so a step costs the same however long the session has
 run. ``continue_dialogue`` and ``estimate_user_chunk`` are one agent each;
-a run of ``simulate_interactions`` is two agents (or one and a script)
-plus the delay line between them. Each estimate is recorded once, on the
-step of the chunk it estimates.
+a call of ``simulate_interaction`` is one run: two agents (or one and a
+script) plus the delay line between them. Each estimate is recorded once,
+on the step of the chunk it estimates.
 
 The agent's ``sample`` and ``emit`` are the one implementation of the
 grammar. Each draw is one call of ``_Agent._draw`` with the allowed ids as
@@ -39,10 +39,11 @@ None. It passes ``code``, the model's code of the agent's context
 ``emit`` restores it when it cuts the context back to the mark, so a plain
 draw (temperature 1, no top_k) reads no context token and goes to
 ``ngram.sample_span``; other samplers draw through ``sample_constrained``
-on the span's ids. Both give the same bits. ``simulate_interactions``
-checks and builds every run before its first draw, then runs the runs one
-after another. Within a run the two agents take turns; their RNGs are
-separate, so the order of their draws does not change the bits.
+on the span's ids. Both give the same bits. ``simulate_interaction``
+checks its run before the first draw. Within a run the two agents take
+turns; their RNGs are separate, so the order of their draws does not
+change the bits. Runs share only their models' lazy caches, which change
+no draw, so a run's bits do not depend on the runs before it.
 """
 
 from __future__ import annotations
@@ -132,15 +133,17 @@ class StepRecord:
 class InteractionTranscript:
     """A run of ``simulate_interaction``.
 
-    ``to_json_dict`` records each value once: ``config`` (latency,
-    ``max_chunks`` and sampler), ``prompt_chunks``, ``dialogue`` (with the
-    vocabulary and chunk size), ``user_truncations`` and, per step,
-    ``index``, ``llm_chunk``, ``user_actual``, ``estimate_history``,
-    ``context_snapshot_len`` and ``truncations``. What it leaves out is
-    derived from the rest: the run's seed is ``config.sampler.seed``, its
-    chunk size ``dialogue.chunk_ms``, and a step's ``user_estimated`` the
-    last entry of its ``estimate_history`` (None if empty); overflow
-    always truncates.
+    ``to_json_dict`` records ``config`` (latency, ``max_chunks`` and
+    sampler), ``prompt_chunks``, ``dialogue`` (with the vocabulary and
+    chunk size), ``user_truncations`` and, per step, ``index``,
+    ``llm_chunk``, ``user_actual``, ``estimate_history``,
+    ``context_snapshot_len`` and ``truncations``. A step's ``llm_chunk``
+    and ``user_actual`` repeat the two parts of ``dialogue.chunks[index]``;
+    they stay because readers of a transcript take them per step. What it
+    leaves out is derived from the rest: the run's seed is
+    ``config.sampler.seed``, its chunk size ``dialogue.chunk_ms``, and a
+    step's ``user_estimated`` the last entry of its ``estimate_history``
+    (None if empty); overflow always truncates.
 
     The context snapshot is left out too, since it would make a transcript
     quadratic in length. The snapshot of step t is rebuilt from
@@ -389,10 +392,22 @@ def estimate_user_chunk(
     return agent.sample(1)
 
 
-def _agents(model_llm: NgramModel, user_source: NgramModel | DedupDialogue,
-            cfg: InteractionConfig, prompt: DedupDialogue) -> tuple[_Agent, _Agent | None]:
-    """The model's agent of one run of ``simulate_interactions`` and the
-    user's (None for a script), once the run's inputs pass every check."""
+def simulate_interaction(
+    model_llm: NgramModel,
+    user_source: NgramModel | DedupDialogue,
+    cfg: InteractionConfig,
+    prompt: DedupDialogue,
+) -> InteractionTranscript:
+    """Run the lockstep protocol between the model and a user source: a
+    script, whose channel 1 is replayed, or a model, as an agent on channel
+    1 running the same estimate-ahead protocol from its side. At step t the
+    model's agent has the user's chunks below t - latency; the user has the
+    model's chunks below t - latency + 1, since the model speaks first
+    within a chunk. The prompt, possibly empty, carries the run's
+    vocabulary and chunk size, which a script must match. The run is
+    checked before any draw: a script whose channel 1 cannot follow the
+    prompt raises ``MalformedSequence``."""
+    L = cfg.latency_chunks
     p_chunks = len(prompt.chunks)
     if cfg.max_chunks <= p_chunks:
         raise ValueError(f"max_chunks ({cfg.max_chunks}) must exceed prompt length ({p_chunks})")
@@ -407,19 +422,9 @@ def _agents(model_llm: NgramModel, user_source: NgramModel | DedupDialogue,
             raise SourceExhausted(f"scripted user has {len(user_source.chunks)} chunks, "
                                   f"run needs {cfg.max_chunks}")
         _check_user(prompt, [c.s1_novel for c in user_source.chunks[p_chunks:cfg.max_chunks]])
-    agent_a = _Agent(model_llm, cfg.sampler, np.random.default_rng(cfg.sampler.seed),
-                     prompt, side=0)
+    agent_a = _Agent(model_llm, cfg.sampler, np.random.default_rng(cfg.sampler.seed), prompt)
     agent_b = None if scripted else _Agent(
         user_source, cfg.sampler, np.random.default_rng([cfg.sampler.seed, 1]), prompt, side=1)
-    return agent_a, agent_b
-
-
-def _session(user_source: NgramModel | DedupDialogue, cfg: InteractionConfig,
-             prompt: DedupDialogue, agent_a: _Agent, agent_b: _Agent | None
-             ) -> InteractionTranscript:
-    """One run of ``simulate_interactions`` with the agents of ``_agents``."""
-    L = cfg.latency_chunks
-    p_chunks = len(prompt.chunks)
     llm_novel = [list(c.s0_novel) for c in prompt.chunks]
     usr_novel = [list(c.s1_novel) for c in prompt.chunks]
     records: list[StepRecord] = []
@@ -455,37 +460,3 @@ def _session(user_source: NgramModel | DedupDialogue, cfg: InteractionConfig,
         config=cfg, prompt_chunks=p_chunks, steps=records,
         dialogue=DedupDialogue(vocab=prompt.vocab, chunk_ms=prompt.chunk_ms, chunks=chunks),
         user_truncations=agent_b.truncations if agent_b is not None else 0)
-
-
-def simulate_interactions(
-    model_llm: NgramModel,
-    user_source: NgramModel | Sequence[DedupDialogue],
-    cfgs: Sequence[InteractionConfig],
-    prompts: Sequence[DedupDialogue],
-) -> list[InteractionTranscript]:
-    """Run the lockstep protocol between the model and a user source: run i
-    with ``cfgs[i]``, ``prompts[i]`` and, for scripted users, the script
-    ``user_source[i]``; a model user serves every run, as an agent on
-    channel 1 running the same estimate-ahead protocol from its side. At
-    step t the model's agent has the user's chunks below t - latency; the
-    user has the model's chunks below t - latency + 1, since the model
-    speaks first within a chunk. A prompt, possibly empty, carries its
-    run's vocabulary and chunk size, which a script must match. Every run
-    is checked before any draws (a script whose channel 1 cannot follow its
-    prompt raises ``MalformedSequence``); each transcript is the one its
-    run gives alone."""
-    users = [user_source] * len(prompts) if isinstance(user_source, NgramModel) else user_source
-    runs = [(user, cfg, prompt, *_agents(model_llm, user, cfg, prompt))
-            for user, cfg, prompt in zip(users, cfgs, prompts, strict=True)]
-    return [_session(*run) for run in runs]
-
-
-def simulate_interaction(
-    model_llm: NgramModel,
-    user_source: NgramModel | DedupDialogue,
-    cfg: InteractionConfig,
-    prompt: DedupDialogue,
-) -> InteractionTranscript:
-    """``simulate_interactions`` of one run, with one model or one script."""
-    users = user_source if isinstance(user_source, NgramModel) else [user_source]
-    return simulate_interactions(model_llm, users, [cfg], [prompt])[0]

@@ -80,8 +80,10 @@ class DialogueStyle:
                 raise ValueError(f"unit_range {self.unit_range} outside [0, {self.vocab.size})")
         if self.successor_count is not None and self.successor_count < 1:
             raise ValueError(f"successor_count must be >= 1, got {self.successor_count}")
-        if max(self.vocab.size, self.successor_count or 1) > 2**63:  # numpy's int64 draws
-            raise ValueError("vocab size and successor_count must be at most 2**63")
+        if self.vocab.size > 2**63 - 3:  # train's int64 code of an order-1 context
+            raise ValueError(f"vocab size must be at most 2**63 - 3, got {self.vocab.size}")
+        if (self.successor_count or 1) > 2**63:  # numpy's int64 draws
+            raise ValueError("successor_count must be at most 2**63")
         if self.content()[0] == 0:
             raise ValueError("no non-silence units available for content")
 

@@ -10,6 +10,7 @@ import numpy.lib.format as npy
 import pytest
 
 from duplexsim import DialogueStyle, NgramModel, Vocab
+from duplexsim import cli
 from duplexsim.cli import build_parser, main
 
 VOCAB_ARGS = ["--vocab", "10", "--silence-token", "0"]
@@ -131,6 +132,21 @@ class TestSynth:
 
         peak(501)  # the first run's one-off allocations are not the run's cost
         assert peak(2_000_000) - peak(501) < 2**20
+
+    def test_vocab_train_can_code(self, tmp_path, capsys):
+        # train packs an order-1 context into an int64 code, which takes
+        # vocab size + 3 values: synth refuses a vocabulary one past that
+        out = tmp_path / "past.jsonl"
+        assert main(["synth", "--vocab", str(2**63 - 2), "--count", "2",
+                     "--duration-ms", "800", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "2**63 - 3" in json.loads(err)["message"]
+        assert not out.exists()
+        corpus = tmp_path / "top.jsonl"
+        assert main(["synth", "--vocab", str(2**63 - 3), "--count", "2",
+                     "--duration-ms", "800", "--out", str(corpus)]) == 0
+        assert main(["train", "--corpus", str(corpus), "--order", "1",
+                     "--out", str(tmp_path / "model.json")]) == 0
 
 
 class TestTrain:
@@ -264,6 +280,42 @@ class TestInteract:
                   "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("user", ["--model-b", "--scripted"])
+    def test_one_simulate_interaction_call_per_run(self, tmp_path, monkeypatch, user):
+        # perfbench times the engine by wrapping this attribute of the cli
+        corpus = synth(tmp_path, count=3)
+        model = trained(tmp_path, corpus)
+        source = ["--model-b", str(model), "--prompts", str(corpus)] if user == "--model-b" \
+            else ["--scripted", str(corpus)]
+
+        def interact(out):
+            assert main(["interact", "--model-a", str(model), *source, "--prompt-ms", "960",
+                         "--max-chunks", "12", "--latency", "1", "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        plain = interact(tmp_path / "plain.json")
+        calls = []
+        run = cli.simulate_interaction
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_interaction", counted)
+        assert interact(tmp_path / "counted.json") == plain
+        assert len(calls) == 3
+
+    def test_empty_script_is_refused(self, tmp_path, capsys):
+        # a script of no chunks is a falsy DedupDialogue, and still a script
+        corpus = synth(tmp_path, count=2, duration=0)
+        model = trained(tmp_path, synth(tmp_path, out="train.jsonl"))
+        out, gen = tmp_path / "tr.json", tmp_path / "gen.jsonl"
+        assert main(["interact", "--model-a", str(model), "--scripted", str(corpus),
+                     "--max-chunks", "4", "--out", str(out), "--corpus-out", str(gen)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SourceExhausted"
+        assert not out.exists() and not gen.exists()
 
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         corpus = synth(tmp_path)

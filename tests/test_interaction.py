@@ -7,6 +7,7 @@ from duplexsim import (
     DedupChunk,
     DedupDialogue,
     InteractionConfig,
+    NgramModel,
     SamplerConfig,
     Vocab,
     continue_dialogue,
@@ -17,7 +18,6 @@ from duplexsim import (
     interpolate,
     parse,
     simulate_interaction,
-    simulate_interactions,
     train,
 )
 from duplexsim import interaction
@@ -441,46 +441,38 @@ class TestSimulateTwoModels:
 
 
 class TestSimulateInteractions:
-    """Many runs stepped together equal the runs one at a time."""
+    """Runs made one after another on shared models equal the runs made
+    alone, in either order: a model's caches never change a draw."""
 
-    # 14 runs make more than 12 draws of one model at a time, where the
-    # engine once switched to a batch kernel
+    # 14 runs once made more than 12 draws of one model at a time, where the
+    # engine switched to a batch kernel
     @pytest.mark.parametrize("user", ["scripted", "model"])
     @pytest.mark.parametrize("latency", [0, 1, 3])
     @pytest.mark.parametrize("runs", [2, 14], ids=["below_crossover", "above_crossover"])
-    def test_equal_to_one_run_at_a_time(self, setup, code_checks, user, latency, runs):
+    def test_equal_to_one_run_at_a_time(self, setup, code_checks, tmp_path, user, latency,
+                                        runs):
         vocab, _, model, script = setup
+        model.save(tmp_path / "model.npy")
+
+        def fresh():  # a copy of the model whose caches start empty
+            return NgramModel.load(tmp_path / "model.npy")
+
         # runs of unequal length; one sampler that sample_span does not take
         prompts = [prompt_of(script, k % 5) for k in range(runs)]
         cfgs = [InteractionConfig(latency_chunks=latency, max_chunks=6 + 3 * (k % 4) + k % 5,
                                   sampler=SamplerConfig(seed=k, top_k=3 if k == 1 else None))
                 for k in range(runs)]
-        source = [script] * runs if user == "scripted" else model
-        together = simulate_interactions(model, source, cfgs, prompts)
-        alone = [simulate_interaction(model, script if user == "scripted" else model, cfg, p)
-                 for cfg, p in zip(cfgs, prompts)]
-        assert [t.to_json_dict() for t in together] == [t.to_json_dict() for t in alone]
-        assert [[s.context_snapshot for s in t.steps] for t in together] == [
-            [s.context_snapshot for s in t.steps] for t in alone]
-        assert code_checks  # every draw of both passes drew at the context's code
 
-    def test_every_run_is_checked_before_any_draw(self, setup, no_draws):
-        vocab, _, model, script = setup
-        # the last run's script cannot follow its prompt (see above)
-        prompt = DedupDialogue(vocab, CHUNK_MS, (DedupChunk((1,), (5,)),))
-        bad = DedupDialogue(vocab, CHUNK_MS, (DedupChunk((1,), (2,)), DedupChunk((), (5, 6)),
-                                              *[DedupChunk()] * 8))
-        runs = 14
-        with pytest.raises(MalformedSequence, match="chunk 1 channel 1"):
-            simulate_interactions(model, [script] * (runs - 1) + [bad],
-                                  [InteractionConfig(max_chunks=10)] * runs,
-                                  [prompt_of(script, 0)] * (runs - 1) + [prompt])
+        def run(k, m):
+            tr = simulate_interaction(m, script if user == "scripted" else m, cfgs[k],
+                                      prompts[k])
+            return tr.to_json_dict(), [s.context_snapshot for s in tr.steps]
 
-    def test_one_config_and_script_per_prompt(self, setup):
-        _, _, model, script = setup
-        with pytest.raises(ValueError, match="zip"):
-            simulate_interactions(model, [script], [InteractionConfig()] * 2,
-                                  [prompt_of(script, 0)] * 2)
+        alone = [run(k, fresh()) for k in range(runs)]
+        shared = fresh()
+        assert [run(k, shared) for k in range(runs)] == alone
+        assert [run(k, shared) for k in reversed(range(runs))] == alone[::-1]
+        assert code_checks  # every draw drew at the context's code
 
 
 class TestTranscriptSerialisation:

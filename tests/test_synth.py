@@ -304,9 +304,11 @@ class TestStyleConfig:
             DialogueStyle(vocab=tiny_vocab, backchannel_prob=1.5)
 
     def test_draw_bounds_past_int64_rejected(self):
-        # numpy draws integers(k) for k up to 2**63, and unit ids are held as int64
-        DialogueStyle(vocab=_vocab(2**63), successor_count=2**63)
-        for size, successor_count in ((2**63 + 1, None), (12, 2**63 + 1)):
+        # numpy draws integers(k) for k up to 2**63; train packs an order-1
+        # context into an int64 code, which takes vocab size + 3 values
+        DialogueStyle(vocab=_vocab(2**63 - 3), successor_count=2**63)
+        for size, successor_count in ((2**63 - 2, None), (2**63 - 1, None), (2**63, None),
+                                      (12, 2**63 + 1)):
             with pytest.raises(ValueError):
                 DialogueStyle(vocab=_vocab(size), successor_count=successor_count)
 
