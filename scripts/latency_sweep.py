@@ -48,12 +48,6 @@ def sweep_style(vocab: Vocab) -> DialogueStyle:
     )
 
 
-def encode_corpus(corpus, chunk_ms, vocab) -> list:
-    """Every dialogue of a corpus in wire format at one chunk size, as the
-    ``(wire, chunk offsets)`` pairs of ``encode``."""
-    return [encode(s0, s1, chunk_ms, vocab) for s0, s1 in corpus.values()]
-
-
 def run_sweep(
     n_units: int = 24,
     train_dialogues: int = 120,
@@ -75,11 +69,11 @@ def run_sweep(
     heldout = generate_corpus(style, heldout_dialogues, dialogue_ms, seed=seed + 2)
 
     models = {
-        c: train([w for w, _ in encode_corpus(train_corpus, c, vocab)],
+        c: train([w for w, _ in encode(train_corpus.values(), c, vocab)],
                  order=order, alpha=gen_alpha, vocab_ext=vocab.extended_size)
         for c in chunk_sizes
     }
-    heldout_encoded = {c: encode_corpus(heldout, c, vocab) for c in chunk_sizes}
+    heldout_encoded = {c: encode(heldout.values(), c, vocab) for c in chunk_sizes}
     reference = train([w for c in chunk_sizes for w, _ in heldout_encoded[c]],
                       order=order, alpha=ref_alpha, vocab_ext=vocab.extended_size)
     prompts = {}

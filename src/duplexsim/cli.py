@@ -4,9 +4,10 @@ Every subcommand is byte-reproducible under fixed seeds. It reads and
 writes files only through ``corpus_io`` (each format checked once, every
 output atomic, none the file of an input or another output) and writes its
 first output only when all its work is done.
-Each input file is read once, into ``{id: (s0, s1)}`` and the one
-``Vocab`` its dialogues share, and each dialogue is encoded to the wire
-format once, through ``tokens.encode``; a prompt is the first
+Each input file is read once, into ``{id: (s0, s1)}`` of int64 channels
+and the one ``Vocab`` its dialogues share, and each dialogue is encoded to
+the wire format once, through ``tokens.encode`` (``train`` and ``eval
+--mode ppl`` make one call per corpus); a prompt is the first
 ``--prompt-ms // --chunk-ms`` chunks of that encoding. A model file named
 twice is parsed once and checked against the vocabulary once. A command
 accepts only the flags it reads, and one flag per setting: a run's
@@ -111,7 +112,7 @@ def _check_outputs(inputs, *outputs: Path | None) -> None:
         taken[key] = p
 
 
-def _load_corpus(path) -> tuple[dict[str, tuple[tuple[int, ...], tuple[int, ...]]], Vocab]:
+def _load_corpus(path) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], Vocab]:
     """A corpus as ``{id: (s0, s1)}`` in file order, and the one vocabulary
     every record declares."""
     entries = corpus_io.read_corpus(path)
@@ -210,8 +211,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     _check_outputs([args.corpus], args.out)
     dialogues, vocab = _load_corpus(args.corpus)
-    wires = (encode(s0, s1, args.chunk_ms, vocab)[0] for s0, s1 in dialogues.values())
-    model = train([w for w in wires if len(w)],  # an empty dialogue has no sequence
+    wires = encode(dialogues.values(), args.chunk_ms, vocab)
+    model = train([w for w, _ in wires if len(w)],  # an empty dialogue has no sequence
                   order=args.order, alpha=args.alpha, vocab_ext=vocab.extended_size)
     model.save(args.out)
     return 0
@@ -360,9 +361,8 @@ def cmd_eval(args) -> int:
         mode_params = {"prompt_ms": prompt_ms, "skip_ms": None}
         gen, vocab = _load_corpus(args.generated)
         (model,) = _load_models(vocab, args.model)
-        ppls = per_dialogue_perplexities(
-            model, (encode(s0, s1, args.chunk_ms, vocab) for s0, s1 in gen.values()),
-            prompt_chunks)
+        ppls = per_dialogue_perplexities(model, encode(gen.values(), args.chunk_ms, vocab),
+                                         prompt_chunks)
         metrics_payload = {
             "median_ppl": float(statistics.median(ppls)),
             "n_dialogues": len(ppls),

@@ -11,8 +11,9 @@ distinct ids:
     {"id": str, "frame_ms": int, "vocab": int, "silence": [int],
      "channels": [[int, ...], [int, ...]]}
 
-In memory a record is ``(id, s0, s1, vocab)``: each channel a tuple of
-unit ids, and the ``Vocab`` the record's frame size and silence set.
+In memory a record is ``(id, s0, s1, vocab)``: the channels are the rows
+of one int64 array (``tokens`` and ``metrics`` accept any int sequence),
+and the ``Vocab`` the record's frame size and silence set.
 
 Model files are a stream of ``.npy`` records (see ``ngram``), written and
 read without pickle. The reader checks each record's header, and that its
@@ -27,7 +28,7 @@ import os
 import stat
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -196,24 +197,44 @@ def dialogue_to_record(
     }
 
 
-def record_to_dialogue(rec: dict) -> tuple[str, tuple[int, ...], tuple[int, ...], Vocab]:
+def record_to_dialogue(rec: dict, screen: bool = False
+                       ) -> tuple[str, np.ndarray, np.ndarray, Vocab]:
     """One corpus record, checked: integer fields are JSON integers, both
-    channels hold the same number of ids in ``[0, vocab)``."""
+    channels hold the same number of ids in ``[0, vocab)``, returned as the
+    rows of one int64 array. ``screen`` says the record's text spells no
+    JSON bool, so channels that numpy reads as 2-D int64 need no walk."""
     if type(rec) is not dict or not _REQUIRED_KEYS <= rec.keys():
         raise ConfigError(f"a corpus record is an object with keys {sorted(_REQUIRED_KEYS)}")
     did, size, frame_ms, ch = rec["id"], rec["vocab"], rec["frame_ms"], rec["channels"]
-    if not (type(did) is str and is_int(size) and is_int(frame_ms)
-            and is_int_list(rec["silence"]) and type(ch) is list and len(ch) == 2
-            and is_int_list(ch[0]) and is_int_list(ch[1]) and len(ch[0]) == len(ch[1])):
+    fields = (type(did) is str and is_int(size) and is_int(frame_ms)
+              and is_int_list(rec["silence"]) and type(ch) is list and len(ch) == 2)
+    frames = _screened(ch, size) if screen and fields else None
+    if not (fields and (frames is not None or is_int_list(ch[0]) and is_int_list(ch[1])
+                        and len(ch[0]) == len(ch[1]))):
         raise ConfigError(
             f"dialogue {did!r}: needs a string id, integer vocab and frame_ms, an "
             f"integer list for silence and two equal-length ones for channels"
         )
     vocab = Vocab(size=size, frame_ms=frame_ms, silence_tokens=frozenset(rec["silence"]))
-    for ids in map(set, ch):  # the distinct ids; is_int_list has checked their types
-        if ids and not (min(ids) >= 0 and max(ids) < size):
-            raise ConfigError(f"dialogue {did}: a token lies outside [0, {size})")
-    return did, tuple(ch[0]), tuple(ch[1]), vocab
+    if frames is None:
+        for ids in map(set, ch):  # the distinct ids; is_int_list has checked their types
+            if ids and not (min(ids) >= 0 and max(ids) < size):
+                raise ConfigError(f"dialogue {did}: a token lies outside [0, {size})")
+        try:
+            frames = np.array(ch, np.int64)
+        except OverflowError:  # in range of a vocabulary past int64
+            raise ConfigError(f"dialogue {did}: a token lies past int64") from None
+    return did, frames[0], frames[1], vocab
+
+
+def _screened(ch: list, size: int) -> np.ndarray | None:
+    """``ch`` as one array, if numpy reads it as 2-D int64 with ids in ``[0, size)``."""
+    with suppress(ValueError):  # ragged, or nested past numpy's dimension limit
+        frames = np.array(ch)
+        if frames.dtype == np.int64 and frames.ndim == 2 and frames.min() >= 0 \
+                and frames.max() < size:
+            return frames
+    return None
 
 
 def write_corpus(path: str | Path, records: Iterable[dict]) -> None:
@@ -223,11 +244,13 @@ def write_corpus(path: str | Path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-def read_corpus(path: str | Path) -> list[tuple[str, tuple[int, ...], tuple[int, ...], Vocab]]:
-    """Every dialogue of a corpus as ``(id, s0, s1, vocab)``; raises
-    ``ConfigError`` naming the file and line unless every record passes
-    ``record_to_dialogue``, declares the first record's vocabulary and has
-    an id no earlier record has."""
+def read_corpus(path: str | Path) -> list[tuple[str, np.ndarray, np.ndarray, Vocab]]:
+    """Every dialogue of a corpus as ``(id, s0, s1, vocab)``, each channel an
+    int64 array; raises ``ConfigError`` naming the file and line unless
+    every record passes ``record_to_dialogue``, declares the first record's
+    vocabulary and has an id no earlier record has. A line without ``true``
+    or ``false`` is screened: its channels are read as one ``np.array``, and
+    only if that is not 2-D int64 in range are they walked id by id."""
     out = []
     ids = set()
     with _reading(path) as fh:
@@ -235,7 +258,8 @@ def read_corpus(path: str | Path) -> list[tuple[str, tuple[int, ...], tuple[int,
             if not line.strip():
                 continue
             try:
-                entry = record_to_dialogue(json.loads(line))
+                entry = record_to_dialogue(json.loads(line),
+                                           "true" not in line and "false" not in line)
             except (DuplexError, ValueError, RecursionError) as exc:
                 raise ConfigError(f"corpus {path} line {n}: {exc}") from None
             did, vocab = entry[0], entry[3]

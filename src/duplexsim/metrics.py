@@ -15,8 +15,10 @@ A backchannel is an IPU strictly contained in some IPU of the other
 channel; with containment filtering enabled (the default) it never counts
 as a floor transfer.
 
-A channel is a tuple of unit ids, one per frame, and a corpus a mapping
-``{id: (s0, s1)}``; the ``Vocab`` gives the frame size and the silence set.
+A channel is a sequence of unit ids, one per frame, and a corpus a
+mapping ``{id: (s0, s1)}``; the ``Vocab`` gives the frame size and the
+silence set. In memory a channel is an int64 array, as ``read_corpus``
+gives it; any sequence of ints is accepted.
 """
 
 from __future__ import annotations
@@ -76,18 +78,12 @@ def vad(
     frame = vocab.frame_ms
     if min_voiced_ms % frame or bridge_ms % frame:
         raise ValueError("vad thresholds must be multiples of frame_ms")
-    silence = vocab.silence_tokens
-    runs: list[list[int]] = []
-    for i, tok in enumerate(tokens):
-        if tok in silence:
-            continue
-        if runs and runs[-1][1] == i:
-            runs[-1][1] = i + 1
-        else:
-            runs.append([i, i + 1])
-    voiced = [VadSegment(channel=channel, start_ms=a * frame, end_ms=b * frame)
-              for a, b in runs]
-    return [s for s in _merge_segments(voiced, bridge_ms)
+    voiced = np.isin(tokens, list(vocab.silence_tokens), invert=True)
+    # the edges alternate: a run's first frame, then the frame past its last
+    edges = (np.flatnonzero(np.diff(voiced, prepend=False, append=False)) * frame).tolist()
+    runs = [VadSegment(channel=channel, start_ms=a, end_ms=b)
+            for a, b in zip(edges[::2], edges[1::2])]
+    return [s for s in _merge_segments(runs, bridge_ms)
             if s.end_ms - s.start_ms >= min_voiced_ms]
 
 

@@ -377,7 +377,7 @@ def corpus_stats(
     dedup_tokens = 0
     total_seconds = 0.0
     rates = []
-    for s0, s1 in dialogues:
+    for (s0, s1), (wire, starts) in zip(dialogues, encode(dialogues, chunk_ms, vocab)):
         for ev in metrics.dialogue_events(s0, s1, vocab):
             durations[ev.kind].append(float(ev.duration_ms))
         overlap += sum(
@@ -385,7 +385,6 @@ def corpus_stats(
             for a, b in zip(s0, s1)
             if a not in silence and b not in silence
         )
-        wire, starts = encode(s0, s1, chunk_ms, vocab)
         n_chunks = len(starts)
         if n_chunks:
             seconds = n_chunks * chunk_ms / 1000.0

@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 
+from duplexsim.metrics import VadSegment
 from duplexsim.tokens import DedupChunk, DedupDialogue
 
 
@@ -39,6 +41,53 @@ def deduplicate(s0, s1, chunk_ms, vocab) -> DedupDialogue:
                     prev[c] = tok
         out.append(DedupChunk(s0_novel=tuple(novels[0]), s1_novel=tuple(novels[1])))
     return DedupDialogue(vocab=vocab, chunk_ms=chunk_ms, chunks=tuple(out))
+
+
+def encode(s0, s1, chunk_ms, vocab) -> tuple[np.ndarray, np.ndarray]:
+    """The one-dialogue wire encoder that the batched ``tokens.encode``
+    replaced: the wire form of two equal-length channels as an int64 array,
+    and the offset in it of each chunk's tag_s0, from one dialogue's
+    (chunk, channel, tag and frames) table and keep mask."""
+    fpc = vocab.frames_per_chunk(chunk_ms)
+    n_chunks = -(-len(s0) // fpc)
+    pad = (vocab.first_silence,) * (n_chunks * fpc - len(s0))
+    frames = np.fromiter(chain(s0, pad, s1, pad), np.int64, 2 * n_chunks * fpc)
+    frames = frames.reshape(2, n_chunks, fpc)
+    novel = np.ones(frames.shape, dtype=bool)
+    flat = frames.reshape(2, -1)
+    np.not_equal(flat[:, 1:], flat[:, :-1], out=novel.reshape(2, -1)[:, 1:])
+    table = np.empty((n_chunks, 2, fpc + 1), np.int64)
+    keep = np.empty(table.shape, bool)
+    table[:, :, 0] = vocab.tag_s0, vocab.tag_s1
+    table[:, :, 1:] = frames.transpose(1, 0, 2)
+    keep[:, :, 1:] = novel.transpose(1, 0, 2)
+    keep[:, 0, 0] = True
+    novel[1].any(axis=1, out=keep[:, 1, 0])
+    counts = keep.sum(axis=(1, 2))
+    return table[keep], np.cumsum(counts) - counts
+
+
+def vad(tokens, channel, vocab, min_voiced_ms=0, bridge_ms=0) -> list[VadSegment]:
+    """Voiced runs of one channel found frame by frame; runs less than
+    ``bridge_ms`` apart are joined, then runs shorter than
+    ``min_voiced_ms`` dropped."""
+    frame = vocab.frame_ms
+    runs: list[list[int]] = []
+    for i, tok in enumerate(tokens):
+        if tok in vocab.silence_tokens:
+            continue
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    bridged: list[list[int]] = []
+    for a, b in runs:
+        if bridged and (a - bridged[-1][1]) * frame < bridge_ms:
+            bridged[-1][1] = b
+        else:
+            bridged.append([a, b])
+    return [VadSegment(channel=channel, start_ms=a * frame, end_ms=b * frame)
+            for a, b in bridged if (b - a) * frame >= min_voiced_ms]
 
 
 def grammar_fault(chunks, fpc, size) -> str | None:

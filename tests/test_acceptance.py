@@ -57,7 +57,7 @@ def test_criterion_02_worked_example_reproduction():
     with criterion(2, "worked example: dedup wire forms and interpolation"):
         s0 = (75, 75, 75, 75, 17, 17, 338, 338, 338, 338, 338, 338)
         s1 = (89,) * 12
-        wire, starts = encode(s0, s1, 160, VOCAB)
+        ((wire, starts),) = encode([(s0, s1)], 160, VOCAB)
         dd = parse(wire.tolist(), VOCAB, 160)
         assert dd == oracles.deduplicate(s0, s1, 160, VOCAB)
         assert starts.tolist() == [0, 4, 7]
@@ -81,7 +81,7 @@ def test_criterion_03_codec_round_trip_10k():
             t0 = tuple(int(x) for x in rng.integers(0, size, n))
             t1 = tuple(int(x) for x in rng.integers(0, size, n))
             dd = oracles.deduplicate(t0, t1, chunk_ms, v)
-            wire, _ = encode(t0, t1, chunk_ms, v)
+            ((wire, _),) = encode([(t0, t1)], chunk_ms, v)
             assert wire.tolist() == flatten(dd)
             assert parse(wire.tolist(), v, chunk_ms) == dd
             rec = interpolate(dd)

@@ -644,6 +644,19 @@ MALFORMED_RECORDS = {
                                                                 rec["channels"][1][:-1]]},
 }
 
+# the message of each MALFORMED_RECORDS entry, as the first record of the
+# corpus gets it, whether or not the record's text spells a JSON bool
+FIELDS_MESSAGE = ("dialogue 'd00000': needs a string id, integer vocab and frame_ms, an "
+                  "integer list for silence and two equal-length ones for channels")
+RANGE_MESSAGE = "dialogue d00000: a token lies outside [0, 10)"
+MALFORMED_MESSAGES = {
+    **dict.fromkeys(MALFORMED_RECORDS, FIELDS_MESSAGE),
+    **dict.fromkeys(("token_past_vocab", "channel_negative_id", "channel_past_int64"),
+                    RANGE_MESSAGE),
+    "record_not_object": "a corpus record is an object with keys ['channels', 'frame_ms', "
+                         "'id', 'silence', 'vocab']",
+}
+
 # (which input, file text, a word the error names) for style files and eval
 # results; an eval result's column is absent, null, or of the type eval writes
 MALFORMED_FILES = {
@@ -910,7 +923,8 @@ class TestInputBoundaries:
         clean, model = world
         bad = _rewrite(clean, tmp_path / "bad.jsonl", MALFORMED_RECORDS[name])
         argv, outputs = self._commands(bad, clean, model, tmp_path / "out")["eval-turns"]
-        assert_rejected(main(argv), capsys, outputs)
+        message = assert_rejected(main(argv), capsys, outputs)
+        assert message == f"corpus {bad} line 1: {MALFORMED_MESSAGES[name]}"
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
     def test_malformed_style_or_eval_result(self, name, tmp_path, capsys):

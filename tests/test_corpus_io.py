@@ -5,11 +5,14 @@ import stat
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import duplexsim
 from duplexsim import DialogueStyle, NgramModel, corpus_io
-from duplexsim.errors import ConfigError
+from duplexsim.errors import ConfigError, DuplexError
 
 WRITERS = {
     "json": lambda p: corpus_io.write_json(p, {"b": 1, "a": [1, 2]}),
@@ -173,4 +176,68 @@ def test_read_corpus_round_trip(tmp_path):
     path = tmp_path / "c.jsonl"
     corpus_io.write_corpus(path, [corpus_io.dialogue_to_record("a", s0, s1, vocab)])
     assert json.loads(path.read_text())["silence"] == [0, 1]
-    assert corpus_io.read_corpus(path) == [("a", s0, s1, vocab)]
+    ((did, r0, r1, got_vocab),) = corpus_io.read_corpus(path)
+    assert (did, got_vocab) == ("a", vocab)
+    assert r0.dtype == r1.dtype == np.int64
+    assert (r0.tolist(), r1.tolist()) == (list(s0), list(s1))
+
+
+def _record(did, s0, s1, size=5):
+    return {"id": did, "frame_ms": 40, "vocab": size, "silence": [0],
+            "channels": [list(s0), list(s1)]}
+
+
+# an id that spells a JSON bool sends a record to the id-by-id walk, which
+# must read it as the screen does: the rows of one (2, n) int64 array
+@pytest.mark.parametrize("did", ["d0", "true", "is false"])
+@pytest.mark.parametrize("channels", [((), ()), ((3,), (0,)), ((0, 2, 4), (1, 1, 3))])
+def test_screened_and_walked_records_read_alike(did, channels, tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    corpus_io.write_corpus(path, [_record(did, *channels)])
+    walked = []
+    is_int_list = corpus_io.is_int_list
+    monkeypatch.setattr(corpus_io, "is_int_list", lambda x: walked.append(x) or is_int_list(x))
+    ((got_id, s0, s1, _),) = corpus_io.read_corpus(path)
+    # the silence list is checked either way; the channels only by the walk
+    screened = did == "d0" and len(channels[0]) > 0
+    assert len(walked) == (1 if screened else 3)
+    assert got_id == did
+    for row, expected in zip((s0, s1), channels):
+        assert row.tolist() == list(expected)
+    assert s0.base is s1.base and s0.base.dtype == np.int64
+    assert s0.base.shape == (2, len(channels[0]))
+
+
+JSON_VALUES = st.one_of(st.integers(-2, 12), st.integers(-(2**70), 2**70), st.booleans(),
+                        st.floats(allow_nan=False, allow_infinity=False), st.none(),
+                        st.text(max_size=2), st.lists(st.integers(0, 9), max_size=2))
+
+
+def _outcome(rec, screen):
+    try:
+        did, s0, s1, vocab = corpus_io.record_to_dialogue(rec, screen)
+    except (DuplexError, ValueError) as exc:
+        return type(exc), str(exc)
+    assert s0.base is s1.base and s0.base.dtype == np.int64 and s0.base.ndim == 2
+    return did, s0.tolist(), s1.tolist(), vocab
+
+
+# numpy cannot hold such an id: it was read as a Python int, and is now refused
+def test_id_past_int64_in_range_is_config_error():
+    rec = _record("d", [2**63], [0], size=2**64)
+    for screen in (True, False):
+        with pytest.raises(ConfigError, match="dialogue d: a token lies past int64"):
+            corpus_io.record_to_dialogue(rec, screen)
+
+
+# the screen passes only records that the walk passes, and reads them alike;
+# read_corpus screens a record whose text spells no JSON bool
+@given(s0=st.lists(st.one_of(st.integers(0, 12), JSON_VALUES), max_size=6),
+       s1=st.lists(st.integers(0, 12), max_size=6),
+       size=st.sampled_from([1, 10, 2**64]), swap=st.booleans())
+@settings(max_examples=500)
+def test_screen_agrees_with_the_walk(s0, s1, size, swap):
+    text = json.dumps(_record("d", *((s1, s0) if swap else (s0, s1)), size=size))
+    rec = json.loads(text)
+    if "true" not in text and "false" not in text:
+        assert _outcome(rec, True) == _outcome(rec, False)

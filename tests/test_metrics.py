@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duplexsim import (
     DedupChunk,
@@ -57,6 +59,21 @@ class TestVad:
     def test_leading_trailing_silence_not_bridged(self):
         out = vad([0, 2, 2, 0], 0, VOCAB, bridge_ms=200)
         assert out == [seg(0, 40, 120)]
+
+    # several silence ids; int64 arrays, as read_corpus gives channels, and tuples
+    @given(size=st.integers(1, 6), data=st.data())
+    @settings(max_examples=300)
+    def test_matches_the_frame_by_frame_oracle(self, size, data):
+        silence = data.draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=3))
+        vocab = Vocab(size=size, frame_ms=40, silence_tokens=frozenset(silence))
+        tokens = data.draw(st.lists(st.integers(0, size - 1), max_size=50))
+        min_voiced_ms = data.draw(st.sampled_from([0, 40, 120]))
+        bridge_ms = data.draw(st.sampled_from([0, 40, 80, 200]))
+        expected = oracles.vad(tokens, 1, vocab, min_voiced_ms, bridge_ms)
+        for channel in (tuple(tokens), np.array(tokens, np.int64)):
+            got = vad(channel, 1, vocab, min_voiced_ms, bridge_ms)
+            assert got == expected
+            assert all(type(t) is int for s in got for t in (s.start_ms, s.end_ms))
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -302,7 +319,7 @@ class TestMedianPerplexity:
 
         style = DialogueStyle(vocab=tiny_vocab, backchannel_prob=0.0, p_self=0.5)
         corpus = generate_corpus(style, 24, 16000, seed=77)
-        encoded = [encode(s0, s1, 160, tiny_vocab) for s0, s1 in corpus.values()]
+        encoded = encode(corpus.values(), 160, tiny_vocab)
         model = train([w for w, _ in encoded[:16]], order=3, alpha=0.1,
                       vocab_ext=tiny_vocab.extended_size)
         heldout = encoded[16:]

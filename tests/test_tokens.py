@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from duplexsim import tokens
 from duplexsim import (
     DedupChunk,
     DedupDialogue,
@@ -77,12 +80,12 @@ class TestChunkStreams:
 class TestEncode:
     def test_length_mismatch(self, vocab):
         with pytest.raises(LengthMismatch):
-            encode((1, 2), (1,), 160, vocab)
+            encode([((1, 2), (1,))], 160, vocab)
 
     @pytest.mark.parametrize("chunk_ms", [170, 0, -160])
     def test_bad_chunk_size(self, vocab, chunk_ms):
         with pytest.raises(BadChunkSize):
-            encode((1,) * 4, (2,) * 4, chunk_ms, vocab)
+            encode([((1,) * 4, (2,) * 4)], chunk_ms, vocab)
 
     # an id past int64 makes numpy raise OverflowError, which the CLI would
     # not map to an exit code
@@ -92,18 +95,18 @@ class TestEncode:
         s = [(1, 2, 3, 4), (5, 6, 7, 8)]
         s[channel] = (1, bad, 3, 4)
         with pytest.raises(ValueError, match=f"token {bad} outside unit range"):
-            encode(*s, 160, vocab)
+            encode([s], 160, vocab)
 
     # tags are int64 up to 2**63 - 2 units; past that an int64 wire cannot
     # hold them (a float64 one would round both to the same value)
     def test_tags_past_int64(self):
         big = Vocab(size=2**63 - 2)
-        wire, _ = encode((1, 2), (3, 3), 80, big)
+        ((wire, _),) = encode([((1, 2), (3, 3))], 80, big)
         assert wire.dtype == np.int64
         assert wire.tolist() == [big.tag_s0, 1, 2, big.tag_s1, 3]
         for size in (2**63 - 1, 2**63):
             with pytest.raises(ValueError, match="speaker tags past int64"):
-                encode((1, 2), (3, 3), 80, Vocab(size=size))
+                encode([((1, 2), (3, 3))], 80, Vocab(size=size))
 
 
 @given(size=st.integers(1, 30), chunk_ms=st.sampled_from([40, 160, 200, 240]),
@@ -118,7 +121,7 @@ def test_encode_matches_the_frame_by_frame_oracle(size, chunk_ms, data):
     toks = st.lists(st.integers(0, size - 1), min_size=n, max_size=n).map(tuple)
     s0, s1 = data.draw(toks), data.draw(toks)
     expected = oracles.deduplicate(s0, s1, chunk_ms, vocab)
-    wire, starts = encode(s0, s1, chunk_ms, vocab)
+    ((wire, starts),) = encode([(s0, s1)], chunk_ms, vocab)
     assert wire.dtype == np.int64
     assert wire.tolist() == flatten(expected)
     got_wire, got_starts = encode_dialogue(expected)
@@ -127,6 +130,57 @@ def test_encode_matches_the_frame_by_frame_oracle(size, chunk_ms, data):
     assert starts.tolist() == [i for i, t in enumerate(wire.tolist()) if t == vocab.tag_s0]
     assert parse(wire.tolist(), vocab, chunk_ms) == expected
     assert deduplicate(s0, s1, chunk_ms, vocab) == expected
+
+
+def assert_encodes_as_one_dialogue_each(corpus, chunk_ms, vocab):
+    got = encode(corpus, chunk_ms, vocab)
+    assert len(got) == len(corpus)
+    for (wire, starts), (s0, s1) in zip(got, corpus):
+        one_wire, one_starts = oracles.encode(s0, s1, chunk_ms, vocab)
+        assert (wire.dtype, starts.dtype) == (one_wire.dtype, one_starts.dtype)
+        assert wire.dtype == starts.dtype == np.int64
+        assert wire.tolist() == one_wire.tolist()
+        assert starts.tolist() == one_starts.tolist()
+
+
+# unequal lengths, 0 and 1 frames among them, mostly not whole chunks; batches
+# of one frame up to the default, so a batch bound falls anywhere
+@given(chunk_ms=st.sampled_from([40, 160, 200, 240]),
+       batch_frames=st.sampled_from([1, 5, 23, tokens._BATCH_FRAMES]), data=st.data())
+@settings(max_examples=300)
+def test_batched_encode_matches_the_one_dialogue_encoder(chunk_ms, batch_frames, data):
+    size = data.draw(st.integers(1, 8))
+    silence = data.draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=2))
+    vocab = Vocab(size=size, frame_ms=40, silence_tokens=frozenset(silence))
+    corpus = []
+    for n in data.draw(st.lists(st.sampled_from([0, 1, 2, 5, 7, 13, 24]), max_size=8)):
+        ids = st.lists(st.integers(0, size - 1), min_size=n, max_size=n).map(tuple)
+        corpus.append((data.draw(ids), data.draw(ids)))
+    with mock.patch.object(tokens, "_BATCH_FRAMES", batch_frames):
+        assert_encodes_as_one_dialogue_each(corpus, chunk_ms, vocab)
+
+
+@pytest.mark.parametrize("chunk_ms", [40, 160, 200, 240])
+def test_batched_encode_past_one_batch(chunk_ms):
+    rng = np.random.default_rng(5)
+    vocab = Vocab(size=9, frame_ms=40, silence_tokens=frozenset({0, 3}))
+    lengths = [0, 1, *rng.integers(0, 2000, 40).tolist(), 1, 0]
+    assert sum(lengths) > 2 * tokens._BATCH_FRAMES
+    corpus = [tuple(rng.choice(5, (2, n), p=[0.5, 0.2, 0.1, 0.1, 0.1])) for n in lengths]
+    assert_encodes_as_one_dialogue_each(corpus, chunk_ms, vocab)
+    assert_encodes_as_one_dialogue_each([tuple(map(tuple, d)) for d in corpus], chunk_ms, vocab)
+
+
+# a batch names its first faulty dialogue, as one call per dialogue would
+@pytest.mark.parametrize("faults,error", [
+    ([((1, 99), (1, 1)), ((1, 2), (1,))], "token 99 outside"),
+    ([((1, 2), (1,)), ((1, 99), (1, 1))], "channel lengths differ"),
+    ([((1, 1), (2**70, 1)), ((1, 2), (1,))], f"token {2**70} outside"),
+])
+def test_batched_encode_names_the_first_fault(faults, error, tiny_vocab):
+    corpus = [((1, 2), (3, 4)), *faults, ((5,), (6,))]
+    with pytest.raises((ValueError, LengthMismatch), match=error):
+        encode(corpus, 80, tiny_vocab)
 
 
 class TestDeduplicate:
