@@ -231,8 +231,8 @@ def _screened(ch: list, size: int) -> np.ndarray | None:
     """``ch`` as one array, if numpy reads it as 2-D int64 with ids in ``[0, size)``."""
     with suppress(ValueError):  # ragged, or nested past numpy's dimension limit
         frames = np.array(ch)
-        if frames.dtype == np.int64 and frames.ndim == 2 and frames.min() >= 0 \
-                and frames.max() < size:
+        if (frames.dtype == np.int64 and frames.ndim == 2
+                and frames.min() >= 0 and frames.max() < size):
             return frames
     return None
 
