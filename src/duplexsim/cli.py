@@ -293,7 +293,7 @@ def cmd_interact(args) -> int:
         cfg = InteractionConfig(latency_chunks=args.latency,
                                 max_chunks=len(prompt.chunks) + args.max_chunks,
                                 sampler=_sampler_from_args(args, _derive_seed(args.seed, i)))
-        user = full if args.scripted is not None else model_b  # an empty script is falsy
+        user = full if args.scripted is not None else model_b
         transcript = simulate_interaction(model_a, user, cfg, prompt)
         entry = transcript.to_json_dict()
         entry["id"] = did

@@ -32,14 +32,12 @@ script) plus the delay line between them. Each estimate is recorded once,
 on the step of the chunk it estimates.
 
 The agent's ``sample`` and ``emit`` are the one implementation of the
-grammar. Each draw is one call of ``_Agent._draw`` with the allowed ids as
-a span ``(lo, hi, skip)``: ``[lo, hi)`` but the last novel ``skip``, or
-None. It passes ``code``, the model's code of the agent's context
-(``NgramModel.code``): each token the agent appends updates it, and
-``emit`` restores it when it cuts the context back to the mark, so a plain
-draw (temperature 1, no top_k) reads no context token and goes to
-``ngram.sample_span``; other samplers draw through ``sample_constrained``
-on the span's ids. Both give the same bits. ``simulate_interaction``
+grammar. An agent holds no token of its context, only ``code``, the
+model's code of it (``NgramModel.code``), and its length: each token the
+agent appends updates both, and ``emit`` restores both when it cuts the
+context back to the mark. Each draw is one call of ``ngram.sample_span``
+at ``code``, with the allowed ids as a span ``(lo, hi, skip)``: ``[lo,
+hi)`` but the last novel ``skip``, or None. ``simulate_interaction``
 checks its run before the first draw. Within a run the two agents take
 turns; their RNGs are separate, so the order of their draws does not
 change the bits. Runs share only their models' lazy caches, which change
@@ -54,10 +52,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SourceExhausted
+from .errors import MalformedSequence, SourceExhausted
 # perfbench/layers.py rebinds flatten, parse and sample_constrained here:
-# keep them bound, even flatten, which this module does not call
-from .ngram import NgramModel, SamplerConfig, sample_constrained, sample_span
+# keep them bound, even flatten and sample_constrained, which this module
+# does not call
+from .ngram import NgramModel, SamplerConfig, sample_constrained, sample_span  # noqa: F401
 from .tokens import DedupChunk, DedupDialogue, Vocab, flatten, parse  # noqa: F401
 
 
@@ -82,51 +81,22 @@ class InteractionConfig:
 
 @dataclass
 class StepRecord:
-    """One generated chunk: what the model emitted, what the user actually
-    said, and the context the model saw when emitting.
-
-    ``context_snapshot`` is that context: the agent's base context up to
-    ``mark`` (the chunks that had fully arrived, shared with every other
-    record of the run and never rewritten) followed by this step's
-    ``window`` of estimated chunks. It is built on access, so a run's
-    records take memory linear in its length. ``to_dict`` leaves it out;
-    it can be rebuilt from a serialised transcript (see
-    ``InteractionTranscript``).
-
-    ``estimate_history`` holds the model's estimates of this chunk's user
-    part, oldest first; ``user_estimated`` is the last of them, or None.
-    """
+    """What generating one chunk added: ``estimate_history`` holds the
+    model's estimates of this chunk's user part, oldest first
+    (``user_estimated`` is the last of them, or None); ``truncations`` the
+    lists the model's agent cut at the chunk's frame slots during the step;
+    ``context_snapshot_len`` the length of the context it emitted the chunk
+    after, which ``InteractionTranscript.context_snapshot`` rebuilds. The
+    chunk itself is ``dialogue.chunks[index]`` of the transcript."""
 
     index: int
-    llm_chunk: list[int]
-    user_actual: list[int]
     estimate_history: list[list[int]]
     truncations: int
-    base: list[int] = field(repr=False)
-    mark: int
-    window: list[int]
+    context_snapshot_len: int
 
     @property
     def user_estimated(self) -> list[int] | None:
         return self.estimate_history[-1] if self.estimate_history else None
-
-    @property
-    def context_snapshot(self) -> list[int]:
-        return self.base[: self.mark] + self.window
-
-    @property
-    def context_snapshot_len(self) -> int:
-        return self.mark + len(self.window)
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "llm_chunk": self.llm_chunk,
-            "user_actual": self.user_actual,
-            "estimate_history": self.estimate_history,
-            "context_snapshot_len": self.context_snapshot_len,
-            "truncations": self.truncations,
-        }
 
 
 @dataclass
@@ -143,14 +113,9 @@ class InteractionTranscript:
     leaves out is derived from the rest: the run's seed is
     ``config.sampler.seed``, its chunk size ``dialogue.chunk_ms``, and a
     step's ``user_estimated`` the last entry of its ``estimate_history``
-    (None if empty); overflow always truncates.
-
-    The context snapshot is left out too, since it would make a transcript
-    quadratic in length. The snapshot of step t is rebuilt from
-    ``dialogue``, ``steps`` and ``latency_chunks`` (L): it is the wire
-    form of chunks 0..t-1 in which chunks below ``max(prompt_chunks,
-    t - L)`` are actual and, for every later chunk j, channel 0 is actual
-    and channel 1 is ``estimate_history[t - j - 1]`` of step j.
+    (None if empty); overflow always truncates. The context snapshots are
+    left out too, since they would make a transcript quadratic in length;
+    ``context_snapshot`` rebuilds them.
     """
 
     config: InteractionConfig
@@ -159,11 +124,35 @@ class InteractionTranscript:
     dialogue: DedupDialogue
     user_truncations: int = 0
 
+    def context_snapshot(self, t: int) -> list[int]:
+        """The wire-format context the model's agent emitted chunk ``t``
+        after: chunks 0..t-1, in which chunks below ``max(prompt_chunks, t -
+        latency_chunks)`` are actual and, for every later chunk j, channel 0
+        is actual and channel 1 is ``estimate_history[t - j - 1]`` of step
+        j."""
+        vocab, p = self.dialogue.vocab, self.prompt_chunks
+        cut = max(p, t - self.config.latency_chunks)
+        wire: list[int] = []
+        for j, chunk in enumerate(self.dialogue.chunks[:t]):
+            s1 = chunk.s1_novel if j < cut else self.steps[j - p].estimate_history[t - j - 1]
+            wire += [vocab.tag_s0, *map(int, chunk.s0_novel)]
+            if s1:
+                wire += [vocab.tag_s1, *map(int, s1)]
+        return wire
+
     def to_json_dict(self) -> dict:
+        chunks = self.dialogue.chunks
         return {
             "config": asdict(self.config),
             "prompt_chunks": self.prompt_chunks,
-            "steps": [s.to_dict() for s in self.steps],
+            "steps": [{
+                "index": s.index,
+                "llm_chunk": list(chunks[s.index].s0_novel),
+                "user_actual": list(chunks[s.index].s1_novel),
+                "estimate_history": s.estimate_history,
+                "context_snapshot_len": s.context_snapshot_len,
+                "truncations": s.truncations,
+            } for s in self.steps],
             "dialogue": dialogue_to_json_dict(self.dialogue),
             "user_truncations": self.user_truncations,
         }
@@ -185,13 +174,13 @@ class _Agent:
     """One side of a dialogue, decoding incrementally; it speaks channel
     ``side``.
 
-    The agent owns its model, sampler config and RNG; one context list,
-    whose prefix is an append-only base of the chunks that have fully
-    arrived; ``code``, the model's code of that context; and the last novel
-    unit of each channel in that base. The base starts as the ``prompt``
-    dialogue, appended chunk by chunk, so the last novels are tracked from
-    the first token on; the prompt also gives the vocabulary and the chunk
-    size. Its three operations:
+    The agent owns its model, sampler config and RNG. Its context, whose
+    prefix is an append-only base of the chunks that have fully arrived, it
+    holds as ``code``, the model's code of it, and ``length``, its number of
+    tokens, with the last novel unit of each channel in it. The base starts
+    as the ``prompt`` dialogue, appended chunk by chunk, so the last novels
+    are tracked from the first token on; the prompt also gives the
+    vocabulary and the chunk size. Its three operations:
 
     * ``receive`` an arrived chunk of the other side. Every chunk whose
       two parts are now both known is appended to the base.
@@ -200,7 +189,8 @@ class _Agent:
       and freshly sampled estimates of the other side's parts that are
       still in flight.
     * ``emit`` its own part of the next chunk, sampled after the window;
-      the context is then cut back to the mark with ``del ctx[mark:]``.
+      the context is then cut back to the mark, restoring the code, the
+      length and the last novels of the mark.
 
     The draws come from the one RNG in context order, so a step's window
     estimates are drawn before its emission. ``sample`` and ``append``
@@ -228,10 +218,8 @@ class _Agent:
         self.cfg = cfg
         self.rng = rng
         self.truncations = 0
-        # the sampler of sample_span
-        self.plain = cfg.temperature == 1.0 and cfg.top_k is None
         self.side = side
-        self.ctx: list[int] = []
+        self.length = 0
         # the model's code of the context (see ngram.NgramModel.code), carried
         # along token by token: each is the last one's times radix plus the
         # token, modulo top, which drops the digit that left the window
@@ -248,23 +236,15 @@ class _Agent:
     def append(self, channel: int, novels: Sequence[int]) -> None:
         if channel == 1 and not novels:  # a silent channel 1 has no tag
             return
-        # a given part may hold numpy ints; the context and its code hold ints
+        # a given part may hold numpy ints; the code and the last novels hold ints
         tokens = (self.vocab.tag_s1 if channel else self.vocab.tag_s0, *map(int, novels))
         if novels:
             self.last[channel] = tokens[-1]
-        self.ctx.extend(tokens)
         code, radix, top = self.code, self.radix, self.top
         for tok in tokens:
             code = (code * radix + tok) % top
         self.code = code
-
-    def _draw(self, code: int, lo: int, hi: int, skip: int | None) -> int:
-        """One token of ``[lo, hi)`` but ``skip`` (None, or one of them) after
-        the context, whose code is ``code``."""
-        if self.plain:
-            return sample_span(self.model, code, lo, hi, skip, self.rng)
-        ids = np.delete(np.arange(lo, hi), [] if skip is None else skip - lo)
-        return sample_constrained(self.model, self.ctx, ids, self.cfg, self.rng)
+        self.length += len(tokens)
 
     def sample(self, channel: int) -> list[int]:
         """Draw one channel's novel tokens for the current chunk and append
@@ -275,28 +255,30 @@ class _Agent:
         Sampling either tag stops the list (the tag itself is not
         appended; chunk structure is the caller's job).
         """
-        vocab, draw = self.vocab, self._draw
-        if channel == 1 and draw(self.code, vocab.size, vocab.extended_size, None) != vocab.tag_s1:
+        vocab, model, rng, cfg = self.vocab, self.model, self.rng, self.cfg
+        if channel == 1 and sample_span(model, self.code, vocab.size, vocab.extended_size,
+                                        None, rng, cfg) != vocab.tag_s1:
             return []
         tok = vocab.tag_s1 if channel else vocab.tag_s0
-        ctx, code, radix, top = self.ctx, self.code, self.radix, self.top
+        code, radix, top = self.code, self.radix, self.top
         last_tok = self.last[channel]
         novels: list[int] = []
         while True:
-            ctx.append(tok)  # the tag, then each novel
-            code = self.code = (code * radix + tok) % top
+            code = (code * radix + tok) % top  # the tag, then each novel
             if len(novels) >= self.fpc:
                 self.truncations += 1
                 break
             # the tags end a list, but channel 1 speaks at least one unit
             hi = vocab.extended_size if channel == 0 or novels else vocab.size
-            tok = draw(code, 0, hi, last_tok)
+            tok = sample_span(model, code, 0, hi, last_tok, rng, cfg)
             if tok >= vocab.size:
                 break
             novels.append(tok)
             last_tok = tok
         if novels:
             self.last[channel] = last_tok
+        self.code = code
+        self.length += 1 + len(novels)
         return novels
 
     def receive(self, novels: list[int]) -> None:
@@ -309,12 +291,12 @@ class _Agent:
             self.append(0, own if self.side == 0 else other)
             self.append(1, other if self.side == 0 else own)
 
-    def emit(self) -> tuple[list[int], list[list[int]], int, list[int]]:
-        """Own part of the next chunk, with this step's window estimates,
-        mark and window tokens (the context it was sampled from is
-        ``ctx[:mark] + window``). The window holds own parts not yet in the
-        base and the other side's arrived or estimated parts."""
-        mark, last, code = len(self.ctx), list(self.last), self.code
+    def emit(self) -> tuple[list[int], list[list[int]], int]:
+        """Own part of the next chunk, with this step's window estimates and
+        the length of the context it was sampled from. The window holds own
+        parts not yet in the base and the other side's arrived or estimated
+        parts."""
+        mark, last, code = self.length, list(self.last), self.code
         estimates = []
         for k in range(len(self.mine) + 1):
             for channel in (0, 1):
@@ -326,13 +308,12 @@ class _Agent:
                     self.append(channel, self.theirs[k])
                 else:
                     estimates.append(self.sample(channel))
-        window = self.ctx[mark:]
+        length = self.length
         novels = self.sample(self.side)
-        del self.ctx[mark:]
-        self.last, self.code = last, code
+        self.last, self.code, self.length = last, code, mark
         self.mine.append(novels)
         self._settle()
-        return novels, estimates, mark, window
+        return novels, estimates, length
 
 
 def _check_user(prompt: DedupDialogue, parts: Sequence[Sequence[int]]) -> None:
@@ -384,12 +365,16 @@ def estimate_user_chunk(
 ) -> list[int]:
     """One chunk of the channel-1 side given a wire-format context that
     ends at a channel-1 boundary (right after the chunk's channel-0
-    content). A context that does not parse raises ``MalformedSequence``."""
+    content). A context that does not parse, is empty, or whose last chunk
+    already holds channel-1 novels raises ``MalformedSequence``."""
+    prompt = parse(list(context), vocab, chunk_ms)
+    if not prompt.chunks or prompt.chunks[-1].s1_novel:
+        raise MalformedSequence("the context must end right after a chunk's channel-0 "
+                                "content")
     cfg = cfg if cfg is not None else SamplerConfig()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    agent = _Agent(model, cfg, rng, parse(list(context), vocab, chunk_ms))
-    return agent.sample(1)
+    return _Agent(model, cfg, rng, prompt).sample(1)
 
 
 def simulate_interaction(
@@ -434,7 +419,7 @@ def simulate_interaction(
         # the delay line: the user's chunk t-L-1 reaches the model now
         if t - L - 1 >= p_chunks:
             agent_a.receive(usr_novel[t - L - 1])
-        s0, estimates, mark, window = agent_a.emit()
+        s0, estimates, length = agent_a.emit()
         llm_novel.append(s0)
         if agent_b is None:
             usr_t = list(user_source.chunks[t].s1_novel)
@@ -449,10 +434,9 @@ def simulate_interaction(
             rec.estimate_history.append(est)
         usr_novel.append(usr_t)
 
-        records.append(StepRecord(
-            index=t, llm_chunk=list(s0), user_actual=list(usr_t), estimate_history=[],
-            truncations=agent_a.truncations - trunc_before, base=agent_a.ctx, mark=mark,
-            window=window))
+        records.append(StepRecord(index=t, estimate_history=[],
+                                  truncations=agent_a.truncations - trunc_before,
+                                  context_snapshot_len=length))
         trunc_before = agent_a.truncations
 
     chunks = tuple(DedupChunk(tuple(a), tuple(b)) for a, b in zip(llm_novel, usr_novel))

@@ -40,19 +40,20 @@ out of order are rejected, not sorted. A file of an older version (JSON)
 is rejected: retrain its model.
 
 ``sample_constrained`` draws from any allowed ids with any sampler;
-``sample_span`` draws from ``[lo, hi)`` but one id or none, at temperature
-1 without top_k, with the same bits, building only the allowed part of a
-row. It takes a context as its code, ``NgramModel.code``, which the
-interaction engine's agents carry along as they append, and finds the
-code's row through a seen-context filter: a table of one byte per slot, set
-where a seen code hashes, so a zero byte means unseen and a set one is
-confirmed by a search of ``codes``. Each cdf it builds it keeps in its
-model's ``_cdfs``, as an ``array('d')`` that later draws bisect with the
-bits of ``searchsorted``. An unseen context's row is ``alpha / (alpha *
-vocab_ext)`` at every id, so its cdf depends on the span's width alone,
-which is its key; a seen context's key is ``(row, lo, hi, skip)``. The
-cache holds at most ``_CDF_FLOATS // vocab_ext`` cdfs (8 MiB of floats per
-model): past that, a new cdf is used but not kept.
+``sample_span`` draws from ``[lo, hi)`` but one id or none, with any
+sampler and the same bits, building only the allowed part of a row. It
+takes a context as its code, ``NgramModel.code``, which the interaction
+engine's agents carry along as they append, and finds the code's row
+through a seen-context filter: a table of one byte per slot, set where a
+seen code hashes, so a zero byte means unseen and a set one is confirmed by
+a search of ``codes``. A plain draw (temperature 1, no top_k) keeps each
+cdf it builds in its model's ``_cdfs``, as an ``array('d')`` that later
+draws bisect with the bits of ``searchsorted``; other samplers keep none.
+An unseen context's row is ``alpha / (alpha * vocab_ext)`` at every id, so
+its cdf depends on the span's width alone, which is its key; a seen
+context's key is ``(row, lo, hi, skip)``. The cache holds at most
+``_CDF_FLOATS // vocab_ext`` cdfs (8 MiB of floats per model): past that, a
+new cdf is used but not kept.
 """
 
 from __future__ import annotations
@@ -408,33 +409,41 @@ def sample_constrained(
         raise ValueError("allowed token set is empty")
     if len(indices) == 1:
         return int(indices[0])
-    probs = model.next_dist(context)[indices]
-    if cfg.top_k is not None and cfg.top_k < len(indices):
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    return _pick(model.next_dist(context)[indices], indices, cfg, rng)
+
+
+def _pick(probs: np.ndarray, ids: np.ndarray, cfg: SamplerConfig,
+          rng: np.random.Generator) -> int:
+    """The draw of ``cfg`` from the increasing ``ids`` (two or more) whose
+    next-token probabilities are ``probs``: top_k, then temperature, then
+    one ``rng.random()`` searched in the cdf."""
+    if cfg.top_k is not None and cfg.top_k < len(ids):
         # rank with stable index tie-breaking, so top_k (and greedy k=1) is deterministic
-        keep = np.sort(np.lexsort((indices, -probs))[: cfg.top_k])
-        probs, indices = probs[keep], indices[keep]
-        if len(indices) == 1:
-            return int(indices[0])
+        keep = np.sort(np.lexsort((ids, -probs))[: cfg.top_k])
+        probs, ids = probs[keep], ids[keep]
+        if len(ids) == 1:
+            return int(ids[0])
     if cfg.temperature != 1.0:
         # a temperature so small that the logits overflow gives NaN, which
-        # _draw rejects; numpy need not warn about it on the way
+        # _cdf rejects; numpy need not warn about it on the way
         with np.errstate(over="ignore", invalid="ignore"):
             logits = np.log(probs) / cfg.temperature
             logits -= logits.max()
             probs = np.exp(logits)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return int(indices[_cdf(probs).searchsorted(rng.random(), "right")])
+    return int(ids[_cdf(probs).searchsorted(rng.random(), "right")])
 
 
 def sample_span(model: NgramModel, code: int, lo: int, hi: int, skip: int | None,
-                rng: np.random.Generator) -> int:
-    """``sample_constrained(model, context, ids, SamplerConfig(), rng)``, where
-    ``code`` is ``model.code(context)``, for the ids of ``[lo, hi)`` other than
-    ``skip`` (None, or an id in the range), bit for bit and with the same RNG
-    use, from only the allowed part of the row; a draw bisects the model's
-    cached cdf of its key (see the module docstring). ``ValueError`` if no id
-    is allowed, or the span is not that within the model's ids."""
+                rng: np.random.Generator, cfg: SamplerConfig = SamplerConfig()) -> int:
+    """``sample_constrained(model, context, ids, cfg, rng)``, where ``code`` is
+    ``model.code(context)``, for the ids of ``[lo, hi)`` other than ``skip``
+    (None, or an id in the range), bit for bit and with the same RNG use,
+    from only the allowed part of the row. A plain draw (temperature 1, no
+    top_k) bisects the model's cached cdf of its key (see the module
+    docstring). ``ValueError`` if no id is allowed, or the span is not that
+    within the model's ids."""
     n = hi - lo - (skip is not None)
     if n < 1:
         raise ValueError("allowed token set is empty")
@@ -444,6 +453,11 @@ def sample_span(model: NgramModel, code: int, lo: int, hi: int, skip: int | None
     i = 0
     if n > 1:
         row = model._row(code)
+        if cfg.temperature != 1.0 or cfg.top_k is not None:
+            ids = np.arange(lo, lo + n)
+            if skip is not None:
+                ids[skip - lo :] += 1
+            return _pick(model._dist(row, lo, hi, skip), ids, cfg, rng)
         key = n if row is None else (row, lo, hi, skip)
         if (cdf := model._cdfs.get(key)) is None:
             cdf = array("d", _cdf(model._dist(row, lo, hi, skip)).tobytes())

@@ -152,9 +152,6 @@ class DedupDialogue:
     def frames_per_chunk(self) -> int:
         return self.vocab.frames_per_chunk(self.chunk_ms)
 
-    def __len__(self) -> int:
-        return len(self.chunks)
-
 
 def _grammatical(novels: tuple[tuple[int, ...], ...], fpc: int, size: int) -> bool:
     """Whether one channel's novels, per chunk, pass every check of

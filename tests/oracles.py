@@ -15,6 +15,7 @@ from itertools import chain
 import numpy as np
 
 from duplexsim.metrics import VadSegment
+from duplexsim.ngram import sample_constrained
 from duplexsim.tokens import DedupChunk, DedupDialogue
 
 
@@ -181,6 +182,103 @@ def planned_dialogue(style, duration_ms, seed):
         t = max(last_b + frames(style.fto_ms, signed=True), last_a + 1)
         speaker = other
     return tuple(ch[0]), tuple(ch[1]), events
+
+
+def _wire(pairs, vocab) -> list[int]:
+    """The wire form of ``(s0, s1)`` chunk parts, rebuilt token by token."""
+    wire = []
+    for s0, s1 in pairs:
+        wire += [vocab.tag_s0, *s0]
+        if s1:
+            wire += [vocab.tag_s1, *s1]
+    return wire
+
+
+def draw_part(model, pairs, channel, vocab, fpc, cfg, rng) -> tuple[list[int], int]:
+    """One channel part drawn after the chunk parts ``pairs`` (the last one
+    ``(s0, ())`` for a channel-1 draw), each token by ``sample_constrained``
+    on the whole rebuilt wire: channel 1 first draws between the two tags,
+    the channel's last novel in ``pairs`` is never allowed, and a list that
+    fills ``fpc`` slots is cut. Returns the novels and 1 if cut, else 0."""
+    wire = _wire(pairs, vocab)
+    if channel == 1 and sample_constrained(
+            model, wire, [vocab.tag_s0, vocab.tag_s1], cfg, rng) != vocab.tag_s1:
+        return [], 0
+    wire.append(vocab.tag_s1 if channel else vocab.tag_s0)
+    last = next((part[channel][-1] for part in reversed(pairs) if part[channel]), None)
+    novels: list[int] = []
+    while len(novels) < fpc:
+        hi = vocab.extended_size if channel == 0 or novels else vocab.size
+        tok = sample_constrained(model, wire, [u for u in range(hi) if u != last], cfg, rng)
+        if tok >= vocab.size:
+            return novels, 0
+        novels.append(tok)
+        wire.append(tok)
+        last = tok
+    return novels, 1
+
+
+def continue_dialogue(model, prompt, n_chunks, cfg, forced_user=None) -> list[tuple]:
+    """``interaction.continue_dialogue``'s chunks as ``(s0, s1)`` lists, each
+    part drawn by :func:`draw_part` from one ``default_rng(cfg.seed)``."""
+    vocab, fpc = prompt.vocab, prompt.frames_per_chunk
+    rng = np.random.default_rng(cfg.seed)
+    pairs = [(list(c.s0_novel), list(c.s1_novel)) for c in prompt.chunks]
+    for i in range(n_chunks):
+        s0 = draw_part(model, pairs, 0, vocab, fpc, cfg, rng)[0]
+        if forced_user is None:
+            s1 = draw_part(model, [*pairs, (s0, ())], 1, vocab, fpc, cfg, rng)[0]
+        else:
+            s1 = list(forced_user[i])
+        pairs.append((s0, s1))
+    return pairs
+
+
+def simulate_interaction(model_a, user, cfg, prompt) -> dict:
+    """The reference run of ``interaction.simulate_interaction``: at every
+    step each side's wire context is rebuilt from chunk 0, the other side's
+    parts actual below its latency cut and freshly estimated past it, in
+    context order, and every token is drawn by :func:`draw_part`. Model A
+    speaks channel 0 from ``default_rng(seed)``; a model user channel 1 from
+    ``default_rng([seed, 1])``, seeing the model's chunks up to ``t - L``;
+    a script's channel 1 is replayed. Returns the chunks, and per step the
+    model's estimates of that chunk's user part (oldest first), its
+    truncations and its context, with the user's truncations."""
+    vocab, fpc = prompt.vocab, prompt.frames_per_chunk
+    L, p, sampler = cfg.latency_chunks, len(prompt.chunks), cfg.sampler
+    rng_a = np.random.default_rng(sampler.seed)
+    rng_b = np.random.default_rng([sampler.seed, 1])
+    chunks = [(list(c.s0_novel), list(c.s1_novel)) for c in prompt.chunks]
+    histories: list[list[list[int]]] = []
+    truncations, snapshots, user_truncations = [], [], 0
+    for t in range(p, cfg.max_chunks):
+        cut, pairs, cuts = max(p, t - L), [], 0
+        for j, (s0, s1) in enumerate(chunks):
+            if j >= cut:
+                s1, cut_here = draw_part(model_a, [*pairs, (s0, ())], 1, vocab, fpc, sampler,
+                                         rng_a)
+                histories[j - p].append(s1)
+                cuts += cut_here
+            pairs.append((s0, s1))
+        snapshots.append(_wire(pairs, vocab))
+        s0_t, cut_here = draw_part(model_a, pairs, 0, vocab, fpc, sampler, rng_a)
+        truncations.append(cuts + cut_here)
+        chunks.append((s0_t, []))
+        if isinstance(user, DedupDialogue):
+            s1_t = list(user.chunks[t].s1_novel)
+        else:
+            pairs = []
+            for j, (s0, s1) in enumerate(chunks):
+                if j >= p and j > t - L:
+                    s0, cut_here = draw_part(user, pairs, 0, vocab, fpc, sampler, rng_b)
+                    user_truncations += cut_here
+                pairs.append((s0, s1))
+            s1_t, cut_here = draw_part(user, pairs, 1, vocab, fpc, sampler, rng_b)
+            user_truncations += cut_here
+        chunks[t] = (s0_t, s1_t)
+        histories.append([])
+    return {"chunks": chunks, "histories": histories, "truncations": truncations,
+            "snapshots": snapshots, "user_truncations": user_truncations}
 
 
 def ngram_counts(corpus, order, vocab_ext) -> dict[tuple[int, ...], dict[int, int]]:

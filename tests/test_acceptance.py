@@ -148,20 +148,22 @@ def test_criterion_06_estimate_replace_protocol():
                 tr = simulate_interaction(model, source, cfg, prompt)
                 steps = {s.index: s for s in tr.steps}
                 for t, step in steps.items():
-                    ctx_chunks = parse(step.context_snapshot, vocab, 160).chunks
+                    snapshot = tr.context_snapshot(t)
+                    ctx_chunks = parse(snapshot, vocab, 160).chunks
                     assert len(ctx_chunks) == t
-                    assert step.context_snapshot_len == len(step.context_snapshot)
+                    assert step.context_snapshot_len == len(snapshot)
                     for j, chunk in enumerate(ctx_chunks):
                         if j < tr.prompt_chunks:
                             continue
                         s1_ctx = list(chunk.s1_novel)
+                        actual = list(tr.dialogue.chunks[j].s1_novel)
                         if j == t - 1:
                             assert s1_ctx == steps[j].estimate_history[-1]
                         else:
                             # N = j is used at steps t >= j+2: actual, not estimate
-                            assert s1_ctx == steps[j].user_actual
+                            assert s1_ctx == actual
                             est = steps[j].user_estimated
-                            if est is not None and est != steps[j].user_actual:
+                            if est is not None and est != actual:
                                 nontrivial += 1
         assert nontrivial > 0
 

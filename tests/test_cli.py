@@ -307,7 +307,7 @@ class TestInteract:
         assert len(calls) == 3
 
     def test_empty_script_is_refused(self, tmp_path, capsys):
-        # a script of no chunks is a falsy DedupDialogue, and still a script
+        # a script of no chunks is still a script, which runs out at once
         corpus = synth(tmp_path, count=2, duration=0)
         model = trained(tmp_path, synth(tmp_path, out="train.jsonl"))
         out, gen = tmp_path / "tr.json", tmp_path / "gen.jsonl"

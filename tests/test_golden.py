@@ -4,8 +4,11 @@ Each test hashes canonical JSON (sorted keys, no spaces) of what one path
 produces: continuation, user-chunk estimation, the interaction loop with
 scripted and model users, perplexity as ``float.hex()``, and the bytes
 ``NgramModel.save`` writes. The interaction digests cover every step's
-in-memory ``context_snapshot``, i.e. the exact context each chunk was
-sampled from. The values were recorded from the reference engine, which
+context snapshot, i.e. the exact context each chunk was sampled from, read
+through ``InteractionTranscript.context_snapshot``; when the records
+stopped holding their snapshots (and their chunks) and the transcript
+became the one place that rebuilds them, no digest was recorded again.
+The values were recorded from the reference engine, which
 rebuilt every context from chunk 0 at each step, except two sets. The
 model-file digests (``save-*`` and the CLI's ``model.json``) were recorded
 again when the model file moved to the columnar version 2, and again when
@@ -210,21 +213,16 @@ def test_estimate_user_chunk(world):
 
 
 def _transcript(tr) -> dict:
-    # the serialised form, minus the snapshots that only the in-memory
-    # records are required to carry
-    doc = tr.to_json_dict()
-    for step in doc["steps"]:
-        step.pop("context_snapshot", None)
     return {
-        "json": doc,
+        "json": tr.to_json_dict(),
         "steps": [
             {
                 "index": s.index,
-                "llm_chunk": s.llm_chunk,
-                "user_actual": s.user_actual,
+                "llm_chunk": list(tr.dialogue.chunks[s.index].s0_novel),
+                "user_actual": list(tr.dialogue.chunks[s.index].s1_novel),
                 "user_estimated": s.user_estimated,
                 "estimate_history": s.estimate_history,
-                "context_snapshot": s.context_snapshot,
+                "context_snapshot": tr.context_snapshot(s.index),
                 "context_snapshot_len": s.context_snapshot_len,
                 "truncations": s.truncations,
             }

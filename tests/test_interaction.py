@@ -20,9 +20,11 @@ from duplexsim import (
     simulate_interaction,
     train,
 )
-from duplexsim import interaction
 from duplexsim.errors import MalformedSequence, SourceExhausted
 from duplexsim.synth import DialogueStyle
+
+import oracles
+from test_golden import SAMPLERS
 
 
 CHUNK_MS = 160
@@ -62,24 +64,7 @@ def no_draws(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("a token was drawn")
 
-    monkeypatch.setattr("duplexsim.interaction.sample_constrained", no_draw)
     monkeypatch.setattr("duplexsim.interaction.sample_span", no_draw)
-
-
-@pytest.fixture
-def code_checks(monkeypatch):
-    """At every draw, the code the agent passes is the model's code of its
-    context, as a Python int; returns the codes checked."""
-    checked = []
-    draw = interaction._Agent._draw
-
-    def checked_draw(agent, code, lo, hi, skip):
-        assert type(code) is int and code == agent.model.code(agent.ctx)
-        checked.append(code)
-        return draw(agent, code, lo, hi, skip)
-
-    monkeypatch.setattr(interaction._Agent, "_draw", checked_draw)
-    return checked
 
 
 class TestContinueDialogue:
@@ -183,6 +168,15 @@ class TestEstimateUserChunk:
         with pytest.raises(MalformedSequence, match="tag_s0"):
             estimate_user_chunk(model, ctx, vocab, CHUNK_MS, SamplerConfig(seed=0))
 
+    # an estimate appended to either would break the grammar: a wire that
+    # opens with tag_s1, or a second tag_s1 in the chunk
+    @pytest.mark.parametrize("ctx", [[], ["S0", 1, "S1", 3]], ids=["empty", "after_channel_1"])
+    def test_rejects_context_not_after_channel_0(self, setup, no_draws, ctx):
+        vocab, _, model, _ = setup
+        ctx = [{"S0": vocab.tag_s0, "S1": vocab.tag_s1}.get(t, t) for t in ctx]
+        with pytest.raises(MalformedSequence, match="right after a chunk's channel-0"):
+            estimate_user_chunk(model, ctx, vocab, CHUNK_MS, SamplerConfig(seed=0))
+
     def test_deterministic_given_seed(self, setup):
         vocab, _, model, script = setup
         ctx = flatten(prompt_of(script, 3)) + [vocab.tag_s0, 1]
@@ -261,8 +255,8 @@ class TestSimulateScripted:
         cfg = InteractionConfig(latency_chunks=1, max_chunks=10,
                                 sampler=SamplerConfig(seed=4))
         transcript = simulate_interaction(model, script, cfg, prompt_of(script, 0))
-        for step in transcript.steps:
-            assert step.user_actual == list(script.chunks[step.index].s1_novel)
+        for step in transcript.to_json_dict()["steps"]:
+            assert step["user_actual"] == list(script.chunks[step["index"]].s1_novel)
 
     # a script is a DedupDialogue, so one that breaks the grammar (9 novels
     # in 4 frames, or a repeated novel) raises before any step draws a token
@@ -274,7 +268,6 @@ class TestSimulateScripted:
         def no_draw(*args, **kwargs):
             raise AssertionError("a step drew a token")
 
-        monkeypatch.setattr("duplexsim.interaction.sample_constrained", no_draw)
         monkeypatch.setattr("duplexsim.interaction.sample_span", no_draw)
         cfg = InteractionConfig(latency_chunks=1, max_chunks=10)
         chunks = (*script.chunks[:4], DedupChunk((), s1), *script.chunks[5:])
@@ -311,8 +304,9 @@ class TestSimulateScripted:
         transcript = simulate_interaction(model, script, cfg,
                                           prompt=prompt_of(script, p))
         steps = {s.index: s for s in transcript.steps}
-        for t, step in steps.items():
-            ctx_chunks = parse(step.context_snapshot, vocab, CHUNK_MS).chunks
+        actual = transcript.dialogue.chunks
+        for t in steps:
+            ctx_chunks = parse(transcript.context_snapshot(t), vocab, CHUNK_MS).chunks
             assert len(ctx_chunks) == t
             for j, chunk in enumerate(ctx_chunks):
                 s1 = list(chunk.s1_novel)
@@ -323,7 +317,7 @@ class TestSimulateScripted:
                     assert s1 == steps[j].estimate_history[-1]
                 else:
                     # anything older: the estimate was replaced by the actual
-                    assert s1 == steps[j].user_actual
+                    assert s1 == list(actual[j].s1_novel)
 
     def test_latency_one_estimates_exist_and_get_replaced(self, setup):
         vocab, _, model, script = setup
@@ -332,8 +326,9 @@ class TestSimulateScripted:
         transcript = simulate_interaction(model, script, cfg, prompt_of(script, 0))
         estimated = [s for s in transcript.steps[:-1] if s.user_estimated is not None]
         assert len(estimated) == len(transcript.steps) - 1
+        actual = transcript.dialogue.chunks
         differs = sum(
-            1 for s in estimated if s.user_estimated != s.user_actual
+            1 for s in estimated if s.user_estimated != list(actual[s.index].s1_novel)
         )
         assert differs > 0  # the check above is vacuous if estimates were trivially equal
 
@@ -360,27 +355,42 @@ class TestSimulateScripted:
 
 
 class TestAgentCode:
-    """The code an agent carries is the model's code of its context at every
-    draw (the engine's runs are checked in TestSimulateInteractions)."""
+    """An agent that holds its context as a code draws what draws on the
+    whole context list draw (``oracles.draw_part``), under every golden
+    sampler; the engine's runs are checked in TestReferenceSimulator."""
 
-    def test_continue_dialogue(self, setup, code_checks):
+    @staticmethod
+    def _chunks(d):
+        return [(list(c.s0_novel), list(c.s1_novel)) for c in d.chunks]
+
+    def test_continue_dialogue(self, setup):
         _, _, model, script = setup
         prompt = prompt_of(script, 4)
         forced = [c.s1_novel for c in script.chunks[4:10]]
-        free = continue_dialogue(model, prompt, 6, SamplerConfig(seed=3))
-        teacher = continue_dialogue(model, prompt, 6, SamplerConfig(seed=3), forced_user=forced)
-        assert len(code_checks) > 12 and teacher.chunks[4:] != free.chunks[4:]
         # a prompt of numpy ints gives the same int codes, and so the same draws
         as_numpy = DedupDialogue(prompt.vocab, CHUNK_MS, tuple(
             DedupChunk(*(tuple(np.int64(t) for t in part) for part in c)) for c in prompt.chunks))
-        assert continue_dialogue(model, as_numpy, 6, SamplerConfig(seed=3)) == free
+        for name in SAMPLERS:
+            cfg = SamplerConfig(seed=3, **SAMPLERS[name])
+            free = continue_dialogue(model, prompt, 6, cfg)
+            teacher = continue_dialogue(model, prompt, 6, cfg, forced_user=forced)
+            assert self._chunks(free) == oracles.continue_dialogue(model, prompt, 6, cfg)
+            assert self._chunks(teacher) == oracles.continue_dialogue(model, prompt, 6, cfg,
+                                                                      forced)
+            assert teacher.chunks[4:] != free.chunks[4:]
+            assert continue_dialogue(model, as_numpy, 6, cfg) == free
 
-    def test_estimate_user_chunk(self, setup, code_checks):
+    def test_estimate_user_chunk(self, setup):
         vocab, _, model, script = setup
-        ctx = flatten(prompt_of(script, 3)) + [vocab.tag_s0, 1]
-        for seed in range(10):
-            estimate_user_chunk(model, ctx, vocab, CHUNK_MS, SamplerConfig(seed=seed))
-        assert len(code_checks) >= 10
+        prompt = prompt_of(script, 3)
+        ctx = flatten(prompt) + [vocab.tag_s0, 1]
+        pairs = [*self._chunks(prompt), ([1], ())]
+        for name in SAMPLERS:
+            for seed in range(10):
+                cfg = SamplerConfig(seed=seed, **SAMPLERS[name])
+                want = oracles.draw_part(model, pairs, 1, vocab, prompt.frames_per_chunk, cfg,
+                                         np.random.default_rng(seed))[0]
+                assert estimate_user_chunk(model, ctx, vocab, CHUNK_MS, cfg) == want
 
 
 class TestSimulateTwoModels:
@@ -391,7 +401,7 @@ class TestSimulateTwoModels:
         a = simulate_interaction(model, model, cfg, prompt_of(script, 0))
         b = simulate_interaction(model, model, cfg, prompt_of(script, 0))
         assert a.dialogue == b.dialogue
-        assert [s.to_dict() for s in a.steps] == [s.to_dict() for s in b.steps]
+        assert a.steps == b.steps
         assert len(a.dialogue.chunks) == 12
 
     def test_one_cached_cdf_per_span_width(self, vocab):
@@ -440,6 +450,42 @@ class TestSimulateTwoModels:
         assert tr.dialogue.chunks != cont.chunks
 
 
+class TestReferenceSimulator:
+    """``simulate_interaction`` equals ``oracles.simulate_interaction``, which
+    rebuilds every context from chunk 0 and draws each token from the whole
+    list, in every chunk, estimate, truncation count and snapshot."""
+
+    @pytest.fixture(scope="class")
+    def user_model(self, setup):
+        # the user's own model, so a draw from the wrong one shows
+        vocab, style, _, _ = setup
+        corpus = generate_corpus(style, 8, 16000, seed=101)
+        return train([flatten(deduplicate(s0, s1, CHUNK_MS, vocab))
+                      for s0, s1 in corpus.values()],
+                     order=2, alpha=0.2, vocab_ext=vocab.extended_size)
+
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    @pytest.mark.parametrize("user", ["scripted", "model"])
+    @pytest.mark.parametrize("latency", [0, 1, 2, 3])
+    def test_equals_oracle(self, setup, user_model, latency, user, sampler):
+        _, _, model, script = setup
+        source = script if user == "scripted" else user_model
+        for p in (0, 3):
+            cfg = InteractionConfig(latency_chunks=latency, max_chunks=p + 12,
+                                    sampler=SamplerConfig(seed=17 + p, **SAMPLERS[sampler]))
+            prompt = prompt_of(script, p)
+            tr = simulate_interaction(model, source, cfg, prompt)
+            want = oracles.simulate_interaction(model, source, cfg, prompt)
+            assert [(list(c.s0_novel), list(c.s1_novel)) for c in tr.dialogue.chunks] == \
+                want["chunks"]
+            assert [s.estimate_history for s in tr.steps] == want["histories"]
+            assert [s.truncations for s in tr.steps] == want["truncations"]
+            assert [tr.context_snapshot(s.index) for s in tr.steps] == want["snapshots"]
+            assert [s.context_snapshot_len for s in tr.steps] == \
+                [len(w) for w in want["snapshots"]]
+            assert tr.user_truncations == want["user_truncations"]
+
+
 class TestSimulateInteractions:
     """Runs made one after another on shared models equal the runs made
     alone, in either order: a model's caches never change a draw."""
@@ -449,15 +495,14 @@ class TestSimulateInteractions:
     @pytest.mark.parametrize("user", ["scripted", "model"])
     @pytest.mark.parametrize("latency", [0, 1, 3])
     @pytest.mark.parametrize("runs", [2, 14], ids=["below_crossover", "above_crossover"])
-    def test_equal_to_one_run_at_a_time(self, setup, code_checks, tmp_path, user, latency,
-                                        runs):
+    def test_equal_to_one_run_at_a_time(self, setup, tmp_path, user, latency, runs):
         vocab, _, model, script = setup
         model.save(tmp_path / "model.npy")
 
         def fresh():  # a copy of the model whose caches start empty
             return NgramModel.load(tmp_path / "model.npy")
 
-        # runs of unequal length; one sampler that sample_span does not take
+        # runs of unequal length; one sampler that sample_span does not cache
         prompts = [prompt_of(script, k % 5) for k in range(runs)]
         cfgs = [InteractionConfig(latency_chunks=latency, max_chunks=6 + 3 * (k % 4) + k % 5,
                                   sampler=SamplerConfig(seed=k, top_k=3 if k == 1 else None))
@@ -466,13 +511,12 @@ class TestSimulateInteractions:
         def run(k, m):
             tr = simulate_interaction(m, script if user == "scripted" else m, cfgs[k],
                                       prompts[k])
-            return tr.to_json_dict(), [s.context_snapshot for s in tr.steps]
+            return tr.to_json_dict()
 
         alone = [run(k, fresh()) for k in range(runs)]
         shared = fresh()
         assert [run(k, shared) for k in range(runs)] == alone
         assert [run(k, shared) for k in reversed(range(runs))] == alone[::-1]
-        assert code_checks  # every draw drew at the context's code
 
 
 class TestTranscriptSerialisation:
@@ -514,7 +558,7 @@ class TestTranscriptSerialisation:
                     s1 = steps[j]["estimate_history"][t - j - 1]
                 wire += [vocab.tag_s0, *chunks[j]["s0"]]
                 wire += [vocab.tag_s1, *s1] if s1 else []
-            assert wire == rec.context_snapshot
+            assert wire == tr.context_snapshot(t)
             assert steps[t]["context_snapshot_len"] == len(wire)
             history = steps[t]["estimate_history"]
             assert (history[-1] if history else None) == rec.user_estimated

@@ -347,21 +347,27 @@ class TestSeenFilter:
 
 
 class TestSampleSpan:
-    """sample_span against sample_constrained on the span's ids, on twin RNGs."""
+    """sample_span against sample_constrained on the span's ids, on twin RNGs,
+    under any sampler."""
 
     @staticmethod
-    def assert_twins(model, context, span, seed):
+    def assert_twins(model, context, span, seed, cfg=SamplerConfig()):
         fused, plain = np.random.default_rng(seed), np.random.default_rng(seed)
         ids = span_ids(*span)
-        if len(ids):
-            tok = sample_span(model, model.code(context), *span, fused)
+        # the smallest temperature sends every logit of two or more kept ids to
+        # -inf, and so the distribution to NaN
+        kept = min(len(ids), cfg.top_k or len(ids))
+        fault = "empty" if not kept else "not finite" if cfg.temperature == 5e-324 and kept > 1 \
+            else None
+        if fault is None:
+            tok = sample_span(model, model.code(context), *span, fused, cfg)
             assert type(tok) is int
-            assert tok == sample_constrained(model, context, ids, SamplerConfig(), plain)
+            assert tok == sample_constrained(model, context, ids, cfg, plain)
         else:
-            with pytest.raises(ValueError, match="empty"):
-                sample_span(model, model.code(context), *span, fused)
-            with pytest.raises(ValueError, match="empty"):
-                sample_constrained(model, context, ids, SamplerConfig(), plain)
+            with pytest.raises(ValueError, match=fault):
+                sample_span(model, model.code(context), *span, fused, cfg)
+            with pytest.raises(ValueError, match=fault):
+                sample_constrained(model, context, ids, cfg, plain)
         assert fused.bit_generator.state == plain.bit_generator.state
 
     @given(
@@ -373,10 +379,12 @@ class TestSampleSpan:
     @settings(max_examples=120, deadline=None)
     def test_equals_sample_constrained(self, units, order, alpha, data):
         model, corpus = span_models(data, units, order, alpha)
+        samplers = st.builds(SamplerConfig, temperature=st.sampled_from([1.0, 0.7, 5e-324]),
+                             top_k=st.one_of(st.none(), st.integers(1, 4)))
         for _ in range(8):
             span = data.draw(st.one_of(agent_spans(units), any_spans(model.vocab_ext)))
             self.assert_twins(model, data.draw(contexts(model, corpus)), span,
-                              data.draw(st.integers(0, 2**32)))
+                              data.draw(st.integers(0, 2**32)), data.draw(samplers))
 
     # 6 units and 2 tags: every named span, after a seen and an unseen context
     @pytest.mark.parametrize("span", [
