@@ -328,7 +328,8 @@ def cmd_eval(args) -> int:
 
     if args.mode == "turns":
         gen, vocab = _load_corpus(args.generated)
-        ref, ref_vocab = _load_corpus(args.reference)
+        same = Path(args.reference).resolve() == Path(args.generated).resolve()
+        ref, ref_vocab = (gen, vocab) if same else _load_corpus(args.reference)
         if ref_vocab != vocab:
             raise ConfigError(f"reference {args.reference} has {ref_vocab}, "
                               f"the generated corpus {vocab}")

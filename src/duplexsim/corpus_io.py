@@ -13,7 +13,11 @@ distinct ids:
 
 In memory a record is ``(id, s0, s1, vocab)``: the channels are the rows
 of one int64 array (``tokens`` and ``metrics`` accept any int sequence),
-and the ``Vocab`` the record's frame size and silence set.
+and the ``Vocab`` the record's frame size and silence set. Lines spelled
+as ``write_corpus`` spells them (sorted keys, no spaces, so ``channels``
+first) have their channels parsed from the text into int64 a batch at a
+time; any other spelling is read line by line by ``json.loads``, with the
+same checks and the same errors.
 
 Model files are a stream of ``.npy`` records (see ``ngram``), written and
 read without pickle. The reader checks each record's header, and that its
@@ -25,10 +29,11 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import stat
 import sys
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -39,6 +44,8 @@ from .errors import ConfigError, DuplexError, LengthMismatch, ModelFormatError
 from .tokens import Vocab
 
 _REQUIRED_KEYS = {"id", "frame_ms", "vocab", "silence", "channels"}
+_BATCH = 2**18  # characters of corpus lines per np.fromstring call
+_CANONICAL = re.compile(r'\{"channels":\[\[([0-9,]*)\],\[([0-9,]*)\]\],')
 
 
 @contextmanager
@@ -197,44 +204,29 @@ def dialogue_to_record(
     }
 
 
-def record_to_dialogue(rec: dict, screen: bool = False
-                       ) -> tuple[str, np.ndarray, np.ndarray, Vocab]:
+def record_to_dialogue(rec: dict) -> tuple[str, np.ndarray, np.ndarray, Vocab]:
     """One corpus record, checked: integer fields are JSON integers, both
     channels hold the same number of ids in ``[0, vocab)``, returned as the
-    rows of one int64 array. ``screen`` says the record's text spells no
-    JSON bool, so channels that numpy reads as 2-D int64 need no walk."""
+    rows of one int64 array."""
     if type(rec) is not dict or not _REQUIRED_KEYS <= rec.keys():
         raise ConfigError(f"a corpus record is an object with keys {sorted(_REQUIRED_KEYS)}")
     did, size, frame_ms, ch = rec["id"], rec["vocab"], rec["frame_ms"], rec["channels"]
-    fields = (type(did) is str and is_int(size) and is_int(frame_ms)
-              and is_int_list(rec["silence"]) and type(ch) is list and len(ch) == 2)
-    frames = _screened(ch, size) if screen and fields else None
-    if not (fields and (frames is not None or is_int_list(ch[0]) and is_int_list(ch[1])
-                        and len(ch[0]) == len(ch[1]))):
+    if not (type(did) is str and is_int(size) and is_int(frame_ms)
+            and is_int_list(rec["silence"]) and type(ch) is list and len(ch) == 2
+            and is_int_list(ch[0]) and is_int_list(ch[1]) and len(ch[0]) == len(ch[1])):
         raise ConfigError(
             f"dialogue {did!r}: needs a string id, integer vocab and frame_ms, an "
             f"integer list for silence and two equal-length ones for channels"
         )
     vocab = Vocab(size=size, frame_ms=frame_ms, silence_tokens=frozenset(rec["silence"]))
-    if frames is None:
-        for ids in map(set, ch):  # the distinct ids; is_int_list has checked their types
-            if ids and not (min(ids) >= 0 and max(ids) < size):
-                raise ConfigError(f"dialogue {did}: a token lies outside [0, {size})")
-        try:
-            frames = np.array(ch, np.int64)
-        except OverflowError:  # in range of a vocabulary past int64
-            raise ConfigError(f"dialogue {did}: a token lies past int64") from None
+    for ids in map(set, ch):  # the distinct ids; is_int_list has checked their types
+        if ids and not (min(ids) >= 0 and max(ids) < size):
+            raise ConfigError(f"dialogue {did}: a token lies outside [0, {size})")
+    try:
+        frames = np.array(ch, np.int64)
+    except OverflowError:  # in range of a vocabulary past int64
+        raise ConfigError(f"dialogue {did}: a token lies past int64") from None
     return did, frames[0], frames[1], vocab
-
-
-def _screened(ch: list, size: int) -> np.ndarray | None:
-    """``ch`` as one array, if numpy reads it as 2-D int64 with ids in ``[0, size)``."""
-    with suppress(ValueError):  # ragged, or nested past numpy's dimension limit
-        frames = np.array(ch)
-        if (frames.dtype == np.int64 and frames.ndim == 2
-                and frames.min() >= 0 and frames.max() < size):
-            return frames
-    return None
 
 
 def write_corpus(path: str | Path, records: Iterable[dict]) -> None:
@@ -248,26 +240,93 @@ def read_corpus(path: str | Path) -> list[tuple[str, np.ndarray, np.ndarray, Voc
     """Every dialogue of a corpus as ``(id, s0, s1, vocab)``, each channel an
     int64 array; raises ``ConfigError`` naming the file and line unless
     every record passes ``record_to_dialogue``, declares the first record's
-    vocabulary and has an id no earlier record has. A line without ``true``
-    or ``false`` is screened: its channels are read as one ``np.array``, and
-    only if that is not 2-D int64 in range are they walked id by id."""
-    out = []
-    ids = set()
+    vocabulary and has an id no earlier record has. The file is read once,
+    in batches of lines: a batch that ``write_corpus`` spelled has its
+    channels parsed by one ``np.fromstring`` call (see ``_canonical``), and
+    any other is read line by line by ``json.loads``, so every error, and
+    the line it names, is that of a line-by-line read."""
+    out, ids, n = [], set(), 0
     with _reading(path) as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                entry = record_to_dialogue(json.loads(line),
-                                           "true" not in line and "false" not in line)
-            except (DuplexError, ValueError, RecursionError) as exc:
-                raise ConfigError(f"corpus {path} line {n}: {exc}") from None
-            did, vocab = entry[0], entry[3]
-            if out and vocab != out[0][3]:
-                raise ConfigError(f"corpus {path}: dialogue {did} has {vocab}, "
-                                  f"the first dialogue {out[0][3]}")
-            if did in ids:
-                raise ConfigError(f"corpus {path}: dialogue id {did!r} is repeated")
-            ids.add(did)
-            out.append(entry)
+        for batch in _batches(fh):
+            lines = [(i, line) for i, line in enumerate(batch, n + 1) if line.strip()]
+            n += len(batch)
+            entries = _canonical([line for _, line in lines]) or [None] * len(lines)
+            for (i, line), entry in zip(lines, entries):
+                try:
+                    entry = entry or record_to_dialogue(json.loads(line))
+                except (DuplexError, ValueError, RecursionError) as exc:
+                    raise ConfigError(f"corpus {path} line {i}: {exc}") from None
+                did, vocab = entry[0], entry[3]
+                if out and vocab != out[0][3]:
+                    raise ConfigError(f"corpus {path}: dialogue {did} has {vocab}, "
+                                      f"the first dialogue {out[0][3]}")
+                if did in ids:
+                    raise ConfigError(f"corpus {path}: dialogue id {did!r} is repeated")
+                ids.add(did)
+                out.append(entry)
+    return out
+
+
+def _batches(fh: IO[str]) -> Iterator[list[str]]:
+    """The lines of ``fh`` in batches of about ``_BATCH`` characters. The
+    lines read before a decoding error come out before it is raised, as
+    they would be read one at a time."""
+    batch, size = [], 0
+    try:
+        for line in fh:
+            batch.append(line)
+            size += len(line)
+            if size >= _BATCH:
+                yield batch
+                batch, size = [], 0
+    except ValueError:
+        yield batch
+        raise
+    yield batch
+
+
+def _canonical(lines: list[str]) -> list[tuple] | None:
+    """The entries of lines that each begin ``{"channels":[[`` with two
+    channels of as many fields of digits, their rows views of one array
+    that ``np.fromstring`` parses; None unless the ids are JSON integers in
+    ``[0, vocab)`` and every record's other keys pass ``record_to_dialogue``."""
+    texts, shapes = [], []
+    for line in lines:
+        m = _CANONICAL.match(line)
+        if m is None or (width := m[1].count(",") + bool(m[1])) != m[2].count(",") + bool(m[2]):
+            return None
+        try:
+            rec = json.loads("{" + line[m.end():])
+            if "channels" in rec:  # a second key, which json.loads reads instead
+                return None
+            rec["channels"] = [[], []]
+            did, _, _, vocab = record_to_dialogue(rec)
+        except (DuplexError, ValueError, RecursionError):
+            return None
+        texts += (m[1], m[2]) if width else ()
+        shapes.append((did, width, vocab))
+    text = ",".join(texts)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat = np.fromstring(text, np.int64, sep=",")
+    except (ValueError, Warning):  # an empty field
+        return None
+    sizes = [vocab.size for _, _, vocab in shapes]
+    top = int(flat.max(initial=-1))
+    # an id past int64 reads as its largest value, which no vocabulary here passes
+    if len(flat) != 2 * sum(w for _, w, _ in shapes) or not (
+            max(sizes, default=0) < 2**63 and top < min(sizes, default=0)):
+        return None
+    # each id is spelled with as many digits as its value has: no leading zero
+    digits, k = len(flat), 10
+    while k <= top:
+        digits += np.count_nonzero(flat >= k)
+        k *= 10
+    if digits != len(text) - text.count(","):
+        return None
+    out, at = [], 0
+    for did, width, vocab in shapes:
+        out.append((did, *flat[at:at + 2 * width].reshape(2, width), vocab))
+        at += 2 * width
     return out

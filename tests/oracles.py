@@ -2,11 +2,12 @@
 
 These deliberately avoid the library's code paths: deduplication frame by
 frame, counting by scanning, event extraction by frame-state enumeration,
-correlation by the raw-sum formula.
+correlation by the raw-sum formula, corpus reading line by line.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -14,9 +15,10 @@ from itertools import chain
 
 import numpy as np
 
+from duplexsim.errors import ConfigError, DuplexError
 from duplexsim.metrics import VadSegment
 from duplexsim.ngram import sample_constrained
-from duplexsim.tokens import DedupChunk, DedupDialogue
+from duplexsim.tokens import DedupChunk, DedupDialogue, Vocab
 
 
 def deduplicate(s0, s1, chunk_ms, vocab) -> DedupDialogue:
@@ -426,3 +428,60 @@ def frame_state_events(
                     )
                 last = (end, c)
     return events
+
+
+def _walk_record(rec) -> tuple:
+    """One corpus record checked id by id, as ``(id, s0, s1, vocab)``."""
+    keys = {"id", "frame_ms", "vocab", "silence", "channels"}
+    if type(rec) is not dict or not keys <= rec.keys():
+        raise ConfigError(f"a corpus record is an object with keys {sorted(keys)}")
+    did, size, frame_ms, ch = rec["id"], rec["vocab"], rec["frame_ms"], rec["channels"]
+
+    def int_list(x):
+        return type(x) is list and all(type(v) is int for v in x)
+
+    if not (type(did) is str and type(size) is int and type(frame_ms) is int
+            and int_list(rec["silence"]) and type(ch) is list and len(ch) == 2
+            and int_list(ch[0]) and int_list(ch[1]) and len(ch[0]) == len(ch[1])):
+        raise ConfigError(
+            f"dialogue {did!r}: needs a string id, integer vocab and frame_ms, an "
+            f"integer list for silence and two equal-length ones for channels"
+        )
+    vocab = Vocab(size=size, frame_ms=frame_ms, silence_tokens=frozenset(rec["silence"]))
+    for channel in ch:
+        for tok in channel:
+            if not 0 <= tok < size:
+                raise ConfigError(f"dialogue {did}: a token lies outside [0, {size})")
+    for channel in ch:
+        for tok in channel:
+            if tok >= 2**63:
+                raise ConfigError(f"dialogue {did}: a token lies past int64")
+    s0, s1 = (np.array(channel, dtype=np.int64) for channel in ch)
+    return did, s0, s1, vocab
+
+
+def read_corpus_lines(path) -> list[tuple]:
+    """The per-line corpus reader that the batched ``corpus_io.read_corpus``
+    replaced: each non-blank line by ``json.loads``, its channels walked id
+    by id, then its vocabulary and id checked against the lines before it,
+    with the same messages."""
+    out, ids = [], set()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for n, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    did, s0, s1, vocab = _walk_record(json.loads(line))
+                except (DuplexError, ValueError, RecursionError) as exc:
+                    raise ConfigError(f"corpus {path} line {n}: {exc}") from None
+                if out and vocab != out[0][3]:
+                    raise ConfigError(f"corpus {path}: dialogue {did} has {vocab}, "
+                                      f"the first dialogue {out[0][3]}")
+                if did in ids:
+                    raise ConfigError(f"corpus {path}: dialogue id {did!r} is repeated")
+                ids.add(did)
+                out.append((did, s0, s1, vocab))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    return out

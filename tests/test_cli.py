@@ -9,7 +9,7 @@ import numpy as np
 import numpy.lib.format as npy
 import pytest
 
-from duplexsim import DialogueStyle, NgramModel, Vocab
+from duplexsim import DialogueStyle, NgramModel, Vocab, corpus_io
 from duplexsim import cli
 from duplexsim.cli import build_parser, main
 
@@ -1057,6 +1057,20 @@ class TestEvalAndReport:
         assert data["metrics"]["average_r"] == pytest.approx(1.0)
         csv_text = base.with_suffix(".csv").read_text()
         assert csv_text.splitlines()[0].startswith("model,dataset,mode")
+
+    # a file named by both flags is read once, so a FIFO may be named twice
+    def test_turns_reads_a_file_named_twice_once(self, tmp_path, monkeypatch):
+        corpus = synth(tmp_path, count=4, duration=8000)
+        copy = tmp_path / "copy.jsonl"
+        copy.write_bytes(corpus.read_bytes())
+        reads = []
+        read_corpus = corpus_io.read_corpus
+        monkeypatch.setattr(corpus_io, "read_corpus", lambda p: reads.append(p) or read_corpus(p))
+        for name, ref in (("twice", corpus), ("copy", copy)):
+            assert main(["eval", "--mode", "turns", "--generated", str(corpus),
+                         "--reference", str(ref), "--out", str(tmp_path / name)]) == 0
+        assert list(map(str, reads)) == [str(corpus), str(corpus), str(copy)]
+        assert (tmp_path / "twice.json").read_bytes() == (tmp_path / "copy.json").read_bytes()
 
     def test_ppl_mode_and_report(self, tmp_path):
         corpus = synth(tmp_path, count=6, duration=8000)

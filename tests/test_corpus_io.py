@@ -1,9 +1,12 @@
 import ast
 import json
 import os
+import re
 import stat
 import threading
+from contextlib import suppress
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from hypothesis import strategies as st
 
 import duplexsim
 from duplexsim import DialogueStyle, NgramModel, corpus_io
-from duplexsim.errors import ConfigError, DuplexError
+from duplexsim.errors import ConfigError
+
+import oracles
 
 WRITERS = {
     "json": lambda p: corpus_io.write_json(p, {"b": 1, "a": [1, 2]}),
@@ -187,25 +192,50 @@ def _record(did, s0, s1, size=5):
             "channels": [list(s0), list(s1)]}
 
 
-# an id that spells a JSON bool sends a record to the id-by-id walk, which
-# must read it as the screen does: the rows of one (2, n) int64 array
+# numpy cannot hold such an id: it was read as a Python int, and is now refused
+def test_id_past_int64_in_range_is_config_error(tmp_path):
+    rec = _record("d", [2**63], [0], size=2**64)
+    with pytest.raises(ConfigError, match="dialogue d: a token lies past int64"):
+        corpus_io.record_to_dialogue(rec)
+    path = tmp_path / "c.jsonl"
+    corpus_io.write_corpus(path, [rec])
+    with pytest.raises(ConfigError, match="line 1: dialogue d: a token lies past int64"):
+        corpus_io.read_corpus(path)
+
+
+def _outcome(read, path):
+    """A reader's entries as lists, or the text of its ``ConfigError``."""
+    try:
+        entries = read(path)
+    except ConfigError as exc:
+        return str(exc)
+    assert all(s0.dtype == s1.dtype == np.int64 for _, s0, s1, _ in entries)
+    return [(did, s0.tolist(), s1.tolist(), vocab) for did, s0, s1, vocab in entries]
+
+
+# an id that spells a JSON bool once sent a record to the id-by-id walk; now
+# every record write_corpus spells has its channels parsed from the text,
+# whatever its id, and reads as the walk reads it: the rows of one int64 array
 @pytest.mark.parametrize("did", ["d0", "true", "is false"])
 @pytest.mark.parametrize("channels", [((), ()), ((3,), (0,)), ((0, 2, 4), (1, 1, 3))])
 def test_screened_and_walked_records_read_alike(did, channels, tmp_path, monkeypatch):
     path = tmp_path / "c.jsonl"
     corpus_io.write_corpus(path, [_record(did, *channels)])
-    walked = []
-    is_int_list = corpus_io.is_int_list
+    walked, parsed = [], []
+    is_int_list, canonical = corpus_io.is_int_list, corpus_io._canonical
     monkeypatch.setattr(corpus_io, "is_int_list", lambda x: walked.append(x) or is_int_list(x))
+    monkeypatch.setattr(corpus_io, "_canonical", lambda lines: parsed.append(canonical(lines))
+                        or parsed[-1])
     ((got_id, s0, s1, _),) = corpus_io.read_corpus(path)
-    # the silence list is checked either way; the channels only by the walk
-    screened = did == "d0" and len(channels[0]) > 0
-    assert len(walked) == (1 if screened else 3)
+    # the silence list is walked; the channels are not, but parsed in one array
+    assert walked == [[0], [], []]
+    assert len(parsed) == 1 and parsed[0] is not None
     assert got_id == did
     for row, expected in zip((s0, s1), channels):
         assert row.tolist() == list(expected)
     assert s0.base is s1.base and s0.base.dtype == np.int64
-    assert s0.base.shape == (2, len(channels[0]))
+    assert s0.base.size == 2 * len(channels[0])
+    assert _outcome(corpus_io.read_corpus, path) == _outcome(oracles.read_corpus_lines, path)
 
 
 JSON_VALUES = st.one_of(st.integers(-2, 12), st.integers(-(2**70), 2**70), st.booleans(),
@@ -213,31 +243,173 @@ JSON_VALUES = st.one_of(st.integers(-2, 12), st.integers(-(2**70), 2**70), st.bo
                         st.text(max_size=2), st.lists(st.integers(0, 9), max_size=2))
 
 
-def _outcome(rec, screen):
-    try:
-        did, s0, s1, vocab = corpus_io.record_to_dialogue(rec, screen)
-    except (DuplexError, ValueError) as exc:
-        return type(exc), str(exc)
-    assert s0.base is s1.base and s0.base.dtype == np.int64 and s0.base.ndim == 2
-    return did, s0.tolist(), s1.tolist(), vocab
-
-
-# numpy cannot hold such an id: it was read as a Python int, and is now refused
-def test_id_past_int64_in_range_is_config_error():
-    rec = _record("d", [2**63], [0], size=2**64)
-    for screen in (True, False):
-        with pytest.raises(ConfigError, match="dialogue d: a token lies past int64"):
-            corpus_io.record_to_dialogue(rec, screen)
-
-
-# the screen passes only records that the walk passes, and reads them alike;
-# read_corpus screens a record whose text spells no JSON bool
+# the array path passes only records that the walk passes, and reads them
+# alike; whatever write_corpus spells, bools and floats too, it tries first
 @given(s0=st.lists(st.one_of(st.integers(0, 12), JSON_VALUES), max_size=6),
        s1=st.lists(st.integers(0, 12), max_size=6),
        size=st.sampled_from([1, 10, 2**64]), swap=st.booleans())
-@settings(max_examples=500)
-def test_screen_agrees_with_the_walk(s0, s1, size, swap):
-    text = json.dumps(_record("d", *((s1, s0) if swap else (s0, s1)), size=size))
-    rec = json.loads(text)
-    if "true" not in text and "false" not in text:
-        assert _outcome(rec, True) == _outcome(rec, False)
+@settings(max_examples=500, deadline=None)
+def test_screen_agrees_with_the_walk(s0, s1, size, swap, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "screen.jsonl"
+    corpus_io.write_corpus(path, [_record("d", *((s1, s0) if swap else (s0, s1)), size=size)])
+    assert _outcome(corpus_io.read_corpus, path) == _outcome(oracles.read_corpus_lines, path)
+
+
+# each rewrites one id field of the channels (or of silence), found by FIELD
+FIELD = re.compile(r"(?<=[\[,])[0-9]+(?=[\],])")
+FIELD_EDITS = [
+    lambda f: "0" + f, lambda f: "", lambda f: "-" + f, lambda f: "-0",
+    lambda f: f + ".0", lambda f: "1e2", lambda f: "true", lambda f: " " + f,
+    lambda f: f + " ", lambda f: str(2**63), lambda f: str(2**63 - 1),
+    lambda f: str(2**64 + int(f)), lambda f: "9" * 30, lambda f: "1", lambda f: "24",
+    lambda f: "23", lambda f: "503",
+]
+LINE_EDITS = [
+    lambda line: line.replace("[[", "[[,", 1),
+    lambda line: line.replace("],[", ",],[", 1),
+    lambda line: line.replace("],[", "],[,", 1),
+    lambda line: line[:-1] + ',"channels":[[1],[2]]}',
+    lambda line: line[:-1] + ',"x":1}',
+    lambda line: line.replace('"frame_ms"', '"x":[1,2],"frame_ms"', 1),
+    lambda line: json.dumps(dict(reversed(json.loads(line).items()))),
+    lambda line: json.dumps(json.loads(line)),
+    lambda line: "\ufeff" + line,
+    lambda line: line + "\n",
+    lambda line: line + "\n  \t",
+    lambda line: line.replace(']],"frame_ms"', ']],"frame_ms":1,"frame_ms"', 1),
+]
+
+
+@st.composite
+def corpus_texts(draw):
+    """``write_corpus`` lines, some edited, with vocabularies near int64's
+    limit, now and then a record of another vocabulary or a repeated id, and
+    a batch size of a few characters to a whole corpus."""
+    lines = []
+    size = draw(st.sampled_from([1, 24, 503, 2**63 - 1, 2**63, 2**64]))
+    odd = draw(st.integers(0, 9))  # the record of vocabulary 24, if there are so many
+    for i in range(draw(st.integers(0, 5))):
+        rec_size = 24 if i == odd else size
+        width = draw(st.integers(0, 6))
+        ids = st.lists(st.integers(0, min(rec_size, 600) - 1), min_size=width, max_size=width)
+        rec = {"id": draw(st.sampled_from([f"d{i}"] * 6 + ["d0", "true"])),
+               "frame_ms": 40, "vocab": rec_size, "silence": [0],
+               "channels": [draw(ids), draw(ids)]}
+        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+    for _ in range(draw(st.integers(0, 3)) if lines else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = list(FIELD.finditer(lines[i]))
+        if fields and draw(st.booleans()):
+            m = fields[draw(st.integers(0, len(fields) - 1))]
+            edit = draw(st.sampled_from(FIELD_EDITS))
+            lines[i] = lines[i][:m.start()] + edit(m[0]) + lines[i][m.end():]
+        else:
+            with suppress(ValueError):  # an edit that parses the line needs JSON
+                lines[i] = draw(st.sampled_from(LINE_EDITS))(lines[i])
+    return "".join(line + "\n" for line in lines), draw(st.sampled_from([1, 64, 4096, 2**18]))
+
+
+# the batched reader gives the entries, or the error, of the per-line reader
+# it replaced, whichever batches a canonical or edited corpus falls into
+@given(corpus=corpus_texts())
+@settings(max_examples=400, deadline=None)
+def test_read_corpus_equals_per_line_reader(corpus, tmp_path_factory):
+    text, batch = corpus
+    path = tmp_path_factory.getbasetemp() / "property.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with patch.object(corpus_io, "_BATCH", batch):
+        assert _outcome(corpus_io.read_corpus, path) == _outcome(oracles.read_corpus_lines, path)
+
+
+# every edit, at every id field of a corpus's last line: the end of the
+# batch's text is where an empty last field would go unseen
+@pytest.mark.parametrize("size", [1, 24, 2**63 - 1, 2**64])
+@pytest.mark.parametrize("edit", range(len(FIELD_EDITS) + len(LINE_EDITS)))
+def test_each_edit_reads_as_per_line_reader(edit, size, tmp_path):
+    path = tmp_path / "c.jsonl"
+    ids = [0, min(size, 503) - 1]
+    lines = [json.dumps(_record(f"d{i}", ids, ids[::-1], size), sort_keys=True,
+                        separators=(",", ":")) for i in range(3)]
+    if edit >= len(FIELD_EDITS):
+        texts = [LINE_EDITS[edit - len(FIELD_EDITS)](lines[-1])]
+    else:
+        texts = [lines[-1][:m.start()] + FIELD_EDITS[edit](m[0]) + lines[-1][m.end():]
+                 for m in FIELD.finditer(lines[-1])]
+    for text in texts:
+        path.write_text("".join(line + "\n" for line in lines[:-1] + [text]))
+        assert _outcome(corpus_io.read_corpus, path) == _outcome(oracles.read_corpus_lines, path)
+
+
+# records a batch-wide count or bound passes that a record-wide one does not:
+# channel widths 2, 1 and 1, 2, and an id within a later record's vocabulary
+@pytest.mark.parametrize("pair", [
+    ([[1, 2], [3]], 24, [[4], [5, 6]], 24),
+    ([[30], [0]], 24, [[0], [0]], 503),
+])
+def test_batch_checks_hold_record_by_record(pair, tmp_path):
+    path = tmp_path / "c.jsonl"
+    ch0, size0, ch1, size1 = pair
+    corpus_io.write_corpus(path, [_record("a", *ch0, size=size0), _record("b", *ch1, size=size1)])
+    got = _outcome(corpus_io.read_corpus, path)
+    assert got.startswith(f"corpus {path} line 1: dialogue ")
+    assert got == _outcome(oracles.read_corpus_lines, path)
+
+
+def _long_corpus(path, n=200, width=300):
+    """``n`` dialogues of ``width`` frames, about 2 KB a line, so that line
+    180 lies past the first batch."""
+    vocab = duplexsim.Vocab(size=503, frame_ms=40, silence_tokens=frozenset({0}))
+    rng = np.random.default_rng(0)
+    records = [corpus_io.dialogue_to_record(f"d{i}", *rng.integers(0, 503, (2, width)).tolist(),
+                                            vocab) for i in range(n)]
+    corpus_io.write_corpus(path, records)
+    lines = path.read_text().splitlines(keepends=True)
+    assert sum(map(len, lines[:179])) >= corpus_io._BATCH
+    return lines
+
+
+def test_malformed_line_in_second_batch_names_its_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    lines = _long_corpus(path)
+    lines[179] = lines[179].replace("[[", "[[0", 1)
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError) as exc:
+        corpus_io.read_corpus(path)
+    assert str(exc.value).startswith(f"corpus {path} line 180: ")
+    assert _outcome(corpus_io.read_corpus, path) == _outcome(oracles.read_corpus_lines, path)
+
+
+def test_id_repeated_across_batches(tmp_path):
+    path = tmp_path / "c.jsonl"
+    lines = _long_corpus(path)
+    lines[179] = lines[179].replace('"id":"d179"', '"id":"d3"')
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError, match=r"dialogue id 'd3' is repeated$"):
+        corpus_io.read_corpus(path)
+    assert _outcome(corpus_io.read_corpus, path) == _outcome(oracles.read_corpus_lines, path)
+
+
+# the lines read before a decoding error are checked first, as one at a time
+def test_bad_line_before_undecodable_bytes_is_reported_first(tmp_path):
+    path = tmp_path / "c.jsonl"
+    lines = _long_corpus(path)
+    path.write_bytes(b"{\n" + "".join(lines[:50]).encode() + b"\xff\n")
+    with pytest.raises(ConfigError, match="line 1: "):
+        corpus_io.read_corpus(path)
+    path.write_bytes("".join(lines[:50]).encode() + b"\xff\n")
+    assert _outcome(corpus_io.read_corpus, path).startswith(f"cannot read {path}: ")
+    assert _outcome(corpus_io.read_corpus, path) == _outcome(oracles.read_corpus_lines, path)
+
+
+# a FIFO can be read once only
+def test_fifo_corpus_reads_as_a_file(tmp_path):
+    path, fifo = tmp_path / "c.jsonl", tmp_path / "fifo"
+    _long_corpus(path)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    got = _outcome(corpus_io.read_corpus, fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == _outcome(corpus_io.read_corpus, path)
+    assert len(got) == 200
