@@ -35,7 +35,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence, Sized
 
 import numpy as np
 import numpy.lib.format as npy
@@ -247,7 +247,7 @@ def read_corpus(path: str | Path) -> list[tuple[str, np.ndarray, np.ndarray, Voc
     the line it names, is that of a line-by-line read."""
     out, ids, n = [], set(), 0
     with _reading(path) as fh:
-        for batch in _batches(fh):
+        for batch in batches(fh, _BATCH):
             lines = [(i, line) for i, line in enumerate(batch, n + 1) if line.strip()]
             n += len(batch)
             entries = _canonical([line for _, line in lines]) or [None] * len(lines)
@@ -267,22 +267,25 @@ def read_corpus(path: str | Path) -> list[tuple[str, np.ndarray, np.ndarray, Voc
     return out
 
 
-def _batches(fh: IO[str]) -> Iterator[list[str]]:
-    """The lines of ``fh`` in batches of about ``_BATCH`` characters. The
-    lines read before a decoding error come out before it is raised, as
-    they would be read one at a time."""
-    batch, size = [], 0
+def batches(items: Iterable[Sized], size: int) -> Iterator[list]:
+    """``items`` in runs of whole items whose lengths sum to about ``size``,
+    none of them empty. The items read before a ``ValueError``, such as a
+    line that does not decode, come out before it is raised, as they would
+    be read one at a time."""
+    batch, n = [], 0
     try:
-        for line in fh:
-            batch.append(line)
-            size += len(line)
-            if size >= _BATCH:
+        for item in items:
+            batch.append(item)
+            n += len(item)
+            if n >= size:
                 yield batch
-                batch, size = [], 0
+                batch, n = [], 0
     except ValueError:
-        yield batch
+        if batch:
+            yield batch
         raise
-    yield batch
+    if batch:
+        yield batch
 
 
 def _canonical(lines: list[str]) -> list[tuple] | None:

@@ -35,13 +35,17 @@ The agent's ``sample`` and ``emit`` are the one implementation of the
 grammar. An agent holds no token of its context, only ``code``, the
 model's code of it (``NgramModel.code``), and its length: each token the
 agent appends updates both, and ``emit`` restores both when it cuts the
-context back to the mark. Each draw is one call of ``ngram.sample_span``
-at ``code``, with the allowed ids as a span ``(lo, hi, skip)``: ``[lo,
-hi)`` but the last novel ``skip``, or None. ``simulate_interaction``
+context back to the mark. Each draw is one call of
+``ngram.sample_constrained``, the library's one draw, looked up as this
+module's ``sample_constrained``, so a wrapper bound there sees every draw.
+It draws at ``code``, with the allowed ids as a span ``(lo, hi, skip)``:
+``[lo, hi)`` but the last novel ``skip``, or None. ``simulate_interaction``
 checks its run before the first draw. Within a run the two agents take
 turns; their RNGs are separate, so the order of their draws does not
 change the bits. Runs share only their models' lazy caches, which change
-no draw, so a run's bits do not depend on the runs before it.
+no draw, so a run's bits do not depend on the runs before it. Only
+``tokens`` writes the wire format: ``context_snapshot`` builds the
+snapshot's chunks and serialises them with ``flatten``.
 """
 
 from __future__ import annotations
@@ -53,11 +57,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MalformedSequence, SourceExhausted
-# perfbench/layers.py rebinds flatten, parse and sample_constrained here:
-# keep them bound, even flatten and sample_constrained, which this module
-# does not call
-from .ngram import NgramModel, SamplerConfig, sample_constrained, sample_span  # noqa: F401
-from .tokens import DedupChunk, DedupDialogue, Vocab, flatten, parse  # noqa: F401
+from .ngram import NgramModel, SamplerConfig, sample_constrained
+from .tokens import DedupChunk, DedupDialogue, Vocab, flatten, parse
 
 
 @dataclass(frozen=True)
@@ -129,16 +130,16 @@ class InteractionTranscript:
         after: chunks 0..t-1, in which chunks below ``max(prompt_chunks, t -
         latency_chunks)`` are actual and, for every later chunk j, channel 0
         is actual and channel 1 is ``estimate_history[t - j - 1]`` of step
-        j."""
-        vocab, p = self.dialogue.vocab, self.prompt_chunks
+        j. ``ValueError`` unless ``t`` is the index of a step."""
+        p, chunks = self.prompt_chunks, self.dialogue.chunks
+        if not p <= t < p + len(self.steps):
+            raise ValueError(f"t must be a step index in [{p}, {p + len(self.steps)}), "
+                             f"got {t}")
         cut = max(p, t - self.config.latency_chunks)
-        wire: list[int] = []
-        for j, chunk in enumerate(self.dialogue.chunks[:t]):
-            s1 = chunk.s1_novel if j < cut else self.steps[j - p].estimate_history[t - j - 1]
-            wire += [vocab.tag_s0, *map(int, chunk.s0_novel)]
-            if s1:
-                wire += [vocab.tag_s1, *map(int, s1)]
-        return wire
+        window = (DedupChunk(c.s0_novel, tuple(self.steps[j - p].estimate_history[t - j - 1]))
+                  for j, c in enumerate(chunks[cut:t], cut))
+        return flatten(DedupDialogue(self.dialogue.vocab, self.dialogue.chunk_ms,
+                                     (*chunks[:cut], *window)))
 
     def to_json_dict(self) -> dict:
         chunks = self.dialogue.chunks
@@ -256,8 +257,9 @@ class _Agent:
         appended; chunk structure is the caller's job).
         """
         vocab, model, rng, cfg = self.vocab, self.model, self.rng, self.cfg
-        if channel == 1 and sample_span(model, self.code, vocab.size, vocab.extended_size,
-                                        None, rng, cfg) != vocab.tag_s1:
+        if channel == 1 and sample_constrained(model, self.code, vocab.size,
+                                               vocab.extended_size, None, rng,
+                                               cfg) != vocab.tag_s1:
             return []
         tok = vocab.tag_s1 if channel else vocab.tag_s0
         code, radix, top = self.code, self.radix, self.top
@@ -270,7 +272,7 @@ class _Agent:
                 break
             # the tags end a list, but channel 1 speaks at least one unit
             hi = vocab.extended_size if channel == 0 or novels else vocab.size
-            tok = sample_span(model, code, 0, hi, last_tok, rng, cfg)
+            tok = sample_constrained(model, code, 0, hi, last_tok, rng, cfg)
             if tok >= vocab.size:
                 break
             novels.append(tok)

@@ -39,21 +39,22 @@ the format, so the codes, and a row's tokens, must increase strictly: rows
 out of order are rejected, not sorted. A file of an older version (JSON)
 is rejected: retrain its model.
 
-``sample_constrained`` draws from any allowed ids with any sampler;
-``sample_span`` draws from ``[lo, hi)`` but one id or none, with any
-sampler and the same bits, building only the allowed part of a row. It
-takes a context as its code, ``NgramModel.code``, which the interaction
-engine's agents carry along as they append, and finds the code's row
-through a seen-context filter: a table of one byte per slot, set where a
-seen code hashes, so a zero byte means unseen and a set one is confirmed by
-a search of ``codes``. A plain draw (temperature 1, no top_k) keeps each
-cdf it builds in its model's ``_cdfs``, as an ``array('d')`` that later
-draws bisect with the bits of ``searchsorted``; other samplers keep none.
-An unseen context's row is ``alpha / (alpha * vocab_ext)`` at every id, so
-its cdf depends on the span's width alone, which is its key; a seen
+``sample_constrained`` is the library's one draw. It draws from the ids
+of ``[lo, hi)`` but one id or none, with any sampler, building only the
+allowed part of a row. It takes a context as its code, ``NgramModel.code``,
+which the interaction engine's agents carry along as they append, and finds
+the code's row through a seen-context filter: a table of one byte per slot,
+set where a seen code hashes, so a zero byte means unseen and a set one is
+confirmed by a search of ``codes``. A plain draw (temperature 1, no top_k)
+keeps each cdf it builds in its model's ``_cdfs``, as an ``array('d')`` that
+later draws bisect with the bits of ``searchsorted``; other samplers keep
+none. An unseen context's row is ``alpha / (alpha * vocab_ext)`` at every
+id, so its cdf depends on the span's width alone, which is its key; a seen
 context's key is ``(row, lo, hi, skip)``. The cache holds at most
 ``_CDF_FLOATS // vocab_ext`` cdfs (8 MiB of floats per model): past that, a
-new cdf is used but not kept.
+new cdf is used but not kept. Its reference, a draw from any allowed ids
+after a context list, is ``sample_constrained`` in ``tests/oracles.py``,
+which builds the whole distribution from the public arrays.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -104,9 +105,9 @@ class SamplerConfig:
 class NgramModel:
     """Add-alpha smoothed n-gram over ``vocab_ext`` symbols, held as the
     arrays of the module docstring; immutable in use, so safe to share. Its
-    caches for ``sample_span``, the seen-context filter ``_filter`` and the
-    cdfs ``_cdfs``, fill lazily with values that the arrays, ``alpha`` and
-    ``vocab_ext`` fix, so sharing stays safe."""
+    caches for ``sample_constrained``, the seen-context filter ``_filter``
+    and the cdfs ``_cdfs``, fill lazily with values that the arrays,
+    ``alpha`` and ``vocab_ext`` fix, so sharing stays safe."""
 
     def __init__(self, order: int, vocab_ext: int, alpha: float = 0.1):
         if order < 1:
@@ -157,11 +158,12 @@ class NgramModel:
 
     @cached_property
     def _filter(self) -> tuple[bytes, int]:
-        """For ``sample_span``: a table of one byte per slot, set at each seen
-        code's slot, and the shift that picks a code's slot from the top bits
-        of the code times ``_HASH``, masked to 64 bits. The table has the power
-        of two at or above 8 slots per row, so at most an eighth of it is set,
-        and about as many unseen codes (12% or less) find a set byte."""
+        """For ``sample_constrained``: a table of one byte per slot, set at
+        each seen code's slot, and the shift that picks a code's slot from
+        the top bits of the code times ``_HASH``, masked to 64 bits. The
+        table has the power of two at or above 8 slots per row, so at most an
+        eighth of it is set, and about as many unseen codes (12% or less)
+        find a set byte."""
         shift = 64 - (8 * max(len(self.codes), 1) - 1).bit_length()
         table = np.zeros(1 << (64 - shift), dtype=np.uint8)
         table[(self.codes.astype(np.uint64) * np.uint64(_HASH)) >> np.uint64(shift)] = 1
@@ -203,14 +205,10 @@ class NgramModel:
         codes = (sliding_window_view(ids, self.order)[:-1] @ self._place)[predicted]
         return codes, tokens, np.ones(len(tokens), dtype=np.int64)
 
-    def next_dist(self, context: Sequence[int]) -> np.ndarray:
-        """Smoothed next-token distribution at every id, all entries > 0, summing
-        to 1. The context holds ids in [0, vocab_ext]."""
-        return self._dist(self._row(self.code(context)), 0, self.vocab_ext, None)
-
     def _dist(self, row: int | None, lo: int, hi: int, skip: int | None) -> np.ndarray:
-        """``next_dist`` after the context of ``row`` (None: unseen) at only the
-        ids of ``[lo, hi)`` but ``skip`` (None, or one of them), built alone."""
+        """The smoothed next-token probabilities after the context of ``row``
+        (None: unseen) at only the ids of ``[lo, hi)`` but ``skip`` (None, or
+        one of them), built alone."""
         alpha = self.alpha
         # (count + alpha) / (total + alpha * vocab_ext) for each token
         norm = (0 if row is None else int(self.row_totals[row])) + alpha * self.vocab_ext
@@ -343,20 +341,6 @@ def _count(codes: np.ndarray, tokens: np.ndarray, freqs: np.ndarray,
     return codes[bounds[:-1]], distinct[ranks[bounds[:-1]]], np.diff(before)
 
 
-def _batches(corpus: Iterable[Sequence[int]], size: int) -> Iterator[list[Sequence[int]]]:
-    """Runs of whole sequences of about ``size`` tokens."""
-    batch: list[Sequence[int]] = []
-    n = 0
-    for seq in corpus:
-        batch.append(seq)
-        n += len(seq)
-        if n >= size:
-            yield batch
-            batch, n = [], 0
-    if batch:
-        yield batch
-
-
 def train(
     corpus: Iterable[Sequence[int]],
     order: int = 4,
@@ -367,7 +351,7 @@ def train(
     of about 2**15 tokens at a time, then the batches' counts together: the
     working memory follows a batch and the distinct windows, not the corpus."""
     model = NgramModel(order=order, vocab_ext=vocab_ext, alpha=alpha)
-    parts = [_count(*model._windows(batch)) for batch in _batches(corpus, 2**15)]
+    parts = [_count(*model._windows(batch)) for batch in corpus_io.batches(corpus, 2**15)]
     if not parts:
         raise EmptyCorpus("training corpus is empty")
     entries = [np.concatenate(column) for column in zip(*parts)]
@@ -388,82 +372,50 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def sample_constrained(
-    model: NgramModel,
-    context: Sequence[int],
-    allowed: Sequence[int],
-    cfg: SamplerConfig,
-    rng: np.random.Generator | None = None,
-) -> int:
-    """Sample the next token restricted to ``allowed`` ids.
-
-    ``allowed`` is any sequence of ids (list, tuple, range, array) in any
-    order; the draw depends only on its sorted contents, so an already
-    sorted ``np.int64`` array is the cheapest form. A single legal token
-    is returned without touching the RNG; greedy (top_k=1) likewise
-    consumes no randomness.
-    """
-    indices = np.array(allowed, dtype=np.int64)
-    indices.sort(kind="stable")  # in place on the copy; linear on sorted input
-    if len(indices) == 0:
-        raise ValueError("allowed token set is empty")
-    if len(indices) == 1:
-        return int(indices[0])
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return _pick(model.next_dist(context)[indices], indices, cfg, rng)
-
-
-def _pick(probs: np.ndarray, ids: np.ndarray, cfg: SamplerConfig,
-          rng: np.random.Generator) -> int:
-    """The draw of ``cfg`` from the increasing ``ids`` (two or more) whose
-    next-token probabilities are ``probs``: top_k, then temperature, then
-    one ``rng.random()`` searched in the cdf."""
-    if cfg.top_k is not None and cfg.top_k < len(ids):
-        # rank with stable index tie-breaking, so top_k (and greedy k=1) is deterministic
-        keep = np.sort(np.lexsort((ids, -probs))[: cfg.top_k])
-        probs, ids = probs[keep], ids[keep]
-        if len(ids) == 1:
-            return int(ids[0])
-    if cfg.temperature != 1.0:
-        # a temperature so small that the logits overflow gives NaN, which
-        # _cdf rejects; numpy need not warn about it on the way
-        with np.errstate(over="ignore", invalid="ignore"):
-            logits = np.log(probs) / cfg.temperature
-            logits -= logits.max()
-            probs = np.exp(logits)
-    return int(ids[_cdf(probs).searchsorted(rng.random(), "right")])
-
-
-def sample_span(model: NgramModel, code: int, lo: int, hi: int, skip: int | None,
-                rng: np.random.Generator, cfg: SamplerConfig = SamplerConfig()) -> int:
-    """``sample_constrained(model, context, ids, cfg, rng)``, where ``code`` is
-    ``model.code(context)``, for the ids of ``[lo, hi)`` other than ``skip``
-    (None, or an id in the range), bit for bit and with the same RNG use,
-    from only the allowed part of the row. A plain draw (temperature 1, no
-    top_k) bisects the model's cached cdf of its key (see the module
-    docstring). ``ValueError`` if no id is allowed, or the span is not that
-    within the model's ids."""
+def sample_constrained(model: NgramModel, code: int, lo: int, hi: int, skip: int | None,
+                       rng: np.random.Generator, cfg: SamplerConfig = SamplerConfig()) -> int:
+    """The next token after the context whose code is ``code`` (see
+    ``NgramModel.code``), drawn from the ids of ``[lo, hi)`` other than
+    ``skip`` (None, or an id in the range): top_k, then temperature, then
+    one ``rng.random()`` searched in the cdf. One allowed id, or one kept by
+    top_k (greedy is ``top_k=1``), is returned without touching the RNG. A
+    plain draw (temperature 1, no top_k) bisects the model's cached cdf of
+    its key (see the module docstring). ``ValueError`` if no id is allowed,
+    the span is not that within the model's ids, or the temperature is so
+    small that the logits overflow."""
     n = hi - lo - (skip is not None)
     if n < 1:
         raise ValueError("allowed token set is empty")
     if not (0 <= lo and hi <= model.vocab_ext and (skip is None or lo <= skip < hi)):
         raise ValueError(f"span {(lo, hi, skip)} is not [lo, hi) less one id or none, "
                          f"within [0, {model.vocab_ext})")
-    i = 0
+    i = 0  # the drawn id's place among the allowed ones
     if n > 1:
         row = model._row(code)
         if cfg.temperature != 1.0 or cfg.top_k is not None:
-            ids = np.arange(lo, lo + n)
-            if skip is not None:
-                ids[skip - lo :] += 1
-            return _pick(model._dist(row, lo, hi, skip), ids, cfg, rng)
-        key = n if row is None else (row, lo, hi, skip)
-        if (cdf := model._cdfs.get(key)) is None:
-            cdf = array("d", _cdf(model._dist(row, lo, hi, skip)).tobytes())
-            if (len(model._cdfs) + 1) * model.vocab_ext <= _CDF_FLOATS:
-                model._cdfs[key] = cdf
-        i = bisect_right(cdf, rng.random())  # searchsorted(u, "right") on a sorted array
+            probs, kept = model._dist(row, lo, hi, skip), np.arange(n)
+            if cfg.top_k is not None and cfg.top_k < n:
+                # rank with stable index tie-breaking, so top_k (and greedy k=1) is deterministic
+                kept = np.sort(np.lexsort((kept, -probs))[: cfg.top_k])
+                probs = probs[kept]
+            j = 0
+            if len(kept) > 1:
+                if cfg.temperature != 1.0:
+                    # a temperature so small that the logits overflow gives NaN, which
+                    # _cdf rejects; numpy need not warn about it on the way
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        logits = np.log(probs) / cfg.temperature
+                        logits -= logits.max()
+                        probs = np.exp(logits)
+                j = _cdf(probs).searchsorted(rng.random(), "right")
+            i = int(kept[j])
+        else:
+            key = n if row is None else (row, lo, hi, skip)
+            if (cdf := model._cdfs.get(key)) is None:
+                cdf = array("d", _cdf(model._dist(row, lo, hi, skip)).tobytes())
+                if (len(model._cdfs) + 1) * model.vocab_ext <= _CDF_FLOATS:
+                    model._cdfs[key] = cdf
+            i = bisect_right(cdf, rng.random())  # searchsorted(u, "right") on a sorted array
     return int(lo + i + (skip is not None and lo + i >= skip))
 
 

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's code paths: deduplication frame by
 frame, counting by scanning, event extraction by frame-state enumeration,
-correlation by the raw-sum formula, corpus reading line by line.
+correlation by the raw-sum formula, corpus reading line by line, and each
+draw from the whole next-token distribution, built from a model's public
+arrays and searched as numpy's ``Generator.choice`` searches it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from duplexsim.errors import ConfigError, DuplexError
 from duplexsim.metrics import VadSegment
-from duplexsim.ngram import sample_constrained
 from duplexsim.tokens import DedupChunk, DedupDialogue, Vocab
 
 
@@ -184,6 +185,64 @@ def planned_dialogue(style, duration_ms, seed):
         t = max(last_b + frames(style.fto_ms, signed=True), last_a + 1)
         speaker = other
     return tuple(ch[0]), tuple(ch[1]), events
+
+
+def next_dist(model, context) -> np.ndarray:
+    """The smoothed next-token distribution after ``context`` (ids in
+    ``[0, vocab_ext]``) at every id, from the model's public arrays: the
+    context's last ``order`` ids, after begin markers, are the digits of a
+    base ``vocab_ext + 1`` code, whose row in ``codes`` gives ``(count +
+    alpha) / (total + alpha * vocab_ext)`` at each id; an unseen code has
+    counts and a total of 0."""
+    v, alpha = model.vocab_ext, model.alpha
+    code = 0
+    for tok in ([v] * model.order + [int(t) for t in context])[-model.order :]:
+        code = code * (v + 1) + tok
+    row = int(np.searchsorted(model.codes, code))
+    seen = row < len(model.codes) and model.codes[row] == code
+    norm = (int(model.row_totals[row]) if seen else 0) + alpha * v
+    dist = np.full(v, alpha / norm)
+    if seen:
+        start, end = model.offsets[row], model.offsets[row + 1]
+        dist[model.tokens[start:end]] = (model.freqs[start:end] + alpha) / norm
+    return dist
+
+
+def sample_constrained(model, context, allowed, cfg, rng=None) -> int:
+    """The reference draw: the next token after ``context`` among the ids
+    of ``allowed``, any sequence in any order, at their :func:`next_dist`
+    probabilities. One allowed id is returned without touching the RNG
+    (``rng`` defaults to ``default_rng(cfg.seed)``). Otherwise the
+    ``top_k`` most likely ids are kept, ties to the lower id, and one kept
+    id is returned as it is; a temperature T other than 1 raises each
+    kept probability, over the largest, to the power 1 / T, and refuses
+    ("not finite") a T so small that log of the largest over T is -inf;
+    then the draw is ``rng.choice(len(ids), p=probs / probs.sum())``, its
+    cdf searched step by step so that a stand-in with only ``random()``
+    can drive it."""
+    ids = sorted(int(t) for t in allowed)
+    if not ids:
+        raise ValueError("allowed token set is empty")
+    if len(ids) == 1:
+        return ids[0]
+    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+    dist = next_dist(model, context)
+    probs = [float(dist[t]) for t in ids]
+    if cfg.top_k is not None:
+        kept = sorted(sorted(range(len(ids)), key=lambda k: (-probs[k], ids[k]))[: cfg.top_k])
+        ids, probs = [ids[k] for k in kept], [probs[k] for k in kept]
+        if len(ids) == 1:
+            return ids[0]
+    if cfg.temperature != 1.0:
+        top = max(probs)
+        if math.log(top) / cfg.temperature == -math.inf:
+            raise ValueError("sampling distribution is not finite")
+        probs = [(p / top) ** (1 / cfg.temperature) for p in probs]
+    p = np.array(probs)
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return ids[int(cdf.searchsorted(rng.random(), "right"))]
 
 
 def _wire(pairs, vocab) -> list[int]:

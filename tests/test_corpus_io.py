@@ -401,6 +401,26 @@ def test_bad_line_before_undecodable_bytes_is_reported_first(tmp_path):
     assert _outcome(corpus_io.read_corpus, path) == _outcome(oracles.read_corpus_lines, path)
 
 
+def test_batches_are_whole_and_never_empty():
+    """The batcher of corpus lines and of training sequences: runs of whole
+    items whose lengths sum to about ``size``, none empty, and the items
+    read before a decoding error come out before it is raised."""
+    items = [[1] * 3, [2] * 5, [], [3] * 8, [4]]
+    assert list(corpus_io.batches(items, 8)) == [items[:2], items[2:4], items[4:]]
+    assert list(corpus_io.batches(items[:2], 8)) == [items[:2]]
+    assert list(corpus_io.batches([], 8)) == []
+
+    def undecodable():
+        yield from ("ab", "cd")
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    for size in (100, 4):  # the error inside a batch, and right after a full one
+        got = corpus_io.batches(undecodable(), size)
+        assert next(got) == ["ab", "cd"]
+        with pytest.raises(UnicodeDecodeError):
+            next(got)
+
+
 # a FIFO can be read once only
 def test_fifo_corpus_reads_as_a_file(tmp_path):
     path, fifo = tmp_path / "c.jsonl", tmp_path / "fifo"

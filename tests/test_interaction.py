@@ -20,6 +20,7 @@ from duplexsim import (
     simulate_interaction,
     train,
 )
+from duplexsim import interaction
 from duplexsim.errors import MalformedSequence, SourceExhausted
 from duplexsim.synth import DialogueStyle
 
@@ -64,7 +65,7 @@ def no_draws(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("a token was drawn")
 
-    monkeypatch.setattr("duplexsim.interaction.sample_span", no_draw)
+    monkeypatch.setattr("duplexsim.interaction.sample_constrained", no_draw)
 
 
 class TestContinueDialogue:
@@ -268,7 +269,7 @@ class TestSimulateScripted:
         def no_draw(*args, **kwargs):
             raise AssertionError("a step drew a token")
 
-        monkeypatch.setattr("duplexsim.interaction.sample_span", no_draw)
+        monkeypatch.setattr("duplexsim.interaction.sample_constrained", no_draw)
         cfg = InteractionConfig(latency_chunks=1, max_chunks=10)
         chunks = (*script.chunks[:4], DedupChunk((), s1), *script.chunks[5:])
         with pytest.raises(MalformedSequence, match="chunk 4 channel 1"):
@@ -485,6 +486,36 @@ class TestReferenceSimulator:
                 [len(w) for w in want["snapshots"]]
             assert tr.user_truncations == want["user_truncations"]
 
+    @pytest.mark.parametrize("user", ["scripted", "model"])
+    @pytest.mark.parametrize("latency", [0, 1, 3])
+    def test_one_wrapped_call_per_draw(self, setup, user_model, monkeypatch, latency, user):
+        """A wrapper bound as ``interaction.sample_constrained`` sees every
+        draw of a run, as many as the reference run makes, and changes no
+        bit of the transcript."""
+        _, _, model, script = setup
+        source = script if user == "scripted" else user_model
+        cfg = InteractionConfig(latency_chunks=latency, max_chunks=15,
+                                sampler=SamplerConfig(seed=4))
+        prompt = prompt_of(script, 3)
+        plain = simulate_interaction(model, source, cfg, prompt)
+        calls = {interaction: 0, oracles: 0}
+
+        def count(module):
+            draw = module.sample_constrained
+
+            def counted(*args, **kwargs):
+                calls[module] += 1
+                return draw(*args, **kwargs)
+
+            monkeypatch.setattr(module, "sample_constrained", counted)
+
+        count(interaction)
+        count(oracles)
+        wrapped = simulate_interaction(model, source, cfg, prompt)
+        oracles.simulate_interaction(model, source, cfg, prompt)
+        assert calls[interaction] == calls[oracles] > 0
+        assert wrapped.to_json_dict() == plain.to_json_dict()
+
 
 class TestSimulateInteractions:
     """Runs made one after another on shared models equal the runs made
@@ -502,7 +533,7 @@ class TestSimulateInteractions:
         def fresh():  # a copy of the model whose caches start empty
             return NgramModel.load(tmp_path / "model.npy")
 
-        # runs of unequal length; one sampler that sample_span does not cache
+        # runs of unequal length; one sampler whose cdfs the draw does not cache
         prompts = [prompt_of(script, k % 5) for k in range(runs)]
         cfgs = [InteractionConfig(latency_chunks=latency, max_chunks=6 + 3 * (k % 4) + k % 5,
                                   sampler=SamplerConfig(seed=k, top_k=3 if k == 1 else None))
@@ -530,6 +561,18 @@ class TestTranscriptSerialisation:
             return len(json.dumps(tr.to_json_dict()))
 
         assert size(80) < 2.3 * size(40)
+
+    def test_snapshot_is_of_a_step(self, setup):
+        """``context_snapshot`` takes the index of a step, and names the range
+        of them otherwise: a prompt chunk, or one past the run, has none."""
+        _, _, model, script = setup
+        cfg = InteractionConfig(latency_chunks=2, max_chunks=10)
+        tr = simulate_interaction(model, script, cfg, prompt_of(script, 3))
+        for t in (-1, 0, 1, 2, 10, 11):
+            with pytest.raises(ValueError, match=rf"step index in \[3, 10\), got {t}$"):
+                tr.context_snapshot(t)
+        assert [len(tr.context_snapshot(t)) for t in range(3, 10)] == \
+            [s.context_snapshot_len for s in tr.steps]
 
     @pytest.mark.parametrize("latency", [0, 1, 3])
     @pytest.mark.parametrize("user", ["scripted", "model"])

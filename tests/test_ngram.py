@@ -14,7 +14,6 @@ from duplexsim import (
     train,
 )
 from duplexsim import ngram
-from duplexsim.ngram import sample_span
 from duplexsim.errors import EmptyCorpus, EmptySequence, ModelFormatError
 
 import oracles
@@ -27,12 +26,12 @@ def parse_corpus(lines):
 class TestTrain:
     def test_single_symbol_corpus_concentrates(self):
         model = train(parse_corpus(["0 0 0 0"]), order=1, alpha=1e-9, vocab_ext=4)
-        dist = model.next_dist([0])
+        dist = oracles.next_dist(model, [0])
         assert dist[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_unseen_context_is_uniform(self):
         model = train(parse_corpus(["0 0 0 0"]), order=2, alpha=0.5, vocab_ext=4)
-        dist = model.next_dist([3, 2])
+        dist = oracles.next_dist(model, [3, 2])
         assert np.allclose(dist, 0.25)
 
     def test_alternating_corpus_matches_oracle(self):
@@ -42,7 +41,7 @@ class TestTrain:
         model = train(corpus, order=1, alpha=1.0, vocab_ext=4)
         expected = oracles.ngram_prob(corpus, 1, 1.0, 4, [1], 2)
         assert expected == pytest.approx(4 / 7)
-        assert model.next_dist([1])[2] == pytest.approx(expected, abs=1e-12)
+        assert oracles.next_dist(model, [1])[2] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpus):
@@ -131,6 +130,12 @@ class TestCompiledTrain:
         model = train(corpus, order=3, alpha=0.1, vocab_ext=6)
         assert _rows(model) == oracles.ngram_counts(corpus, 3, 6)
 
+    def test_corpus_of_whole_batches(self):
+        # each sequence fills a batch of 2**15 tokens exactly, so none is left over
+        corpus = [[0, 1, 2, 3] * 2**13, [3, 2, 1] * 10922 + [0, 1]]
+        model = train(corpus, order=2, alpha=0.1, vocab_ext=4)
+        assert _rows(model) == oracles.ngram_counts(corpus, 2, 4)
+
     # the largest orders the constructor accepts: here a whole window's code,
     # context code * (vocab_ext + 1) + token, would pass 2**63
     @pytest.mark.parametrize("vocab_ext,order", [(1, 63), (3, 31)])
@@ -142,20 +147,23 @@ class TestCompiledTrain:
         assert int(model.codes.max()) == (vocab_ext + 1) ** order - 1  # all begin markers
         for context in ([], corpus[3][:order], corpus[3][:90]):
             for tok in range(vocab_ext):
-                assert model.next_dist(context)[tok] == pytest.approx(
+                assert oracles.next_dist(model, context)[tok] == pytest.approx(
                     oracles.ngram_prob(corpus, order, 0.1, vocab_ext, context, tok), abs=1e-12)
         assert perplexity(model, corpus[2]) == pytest.approx(
             oracles.sequence_perplexity(corpus, order, 0.1, vocab_ext, corpus[2]), rel=1e-12)
 
 
 class TestNextDist:
+    """The reference distribution, ``oracles.next_dist``, against brute-force
+    counting; the draw builds the same floats at any span."""
+
     def test_untrained_uniform(self):
         model = NgramModel(order=2, vocab_ext=7, alpha=0.3)
-        assert np.allclose(model.next_dist([1, 2]), 1 / 7)
+        assert np.allclose(oracles.next_dist(model, [1, 2]), 1 / 7)
 
     def test_count_dominance(self):
         model = train(parse_corpus(["1 2 1 2"]), order=1, alpha=0.1, vocab_ext=5)
-        dist = model.next_dist([1])
+        dist = oracles.next_dist(model, [1])
         assert dist[2] > dist[3]
 
     @given(
@@ -171,52 +179,63 @@ class TestNextDist:
     def test_matches_bruteforce_and_normalises(self, corpus, context, order):
         alpha = 0.25
         model = train(corpus, order=order, alpha=alpha, vocab_ext=6)
-        dist = model.next_dist(context)
+        dist = oracles.next_dist(model, context)
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
         assert (dist > 0).all()
         for tok in range(6):
             expected = oracles.ngram_prob(corpus, order, alpha, 6, context, tok)
             assert dist[tok] == pytest.approx(expected, abs=1e-12)
+        row = model._row(model.code(context))
+        assert model._dist(row, 0, 6, None).tolist() == dist.tolist()
+        assert model._dist(row, 1, 5, 3).tolist() == dist[[1, 2, 4]].tolist()
+
+
+def draw(model, context, span, cfg):
+    """``sample_constrained`` after ``context`` from ``span``, on
+    ``default_rng(cfg.seed)``."""
+    return sample_constrained(model, model.code(context), *span,
+                              np.random.default_rng(cfg.seed), cfg)
 
 
 class TestSampling:
     def test_near_zero_temperature_is_argmax(self):
         model = train(parse_corpus(["1 2 1 2 1 2"]), order=1, alpha=0.1, vocab_ext=4)
         cfg = SamplerConfig(temperature=1e-9, seed=5)
-        rng = np.random.default_rng(cfg.seed)
-        tok = sample_constrained(model, [1], range(model.vocab_ext), cfg, rng)
-        assert tok == int(np.argmax(model.next_dist([1])))
+        assert draw(model, [1], (0, 4, None), cfg) == \
+            int(np.argmax(oracles.next_dist(model, [1])))
 
     def test_overflowing_temperature_raises(self):
         # log(p) / 1e-310 is -inf for every p < 1, so the distribution is NaN
         model = train(parse_corpus(["1 2 1 2 1 2"]), order=1, alpha=0.1, vocab_ext=4)
         cfg = SamplerConfig(temperature=1e-310, seed=5)
-        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError):
-            sample_constrained(model, [1], range(model.vocab_ext), cfg,
-                               np.random.default_rng(cfg.seed))
+        for sample in (lambda: draw(model, [1], (0, 4, None), cfg),
+                       lambda: oracles.sample_constrained(model, [1], range(4), cfg)):
+            with pytest.raises(ValueError, match="not finite"):
+                sample()
 
     def test_greedy_top_k_one(self):
         model = train(parse_corpus(["1 2 1 2 1 2"]), order=1, alpha=0.1, vocab_ext=4)
         cfg = SamplerConfig(top_k=1, seed=0)
-        assert sample_constrained(model, [1], range(model.vocab_ext), cfg) == 2
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert sample_constrained(model, model.code([1]), 0, 4, None, rng, cfg) == 2
+        assert rng.bit_generator.state == state  # greedy consumes no randomness
 
     def test_same_seed_same_samples(self):
         model = train(parse_corpus(["0 1 2 3 0 1 2 3"]), order=2, alpha=0.5, vocab_ext=4)
+        code = model.code([0, 1])
         def run(seed):
-            cfg = SamplerConfig(seed=seed)
-            rng = np.random.default_rng(cfg.seed)
-            return [sample_constrained(model, [0, 1], range(model.vocab_ext), cfg, rng)
-                    for _ in range(50)]
+            rng = np.random.default_rng(seed)
+            return [sample_constrained(model, code, 0, 4, None, rng) for _ in range(50)]
         assert run(9) == run(9)
         assert run(9) != run(10)
 
     def test_monte_carlo_frequencies(self):
         model = train(parse_corpus(["0 1 1 2 2 2 3"]), order=1, alpha=0.5, vocab_ext=4)
         ctx = [2]
-        dist = model.next_dist(ctx)
-        cfg = SamplerConfig(seed=123)
-        rng = np.random.default_rng(cfg.seed)
-        draws = np.array([sample_constrained(model, ctx, range(model.vocab_ext), cfg, rng)
+        dist = oracles.next_dist(model, ctx)
+        rng = np.random.default_rng(123)
+        draws = np.array([sample_constrained(model, model.code(ctx), 0, 4, None, rng)
                           for _ in range(100_000)])
         for tok in range(4):
             freq = float(np.mean(draws == tok))
@@ -224,6 +243,8 @@ class TestSampling:
 
     @pytest.mark.parametrize("sampler", [dict(), dict(top_k=3), dict(temperature=0.7)])
     def test_allowed_form_does_not_change_draws(self, sampler):
+        """The reference draw of any form of the allowed ids is the span
+        draw's."""
         model = train(parse_corpus(["0 1 2 3 4 5 6 0 2 4 6 1 3 5"]), order=1, alpha=0.3,
                       vocab_ext=8)
         cfg = SamplerConfig(seed=17, **sampler)
@@ -235,18 +256,40 @@ class TestSampling:
             np.arange(7, dtype=np.int64),
             np.array([3, 5, 0, 6, 4, 2, 1], dtype=np.int32),
         ]
-        runs = []
+        rng = np.random.default_rng(cfg.seed)
+        want = [sample_constrained(model, model.code([t % 7]), 0, 7, None, rng, cfg)
+                for t in range(60)]
         for allowed in forms:
             rng = np.random.default_rng(cfg.seed)
-            runs.append([sample_constrained(model, [t % 7], allowed, cfg, rng)
-                         for t in range(60)])
-        assert all(run == runs[0] for run in runs)
+            assert [oracles.sample_constrained(model, [t % 7], allowed, cfg, rng)
+                    for t in range(60)] == want
 
     @pytest.mark.parametrize("empty", [[], (), range(0), np.array([], dtype=np.int64)])
     def test_empty_allowed_set_raises(self, empty):
         model = train(parse_corpus(["0 1 2"]), order=1, alpha=0.1, vocab_ext=3)
         with pytest.raises(ValueError, match="empty"):
-            sample_constrained(model, [0], empty, SamplerConfig())
+            oracles.sample_constrained(model, [0], empty, SamplerConfig())
+        for span in [(1, 1, None), (2, 3, 2)]:
+            with pytest.raises(ValueError, match="empty"):
+                draw(model, [0], span, SamplerConfig())
+
+    @pytest.mark.parametrize("sampler", [dict(), dict(top_k=3), dict(temperature=0.7)])
+    def test_reference_draw_is_numpy_choice(self, sampler):
+        """Past top_k and temperature, the reference draw is numpy's
+        ``choice`` with the same probabilities, and takes as much of the RNG."""
+        model = train(parse_corpus(["0 1 2 3 4 5 6 0 2 4 6 1 3 5"]), order=1, alpha=0.3,
+                      vocab_ext=8)
+        cfg = SamplerConfig(**sampler)
+        for t in range(40):
+            dist = oracles.next_dist(model, [t % 7])[:7]
+            ids = np.sort(np.argsort(-dist, kind="stable")[: cfg.top_k or 7])
+            probs = dist[ids]
+            if cfg.temperature != 1.0:
+                probs = (probs / probs.max()) ** (1 / cfg.temperature)
+            ours, numpys = np.random.default_rng(t), np.random.default_rng(t)
+            assert oracles.sample_constrained(model, [t % 7], range(7), cfg, ours) == \
+                ids[numpys.choice(len(ids), p=probs / probs.sum())]
+            assert ours.bit_generator.state == numpys.bit_generator.state
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -347,8 +390,9 @@ class TestSeenFilter:
 
 
 class TestSampleSpan:
-    """sample_span against sample_constrained on the span's ids, on twin RNGs,
-    under any sampler."""
+    """The span draw, ``sample_constrained``, against the reference draw
+    ``oracles.sample_constrained`` on the span's ids, on twin RNGs, under
+    any sampler."""
 
     @staticmethod
     def assert_twins(model, context, span, seed, cfg=SamplerConfig()):
@@ -360,14 +404,14 @@ class TestSampleSpan:
         fault = "empty" if not kept else "not finite" if cfg.temperature == 5e-324 and kept > 1 \
             else None
         if fault is None:
-            tok = sample_span(model, model.code(context), *span, fused, cfg)
+            tok = sample_constrained(model, model.code(context), *span, fused, cfg)
             assert type(tok) is int
-            assert tok == sample_constrained(model, context, ids, cfg, plain)
+            assert tok == oracles.sample_constrained(model, context, ids, cfg, plain)
         else:
             with pytest.raises(ValueError, match=fault):
-                sample_span(model, model.code(context), *span, fused, cfg)
+                sample_constrained(model, model.code(context), *span, fused, cfg)
             with pytest.raises(ValueError, match=fault):
-                sample_constrained(model, context, ids, cfg, plain)
+                oracles.sample_constrained(model, context, ids, cfg, plain)
         assert fused.bit_generator.state == plain.bit_generator.state
 
     @given(
@@ -401,7 +445,7 @@ class TestSampleSpan:
             self.assert_twins(model, context, span, seed)
 
     def test_draws_on_cdf_entries(self):
-        """Each u is an entry of the draw's own cdf, as sample_constrained
+        """Each u is an entry of the draw's own cdf, as the reference draw
         builds it, or the float below one, so an entry a bit off moves a draw:
         at every width from 2 to vocab_ext, after an unseen and a seen
         context, with the model's cached cdfs cold (cleared before each draw)
@@ -426,17 +470,20 @@ class TestSampleSpan:
                 for cold in (True, False):
                     model._cdfs.clear()
                     if not cold:
-                        sample_span(model, model.code(unseen), *next(some), FixedDraws([0.5]))
+                        sample_constrained(model, model.code(unseen), *next(some),
+                                           FixedDraws([0.5]))
                     span = next(some)
                     ids = span_ids(*span)
-                    cdf = model.next_dist(ctx)[ids]
+                    cdf = oracles.next_dist(model, ctx)[ids]
                     cdf = (cdf / cdf.sum()).cumsum()
                     cdf /= cdf[-1]
                     for u in np.concatenate((cdf[:-1], np.nextafter(cdf[:-1], 0))).tolist():
                         if cold:
                             model._cdfs.clear()
-                        assert sample_span(model, model.code(ctx), *span, FixedDraws([u])) == \
-                            sample_constrained(model, ctx, ids, SamplerConfig(), FixedDraws([u]))
+                        assert sample_constrained(model, model.code(ctx), *span,
+                                                  FixedDraws([u])) == \
+                            oracles.sample_constrained(model, ctx, ids, SamplerConfig(),
+                                                       FixedDraws([u]))
                     # an unseen context's key is the width, a seen one's (row, lo, hi, skip)
                     key = width if ctx is unseen else (model._row(model.code(ctx)), *span)
                     assert list(model._cdfs) == ([key] if cold or key == width else [width, key])
@@ -449,21 +496,22 @@ class TestSampleSpan:
         models = [NgramModel(order=1, vocab_ext=v, alpha=a) for v, a in (first, second)]
         cdfs = []
         for m in models:
-            row = m.next_dist([])[:width]
+            row = oracles.next_dist(m, [])[:width]
             cdf = (row / row.sum()).cumsum()
             cdfs.append(cdf / cdf[-1])
         for drawn, other in ((0, 1), (1, 0)):
             for m in models:
                 m._cdfs.clear()
-            sample_span(models[drawn], models[drawn].code([]), 0, width, None, FixedDraws([0.5]))
+            sample_constrained(models[drawn], models[drawn].code([]), 0, width, None,
+                               FixedDraws([0.5]))
             us = np.concatenate((cdfs[other][:-1], np.nextafter(cdfs[other][:-1], 0)))
             # a draw that the other model's cdf would move
             assert (cdfs[0].searchsorted(us, "right") != cdfs[1].searchsorted(us, "right")).any()
             for u in us.tolist():
-                assert sample_span(models[other], models[other].code([]), 0, width, None,
-                                   FixedDraws([u])) == \
-                    sample_constrained(models[other], [], range(width), SamplerConfig(),
-                                       FixedDraws([u]))
+                assert sample_constrained(models[other], models[other].code([]), 0, width,
+                                          None, FixedDraws([u])) == \
+                    oracles.sample_constrained(models[other], [], range(width), SamplerConfig(),
+                                               FixedDraws([u]))
             assert models[0]._cdfs[width] is not models[1]._cdfs[width]
 
     # a span of numpy ints draws an int, as a prompt of numpy ints gives the agent one
@@ -479,7 +527,7 @@ class TestSampleSpan:
     def test_cache_stops_at_its_budget(self):
         """At 2**18 symbols the budget of 2**20 floats holds four cdfs: later
         draws, of new widths and new seen spans, keep none and still draw
-        what sample_constrained draws."""
+        what the reference draw draws."""
         model = train([[0, 1, 2, 3] * 3], order=1, alpha=0.1, vocab_ext=2**18)
         assert model._row(model.code([1])) is not None and model._row(model.code([9])) is None
         full = ngram._CDF_FLOATS // model.vocab_ext
@@ -502,7 +550,7 @@ class TestSampleSpan:
         model = train([[0, 1, 2, 3, 4] * 2], order=1, alpha=0.1, vocab_ext=6)
         assert (context[0] in model.codes) == (context == [3])
         with pytest.raises(ValueError, match="is not"):
-            sample_span(model, model.code(context), *span, np.random.default_rng(0))
+            sample_constrained(model, model.code(context), *span, np.random.default_rng(0))
 
 
 class FixedDraws:
@@ -573,7 +621,8 @@ class TestSerialization:
         loaded = NgramModel.load(path)
         for _ in range(100):
             ctx = list(rng.integers(0, 6, size=int(rng.integers(0, 5))))
-            assert np.max(np.abs(model.next_dist(ctx) - loaded.next_dist(ctx))) < 1e-12
+            assert np.max(np.abs(oracles.next_dist(model, ctx)
+                                 - oracles.next_dist(loaded, ctx))) < 1e-12
 
     def test_save_is_deterministic(self, tmp_path):
         corpus = [[0, 1, 2, 0, 1], [2, 2, 1]]
