@@ -12,8 +12,7 @@ Event conventions:
   overlaps, positive values gaps.
 
 A backchannel is an IPU strictly contained in some IPU of the other
-channel; with containment filtering enabled (the default) it never counts
-as a floor transfer.
+channel; it never counts as a floor transfer.
 
 A channel is a sequence of unit ids, one per frame, and a corpus a
 mapping ``{id: (s0, s1)}``; the ``Vocab`` gives the frame size and the
@@ -63,7 +62,6 @@ class EventParams:
     min_voiced_ms: int = 0
     bridge_ms: int = 0
     ipu_gap_ms: int = 200
-    backchannel_containment: bool = True
 
 
 def vad(
@@ -113,7 +111,6 @@ def turn_events(
     seg0: Sequence[VadSegment],
     seg1: Sequence[VadSegment],
     ipu_gap_ms: int = 200,
-    backchannel_containment: bool = True,
 ) -> list[EventRecord]:
     """Extract IPU, pause, and FTO events from two channels' segments."""
     ipus = {0: _merge_segments(seg0, ipu_gap_ms), 1: _merge_segments(seg1, ipu_gap_ms)}
@@ -151,7 +148,7 @@ def turn_events(
     turn_ipus = []
     for c in (0, 1):
         for ipu in ipus[c]:
-            if backchannel_containment and _is_backchannel(ipu, ipus[1 - c]):
+            if _is_backchannel(ipu, ipus[1 - c]):
                 continue
             turn_ipus.append(ipu)
     turn_ipus.sort(key=lambda s: (s.start_ms, s.channel))
@@ -232,7 +229,7 @@ def dialogue_events(
 ) -> list[EventRecord]:
     seg0 = vad(s0, 0, vocab, params.min_voiced_ms, params.bridge_ms)
     seg1 = vad(s1, 1, vocab, params.min_voiced_ms, params.bridge_ms)
-    return turn_events(seg0, seg1, params.ipu_gap_ms, params.backchannel_containment)
+    return turn_events(seg0, seg1, params.ipu_gap_ms)
 
 
 def _mean_durations(

@@ -45,14 +45,15 @@ allowed part of a row. It takes a context as its code, ``NgramModel.code``,
 which the interaction engine's agents carry along as they append, and finds
 the code's row through a seen-context filter: a table of one byte per slot,
 set where a seen code hashes, so a zero byte means unseen and a set one is
-confirmed by a search of ``codes``. A plain draw (temperature 1, no top_k)
-keeps each cdf it builds in its model's ``_cdfs``, as an ``array('d')`` that
-later draws bisect with the bits of ``searchsorted``; other samplers keep
-none. An unseen context's row is ``alpha / (alpha * vocab_ext)`` at every
-id, so its cdf depends on the span's width alone, which is its key; a seen
-context's key is ``(row, lo, hi, skip)``. The cache holds at most
+confirmed by a search of ``codes``. Under any sampler a draw bisects the
+cdf of its key in its model's ``_cdfs``, an ``array('d')``, with the bits
+of ``searchsorted``; a miss builds it once, from the allowed part of the
+row cut to top_k places and raised to 1 / temperature, with the places it
+kept. An unseen context's row is ``alpha / (alpha * vocab_ext)`` at every
+id, so its key is ``(width, temperature, top_k)``; a seen context's is
+``(row, lo, hi, skip, temperature, top_k)``. The cache holds at most
 ``_CDF_FLOATS // vocab_ext`` cdfs (8 MiB of floats per model): past that, a
-new cdf is used but not kept. Its reference, a draw from any allowed ids
+new one is used but not kept. Its reference, a draw from any allowed ids
 after a context list, is ``sample_constrained`` in ``tests/oracles.py``,
 which builds the whole distribution from the public arrays.
 """
@@ -134,8 +135,9 @@ class NgramModel:
                                dtype=np.int64)
         empty = np.zeros(0, dtype=np.int64)
         self._set_rows(empty, np.zeros(1, dtype=np.int64), empty, empty)
-        # span width, or (row, lo, hi, skip) for a seen context: its cdf
-        self._cdfs: dict[int | tuple, array] = {}
+        # (width, temperature, top_k), or (row, lo, hi, skip, temperature, top_k)
+        # for a seen context: its cdf and kept places
+        self._cdfs: dict[tuple, tuple[array, list[int] | None]] = {}
 
     @property
     def bos(self) -> int:
@@ -361,28 +363,39 @@ def train(
     return model
 
 
-def _cdf(probs: np.ndarray) -> np.ndarray:
-    """The cdf that ``rng.choice(len(probs), p=probs)`` searches, from ``probs``
-    normalised in place, without its per-call checks."""
+def _cdf_entry(model: NgramModel, row: int | None, lo: int, hi: int, skip: int | None,
+               cfg: SamplerConfig) -> tuple[array, list[int] | None]:
+    """``sample_constrained``'s cache entry: the cdf that ``rng.choice`` would
+    search after top_k, then temperature, and the allowed places kept (None: all)."""
+    probs, kept = model._dist(row, lo, hi, skip), None
+    if cfg.top_k is not None and cfg.top_k < len(probs):
+        # rank with stable index tie-breaking, so top_k (and greedy k=1) is deterministic
+        kept = np.sort(np.lexsort((np.arange(len(probs)), -probs))[: cfg.top_k]).tolist()
+        probs = probs[kept]
+    if cfg.temperature != 1.0 and len(probs) > 1:
+        # logits that overflow give NaN, which the check below rejects unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = np.log(probs) / cfg.temperature
+            logits -= logits.max()
+            probs = np.exp(logits)
     probs /= probs.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    if not cdf[-1] > 0:  # NaN from a temperature so small the logits overflow
+    if not cdf[-1] > 0:
         raise ValueError("sampling distribution is not finite")
-    return cdf
+    return array("d", cdf.tobytes()), kept
 
 
 def sample_constrained(model: NgramModel, code: int, lo: int, hi: int, skip: int | None,
                        rng: np.random.Generator, cfg: SamplerConfig = SamplerConfig()) -> int:
     """The next token after the context whose code is ``code`` (see
     ``NgramModel.code``), drawn from the ids of ``[lo, hi)`` other than
-    ``skip`` (None, or an id in the range): top_k, then temperature, then
-    one ``rng.random()`` searched in the cdf. One allowed id, or one kept by
-    top_k (greedy is ``top_k=1``), is returned without touching the RNG. A
-    plain draw (temperature 1, no top_k) bisects the model's cached cdf of
-    its key (see the module docstring). ``ValueError`` if no id is allowed,
-    the span is not that within the model's ids, or the temperature is so
-    small that the logits overflow."""
+    ``skip`` (None, or an id in the range): one ``rng.random()`` bisected in
+    the cdf that the model caches for the context, span and sampler (see the
+    module docstring). One allowed id, or one kept by top_k (greedy is
+    ``top_k=1``), is returned without touching the RNG. ``ValueError`` if no
+    id is allowed, the span is not that within the model's ids, or the
+    temperature is so small that the logits overflow."""
     n = hi - lo - (skip is not None)
     if n < 1:
         raise ValueError("allowed token set is empty")
@@ -392,30 +405,17 @@ def sample_constrained(model: NgramModel, code: int, lo: int, hi: int, skip: int
     i = 0  # the drawn id's place among the allowed ones
     if n > 1:
         row = model._row(code)
-        if cfg.temperature != 1.0 or cfg.top_k is not None:
-            probs, kept = model._dist(row, lo, hi, skip), np.arange(n)
-            if cfg.top_k is not None and cfg.top_k < n:
-                # rank with stable index tie-breaking, so top_k (and greedy k=1) is deterministic
-                kept = np.sort(np.lexsort((kept, -probs))[: cfg.top_k])
-                probs = probs[kept]
-            j = 0
-            if len(kept) > 1:
-                if cfg.temperature != 1.0:
-                    # a temperature so small that the logits overflow gives NaN, which
-                    # _cdf rejects; numpy need not warn about it on the way
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        logits = np.log(probs) / cfg.temperature
-                        logits -= logits.max()
-                        probs = np.exp(logits)
-                j = _cdf(probs).searchsorted(rng.random(), "right")
-            i = int(kept[j])
+        key = ((n, cfg.temperature, cfg.top_k) if row is None
+               else (row, lo, hi, skip, cfg.temperature, cfg.top_k))
+        if (entry := model._cdfs.get(key)) is None:
+            entry = _cdf_entry(model, row, lo, hi, skip, cfg)
+            if (len(model._cdfs) + 1) * model.vocab_ext <= _CDF_FLOATS:
+                model._cdfs[key] = entry
+        cdf, kept = entry
+        if kept is None:
+            i = bisect_right(cdf, rng.random())
         else:
-            key = n if row is None else (row, lo, hi, skip)
-            if (cdf := model._cdfs.get(key)) is None:
-                cdf = array("d", _cdf(model._dist(row, lo, hi, skip)).tobytes())
-                if (len(model._cdfs) + 1) * model.vocab_ext <= _CDF_FLOATS:
-                    model._cdfs[key] = cdf
-            i = bisect_right(cdf, rng.random())  # searchsorted(u, "right") on a sorted array
+            i = kept[bisect_right(cdf, rng.random()) if len(kept) > 1 else 0]
     return int(lo + i + (skip is not None and lo + i >= skip))
 
 

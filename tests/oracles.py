@@ -434,9 +434,7 @@ def _runs(arr: np.ndarray) -> list[tuple[int, int]]:
     return runs
 
 
-def frame_state_events(
-    seg0, seg1, frame_ms: int, ipu_gap_ms: int, backchannel_containment: bool = True
-) -> set[tuple]:
+def frame_state_events(seg0, seg1, frame_ms: int, ipu_gap_ms: int) -> set[tuple]:
     """Event set computed by enumerating frame state.
 
     Returns tuples: ("ipu", channel, start_ms, end_ms),
@@ -472,7 +470,7 @@ def frame_state_events(
     starts: dict[tuple[int, int], tuple[int, int]] = {}
     for c in (0, 1):
         for a, b in ipus[c]:
-            if backchannel_containment and is_bc(c, a, b):
+            if is_bc(c, a, b):
                 continue
             starts[(a, c)] = (b, c)
 

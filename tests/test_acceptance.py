@@ -202,10 +202,10 @@ def test_criterion_08_event_oracle_equivalence():
                 continue
             checked += 1
             got = set()
-            for e in turn_events(segs[0], segs[1], 200, True):
+            for e in turn_events(segs[0], segs[1], 200):
                 key = e.transition if e.kind == "fto" else e.channel
                 got.add((e.kind, key, e.start_ms, e.end_ms))
-            assert got == oracles.frame_state_events(segs[0], segs[1], 40, 200, True)
+            assert got == oracles.frame_state_events(segs[0], segs[1], 40, 200)
 
 
 def test_criterion_09_correlation_pipeline():

@@ -407,7 +407,8 @@ class TestSimulateTwoModels:
 
     def test_one_cached_cdf_per_span_width(self, vocab):
         """An unseen draw caches its span width's cdf in its model, a seen
-        one its (row, lo, hi, skip). At 501 units the widths are 2 (the
+        one its (row, lo, hi, skip), each key ending in the sampler's
+        temperature and top_k. At 501 units the widths are 2 (the
         tags), 500 and 501 (the units less the last novel or not) and 502
         and 503 (with the tags); a run caches at most four per model, as its
         first channel-0 draw comes after a seen context, the start. An empty
@@ -421,10 +422,11 @@ class TestSimulateTwoModels:
         cfg = InteractionConfig(latency_chunks=1, max_chunks=40, sampler=SamplerConfig(seed=5))
         simulate_interaction(*models, cfg, DedupDialogue(vocab, CHUNK_MS, ()))
         for model in models:
-            widths = [key for key in model._cdfs if type(key) is int]
+            assert all(key[-2:] == (1.0, None) for key in model._cdfs)
+            widths = [key[0] for key in model._cdfs if len(key) == 3]
             assert 1 <= len(widths) <= 4 and set(widths) <= {2, 500, 501, 502, 503}
-            seen = [key for key in model._cdfs if type(key) is tuple]
-            assert seen
+            seen = [key[:4] for key in model._cdfs if len(key) == 6]
+            assert seen and len(widths) + len(seen) == len(model._cdfs)
             for row, lo, hi, skip in seen:
                 assert 0 <= row < len(model.codes)
                 assert (lo, hi) in {(501, 503), (0, 501), (0, 503)}

@@ -125,18 +125,6 @@ class TestTurnEvents:
         )
         assert [e for e in events if e.kind == "fto"] == []
 
-    def test_containment_rule_can_be_disabled(self):
-        events = turn_events(
-            [seg(0, 0, 2000), seg(0, 2400, 3000)],
-            [seg(1, 500, 800)],
-            ipu_gap_ms=200,
-            backchannel_containment=False,
-        )
-        ftos = [e for e in events if e.kind == "fto"]
-        assert len(ftos) == 2
-        assert ftos[0].duration_ms == 500 - 2000
-        assert ftos[1].duration_ms == 2400 - 800
-
     def test_voiced_time_is_conserved(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -166,15 +154,14 @@ def _event_set(events):
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("containment", [True, False])
-    def test_matches_frame_state_oracle(self, containment):
+    def test_matches_frame_state_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             seg0, seg1 = _random_instance(rng)
             if sum(len(s) for s in (seg0, seg1)) > 50:
                 continue
-            got = _event_set(turn_events(seg0, seg1, 200, containment))
-            want = oracles.frame_state_events(seg0, seg1, 40, 200, containment)
+            got = _event_set(turn_events(seg0, seg1, 200))
+            want = oracles.frame_state_events(seg0, seg1, 40, 200)
             assert got == want
 
 

@@ -444,6 +444,25 @@ class TestSampleSpan:
         for seed in range(40):
             self.assert_twins(model, context, span, seed)
 
+    @pytest.mark.parametrize("cfg", [SamplerConfig(top_k=5), SamplerConfig(temperature=0.7),
+                                     SamplerConfig(top_k=1)],
+                             ids=["top_k_5", "temperature_0.7", "greedy"])
+    @pytest.mark.parametrize("context", [[0, 1], [7, 7]], ids=["seen", "unseen"])
+    def test_every_sampler_builds_a_row_once(self, cfg, context, monkeypatch):
+        """Repeated draws at one context and span build its row once under
+        any sampler, and draw what the reference draw draws; a plain draw
+        there keeps an entry of its own."""
+        model = train([[0, 1, 2, 0, 1, 3, 6, 4, 0, 1, 5, 7]], order=2, alpha=0.1, vocab_ext=8)
+        built = []
+        dist = NgramModel._dist
+        monkeypatch.setattr(NgramModel, "_dist",
+                            lambda self, *args: built.append(args) or dist(self, *args))
+        for seed in range(20):
+            self.assert_twins(model, context, (0, 8, 5), seed, cfg)
+        assert len(built) == 1
+        self.assert_twins(model, context, (0, 8, 5), 20)
+        assert len(built) == 2 and len(model._cdfs) == 2
+
     def test_draws_on_cdf_entries(self):
         """Each u is an entry of the draw's own cdf, as the reference draw
         builds it, or the float below one, so an entry a bit off moves a draw:
@@ -484,9 +503,11 @@ class TestSampleSpan:
                                                   FixedDraws([u])) == \
                             oracles.sample_constrained(model, ctx, ids, SamplerConfig(),
                                                        FixedDraws([u]))
-                    # an unseen context's key is the width, a seen one's (row, lo, hi, skip)
-                    key = width if ctx is unseen else (model._row(model.code(ctx)), *span)
-                    assert list(model._cdfs) == ([key] if cold or key == width else [width, key])
+                    # an unseen context's key is the width, a seen one's (row, lo, hi, skip),
+                    # each followed by the sampler's temperature and top_k
+                    wide = (width, 1.0, None)
+                    key = wide if ctx is unseen else (model._row(model.code(ctx)), *span, 1.0, None)
+                    assert list(model._cdfs) == ([key] if cold or key == wide else [wide, key])
 
     # two untrained models whose unseen rows differ by a few ulps at this width
     @pytest.mark.parametrize("first, second, width", [((503, 0.1), (503, 0.7), 6),
@@ -512,7 +533,8 @@ class TestSampleSpan:
                                           None, FixedDraws([u])) == \
                     oracles.sample_constrained(models[other], [], range(width), SamplerConfig(),
                                                FixedDraws([u]))
-            assert models[0]._cdfs[width] is not models[1]._cdfs[width]
+            key = (width, 1.0, None)
+            assert models[0]._cdfs[key][0] is not models[1]._cdfs[key][0]
 
     # a span of numpy ints draws an int, as a prompt of numpy ints gives the agent one
     @pytest.mark.parametrize("dtype", [np.int64, np.int32])
@@ -535,10 +557,12 @@ class TestSampleSpan:
         for width in range(2, 14):
             for ctx in ([1], [9]):
                 self.assert_twins(model, ctx, (0, width, None), width)
-            # the seen draws (row, 0, width, None) and the unseen ones width
+            # the seen draws (row, 0, width, None, 1.0, None) and the unseen ones
+            # (width, 1.0, None)
             assert len(model._cdfs) == min(2 * (width - 1), full)
-        assert list(model._cdfs) == [(1, 0, 2, None), 2, (1, 0, 3, None), 3]
-        assert sum(map(len, model._cdfs.values())) == 10
+        assert list(model._cdfs) == [(1, 0, 2, None, 1.0, None), (2, 1.0, None),
+                                     (1, 0, 3, None, 1.0, None), (3, 1.0, None)]
+        assert sum(len(cdf) for cdf, _ in model._cdfs.values()) == 10
 
     # 4 units and 2 tags; seen and unseen after order-1 training on [0, 5)
     @pytest.mark.parametrize("span", [(0, 5, 7), (0, 9, None), (0, 7, 3), (-1, 3, None),
