@@ -293,7 +293,7 @@ def _canonical(lines: list[str]) -> list[tuple] | None:
     channels of as many fields of digits, their rows views of one array
     that ``np.fromstring`` parses; None unless the ids are JSON integers in
     ``[0, vocab)`` and every record's other keys pass ``record_to_dialogue``."""
-    texts, shapes = [], []
+    texts, shapes, first = [], [], None
     for line in lines:
         m = _CANONICAL.match(line)
         if m is None or (width := m[1].count(",") + bool(m[1])) != m[2].count(",") + bool(m[2]):
@@ -302,8 +302,15 @@ def _canonical(lines: list[str]) -> list[tuple] | None:
             rec = json.loads("{" + line[m.end():])
             if "channels" in rec:  # a second key, which json.loads reads instead
                 return None
-            rec["channels"] = [[], []]
-            did, _, _, vocab = record_to_dialogue(rec)
+            did, fields = rec.get("id"), tuple(map(rec.get, ("frame_ms", "vocab", "silence")))
+            # a record whose fields equal the first's in type and value has its Vocab
+            if (first and type(did) is str and is_int(fields[0]) and is_int(fields[1])
+                    and is_int_list(fields[2]) and fields == first[0]):
+                vocab = first[1]
+            else:
+                rec["channels"] = [[], []]
+                did, _, _, vocab = record_to_dialogue(rec)
+                first = first or (fields, vocab)
         except (DuplexError, ValueError, RecursionError):
             return None
         texts += (m[1], m[2]) if width else ()

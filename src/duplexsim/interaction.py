@@ -256,27 +256,27 @@ class _Agent:
         Sampling either tag stops the list (the tag itself is not
         appended; chunk structure is the caller's job).
         """
-        vocab, model, rng, cfg = self.vocab, self.model, self.rng, self.cfg
-        if channel == 1 and sample_constrained(model, self.code, vocab.size,
-                                               vocab.extended_size, None, rng,
+        vocab, model, rng, cfg, fpc = self.vocab, self.model, self.rng, self.cfg, self.fpc
+        units, ext = vocab.size, vocab.extended_size
+        if channel == 1 and sample_constrained(model, self.code, units, ext, None, rng,
                                                cfg) != vocab.tag_s1:
             return []
         tok = vocab.tag_s1 if channel else vocab.tag_s0
         code, radix, top = self.code, self.radix, self.top
         last_tok = self.last[channel]
+        # the tags end a list, but channel 1 speaks at least one unit
+        hi = units if channel else ext
         novels: list[int] = []
         while True:
             code = (code * radix + tok) % top  # the tag, then each novel
-            if len(novels) >= self.fpc:
+            if len(novels) >= fpc:
                 self.truncations += 1
                 break
-            # the tags end a list, but channel 1 speaks at least one unit
-            hi = vocab.extended_size if channel == 0 or novels else vocab.size
             tok = sample_constrained(model, code, 0, hi, last_tok, rng, cfg)
-            if tok >= vocab.size:
+            if tok >= units:
                 break
             novels.append(tok)
-            last_tok = tok
+            last_tok, hi = tok, ext
         if novels:
             self.last[channel] = last_tok
         self.code = code

@@ -42,16 +42,18 @@ is rejected: retrain its model.
 ``sample_constrained`` is the library's one draw. It draws from the ids
 of ``[lo, hi)`` but one id or none, with any sampler, building only the
 allowed part of a row. It takes a context as its code, ``NgramModel.code``,
-which the interaction engine's agents carry along as they append, and finds
-the code's row through a seen-context filter: a table of one byte per slot,
-set where a seen code hashes, so a zero byte means unseen and a set one is
-confirmed by a search of ``codes``. Under any sampler a draw bisects the
-cdf of its key in its model's ``_cdfs``, an ``array('d')``, with the bits
-of ``searchsorted``; a miss builds it once, from the allowed part of the
-row cut to top_k places and raised to 1 / temperature, with the places it
-kept. An unseen context's row is ``alpha / (alpha * vocab_ext)`` at every
-id, so its key is ``(width, temperature, top_k)``; a seen context's is
-``(row, lo, hi, skip, temperature, top_k)``. The cache holds at most
+which the interaction engine's agents carry along as they append. Under any
+sampler a draw bisects the cdf of its key in its model's ``_cdfs``, an
+``array('d')``, with the bits of ``searchsorted``. A seen-context filter, a
+table of one byte per slot set where a seen code hashes, picks the key: a
+zero byte means unseen, and an unseen context's row is ``alpha / (alpha *
+vocab_ext)`` at every id, so its key is ``(width, temperature, top_k)``; a
+set byte gives ``(code, lo, hi, skip, temperature, top_k)``, so a cached
+draw searches no row. Only a miss finds the code's row by a search of
+``codes`` (``NgramModel._row``), where a code it does not hold, a filter
+false positive, takes the width key, and builds the cdf once: the allowed
+part of the row cut to top_k places and raised to 1 / temperature, with the
+places it kept. The cache holds at most
 ``_CDF_FLOATS // vocab_ext`` cdfs (8 MiB of floats per model): past that, a
 new one is used but not kept. Its reference, a draw from any allowed ids
 after a context list, is ``sample_constrained`` in ``tests/oracles.py``,
@@ -106,9 +108,9 @@ class SamplerConfig:
 class NgramModel:
     """Add-alpha smoothed n-gram over ``vocab_ext`` symbols, held as the
     arrays of the module docstring; immutable in use, so safe to share. Its
-    caches for ``sample_constrained``, the seen-context filter ``_filter``
-    and the cdfs ``_cdfs``, fill lazily with values that the arrays,
-    ``alpha`` and ``vocab_ext`` fix, so sharing stays safe."""
+    caches for ``sample_constrained``, the seen-context filter ``_filter`` and
+    the cdfs ``_cdfs`` (a seen context's under its code), fill lazily with
+    values that the arrays, ``alpha`` and ``vocab_ext`` fix: sharing is safe."""
 
     def __init__(self, order: int, vocab_ext: int, alpha: float = 0.1):
         if order < 1:
@@ -135,7 +137,7 @@ class NgramModel:
                                dtype=np.int64)
         empty = np.zeros(0, dtype=np.int64)
         self._set_rows(empty, np.zeros(1, dtype=np.int64), empty, empty)
-        # (width, temperature, top_k), or (row, lo, hi, skip, temperature, top_k)
+        # (width, temperature, top_k), or (code, lo, hi, skip, temperature, top_k)
         # for a seen context: its cdf and kept places
         self._cdfs: dict[tuple, tuple[array, list[int] | None]] = {}
 
@@ -378,8 +380,8 @@ def _cdf_entry(model: NgramModel, row: int | None, lo: int, hi: int, skip: int |
             logits = np.log(probs) / cfg.temperature
             logits -= logits.max()
             probs = np.exp(logits)
-    probs /= probs.sum()
-    cdf = probs.cumsum()
+    probs /= np.add.reduce(probs)
+    cdf = np.add.accumulate(probs)
     cdf /= cdf[-1]
     if not cdf[-1] > 0:
         raise ValueError("sampling distribution is not finite")
@@ -392,7 +394,8 @@ def sample_constrained(model: NgramModel, code: int, lo: int, hi: int, skip: int
     ``NgramModel.code``), drawn from the ids of ``[lo, hi)`` other than
     ``skip`` (None, or an id in the range): one ``rng.random()`` bisected in
     the cdf that the model caches for the context, span and sampler (see the
-    module docstring). One allowed id, or one kept by top_k (greedy is
+    module docstring); a seen context's key is its code, so ``_row`` searches
+    ``codes`` only on a miss. One allowed id, or one kept by top_k (greedy is
     ``top_k=1``), is returned without touching the RNG. ``ValueError`` if no
     id is allowed, the span is not that within the model's ids, or the
     temperature is so small that the logits overflow."""
@@ -404,13 +407,18 @@ def sample_constrained(model: NgramModel, code: int, lo: int, hi: int, skip: int
                          f"within [0, {model.vocab_ext})")
     i = 0  # the drawn id's place among the allowed ones
     if n > 1:
-        row = model._row(code)
-        key = ((n, cfg.temperature, cfg.top_k) if row is None
-               else (row, lo, hi, skip, cfg.temperature, cfg.top_k))
+        table, shift = model._filter
+        seen = table[(code * _HASH & _MASK) >> shift]  # or a filter false positive
+        key = ((code, lo, hi, skip, cfg.temperature, cfg.top_k) if seen
+               else (n, cfg.temperature, cfg.top_k))
         if (entry := model._cdfs.get(key)) is None:
-            entry = _cdf_entry(model, row, lo, hi, skip, cfg)
-            if (len(model._cdfs) + 1) * model.vocab_ext <= _CDF_FLOATS:
-                model._cdfs[key] = entry
+            row = model._row(code) if seen else None
+            if row is None:  # an unseen context, a false positive too, has the width key
+                key = (n, cfg.temperature, cfg.top_k)
+            if (entry := model._cdfs.get(key)) is None:
+                entry = _cdf_entry(model, row, lo, hi, skip, cfg)
+                if (len(model._cdfs) + 1) * model.vocab_ext <= _CDF_FLOATS:
+                    model._cdfs[key] = entry
         cdf, kept = entry
         if kept is None:
             i = bisect_right(cdf, rng.random())

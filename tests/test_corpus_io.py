@@ -355,6 +355,29 @@ def test_batch_checks_hold_record_by_record(pair, tmp_path):
     assert got == _outcome(oracles.read_corpus_lines, path)
 
 
+# a record whose id is a string and whose frame_ms, vocab and silence equal the
+# first record's of its batch in type and value takes the first record's Vocab;
+# one alike in value only (true is not 1, 1.0 is not 1) reads, or fails, as the
+# per-line reader reads it
+@pytest.mark.parametrize("field, value", [
+    (None, None), ("frame_ms", True), ("frame_ms", 1.0), ("vocab", True), ("vocab", 1.0),
+    ("silence", [False]), ("silence", [0.0]), ("silence", [0, 0]), ("id", 2), ("id", None)])
+def test_first_vocab_serves_records_alike_in_type(field, value, tmp_path):
+    path = tmp_path / "c.jsonl"
+    records = [{**_record(f"d{i}", [0], [0], size=1), "frame_ms": 1} for i in range(3)]
+    if field is not None:
+        records[2][field] = value
+    corpus_io.write_corpus(path, records)
+    got = _outcome(corpus_io.read_corpus, path)
+    assert got == _outcome(oracles.read_corpus_lines, path)
+    if field is None or value == [0, 0]:
+        entries = corpus_io.read_corpus(path)
+        assert entries[1][3] is entries[0][3]
+        assert (entries[2][3] is entries[0][3]) == (field is None)
+    else:
+        assert got.startswith(f"corpus {path} line 3: ")
+
+
 def _long_corpus(path, n=200, width=300):
     """``n`` dialogues of ``width`` frames, about 2 KB a line, so that line
     180 lies past the first batch."""

@@ -20,7 +20,7 @@ from duplexsim import (
     simulate_interaction,
     train,
 )
-from duplexsim import interaction
+from duplexsim import interaction, ngram
 from duplexsim.errors import MalformedSequence, SourceExhausted
 from duplexsim.synth import DialogueStyle
 
@@ -405,20 +405,52 @@ class TestSimulateTwoModels:
         assert a.steps == b.steps
         assert len(a.dialogue.chunks) == 12
 
+    @staticmethod
+    def two_models(vocab):
+        """Two order-3 models, on 6 dialogues of 16 s each at 501 units."""
+        style = DialogueStyle(vocab=vocab, ipu_ms=(800.0, 200.0), pause_ms=(400.0, 100.0),
+                              fto_ms=(240.0, 80.0), turn_continue_prob=0.3,
+                              backchannel_prob=0.1, backchannel_ms=(160.0, 40.0), p_self=0.45)
+        return [train([flatten(deduplicate(s0, s1, CHUNK_MS, vocab))
+                       for s0, s1 in generate_corpus(style, 6, 16000, seed=seed).values()],
+                      order=3, alpha=0.1, vocab_ext=vocab.extended_size) for seed in (1, 2)]
+
+    def test_one_cached_cdf_per_drawn_key(self, vocab, monkeypatch):
+        """After two runs of two models, under two samplers, each model
+        caches one cdf per distinct (row, lo, hi, skip, temperature, top_k)
+        of its seen draws and one per (width, temperature, top_k) of its
+        unseen ones."""
+        models = self.two_models(vocab)
+        keys = {model: set() for model in models}
+        draw = interaction.sample_constrained
+
+        def recorded(model, code, lo, hi, skip, rng, cfg):
+            width, sampler = hi - lo - (skip is not None), (cfg.temperature, cfg.top_k)
+            if width > 1:  # one allowed id draws on no cdf
+                row = model._row(code)
+                keys[model].add((width, *sampler) if row is None
+                                else (row, lo, hi, skip, *sampler))
+            return draw(model, code, lo, hi, skip, rng, cfg)
+
+        monkeypatch.setattr(interaction, "sample_constrained", recorded)
+        for sampler in (SamplerConfig(seed=5), SamplerConfig(seed=6, top_k=5, temperature=0.7)):
+            cfg = InteractionConfig(latency_chunks=1, max_chunks=40, sampler=sampler)
+            simulate_interaction(*models, cfg, DedupDialogue(vocab, CHUNK_MS, ()))
+        for model in models:
+            seen = [key for key in keys[model] if len(key) == 6]
+            assert seen and len(seen) < len(keys[model])
+            assert sum(len(key) == 6 for key in model._cdfs) == len(seen)
+            assert len(model._cdfs) == len(keys[model]) < ngram._CDF_FLOATS // model.vocab_ext
+
     def test_one_cached_cdf_per_span_width(self, vocab):
         """An unseen draw caches its span width's cdf in its model, a seen
-        one its (row, lo, hi, skip), each key ending in the sampler's
+        one its (code, lo, hi, skip), each key ending in the sampler's
         temperature and top_k. At 501 units the widths are 2 (the
         tags), 500 and 501 (the units less the last novel or not) and 502
         and 503 (with the tags); a run caches at most four per model, as its
         first channel-0 draw comes after a seen context, the start. An empty
         prompt leaves both last novels unset."""
-        style = DialogueStyle(vocab=vocab, ipu_ms=(800.0, 200.0), pause_ms=(400.0, 100.0),
-                              fto_ms=(240.0, 80.0), turn_continue_prob=0.3,
-                              backchannel_prob=0.1, backchannel_ms=(160.0, 40.0), p_self=0.45)
-        models = [train([flatten(deduplicate(s0, s1, CHUNK_MS, vocab))
-                         for s0, s1 in generate_corpus(style, 6, 16000, seed=seed).values()],
-                        order=3, alpha=0.1, vocab_ext=vocab.extended_size) for seed in (1, 2)]
+        models = self.two_models(vocab)
         cfg = InteractionConfig(latency_chunks=1, max_chunks=40, sampler=SamplerConfig(seed=5))
         simulate_interaction(*models, cfg, DedupDialogue(vocab, CHUNK_MS, ()))
         for model in models:
@@ -427,8 +459,8 @@ class TestSimulateTwoModels:
             assert 1 <= len(widths) <= 4 and set(widths) <= {2, 500, 501, 502, 503}
             seen = [key[:4] for key in model._cdfs if len(key) == 6]
             assert seen and len(widths) + len(seen) == len(model._cdfs)
-            for row, lo, hi, skip in seen:
-                assert 0 <= row < len(model.codes)
+            for code, lo, hi, skip in seen:
+                assert model._row(code) is not None
                 assert (lo, hi) in {(501, 503), (0, 501), (0, 503)}
                 assert skip is None or lo <= skip < hi
 

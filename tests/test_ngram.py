@@ -463,6 +463,41 @@ class TestSampleSpan:
         self.assert_twins(model, context, (0, 8, 5), 20)
         assert len(built) == 2 and len(model._cdfs) == 2
 
+    @pytest.mark.parametrize("cfg", [SamplerConfig(), SamplerConfig(top_k=5, temperature=0.7)],
+                             ids=["plain", "top_k_5_temperature_0.7"])
+    def test_cached_seen_draw_searches_no_row(self, cfg, monkeypatch):
+        """A seen context's cdf is keyed by its code, so a second draw at one
+        code and span finds its cdf without a row search; both draws draw
+        what the reference draw draws."""
+        model = train([[0, 1, 2, 0, 1, 3, 6, 4, 0, 1, 5, 7]], order=2, alpha=0.1, vocab_ext=8)
+        assert model._row(model.code([0, 1])) is not None
+        searched = []
+        row = NgramModel._row
+        monkeypatch.setattr(NgramModel, "_row",
+                            lambda self, code: searched.append(code) or row(self, code))
+        self.assert_twins(model, [0, 1], (0, 8, 5), 1, cfg)
+        assert searched == [model.code([0, 1])]
+        self.assert_twins(model, [0, 1], (0, 8, 5), 2, cfg)
+        assert searched == [model.code([0, 1])]
+
+    def test_filter_false_positive_keeps_the_width_key(self):
+        """An unseen context whose filter byte a seen code set has the width
+        key of every unseen context, and draws what the reference draws."""
+        gen = np.random.default_rng(24)
+        corpus = [gen.integers(0, 26, 600).tolist() for _ in range(6)]
+        model = train(corpus, order=4, alpha=0.1, vocab_ext=26)
+        table, shift = model._filter
+        seen = set(model.codes.tolist())
+        # a code's four tokens, its base-27 digits; 26 is the begin marker
+        digits = lambda code: [code // 27**k % 27 for k in (3, 2, 1, 0)]
+        code = next(code for code in range(27**4) if max(digits(code)) < 26
+                    and code not in seen and table[(code * ngram._HASH) % 2**64 >> shift])
+        ctx = digits(code)
+        assert model.code(ctx) == code and model._row(code) is None
+        for seed in range(5):
+            self.assert_twins(model, ctx, (0, 26, 3), seed)
+            assert list(model._cdfs) == [(25, 1.0, None)]
+
     def test_draws_on_cdf_entries(self):
         """Each u is an entry of the draw's own cdf, as the reference draw
         builds it, or the float below one, so an entry a bit off moves a draw:
@@ -503,10 +538,10 @@ class TestSampleSpan:
                                                   FixedDraws([u])) == \
                             oracles.sample_constrained(model, ctx, ids, SamplerConfig(),
                                                        FixedDraws([u]))
-                    # an unseen context's key is the width, a seen one's (row, lo, hi, skip),
+                    # an unseen context's key is the width, a seen one's (code, lo, hi, skip),
                     # each followed by the sampler's temperature and top_k
                     wide = (width, 1.0, None)
-                    key = wide if ctx is unseen else (model._row(model.code(ctx)), *span, 1.0, None)
+                    key = wide if ctx is unseen else (model.code(ctx), *span, 1.0, None)
                     assert list(model._cdfs) == ([key] if cold or key == wide else [wide, key])
 
     # two untrained models whose unseen rows differ by a few ulps at this width
@@ -557,8 +592,8 @@ class TestSampleSpan:
         for width in range(2, 14):
             for ctx in ([1], [9]):
                 self.assert_twins(model, ctx, (0, width, None), width)
-            # the seen draws (row, 0, width, None, 1.0, None) and the unseen ones
-            # (width, 1.0, None)
+            # the seen draws (code, 0, width, None, 1.0, None), code 1 being
+            # context [1]'s, and the unseen ones (width, 1.0, None)
             assert len(model._cdfs) == min(2 * (width - 1), full)
         assert list(model._cdfs) == [(1, 0, 2, None, 1.0, None), (2, 1.0, None),
                                      (1, 0, 3, None, 1.0, None), (3, 1.0, None)]
