@@ -52,6 +52,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -175,7 +177,8 @@ class _Agent:
     """One side of a dialogue, decoding incrementally; it speaks channel
     ``side``.
 
-    The agent owns its model, sampler config and RNG. Its context, whose
+    The agent owns its model, sampler config and ``rng``, anything with
+    ``random()``, such as ``_Uniforms``. Its context, whose
     prefix is an append-only base of the chunks that have fully arrived, it
     holds as ``code``, the model's code of it, and ``length``, its number of
     tokens, with the last novel unit of each channel in it. The base starts
@@ -203,7 +206,7 @@ class _Agent:
         self,
         model: NgramModel,
         cfg: SamplerConfig,
-        rng: np.random.Generator,
+        rng,
         prompt: DedupDialogue,
         side: int = 0,
     ):
@@ -318,6 +321,16 @@ class _Agent:
         return novels, estimates, length
 
 
+class _Uniforms:
+    """``default_rng(seed)`` read in blocks: ``random()`` pops the next double
+    of a ``random(256)`` block, the one a ``random()`` call per draw returns."""
+
+    def __init__(self, seed):
+        rng = np.random.default_rng(seed)
+        blocks = iter(lambda: rng.random(256).tolist(), None)  # never ends
+        self.random = partial(next, chain.from_iterable(blocks))
+
+
 def _check_user(prompt: DedupDialogue, parts: Sequence[Sequence[int]]) -> None:
     """``MalformedSequence`` unless channel-1 ``parts`` can follow ``prompt``."""
     DedupDialogue(prompt.vocab, prompt.chunk_ms,
@@ -344,7 +357,7 @@ def continue_dialogue(
             raise ValueError("forced_user must provide one chunk per generated chunk")
         _check_user(prompt, forced_user)
     cfg = cfg if cfg is not None else SamplerConfig()
-    agent = _Agent(model, cfg, np.random.default_rng(cfg.seed), prompt)
+    agent = _Agent(model, cfg, _Uniforms(cfg.seed), prompt)
     chunks = list(prompt.chunks)
     for i in range(n_chunks):
         s0 = agent.sample(0)
@@ -367,16 +380,15 @@ def estimate_user_chunk(
 ) -> list[int]:
     """One chunk of the channel-1 side given a wire-format context that
     ends at a channel-1 boundary (right after the chunk's channel-0
-    content). A context that does not parse, is empty, or whose last chunk
+    content). A caller's ``rng`` is read one ``random()`` per draw that takes
+    one. A context that does not parse, is empty, or whose last chunk
     already holds channel-1 novels raises ``MalformedSequence``."""
     prompt = parse(list(context), vocab, chunk_ms)
     if not prompt.chunks or prompt.chunks[-1].s1_novel:
         raise MalformedSequence("the context must end right after a chunk's channel-0 "
                                 "content")
     cfg = cfg if cfg is not None else SamplerConfig()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return _Agent(model, cfg, rng, prompt).sample(1)
+    return _Agent(model, cfg, rng if rng is not None else _Uniforms(cfg.seed), prompt).sample(1)
 
 
 def simulate_interaction(
@@ -409,9 +421,9 @@ def simulate_interaction(
             raise SourceExhausted(f"scripted user has {len(user_source.chunks)} chunks, "
                                   f"run needs {cfg.max_chunks}")
         _check_user(prompt, [c.s1_novel for c in user_source.chunks[p_chunks:cfg.max_chunks]])
-    agent_a = _Agent(model_llm, cfg.sampler, np.random.default_rng(cfg.sampler.seed), prompt)
+    agent_a = _Agent(model_llm, cfg.sampler, _Uniforms(cfg.sampler.seed), prompt)
     agent_b = None if scripted else _Agent(
-        user_source, cfg.sampler, np.random.default_rng([cfg.sampler.seed, 1]), prompt, side=1)
+        user_source, cfg.sampler, _Uniforms([cfg.sampler.seed, 1]), prompt, side=1)
     llm_novel = [list(c.s0_novel) for c in prompt.chunks]
     usr_novel = [list(c.s1_novel) for c in prompt.chunks]
     records: list[StepRecord] = []

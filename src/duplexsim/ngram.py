@@ -389,11 +389,12 @@ def _cdf_entry(model: NgramModel, row: int | None, lo: int, hi: int, skip: int |
 
 
 def sample_constrained(model: NgramModel, code: int, lo: int, hi: int, skip: int | None,
-                       rng: np.random.Generator, cfg: SamplerConfig = SamplerConfig()) -> int:
+                       rng, cfg: SamplerConfig = SamplerConfig()) -> int:
     """The next token after the context whose code is ``code`` (see
     ``NgramModel.code``), drawn from the ids of ``[lo, hi)`` other than
-    ``skip`` (None, or an id in the range): one ``rng.random()`` bisected in
-    the cdf that the model caches for the context, span and sampler (see the
+    ``skip`` (None, or an id in the range): one ``rng.random()`` (``rng`` is
+    anything with ``random()``, such as a Generator) bisected in the cdf
+    that the model caches for the context, span and sampler (see the
     module docstring); a seen context's key is its code, so ``_row`` searches
     ``codes`` only on a miss. One allowed id, or one kept by top_k (greedy is
     ``top_k=1``), is returned without touching the RNG. ``ValueError`` if no

@@ -21,9 +21,13 @@ call per draw makes: ``random() >= p`` is ``raw >= ceil(p * 2**53) << 11``;
 ``integers(k)`` draws nothing at k = 1 and uses Lemire's method with
 rejection, on whole outputs above k = 2**32 and on 32-bit halves up to it,
 low half first and the high one buffered. A jump's first 32-bit step is
-inline; ``_integers`` draws the rest: the first index, jumps above 2**32 and
-what follows a rejected half. ``tests/test_synth.py`` pins this to numpy
-live, against the per-call painter in ``tests/oracles.py``.
+inline; ``_integers`` draws the rest: the first index, jumps above 2**32,
+what follows a rejected half and a backchannel's start. No other draw reads
+the half buffer, so a dialogue reads it from the state once, carries it as
+two ints, and writes it back once; a segment only ``advance``s back to the
+outputs it used. The painter writes content indices, mapped to units once per
+dialogue. ``tests/test_synth.py`` pins this to numpy live, against the
+per-call painter in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -189,30 +193,41 @@ def _integers(k: int, raws: list[int], pos: int, has: int, buf: int) -> tuple[in
     return 0, pos, has, buf
 
 
-def _markov_content(rng: np.random.Generator, style: DialogueStyle, content: tuple,
-                    length: int) -> np.ndarray:
-    """Self-looping Markov chain over the style's ``content()`` units.
+def _raw_integers(bg: np.random.PCG64, k: int, half: tuple[int, int]) -> tuple[int, tuple]:
+    """``Generator.integers(k)`` read from ``bg``'s outputs and the half
+    buffer ``half``: the draw and the new buffer."""
+    raws = []
+    while True:
+        raws += bg.random_raw(2).tolist()
+        try:
+            x, pos, has, buf = _integers(k, raws, 0, *half)
+        except IndexError:  # rejected past the block: draw more and read again
+            continue
+        bg.advance((pos - len(raws)) % 2**128)  # back to pos
+        return x, (has, buf)
+
+
+def _markov_content(bg: np.random.PCG64, style: DialogueStyle, m: int, length: int,
+                    half: tuple[int, int]) -> tuple[list[int], tuple[int, int]]:
+    """``length`` indices of a self-looping Markov chain over ``m`` content
+    units, read from ``bg`` and the half buffer ``half``, and the new buffer.
 
     With ``successor_count`` set, each unit jumps only within a fixed
     per-unit successor set (sparse transition matrix, learnable by a
     low-order model); otherwise jumps are uniform over the other units.
     """
-    m, unit_at = content
-    bg = rng.bit_generator
-    if type(bg) is not np.random.PCG64:
-        raise TypeError(f"synthesis reads PCG64 outputs, got {type(bg).__name__}")
     if length <= 0 or m == 1:  # integers(1) draws nothing
-        return unit_at(np.zeros(max(length, 0), np.int64))
+        return [0] * max(length, 0), half
     successors = style.successor_count
     jump = successors or m - 1
     inline = 1 < jump <= 1 << 32  # integers(jump) on 32-bit halves, inlined below
     floor = (1 << 32) % jump  # Lemire's rejection bound
     moves = math.ceil(style.p_self * 2**53) << 11  # raw >= moves: random() >= p_self
-    saved, raws = bg.state, []
+    raws = []
     while True:
         raws += bg.random_raw(2 * length + 2).tolist()  # enough unless draws are rejected
         try:
-            idx, pos, has, buf = _integers(m, raws, 0, saved["has_uint32"], saved["uinteger"])
+            idx, pos, has, buf = _integers(m, raws, 0, *half)
             out = []
             for _ in range(length):
                 out.append(idx)
@@ -234,9 +249,26 @@ def _markov_content(rng: np.random.Generator, style: DialogueStyle, content: tup
             break
         except IndexError:  # draw more and read again
             pass
-    bg.advance((pos - len(raws)) % 2**128)  # back to pos; this empties the half buffer
-    bg.state = {**bg.state, "has_uint32": has, "uinteger": buf}
-    return unit_at(np.array(out))
+    bg.advance((pos - len(raws)) % 2**128)  # back to pos; this empties bg's half buffer
+    return out, (has, buf)
+
+
+def _half(bg: np.random.BitGenerator) -> tuple[int, int]:
+    """PCG64 ``bg``'s half buffer; ``TypeError`` for another bit generator."""
+    if type(bg) is not np.random.PCG64:
+        raise TypeError(f"synthesis reads PCG64 outputs, got {type(bg).__name__}")
+    state = bg.state
+    return state["has_uint32"], state["uinteger"]
+
+
+def _units(style: DialogueStyle, bg: np.random.PCG64, half: tuple[int, int],
+           ch: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The channels of content indices ``ch``, -1 for silence, as unit ids,
+    once the half buffer ``half`` is written back to ``bg``."""
+    bg.state = dict(bg.state, has_uint32=half[0], uinteger=half[1])
+    units = np.array(ch, dtype=np.int64)
+    units = np.where(units < 0, style.vocab.first_silence, style.content()[1](units)).tolist()
+    return tuple(units[0]), tuple(units[1])
 
 
 def generate_dialogue(
@@ -250,11 +282,13 @@ def generate_dialogue(
         )
     n = duration_ms // frame_ms
     rng = np.random.default_rng(seed)
-    content = style.content()
-    ch = np.full((2, n), style.vocab.first_silence, dtype=np.int64)
+    bg, m = rng.bit_generator, style.content()[0]
+    half, ch = _half(bg), [[-1] * n, [-1] * n]  # content indices, -1 for silence
 
     def paint(c: int, a: int, b: int) -> None:
-        ch[c, a:b] = _markov_content(rng, style, content, b - a)[: max(0, n - a)]
+        nonlocal half
+        out, half = _markov_content(bg, style, m, b - a, half)
+        ch[c][a:b] = out[: max(0, n - a)]
 
     speaker = 0
     t = 0
@@ -281,14 +315,14 @@ def generate_dialogue(
                 bc_dur = _gauss_frames(rng, style.backchannel_ms, frame_ms)
                 lo, hi = a + 1, b - 1 - bc_dur
                 if hi >= lo:
-                    bc_a = lo + int(rng.integers(hi - lo + 1))
-                    paint(other, bc_a, bc_a + bc_dur)
+                    bc_a, half = _raw_integers(bg, hi - lo + 1, half)
+                    paint(other, lo + bc_a, lo + bc_a + bc_dur)
         last_a, last_b = ipus[-1]
         fto = _gauss_frames_signed(rng, style.fto_ms, frame_ms)
         t = max(last_b + fto, last_a + 1)
         speaker = other
 
-    return tuple(ch[0].tolist()), tuple(ch[1].tolist())
+    return _units(style, bg, half, ch)
 
 
 def generate_corpus(
@@ -327,15 +361,16 @@ def generate_stage2_dialogue(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Alternating-turn dialogue in the exclusive stage-2 shape."""
     rng = np.random.default_rng(seed)
-    content = style.content()
-    turns = []
+    bg, m = rng.bit_generator, style.content()[0]
+    half, ch = _half(bg), [[], []]  # content indices, -1 for silence
     for i in range(n_turns):
         dur = _gauss_frames(rng, style.ipu_ms, style.vocab.frame_ms)
-        units = _markov_content(rng, style, content, dur).tolist()
+        out, half = _markov_content(bg, style, m, dur, half)
         # trailing silence marks the turn's end on the speaking channel
         gap = _gauss_frames(rng, style.pause_ms, style.vocab.frame_ms)
-        turns.append((i % 2, units + [style.vocab.first_silence] * gap))
-    return build_stage2_corpus(turns, style)
+        ch[i % 2] += out + [-1] * gap
+        ch[1 - i % 2] += [-1] * (dur + gap)
+    return _units(style, bg, half, ch)
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,22 @@ def planned_dialogue(style, duration_ms, seed):
     return tuple(ch[0]), tuple(ch[1]), events
 
 
+def stage2_dialogue(style, n_turns, seed):
+    """``synth.generate_stage2_dialogue``, one numpy call per draw: per turn
+    an IPU painted by :func:`markov_content` and a pause, silent on the
+    speaking channel, while the other channel is silent for both."""
+    frame_ms, sil = style.vocab.frame_ms, style.vocab.first_silence
+    rng = np.random.default_rng(seed)
+    ch = [[], []]
+    for i in range(n_turns):
+        dur = max(1, int(round(rng.normal(*style.ipu_ms) / frame_ms)))
+        units = markov_content(rng, style, dur)
+        gap = max(1, int(round(rng.normal(*style.pause_ms) / frame_ms)))
+        ch[i % 2] += units + [sil] * gap
+        ch[1 - i % 2] += [sil] * (dur + gap)
+    return tuple(ch[0]), tuple(ch[1])
+
+
 def next_dist(model, context) -> np.ndarray:
     """The smoothed next-token distribution after ``context`` (ids in
     ``[0, vocab_ext]``) at every id, from the model's public arrays: the

@@ -68,6 +68,14 @@ def no_draws(monkeypatch):
     monkeypatch.setattr("duplexsim.interaction.sample_constrained", no_draw)
 
 
+def test_block_reader_returns_the_generators_doubles_in_order():
+    """The agents' reader of ``random(256)`` blocks returns, across the
+    blocks' bounds, the doubles of one ``Generator.random()`` call each."""
+    for seed in (0, [7, 1]):
+        reader, twin = interaction._Uniforms(seed), np.random.default_rng(seed)
+        assert [reader.random() for _ in range(700)] == [twin.random() for _ in range(700)]
+
+
 class TestContinueDialogue:
     def test_chunk_count_contract(self, setup):
         vocab, _, model, script = setup
@@ -177,6 +185,25 @@ class TestEstimateUserChunk:
         ctx = [{"S0": vocab.tag_s0, "S1": vocab.tag_s1}.get(t, t) for t in ctx]
         with pytest.raises(MalformedSequence, match="right after a chunk's channel-0"):
             estimate_user_chunk(model, ctx, vocab, CHUNK_MS, SamplerConfig(seed=0))
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_callers_rng_read_one_double_per_draw(self, setup, full):
+        """A caller's Generator is read as the reference draws read it, one
+        ``random()`` per draw that takes one, so it is left in their state,
+        its buffered half of a 32-bit draw too."""
+        vocab, _, model, script = setup
+        prompt = prompt_of(script, 3)
+        ctx = flatten(prompt) + [vocab.tag_s0, 1]
+        pairs = [*((list(c.s0_novel), list(c.s1_novel)) for c in prompt.chunks), ([1], ())]
+        for seed in range(10):
+            ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            for rng in (ours, twin):
+                if full:  # leaves the upper half of an output in the buffer
+                    rng.integers(7)
+            want = oracles.draw_part(model, pairs, 1, vocab, prompt.frames_per_chunk,
+                                     SamplerConfig(), twin)[0]
+            assert estimate_user_chunk(model, ctx, vocab, CHUNK_MS, rng=ours) == want
+            assert ours.bit_generator.state == twin.bit_generator.state
 
     def test_deterministic_given_seed(self, setup):
         vocab, _, model, script = setup

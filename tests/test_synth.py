@@ -166,13 +166,18 @@ class TestRawDraws:
         for rng in (ours, ref):
             if full:  # leaves the upper half of an output in the buffer
                 rng.integers(7)
-        content = style.content()
+        bg, (m, unit_at) = ours.bit_generator, style.content()
+        half = bg.state["has_uint32"], bg.state["uinteger"]
         for length, between in calls:
-            got = _markov_content(ours, style, content, length).tolist()
-            assert got == oracles.markov_content(ref, style, length)
-            assert ours.bit_generator.state == ref.bit_generator.state
+            got, half = _markov_content(bg, style, m, length, half)
+            assert unit_at(np.array(got, np.int64)).tolist() == \
+                oracles.markov_content(ref, style, length)
+            # the carried buffer, written back, is the per-call twin's
+            bg.state = {**bg.state, "has_uint32": half[0], "uinteger": half[1]}
+            assert bg.state == ref.bit_generator.state
             if between:  # another draw on the buffered halves between segments
                 assert ours.integers(5) == ref.integers(5)
+                half = bg.state["has_uint32"], bg.state["uinteger"]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 2**31, 2**32 - 1, 2**32, 2**32 + 1,
                                    3 * 10**9, 5 * 10**9, 2**62])
@@ -194,6 +199,27 @@ class TestRawDraws:
         moved.state = start
         moved.advance(pos)
         assert bg.state == {**moved.state, "has_uint32": has, "uinteger": buf}
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("full", [False, True])
+    def test_dialogue_keeps_the_callers_half_buffer(self, tiny_style, full, seed):
+        """A caller's Generator, its half buffer empty or full, draws in
+        ``generate_dialogue`` (a backchannel in every non-final IPU, so their
+        ``integers`` starts too) and ``generate_stage2_dialogue`` what the
+        per-call painters draw on a twin, and is left in the twin's state."""
+        style = replace(tiny_style, backchannel_prob=1.0, turn_continue_prob=0.8, p_self=0.0)
+        *planned, events = oracles.planned_dialogue(style, 20000, seed)
+        assert any(kind == "backchannel" for kind, *_ in events)
+        for draw, oracle, size in (
+                (generate_dialogue, lambda *a: oracles.planned_dialogue(*a)[:2], 20000),
+                (generate_stage2_dialogue, oracles.stage2_dialogue, 8)):
+            ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            for rng in (ours, twin):
+                if full:  # leaves the upper half of an output in the buffer
+                    rng.integers(7)
+            assert ours.bit_generator.state["has_uint32"] == full
+            assert draw(style, size, ours) == oracle(style, size, twin)
+            assert ours.bit_generator.state == twin.bit_generator.state
 
     def test_generator_seed_must_be_pcg64(self, tiny_style):
         same = generate_dialogue(tiny_style, 4000, np.random.default_rng(3))
