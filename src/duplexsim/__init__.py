@@ -14,10 +14,12 @@ from .interaction import (
     simulate_interaction,
 )
 from .metrics import (
+    CorpusStats,
     CorrelationReport,
     EventParams,
     EventRecord,
     VadSegment,
+    corpus_stats,
     correlation_report,
     pearson,
     per_dialogue_perplexities,
@@ -32,10 +34,7 @@ from .ngram import (
     train,
 )
 from .synth import (
-    CorpusStats,
     DialogueStyle,
-    build_stage2_corpus,
-    corpus_stats,
     generate_corpus,
     generate_dialogue,
     generate_stage2_dialogue,

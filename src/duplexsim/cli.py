@@ -8,12 +8,12 @@ Each input file is read once, into ``{id: (s0, s1)}`` of int64 channels
 and the one ``Vocab`` its dialogues share, and each dialogue is encoded to
 the wire format once, through ``tokens.encode`` (``train`` and ``eval
 --mode ppl`` make one call per corpus); a prompt is the first
-``--prompt-ms // --chunk-ms`` chunks of that encoding. A model file named
-twice is parsed once and checked against the vocabulary once. A command
-accepts only the flags it reads, and one flag per setting: a run's
-vocabulary comes from its style file or corpus, or, when it reads none,
-from ``--vocab --frame-ms --silence-token``, never from both, and a flag
-that a given combination would not read is an error.
+``--prompt-ms // --chunk-ms`` chunks of that encoding, which every dialogue
+must have. A model file named twice is parsed once and checked against the
+vocabulary once. A command accepts only the flags it reads, and one flag
+per setting: a run's vocabulary comes from its style file or corpus, or,
+when it reads none, from ``--vocab --frame-ms --silence-token``, never from
+both, and a flag that a given combination would not read is an error.
 
 ``eval --mode turns`` needs ``--reference`` and reads ``--skip-ms`` and
 the event flags, whose defaults are ``EventParams``'s; ``--mode ppl`` needs
@@ -45,14 +45,9 @@ from . import corpus_io
 # Only chunk_streams is bound for it alone: no command calls it.
 from .errors import ConfigError, DuplexError, EmptyCarryOverWarning, EmptyCorpus
 from .interaction import InteractionConfig, continue_dialogue, simulate_interaction
-from .metrics import EventParams, correlation_report, per_dialogue_perplexities
+from .metrics import EventParams, corpus_stats, correlation_report, per_dialogue_perplexities
 from .ngram import NgramModel, SamplerConfig, train
-from .synth import (
-    DialogueStyle,
-    corpus_stats,
-    generate_dialogue,
-    generate_stage2_dialogue,
-)
+from .synth import DialogueStyle, generate_dialogue, generate_stage2_dialogue
 from .tokens import (  # noqa: F401 (chunk_streams: see above)
     DedupDialogue,
     Vocab,
@@ -154,7 +149,12 @@ def _chunks(flag: str, ms: int, chunk_ms: int, positive: bool = False) -> int:
     return ms // chunk_ms
 
 
-def _head(d: DedupDialogue, n_chunks: int) -> DedupDialogue:
+def _head(did: str, d: DedupDialogue, n_chunks: int) -> DedupDialogue:
+    """The prompt of dialogue ``did``: its first ``n_chunks`` chunks, all of
+    which it must have."""
+    if len(d.chunks) < n_chunks:
+        raise ConfigError(f"dialogue {did} has {len(d.chunks)} chunks, fewer than the "
+                          f"{n_chunks} of --prompt-ms")
     return DedupDialogue(d.vocab, d.chunk_ms, d.chunks[:n_chunks])
 
 
@@ -199,7 +199,6 @@ def cmd_synth(args) -> int:
     if args.stats_out is not None:
         stats = corpus_stats(dialogues, style.vocab, chunk_ms)
         payload = {**asdict(stats), "compression_ratio": stats.compression_ratio}
-        del payload["dedup_rates_per_dialogue"]
         # a mean over no events, or a rate over no chunks, is NaN: written as null
         payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     corpus_io.write_corpus(args.out, records)
@@ -234,7 +233,7 @@ def cmd_continue(args) -> int:
     out_records = []
     transcript_entries = []
     for i, (did, (s0, s1)) in enumerate(dialogues.items()):
-        prompt = _head(deduplicate(s0, s1, args.chunk_ms, vocab), prompt_chunks)
+        prompt = _head(did, deduplicate(s0, s1, args.chunk_ms, vocab), prompt_chunks)
         cfg = _sampler_from_args(args, _derive_seed(args.seed, i))
         result = continue_dialogue(model, prompt, n_chunks, cfg)
         out_records.append(_dialogue_record(did, result, vocab))
@@ -289,7 +288,7 @@ def cmd_interact(args) -> int:
     transcripts = []
     corpus_records = []
     for i, (did, full) in enumerate(runs.items()):
-        prompt = _head(full, prompt_chunks)
+        prompt = _head(did, full, prompt_chunks)
         cfg = InteractionConfig(latency_chunks=args.latency,
                                 max_chunks=len(prompt.chunks) + args.max_chunks,
                                 sampler=_sampler_from_args(args, _derive_seed(args.seed, i)))
@@ -327,6 +326,12 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--latency must be >= 0, got {args.latency}")
 
     if args.mode == "turns":
+        events = {"min_voiced_ms": args.min_voiced_ms, "bridge_ms": args.bridge_ms,
+                  "ipu_gap_ms": args.ipu_gap_ms}
+        try:
+            params = EventParams(**{k: v for k, v in events.items() if v is not None})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         gen, vocab = _load_corpus(args.generated)
         same = Path(args.reference).resolve() == Path(args.generated).resolve()
         ref, ref_vocab = (gen, vocab) if same else _load_corpus(args.reference)
@@ -344,9 +349,6 @@ def cmd_eval(args) -> int:
         def trim(corpus):
             return {did: (s0[skip:], s1[skip:]) for did, (s0, s1) in corpus.items()}
 
-        events = {"min_voiced_ms": args.min_voiced_ms, "bridge_ms": args.bridge_ms,
-                  "ipu_gap_ms": args.ipu_gap_ms}
-        params = EventParams(**{k: v for k, v in events.items() if v is not None})
         report = correlation_report(trim(gen), trim(ref), vocab, params)
         kinds = report.to_dict()["kinds"]
         metrics_payload = {

@@ -1,4 +1,5 @@
-"""Voice-activity segmentation, turn-taking events, and evaluation stats.
+"""The description of a corpus: voice-activity segmentation, turn-taking
+events, evaluation stats, and event and token-rate statistics.
 
 Event conventions:
 
@@ -27,11 +28,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInput, EmptySet, NoPairs
+from .errors import DegenerateInput, EmptyCorpus, EmptySet, NoPairs
 from .ngram import NgramModel, perplexity
 # perfbench/layers.py rebinds flatten and turn_events here: keep them bound,
 # even flatten, which this module does not call
-from .tokens import Vocab, flatten  # noqa: F401
+from .tokens import Vocab, encode, flatten  # noqa: F401
 
 EVENT_KINDS = ("ipu", "pause", "fto")
 
@@ -62,6 +63,11 @@ class EventParams:
     min_voiced_ms: int = 0
     bridge_ms: int = 0
     ipu_gap_ms: int = 200
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"event threshold {name} must be >= 0, got {value}")
 
 
 def vad(
@@ -232,6 +238,16 @@ def dialogue_events(
     return turn_events(seg0, seg1, params.ipu_gap_ms)
 
 
+def _durations(
+    s0: Sequence[int], s1: Sequence[int], vocab: Vocab, params: EventParams
+) -> dict[str, list[float]]:
+    """One dialogue's event durations in ms, per kind in event order."""
+    out: dict[str, list[float]] = {k: [] for k in EVENT_KINDS}
+    for ev in dialogue_events(s0, s1, vocab, params):
+        out[ev.kind].append(float(ev.duration_ms))
+    return out
+
+
 def _mean_durations(
     corpus: Mapping[str, tuple[Sequence[int], Sequence[int]]],
     vocab: Vocab,
@@ -239,10 +255,7 @@ def _mean_durations(
 ) -> dict[str, dict[str, float]]:
     out: dict[str, dict[str, float]] = {k: {} for k in EVENT_KINDS}
     for did, (s0, s1) in corpus.items():
-        per_kind: dict[str, list[float]] = {k: [] for k in EVENT_KINDS}
-        for ev in dialogue_events(s0, s1, vocab, params):
-            per_kind[ev.kind].append(float(ev.duration_ms))
-        for kind, vals in per_kind.items():
+        for kind, vals in _durations(s0, s1, vocab, params).items():
             if vals:
                 out[kind][did] = float(np.mean(vals))
     return out
@@ -313,3 +326,61 @@ def per_dialogue_perplexities(
     if not out:
         raise EmptySet("no dialogues to score")
     return out
+
+
+@dataclass(frozen=True)
+class CorpusStats:
+    """Aggregate event and token-rate statistics for a corpus."""
+
+    event_means_ms: dict[str, float]
+    event_stds_ms: dict[str, float]
+    event_counts: dict[str, int]
+    overlap_frames: int
+    raw_tokens_per_s: float
+    dedup_tokens_per_s: float
+
+    @property
+    def compression_ratio(self) -> float:
+        return self.dedup_tokens_per_s / self.raw_tokens_per_s
+
+
+def corpus_stats(
+    dialogues: Sequence[tuple[Sequence[int], Sequence[int]]], vocab: Vocab, chunk_ms: int
+) -> CorpusStats:
+    """Empirical per-event duration statistics plus codec token rates of
+    ``(s0, s1)`` dialogues at ``chunk_ms``.
+
+    Raw rate counts the fully interleaved chunk form (both tags plus every
+    frame of both channels); dedup rate counts the wire form of ``encode``.
+    Seconds are summed dialogue by dialogue, which fixes the rates' float
+    rounding. A mean over no events, or a rate over no chunks, is NaN.
+    """
+    if len(dialogues) == 0:
+        raise EmptyCorpus("corpus has no dialogues")
+
+    fpc = vocab.frames_per_chunk(chunk_ms)
+    silence = list(vocab.silence_tokens)
+    durations: dict[str, list[float]] = {k: [] for k in EVENT_KINDS}
+    overlap = raw_tokens = dedup_tokens = 0
+    total_seconds = 0.0
+    for (s0, s1), (wire, starts) in zip(dialogues, encode(dialogues, chunk_ms, vocab)):
+        for kind, vals in _durations(s0, s1, vocab, EventParams()).items():
+            durations[kind] += vals
+        voiced0, voiced1 = (np.isin(s, silence, invert=True) for s in (s0, s1))
+        overlap += int(np.count_nonzero(voiced0 & voiced1))
+        if len(starts):
+            raw_tokens += len(starts) * (2 + 2 * fpc)
+            dedup_tokens += len(wire)
+            total_seconds += len(starts) * chunk_ms / 1000.0
+
+    means = {k: float(np.mean(v)) if v else float("nan") for k, v in durations.items()}
+    stds = {k: float(np.std(v)) if v else float("nan") for k, v in durations.items()}
+    counts = {k: len(v) for k, v in durations.items()}
+    return CorpusStats(
+        event_means_ms=means,
+        event_stds_ms=stds,
+        event_counts=counts,
+        overlap_frames=overlap,
+        raw_tokens_per_s=raw_tokens / total_seconds if total_seconds else float("nan"),
+        dedup_tokens_per_s=dedup_tokens / total_seconds if total_seconds else float("nan"),
+    )

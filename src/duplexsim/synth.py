@@ -1,4 +1,5 @@
-"""Synthetic dual-channel dialogues with controllable turn-taking.
+"""Synthetic dual-channel dialogues with controllable turn-taking. This
+module only generates; ``metrics`` describes a corpus once it exists.
 
 A dialogue alternates turns between the two speakers. A turn is one or
 more voiced segments (IPUs) separated by same-speaker pauses; the floor
@@ -35,13 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import corpus_io
-from .errors import BadDuration, ConfigError, EmptyCorpus
-from .tokens import Vocab, encode
+from .errors import BadDuration, ConfigError
+from .tokens import Vocab
 
 
 # Field groups of DialogueStyle: (mean_ms, std_ms) pairs, of which all but
@@ -334,28 +335,6 @@ def generate_corpus(
             for i in range(count)}
 
 
-def build_stage2_corpus(
-    turns: Sequence[tuple[int, Sequence[int]]], style: DialogueStyle
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Turn-based dialogue as strictly exclusive channels.
-
-    During each turn, the speaking channel carries the utterance and the
-    other channel carries silence of identical duration, so the two
-    channels never voice simultaneously.
-    """
-    ch: list[list[int]] = [[], []]
-    sil = style.vocab.first_silence
-    for speaker, utterance in turns:
-        if speaker not in (0, 1):
-            raise ValueError(f"speaker must be 0 or 1, got {speaker}")
-        utt = list(utterance)
-        if not utt:
-            raise ValueError("stage-2 utterances must be non-empty")
-        ch[speaker].extend(utt)
-        ch[1 - speaker].extend([sil] * len(utt))
-    return tuple(ch[0]), tuple(ch[1])
-
-
 def generate_stage2_dialogue(
     style: DialogueStyle, n_turns: int, seed
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -372,71 +351,3 @@ def generate_stage2_dialogue(
         ch[1 - i % 2] += [-1] * (dur + gap)
     return _units(style, bg, half, ch)
 
-
-@dataclass(frozen=True)
-class CorpusStats:
-    """Aggregate event and token-rate statistics for a corpus."""
-
-    event_means_ms: dict[str, float]
-    event_stds_ms: dict[str, float]
-    event_counts: dict[str, int]
-    overlap_frames: int
-    raw_tokens_per_s: float
-    dedup_tokens_per_s: float
-    dedup_rates_per_dialogue: tuple[float, ...]
-
-    @property
-    def compression_ratio(self) -> float:
-        return self.dedup_tokens_per_s / self.raw_tokens_per_s
-
-
-def corpus_stats(
-    dialogues: Sequence[tuple[Sequence[int], Sequence[int]]], vocab: Vocab, chunk_ms: int
-) -> CorpusStats:
-    """Empirical per-event duration statistics plus codec token rates of
-    ``(s0, s1)`` dialogues at ``chunk_ms``.
-
-    Raw rate counts the fully interleaved chunk form (both tags plus every
-    frame of both channels); dedup rate counts the wire form of ``encode``.
-    """
-    from . import metrics  # local import; metrics stays synth-agnostic
-
-    if len(dialogues) == 0:
-        raise EmptyCorpus("corpus has no dialogues")
-
-    fpc = vocab.frames_per_chunk(chunk_ms)
-    silence = vocab.silence_tokens
-    durations: dict[str, list[float]] = {"ipu": [], "pause": [], "fto": []}
-    overlap = 0
-    raw_tokens = 0
-    dedup_tokens = 0
-    total_seconds = 0.0
-    rates = []
-    for (s0, s1), (wire, starts) in zip(dialogues, encode(dialogues, chunk_ms, vocab)):
-        for ev in metrics.dialogue_events(s0, s1, vocab):
-            durations[ev.kind].append(float(ev.duration_ms))
-        overlap += sum(
-            1
-            for a, b in zip(s0, s1)
-            if a not in silence and b not in silence
-        )
-        n_chunks = len(starts)
-        if n_chunks:
-            seconds = n_chunks * chunk_ms / 1000.0
-            raw_tokens += n_chunks * (2 + 2 * fpc)
-            dedup_tokens += len(wire)
-            total_seconds += seconds
-            rates.append(len(wire) / seconds)
-
-    means = {k: float(np.mean(v)) if v else float("nan") for k, v in durations.items()}
-    stds = {k: float(np.std(v)) if v else float("nan") for k, v in durations.items()}
-    counts = {k: len(v) for k, v in durations.items()}
-    return CorpusStats(
-        event_means_ms=means,
-        event_stds_ms=stds,
-        event_counts=counts,
-        overlap_frames=overlap,
-        raw_tokens_per_s=raw_tokens / total_seconds if total_seconds else float("nan"),
-        dedup_tokens_per_s=dedup_tokens / total_seconds if total_seconds else float("nan"),
-        dedup_rates_per_dialogue=tuple(rates),
-    )

@@ -503,6 +503,44 @@ def frame_state_events(seg0, seg1, frame_ms: int, ipu_gap_ms: int) -> set[tuple]
     return events
 
 
+def corpus_stats(dialogues, vocab, chunk_ms, ipu_gap_ms=200) -> dict:
+    """``CorpusStats``'s fields of ``(s0, s1)`` dialogues: events from the
+    frame-state enumeration, overlap counted frame by frame, wire lengths
+    from the one-dialogue encoder, and seconds summed dialogue by dialogue
+    in corpus order, so each rate has the same float rounding."""
+    durations = {"ipu": [], "pause": [], "fto": []}
+    overlap = raw = dedup = 0
+    seconds = 0.0
+    fpc = chunk_ms // vocab.frame_ms
+    for s0, s1 in dialogues:
+        segs = [vad(s, c, vocab) for c, s in enumerate((s0, s1))]
+        for kind, _, start, end in frame_state_events(*segs, vocab.frame_ms, ipu_gap_ms):
+            durations[kind].append(float(end - start))
+        for a, b in zip(s0, s1):
+            if a not in vocab.silence_tokens and b not in vocab.silence_tokens:
+                overlap += 1
+        wire, starts = encode(s0, s1, chunk_ms, vocab)
+        if len(starts):
+            raw += len(starts) * (2 + 2 * fpc)
+            dedup += len(wire)
+            seconds += len(starts) * chunk_ms / 1000.0
+
+    def mean(xs):
+        return sum(xs) / len(xs) if xs else math.nan
+
+    def std(xs):
+        return math.sqrt(sum((x - mean(xs)) ** 2 for x in xs) / len(xs)) if xs else math.nan
+
+    return {
+        "event_means_ms": {k: mean(v) for k, v in durations.items()},
+        "event_stds_ms": {k: std(v) for k, v in durations.items()},
+        "event_counts": {k: len(v) for k, v in durations.items()},
+        "overlap_frames": overlap,
+        "raw_tokens_per_s": raw / seconds if seconds else math.nan,
+        "dedup_tokens_per_s": dedup / seconds if seconds else math.nan,
+    }
+
+
 def _walk_record(rec) -> tuple:
     """One corpus record checked id by id, as ``(id, s0, s1, vocab)``."""
     keys = {"id", "frame_ms", "vocab", "silence", "channels"}

@@ -772,7 +772,8 @@ class TestInputBoundaries:
     # stats that synth does not write), one that only repeated another flag
     # (--greedy was --top-k 1, interact's --duration-ms was --max-chunks x
     # --chunk-ms), one of the flat format that went (every command encodes
-    # a .jsonl corpus itself), or a skip that would score the wrong frames
+    # a .jsonl corpus itself), a skip that would score the wrong frames, or
+    # a negative event threshold, which was read as 0
     @pytest.mark.parametrize("command,extra", [
         ("interact-no-corpus", ["--prompt-ms", "960"]),
         ("interact", ["--prompts", "CORPUS"]),
@@ -788,6 +789,9 @@ class TestInputBoundaries:
         ("eval-ppl", ["--bridge-ms", "80"]),
         ("eval-turns", ["--skip-ms", "-400"]),
         ("eval-turns", ["--skip-ms", "30"]),
+        ("eval-turns", ["--ipu-gap-ms", "-200"]),
+        ("eval-turns", ["--min-voiced-ms", "-40"]),
+        ("eval-turns", ["--bridge-ms", "-80"]),
         ("synth", ["--chunk-ms", "7"]),
         ("synth", ["--chunk-ms", "200"]),
         ("synth", ["--flat-out", "FLAT"]),
@@ -798,6 +802,8 @@ class TestInputBoundaries:
              "interact_greedy", "interact_duration_ms", "turns_model", "turns_prompt_ms",
              "ppl_reference", "ppl_skip_ms", "ppl_ipu_gap_ms", "ppl_min_voiced_ms",
              "ppl_bridge_ms", "turns_negative_skip_ms", "turns_skip_ms_not_a_frame",
+             "turns_negative_ipu_gap_ms", "turns_negative_min_voiced_ms",
+             "turns_negative_bridge_ms",
              "synth_chunk_ms_no_stats", "synth_chunk_ms_200_no_stats", "synth_flat_out",
              "synth_duplex_turns", "synth_stage2_duration_ms", "train_flat_dump"])
     def test_flag_that_would_go_unread(self, world, command, extra, tmp_path, capsys):
@@ -815,6 +821,27 @@ class TestInputBoundaries:
         extra = [{"CORPUS": str(clean), "MODEL": str(model), "FLAT": str(flat)}.get(a, a)
                  for a in extra]
         assert_rejected(main(argv + extra), capsys, outputs + [flat])
+
+    # a prompt longer than its dialogue was cut to the dialogue, while the
+    # transcript recorded the --prompt-ms it did not have; the corpus holds
+    # 8 s dialogues, 50 chunks of 160 ms, so a prompt of 49 leaves one chunk
+    # of script
+    @pytest.mark.parametrize("command", ["continue", "interact-prompts", "interact-scripted"])
+    def test_prompt_longer_than_its_dialogue(self, world, command, tmp_path, capsys):
+        clean, model = world
+        out, transcript = tmp_path / "out", tmp_path / "transcript.json"
+        argv = {
+            "continue": ["continue", "--model", str(model), "--prompts", str(clean),
+                         "--continue-ms", "160", "--transcript", str(transcript)],
+            "interact-prompts": ["interact", "--model-a", str(model), "--model-b", str(model),
+                                 "--prompts", str(clean), "--max-chunks", "1"],
+            "interact-scripted": ["interact", "--model-a", str(model), "--scripted",
+                                  str(clean), "--max-chunks", "1"],
+        }[command] + ["--out", str(out)]
+        message = assert_rejected(main(argv + ["--prompt-ms", "8160"]), capsys,
+                                  [out, transcript])
+        assert "d00000 has 50 chunks" in message
+        assert main(argv + ["--prompt-ms", "7840"]) == 0
 
     # turns mode only records --chunk-ms, but it must still fit the corpus
     @pytest.mark.parametrize("command", ["eval-ppl", "eval-turns"])
@@ -1150,19 +1177,3 @@ def test_latency_sweep_checks_flags_before_any_work(flags, tmp_path, monkeypatch
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("flags", [["--count", "0"], ["--duration-ms", "30"],
-                                   ["--duration-ms", "-40"], ["--seed", "-1"], ["--units", "1"]],
-                         ids=["no_dialogues", "not_whole_frames", "negative_duration",
-                              "negative_seed", "silence_only"])
-def test_token_rate_report_checks_flags_before_any_work(flags, monkeypatch, capsys):
-    import token_rate_report
-
-    for name in ("generate_corpus", "corpus_stats"):
-        monkeypatch.setattr(token_rate_report, name,
-                            lambda *args, **kwargs: pytest.fail("the report ran"))
-    with pytest.raises(SystemExit) as exc:
-        token_rate_report.main(flags)
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err

@@ -6,11 +6,15 @@ from hypothesis import strategies as st
 from duplexsim import (
     DedupChunk,
     DedupDialogue,
+    DialogueStyle,
     NgramModel,
     VadSegment,
     Vocab,
+    corpus_stats,
     correlation_report,
     encode_dialogue,
+    generate_corpus,
+    generate_stage2_dialogue,
     pearson,
     per_dialogue_perplexities,
     perplexity,
@@ -317,3 +321,47 @@ class TestMedianPerplexity:
             shuffled.append(perplexity(model, s2))
         ppls = per_dialogue_perplexities(model, heldout)
         assert all(h < s for h, s in zip(ppls, shuffled))
+
+
+def _stats_corpus(kind):
+    """(dialogues, vocab) of one ``TestCorpusStats`` case."""
+    tiny = DialogueStyle(vocab=VOCAB, ipu_ms=(800.0, 200.0), pause_ms=(400.0, 100.0),
+                         fto_ms=(200.0, 80.0), turn_continue_prob=0.3,
+                         backchannel_prob=0.4, backchannel_ms=(160.0, 40.0), p_self=0.4)
+    if kind == "default":
+        style = DialogueStyle(vocab=Vocab(size=501, frame_ms=40,
+                                          silence_tokens=frozenset({0})))
+        return list(generate_corpus(style, 4, 20000, seed=3).values()), style.vocab
+    if kind == "tiny":
+        return list(generate_corpus(tiny, 6, 12000, seed=8).values()), VOCAB
+    if kind == "sparse":  # 9 x 31 chunks of 200 ms: 6.2 s summed 9 times is not 55.8
+        # the latency sweep's shape: successor jumps over 24 units
+        style = DialogueStyle(vocab=Vocab(size=24, frame_ms=40, silence_tokens=frozenset({0})),
+                              ipu_ms=(1600.0, 400.0), pause_ms=(520.0, 120.0),
+                              fto_ms=(240.0, 120.0), backchannel_ms=(280.0, 80.0),
+                              p_self=0.45, successor_count=3)
+        return list(generate_corpus(style, 9, 6040, seed=4).values()), style.vocab
+    if kind == "stage2":
+        return [generate_stage2_dialogue(tiny, 6, [5, i]) for i in range(4)], VOCAB
+    if kind == "with_empty":  # a dialogue of no chunks adds no seconds
+        empty = ((), ())
+        return [empty, *generate_corpus(tiny, 3, 4040, seed=2).values(), empty], VOCAB
+    assert kind == "all_empty"  # no event and no chunk: every mean and rate is NaN
+    return [((), ()), ((), ())], VOCAB
+
+
+class TestCorpusStats:
+    @pytest.mark.parametrize("kind,chunk_ms", [
+        ("default", 160), ("default", 240), ("tiny", 160), ("tiny", 240),
+        ("sparse", 160), ("sparse", 200), ("sparse", 240), ("stage2", 200),
+        ("with_empty", 200), ("all_empty", 160)])
+    def test_matches_oracle(self, kind, chunk_ms):
+        dialogues, vocab = _stats_corpus(kind)
+        got = corpus_stats(dialogues, vocab, chunk_ms)
+        want = oracles.corpus_stats(dialogues, vocab, chunk_ms)
+        for name in ("event_counts", "overlap_frames", "raw_tokens_per_s",
+                     "dedup_tokens_per_s"):  # exactly, NaN for NaN
+            assert repr(getattr(got, name)) == repr(want[name]), name
+        for name in ("event_means_ms", "event_stds_ms"):
+            for k, v in want[name].items():
+                assert getattr(got, name)[k] == pytest.approx(v, rel=1e-9, nan_ok=True), (name, k)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from duplexsim import (
     DialogueStyle,
     Vocab,
-    build_stage2_corpus,
     corpus_stats,
     deduplicate,
     flatten,
@@ -230,28 +229,6 @@ class TestRawDraws:
 
 
 class TestStage2:
-    def test_single_utterance_mirrors_silence(self, tiny_style):
-        s0, s1 = build_stage2_corpus([(0, [3] * 10)], tiny_style)
-        assert s0 == (3,) * 10
-        assert s1 == (0,) * 10
-
-    def test_empty_turn_list(self, tiny_style):
-        s0, s1 = build_stage2_corpus([], tiny_style)
-        assert len(s0) == 0 and len(s1) == 0
-
-    def test_three_alternating_turns(self, tiny_style):
-        turns = [(0, [2] * 5), (1, [3] * 5), (0, [4] * 5)]
-        s0, s1 = build_stage2_corpus(turns, tiny_style)
-        assert len(s0) == 15 and len(s1) == 15
-        overlap = sum(
-            1 for a, b in zip(s0, s1) if a != 0 and b != 0
-        )
-        assert overlap == 0
-
-    def test_empty_utterance_rejected(self, tiny_style):
-        with pytest.raises(ValueError):
-            build_stage2_corpus([(0, [])], tiny_style)
-
     def test_generated_stage2_has_zero_overlap(self, tiny_style):
         for seed in range(5):
             s0, s1 = generate_stage2_dialogue(tiny_style, 8, seed=seed)
