@@ -113,9 +113,11 @@ def write_json(path: str | Path, payload, indent: int | None = None) -> None:
     """Canonical JSON: sorted keys, compact unless ``indent`` is given, and
     a final newline; a NaN or infinity raises ``ValueError``. The text is
     built by one ``json.dumps`` call, which uses the C encoder when compact
-    (``json.dump`` to a file never does), before the file is opened."""
+    (``json.dump`` to a file never does), before the file is opened. A
+    payload is a tree that its caller builds, with no cycle, so the encoder
+    keeps no map of the containers it has entered."""
     text = json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False,
-                      separators=None if indent else (",", ":"))
+                      check_circular=False, separators=None if indent else (",", ":"))
     with _writing(path) as fh:
         fh.write(text)
         fh.write("\n")

@@ -327,22 +327,22 @@ def _running_sums(values: np.ndarray, top: int) -> np.ndarray | None:
 
 
 def _count(codes: np.ndarray, tokens: np.ndarray, freqs: np.ndarray,
-           kind: str = "quicksort") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           vocab_ext: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct (context code, token) pairs in increasing order, each
-    with the sum of its ``freqs``. ``kind`` sorts the codes; "stable" is
-    the fast one when they lie in a few sorted runs."""
-    distinct, ranks = np.unique(tokens, return_inverse=True)
-    ranked = np.argsort(codes, kind=kind)
-    codes, ranks = codes[ranked], ranks[ranked]
-    # order each run of one code by token; the key is below len(codes) ** 2,
-    # and nearly sorted, which a stable sort finishes in about one pass
-    rows = np.cumsum(np.diff(codes, prepend=-1) != 0)
-    order = np.argsort(rows * len(distinct) + ranks, kind="stable")
-    codes, ranks = codes[order], ranks[order]
-    bounds = np.append(np.flatnonzero((np.diff(codes, prepend=-1) != 0)
-                                      | (np.diff(ranks, prepend=-1) != 0)), len(codes))
-    before = np.append(0, np.cumsum(freqs[ranked[order]]))[bounds]
-    return codes[bounds[:-1]], distinct[ranks[bounds[:-1]]], np.diff(before)
+    with the sum of its ``freqs``: one sort of the combined key
+    ``code * vocab_ext + token``, ranked first where it would pass int64."""
+    if int(codes.max(initial=0)) * vocab_ext + vocab_ext > 2**63:
+        distinct_codes, code_ranks = np.unique(codes, return_inverse=True)
+        distinct, ranks = np.unique(tokens, return_inverse=True)
+        code_ranks, ranks, sums = _count(code_ranks, ranks, freqs, len(distinct))
+        return distinct_codes[code_ranks], distinct[ranks], sums
+    key = codes * vocab_ext + tokens
+    # integer sums do not depend on the order of equal keys, so any sort will do
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))  # each distinct key's first place
+    key = key[starts]
+    return key // vocab_ext, key % vocab_ext, np.add.reduceat(freqs[order], starts)
 
 
 def train(
@@ -352,14 +352,16 @@ def train(
     vocab_ext: int = 503,
 ) -> NgramModel:
     """Count every (context, token) window of the corpus sequences, a batch
-    of about 2**15 tokens at a time, then the batches' counts together: the
-    working memory follows a batch and the distinct windows, not the corpus."""
+    of about 2**15 tokens at a time, then the batches' counts together, each
+    by one sort of the combined key, ranked first where it would pass int64:
+    the working memory follows a batch and the distinct windows, not the corpus."""
     model = NgramModel(order=order, vocab_ext=vocab_ext, alpha=alpha)
-    parts = [_count(*model._windows(batch)) for batch in corpus_io.batches(corpus, 2**15)]
+    parts = [_count(*model._windows(batch), vocab_ext)
+             for batch in corpus_io.batches(corpus, 2**15)]
     if not parts:
         raise EmptyCorpus("training corpus is empty")
     entries = [np.concatenate(column) for column in zip(*parts)]
-    codes, tokens, freqs = _count(*entries, kind="stable") if len(parts) > 1 else entries
+    codes, tokens, freqs = _count(*entries, vocab_ext) if len(parts) > 1 else entries
     starts = np.flatnonzero(np.diff(codes, prepend=-1))  # each row's first entry
     model._set_rows(codes[starts], np.append(starts, len(codes)), tokens, freqs)
     return model

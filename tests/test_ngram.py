@@ -120,15 +120,18 @@ class TestCompiledTrain:
         assert model.sequence_nll(seq, skip) == (
             oracles.ngram_nll(counts, order, 0.1, vocab_ext, seq, skip), max(0, len(seq) - skip))
 
-    def test_batches_merge_to_the_oracle(self):
+    # at (3, 31) a window's combined key, context code * vocab_ext + token,
+    # passes int64, so each batch and the merge of them count ranked codes
+    @pytest.mark.parametrize("vocab_ext,order", [(6, 3), (3, 31)])
+    def test_batches_merge_to_the_oracle(self, vocab_ext, order):
         # more than two batches of 2**15 tokens, with empty sequences among them
         rng = np.random.default_rng(5)
         sizes = rng.integers(1, 5000, 40)
         sizes[::9] = 0
-        corpus = [rng.integers(0, 6, size=n).tolist() for n in sizes]
+        corpus = [rng.integers(0, vocab_ext, size=n).tolist() for n in sizes]
         assert sum(map(len, corpus)) > 2 * 2**15
-        model = train(corpus, order=3, alpha=0.1, vocab_ext=6)
-        assert _rows(model) == oracles.ngram_counts(corpus, 3, 6)
+        model = train(corpus, order=order, alpha=0.1, vocab_ext=vocab_ext)
+        assert _rows(model) == oracles.ngram_counts(corpus, order, vocab_ext)
 
     def test_corpus_of_whole_batches(self):
         # each sequence fills a batch of 2**15 tokens exactly, so none is left over
