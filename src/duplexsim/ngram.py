@@ -17,27 +17,27 @@ on each read, remains for readers outside the library.
 of ``tokens.encode`` or ``tokens.encode_dialogue``;
 ``metrics.per_dialogue_perplexities`` scores each of many past its prompt.
 
-Model file v3 is a stream of six ``.npy`` records, written and read by
+Model file v4 is a stream of six ``.npy`` records, written and read by
 ``corpus_io`` without pickle:
 
-    header  int64 (3, order, vocab_ext)
+    header  int64 (4, order, vocab_ext)
     alpha   float64, one value
-    codes   int64, the rows' context codes in increasing order
+    codes   the gaps of the rows' increasing context codes, the first from -1
     sizes   the number of tokens each row predicts
     tokens  each row's tokens in increasing order, row after row
     counts  the count of each entry of ``tokens``
 
-The last three are each in the smallest unsigned type that holds them.
+The last four are each in the smallest unsigned type that holds them.
 ``load`` checks each column with array operations: each record is 1-D, of
-an integer dtype (``alpha`` a float one); the header is version 3 with an
+an integer dtype (``alpha`` a float one); the header is version 4 with an
 ``order`` and ``vocab_ext`` that the constructor takes with ``alpha``;
-codes lie in ``[0, (vocab_ext + 1) ** order)``, one per row size; sizes
-are >= 1 and sum to the length of ``tokens`` and of ``counts``; tokens lie
-in ``[0, vocab_ext)``; counts are >= 1 and sum to at most 2**53, which
-keeps every total and probability exact in float64. Only ``save`` writes
-the format, so the codes, and a row's tokens, must increase strictly: rows
-out of order are rejected, not sorted. A file of an older version (JSON)
-is rejected: retrain its model.
+gaps are >= 1, one per row size, and sum to at most ``(vocab_ext + 1) **
+order``, so the codes rise strictly in their range: rows out of order
+cannot be written down; sizes are >= 1 and sum to the length of ``tokens``
+and of ``counts``; tokens lie in ``[0, vocab_ext)`` and rise strictly in a
+row; counts are >= 1 and sum to at most 2**53, which keeps every total and
+probability exact in float64. A file of an older version (v3, or JSON) is
+rejected: retrain its model.
 
 ``sample_constrained`` is the library's one draw. It draws from the ids
 of ``[lo, hi)`` but one id or none, with any sampler, building only the
@@ -77,7 +77,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import corpus_io
 from .errors import EmptyCorpus, EmptySequence, ModelFormatError
 
-MODEL_FILE_VERSION = 3
+MODEL_FILE_VERSION = 4
 # the dtype kinds each record may have: header, alpha, codes, sizes, tokens, counts
 _RECORD_KINDS = ("iu", "f", "iu", "iu", "iu", "iu")
 # the cdf cache's budget per model: at most this many floats, counting each
@@ -184,10 +184,10 @@ class NgramModel:
         return None
 
     def _set_rows(self, codes: np.ndarray, offsets: np.ndarray, tokens: np.ndarray,
-                  freqs: np.ndarray) -> None:
-        """Hold the rows of the module docstring, and their totals."""
+                  freqs: np.ndarray, totals: np.ndarray | None = None) -> None:
+        """Hold the rows of the module docstring, and their totals (summed if None)."""
         self.codes, self.offsets, self.tokens, self.freqs = codes, offsets, tokens, freqs
-        self.row_totals = np.add.reduceat(freqs, offsets[:-1])
+        self.row_totals = np.add.reduceat(freqs, offsets[:-1]) if totals is None else totals
 
     def _windows(self, sequences: list[Sequence[int]]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,20 +260,21 @@ class NgramModel:
         return nll, n - skip
 
     def save(self, path: str | Path) -> None:
-        """Write model file v3 (see the module docstring)."""
+        """Write model file v4 (see the module docstring): each code gap, in
+        [1, 2**63], is an int64 difference read as uint64."""
         corpus_io.write_arrays(path, [
             np.array([MODEL_FILE_VERSION, self.order, self.vocab_ext], dtype=np.int64),
             np.array([self.alpha], dtype=np.float64),
-            self.codes,
             *(c.astype(np.min_scalar_type(int(c.max(initial=0))))
-              for c in (np.diff(self.offsets), self.tokens, self.freqs)),
+              for c in (np.diff(self.codes, prepend=-1).view(np.uint64), np.diff(self.offsets),
+                        self.tokens, self.freqs)),
         ])
 
     @classmethod
     def load(cls, path: str | Path) -> "NgramModel":
-        """Read model file v3; ``ModelFormatError`` unless it passes every
-        check of the module docstring, ``ConfigError`` if it is unreadable."""
-        header, alpha, codes, sizes, tokens, counts = corpus_io.read_arrays(path, _RECORD_KINDS)
+        """Read model file v4, its codes the gaps' running sums less 1; ``ModelFormatError``
+        unless it passes every check of the module docstring, ``ConfigError`` if unreadable."""
+        header, alpha, gaps, sizes, tokens, counts = corpus_io.read_arrays(path, _RECORD_KINDS)
         _require(len(header) == 3, "the model file header needs 3 values: version, "
                                    "order and vocab_ext")
         _require(header[0] == MODEL_FILE_VERSION,
@@ -285,28 +286,26 @@ class NgramModel:
             model = cls(order=int(header[1]), vocab_ext=int(header[2]), alpha=float(alpha[0]))
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from None
-        # every range check comes before a cast to int64, which would wrap a
-        # uint64 past the int64 range
+        # range checks come before each cast or view as int64, which would wrap a big uint64
         n, vocab_ext, top = len(tokens), model.vocab_ext, (model.vocab_ext + 1) ** model.order
-        _require(len(codes) == len(sizes), "the model file needs one context code per row size")
+        _require(len(gaps) == len(sizes), "the model file needs one context code per row size")
         _require(sizes.min(initial=1) >= 1, "a row size is below 1")
-        offsets = _running_sums(sizes, n)
-        _require(offsets is not None and offsets[-1] == n == len(counts),
+        _require((sums := _running_sums(sizes, n)) is not None and sums[-1] == n == len(counts),
                  "the sizes do not sum to the lengths of 'tokens' and 'counts'")
-        _require(codes.min(initial=0) >= 0 and codes.max(initial=0) < top,
+        offsets = sums.view(np.int64)  # each at most n
+        _require(gaps.min(initial=1) >= 1, "a context code gap is below 1")
+        _require((sums := _running_sums(gaps, top)) is not None,
                  f"a context code lies outside [0, {vocab_ext + 1}**{model.order})")
-        codes = codes.astype(np.int64, copy=False)
-        _require(np.all(np.diff(codes) > 0), "the context codes are not strictly increasing "
-                                             "(a context repeated, or rows out of order)")
+        codes = np.subtract(sums[1:], 1, out=sums[1:]).view(np.int64)  # each below top <= 2**63
         _require(tokens.min(initial=0) >= 0 and tokens.max(initial=0) < vocab_ext,
                  f"a token lies outside [0, {vocab_ext})")
         rising = tokens[1:] > tokens[:-1]
         rising[offsets[1:-1] - 1] = True  # a row's first token follows the previous row's last
         _require(np.all(rising), "the tokens of a row are not strictly increasing")
-        tokens = tokens.astype(np.int64)
         _require(counts.min(initial=1) >= 1, "a count is below 1")
-        _require(_running_sums(counts, 2**53) is not None, "the counts sum past 2**53")
-        model._set_rows(codes, offsets, tokens, counts.astype(np.int64))
+        _require((sums := _running_sums(counts, 2**53)) is not None, "the counts sum past 2**53")
+        model._set_rows(codes, offsets, tokens.astype(np.int64), counts.astype(np.int64),
+                        np.diff(sums.view(np.int64)[offsets]))  # the rows' totals, from the sums
         return model
 
 
@@ -316,14 +315,15 @@ def _require(ok, message: str) -> None:
 
 
 def _running_sums(values: np.ndarray, top: int) -> np.ndarray | None:
-    """0 and the running sums of ``values``, each >= 1, as int64; None if
-    a sum passes ``top`` (below 2**62)."""
-    if values.max(initial=0) > top:
-        return None
-    # each value is at most top, so the first sum past top is exact in int64
-    sums = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(values, dtype=np.int64, out=sums[1:])
-    return None if sums.max() > top else sums
+    """0 and the running sums of ``values``, each >= 1, as uint64; None if
+    a sum passes ``top`` (at most 2**63)."""
+    sums = np.zeros(len(values) + 1, dtype=np.uint64)
+    sums[1:] = values
+    np.cumsum(sums, out=sums)  # a cast inside cumsum takes twice as long
+    # for values in [1, top] the first sum past top, at most 2 * top, is exact in uint64 or wraps
+    # to 0 after a sum of top: either way the last sum is not the first largest, or passes top
+    ok = values.max(initial=0) <= top and sums.argmax() == len(values) and sums[-1] <= top
+    return sums if ok else None
 
 
 def _count(codes: np.ndarray, tokens: np.ndarray, freqs: np.ndarray,

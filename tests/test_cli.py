@@ -387,10 +387,6 @@ def _shift_size(value):
     return mutate
 
 
-def _repeat_context(m):
-    m["codes"][1] = m["codes"][0]
-
-
 def _repeat_token(m):
     m["sizes"] = m["sizes"].astype(np.int64)
     m["sizes"][0] += 1
@@ -440,19 +436,24 @@ def _with_header(key, text):
     return mutate
 
 
-def _reverse_rows(m):
-    ends = np.cumsum(m["sizes"])
-    rows = [slice(end - size, end) for size, end in zip(m["sizes"], ends)][::-1]
-    m["codes"], m["sizes"] = m["codes"][::-1], m["sizes"][::-1]
-    for key in ("tokens", "counts"):
-        m[key] = np.concatenate([m[key][r] for r in rows])
+def _v3_file(m):
+    """The same model as a version-3 file: the codes raw, in int64."""
+    m["header"][0] = 3
+    m["codes"] = np.cumsum(m["codes"], dtype=np.int64) - 1
+
+
+def _gaps_past_top(m):
+    """The first two gaps, each below 13**3, sum past it."""
+    m["codes"] = m["codes"].astype(np.uint16)
+    m["codes"][:2] = 13**3 // 2 + 1
 
 
 # Ways to break a valid model file, each with a part of the message it must
 # give; each edits the records in place. The model is over 12 symbols, so
-# the begin marker is id 12 and codes lie below 13**3. The cases before the
-# "model file v3" line are the faults a JSON (v2) model file could hold, each
-# carried to the nearest fault a stream of .npy records can hold.
+# the begin marker is id 12, codes lie below 13**3 and their gaps sum to at
+# most 13**3. The cases before the "model file v3 and on" line are the faults
+# a JSON (v2) model file could hold, each carried to the nearest fault a
+# stream of .npy records can hold.
 KIND_IU = "not a 1-D array of kind iu"
 MODEL_MUTATIONS = {
     "no_counts": (_drop("counts"), "record 5 is missing"),
@@ -491,12 +492,13 @@ MODEL_MUTATIONS = {
                           "context code lies outside [0, 13**3)"),
     "token_past_int64": (_edit("tokens", 0, 2**64 - 1, np.uint64),
                          "token lies outside [0, 12)"),
-    "context_repeated": (_repeat_context, "codes are not strictly increasing"),
+    "context_repeated": (_edit("codes", 1, 0), "gap is below 1"),
     "token_repeated_in_row": (_repeat_token, "tokens of a row are not strictly increasing"),
-    # model file v3 only
+    # model file v3 and on
     "version_2": (_json_file(2), "retrain"),
-    "version_4": (_edit("header", 0, 4), "version 4 not supported"),
-    "rows_out_of_order": (_reverse_rows, "codes are not strictly increasing"),
+    "version_3": (_v3_file, "version 3 not supported (expected 4); retrain"),
+    "version_5": (_edit("header", 0, 5), "version 5 not supported"),
+    "gaps_past_top": (_gaps_past_top, "context code lies outside [0, 13**3)"),
     "declares_10e10_values": (_huge_record, "declares 10000000000 values"),
     "last_record_truncated": (lambda m: m.update(counts=npy_bytes(m["counts"])[:-1]),
                               "more than the file holds"),
@@ -557,11 +559,12 @@ class TestModelFileValidation:
 
     def test_the_records_are_the_format(self, good, tmp_path):
         _, records = good
-        assert [r.dtype.kind for r in records.values()] == list("ifiuuu")
-        assert records["header"].tolist() == [3, 3, 12]
-        assert records["codes"].dtype == np.int64
+        assert [r.dtype.kind for r in records.values()] == list("ifuuuu")
+        assert records["header"].tolist() == [4, 3, 12]
+        # the codes as gaps, the first from -1, below 13**3 in all
+        assert records["codes"].min() >= 1 and records["codes"].sum() <= 13**3
         # each unsigned column in the smallest type that holds it
-        for key in ("sizes", "tokens", "counts"):
+        for key in ("codes", "sizes", "tokens", "counts"):
             assert records[key].dtype == np.min_scalar_type(int(records[key].max())), key
 
     def test_interact_rejects_bad_model_b(self, good, tmp_path, capsys):

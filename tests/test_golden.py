@@ -17,7 +17,11 @@ context-code order and each row's tokens in increasing order: each earlier
 file, loaded and saved by the array model, hashes to its new digest. They
 were recorded a third time when the model file became version 3, a stream
 of ``.npy`` records: each version-2 file, its columns written as those
-records, hashes to its new digest. The
+records, hashes to its new digest. They were recorded a fourth time, with
+the CI's model pins, when the model file became version 4: each version-3
+file, its codes replaced by their gaps (the first from -1) in the smallest
+unsigned type that holds them and its header version set to 4, hashes to
+its new digest. The
 ``interact-*`` digests and the CLI's ``scripted.json`` and ``model_b.json``
 were recorded again when a serialised transcript stopped writing four
 derivable values: ``config.chunk_ms`` (the dialogue's), the constant
@@ -83,8 +87,8 @@ DIGESTS = {
     "interact-v501-scripted-L3": "fcbabfa6c978d8a8ce51e3207400c5447b8ced88211c154ae96cee6184ac8e24",
     "ppl-v12": "8be9b35f5471021311b1901e5775c99693b818dcf51907756294d87e6ab9e8e4",
     "ppl-v501": "64583f908da96ecd7a1413562b650d7f23314082466847cc4a672d97af26d8c1",
-    "save-v12": "36d19ab6d6da5dc36a167e513fac593a7e7aff5752a9fea4ee5df4cdd1e1d7c7",
-    "save-v501": "f08f70145368a8d54b8db0658db4dec6d628ef784eec86433876ea0e99f7fb7a",
+    "save-v12": "287bcf2d3fe4238f3cd675425dbb7a86ad7ffb73c455a34c84820745b322adac",
+    "save-v501": "7f81efc1668b934b74f695cbc4175eb40c98b6fe65c1cd995f1990c1b63d5daf",
 }
 
 
@@ -148,7 +152,7 @@ ARRAYS = ("codes", "offsets", "tokens", "freqs", "row_totals")
 
 def test_load_inverts_save(world, tmp_path):
     _, _, model, _ = world
-    first, second, third, reversed_rows = (tmp_path / f"{n}.json" for n in "abcd")
+    first, second, third, zero_gap = (tmp_path / f"{n}.json" for n in "abcd")
     model.save(first)
     model.save(second)
     assert second.read_bytes() == first.read_bytes()
@@ -158,16 +162,15 @@ def test_load_inverts_save(world, tmp_path):
     assert loaded.totals == model.totals
     loaded.save(third)
     assert third.read_bytes() == first.read_bytes()
-    # only save writes the format, so load takes rows in code order only
+    # the codes are stored as gaps, so a repeated context is a gap of 0
     with open(first, "rb") as fh:
-        header, alpha, codes, sizes, tokens, counts = (np.load(fh) for _ in range(6))
-    rows = np.split(np.arange(len(tokens)), np.cumsum(sizes)[:-1])[::-1]
-    with open(reversed_rows, "wb") as fh:
-        for record in (header, alpha, codes[::-1], sizes[::-1],
-                       *(column[np.concatenate(rows)] for column in (tokens, counts))):
+        records = [np.load(fh) for _ in range(6)]
+    records[2][1] = 0
+    with open(zero_gap, "wb") as fh:
+        for record in records:
             np.save(fh, record)
-    with pytest.raises(ModelFormatError, match="not strictly increasing"):
-        NgramModel.load(reversed_rows)
+    with pytest.raises(ModelFormatError, match="gap is below 1"):
+        NgramModel.load(zero_gap)
 
 
 def test_perplexity(world):
@@ -258,7 +261,7 @@ def test_simulate_interaction(world, user, latency):
 CLI_DIGESTS = {
     "corpus.jsonl": "89ba56c52881c5cc86a6fe8b0ff5435f9f1203a340a5f76514095d11382441e2",
     "stats.json": "49a87fba62ada72c96a9833c0f2db3d57ee7db502ecdb0880b4a2dfdcc931ab3",
-    "model.json": "5674f8ee383de19756077945e5a93e2c3f7ac78c48e33f16722be953a136c9bf",
+    "model.json": "4b5c0089cdf84ff44e3a5f9d9584cdffb0ad794351379098586a5817d2049dba",
     "cont.jsonl": "be70d51dbf91029c900a25b04aaf895c794096bd26676d00b9be91b504ac5eb0",
     "cont.json": "b9991c3e38017187b73f44d790f978bc80974c2079909f2066c1fa2e10eaeb3e",
     "scripted.json": "2bc0026683afd2b22935cd362d6dfd3c93fdf6cf6a76bb2bfa86ad23e615c81d",

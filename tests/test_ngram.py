@@ -715,3 +715,33 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFormatError):
             NgramModel.load(path)
+
+    # the int64 edge: at vocab_ext 1 and order 63 the codes reach 2**63 - 1, the
+    # context of begin markers only, so a one-row model's first gap is 2**63
+    @pytest.mark.parametrize("corpus", [[[0]], [[0] * 5, [0] * 70]], ids=["one_row", "rows"])
+    def test_round_trip_at_the_int64_edge(self, tmp_path, corpus):
+        model = train(corpus, order=63, alpha=0.1, vocab_ext=1)
+        assert int(model.codes.max()) == 2**63 - 1
+        path = tmp_path / "model.json"
+        model.save(path)
+        loaded = NgramModel.load(path)
+        for name in ("codes", "offsets", "tokens", "freqs", "row_totals"):
+            got, want = getattr(loaded, name), getattr(model, name)
+            assert got.dtype == np.int64 and np.array_equal(got, want), name
+
+    # the codes pass 2**63, the code range: in int64 a gap of 2**63 wraps to
+    # -2**63, in uint64 a sum of 2**64 wraps to 0, and a gap of 2**64 - 1 takes
+    # the sum 1 back
+    @pytest.mark.parametrize("gaps", [[1, 2**63], [2**63, 2**63], [2**62, 2**62, 2**63],
+                                      [2, 2**64 - 1, 2]],
+                             ids=["gap_2_63", "sum_2_64", "sum_2_64_late", "gap_2_64_less_1"])
+    def test_codes_past_the_int64_edge_are_rejected(self, tmp_path, gaps):
+        path = tmp_path / "model.json"
+        rows = len(gaps)
+        with open(path, "wb") as fh:
+            for record in (np.array([4, 63, 1]), np.array([0.1]), np.array(gaps, np.uint64),
+                           np.ones(rows, np.uint8), np.zeros(rows, np.uint8),
+                           np.ones(rows, np.uint8)):
+                np.save(fh, record)
+        with pytest.raises(ModelFormatError, match=r"context code lies outside \[0, 2\*\*63\)"):
+            NgramModel.load(path)
