@@ -184,10 +184,10 @@ class NgramModel:
         return None
 
     def _set_rows(self, codes: np.ndarray, offsets: np.ndarray, tokens: np.ndarray,
-                  freqs: np.ndarray, totals: np.ndarray | None = None) -> None:
-        """Hold the rows of the module docstring, and their totals (summed if None)."""
+                  freqs: np.ndarray) -> None:
+        """Hold the rows of the module docstring, and their totals."""
         self.codes, self.offsets, self.tokens, self.freqs = codes, offsets, tokens, freqs
-        self.row_totals = np.add.reduceat(freqs, offsets[:-1]) if totals is None else totals
+        self.row_totals = np.add.reduceat(freqs, offsets[:-1])
 
     def _windows(self, sequences: list[Sequence[int]]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,9 +303,8 @@ class NgramModel:
         rising[offsets[1:-1] - 1] = True  # a row's first token follows the previous row's last
         _require(np.all(rising), "the tokens of a row are not strictly increasing")
         _require(counts.min(initial=1) >= 1, "a count is below 1")
-        _require((sums := _running_sums(counts, 2**53)) is not None, "the counts sum past 2**53")
-        model._set_rows(codes, offsets, tokens.astype(np.int64), counts.astype(np.int64),
-                        np.diff(sums.view(np.int64)[offsets]))  # the rows' totals, from the sums
+        _require(_running_sums(counts, 2**53) is not None, "the counts sum past 2**53")
+        model._set_rows(codes, offsets, tokens.astype(np.int64), counts.astype(np.int64))
         return model
 
 

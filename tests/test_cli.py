@@ -409,7 +409,8 @@ def _json_file(version):
             payload["counts"] = {",".join([str(vocab_ext)] * order): {"1": 1}}
         else:
             base = vocab_ext + 1
-            payload.update(contexts=[int(c) // base**k % base for c in m["codes"]
+            codes = np.cumsum(m["codes"], dtype=np.int64) - 1  # the record holds gaps
+            payload.update(contexts=[int(c) // base**k % base for c in codes
                                      for k in reversed(range(order))],
                            **{k: m[k].tolist() for k in ("sizes", "tokens", "counts")})
         m.clear()
